@@ -1,11 +1,13 @@
 #ifndef HTAPEX_BENCH_BENCH_COMMON_H_
 #define HTAPEX_BENCH_BENCH_COMMON_H_
 
+#include <algorithm>
 #include <cstdio>
 #include <memory>
 #include <string>
 #include <vector>
 
+#include "common/sim_clock.h"
 #include "core/htap_explainer.h"
 #include "engine/htap_system.h"
 #include "workload/query_generator.h"
@@ -56,6 +58,32 @@ inline std::vector<GeneratedQuery> TestWorkload(const HtapSystem& system,
                                                 uint64_t seed = 0x7e57) {
   QueryGenerator gen(system.config().stats_scale_factor, seed);
   return gen.GenerateMix(n);
+}
+
+/// A/B-alternated best-of-reps: each side's estimate is its fastest rep.
+/// External load only ever slows a rep down, so min-of-reps converges on
+/// the undisturbed cost, and alternating the sides exposes both to the
+/// same interference. One untimed call of each side warms up first
+/// (first-touch, branch predictors, worker pool spin-up).
+template <typename FnA, typename FnB>
+void BestMillisAb(int reps, FnA&& a, FnB&& b, double* best_a,
+                  double* best_b) {
+  *best_a = 1e300;
+  *best_b = 1e300;
+  a();
+  b();
+  for (int rep = 0; rep < reps; ++rep) {
+    {
+      WallTimer timer;
+      a();
+      *best_a = std::min(*best_a, timer.ElapsedMillis());
+    }
+    {
+      WallTimer timer;
+      b();
+      *best_b = std::min(*best_b, timer.ElapsedMillis());
+    }
+  }
 }
 
 /// Aggregated grading counts over a workload.

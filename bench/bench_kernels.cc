@@ -103,31 +103,6 @@ bool CheckParity(Fixture* f, const std::vector<PlanPair>& pairs) {
   return true;
 }
 
-/// A/B-alternated best-of-reps: each side's estimate is its fastest rep.
-/// External load (CI neighbours, this VM's other tenants) only ever slows
-/// a rep down, so min-of-reps converges on the undisturbed cost, and
-/// alternating the sides exposes both to the same interference.
-template <typename FnA, typename FnB>
-void BestMillisAb(int reps, FnA&& a, FnB&& b, double* best_a,
-                  double* best_b) {
-  *best_a = 1e300;
-  *best_b = 1e300;
-  a();  // warmup (first-touch, branch predictors)
-  b();
-  for (int rep = 0; rep < reps; ++rep) {
-    {
-      WallTimer timer;
-      a();
-      *best_a = std::min(*best_a, timer.ElapsedMillis());
-    }
-    {
-      WallTimer timer;
-      b();
-      *best_b = std::min(*best_b, timer.ElapsedMillis());
-    }
-  }
-}
-
 /// Check 2a: SIMD float32 squared-L2 vs the double-precision scalar
 /// reference (vector_store.h's exported SquaredL2) on embedding-sized and
 /// larger vectors.

@@ -1,6 +1,7 @@
 #ifndef HTAPEX_ENGINE_AGG_STATE_H_
 #define HTAPEX_ENGINE_AGG_STATE_H_
 
+#include <map>
 #include <set>
 #include <vector>
 
@@ -25,8 +26,8 @@ inline int CompareSortKeyRows(const std::vector<SortKey>& keys, const Row& a,
 }
 
 /// Aggregate accumulator for one group. Shared between the row-at-a-time
-/// executor and the vectorized executor so both produce bit-identical
-/// aggregate results (including the int→double SUM promotion point).
+/// executor and the vectorized executor so both accumulate each value
+/// identically (including the int→double SUM promotion point).
 struct AggState {
   int64_t count = 0;        // rows (for COUNT(*)) or non-null args
   double sum = 0.0;
@@ -87,8 +88,10 @@ inline Status AccumulateAgg(const Expr& agg, const Row& row, AggState* s) {
 
 /// Merges partial state `other` into `s` (for per-morsel partial
 /// aggregation). Equivalent to replaying other's inputs into `s`, except
-/// SUM accumulation order — absorbed by sum_is_int promotion rules for
-/// ints and by fingerprint normalization for doubles.
+/// SUM accumulation order: integer sums stay exact, but a double sum of
+/// partials can round differently from the row-order sum, and the
+/// fingerprint's %.6g formatting does not always hide it (the seed-105
+/// exec_mix query in perfbench/WORKLOADS.md differs in the 6th digit).
 inline void MergeAggState(const Expr& agg, const AggState& other, AggState* s) {
   if (agg.count_star) {
     s->count += other.count;
@@ -152,6 +155,10 @@ struct RowLess {
     return false;
   }
 };
+
+/// Group key -> one AggState per aggregate; ordered, so grouped output
+/// comes out in the same key order from both executors.
+using GroupMap = std::map<Row, std::vector<AggState>, RowLess>;
 
 }  // namespace htapex
 

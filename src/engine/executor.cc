@@ -1,54 +1,10 @@
 #include "engine/executor.h"
 
 #include <algorithm>
-#include <map>
-#include <unordered_map>
 
-#include "common/string_util.h"
-#include "engine/agg_state.h"
-#include "engine/exec_util.h"
 #include "storage/btree.h"
 
 namespace htapex {
-
-namespace {
-
-/// Lexicographic comparison of rows under sort keys; returns true when a
-/// precedes b.
-struct SortKeyLess {
-  const std::vector<SortKey>* keys;
-
-  bool operator()(const std::pair<Row, Row>& a,
-                  const std::pair<Row, Row>& b) const {
-    // first = key values, second = payload row
-    return CompareSortKeyRows(*keys, a.first, b.first) < 0;
-  }
-};
-
-}  // namespace
-
-std::string QueryResultSet::Fingerprint() const {
-  std::vector<std::string> lines;
-  lines.reserve(rows.size());
-  for (const Row& row : rows) {
-    std::string line;
-    for (size_t i = 0; i < row.size(); ++i) {
-      if (i > 0) line += "|";
-      // Normalize numerics through double formatting so Int(3)/Double(3.0)
-      // from different engines compare equal.
-      if (row[i].is_null()) {
-        line += "NULL";
-      } else if (row[i].is_string()) {
-        line += row[i].AsString();
-      } else {
-        line += StrFormat("%.6g", row[i].AsDouble());
-      }
-    }
-    lines.push_back(std::move(line));
-  }
-  std::sort(lines.begin(), lines.end());
-  return Join(lines, "\n");
-}
 
 Row Executor::MakeComposite(const PlanNode& scan, const Row& base_row,
                             int total_slots) const {
@@ -59,8 +15,8 @@ Row Executor::MakeComposite(const PlanNode& scan, const Row& base_row,
   return out;
 }
 
-Result<Executor::Rows> Executor::RunTableScan(const PlanNode& node,
-                                              int total_slots) const {
+Result<Rows> Executor::RunTableScan(const PlanNode& node,
+                                    int total_slots) const {
   HTAPEX_ASSIGN_OR_RETURN(const TableData* data,
                           row_store_.GetTable(node.relation));
   Rows out;
@@ -72,8 +28,8 @@ Result<Executor::Rows> Executor::RunTableScan(const PlanNode& node,
   return out;
 }
 
-Result<Executor::Rows> Executor::RunIndexScan(const PlanNode& node,
-                                              int total_slots) const {
+Result<Rows> Executor::RunIndexScan(const PlanNode& node,
+                                    int total_slots) const {
   HTAPEX_ASSIGN_OR_RETURN(const TableData* data,
                           row_store_.GetTable(node.relation));
   const BTreeIndex* index = row_store_.GetIndex(node.index_name);
@@ -148,8 +104,8 @@ Result<Executor::Rows> Executor::RunIndexScan(const PlanNode& node,
   return out;
 }
 
-Result<Executor::Rows> Executor::RunColumnScan(const PlanNode& node,
-                                               int total_slots) const {
+Result<Rows> Executor::RunColumnScan(const PlanNode& node,
+                                     int total_slots) const {
   HTAPEX_ASSIGN_OR_RETURN(const ColumnTable* table,
                           column_store_.GetTable(node.relation));
   HTAPEX_ASSIGN_OR_RETURN(const TableSchema* schema,
@@ -196,8 +152,8 @@ Result<Executor::Rows> Executor::RunColumnScan(const PlanNode& node,
   return out;
 }
 
-Result<Executor::Rows> Executor::RunSiftedScan(const PlanNode& node,
-                                               int total_slots) const {
+Result<Rows> Executor::RunSiftedScan(const PlanNode& node,
+                                     const ExecContext& ctx) const {
   // RunColumnScan semantics, then each sift probe in producer order: rows
   // whose join key is definitely absent from a producing join's Bloom
   // filter (or NULL, which can never join) are dropped. The producing hash
@@ -206,13 +162,13 @@ Result<Executor::Rows> Executor::RunSiftedScan(const PlanNode& node,
   std::vector<const BloomFilter*> filters;
   filters.reserve(node.sift_probes.size());
   for (const SiftProbe& sp : node.sift_probes) {
-    auto it = sift_filters_.find(sp.sift_id);
-    if (it == sift_filters_.end()) {
+    auto it = ctx.sift_filters.find(sp.sift_id);
+    if (it == ctx.sift_filters.end()) {
       return Status::ExecutionError("sift filter not built before scan");
     }
     filters.push_back(&it->second);
   }
-  HTAPEX_ASSIGN_OR_RETURN(Rows in, RunColumnScan(node, total_slots));
+  HTAPEX_ASSIGN_OR_RETURN(Rows in, RunColumnScan(node, ctx.total_slots));
   Rows out;
   for (Row& row : in) {
     bool keep = true;
@@ -229,43 +185,9 @@ Result<Executor::Rows> Executor::RunSiftedScan(const PlanNode& node,
   return out;
 }
 
-Result<Executor::Rows> Executor::RunFilter(const PlanNode& node,
-                                           int total_slots) const {
-  HTAPEX_ASSIGN_OR_RETURN(Rows in, Run(*node.children[0], total_slots));
-  Rows out;
-  for (Row& row : in) {
-    HTAPEX_ASSIGN_OR_RETURN(bool pass, PassesPredicates(node, row));
-    if (pass) out.push_back(std::move(row));
-  }
-  return out;
-}
-
-Result<Executor::Rows> Executor::RunNestedLoopJoin(const PlanNode& node,
-                                                   int total_slots) const {
-  HTAPEX_ASSIGN_OR_RETURN(Rows outer, Run(*node.children[0], total_slots));
-  HTAPEX_ASSIGN_OR_RETURN(Rows inner, Run(*node.children[1], total_slots));
-  std::vector<std::pair<int, int>> inner_ranges;
-  CollectScanRanges(*node.children[1], &inner_ranges);
-  Rows out;
-  for (const Row& o : outer) {
-    for (const Row& i : inner) {
-      Row merged = o;
-      MergeSlots(inner_ranges, i, &merged);
-      if (node.left_key != nullptr) {
-        HTAPEX_ASSIGN_OR_RETURN(Value lk, EvalExpr(*node.left_key, merged));
-        HTAPEX_ASSIGN_OR_RETURN(Value rk, EvalExpr(*node.right_key, merged));
-        if (lk.is_null() || rk.is_null() || lk.Compare(rk) != 0) continue;
-      }
-      HTAPEX_ASSIGN_OR_RETURN(bool pass, PassesPredicates(node, merged));
-      if (pass) out.push_back(std::move(merged));
-    }
-  }
-  return out;
-}
-
-Result<Executor::Rows> Executor::RunIndexNestedLoopJoin(const PlanNode& node,
-                                                        int total_slots) const {
-  HTAPEX_ASSIGN_OR_RETURN(Rows outer, Run(*node.children[0], total_slots));
+Result<Rows> Executor::RunIndexNestedLoopJoin(const PlanNode& node,
+                                              ExecContext* ctx) const {
+  HTAPEX_ASSIGN_OR_RETURN(Rows outer, Run(*node.children[0], ctx));
   // Locate the index-scan access node (possibly under a Filter).
   const PlanNode* inner = node.children[1].get();
   const PlanNode* filter = nullptr;
@@ -310,268 +232,52 @@ Result<Executor::Rows> Executor::RunIndexNestedLoopJoin(const PlanNode& node,
       if (pass) out.push_back(std::move(merged));
     }
   }
-  if (stats_ != nullptr) {
-    stats_->actual_rows[inner] = index_rows;
-    if (filter != nullptr) stats_->actual_rows[filter] = filter_rows;
-  }
+  ctx->Record(*inner, index_rows);
+  if (filter != nullptr) ctx->Record(*filter, filter_rows);
   return out;
 }
 
-Result<Executor::Rows> Executor::RunHashJoin(const PlanNode& node,
-                                             int total_slots) const {
-  // The build side always runs first: a sift producer's Bloom filter must
-  // exist before the kSiftedScan at the bottom of the probe spine scans,
-  // and an empty build side short-circuits the probe side entirely — these
-  // are inner joins, so an empty build means an empty join no matter what
-  // the probe side would produce. The skipped probe subtree records no
-  // ExecStats, and the vectorized pipeline's empty-build cut mirrors that
-  // node-for-node.
-  Rows build;
-  HTAPEX_ASSIGN_OR_RETURN(build, Run(*node.children[1], total_slots));
-  std::vector<std::pair<int, int>> build_ranges;
-  CollectScanRanges(*node.children[1], &build_ranges);
-  if (build.empty()) return Rows{};
-
-  if (node.left_key == nullptr || node.right_key == nullptr) {
-    // Degenerate cross join.
-    Rows probe;
-    HTAPEX_ASSIGN_OR_RETURN(probe, Run(*node.children[0], total_slots));
-    Rows out;
-    for (const Row& p : probe) {
-      for (const Row& b : build) {
-        Row merged = p;
-        MergeSlots(build_ranges, b, &merged);
-        HTAPEX_ASSIGN_OR_RETURN(bool pass, PassesPredicates(node, merged));
-        if (pass) out.push_back(std::move(merged));
-      }
-    }
-    return out;
-  }
-
-  std::unordered_multimap<uint64_t, size_t> table;
-  table.reserve(build.size());
-  std::vector<Value> build_keys(build.size());
-  BloomFilter* bloom = nullptr;
-  if (node.sift_id >= 0) {
-    bloom = &sift_filters_
-                 .emplace(node.sift_id,
-                          BloomFilter(build.size(), node.sift_bits_per_key))
-                 .first->second;
-  }
-  for (size_t i = 0; i < build.size(); ++i) {
-    HTAPEX_ASSIGN_OR_RETURN(Value k, EvalExpr(*node.right_key, build[i]));
-    if (k.is_null()) continue;
-    build_keys[i] = k;
-    table.emplace(k.Hash(), i);
-    if (bloom != nullptr) bloom->Insert(k.Hash());
-  }
-  Rows probe;
-  HTAPEX_ASSIGN_OR_RETURN(probe, Run(*node.children[0], total_slots));
-  Rows out;
-  out.reserve(probe.size());
-  for (const Row& p : probe) {
-    HTAPEX_ASSIGN_OR_RETURN(Value k, EvalExpr(*node.left_key, p));
-    if (k.is_null()) continue;
-    auto [lo, hi] = table.equal_range(k.Hash());
-    for (auto it = lo; it != hi; ++it) {
-      if (build_keys[it->second].Compare(k) != 0) continue;
-      Row merged = p;
-      MergeSlots(build_ranges, build[it->second], &merged);
-      HTAPEX_ASSIGN_OR_RETURN(bool pass, PassesPredicates(node, merged));
-      if (pass) out.push_back(std::move(merged));
-    }
-  }
-  return out;
-}
-
-Result<Executor::Rows> Executor::RunAggregate(const PlanNode& node,
-                                              int total_slots) const {
-  HTAPEX_ASSIGN_OR_RETURN(Rows in, Run(*node.children[0], total_slots));
-  // Group rows by key values (ordered map gives deterministic output order).
-  std::map<Row, std::vector<AggState>, RowLess> groups;
-  for (const Row& row : in) {
-    Row key;
-    key.reserve(node.group_keys.size());
-    for (const auto& g : node.group_keys) {
-      HTAPEX_ASSIGN_OR_RETURN(Value v, EvalExpr(*g, row));
-      key.push_back(std::move(v));
-    }
-    auto [it, inserted] =
-        groups.try_emplace(std::move(key), node.aggregates.size());
-    for (size_t a = 0; a < node.aggregates.size(); ++a) {
-      HTAPEX_RETURN_IF_ERROR(
-          AccumulateAgg(*node.aggregates[a], row, &it->second[a]));
-    }
-  }
-  Rows out;
-  if (groups.empty() && node.group_keys.empty()) {
-    // Scalar aggregation over an empty input still yields one row.
-    Row row;
-    std::vector<AggState> empty(node.aggregates.size());
-    for (size_t a = 0; a < node.aggregates.size(); ++a) {
-      row.push_back(FinalizeAgg(*node.aggregates[a], empty[a]));
-    }
-    out.push_back(std::move(row));
-    return out;
-  }
-  for (const auto& [key, states] : groups) {
-    Row row = key;
-    for (size_t a = 0; a < node.aggregates.size(); ++a) {
-      row.push_back(FinalizeAgg(*node.aggregates[a], states[a]));
-    }
-    out.push_back(std::move(row));
-  }
-  return out;
-}
-
-Result<Executor::Rows> Executor::RunSort(const PlanNode& node,
-                                         int total_slots) const {
-  HTAPEX_ASSIGN_OR_RETURN(Rows in, Run(*node.children[0], total_slots));
-  std::vector<std::pair<Row, Row>> keyed;
-  keyed.reserve(in.size());
-  for (Row& row : in) {
-    Row key;
-    key.reserve(node.sort_keys.size());
-    for (const auto& k : node.sort_keys) {
-      HTAPEX_ASSIGN_OR_RETURN(Value v, EvalExpr(*k.expr, row));
-      key.push_back(std::move(v));
-    }
-    keyed.emplace_back(std::move(key), std::move(row));
-  }
-  SortKeyLess less{&node.sort_keys};
-  std::stable_sort(keyed.begin(), keyed.end(), less);
-  Rows out;
-  out.reserve(keyed.size());
-  for (auto& [key, row] : keyed) out.push_back(std::move(row));
-  return out;
-}
-
-Result<Executor::Rows> Executor::RunTopN(const PlanNode& node,
-                                         int total_slots) const {
-  size_t start = static_cast<size_t>(std::max<int64_t>(node.offset, 0));
-  if (node.limit < 0) {
-    // No limit: nothing to bound, degenerate to a full sort + offset slice.
-    HTAPEX_ASSIGN_OR_RETURN(Rows sorted, RunSort(node, total_slots));
-    Rows out;
-    for (size_t i = start; i < sorted.size(); ++i) {
-      out.push_back(std::move(sorted[i]));
-    }
-    return out;
-  }
-  // Bounded heap of the offset+limit first rows under the sort order —
-  // the work the latency model charges. The (keys, input index) total
-  // order makes this exactly equivalent to stable_sort + slice.
-  HTAPEX_ASSIGN_OR_RETURN(Rows in, Run(*node.children[0], total_slots));
-  size_t keep = start + static_cast<size_t>(node.limit);
-  if (keep == 0) return Rows{};
-  struct Entry {
-    Row key;
-    Row row;
-    size_t idx;
-  };
-  auto precedes = [&node](const Entry& a, const Entry& b) {
-    int c = CompareSortKeyRows(node.sort_keys, a.key, b.key);
-    if (c != 0) return c < 0;
-    return a.idx < b.idx;  // ties resolve to earlier input, as stable_sort
-  };
-  // Max-heap under `precedes`: front is the worst row currently kept.
-  std::vector<Entry> heap;
-  heap.reserve(std::min(keep, in.size()) + 1);
-  for (size_t i = 0; i < in.size(); ++i) {
-    Row key;
-    key.reserve(node.sort_keys.size());
-    for (const auto& k : node.sort_keys) {
-      HTAPEX_ASSIGN_OR_RETURN(Value v, EvalExpr(*k.expr, in[i]));
-      key.push_back(std::move(v));
-    }
-    Entry e{std::move(key), std::move(in[i]), i};
-    if (heap.size() < keep) {
-      heap.push_back(std::move(e));
-      std::push_heap(heap.begin(), heap.end(), precedes);
-    } else if (precedes(e, heap.front())) {
-      std::pop_heap(heap.begin(), heap.end(), precedes);
-      heap.back() = std::move(e);
-      std::push_heap(heap.begin(), heap.end(), precedes);
-    }
-  }
-  std::sort_heap(heap.begin(), heap.end(), precedes);
-  Rows out;
-  for (size_t i = start; i < heap.size(); ++i) {
-    out.push_back(std::move(heap[i].row));
-  }
-  return out;
-}
-
-Result<Executor::Rows> Executor::RunLimit(const PlanNode& node,
-                                          int total_slots) const {
-  HTAPEX_ASSIGN_OR_RETURN(Rows in, Run(*node.children[0], total_slots));
-  size_t start = static_cast<size_t>(std::max<int64_t>(node.offset, 0));
-  size_t count = node.limit < 0 ? in.size() : static_cast<size_t>(node.limit);
-  Rows out;
-  for (size_t i = start; i < in.size() && out.size() < count; ++i) {
-    out.push_back(std::move(in[i]));
-  }
-  return out;
-}
-
-Result<Executor::Rows> Executor::RunProject(const PlanNode& node,
-                                            int total_slots) const {
-  HTAPEX_ASSIGN_OR_RETURN(Rows in, Run(*node.children[0], total_slots));
-  Rows out;
-  out.reserve(in.size());
-  for (const Row& row : in) {
-    Row projected;
-    projected.reserve(node.projections.size());
-    for (const auto& p : node.projections) {
-      HTAPEX_ASSIGN_OR_RETURN(Value v, EvalExpr(*p, row));
-      projected.push_back(std::move(v));
-    }
-    out.push_back(std::move(projected));
-  }
-  return out;
-}
-
-Result<Executor::Rows> Executor::Run(const PlanNode& node,
-                                     int total_slots) const {
-  Result<Rows> rows = RunDispatch(node, total_slots);
-  if (rows.ok() && stats_ != nullptr) {
-    stats_->actual_rows[&node] = rows.value().size();
-  }
+Result<Rows> Executor::Run(const PlanNode& node, ExecContext* ctx) const {
+  Result<Rows> rows = RunDispatch(node, ctx);
+  if (rows.ok()) ctx->Record(node, rows->size());
   return rows;
 }
 
-Result<Executor::Rows> Executor::RunDispatch(const PlanNode& node,
-                                             int total_slots) const {
+Result<Rows> Executor::RunDispatch(const PlanNode& node,
+                                   ExecContext* ctx) const {
+  ChildRunner run = [this, ctx](const PlanNode& child) {
+    return Run(child, ctx);
+  };
   switch (node.op) {
     case PlanOp::kTableScan:
-      return RunTableScan(node, total_slots);
+      return RunTableScan(node, ctx->total_slots);
     case PlanOp::kIndexScan:
-      return RunIndexScan(node, total_slots);
+      return RunIndexScan(node, ctx->total_slots);
     case PlanOp::kColumnScan:
-      return RunColumnScan(node, total_slots);
+      return RunColumnScan(node, ctx->total_slots);
     case PlanOp::kSiftedScan:
-      return RunSiftedScan(node, total_slots);
+      return RunSiftedScan(node, *ctx);
     case PlanOp::kFilter:
-      return RunFilter(node, total_slots);
+      return RunFilter(node, run);
     case PlanOp::kNestedLoopJoin:
-      return RunNestedLoopJoin(node, total_slots);
+      return RunNestedLoopJoin(node, run);
     case PlanOp::kIndexNestedLoopJoin:
-      return RunIndexNestedLoopJoin(node, total_slots);
+      return RunIndexNestedLoopJoin(node, ctx);
     case PlanOp::kHashJoin:
-      return RunHashJoin(node, total_slots);
+      return RunHashJoin(node, run, ctx);
     case PlanOp::kGroupAggregate:
     case PlanOp::kHashAggregate:
-      return RunAggregate(node, total_slots);
+      return RunAggregate(node, run);
     case PlanOp::kSort:
-      return RunSort(node, total_slots);
+      return RunSort(node, run);
     case PlanOp::kTopN:
-      return RunTopN(node, total_slots);
+      return RunTopN(node, run);
     case PlanOp::kLimit:
-      return RunLimit(node, total_slots);
+      return RunLimit(node, run);
     case PlanOp::kProject:
-      return RunProject(node, total_slots);
+      return RunProject(node, run);
     case PlanOp::kExchange:
-      return Run(*node.children[0], total_slots);
+      return run(*node.children[0]);
   }
   return Status::Internal("unknown plan operator");
 }
@@ -579,16 +285,9 @@ Result<Executor::Rows> Executor::RunDispatch(const PlanNode& node,
 Result<QueryResultSet> Executor::Execute(const PhysicalPlan& plan,
                                          std::vector<std::string> output_names,
                                          ExecStats* stats) const {
-  stats_ = stats;
-  sift_filters_.clear();
-  Result<Rows> rows = Run(*plan.root, plan.total_slots);
-  sift_filters_.clear();
-  stats_ = nullptr;
-  if (!rows.ok()) return rows.status();
-  QueryResultSet result;
-  result.column_names = std::move(output_names);
-  result.rows = std::move(*rows);
-  return result;
+  ExecContext ctx{plan.total_slots, stats, {}};
+  HTAPEX_ASSIGN_OR_RETURN(Rows rows, Run(*plan.root, &ctx));
+  return QueryResultSet{std::move(output_names), std::move(rows)};
 }
 
 }  // namespace htapex

@@ -1,35 +1,17 @@
 #ifndef HTAPEX_ENGINE_EXECUTOR_H_
 #define HTAPEX_ENGINE_EXECUTOR_H_
 
-#include <map>
 #include <string>
 #include <vector>
 
 #include "catalog/catalog.h"
 #include "common/result.h"
+#include "engine/operators.h"
 #include "plan/plan_node.h"
-#include "plan/pt_graph.h"
 #include "storage/column_store.h"
 #include "storage/row_store.h"
 
 namespace htapex {
-
-/// Per-node execution statistics (EXPLAIN ANALYZE style): actual output
-/// cardinality of every operator, including the inline-probed inner side
-/// of index nested-loop joins. Both executors (row-at-a-time and
-/// vectorized) record identical per-node cardinalities for the same plan.
-struct ExecStats {
-  std::map<const PlanNode*, size_t> actual_rows;
-};
-
-/// A query result: named columns plus rows of values.
-struct QueryResultSet {
-  std::vector<std::string> column_names;
-  std::vector<Row> rows;
-
-  /// Canonical text form for cross-engine result comparison (rows sorted).
-  std::string Fingerprint() const;
-};
 
 /// Executes physical plans from either engine against the in-process
 /// storage: TP operators read the RowStore (whole rows, B+-tree probes),
@@ -50,25 +32,18 @@ class Executor {
                                  ExecStats* stats = nullptr) const;
 
  private:
-  using Rows = std::vector<Row>;
+  Result<Rows> Run(const PlanNode& node, ExecContext* ctx) const;
+  Result<Rows> RunDispatch(const PlanNode& node, ExecContext* ctx) const;
 
-  Result<Rows> Run(const PlanNode& node, int total_slots) const;
-  Result<Rows> RunDispatch(const PlanNode& node, int total_slots) const;
-
+  // The row store and column scans and the index nested-loop join are the
+  // row executor's own; every other operator is shared (operators.h).
   Result<Rows> RunTableScan(const PlanNode& node, int total_slots) const;
   Result<Rows> RunIndexScan(const PlanNode& node, int total_slots) const;
   Result<Rows> RunColumnScan(const PlanNode& node, int total_slots) const;
-  Result<Rows> RunSiftedScan(const PlanNode& node, int total_slots) const;
-  Result<Rows> RunFilter(const PlanNode& node, int total_slots) const;
-  Result<Rows> RunNestedLoopJoin(const PlanNode& node, int total_slots) const;
+  Result<Rows> RunSiftedScan(const PlanNode& node,
+                             const ExecContext& ctx) const;
   Result<Rows> RunIndexNestedLoopJoin(const PlanNode& node,
-                                      int total_slots) const;
-  Result<Rows> RunHashJoin(const PlanNode& node, int total_slots) const;
-  Result<Rows> RunAggregate(const PlanNode& node, int total_slots) const;
-  Result<Rows> RunSort(const PlanNode& node, int total_slots) const;
-  Result<Rows> RunTopN(const PlanNode& node, int total_slots) const;
-  Result<Rows> RunLimit(const PlanNode& node, int total_slots) const;
-  Result<Rows> RunProject(const PlanNode& node, int total_slots) const;
+                                      ExecContext* ctx) const;
 
   /// Fetches one base-table row into the composite layout.
   Row MakeComposite(const PlanNode& scan, const Row& base_row,
@@ -77,12 +52,6 @@ class Executor {
   const Catalog& catalog_;
   const RowStore& row_store_;
   const ColumnStore& column_store_;
-  /// Set only for the duration of an instrumented Execute call.
-  mutable ExecStats* stats_ = nullptr;
-  /// Bloom filters built by sift-producing hash joins during the current
-  /// Execute, keyed by sift_id; consumed by kSiftedScan nodes below them.
-  /// Like stats_, this assumes one Execute at a time per Executor.
-  mutable std::map<int, BloomFilter> sift_filters_;
 };
 
 }  // namespace htapex

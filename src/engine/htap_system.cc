@@ -78,7 +78,7 @@ double HtapSystem::LatencyMs(const PhysicalPlan& plan,
 Result<QueryResultSet> HtapSystem::Execute(const PhysicalPlan& plan,
                                            const BoundQuery& query,
                                            ExecStats* stats) const {
-  ExecMode mode = plan.engine == EngineKind::kAp ? config_.ap_exec_mode
+  ExecMode mode = plan.engine == EngineKind::kAp ? ExecMode::kVectorized
                                                  : ExecMode::kRow;
   return ExecuteWithMode(mode, plan, query, stats);
 }

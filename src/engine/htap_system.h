@@ -19,9 +19,10 @@
 
 namespace htapex {
 
-/// Which executor runs AP (columnar) plans. The row-at-a-time executor is
-/// the semantic oracle; the vectorized morsel-driven executor is the fast
-/// path and is held to byte-identical results and per-node ExecStats.
+/// An explicit executor choice for ExecuteWithMode. The row-at-a-time
+/// executor is the semantic oracle; the vectorized morsel-driven executor
+/// is the fast path for AP plans and is held to byte-identical results and
+/// per-node ExecStats.
 enum class ExecMode { kRow, kVectorized };
 
 /// Configuration of the in-process HTAP system.
@@ -37,8 +38,6 @@ struct HtapConfig {
   LatencyParams latency;
   TpCostParams tp_cost;
   ApCostParams ap_cost;
-  /// Executor selection for AP plans (TP plans always run row-at-a-time).
-  ExecMode ap_exec_mode = ExecMode::kVectorized;
   /// Morsel workers for the vectorized executor; 0 = auto (see
   /// VecExecutor::set_num_workers).
   int vec_workers = 0;
@@ -107,15 +106,15 @@ class HtapSystem {
                    std::vector<NodeLatency>* breakdown = nullptr) const;
 
   /// Executes a plan against the loaded data; optional EXPLAIN ANALYZE
-  /// style per-node actual cardinalities. AP plans run on the executor
-  /// selected by config().ap_exec_mode; TP plans always run row-at-a-time.
+  /// style per-node actual cardinalities. AP plans run on the vectorized
+  /// executor, TP plans on the row executor.
   Result<QueryResultSet> Execute(const PhysicalPlan& plan,
                                  const BoundQuery& query,
                                  ExecStats* stats = nullptr) const;
 
-  /// Executes with an explicit executor choice, overriding the configured
-  /// ap_exec_mode (used by parity tests and benchmarks). kVectorized
-  /// requires an AP plan.
+  /// Executes with an explicit executor choice (parity tests and
+  /// benchmarks compare against the row oracle). kVectorized requires an
+  /// AP plan.
   Result<QueryResultSet> ExecuteWithMode(ExecMode mode,
                                          const PhysicalPlan& plan,
                                          const BoundQuery& query,

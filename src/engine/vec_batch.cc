@@ -224,22 +224,6 @@ Status ComputeScanSelection(const PlanNode& scan,
   return Status::OK();
 }
 
-void MaterializeBatchRows(const PlanNode& scan,
-                          const std::vector<int>& ordinals,
-                          const VecBatch& batch, int total_slots,
-                          std::vector<Row>* out) {
-  const ColumnTable& table = *batch.table;
-  out->reserve(out->size() + batch.sel.size());
-  for (uint32_t off : batch.sel) {
-    Row row(static_cast<size_t>(total_slots), Value::Null());
-    for (int c : ordinals) {
-      row[static_cast<size_t>(scan.slot_offset + c)] =
-          table.columns[static_cast<size_t>(c)].Get(batch.begin + off);
-    }
-    out->push_back(std::move(row));
-  }
-}
-
 size_t GatherNonNullI64(const ColumnVector& col, const VecBatch& batch,
                         int64_t* out) {
   const int64_t* vals = col.IntsData() + batch.begin;

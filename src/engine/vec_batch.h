@@ -43,14 +43,6 @@ Status ComputeScanSelection(const PlanNode& scan,
                             const std::vector<int>& ordinals, int total_slots,
                             kernels::Arena* arena, VecBatch* batch);
 
-/// Appends one composite row (width `total_slots`, scan columns at
-/// `scan.slot_offset` + ordinal) per selected batch row, in selection
-/// order.
-void MaterializeBatchRows(const PlanNode& scan,
-                          const std::vector<int>& ordinals,
-                          const VecBatch& batch, int total_slots,
-                          std::vector<Row>* out);
-
 /// Gathers the selected, non-null values of an int/date column into `out`
 /// (caller-sized to batch.sel.size()); returns the gathered count.
 size_t GatherNonNullI64(const ColumnVector& col, const VecBatch& batch,

@@ -4,7 +4,6 @@
 #include <thread>
 #include <utility>
 
-#include "engine/exec_util.h"
 #include "engine/vec_batch.h"
 
 namespace htapex {
@@ -16,19 +15,13 @@ int VecExecutor::effective_workers() const {
   return std::max(1, std::min(4, avail));
 }
 
-void VecExecutor::EnsurePool(int workers) const {
-  if (pool_ == nullptr || pool_->workers() != workers) {
-    pool_ = std::make_unique<WorkerPool>(workers);
-  }
-}
-
 bool VecExecutor::IsPipelineChain(const PlanNode& node) {
   const PlanNode* cur = &node;
   while (cur->op == PlanOp::kHashJoin) cur = cur->children[0].get();
   return cur->op == PlanOp::kColumnScan || cur->op == PlanOp::kSiftedScan;
 }
 
-Status VecExecutor::BuildPipeline(const PlanNode& root, int total_slots,
+Status VecExecutor::BuildPipeline(const PlanNode& root, ExecContext* ctx,
                                   PipelineSpec* spec) const {
   // Walk the probe spine: join nodes top→down, ending at the scan.
   std::vector<const PlanNode*> join_chain;
@@ -54,11 +47,10 @@ Status VecExecutor::BuildPipeline(const PlanNode& root, int total_slots,
   // the node set and counts of the row oracle's early return. Within one
   // table the key-insertion sequence is the row executor's, so duplicate
   // chains replay equal_range order (LIFO — see JoinTable).
-  const bool batch = probe_mode_ == VecProbeMode::kBatch;
   for (const PlanNode* j : join_chain) {
     BuiltJoin bj;
     bj.node = j;
-    HTAPEX_ASSIGN_OR_RETURN(bj.build_rows, Run(*j->children[1], total_slots));
+    HTAPEX_ASSIGN_OR_RETURN(bj.build_rows, Run(*j->children[1], ctx));
     CollectScanRanges(*j->children[1], &bj.build_ranges);
     if (bj.build_rows.empty()) {
       spec->joins.push_back(std::move(bj));
@@ -68,34 +60,11 @@ Status VecExecutor::BuildPipeline(const PlanNode& root, int total_slots,
     if (j->left_key == nullptr || j->right_key == nullptr) {
       bj.cross = true;
     } else {
-      BloomFilter* bloom = nullptr;
-      if (j->sift_id >= 0) {
-        // Same non-null key-hash stream as the hash table, so the filter
-        // is identical to the row executor's.
-        bloom = &sift_filters_
-                     .emplace(j->sift_id, BloomFilter(bj.build_rows.size(),
-                                                      j->sift_bits_per_key))
-                     .first->second;
-      }
-      bj.build_keys.resize(bj.build_rows.size());
-      if (batch) {
-        bj.flat.Reserve(bj.build_rows.size());
-      } else {
-        bj.table.reserve(bj.build_rows.size());
-      }
-      for (size_t i = 0; i < bj.build_rows.size(); ++i) {
-        HTAPEX_ASSIGN_OR_RETURN(Value k,
-                                EvalExpr(*j->right_key, bj.build_rows[i]));
-        if (k.is_null()) continue;
-        bj.build_keys[i] = k;
-        const uint64_t h = k.Hash();
-        if (batch) {
-          bj.flat.Insert(h, static_cast<uint32_t>(i));
-        } else {
-          bj.table.emplace(h, i);
-        }
-        if (bloom != nullptr) bloom->Insert(h);
-      }
+      bj.flat.Reserve(bj.build_rows.size());
+      HTAPEX_RETURN_IF_ERROR(HashBuildKeys(
+          *j, bj.build_rows, ctx, &bj.build_keys, [&bj](uint64_t h, size_t i) {
+            bj.flat.Insert(h, static_cast<uint32_t>(i));
+          }));
     }
     spec->joins.push_back(std::move(bj));
   }
@@ -107,12 +76,12 @@ Status VecExecutor::BuildPipeline(const PlanNode& root, int total_slots,
   std::reverse(spec->joins.begin(), spec->joins.end());  // bottom-up probing
   spec->nodes.push_back(cur);
   for (const BuiltJoin& bj : spec->joins) spec->nodes.push_back(bj.node);
-  if (batch) ResolveKeySources(spec);
+  ResolveKeySources(spec);
   // Resolve the scan's sift probes against the filters just built (the
   // producers are spine joins above the scan, so all ids are present now).
   for (const SiftProbe& sp : cur->sift_probes) {
-    auto it = sift_filters_.find(sp.sift_id);
-    if (it == sift_filters_.end()) {
+    auto it = ctx->sift_filters.find(sp.sift_id);
+    if (it == ctx->sift_filters.end()) {
       return Status::ExecutionError("sift filter not built before scan");
     }
     spec->scan_sifts.push_back(&it->second);
@@ -167,11 +136,12 @@ Status VecExecutor::TypedAggMorsel(const PipelineSpec& spec,
                                    kernels::Arena* arena,
                                    MorselOut* out) const {
   const PlanNode& node = *spec.agg;
-  out->typed.assign(node.aggregates.size(), AggState{});
+  std::vector<AggState>& states =
+      out->groups.try_emplace(Row{}, node.aggregates.size()).first->second;
   if (batch.sel.empty()) return Status::OK();
   for (size_t a = 0; a < node.aggregates.size(); ++a) {
     const Expr& agg = *node.aggregates[a];
-    AggState& s = out->typed[a];
+    AggState& s = states[a];
     if (agg.count_star) {
       s.count = static_cast<int64_t>(batch.sel.size());
       continue;
@@ -222,16 +192,6 @@ Status VecExecutor::ProcessMorsel(const PipelineSpec& spec,
                                   const Morsel& morsel, int total_slots,
                                   kernels::Arena* arena,
                                   MorselOut* out) const {
-  if (probe_mode_ == VecProbeMode::kBatch) {
-    return ProcessMorselBatch(spec, morsel, total_slots, arena, out);
-  }
-  return ProcessMorselRows(spec, morsel, total_slots, arena, out);
-}
-
-Status VecExecutor::ProcessMorselBatch(const PipelineSpec& spec,
-                                       const Morsel& morsel, int total_slots,
-                                       kernels::Arena* arena,
-                                       MorselOut* out) const {
   VecBatch batch;
   batch.table = spec.table;
   batch.begin = morsel.begin;
@@ -447,7 +407,7 @@ Status VecExecutor::ProcessMorselBatch(const PipelineSpec& spec,
   // composite row immediately, so it reuses ONE scratch row (every
   // pipeline-owned slot is overwritten per tuple; slots outside the
   // pipeline stay NULL) instead of allocating per tuple — the accumulation
-  // itself is AccumulateRows' exact per-row sequence.
+  // itself is AccumulateRow, as in the row executor's RunAggregate.
   auto fill_row = [&](size_t t, Row* row) {
     for (int c : spec.ordinals) {
       (*row)[static_cast<size_t>(spec.scan->slot_offset + c)] =
@@ -460,22 +420,10 @@ Status VecExecutor::ProcessMorselBatch(const PipelineSpec& spec,
     }
   };
   if (spec.sink == SinkKind::kGroups) {
-    const PlanNode& agg = *spec.agg;
     Row row(static_cast<size_t>(total_slots), Value::Null());
     for (size_t t = 0; t < cur_off.size(); ++t) {
       fill_row(t, &row);
-      Row key;
-      key.reserve(agg.group_keys.size());
-      for (const auto& g : agg.group_keys) {
-        HTAPEX_ASSIGN_OR_RETURN(Value v, EvalExpr(*g, row));
-        key.push_back(std::move(v));
-      }
-      auto [it, inserted] =
-          out->groups.try_emplace(std::move(key), agg.aggregates.size());
-      for (size_t a = 0; a < agg.aggregates.size(); ++a) {
-        HTAPEX_RETURN_IF_ERROR(
-            AccumulateAgg(*agg.aggregates[a], row, &it->second[a]));
-      }
+      HTAPEX_RETURN_IF_ERROR(AccumulateRow(*spec.agg, row, &out->groups));
     }
     return Status::OK();
   }
@@ -485,80 +433,6 @@ Status VecExecutor::ProcessMorselBatch(const PipelineSpec& spec,
     Row row(static_cast<size_t>(total_slots), Value::Null());
     fill_row(t, &row);
     rows.push_back(std::move(row));
-  }
-  out->rows = std::move(rows);
-  return Status::OK();
-}
-
-Status VecExecutor::ProcessMorselRows(const PipelineSpec& spec,
-                                      const Morsel& morsel, int total_slots,
-                                      kernels::Arena* arena,
-                                      MorselOut* out) const {
-  VecBatch batch;
-  batch.table = spec.table;
-  batch.begin = morsel.begin;
-  batch.end = morsel.end;
-  HTAPEX_RETURN_IF_ERROR(ComputeScanSelection(*spec.scan, spec.ordinals,
-                                              total_slots, arena, &batch));
-  if (!spec.scan_sifts.empty()) {
-    // Sift before the selection count: the scan node's actual_rows must
-    // match the row executor's post-sift cardinality. NULL keys can never
-    // join and are dropped, exactly like RunSiftedScan.
-    std::vector<uint32_t> kept;
-    kept.reserve(batch.sel.size());
-    for (uint32_t off : batch.sel) {
-      bool keep = true;
-      for (size_t s = 0; s < spec.scan_sifts.size(); ++s) {
-        const ColumnVector& col =
-            spec.table->columns[static_cast<size_t>(spec.sift_ordinals[s])];
-        Value k = col.Get(batch.begin + off);
-        if (k.is_null() || !spec.scan_sifts[s]->MayContain(k.Hash())) {
-          keep = false;
-          break;
-        }
-      }
-      if (keep) kept.push_back(off);
-    }
-    batch.sel = std::move(kept);
-  }
-  out->counts[0] = batch.sel.size();
-  if (spec.sink == SinkKind::kTypedAgg) {
-    return TypedAggMorsel(spec, batch, arena, out);
-  }
-  Rows rows;
-  MaterializeBatchRows(*spec.scan, spec.ordinals, batch, total_slots, &rows);
-  for (size_t ji = 0; ji < spec.joins.size(); ++ji) {
-    const BuiltJoin& bj = spec.joins[ji];
-    const PlanNode& jn = *bj.node;
-    Rows next;
-    if (bj.cross) {
-      for (const Row& p : rows) {
-        for (const Row& b : bj.build_rows) {
-          Row merged = p;
-          MergeSlots(bj.build_ranges, b, &merged);
-          HTAPEX_ASSIGN_OR_RETURN(bool pass, PassesPredicates(jn, merged));
-          if (pass) next.push_back(std::move(merged));
-        }
-      }
-    } else {
-      for (const Row& p : rows) {
-        HTAPEX_ASSIGN_OR_RETURN(Value k, EvalExpr(*jn.left_key, p));
-        if (k.is_null()) continue;
-        auto [lo, hi] = bj.table.equal_range(k.Hash());
-        for (auto it = lo; it != hi; ++it) {
-          if (bj.build_keys[it->second].Compare(k) != 0) continue;
-          Row merged = p;
-          MergeSlots(bj.build_ranges, bj.build_rows[it->second], &merged);
-          HTAPEX_ASSIGN_OR_RETURN(bool pass, PassesPredicates(jn, merged));
-          if (pass) next.push_back(std::move(merged));
-        }
-      }
-    }
-    out->counts[1 + ji] = next.size();
-    rows = std::move(next);
-  }
-  if (spec.sink == SinkKind::kGroups) {
-    return AccumulateRows(*spec.agg, rows, &out->groups);
   }
   out->rows = std::move(rows);
   return Status::OK();
@@ -577,38 +451,39 @@ void VecExecutor::RunMorselLoop(const PipelineSpec& spec, int total_slots,
       mo.status = ProcessMorsel(spec, m, total_slots, &arena, &mo);
     }
   };
-  int workers = effective_workers();
+  const int workers = effective_workers();
   if (workers <= 1 || dispatcher.morsel_count() <= 1) {
     work(0);
-  } else {
-    EnsurePool(workers);
-    pool_->Run(work);
+    return;
   }
+  std::lock_guard<std::mutex> lock(pool_mu_);
+  if (pool_ == nullptr || pool_->workers() != workers) {
+    pool_ = std::make_unique<WorkerPool>(workers);
+  }
+  pool_->Run(work);
 }
 
 void VecExecutor::RecordPipelineStats(const PipelineSpec& spec,
-                                      const std::vector<MorselOut>& outs) const {
-  if (stats_ == nullptr) return;
-  std::vector<size_t> totals(spec.nodes.size(), 0);
-  for (const MorselOut& mo : outs) {
-    for (size_t i = 0; i < totals.size(); ++i) totals[i] += mo.counts[i];
-  }
-  for (size_t i = 0; i < totals.size(); ++i) {
-    stats_->actual_rows[spec.nodes[i]] = totals[i];
+                                      const std::vector<MorselOut>& outs,
+                                      ExecContext* ctx) {
+  for (size_t i = 0; i < spec.nodes.size(); ++i) {
+    size_t total = 0;
+    for (const MorselOut& mo : outs) total += mo.counts[i];
+    ctx->Record(*spec.nodes[i], total);
   }
 }
 
-Result<VecExecutor::Rows> VecExecutor::RunPipeline(const PlanNode& root,
-                                                   int total_slots) const {
+Result<Rows> VecExecutor::RunPipeline(const PlanNode& root,
+                                      ExecContext* ctx) const {
   PipelineSpec spec;
-  HTAPEX_RETURN_IF_ERROR(BuildPipeline(root, total_slots, &spec));
+  HTAPEX_RETURN_IF_ERROR(BuildPipeline(root, ctx, &spec));
   if (spec.empty_cut) {
-    RecordPipelineStats(spec, {});
+    RecordPipelineStats(spec, {}, ctx);
     return Rows{};
   }
   MorselDispatcher sizing(spec.table->num_rows, kMorselRows);
   std::vector<MorselOut> outs(sizing.morsel_count());
-  RunMorselLoop(spec, total_slots, &outs);
+  RunMorselLoop(spec, ctx->total_slots, &outs);
   // Merge in morsel index order: output (and the error surfaced, if any)
   // is independent of worker count and scheduling.
   for (const MorselOut& mo : outs) HTAPEX_RETURN_IF_ERROR(mo.status);
@@ -617,7 +492,7 @@ Result<VecExecutor::Rows> VecExecutor::RunPipeline(const PlanNode& root,
     all.insert(all.end(), std::make_move_iterator(mo.rows.begin()),
                std::make_move_iterator(mo.rows.end()));
   }
-  RecordPipelineStats(spec, outs);
+  RecordPipelineStats(spec, outs, ctx);
   return all;
 }
 
@@ -642,93 +517,27 @@ bool VecExecutor::TypedAggEligible(const PlanNode& node,
   return true;
 }
 
-Status VecExecutor::AccumulateRows(const PlanNode& node, const Rows& rows,
-                                   GroupMap* groups) {
-  for (const Row& row : rows) {
-    Row key;
-    key.reserve(node.group_keys.size());
-    for (const auto& g : node.group_keys) {
-      HTAPEX_ASSIGN_OR_RETURN(Value v, EvalExpr(*g, row));
-      key.push_back(std::move(v));
-    }
-    auto [it, inserted] =
-        groups->try_emplace(std::move(key), node.aggregates.size());
-    for (size_t a = 0; a < node.aggregates.size(); ++a) {
-      HTAPEX_RETURN_IF_ERROR(
-          AccumulateAgg(*node.aggregates[a], row, &it->second[a]));
-    }
-  }
-  return Status::OK();
-}
-
-VecExecutor::Rows VecExecutor::FinalizeGroups(const PlanNode& node,
-                                              const GroupMap& groups) {
-  Rows out;
-  if (groups.empty() && node.group_keys.empty()) {
-    Row row;
-    std::vector<AggState> empty(node.aggregates.size());
-    for (size_t a = 0; a < node.aggregates.size(); ++a) {
-      row.push_back(FinalizeAgg(*node.aggregates[a], empty[a]));
-    }
-    out.push_back(std::move(row));
-    return out;
-  }
-  for (const auto& [key, states] : groups) {
-    Row row = key;
-    for (size_t a = 0; a < node.aggregates.size(); ++a) {
-      row.push_back(FinalizeAgg(*node.aggregates[a], states[a]));
-    }
-    out.push_back(std::move(row));
-  }
-  return out;
-}
-
-Result<VecExecutor::Rows> VecExecutor::RunAggregate(const PlanNode& node,
-                                                    int total_slots) const {
-  const PlanNode& child = *node.children[0];
-  if (!IsPipelineChain(child)) {
-    // Non-pipeline input (filter, sort, exchange, ...): materialize it,
-    // then aggregate sequentially — the row executor's exact shape.
-    HTAPEX_ASSIGN_OR_RETURN(Rows in, Run(child, total_slots));
-    GroupMap groups;
-    HTAPEX_RETURN_IF_ERROR(AccumulateRows(node, in, &groups));
-    return FinalizeGroups(node, groups);
-  }
-  // Fused aggregation: each morsel accumulates partial states; partials
-  // merge at the pipeline breaker in morsel order.
+Result<Rows> VecExecutor::RunFusedAggregate(const PlanNode& node,
+                                            ExecContext* ctx) const {
+  // Each morsel accumulates partial states; partials merge at the pipeline
+  // breaker in morsel order.
   PipelineSpec spec;
   spec.agg = &node;
-  HTAPEX_RETURN_IF_ERROR(BuildPipeline(child, total_slots, &spec));
+  HTAPEX_RETURN_IF_ERROR(BuildPipeline(*node.children[0], ctx, &spec));
+  GroupMap global;
   if (spec.empty_cut) {
     // The join spine is empty; aggregate over zero input rows, exactly
     // like the row executor aggregating its early-returned empty join.
-    RecordPipelineStats(spec, {});
-    GroupMap empty;
-    return FinalizeGroups(node, empty);
+    RecordPipelineStats(spec, {}, ctx);
+    return FinalizeGroups(node, global);
   }
   spec.sink = TypedAggEligible(node, spec) ? SinkKind::kTypedAgg
                                            : SinkKind::kGroups;
   MorselDispatcher sizing(spec.table->num_rows, kMorselRows);
   std::vector<MorselOut> outs(sizing.morsel_count());
-  RunMorselLoop(spec, total_slots, &outs);
+  RunMorselLoop(spec, ctx->total_slots, &outs);
   for (const MorselOut& mo : outs) HTAPEX_RETURN_IF_ERROR(mo.status);
-  RecordPipelineStats(spec, outs);
-  if (spec.sink == SinkKind::kTypedAgg) {
-    std::vector<AggState> global(node.aggregates.size());
-    for (const MorselOut& mo : outs) {
-      for (size_t a = 0; a < node.aggregates.size(); ++a) {
-        MergeAggState(*node.aggregates[a], mo.typed[a], &global[a]);
-      }
-    }
-    Row row;
-    for (size_t a = 0; a < node.aggregates.size(); ++a) {
-      row.push_back(FinalizeAgg(*node.aggregates[a], global[a]));
-    }
-    Rows out;
-    out.push_back(std::move(row));
-    return out;
-  }
-  GroupMap global;
+  RecordPipelineStats(spec, outs, ctx);
   for (const MorselOut& mo : outs) {
     for (const auto& [key, states] : mo.groups) {
       auto [it, inserted] = global.try_emplace(key, node.aggregates.size());
@@ -740,247 +549,44 @@ Result<VecExecutor::Rows> VecExecutor::RunAggregate(const PlanNode& node,
   return FinalizeGroups(node, global);
 }
 
-Result<VecExecutor::Rows> VecExecutor::RunFilter(const PlanNode& node,
-                                                 int total_slots) const {
-  HTAPEX_ASSIGN_OR_RETURN(Rows in, Run(*node.children[0], total_slots));
-  Rows out;
-  for (Row& row : in) {
-    HTAPEX_ASSIGN_OR_RETURN(bool pass, PassesPredicates(node, row));
-    if (pass) out.push_back(std::move(row));
-  }
-  return out;
-}
-
-Result<VecExecutor::Rows> VecExecutor::RunNestedLoopJoin(
-    const PlanNode& node, int total_slots) const {
-  HTAPEX_ASSIGN_OR_RETURN(Rows outer, Run(*node.children[0], total_slots));
-  HTAPEX_ASSIGN_OR_RETURN(Rows inner, Run(*node.children[1], total_slots));
-  std::vector<std::pair<int, int>> inner_ranges;
-  CollectScanRanges(*node.children[1], &inner_ranges);
-  Rows out;
-  for (const Row& o : outer) {
-    for (const Row& i : inner) {
-      Row merged = o;
-      MergeSlots(inner_ranges, i, &merged);
-      if (node.left_key != nullptr) {
-        HTAPEX_ASSIGN_OR_RETURN(Value lk, EvalExpr(*node.left_key, merged));
-        HTAPEX_ASSIGN_OR_RETURN(Value rk, EvalExpr(*node.right_key, merged));
-        if (lk.is_null() || rk.is_null() || lk.Compare(rk) != 0) continue;
-      }
-      HTAPEX_ASSIGN_OR_RETURN(bool pass, PassesPredicates(node, merged));
-      if (pass) out.push_back(std::move(merged));
-    }
-  }
-  return out;
-}
-
-Result<VecExecutor::Rows> VecExecutor::RunHashJoinSequential(
-    const PlanNode& node, int total_slots) const {
-  // Mirrors Executor::RunHashJoin exactly: build side first (a sift
-  // producer's Bloom filter must exist before the probe side runs, and an
-  // empty build side short-circuits the probe side entirely — these are
-  // inner joins, so an empty build means an empty join no matter what the
-  // probe side holds).
-  Rows build;
-  HTAPEX_ASSIGN_OR_RETURN(build, Run(*node.children[1], total_slots));
-  std::vector<std::pair<int, int>> build_ranges;
-  CollectScanRanges(*node.children[1], &build_ranges);
-  if (build.empty()) return Rows{};
-
-  if (node.left_key == nullptr || node.right_key == nullptr) {
-    Rows probe;
-    HTAPEX_ASSIGN_OR_RETURN(probe, Run(*node.children[0], total_slots));
-    Rows out;
-    for (const Row& p : probe) {
-      for (const Row& b : build) {
-        Row merged = p;
-        MergeSlots(build_ranges, b, &merged);
-        HTAPEX_ASSIGN_OR_RETURN(bool pass, PassesPredicates(node, merged));
-        if (pass) out.push_back(std::move(merged));
-      }
-    }
-    return out;
-  }
-
-  std::unordered_multimap<uint64_t, size_t> table;
-  table.reserve(build.size());
-  std::vector<Value> build_keys(build.size());
-  BloomFilter* bloom = nullptr;
-  if (node.sift_id >= 0) {
-    bloom = &sift_filters_
-                 .emplace(node.sift_id,
-                          BloomFilter(build.size(), node.sift_bits_per_key))
-                 .first->second;
-  }
-  for (size_t i = 0; i < build.size(); ++i) {
-    HTAPEX_ASSIGN_OR_RETURN(Value k, EvalExpr(*node.right_key, build[i]));
-    if (k.is_null()) continue;
-    build_keys[i] = k;
-    table.emplace(k.Hash(), i);
-    if (bloom != nullptr) bloom->Insert(k.Hash());
-  }
-  Rows probe;
-  HTAPEX_ASSIGN_OR_RETURN(probe, Run(*node.children[0], total_slots));
-  Rows out;
-  out.reserve(probe.size());
-  for (const Row& p : probe) {
-    HTAPEX_ASSIGN_OR_RETURN(Value k, EvalExpr(*node.left_key, p));
-    if (k.is_null()) continue;
-    auto [lo, hi] = table.equal_range(k.Hash());
-    for (auto it = lo; it != hi; ++it) {
-      if (build_keys[it->second].Compare(k) != 0) continue;
-      Row merged = p;
-      MergeSlots(build_ranges, build[it->second], &merged);
-      HTAPEX_ASSIGN_OR_RETURN(bool pass, PassesPredicates(node, merged));
-      if (pass) out.push_back(std::move(merged));
-    }
-  }
-  return out;
-}
-
-Result<VecExecutor::Rows> VecExecutor::RunSort(const PlanNode& node,
-                                               int total_slots) const {
-  HTAPEX_ASSIGN_OR_RETURN(Rows in, Run(*node.children[0], total_slots));
-  std::vector<std::pair<Row, Row>> keyed;
-  keyed.reserve(in.size());
-  for (Row& row : in) {
-    Row key;
-    key.reserve(node.sort_keys.size());
-    for (const auto& k : node.sort_keys) {
-      HTAPEX_ASSIGN_OR_RETURN(Value v, EvalExpr(*k.expr, row));
-      key.push_back(std::move(v));
-    }
-    keyed.emplace_back(std::move(key), std::move(row));
-  }
-  std::stable_sort(keyed.begin(), keyed.end(),
-                   [&node](const std::pair<Row, Row>& a,
-                           const std::pair<Row, Row>& b) {
-                     return CompareSortKeyRows(node.sort_keys, a.first,
-                                               b.first) < 0;
-                   });
-  Rows out;
-  out.reserve(keyed.size());
-  for (auto& [key, row] : keyed) out.push_back(std::move(row));
-  return out;
-}
-
-Result<VecExecutor::Rows> VecExecutor::RunTopN(const PlanNode& node,
-                                               int total_slots) const {
-  size_t start = static_cast<size_t>(std::max<int64_t>(node.offset, 0));
-  if (node.limit < 0) {
-    HTAPEX_ASSIGN_OR_RETURN(Rows sorted, RunSort(node, total_slots));
-    Rows out;
-    for (size_t i = start; i < sorted.size(); ++i) {
-      out.push_back(std::move(sorted[i]));
-    }
-    return out;
-  }
-  // Bounded heap under the (keys, input index) total order — identical to
-  // the row executor's RunTopN, hence to stable_sort + slice.
-  HTAPEX_ASSIGN_OR_RETURN(Rows in, Run(*node.children[0], total_slots));
-  size_t keep = start + static_cast<size_t>(node.limit);
-  if (keep == 0) return Rows{};
-  struct Entry {
-    Row key;
-    Row row;
-    size_t idx;
-  };
-  auto precedes = [&node](const Entry& a, const Entry& b) {
-    int c = CompareSortKeyRows(node.sort_keys, a.key, b.key);
-    if (c != 0) return c < 0;
-    return a.idx < b.idx;
-  };
-  std::vector<Entry> heap;
-  heap.reserve(std::min(keep, in.size()) + 1);
-  for (size_t i = 0; i < in.size(); ++i) {
-    Row key;
-    key.reserve(node.sort_keys.size());
-    for (const auto& k : node.sort_keys) {
-      HTAPEX_ASSIGN_OR_RETURN(Value v, EvalExpr(*k.expr, in[i]));
-      key.push_back(std::move(v));
-    }
-    Entry e{std::move(key), std::move(in[i]), i};
-    if (heap.size() < keep) {
-      heap.push_back(std::move(e));
-      std::push_heap(heap.begin(), heap.end(), precedes);
-    } else if (precedes(e, heap.front())) {
-      std::pop_heap(heap.begin(), heap.end(), precedes);
-      heap.back() = std::move(e);
-      std::push_heap(heap.begin(), heap.end(), precedes);
-    }
-  }
-  std::sort_heap(heap.begin(), heap.end(), precedes);
-  Rows out;
-  for (size_t i = start; i < heap.size(); ++i) {
-    out.push_back(std::move(heap[i].row));
-  }
-  return out;
-}
-
-Result<VecExecutor::Rows> VecExecutor::RunLimit(const PlanNode& node,
-                                                int total_slots) const {
-  HTAPEX_ASSIGN_OR_RETURN(Rows in, Run(*node.children[0], total_slots));
-  size_t start = static_cast<size_t>(std::max<int64_t>(node.offset, 0));
-  size_t count = node.limit < 0 ? in.size() : static_cast<size_t>(node.limit);
-  Rows out;
-  for (size_t i = start; i < in.size() && out.size() < count; ++i) {
-    out.push_back(std::move(in[i]));
-  }
-  return out;
-}
-
-Result<VecExecutor::Rows> VecExecutor::RunProject(const PlanNode& node,
-                                                  int total_slots) const {
-  HTAPEX_ASSIGN_OR_RETURN(Rows in, Run(*node.children[0], total_slots));
-  Rows out;
-  out.reserve(in.size());
-  for (const Row& row : in) {
-    Row projected;
-    projected.reserve(node.projections.size());
-    for (const auto& p : node.projections) {
-      HTAPEX_ASSIGN_OR_RETURN(Value v, EvalExpr(*p, row));
-      projected.push_back(std::move(v));
-    }
-    out.push_back(std::move(projected));
-  }
-  return out;
-}
-
-Result<VecExecutor::Rows> VecExecutor::Run(const PlanNode& node,
-                                           int total_slots) const {
-  Result<Rows> rows = RunDispatch(node, total_slots);
-  if (rows.ok() && stats_ != nullptr) {
-    stats_->actual_rows[&node] = rows.value().size();
-  }
+Result<Rows> VecExecutor::Run(const PlanNode& node, ExecContext* ctx) const {
+  Result<Rows> rows = RunDispatch(node, ctx);
+  if (rows.ok()) ctx->Record(node, rows->size());
   return rows;
 }
 
-Result<VecExecutor::Rows> VecExecutor::RunDispatch(const PlanNode& node,
-                                                   int total_slots) const {
+Result<Rows> VecExecutor::RunDispatch(const PlanNode& node,
+                                      ExecContext* ctx) const {
+  ChildRunner run = [this, ctx](const PlanNode& child) {
+    return Run(child, ctx);
+  };
   switch (node.op) {
     case PlanOp::kColumnScan:
     case PlanOp::kSiftedScan:
-      return RunPipeline(node, total_slots);
+      return RunPipeline(node, ctx);
     case PlanOp::kHashJoin:
-      if (IsPipelineChain(node)) return RunPipeline(node, total_slots);
-      return RunHashJoinSequential(node, total_slots);
+      if (IsPipelineChain(node)) return RunPipeline(node, ctx);
+      return RunHashJoin(node, run, ctx);
     case PlanOp::kGroupAggregate:
     case PlanOp::kHashAggregate:
-      return RunAggregate(node, total_slots);
+      if (IsPipelineChain(*node.children[0])) {
+        return RunFusedAggregate(node, ctx);
+      }
+      return RunAggregate(node, run);
     case PlanOp::kFilter:
-      return RunFilter(node, total_slots);
+      return RunFilter(node, run);
     case PlanOp::kNestedLoopJoin:
-      return RunNestedLoopJoin(node, total_slots);
+      return RunNestedLoopJoin(node, run);
     case PlanOp::kSort:
-      return RunSort(node, total_slots);
+      return RunSort(node, run);
     case PlanOp::kTopN:
-      return RunTopN(node, total_slots);
+      return RunTopN(node, run);
     case PlanOp::kLimit:
-      return RunLimit(node, total_slots);
+      return RunLimit(node, run);
     case PlanOp::kProject:
-      return RunProject(node, total_slots);
+      return RunProject(node, run);
     case PlanOp::kExchange:
-      return Run(*node.children[0], total_slots);
+      return run(*node.children[0]);
     case PlanOp::kTableScan:
     case PlanOp::kIndexScan:
     case PlanOp::kIndexNestedLoopJoin:
@@ -994,16 +600,9 @@ Result<VecExecutor::Rows> VecExecutor::RunDispatch(const PlanNode& node,
 Result<QueryResultSet> VecExecutor::Execute(
     const PhysicalPlan& plan, std::vector<std::string> output_names,
     ExecStats* stats) const {
-  stats_ = stats;
-  sift_filters_.clear();
-  Result<Rows> rows = Run(*plan.root, plan.total_slots);
-  sift_filters_.clear();
-  stats_ = nullptr;
-  if (!rows.ok()) return rows.status();
-  QueryResultSet result;
-  result.column_names = std::move(output_names);
-  result.rows = std::move(*rows);
-  return result;
+  ExecContext ctx{plan.total_slots, stats, {}};
+  HTAPEX_ASSIGN_OR_RETURN(Rows rows, Run(*plan.root, &ctx));
+  return QueryResultSet{std::move(output_names), std::move(rows)};
 }
 
 }  // namespace htapex

@@ -1,19 +1,18 @@
 #ifndef HTAPEX_ENGINE_VEC_EXECUTOR_H_
 #define HTAPEX_ENGINE_VEC_EXECUTOR_H_
 
-#include <map>
 #include <memory>
+#include <mutex>
 #include <string>
-#include <unordered_map>
 #include <vector>
 
 #include "catalog/catalog.h"
 #include "common/kernels.h"
 #include "common/result.h"
 #include "engine/agg_state.h"
-#include "engine/executor.h"
 #include "engine/join_table.h"
 #include "engine/morsel.h"
+#include "engine/operators.h"
 #include "plan/plan_node.h"
 #include "storage/column_store.h"
 
@@ -24,35 +23,29 @@ namespace htapex {
 /// Scan→hash-join pipelines run morsel-parallel: workers claim
 /// segment-aligned row ranges from a shared dispatcher, evaluate scan
 /// predicates as column-at-a-time masks over borrowed column spans
-/// (kernels::MaskCmp* et al., per-morsel Arena scratch), late-materialize
-/// survivors, and probe the shared (read-only) hash tables built once
-/// before the parallel region. Aggregations directly above a pipeline fold
-/// into it as per-morsel partial states merged at the pipeline breaker;
-/// everything else (sort, top-N, projection, non-pipeline joins) runs
-/// sequentially with the row executor's exact semantics.
+/// (kernels::MaskCmp* et al., per-morsel Arena scratch), and probe the
+/// shared (read-only) flat JoinTables built once before the parallel
+/// region: probe keys for a whole morsel are gathered through the
+/// selection vector, bulk-hashed (kernels::HashI64/F64/Bytes) and probed
+/// with software prefetch; tuples travel the join spine as (scan offset,
+/// build indices) and composite rows materialize once, at the sink.
+/// Aggregations directly above a pipeline fold into it as per-morsel
+/// partial states merged at the pipeline breaker. Every other operator
+/// (sort, top-N, projection, non-pipeline joins and aggregations) is the
+/// row executor's own implementation, shared through operators.h.
 ///
 /// Parity contract: for any AP plan this executor produces byte-identical
 /// QueryResultSet::Fingerprint() output and identical per-node ExecStats
 /// to the row-at-a-time Executor (the oracle), independent of worker
-/// count — morsel results merge in morsel index order, group maps are
-/// ordered, and double-SUM reassociation is absorbed by the fingerprint's
-/// %.6g normalization just like the existing TP-vs-AP cross-check.
-/// How the pipeline probes its join build sides. The batch path is the
-/// production default; the row-at-a-time path is the pre-batch
-/// implementation kept verbatim as the A/B baseline bench_vexec's join
-/// speedup gate measures against (and a fallback knob).
-enum class VecProbeMode {
-  /// Flat JoinTable + gathered key columns + late materialization: probe
-  /// keys for a whole morsel are gathered through the selection vector
-  /// into typed spans, bulk-hashed (kernels::HashI64/F64), and probed with
-  /// software prefetch; tuples travel the join spine as (scan offset,
-  /// build indices) and composite rows materialize once, at the sink.
-  kBatch,
-  /// Historical path: materialize composite rows after the scan, then
-  /// per-row EvalExpr + unordered_multimap::equal_range per join.
-  kRowAtATime,
-};
-
+/// count: morsel results merge in morsel index order and group maps are
+/// ordered. One exception is known: a double SUM adds per-morsel partial
+/// sums, so its rounding can differ from the oracle's row-order sum in the
+/// last bits, and the fingerprint's %.6g formatting does not always hide
+/// that (perfbench/WORKLOADS.md, the seed-105 exec_mix query).
+///
+/// Execute is const and reentrant: per-call state lives in an ExecContext
+/// on the caller's stack, and concurrent parallel regions take turns on
+/// the one worker pool.
 class VecExecutor {
  public:
   /// Morsel granularity: 4 column-store segments, keeping zone-map pruning
@@ -68,10 +61,6 @@ class VecExecutor {
   void set_num_workers(int n) { requested_workers_ = n; }
   int effective_workers() const;
 
-  /// Probe-path A/B knob; both modes satisfy the parity contract.
-  void set_probe_mode(VecProbeMode mode) { probe_mode_ = mode; }
-  VecProbeMode probe_mode() const { return probe_mode_; }
-
   /// Runs an AP plan; `output_names` labels the result columns. When
   /// `stats` is provided, per-node actual cardinalities are recorded.
   /// TP-only operators (row scans, index probes) are rejected.
@@ -80,9 +69,6 @@ class VecExecutor {
                                  ExecStats* stats = nullptr) const;
 
  private:
-  using Rows = std::vector<Row>;
-  using GroupMap = std::map<Row, std::vector<AggState>, RowLess>;
-
   /// Where a join's probe key comes from, resolved once per pipeline so
   /// the batch probe can gather/hash whole morsels without EvalExpr.
   enum class KeySource {
@@ -92,17 +78,15 @@ class VecExecutor {
   };
 
   /// One hash-join build side, constructed before the parallel region and
-  /// probed read-only by all workers. Exactly one of `table` (row-at-a-time
-  /// mode) / `flat` (batch mode) is populated.
+  /// probed read-only by all workers.
   struct BuiltJoin {
     const PlanNode* node = nullptr;
     Rows build_rows;
     std::vector<Value> build_keys;
-    std::unordered_multimap<uint64_t, size_t> table;
     JoinTable flat;
     std::vector<std::pair<int, int>> build_ranges;
     bool cross = false;  // no equi-keys: degenerate cross join
-    // Batch-mode probe-key resolution (ResolveKeySources).
+    // Probe-key resolution (ResolveKeySources).
     KeySource key_source = KeySource::kComputed;
     int key_ordinal = -1;   // kScanColumn: schema ordinal in spec.table
     int key_src_join = -1;  // kBuildColumn: earlier join index (bottom-up)
@@ -117,7 +101,8 @@ class VecExecutor {
   enum class SinkKind {
     kRows,      // materialized rows, merged in morsel order
     kGroups,    // per-morsel partial group maps (generic fused aggregation)
-    kTypedAgg,  // per-morsel partial AggStates over raw column spans
+    kTypedAgg,  // per-morsel partial AggStates over raw column spans, as
+                // the one group of a scalar aggregation
   };
 
   /// A compiled scan(→join)* pipeline.
@@ -149,77 +134,50 @@ class VecExecutor {
   struct MorselOut {
     Rows rows;
     GroupMap groups;
-    std::vector<AggState> typed;
     std::vector<size_t> counts;  // per spec.nodes entry
     Status status = Status::OK();
   };
 
-  Result<Rows> Run(const PlanNode& node, int total_slots) const;
-  Result<Rows> RunDispatch(const PlanNode& node, int total_slots) const;
+  Result<Rows> Run(const PlanNode& node, ExecContext* ctx) const;
+  Result<Rows> RunDispatch(const PlanNode& node, ExecContext* ctx) const;
 
   /// True when `node` roots a hash-join chain whose probe spine bottoms
   /// out in a column scan (the morsel-parallel pipeline shape).
   static bool IsPipelineChain(const PlanNode& node);
 
-  Status BuildPipeline(const PlanNode& root, int total_slots,
+  Status BuildPipeline(const PlanNode& root, ExecContext* ctx,
                        PipelineSpec* spec) const;
   /// Resolves each equi-join's probe-key source for the batch probe.
   void ResolveKeySources(PipelineSpec* spec) const;
+  /// Fused typed sift, gathered key hashing, flat-table probing with
+  /// prefetch, late materialization at the sink.
   Status ProcessMorsel(const PipelineSpec& spec, const Morsel& morsel,
                        int total_slots, kernels::Arena* arena,
                        MorselOut* out) const;
-  /// Batch probe: fused typed sift, gathered key hashing, flat-table
-  /// probing with prefetch, late materialization at the sink.
-  Status ProcessMorselBatch(const PipelineSpec& spec, const Morsel& morsel,
-                            int total_slots, kernels::Arena* arena,
-                            MorselOut* out) const;
-  /// Pre-batch probe (VecProbeMode::kRowAtATime), kept as the honest A/B
-  /// baseline: composite rows from the scan on, multimap equal_range.
-  Status ProcessMorselRows(const PipelineSpec& spec, const Morsel& morsel,
-                           int total_slots, kernels::Arena* arena,
-                           MorselOut* out) const;
   Status TypedAggMorsel(const PipelineSpec& spec, const struct VecBatch& batch,
                         kernels::Arena* arena, MorselOut* out) const;
   /// Runs the morsel loop over `spec` (inline or on the worker pool),
   /// filling one MorselOut per morsel.
   void RunMorselLoop(const PipelineSpec& spec, int total_slots,
                      std::vector<MorselOut>* outs) const;
-  void RecordPipelineStats(const PipelineSpec& spec,
-                           const std::vector<MorselOut>& outs) const;
+  static void RecordPipelineStats(const PipelineSpec& spec,
+                                  const std::vector<MorselOut>& outs,
+                                  ExecContext* ctx);
 
-  Result<Rows> RunPipeline(const PlanNode& root, int total_slots) const;
-  Result<Rows> RunAggregate(const PlanNode& node, int total_slots) const;
+  Result<Rows> RunPipeline(const PlanNode& root, ExecContext* ctx) const;
+  /// Aggregation fused into the pipeline below it.
+  Result<Rows> RunFusedAggregate(const PlanNode& node, ExecContext* ctx) const;
   static bool TypedAggEligible(const PlanNode& node, const PipelineSpec& spec);
-
-  // Sequential operators, mirroring the row executor.
-  Result<Rows> RunFilter(const PlanNode& node, int total_slots) const;
-  Result<Rows> RunNestedLoopJoin(const PlanNode& node, int total_slots) const;
-  Result<Rows> RunHashJoinSequential(const PlanNode& node,
-                                     int total_slots) const;
-  Result<Rows> RunSort(const PlanNode& node, int total_slots) const;
-  Result<Rows> RunTopN(const PlanNode& node, int total_slots) const;
-  Result<Rows> RunLimit(const PlanNode& node, int total_slots) const;
-  Result<Rows> RunProject(const PlanNode& node, int total_slots) const;
-
-  static Status AccumulateRows(const PlanNode& node, const Rows& rows,
-                               GroupMap* groups);
-  static Rows FinalizeGroups(const PlanNode& node, const GroupMap& groups);
-
-  void EnsurePool(int workers) const;
 
   const Catalog& catalog_;
   const ColumnStore& column_store_;
   int requested_workers_ = 0;
-  VecProbeMode probe_mode_ = VecProbeMode::kBatch;
-  /// Lazily built, persists across Execute calls; rebuilt on size change.
+  /// Guards pool_ and admits one parallel region at a time, since
+  /// WorkerPool::Run is not reentrant.
+  mutable std::mutex pool_mu_;
+  /// Built on the first parallel region, so plan-only systems spawn no
+  /// threads; persists across Execute calls; rebuilt on size change.
   mutable std::unique_ptr<WorkerPool> pool_;
-  /// Set only for the duration of an instrumented Execute call.
-  mutable ExecStats* stats_ = nullptr;
-  /// Bloom filters built by sift-producing hash joins during the current
-  /// Execute, keyed by sift_id. Mutated only on the coordinating thread
-  /// (pipeline build happens before any parallel region); morsel workers
-  /// read it immutably. Like stats_, assumes one Execute at a time.
-  mutable std::map<int, BloomFilter> sift_filters_;
 };
 
 }  // namespace htapex

@@ -4,7 +4,9 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <iterator>
 #include <set>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -223,12 +225,11 @@ TEST_F(VecExecutorTest, SingleWorkerMatchesMultiWorker) {
   }
 }
 
-TEST_F(VecExecutorTest, ProbeModesAgreeAcrossWorkersAndBackends) {
+TEST_F(VecExecutorTest, BatchProbeAgreesAcrossWorkersAndBackends) {
   // The batch probe (flat JoinTable, gathered keys, late materialization)
-  // and the row-at-a-time baseline must both hold the row-oracle parity
-  // contract — at 1 and 3 workers and with SIMD kernels forced off (the
-  // scalar backend hashes through a different code path that must still be
-  // bit-identical to Value::Hash).
+  // must hold the row-oracle parity contract at 1 and 3 workers and with
+  // SIMD kernels forced off (the scalar backend hashes through a different
+  // code path that must still be bit-identical to Value::Hash).
   const char* queries[] = {
       "SELECT COUNT(*) FROM customer, orders WHERE o_custkey = c_custkey "
       "AND o_totalprice > 100000",
@@ -249,27 +250,90 @@ TEST_F(VecExecutorTest, ProbeModesAgreeAcrossWorkersAndBackends) {
   config.data_scale_factor = 0.02;
   config.vec_workers = 1;
   ASSERT_TRUE(single.Init(config).ok());
-  const kernels::Backend native = kernels::ActiveBackend();
-  for (VecProbeMode mode : {VecProbeMode::kBatch, VecProbeMode::kRowAtATime}) {
-    system_->vec_executor()->set_probe_mode(mode);
-    single.vec_executor()->set_probe_mode(mode);
-    for (const char* sql : queries) {
-      ExpectParity(sql);  // 3 workers
-      auto query = single.Bind(sql);
-      ASSERT_TRUE(query.ok()) << sql;
-      auto plans = single.PlanBoth(*query);
-      ASSERT_TRUE(plans.ok()) << sql;
-      auto row_res = single.ExecuteWithMode(ExecMode::kRow, plans->ap, *query);
-      auto vec_res =
-          single.ExecuteWithMode(ExecMode::kVectorized, plans->ap, *query);
-      ASSERT_TRUE(row_res.ok() && vec_res.ok()) << sql;
-      EXPECT_EQ(row_res->Fingerprint(), vec_res->Fingerprint()) << sql;
-    }
-    ASSERT_TRUE(kernels::ForceBackendForTest(kernels::Backend::kScalar));
-    for (const char* sql : queries) ExpectParity(sql);
-    ASSERT_TRUE(kernels::ForceBackendForTest(native));
+  for (const char* sql : queries) {
+    ExpectParity(sql);  // 3 workers
+    auto query = single.Bind(sql);
+    ASSERT_TRUE(query.ok()) << sql;
+    auto plans = single.PlanBoth(*query);
+    ASSERT_TRUE(plans.ok()) << sql;
+    auto row_res = single.ExecuteWithMode(ExecMode::kRow, plans->ap, *query);
+    auto vec_res =
+        single.ExecuteWithMode(ExecMode::kVectorized, plans->ap, *query);
+    ASSERT_TRUE(row_res.ok() && vec_res.ok()) << sql;
+    EXPECT_EQ(row_res->Fingerprint(), vec_res->Fingerprint()) << sql;
   }
-  system_->vec_executor()->set_probe_mode(VecProbeMode::kBatch);
+  const kernels::Backend native = kernels::ActiveBackend();
+  ASSERT_TRUE(kernels::ForceBackendForTest(kernels::Backend::kScalar));
+  for (const char* sql : queries) ExpectParity(sql);
+  ASSERT_TRUE(kernels::ForceBackendForTest(native));
+}
+
+bool HasOp(const PlanNode& node, PlanOp op) {
+  if (node.op == op) return true;
+  for (const auto& c : node.children) {
+    if (HasOp(*c, op)) return true;
+  }
+  return false;
+}
+
+TEST_F(VecExecutorTest, ConcurrentRunQueryMatchesSingleThreaded) {
+  // RunQuery is const: several threads may run queries on one system at
+  // once. Every concurrent result must equal the single-threaded one, with
+  // morsels run inline (1 worker) and on the shared worker pool (3).
+  const char* queries[] = {
+      // Sifted scan: the part join's Bloom filter prunes lineitem.
+      "SELECT COUNT(*) FROM lineitem, part "
+      "WHERE l_partkey = p_partkey AND p_size = 15",
+      "SELECT n_name, COUNT(*), SUM(o_totalprice) FROM nation, customer, "
+      "orders WHERE o_custkey = c_custkey AND n_nationkey = c_nationkey "
+      "GROUP BY n_name",
+      "SELECT o_orderkey, o_totalprice FROM orders "
+      "ORDER BY o_totalprice DESC, o_orderkey LIMIT 20",
+  };
+  HtapSystem single;
+  HtapConfig config;
+  config.stats_scale_factor = 0.02;
+  config.data_scale_factor = 0.02;
+  config.vec_workers = 1;
+  ASSERT_TRUE(single.Init(config).ok());
+  for (const HtapSystem* system : {&single, system_}) {
+    std::vector<std::string> want_tp, want_ap;
+    for (const char* sql : queries) {
+      auto outcome = system->RunQuery(sql);
+      ASSERT_TRUE(outcome.ok()) << sql << ": " << outcome.status();
+      want_tp.push_back(outcome->tp_result->Fingerprint());
+      want_ap.push_back(outcome->ap_result->Fingerprint());
+    }
+    auto sifted = system->Bind(queries[0]);
+    ASSERT_TRUE(sifted.ok());
+    auto plans = system->PlanBoth(*sifted);
+    ASSERT_TRUE(plans.ok());
+    ASSERT_TRUE(HasOp(*plans->ap.root, PlanOp::kSiftedScan));
+
+    std::atomic<int> failures{0}, mismatches{0};
+    std::vector<std::thread> threads;
+    for (int t = 0; t < 4; ++t) {
+      threads.emplace_back([&, t] {
+        for (int round = 0; round < 3; ++round) {
+          for (size_t q = 0; q < std::size(queries); ++q) {
+            // Stagger the threads so different queries overlap.
+            size_t i = (q + static_cast<size_t>(t)) % std::size(queries);
+            auto outcome = system->RunQuery(queries[i]);
+            if (!outcome.ok()) {
+              failures.fetch_add(1);
+            } else if (outcome->tp_result->Fingerprint() != want_tp[i] ||
+                       outcome->ap_result->Fingerprint() != want_ap[i]) {
+              mismatches.fetch_add(1);
+            }
+          }
+        }
+      });
+    }
+    for (auto& th : threads) th.join();
+    const int workers = system->vec_executor()->effective_workers();
+    EXPECT_EQ(failures.load(), 0) << workers << " worker(s)";
+    EXPECT_EQ(mismatches.load(), 0) << workers << " worker(s)";
+  }
 }
 
 TEST_F(VecExecutorTest, VectorizedRejectsTpPlans) {
@@ -283,9 +347,8 @@ TEST_F(VecExecutorTest, VectorizedRejectsTpPlans) {
 }
 
 TEST_F(VecExecutorTest, RunQueryCrossChecksThroughVectorizedPath) {
-  // config.ap_exec_mode defaults to kVectorized, so RunQuery's TP-vs-AP
+  // AP plans run on the vectorized executor, so RunQuery's TP-vs-AP
   // fingerprint cross-check exercises row(TP) vs vectorized(AP).
-  ASSERT_EQ(system_->config().ap_exec_mode, ExecMode::kVectorized);
   auto outcome = system_->RunQuery(
       "SELECT o_orderkey, o_totalprice FROM orders "
       "WHERE o_totalprice > 100000 ORDER BY o_orderkey LIMIT 25");
