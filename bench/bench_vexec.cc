@@ -38,7 +38,6 @@
 #include <vector>
 
 #include "bench/bench_common.h"
-#include "common/kernels.h"
 #include "engine/htap_system.h"
 #include "workload/query_generator.h"
 
@@ -263,11 +262,8 @@ bool CheckSpeedupOverRow(const HtapSystem& system, const char* name,
   }
   double geomean = std::exp(log_sum / static_cast<double>(counted));
   *geomean_out = geomean;
-  std::printf(
-      "%s speedup (%s backend): geomean %.1fx over %zu queries "
-      "(bar: >= %gx)\n",
-      name, kernels::BackendName(kernels::ActiveBackend()), geomean, counted,
-      bar);
+  std::printf("%s speedup: geomean %.1fx over %zu queries (bar: >= %gx)\n",
+              name, geomean, counted, bar);
   if (geomean < bar) {
     std::fprintf(stderr, "FAIL: %s speedup %.2fx < %gx\n", name, geomean,
                  bar);
@@ -317,8 +313,6 @@ void WriteBenchJson(double scan_geomean, double join_geomean,
                     const std::vector<BenchEntry>& scan_entries,
                     const std::vector<BenchEntry>& join_entries) {
   std::string json = "{\n";
-  json += "  \"backend\": \"" +
-          std::string(kernels::BackendName(kernels::ActiveBackend())) + "\",\n";
   char buf[128];
   std::snprintf(buf, sizeof(buf),
                 "  \"scan_agg_geomean_speedup\": %.3f,\n"

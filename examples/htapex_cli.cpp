@@ -500,27 +500,30 @@ int main(int argc, char** argv) {
                     explainer.router().frozen_version()),
                 explainer.router().frozen_crc());
   }
-  bool demo_mode = argc > 1 && std::strcmp(argv[1], "--demo") == 0;
-  if (demo_mode || !isatty(0)) {
-    // Non-interactive: run the demo script (keeps `for b in ...` runnable).
+  auto run_demo = [&] {
     for (const char* sql : demo) {
       std::printf("htapex> %s\n", sql);
       ExplainOne(&explainer, sql);
       std::printf("\n");
     }
+  };
+  if (argc > 1 && std::strcmp(argv[1], "--demo") == 0) {
+    run_demo();
     return 0;
   }
 
+  // Piped input runs through the same loop as a terminal; it gets each
+  // line echoed instead of a prompt, so scripted output reads like an
+  // interactive run.
+  const bool interactive = isatty(0);
   std::string line;
-  std::printf("htapex> ");
+  if (interactive) std::printf("htapex> ");
   while (std::getline(std::cin, line)) {
     std::string sql(Trim(line));
+    if (!interactive && !sql.empty()) std::printf("htapex> %s\n", sql.c_str());
     if (sql == "\\q" || sql == "quit" || sql == "exit") break;
     if (sql == "\\demo") {
-      for (const char* d : demo) {
-        std::printf("htapex> %s\n", d);
-        ExplainOne(&explainer, d);
-      }
+      run_demo();
     } else if (sql == "\\kb") {
       for (const KbEntry* e : explainer.knowledge_base().Entries()) {
         std::printf("[%2d] %s faster | %.60s...\n", e->id,
@@ -607,7 +610,7 @@ int main(int argc, char** argv) {
     } else if (!sql.empty()) {
       ExplainOne(&explainer, sql);
     }
-    std::printf("\nhtapex> ");
+    std::printf(interactive ? "\nhtapex> " : "\n");
   }
   return 0;
 }

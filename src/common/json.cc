@@ -193,6 +193,10 @@ bool JsonValue::operator==(const JsonValue& other) const {
 
 namespace {
 
+/// Arrays and objects nested deeper than this are rejected with a parse
+/// error instead of overflowing the recursive descent's stack.
+constexpr int kMaxDepth = 256;
+
 /// Recursive-descent JSON parser tolerant of single-quoted strings and
 /// Python literals (None/True/False), so Table II style plans round-trip.
 class JsonParser {
@@ -202,7 +206,7 @@ class JsonParser {
   Result<JsonValue> Parse() {
     SkipWs();
     JsonValue v;
-    HTAPEX_ASSIGN_OR_RETURN(v, ParseValue());
+    HTAPEX_ASSIGN_OR_RETURN(v, ParseValue(0));
     SkipWs();
     if (pos_ != text_.size()) {
       return Status::ParseError(
@@ -238,12 +242,17 @@ class JsonParser {
     return false;
   }
 
-  Result<JsonValue> ParseValue() {
+  /// `depth` counts the arrays and objects enclosing this value.
+  Result<JsonValue> ParseValue(int depth) {
     SkipWs();
     if (pos_ >= text_.size()) return Status::ParseError("unexpected end of input");
     char c = text_[pos_];
-    if (c == '{') return ParseObject();
-    if (c == '[') return ParseArray();
+    if ((c == '{' || c == '[') && depth >= kMaxDepth) {
+      return Status::ParseError(StrFormat(
+          "nesting deeper than %d levels at offset %zu", kMaxDepth, pos_));
+    }
+    if (c == '{') return ParseObject(depth + 1);
+    if (c == '[') return ParseArray(depth + 1);
     if (c == '"' || c == '\'') {
       std::string s;
       HTAPEX_ASSIGN_OR_RETURN(s, ParseString());
@@ -338,14 +347,14 @@ class JsonParser {
     return JsonValue::Int(std::strtoll(tok.c_str(), nullptr, 10));
   }
 
-  Result<JsonValue> ParseArray() {
+  Result<JsonValue> ParseArray(int depth) {
     ++pos_;  // '['
     JsonValue arr = JsonValue::MakeArray();
     SkipWs();
     if (Consume(']')) return arr;
     while (true) {
       JsonValue v;
-      HTAPEX_ASSIGN_OR_RETURN(v, ParseValue());
+      HTAPEX_ASSIGN_OR_RETURN(v, ParseValue(depth));
       arr.Append(std::move(v));
       SkipWs();
       if (Consume(']')) return arr;
@@ -353,7 +362,7 @@ class JsonParser {
     }
   }
 
-  Result<JsonValue> ParseObject() {
+  Result<JsonValue> ParseObject(int depth) {
     ++pos_;  // '{'
     JsonValue obj = JsonValue::MakeObject();
     SkipWs();
@@ -368,7 +377,7 @@ class JsonParser {
       SkipWs();
       if (!Consume(':')) return Status::ParseError("expected ':' in object");
       JsonValue v;
-      HTAPEX_ASSIGN_OR_RETURN(v, ParseValue());
+      HTAPEX_ASSIGN_OR_RETURN(v, ParseValue(depth));
       obj.Set(std::move(key), std::move(v));
       SkipWs();
       if (Consume('}')) return obj;

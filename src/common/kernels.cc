@@ -2,18 +2,14 @@
 
 #include <atomic>
 #include <cmath>
-#include <cstdlib>
-#include <cstring>
 #include <limits>
 
-#include "common/logging.h"
-
 #if defined(__x86_64__) || defined(_M_X64)
-#define HTAPEX_KERNELS_X86 1
+#define HTAPEX_SIMD_X86 1
 #include <immintrin.h>
 #endif
 #if defined(__aarch64__)
-#define HTAPEX_KERNELS_NEON 1
+#define HTAPEX_SIMD_NEON 1
 #include <arm_neon.h>
 #endif
 
@@ -49,26 +45,12 @@ void GemmAccumScalar(const float* a, const float* b, float* c, int m, int k,
   }
 }
 
-void AxpyScalar(float alpha, const float* x, float* y, int n) {
-  for (int i = 0; i < n; ++i) y[i] += alpha * x[i];
-}
-
 void ReluScalar(float* x, int n) {
   // x < 0 is false for NaN, so NaN passes through (the documented
   // propagation contract).
   for (int i = 0; i < n; ++i) {
     if (x[i] < 0.0f) x[i] = 0.0f;
   }
-}
-
-float ReduceMaxScalar(const float* x, int n) {
-  float best = -std::numeric_limits<float>::infinity();
-  bool has_nan = false;
-  for (int i = 0; i < n; ++i) {
-    has_nan |= std::isnan(x[i]);
-    if (x[i] > best) best = x[i];
-  }
-  return has_nan ? std::numeric_limits<float>::quiet_NaN() : best;
 }
 
 void MaxAccumScalar(float* acc, const float* x, int n) {
@@ -81,115 +63,13 @@ void MaxAccumScalar(float* acc, const float* x, int n) {
   }
 }
 
-template <typename T>
-void MaskCmpScalarT(const T* a, T lit, MaskCmpOp op, uint8_t* out, int n) {
-  switch (op) {
-    case MaskCmpOp::kEq:
-      for (int i = 0; i < n; ++i) out[i] = a[i] == lit ? 1 : 0;
-      break;
-    case MaskCmpOp::kNe:
-      for (int i = 0; i < n; ++i) out[i] = a[i] != lit ? 1 : 0;
-      break;
-    case MaskCmpOp::kLt:
-      for (int i = 0; i < n; ++i) out[i] = a[i] < lit ? 1 : 0;
-      break;
-    case MaskCmpOp::kLe:
-      for (int i = 0; i < n; ++i) out[i] = a[i] <= lit ? 1 : 0;
-      break;
-    case MaskCmpOp::kGt:
-      for (int i = 0; i < n; ++i) out[i] = a[i] > lit ? 1 : 0;
-      break;
-    case MaskCmpOp::kGe:
-      for (int i = 0; i < n; ++i) out[i] = a[i] >= lit ? 1 : 0;
-      break;
-  }
-}
-
-void MaskCmpI64Scalar(const int64_t* a, int64_t lit, MaskCmpOp op,
-                      uint8_t* out, int n) {
-  MaskCmpScalarT(a, lit, op, out, n);
-}
-
-void MaskCmpF64Scalar(const double* a, double lit, MaskCmpOp op, uint8_t* out,
-                      int n) {
-  MaskCmpScalarT(a, lit, op, out, n);
-}
-
-void MaskAndScalar(uint8_t* mask, const uint8_t* other, int n) {
-  for (int i = 0; i < n; ++i) mask[i] &= other[i];
-}
-
-void MaskAndNotScalar(uint8_t* mask, const uint8_t* other, int n) {
-  for (int i = 0; i < n; ++i) {
-    mask[i] = static_cast<uint8_t>(mask[i] & (other[i] ^ 1));
-  }
-}
-
-int64_t CountMaskScalar(const uint8_t* mask, int n) {
-  int64_t count = 0;
-  for (int i = 0; i < n; ++i) count += mask[i];
-  return count;
-}
-
-double SumF64Scalar(const double* a, int n) {
-  double acc = 0.0;
-  for (int i = 0; i < n; ++i) acc += a[i];
-  return acc;
-}
-
-int64_t SumI64Scalar(const int64_t* a, int n) {
-  int64_t acc = 0;
-  for (int i = 0; i < n; ++i) acc += a[i];
-  return acc;
-}
-
-// Bit-exact Value::Hash() for numerics: widen to the double representation,
-// take its bit pattern, and run the same splitmix-style finalizer. Every
-// backend must agree with the per-row path exactly — join tables and Bloom
-// sifts built from gathered key columns would otherwise diverge from the
-// row-executor oracle.
-inline uint64_t SplitmixDoubleBits(double d) {
-  uint64_t bits;
-  static_assert(sizeof(bits) == sizeof(d));
-  __builtin_memcpy(&bits, &d, sizeof(bits));
-  bits ^= bits >> 30;
-  bits *= 0xbf58476d1ce4e5b9ull;
-  bits ^= bits >> 27;
-  bits *= 0x94d049bb133111ebull;
-  bits ^= bits >> 31;
-  return bits;
-}
-
-void HashI64Scalar(const int64_t* a, uint64_t* out, int n) {
-  for (int i = 0; i < n; ++i) {
-    out[i] = SplitmixDoubleBits(static_cast<double>(a[i]));
-  }
-}
-
-void HashF64Scalar(const double* a, uint64_t* out, int n) {
-  for (int i = 0; i < n; ++i) out[i] = SplitmixDoubleBits(a[i]);
-}
-
-// FNV-1a 64 — Value::Hash() on strings. Inherently serial per string, so
-// every backend shares this implementation; it lives in the dispatch table
-// only so invocation counting stays uniform.
-uint64_t HashBytesScalar(const void* data, size_t len) {
-  const unsigned char* p = static_cast<const unsigned char*>(data);
-  uint64_t h = 1469598103934665603ull;
-  for (size_t i = 0; i < len; ++i) {
-    h ^= p[i];
-    h *= 1099511628211ull;
-  }
-  return h;
-}
-
 // ---------------------------------------------------------------------------
 // AVX2 + FMA backend. Compiled with per-function target attributes so no
 // special flags are needed for the rest of the library; only ever called
 // after __builtin_cpu_supports confirmed both features.
 // ---------------------------------------------------------------------------
 
-#if HTAPEX_KERNELS_X86
+#if HTAPEX_SIMD_X86
 
 __attribute__((target("avx2,fma"))) float SquaredL2Avx2(const float* a,
                                                         const float* b,
@@ -341,18 +221,6 @@ __attribute__((target("avx2,fma"))) void GemmAccumAvx2(const float* a,
   }
 }
 
-__attribute__((target("avx2,fma"))) void AxpyAvx2(float alpha, const float* x,
-                                                  float* y, int n) {
-  __m256 av = _mm256_set1_ps(alpha);
-  int i = 0;
-  for (; i + 8 <= n; i += 8) {
-    _mm256_storeu_ps(
-        y + i, _mm256_fmadd_ps(av, _mm256_loadu_ps(x + i),
-                               _mm256_loadu_ps(y + i)));
-  }
-  for (; i < n; ++i) y[i] += alpha * x[i];
-}
-
 __attribute__((target("avx2,fma"))) void ReluAvx2(float* x, int n) {
   __m256 zero = _mm256_setzero_ps();
   int i = 0;
@@ -364,32 +232,6 @@ __attribute__((target("avx2,fma"))) void ReluAvx2(float* x, int n) {
   for (; i < n; ++i) {
     if (x[i] < 0.0f) x[i] = 0.0f;
   }
-}
-
-__attribute__((target("avx2,fma"))) float ReduceMaxAvx2(const float* x,
-                                                        int n) {
-  float best = -std::numeric_limits<float>::infinity();
-  __m256 bestv = _mm256_set1_ps(best);
-  __m256 nanv = _mm256_setzero_ps();
-  int i = 0;
-  for (; i + 8 <= n; i += 8) {
-    __m256 v = _mm256_loadu_ps(x + i);
-    bestv = _mm256_max_ps(bestv, v);
-    // VMAXPS silently drops a NaN that sits in the accumulator, so NaN-ness
-    // is tracked separately: unordered-compare marks lanes where v is NaN.
-    nanv = _mm256_or_ps(nanv, _mm256_cmp_ps(v, v, _CMP_UNORD_Q));
-  }
-  bool has_nan = _mm256_movemask_ps(nanv) != 0;
-  float lanes[8];
-  _mm256_storeu_ps(lanes, bestv);
-  for (float v : lanes) {
-    if (v > best) best = v;
-  }
-  for (; i < n; ++i) {
-    has_nan |= std::isnan(x[i]);
-    if (x[i] > best) best = x[i];
-  }
-  return has_nan ? std::numeric_limits<float>::quiet_NaN() : best;
 }
 
 __attribute__((target("avx2,fma"))) void MaxAccumAvx2(float* acc,
@@ -413,228 +255,13 @@ __attribute__((target("avx2,fma"))) void MaxAccumAvx2(float* acc,
   }
 }
 
-__attribute__((target("avx2"))) void MaskCmpI64Avx2(const int64_t* a,
-                                                    int64_t lit, MaskCmpOp op,
-                                                    uint8_t* out, int n) {
-  const __m256i litv = _mm256_set1_epi64x(lit);
-  const __m256i ones = _mm256_set1_epi64x(-1);
-  int i = 0;
-  for (; i + 4 <= n; i += 4) {
-    __m256i v = _mm256_loadu_si256(reinterpret_cast<const __m256i*>(a + i));
-    __m256i m;
-    switch (op) {
-      case MaskCmpOp::kEq:
-        m = _mm256_cmpeq_epi64(v, litv);
-        break;
-      case MaskCmpOp::kNe:
-        m = _mm256_xor_si256(_mm256_cmpeq_epi64(v, litv), ones);
-        break;
-      case MaskCmpOp::kLt:
-        m = _mm256_cmpgt_epi64(litv, v);
-        break;
-      case MaskCmpOp::kLe:
-        m = _mm256_xor_si256(_mm256_cmpgt_epi64(v, litv), ones);
-        break;
-      case MaskCmpOp::kGt:
-        m = _mm256_cmpgt_epi64(v, litv);
-        break;
-      case MaskCmpOp::kGe:
-        m = _mm256_xor_si256(_mm256_cmpgt_epi64(litv, v), ones);
-        break;
-    }
-    int bits = _mm256_movemask_pd(_mm256_castsi256_pd(m));
-    out[i] = static_cast<uint8_t>(bits & 1);
-    out[i + 1] = static_cast<uint8_t>((bits >> 1) & 1);
-    out[i + 2] = static_cast<uint8_t>((bits >> 2) & 1);
-    out[i + 3] = static_cast<uint8_t>((bits >> 3) & 1);
-  }
-  MaskCmpI64Scalar(a + i, lit, op, out + i, n - i);
-}
-
-__attribute__((target("avx2"))) void MaskCmpF64Avx2(const double* a,
-                                                    double lit, MaskCmpOp op,
-                                                    uint8_t* out, int n) {
-  const __m256d litv = _mm256_set1_pd(lit);
-  int i = 0;
-// One loop per predicate immediate (the imm8 must be a compile-time
-// constant). _OQ / NEQ_UQ match C++ scalar comparison semantics.
-#define HTAPEX_MASKCMP_LOOP(IMM)                                       \
-  for (; i + 4 <= n; i += 4) {                                         \
-    int bits = _mm256_movemask_pd(                                     \
-        _mm256_cmp_pd(_mm256_loadu_pd(a + i), litv, IMM));             \
-    out[i] = static_cast<uint8_t>(bits & 1);                           \
-    out[i + 1] = static_cast<uint8_t>((bits >> 1) & 1);                \
-    out[i + 2] = static_cast<uint8_t>((bits >> 2) & 1);                \
-    out[i + 3] = static_cast<uint8_t>((bits >> 3) & 1);                \
-  }
-  switch (op) {
-    case MaskCmpOp::kEq:
-      HTAPEX_MASKCMP_LOOP(_CMP_EQ_OQ);
-      break;
-    case MaskCmpOp::kNe:
-      HTAPEX_MASKCMP_LOOP(_CMP_NEQ_UQ);
-      break;
-    case MaskCmpOp::kLt:
-      HTAPEX_MASKCMP_LOOP(_CMP_LT_OQ);
-      break;
-    case MaskCmpOp::kLe:
-      HTAPEX_MASKCMP_LOOP(_CMP_LE_OQ);
-      break;
-    case MaskCmpOp::kGt:
-      HTAPEX_MASKCMP_LOOP(_CMP_GT_OQ);
-      break;
-    case MaskCmpOp::kGe:
-      HTAPEX_MASKCMP_LOOP(_CMP_GE_OQ);
-      break;
-  }
-#undef HTAPEX_MASKCMP_LOOP
-  MaskCmpF64Scalar(a + i, lit, op, out + i, n - i);
-}
-
-__attribute__((target("avx2"))) void MaskAndAvx2(uint8_t* mask,
-                                                 const uint8_t* other,
-                                                 int n) {
-  int i = 0;
-  for (; i + 32 <= n; i += 32) {
-    __m256i m = _mm256_loadu_si256(reinterpret_cast<const __m256i*>(mask + i));
-    __m256i o =
-        _mm256_loadu_si256(reinterpret_cast<const __m256i*>(other + i));
-    _mm256_storeu_si256(reinterpret_cast<__m256i*>(mask + i),
-                        _mm256_and_si256(m, o));
-  }
-  for (; i < n; ++i) mask[i] &= other[i];
-}
-
-__attribute__((target("avx2"))) void MaskAndNotAvx2(uint8_t* mask,
-                                                    const uint8_t* other,
-                                                    int n) {
-  int i = 0;
-  for (; i + 32 <= n; i += 32) {
-    __m256i m = _mm256_loadu_si256(reinterpret_cast<const __m256i*>(mask + i));
-    __m256i o =
-        _mm256_loadu_si256(reinterpret_cast<const __m256i*>(other + i));
-    // ~other & mask; correct because mask bytes are 0/1.
-    _mm256_storeu_si256(reinterpret_cast<__m256i*>(mask + i),
-                        _mm256_andnot_si256(o, m));
-  }
-  MaskAndNotScalar(mask + i, other + i, n - i);
-}
-
-__attribute__((target("avx2"))) int64_t CountMaskAvx2(const uint8_t* mask,
-                                                      int n) {
-  const __m256i zero = _mm256_setzero_si256();
-  __m256i acc = _mm256_setzero_si256();
-  int i = 0;
-  for (; i + 32 <= n; i += 32) {
-    __m256i v =
-        _mm256_loadu_si256(reinterpret_cast<const __m256i*>(mask + i));
-    // Sum-of-absolute-differences against zero: four u64 byte sums.
-    acc = _mm256_add_epi64(acc, _mm256_sad_epu8(v, zero));
-  }
-  alignas(32) int64_t lanes[4];
-  _mm256_storeu_si256(reinterpret_cast<__m256i*>(lanes), acc);
-  int64_t count = lanes[0] + lanes[1] + lanes[2] + lanes[3];
-  for (; i < n; ++i) count += mask[i];
-  return count;
-}
-
-__attribute__((target("avx2"))) double SumF64Avx2(const double* a, int n) {
-  __m256d acc0 = _mm256_setzero_pd();
-  __m256d acc1 = _mm256_setzero_pd();
-  int i = 0;
-  for (; i + 8 <= n; i += 8) {
-    acc0 = _mm256_add_pd(acc0, _mm256_loadu_pd(a + i));
-    acc1 = _mm256_add_pd(acc1, _mm256_loadu_pd(a + i + 4));
-  }
-  acc0 = _mm256_add_pd(acc0, acc1);
-  __m128d lo = _mm256_castpd256_pd128(acc0);
-  __m128d hi = _mm256_extractf128_pd(acc0, 1);
-  __m128d sum2 = _mm_add_pd(lo, hi);
-  double acc = _mm_cvtsd_f64(_mm_add_sd(sum2, _mm_unpackhi_pd(sum2, sum2)));
-  for (; i < n; ++i) acc += a[i];
-  return acc;
-}
-
-__attribute__((target("avx2"))) int64_t SumI64Avx2(const int64_t* a, int n) {
-  __m256i acc0 = _mm256_setzero_si256();
-  __m256i acc1 = _mm256_setzero_si256();
-  int i = 0;
-  for (; i + 8 <= n; i += 8) {
-    acc0 = _mm256_add_epi64(
-        acc0, _mm256_loadu_si256(reinterpret_cast<const __m256i*>(a + i)));
-    acc1 = _mm256_add_epi64(
-        acc1, _mm256_loadu_si256(reinterpret_cast<const __m256i*>(a + i + 4)));
-  }
-  acc0 = _mm256_add_epi64(acc0, acc1);
-  alignas(32) int64_t lanes[4];
-  _mm256_storeu_si256(reinterpret_cast<__m256i*>(lanes), acc0);
-  int64_t acc = lanes[0] + lanes[1] + lanes[2] + lanes[3];
-  for (; i < n; ++i) acc += a[i];
-  return acc;
-}
-
-/// 4-lane 64-bit multiply by a constant, mod 2^64. AVX2 has no 64-bit
-/// low-multiply (that's AVX-512), so compose it from 32-bit partial
-/// products: lo*lo + ((hi*lo + lo*hi) << 32).
-__attribute__((target("avx2"))) inline __m256i Mul64Avx2(__m256i a,
-                                                         __m256i b) {
-  __m256i lo = _mm256_mul_epu32(a, b);
-  __m256i cross = _mm256_add_epi64(_mm256_mul_epu32(_mm256_srli_epi64(a, 32), b),
-                                   _mm256_mul_epu32(a, _mm256_srli_epi64(b, 32)));
-  return _mm256_add_epi64(lo, _mm256_slli_epi64(cross, 32));
-}
-
-/// The splitmix finalizer over 4 lanes of double bit patterns. Integer
-/// xor/shift/multiply — bit-identical to the scalar backend by
-/// construction.
-__attribute__((target("avx2"))) inline __m256i SplitmixAvx2(__m256i bits) {
-  const __m256i c1 = _mm256_set1_epi64x(
-      static_cast<long long>(0xbf58476d1ce4e5b9ull));
-  const __m256i c2 = _mm256_set1_epi64x(
-      static_cast<long long>(0x94d049bb133111ebull));
-  bits = _mm256_xor_si256(bits, _mm256_srli_epi64(bits, 30));
-  bits = Mul64Avx2(bits, c1);
-  bits = _mm256_xor_si256(bits, _mm256_srli_epi64(bits, 27));
-  bits = Mul64Avx2(bits, c2);
-  return _mm256_xor_si256(bits, _mm256_srli_epi64(bits, 31));
-}
-
-__attribute__((target("avx2"))) void HashF64Avx2(const double* a,
-                                                 uint64_t* out, int n) {
-  int i = 0;
-  for (; i + 4 <= n; i += 4) {
-    __m256i bits = _mm256_castpd_si256(_mm256_loadu_pd(a + i));
-    _mm256_storeu_si256(reinterpret_cast<__m256i*>(out + i),
-                        SplitmixAvx2(bits));
-  }
-  HashF64Scalar(a + i, out + i, n - i);
-}
-
-__attribute__((target("avx2"))) void HashI64Avx2(const int64_t* a,
-                                                 uint64_t* out, int n) {
-  int i = 0;
-  for (; i + 4 <= n; i += 4) {
-    // int64 -> double has no AVX2 form either; the scalar converts feed a
-    // vectorized finalizer (the multiplies are the expensive part).
-    __m256d d = _mm256_set_pd(
-        static_cast<double>(a[i + 3]), static_cast<double>(a[i + 2]),
-        static_cast<double>(a[i + 1]), static_cast<double>(a[i]));
-    _mm256_storeu_si256(reinterpret_cast<__m256i*>(out + i),
-                        SplitmixAvx2(_mm256_castpd_si256(d)));
-  }
-  HashI64Scalar(a + i, out + i, n - i);
-}
-
-#endif  // HTAPEX_KERNELS_X86
+#endif  // HTAPEX_SIMD_X86
 
 // ---------------------------------------------------------------------------
 // NEON backend (aarch64; NEON is baseline there, no runtime check needed).
-// The batch-executor primitives are integer-exact (or plain IEEE compares),
-// so the NEON table entries reuse the scalar implementations until a NEON
-// port is worth its maintenance cost.
 // ---------------------------------------------------------------------------
 
-#if HTAPEX_KERNELS_NEON
+#if HTAPEX_SIMD_NEON
 
 float SquaredL2Neon(const float* a, const float* b, int n) {
   float32x4_t acc0 = vdupq_n_f32(0.0f);
@@ -701,15 +328,6 @@ void GemmAccumNeon(const float* a, const float* b, float* c, int m, int k,
   }
 }
 
-void AxpyNeon(float alpha, const float* x, float* y, int n) {
-  float32x4_t av = vdupq_n_f32(alpha);
-  int i = 0;
-  for (; i + 4 <= n; i += 4) {
-    vst1q_f32(y + i, vfmaq_f32(vld1q_f32(y + i), av, vld1q_f32(x + i)));
-  }
-  for (; i < n; ++i) y[i] += alpha * x[i];
-}
-
 void ReluNeon(float* x, int n) {
   float32x4_t zero = vdupq_n_f32(0.0f);
   int i = 0;
@@ -725,27 +343,6 @@ void ReluNeon(float* x, int n) {
   for (; i < n; ++i) {
     if (x[i] < 0.0f) x[i] = 0.0f;
   }
-}
-
-float ReduceMaxNeon(const float* x, int n) {
-  float best = -std::numeric_limits<float>::infinity();
-  bool has_nan = false;
-  float32x4_t bestv = vdupq_n_f32(best);
-  uint32x4_t nanv = vdupq_n_u32(0);
-  int i = 0;
-  for (; i + 4 <= n; i += 4) {
-    float32x4_t v = vld1q_f32(x + i);
-    bestv = vmaxq_f32(bestv, v);
-    // v != v marks NaN lanes (vceqq false on unordered).
-    nanv = vorrq_u32(nanv, vmvnq_u32(vceqq_f32(v, v)));
-  }
-  has_nan |= vmaxvq_u32(nanv) != 0;
-  best = vmaxvq_f32(bestv);
-  for (; i < n; ++i) {
-    has_nan |= std::isnan(x[i]);
-    if (x[i] > best) best = x[i];
-  }
-  return has_nan ? std::numeric_limits<float>::quiet_NaN() : best;
 }
 
 void MaxAccumNeon(float* acc, const float* x, int n) {
@@ -769,7 +366,7 @@ void MaxAccumNeon(float* acc, const float* x, int n) {
   }
 }
 
-#endif  // HTAPEX_KERNELS_NEON
+#endif  // HTAPEX_SIMD_NEON
 
 // ---------------------------------------------------------------------------
 // Dispatch: a table of function pointers filled in once at startup (or by
@@ -781,31 +378,14 @@ struct DispatchTable {
   float (*squared_l2)(const float*, const float*, int) = SquaredL2Scalar;
   void (*gemm)(const float*, const float*, float*, int, int, int) =
       GemmAccumScalar;
-  void (*axpy)(float, const float*, float*, int) = AxpyScalar;
   void (*relu)(float*, int) = ReluScalar;
-  float (*reduce_max)(const float*, int) = ReduceMaxScalar;
   void (*max_accum)(float*, const float*, int) = MaxAccumScalar;
-  void (*mask_cmp_i64)(const int64_t*, int64_t, MaskCmpOp, uint8_t*, int) =
-      MaskCmpI64Scalar;
-  void (*mask_cmp_f64)(const double*, double, MaskCmpOp, uint8_t*, int) =
-      MaskCmpF64Scalar;
-  void (*mask_and)(uint8_t*, const uint8_t*, int) = MaskAndScalar;
-  void (*mask_andnot)(uint8_t*, const uint8_t*, int) = MaskAndNotScalar;
-  int64_t (*count_mask)(const uint8_t*, int) = CountMaskScalar;
-  double (*sum_f64)(const double*, int) = SumF64Scalar;
-  int64_t (*sum_i64)(const int64_t*, int) = SumI64Scalar;
-  void (*hash_i64)(const int64_t*, uint64_t*, int) = HashI64Scalar;
-  void (*hash_f64)(const double*, uint64_t*, int) = HashF64Scalar;
-  uint64_t (*hash_bytes)(const void*, size_t) = HashBytesScalar;
 };
 
 struct KernelCounters {
   std::atomic<uint64_t> squared_l2{0};
   std::atomic<uint64_t> gemm{0};
-  std::atomic<uint64_t> matvec{0};
-  std::atomic<uint64_t> axpy{0};
   std::atomic<uint64_t> relu{0};
-  std::atomic<uint64_t> reduce_max{0};
   std::atomic<uint64_t> max_accum{0};
   std::atomic<uint64_t> mask_cmp{0};
   std::atomic<uint64_t> mask_and{0};
@@ -825,86 +405,75 @@ KernelCounters& Counters() {
 
 DispatchTable MakeTable(Backend backend) {
   DispatchTable t;
-  t.backend = Backend::kScalar;
   switch (backend) {
-    case Backend::kScalar:
-      break;
-#if HTAPEX_KERNELS_X86
+#if HTAPEX_SIMD_X86
     case Backend::kAvx2:
-      t.backend = Backend::kAvx2;
-      t.squared_l2 = SquaredL2Avx2;
-      t.gemm = GemmAccumAvx2;
-      t.axpy = AxpyAvx2;
-      t.relu = ReluAvx2;
-      t.reduce_max = ReduceMaxAvx2;
-      t.max_accum = MaxAccumAvx2;
-      t.mask_cmp_i64 = MaskCmpI64Avx2;
-      t.mask_cmp_f64 = MaskCmpF64Avx2;
-      t.mask_and = MaskAndAvx2;
-      t.mask_andnot = MaskAndNotAvx2;
-      t.count_mask = CountMaskAvx2;
-      t.sum_f64 = SumF64Avx2;
-      t.sum_i64 = SumI64Avx2;
-      t.hash_i64 = HashI64Avx2;
-      t.hash_f64 = HashF64Avx2;
+      t = {Backend::kAvx2, SquaredL2Avx2, GemmAccumAvx2, ReluAvx2,
+           MaxAccumAvx2};
       break;
 #endif
-#if HTAPEX_KERNELS_NEON
+#if HTAPEX_SIMD_NEON
     case Backend::kNeon:
-      t.backend = Backend::kNeon;
-      t.squared_l2 = SquaredL2Neon;
-      t.gemm = GemmAccumNeon;
-      t.axpy = AxpyNeon;
-      t.relu = ReluNeon;
-      t.reduce_max = ReduceMaxNeon;
-      t.max_accum = MaxAccumNeon;
+      t = {Backend::kNeon, SquaredL2Neon, GemmAccumNeon, ReluNeon,
+           MaxAccumNeon};
       break;
 #endif
     default:
-      break;  // unsupported request: scalar fallback
+      break;  // scalar, or a backend this build cannot run
   }
   return t;
 }
 
 Backend BestNativeBackend() {
-#if HTAPEX_KERNELS_X86
-  if (__builtin_cpu_supports("avx2") && __builtin_cpu_supports("fma")) {
-    return Backend::kAvx2;
+  for (Backend b : {Backend::kAvx2, Backend::kNeon}) {
+    if (BackendSupported(b)) return b;
   }
-#endif
-#if HTAPEX_KERNELS_NEON
-  return Backend::kNeon;
-#endif
   return Backend::kScalar;
 }
 
-Backend StartupBackend() {
-  const char* env = std::getenv("HTAPEX_KERNELS");
-  if (env == nullptr || std::strcmp(env, "") == 0 ||
-      std::strcmp(env, "native") == 0) {
-    return BestNativeBackend();
-  }
-  Backend requested = Backend::kScalar;
-  if (std::strcmp(env, "avx2") == 0) {
-    requested = Backend::kAvx2;
-  } else if (std::strcmp(env, "neon") == 0) {
-    requested = Backend::kNeon;
-  } else if (std::strcmp(env, "scalar") != 0) {
-    HTAPEX_LOG(Warning) << "unknown HTAPEX_KERNELS value '" << env
-                        << "' (want scalar|avx2|neon|native); using native";
-    return BestNativeBackend();
-  }
-  if (requested != Backend::kScalar && !BackendSupported(requested)) {
-    HTAPEX_LOG(Warning) << "HTAPEX_KERNELS=" << env
-                        << " not supported on this CPU/build; using scalar";
-    return Backend::kScalar;
-  }
-  return requested;
+DispatchTable& Table() {
+  static DispatchTable table = MakeTable(BestNativeBackend());
+  return table;
 }
 
-DispatchTable& Table() {
-  static DispatchTable table = MakeTable(StartupBackend());
-  return table;
+// Bit-exact Value::Hash() for numerics: widen to the double representation,
+// take its bit pattern, and run the same splitmix-style finalizer. Join
+// tables and Bloom sifts built from gathered key columns would otherwise
+// diverge from the row-executor oracle.
+uint64_t SplitmixDoubleBits(double d) {
+  uint64_t bits;
+  static_assert(sizeof(bits) == sizeof(d));
+  __builtin_memcpy(&bits, &d, sizeof(bits));
+  bits ^= bits >> 30;
+  bits *= 0xbf58476d1ce4e5b9ull;
+  bits ^= bits >> 27;
+  bits *= 0x94d049bb133111ebull;
+  bits ^= bits >> 31;
+  return bits;
+}
+
+template <typename T>
+void MaskCmpT(const T* a, T lit, MaskCmpOp op, uint8_t* out, int n) {
+  switch (op) {
+    case MaskCmpOp::kEq:
+      for (int i = 0; i < n; ++i) out[i] = a[i] == lit ? 1 : 0;
+      break;
+    case MaskCmpOp::kNe:
+      for (int i = 0; i < n; ++i) out[i] = a[i] != lit ? 1 : 0;
+      break;
+    case MaskCmpOp::kLt:
+      for (int i = 0; i < n; ++i) out[i] = a[i] < lit ? 1 : 0;
+      break;
+    case MaskCmpOp::kLe:
+      for (int i = 0; i < n; ++i) out[i] = a[i] <= lit ? 1 : 0;
+      break;
+    case MaskCmpOp::kGt:
+      for (int i = 0; i < n; ++i) out[i] = a[i] > lit ? 1 : 0;
+      break;
+    case MaskCmpOp::kGe:
+      for (int i = 0; i < n; ++i) out[i] = a[i] >= lit ? 1 : 0;
+      break;
+  }
 }
 
 }  // namespace
@@ -926,13 +495,13 @@ bool BackendSupported(Backend backend) {
     case Backend::kScalar:
       return true;
     case Backend::kAvx2:
-#if HTAPEX_KERNELS_X86
+#if HTAPEX_SIMD_X86
       return __builtin_cpu_supports("avx2") && __builtin_cpu_supports("fma");
 #else
       return false;
 #endif
     case Backend::kNeon:
-#if HTAPEX_KERNELS_NEON
+#if HTAPEX_SIMD_NEON
       return true;
 #else
       return false;
@@ -960,25 +529,9 @@ void GemmAccum(const float* a, const float* b, float* c, int m, int k,
   Table().gemm(a, b, c, m, k, n);
 }
 
-void MatVecAccum(const float* w, const float* x, int rows, int cols,
-                 float* y) {
-  Counters().matvec.fetch_add(1, std::memory_order_relaxed);
-  Table().gemm(x, w, y, 1, rows, cols);
-}
-
-void Axpy(float alpha, const float* x, float* y, int n) {
-  Counters().axpy.fetch_add(1, std::memory_order_relaxed);
-  Table().axpy(alpha, x, y, n);
-}
-
 void Relu(float* x, int n) {
   Counters().relu.fetch_add(1, std::memory_order_relaxed);
   Table().relu(x, n);
-}
-
-float ReduceMax(const float* x, int n) {
-  Counters().reduce_max.fetch_add(1, std::memory_order_relaxed);
-  return Table().reduce_max(x, n);
 }
 
 void MaxAccum(float* acc, const float* x, int n) {
@@ -989,53 +542,69 @@ void MaxAccum(float* acc, const float* x, int n) {
 void MaskCmpI64(const int64_t* a, int64_t lit, MaskCmpOp op, uint8_t* out,
                 int n) {
   Counters().mask_cmp.fetch_add(1, std::memory_order_relaxed);
-  Table().mask_cmp_i64(a, lit, op, out, n);
+  MaskCmpT(a, lit, op, out, n);
 }
 
 void MaskCmpF64(const double* a, double lit, MaskCmpOp op, uint8_t* out,
                 int n) {
   Counters().mask_cmp.fetch_add(1, std::memory_order_relaxed);
-  Table().mask_cmp_f64(a, lit, op, out, n);
+  MaskCmpT(a, lit, op, out, n);
 }
 
 void MaskAnd(uint8_t* mask, const uint8_t* other, int n) {
   Counters().mask_and.fetch_add(1, std::memory_order_relaxed);
-  Table().mask_and(mask, other, n);
+  for (int i = 0; i < n; ++i) mask[i] &= other[i];
 }
 
 void MaskAndNot(uint8_t* mask, const uint8_t* other, int n) {
   Counters().mask_andnot.fetch_add(1, std::memory_order_relaxed);
-  Table().mask_andnot(mask, other, n);
+  for (int i = 0; i < n; ++i) {
+    mask[i] = static_cast<uint8_t>(mask[i] & (other[i] ^ 1));
+  }
 }
 
 int64_t CountMask(const uint8_t* mask, int n) {
   Counters().count_mask.fetch_add(1, std::memory_order_relaxed);
-  return Table().count_mask(mask, n);
+  int64_t count = 0;
+  for (int i = 0; i < n; ++i) count += mask[i];
+  return count;
 }
 
 double SumF64(const double* a, int n) {
   Counters().sum_f64.fetch_add(1, std::memory_order_relaxed);
-  return Table().sum_f64(a, n);
+  double acc = 0.0;
+  for (int i = 0; i < n; ++i) acc += a[i];
+  return acc;
 }
 
 int64_t SumI64(const int64_t* a, int n) {
   Counters().sum_i64.fetch_add(1, std::memory_order_relaxed);
-  return Table().sum_i64(a, n);
+  int64_t acc = 0;
+  for (int i = 0; i < n; ++i) acc += a[i];
+  return acc;
 }
 
 void HashI64(const int64_t* a, uint64_t* out, int n) {
   Counters().hash_i64.fetch_add(1, std::memory_order_relaxed);
-  Table().hash_i64(a, out, n);
+  for (int i = 0; i < n; ++i) {
+    out[i] = SplitmixDoubleBits(static_cast<double>(a[i]));
+  }
 }
 
 void HashF64(const double* a, uint64_t* out, int n) {
   Counters().hash_f64.fetch_add(1, std::memory_order_relaxed);
-  Table().hash_f64(a, out, n);
+  for (int i = 0; i < n; ++i) out[i] = SplitmixDoubleBits(a[i]);
 }
 
 uint64_t HashBytes(const void* data, size_t len) {
   Counters().hash_bytes.fetch_add(1, std::memory_order_relaxed);
-  return Table().hash_bytes(data, len);
+  const unsigned char* p = static_cast<const unsigned char*>(data);
+  uint64_t h = 1469598103934665603ull;
+  for (size_t i = 0; i < len; ++i) {
+    h ^= p[i];
+    h *= 1099511628211ull;
+  }
+  return h;
 }
 
 KernelStats Stats() {
@@ -1044,10 +613,7 @@ KernelStats Stats() {
   s.backend = ActiveBackend();
   s.squared_l2 = c.squared_l2.load(std::memory_order_relaxed);
   s.gemm = c.gemm.load(std::memory_order_relaxed);
-  s.matvec = c.matvec.load(std::memory_order_relaxed);
-  s.axpy = c.axpy.load(std::memory_order_relaxed);
   s.relu = c.relu.load(std::memory_order_relaxed);
-  s.reduce_max = c.reduce_max.load(std::memory_order_relaxed);
   s.max_accum = c.max_accum.load(std::memory_order_relaxed);
   s.mask_cmp = c.mask_cmp.load(std::memory_order_relaxed);
   s.mask_and = c.mask_and.load(std::memory_order_relaxed);

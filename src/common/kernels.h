@@ -10,20 +10,18 @@ namespace htapex {
 namespace kernels {
 
 /// Float32 compute kernels for the serving hot path (router inference,
-/// knowledge-base vector search). Every kernel has three implementations —
-/// AVX2+FMA, NEON, and a portable scalar fallback — selected once at
-/// startup by runtime CPU detection and overridable through the
-/// HTAPEX_KERNELS environment variable (`scalar`, `avx2`, `neon`, or
-/// `native`, the default). An unsupported request falls back to scalar, so
-/// a pinned `HTAPEX_KERNELS=scalar` run is valid on every machine — that is
-/// the determinism/A-B baseline CI exercises.
+/// knowledge-base vector search). Each of the four kernels below has three
+/// implementations — AVX2+FMA, NEON, and a portable scalar fallback — and
+/// startup dispatches to the best one the CPU supports. They are the only
+/// SIMD code in the library: each one moves the router's measured cost
+/// (EXPERIMENTS S5), which is why it keeps its specializations.
 ///
 /// Numeric contract: all three backends compute the same mathematical
 /// expression over float32 inputs. SIMD backends may fuse multiply-adds
 /// (FMA), so results can differ from scalar by rounding in the last ulps;
 /// they may NOT differ in NaN/inf behaviour — a NaN or inf in the input
-/// propagates to the output on every backend (ReduceMax/MaxAccum enforce
-/// this explicitly, since hardware max instructions quietly drop NaNs).
+/// propagates to the output on every backend (MaxAccum enforces this
+/// explicitly, since hardware max instructions quietly drop NaNs).
 enum class Backend {
   kScalar = 0,
   kAvx2,
@@ -35,8 +33,8 @@ const char* BackendName(Backend backend);
 /// True when this build/CPU can run the given backend.
 bool BackendSupported(Backend backend);
 
-/// The backend every kernel below dispatches to. Resolved once, on first
-/// use, from CPU detection + HTAPEX_KERNELS.
+/// The backend the four kernels below dispatch to. Resolved once, on first
+/// use, by CPU detection.
 Backend ActiveBackend();
 
 /// Test/bench hook: re-points the dispatch table (and ActiveBackend()) at
@@ -53,42 +51,31 @@ float SquaredL2(const float* a, const float* b, int n);
 /// GEMM instead of per-node branchy matvecs.
 void GemmAccum(const float* a, const float* b, float* c, int m, int k, int n);
 
-/// y[0..cols) += x[0..rows) * W[rows x cols] (row-major W) — the m == 1
-/// GEMM, kept as its own entry point (and counter) because single-vector
-/// dense layers call it directly.
-void MatVecAccum(const float* w, const float* x, int rows, int cols, float* y);
-
-/// y[i] += alpha * x[i].
-void Axpy(float alpha, const float* x, float* y, int n);
-
 /// x[i] = max(x[i], 0); NaN stays NaN.
 void Relu(float* x, int n);
-
-/// Maximum element of x[0..n); returns NaN if any element is NaN, -inf for
-/// n == 0.
-float ReduceMax(const float* x, int n);
 
 /// acc[i] = max(acc[i], x[i]); a NaN in either operand yields NaN. Used for
 /// the tree-CNN dynamic max pool (column-wise max over node rows).
 void MaxAccum(float* acc, const float* x, int n);
 
 // ---------------------------------------------------------------------------
-// Batch primitives for the vectorized query executor (vec_executor.*). All
-// masks are byte vectors whose elements are strictly 0 or 1 — one byte per
-// row of a column segment.
+// Batch primitives for the vectorized query executor (vec_executor.*). Plain
+// scalar loops outside the dispatch table: SIMD versions of them moved no
+// end-to-end number (EXPERIMENTS S5). All masks are byte vectors whose
+// elements are strictly 0 or 1 — one byte per row of a column segment.
 // ---------------------------------------------------------------------------
 
 /// Comparison selector for the batch mask kernels. Matches the subset of
-/// SQL comparison operators with type-exact semantics on every backend.
+/// SQL comparison operators with type-exact semantics.
 enum class MaskCmpOp { kEq, kNe, kLt, kLe, kGt, kGe };
 
-/// out[i] = (a[i] <op> lit) ? 1 : 0. Integer comparison is exact on every
-/// backend (no float round-trip), so scalar and SIMD agree bit-for-bit.
+/// out[i] = (a[i] <op> lit) ? 1 : 0. Integer comparison is exact (no float
+/// round-trip).
 void MaskCmpI64(const int64_t* a, int64_t lit, MaskCmpOp op, uint8_t* out,
                 int n);
 
 /// out[i] = (a[i] <op> lit) ? 1 : 0 over doubles, with IEEE comparison
-/// semantics (identical across backends; no reassociation is involved).
+/// semantics.
 void MaskCmpF64(const double* a, double lit, MaskCmpOp op, uint8_t* out,
                 int n);
 
@@ -102,27 +89,24 @@ void MaskAndNot(uint8_t* mask, const uint8_t* other, int n);
 /// Number of set bytes in mask[0..n).
 int64_t CountMask(const uint8_t* mask, int n);
 
-/// Sum of a[0..n). The SIMD backends reassociate the additions, so the
-/// result can differ from scalar in the last ulps (same contract as the
-/// float32 kernels above); result comparison happens through the
-/// fingerprint's %.6g normalization.
+/// Sum of a[0..n), added left to right.
 double SumF64(const double* a, int n);
 
-/// Sum of a[0..n); exact (two's-complement) on every backend.
+/// Sum of a[0..n); exact (two's-complement).
 int64_t SumI64(const int64_t* a, int n);
 
 /// out[i] = the hash Value::Hash() produces for the int64 a[i]: widen to
-/// double, take the bit pattern, splitmix-style finalizer. Bit-identical on
-/// every backend — gathered-key join tables and Bloom sifts must agree with
-/// the per-row Value::Hash() path exactly.
+/// double, take the bit pattern, splitmix-style finalizer. Bit-identical to
+/// Value::Hash() — gathered-key join tables and Bloom sifts must agree with
+/// the per-row path exactly.
 void HashI64(const int64_t* a, uint64_t* out, int n);
 
 /// Same contract over doubles (the shared representation int hashing
 /// widens into, so Int(1) and Double(1.0) collide like Value::Hash()).
 void HashF64(const double* a, uint64_t* out, int n);
 
-/// FNV-1a 64 over a byte range — Value::Hash() on strings. Serial per
-/// string on every backend; in the kernel set for uniform counting.
+/// FNV-1a 64 over a byte range — Value::Hash() on strings. In the kernel
+/// set for uniform counting.
 uint64_t HashBytes(const void* data, size_t len);
 
 /// Per-kernel invocation counters (relaxed atomics, process-wide), exported
@@ -132,10 +116,7 @@ struct KernelStats {
   Backend backend = Backend::kScalar;
   uint64_t squared_l2 = 0;
   uint64_t gemm = 0;
-  uint64_t matvec = 0;
-  uint64_t axpy = 0;
   uint64_t relu = 0;
-  uint64_t reduce_max = 0;
   uint64_t max_accum = 0;
   uint64_t mask_cmp = 0;
   uint64_t mask_and = 0;

@@ -604,14 +604,8 @@ std::string ExplainService::ExpositionText() const {
             {{"kernel", "squared_l2"}});
   b.Counter("htapex_kernel_ops_total", kKernelHelp, k.gemm,
             {{"kernel", "gemm"}});
-  b.Counter("htapex_kernel_ops_total", kKernelHelp, k.matvec,
-            {{"kernel", "matvec"}});
-  b.Counter("htapex_kernel_ops_total", kKernelHelp, k.axpy,
-            {{"kernel", "axpy"}});
   b.Counter("htapex_kernel_ops_total", kKernelHelp, k.relu,
             {{"kernel", "relu"}});
-  b.Counter("htapex_kernel_ops_total", kKernelHelp, k.reduce_max,
-            {{"kernel", "reduce_max"}});
   b.Counter("htapex_kernel_ops_total", kKernelHelp, k.max_accum,
             {{"kernel", "max_accum"}});
   b.Counter("htapex_kernel_ops_total", kKernelHelp, k.mask_cmp,

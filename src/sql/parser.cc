@@ -7,6 +7,23 @@ namespace htapex {
 
 namespace {
 
+// Parenthesised expressions, function and aggregate arguments, NOT chains
+// and unary minus recurse; a statement nested deeper than this is rejected
+// with a parse error instead of overflowing the stack.
+constexpr int kMaxNesting = 256;
+
+/// Holds one level of expression nesting for the lifetime of a parse call.
+class NestingGuard {
+ public:
+  explicit NestingGuard(int* depth) : depth_(depth) { ++*depth_; }
+  ~NestingGuard() { --*depth_; }
+  NestingGuard(const NestingGuard&) = delete;
+  NestingGuard& operator=(const NestingGuard&) = delete;
+
+ private:
+  int* depth_;
+};
+
 class Parser {
  public:
   explicit Parser(std::vector<Token> tokens) : tokens_(std::move(tokens)) {}
@@ -180,9 +197,20 @@ class Parser {
     return Status::OK();
   }
 
+  Status CheckNesting() const {
+    if (depth_ <= kMaxNesting) return Status::OK();
+    return Status::ParseError(
+        StrFormat("expression nested deeper than %d levels at offset %zu",
+                  kMaxNesting, Peek().offset));
+  }
+
   // Expression grammar: Or > And > Not > Predicate > Additive >
   // Multiplicative > Primary.
-  Result<std::unique_ptr<Expr>> ParseExpr() { return ParseOr(); }
+  Result<std::unique_ptr<Expr>> ParseExpr() {
+    NestingGuard nested(&depth_);
+    HTAPEX_RETURN_IF_ERROR(CheckNesting());
+    return ParseOr();
+  }
 
   Result<std::unique_ptr<Expr>> ParseOr() {
     std::unique_ptr<Expr> left;
@@ -212,6 +240,8 @@ class Parser {
 
   Result<std::unique_ptr<Expr>> ParseNot() {
     if (ConsumeKeyword("NOT")) {
+      NestingGuard nested(&depth_);
+      HTAPEX_RETURN_IF_ERROR(CheckNesting());
       std::unique_ptr<Expr> inner;
       HTAPEX_ASSIGN_OR_RETURN(inner, ParseNot());
       auto e = std::make_unique<Expr>(ExprKind::kNot);
@@ -344,6 +374,8 @@ class Parser {
     // Unary minus: fold into the literal when possible, else 0 - expr.
     if (Peek().IsOperator("-")) {
       ++pos_;
+      NestingGuard nested(&depth_);
+      HTAPEX_RETURN_IF_ERROR(CheckNesting());
       std::unique_ptr<Expr> inner;
       HTAPEX_ASSIGN_OR_RETURN(inner, ParsePrimary());
       if (inner->kind == ExprKind::kLiteral && inner->literal.is_int()) {
@@ -449,6 +481,7 @@ class Parser {
 
   std::vector<Token> tokens_;
   size_t pos_ = 0;
+  int depth_ = 0;  // current expression nesting, see kMaxNesting
 };
 
 }  // namespace

@@ -7,7 +7,6 @@
 
 #include "common/string_util.h"
 #include "engine/htap_system.h"
-#include "common/kernels.h"
 #include "workload/query_generator.h"
 
 namespace htapex {
@@ -108,20 +107,6 @@ TEST_P(ExecutionPropertyTest, RowAndVectorizedExecutorsAgree) {
     GeneratedQuery gq = gen.Generate(GetParam());
     ExpectRowVecParity(*system_, gq.sql);
   }
-}
-
-TEST_P(ExecutionPropertyTest, ParityHoldsOnScalarKernelBackend) {
-  // Force the scalar kernel backend so parity cannot silently depend on a
-  // particular SIMD implementation; restore the active backend after.
-  kernels::Backend prior = kernels::ActiveBackend();
-  ASSERT_TRUE(kernels::ForceBackendForTest(kernels::Backend::kScalar));
-  QueryGenerator gen(system_->config().stats_scale_factor,
-                     0x5ca1a ^ static_cast<uint64_t>(GetParam()));
-  for (int i = 0; i < 3; ++i) {
-    GeneratedQuery gq = gen.Generate(GetParam());
-    ExpectRowVecParity(*system_, gq.sql);
-  }
-  ASSERT_TRUE(kernels::ForceBackendForTest(prior));
 }
 
 INSTANTIATE_TEST_SUITE_P(

@@ -1,5 +1,7 @@
 #include <gtest/gtest.h>
 
+#include <string>
+
 #include "catalog/value.h"
 #include "common/json.h"
 #include "common/rng.h"
@@ -74,6 +76,22 @@ TEST(JsonPropertyTest, PythonishFlavourRoundTrips) {
     ASSERT_TRUE(parsed.ok()) << doc.DumpPythonish();
     EXPECT_TRUE(*parsed == doc);
   }
+}
+
+TEST(JsonPropertyTest, DeepNestingIsAParseErrorNotACrash) {
+  // A parser that recursed once per level would overflow the stack here.
+  const int kDepth = 100000;
+  std::string objects;
+  for (int i = 0; i < kDepth; ++i) objects += "{\"a\": ";
+  for (const std::string& text : {std::string(kDepth, '['), objects}) {
+    auto parsed = JsonValue::Parse(text);
+    ASSERT_FALSE(parsed.ok());
+    EXPECT_EQ(parsed.status().code(), StatusCode::kParseError);
+  }
+  // Ordinary nesting still parses.
+  auto moderate =
+      JsonValue::Parse(std::string(100, '[') + std::string(100, ']'));
+  EXPECT_TRUE(moderate.ok()) << moderate.status();
 }
 
 TEST(DatePropertyTest, EveryDayRoundTripsAcrossTheTpchRange) {

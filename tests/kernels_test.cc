@@ -1,9 +1,12 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdint>
 #include <limits>
+#include <string>
 #include <vector>
 
+#include "catalog/value.h"
 #include "common/kernels.h"
 #include "common/rng.h"
 #include "vectordb/hnsw.h"
@@ -111,45 +114,6 @@ TEST_F(KernelsTest, GemmAccumMatchesReferenceOnEveryBackend) {
   }
 }
 
-TEST_F(KernelsTest, MatVecAccumIsTheSingleRowGemm) {
-  Rng rng(13);
-  const int rows = 21, cols = 32;
-  std::vector<float> w = RandomVec(&rng, rows * cols);
-  std::vector<float> x = RandomVec(&rng, rows);
-  for (Backend backend : SupportedBackends()) {
-    ASSERT_TRUE(ForceBackendForTest(backend));
-    std::vector<float> y(static_cast<size_t>(cols), 0.25f);
-    std::vector<float> y_gemm = y;
-    MatVecAccum(w.data(), x.data(), rows, cols, y.data());
-    GemmAccum(x.data(), w.data(), y_gemm.data(), 1, rows, cols);
-    for (int j = 0; j < cols; ++j) {
-      EXPECT_NEAR(y[static_cast<size_t>(j)], y_gemm[static_cast<size_t>(j)],
-                  1e-5)
-          << BackendName(backend) << " col " << j;
-    }
-  }
-}
-
-TEST_F(KernelsTest, AxpyMatchesReferenceOnEveryBackend) {
-  Rng rng(14);
-  for (Backend backend : SupportedBackends()) {
-    ASSERT_TRUE(ForceBackendForTest(backend));
-    for (int n : kLengths) {
-      std::vector<float> x = RandomVec(&rng, n);
-      std::vector<float> y = RandomVec(&rng, n);
-      std::vector<float> expect = y;
-      const float alpha = 0.75f;
-      for (int i = 0; i < n; ++i) expect[static_cast<size_t>(i)] += alpha * x[static_cast<size_t>(i)];
-      Axpy(alpha, x.data(), y.data(), n);
-      for (int i = 0; i < n; ++i) {
-        EXPECT_NEAR(y[static_cast<size_t>(i)], expect[static_cast<size_t>(i)],
-                    1e-6)
-            << BackendName(backend) << " n=" << n << " elem " << i;
-      }
-    }
-  }
-}
-
 TEST_F(KernelsTest, ReluClampsAndKeepsNanInf) {
   for (Backend backend : SupportedBackends()) {
     ASSERT_TRUE(ForceBackendForTest(backend));
@@ -165,32 +129,6 @@ TEST_F(KernelsTest, ReluClampsAndKeepsNanInf) {
     EXPECT_EQ(x[6], 0.0f);
     EXPECT_EQ(x[7], 3.0f);
     EXPECT_EQ(x[8], 0.0f);
-  }
-}
-
-TEST_F(KernelsTest, ReduceMaxSemantics) {
-  Rng rng(15);
-  for (Backend backend : SupportedBackends()) {
-    ASSERT_TRUE(ForceBackendForTest(backend));
-    EXPECT_EQ(ReduceMax(nullptr, 0), -kInf) << BackendName(backend);
-    for (int n : kLengths) {
-      if (n == 0) continue;
-      std::vector<float> x = RandomVec(&rng, n);
-      float expect = x[0];
-      for (float v : x) expect = std::max(expect, v);
-      EXPECT_EQ(ReduceMax(x.data(), n), expect)
-          << BackendName(backend) << " n=" << n;
-      // A NaN anywhere — lane 0, mid-vector, or in the scalar tail — must
-      // poison the result even though hardware max drops NaNs.
-      for (int pos : {0, n / 2, n - 1}) {
-        std::vector<float> bad = x;
-        bad[static_cast<size_t>(pos)] = kNan;
-        EXPECT_TRUE(std::isnan(ReduceMax(bad.data(), n)))
-            << BackendName(backend) << " n=" << n << " nan@" << pos;
-      }
-    }
-    std::vector<float> with_inf = {1.0f, kInf, -3.0f};
-    EXPECT_EQ(ReduceMax(with_inf.data(), 3), kInf);
   }
 }
 
@@ -242,12 +180,51 @@ TEST_F(KernelsTest, DispatchAndCounters) {
   std::vector<float> a(8, 1.0f), b(8, 2.0f);
   (void)SquaredL2(a.data(), b.data(), 8);
   Relu(a.data(), 8);
-  (void)ReduceMax(a.data(), 8);
+  MaxAccum(a.data(), b.data(), 8);
+  const uint8_t mask[4] = {1, 0, 1, 1};
+  EXPECT_EQ(CountMask(mask, 4), 3);
   KernelStats s1 = Stats();
   EXPECT_EQ(s1.backend, Backend::kScalar);
   EXPECT_EQ(s1.squared_l2, s0.squared_l2 + 1);
   EXPECT_EQ(s1.relu, s0.relu + 1);
-  EXPECT_EQ(s1.reduce_max, s0.reduce_max + 1);
+  EXPECT_EQ(s1.max_accum, s0.max_accum + 1);
+  EXPECT_EQ(s1.count_mask, s0.count_mask + 1);
+}
+
+/// The executor's bulk hashes feed join tables and Bloom sifts that the
+/// row executor builds through Value::Hash(), so the two must agree bit for
+/// bit, edge values included.
+TEST(KernelHashTest, MatchesValueHashBitForBit) {
+  const int64_t two53 = int64_t{1} << 53;
+  const std::vector<int64_t> ints = {0,         1,         -1,
+                                     INT64_MIN, INT64_MAX, two53 - 1,
+                                     two53 + 1};
+  std::vector<uint64_t> hashes(ints.size());
+  HashI64(ints.data(), hashes.data(), static_cast<int>(ints.size()));
+  for (size_t i = 0; i < ints.size(); ++i) {
+    EXPECT_EQ(hashes[i], Value::Int(ints[i]).Hash()) << ints[i];
+  }
+
+  const double inf = std::numeric_limits<double>::infinity();
+  const std::vector<double> doubles = {
+      0.0, 1.0, -1.0, -0.0, inf, -inf, std::numeric_limits<double>::quiet_NaN(),
+      std::numeric_limits<double>::denorm_min(), static_cast<double>(two53 - 1),
+      static_cast<double>(two53 + 1), static_cast<double>(INT64_MIN),
+      static_cast<double>(INT64_MAX)};
+  hashes.resize(doubles.size());
+  HashF64(doubles.data(), hashes.data(), static_cast<int>(doubles.size()));
+  for (size_t i = 0; i < doubles.size(); ++i) {
+    EXPECT_EQ(hashes[i], Value::Double(doubles[i]).Hash()) << doubles[i];
+  }
+
+  std::string kilobyte(1024, '\0');
+  for (size_t i = 0; i < kilobyte.size(); ++i) {
+    kilobyte[i] = static_cast<char>(i * 31 % 251);
+  }
+  for (const std::string& s : {std::string(), kilobyte}) {
+    EXPECT_EQ(HashBytes(s.data(), s.size()), Value::Str(s).Hash())
+        << s.size() << " bytes";
+  }
 }
 
 TEST_F(KernelsTest, ScalarBackendIsBitwiseDeterministic) {

@@ -1,5 +1,7 @@
 #include <gtest/gtest.h>
 
+#include <string>
+
 #include "catalog/tpch.h"
 #include "sql/binder.h"
 #include "sql/lexer.h"
@@ -119,6 +121,34 @@ TEST(ParserTest, Errors) {
   EXPECT_FALSE(ParseSelect("SELECT a FROM t extra garbage tokens ,").ok());
   EXPECT_FALSE(ParseSelect("SELECT a FROM t WHERE a IN (1,").ok());
   EXPECT_FALSE(ParseSelect("SELECT a FROM DATE").ok());
+}
+
+std::string Repeat(const std::string& s, int n) {
+  std::string out;
+  for (int i = 0; i < n; ++i) out += s;
+  return out;
+}
+
+TEST(ParserTest, DeepNestingIsAParseErrorNotACrash) {
+  // A parser that recursed once per level would overflow the stack on each.
+  const int kDepth = 100000;
+  const std::string where = "SELECT c_name FROM customer WHERE ";
+  const std::string hostile[] = {
+      where + Repeat("(", kDepth) + "c_custkey = 1" + Repeat(")", kDepth),
+      where + Repeat("NOT ", kDepth) + "c_custkey = 1",
+      where + Repeat("- ", kDepth) + "c_custkey = 1",
+      where + Repeat("abs(", kDepth) + "c_custkey" + Repeat(")", kDepth) +
+          " = 1",
+  };
+  for (const std::string& sql : hostile) {
+    auto parsed = ParseSelect(sql);
+    ASSERT_FALSE(parsed.ok()) << sql.substr(0, 60);
+    EXPECT_EQ(parsed.status().code(), StatusCode::kParseError);
+  }
+  // Ordinary nesting still parses.
+  auto moderate = ParseSelect(where + Repeat("(", 100) + "c_custkey = 1" +
+                              Repeat(")", 100));
+  EXPECT_TRUE(moderate.ok()) << moderate.status();
 }
 
 TEST(ParserTest, RoundTripToString) {

@@ -10,7 +10,6 @@
 #include <thread>
 #include <vector>
 
-#include "common/kernels.h"
 #include "engine/htap_system.h"
 #include "engine/morsel.h"
 
@@ -225,11 +224,9 @@ TEST_F(VecExecutorTest, SingleWorkerMatchesMultiWorker) {
   }
 }
 
-TEST_F(VecExecutorTest, BatchProbeAgreesAcrossWorkersAndBackends) {
+TEST_F(VecExecutorTest, BatchProbeAgreesAcrossWorkers) {
   // The batch probe (flat JoinTable, gathered keys, late materialization)
-  // must hold the row-oracle parity contract at 1 and 3 workers and with
-  // SIMD kernels forced off (the scalar backend hashes through a different
-  // code path that must still be bit-identical to Value::Hash).
+  // must hold the row-oracle parity contract at 1 and 3 workers.
   const char* queries[] = {
       "SELECT COUNT(*) FROM customer, orders WHERE o_custkey = c_custkey "
       "AND o_totalprice > 100000",
@@ -262,10 +259,6 @@ TEST_F(VecExecutorTest, BatchProbeAgreesAcrossWorkersAndBackends) {
     ASSERT_TRUE(row_res.ok() && vec_res.ok()) << sql;
     EXPECT_EQ(row_res->Fingerprint(), vec_res->Fingerprint()) << sql;
   }
-  const kernels::Backend native = kernels::ActiveBackend();
-  ASSERT_TRUE(kernels::ForceBackendForTest(kernels::Backend::kScalar));
-  for (const char* sql : queries) ExpectParity(sql);
-  ASSERT_TRUE(kernels::ForceBackendForTest(native));
 }
 
 bool HasOp(const PlanNode& node, PlanOp op) {
