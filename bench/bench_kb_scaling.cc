@@ -1,16 +1,13 @@
 // Experiment L2 (paper Section VI-B): knowledge-base growth. "As the
 // knowledge base grows, the search time will inevitably increase, but we do
 // not expect this component to dominate, given recent advances in vector
-// indexing [HNSW]." This bench measures exact (brute-force) vs HNSW search
-// as the KB grows from the paper's 20 entries to 20k, plus HNSW recall.
+// indexing [10]." This bench measures the knowledge base's exact top-k
+// search as the KB grows from the paper's 20 entries to 20k.
 #include <benchmark/benchmark.h>
 
 #include <cstdio>
-#include <set>
 
 #include "common/rng.h"
-#include "common/sim_clock.h"
-#include "vectordb/hnsw.h"
 #include "vectordb/vector_store.h"
 
 namespace {
@@ -45,57 +42,13 @@ BENCHMARK(BM_ExactSearch)
     ->Arg(20000)
     ->Unit(benchmark::kMicrosecond);
 
-void BM_HnswSearch(benchmark::State& state) {
-  int n = static_cast<int>(state.range(0));
-  Rng rng(17);
-  HnswIndex index(kDim);
-  for (int i = 0; i < n; ++i) {
-    index.Add(RandomEmbedding(&rng)).status();
-  }
-  std::vector<double> query = RandomEmbedding(&rng);
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(index.Search(query, 2));
-  }
-  state.SetLabel("hnsw");
-}
-BENCHMARK(BM_HnswSearch)
-    ->Arg(20)
-    ->Arg(200)
-    ->Arg(2000)
-    ->Arg(20000)
-    ->Unit(benchmark::kMicrosecond);
-
 }  // namespace
 
 int main(int argc, char** argv) {
   benchmark::Initialize(&argc, argv);
   benchmark::RunSpecifiedBenchmarks();
-
-  // HNSW recall@2 against exact search, 10k vectors, 200 queries.
-  Rng rng(23);
-  VectorStore exact(kDim);
-  HnswIndex hnsw(kDim);
-  for (int i = 0; i < 5'000; ++i) {
-    std::vector<double> v = RandomEmbedding(&rng);
-    exact.Add(v).status();
-    hnsw.Add(std::move(v)).status();
-  }
-  int hits = 0, total = 0;
-  for (int q = 0; q < 200; ++q) {
-    std::vector<double> query = RandomEmbedding(&rng);
-    auto truth = exact.Search(query, 2);
-    auto approx = hnsw.Search(query, 2);
-    std::set<int> truth_ids;
-    for (const auto& h : truth) truth_ids.insert(h.id);
-    for (const auto& h : approx) {
-      if (truth_ids.count(h.id) > 0) ++hits;
-    }
-    total += 2;
-  }
-  std::printf("\n=== L2: HNSW recall@2 on 5k vectors: %.1f%% ===\n",
-              100.0 * hits / total);
-  std::printf("shape check: exact search grows linearly with KB size; HNSW "
-              "stays near-flat, so KB search never dominates the ~12 s "
-              "LLM-bound response time.\n");
+  std::printf("\nshape check: exact top-k search grows linearly with KB "
+              "size and stays microseconds at the served sizes, so KB search "
+              "never dominates the ~12 s LLM-bound response time.\n");
   return 0;
 }

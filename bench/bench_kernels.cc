@@ -1,6 +1,6 @@
 // SIMD kernel-library benchmark + self-checks (src/common/kernels.h and
-// the float32 serving paths built on it: FrozenTreeCnn, the vector-store
-// slab scan, HNSW search).
+// the float32 serving paths built on it: FrozenTreeCnn and the
+// vector-store slab scan).
 //
 // The acceptance bar this file enforces (exit code != 0 on violation),
 // checked once per kernel backend the CPU supports:

@@ -7,10 +7,12 @@
 //      (sifting disabled on both sides so the comparison is purely about
 //      join order).
 //   2. Sifting pays: on selective join queries where the optimizer applies
-//      a Bloom-filter sift, executing the sifted plan moves strictly fewer
-//      rows through the executor than the sift-disabled plan — with
-//      byte-identical results — and the saving is measurable (>= 5% on at
-//      least one query).
+//      a Bloom-filter sift and the sifted scan executes, executing the
+//      sifted plan moves strictly fewer rows through the executor than the
+//      sift-disabled plan — with byte-identical results — and the saving is
+//      measurable (>= 5% on at least one query). A sifted scan under a hash
+//      join whose build side is empty never runs in either plan, so those
+//      queries are listed as not reached instead of counted.
 //   3. New-shape parity: the row and vectorized executors produce
 //      byte-identical fingerprints and identical per-node ExecStats on
 //      every plan containing a sifted scan or a bushy join.
@@ -161,6 +163,17 @@ bool CheckDpNeverWorse(const HtapSystem& system) {
   return true;
 }
 
+/// True when some sifted scan under `node` executed (has actual rows).
+bool SiftExecuted(const PlanNode& node, const ExecStats& stats) {
+  if (node.op == PlanOp::kSiftedScan && stats.actual_rows.count(&node) > 0) {
+    return true;
+  }
+  for (const auto& c : node.children) {
+    if (SiftExecuted(*c, stats)) return true;
+  }
+  return false;
+}
+
 size_t SumActualRows(const ExecStats& stats) {
   size_t sum = 0;
   for (const auto& [node, rows] : stats.actual_rows) sum += rows;
@@ -176,14 +189,13 @@ bool CheckSiftingPays(const HtapSystem& system) {
   ApOptimizer on_opt(system.catalog(), sift_on);
   ApOptimizer off_opt(system.catalog(), sift_off);
 
-  size_t sifted = 0, violations = 0;
+  size_t sifted = 0, unreached = 0, violations = 0;
   double best_saving = 0.0;
   for (const BoundSql& bq : BindAll(system, JoinQuerySet())) {
     auto on_plan = on_opt.Plan(bq.query);
     auto off_plan = off_opt.Plan(bq.query);
     if (!on_plan.ok() || !off_plan.ok()) continue;
     if (!HasOp(*on_plan->root, PlanOp::kSiftedScan)) continue;
-    ++sifted;
     ExecStats on_stats, off_stats;
     auto on_res =
         system.ExecuteWithMode(ExecMode::kRow, *on_plan, bq.query, &on_stats);
@@ -199,6 +211,13 @@ bool CheckSiftingPays(const HtapSystem& system) {
       ++violations;
       continue;
     }
+    if (!SiftExecuted(*on_plan->root, on_stats)) {
+      ++unreached;
+      std::printf("  sift not reached (empty build)  %s\n",
+                  bq.sql.substr(0, 56).c_str());
+      continue;
+    }
+    ++sifted;
     size_t rows_on = SumActualRows(on_stats);
     size_t rows_off = SumActualRows(off_stats);
     if (rows_on >= rows_off) {
@@ -215,8 +234,9 @@ bool CheckSiftingPays(const HtapSystem& system) {
   }
   std::printf(
       "sifting-pays: %zu sifted queries, %zu violations, best saving "
-      "%.1f%% (bars: > 0 sifted, 0 violations, >= 5%%)\n",
-      sifted, violations, best_saving * 100.0);
+      "%.1f%% (bars: > 0 sifted, 0 violations, >= 5%%); %zu sift not "
+      "reached (empty build)\n",
+      sifted, violations, best_saving * 100.0, unreached);
   if (sifted == 0 || violations != 0 || best_saving < 0.05) {
     std::fprintf(stderr, "FAIL: predicate transfer not measurably paying\n");
     return false;

@@ -3,7 +3,7 @@
 // Sweeps a combined fault level f over {0, 0.05, 0.1, 0.2, 0.3, 0.5} where
 // each level activates the fault points at scaled probabilities
 //   llm.transient_error p=f      llm.timeout p=f/2
-//   llm.garbled_output  p=f/4    kb.hnsw_search p=f    kb.insert p=f/2
+//   llm.garbled_output  p=f/4    kb.insert p=f/2
 // (so f=0.2 is exactly the acceptance scenario: 20% transient + 10%
 // timeouts). For each level the paper's 200-query test set runs through
 // ExplainService and the bench reports the degradation mix — how many
@@ -57,8 +57,8 @@ std::string SpecForLevel(double f) {
   if (f <= 0.0) return "off";
   return StrFormat(
       "llm.transient_error:p=%.4f;llm.timeout:p=%.4f;"
-      "llm.garbled_output:p=%.4f;kb.hnsw_search:p=%.4f;kb.insert:p=%.4f",
-      f, f / 2.0, f / 4.0, f, f / 2.0);
+      "llm.garbled_output:p=%.4f;kb.insert:p=%.4f",
+      f, f / 2.0, f / 4.0, f / 2.0);
 }
 
 Mix RunOnce(Fixture* fixture, const std::vector<std::string>& sqls,

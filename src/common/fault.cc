@@ -12,7 +12,7 @@ namespace {
 bool IsKnownPoint(std::string_view name) {
   return name == kFaultLlmTimeout || name == kFaultLlmTransient ||
          name == kFaultLlmGarbled || name == kFaultLlmSlow ||
-         name == kFaultKbHnswSearch || name == kFaultKbInsert ||
+         name == kFaultKbInsert ||
          name == kFaultWalAppend || name == kFaultWalFsync ||
          name == kFaultSnapshotWrite || name == kFaultSnapshotRename ||
          name == kFaultShardKill || name == kFaultShardStall ||

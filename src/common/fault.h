@@ -19,7 +19,6 @@ inline constexpr char kFaultLlmTimeout[] = "llm.timeout";
 inline constexpr char kFaultLlmTransient[] = "llm.transient_error";
 inline constexpr char kFaultLlmGarbled[] = "llm.garbled_output";
 inline constexpr char kFaultLlmSlow[] = "llm.slow_generation";
-inline constexpr char kFaultKbHnswSearch[] = "kb.hnsw_search";
 inline constexpr char kFaultKbInsert[] = "kb.insert";
 // Durability crash points (src/durable/): a fired draw simulates the
 // process dying at that instant of the write path — a torn WAL append, a

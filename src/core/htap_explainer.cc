@@ -34,10 +34,9 @@ HtapExplainer::HtapExplainer(const HtapSystem* system, ExplainerConfig config)
     : system_(system),
       config_(std::move(config)),
       router_(config_.seed),
-      kb_(router_.embedding_dim(), config_.kb_index),
+      kb_(router_.embedding_dim()),
       retriever_(&kb_),
       expert_(system->catalog(), system->config().latency) {
-  router_.set_embedding_quantization(config_.embedding_quantization);
   prompt_builder_.set_user_context(config_.user_context);
   // Fault spec: explicit config wins; empty falls through to the
   // HTAPEX_FAULTS environment (the chaos-CI hook); "off" forces clean runs.

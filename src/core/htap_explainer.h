@@ -29,15 +29,9 @@ struct ExplainerConfig {
   /// false = DBG-PT-style baseline: no knowledge retrieved, RAG sections
   /// removed from the prompt (the paper's Section VI-D comparison setup).
   bool use_rag = true;
-  /// Exact or HNSW-indexed knowledge-base search.
-  KnowledgeBase::IndexMode kb_index = KnowledgeBase::IndexMode::kExact;
   /// Router training workload size and epochs.
   int router_train_queries = 320;
   int router_train_epochs = 60;
-  /// Quantization step for stored/query embeddings (vector-code
-  /// compression); 0 disables. Kept as an ablation knob — see
-  /// SmartRouter::set_embedding_quantization.
-  double embedding_quantization = 0.0;
   uint64_t seed = 7;
   /// Fault-injection spec (see common/fault.h), e.g.
   /// "llm.transient_error:p=0.2;llm.timeout:p=0.1,lat=500". Empty reads the

@@ -168,7 +168,6 @@ void ModelLifecycleManager::StepRetrainLocked() {
   // Fresh candidate trained from scratch on the newest window: drifted
   // workloads want the new regime learned, not the old one fine-tuned.
   candidate_ = std::make_unique<SmartRouter>(options_.seed);
-  candidate_->set_embedding_quantization(router_->embedding_quantization());
   RouterTrainStats stats = candidate_->Train(
       examples, options_.retrain_epochs, options_.retrain_batch_size,
       options_.retrain_learning_rate);

@@ -1,6 +1,6 @@
 #include "router/smart_router.h"
 
-#include <cmath>
+#include <algorithm>
 
 #include "common/rng.h"
 #include "common/sim_clock.h"
@@ -37,13 +37,6 @@ Status SmartRouter::AdoptMaster(const TreeCnn& master) {
   *cnn_ = master;
   RefreshFrozen();
   return Status::OK();
-}
-
-void SmartRouter::Quantize(std::vector<double>* embedding) const {
-  if (quant_step_ <= 0) return;
-  for (double& v : *embedding) {
-    v = std::round(v / quant_step_) * quant_step_;
-  }
 }
 
 PairExample SmartRouter::MakeExample(const PlanPair& plans,
@@ -98,7 +91,6 @@ Status SmartRouter::Load(const std::string& path) {
 
 void SmartRouter::CloneWeightsFrom(const SmartRouter& other) {
   *cnn_ = *other.cnn_;
-  quant_step_ = other.quant_step_;
   RefreshFrozen();
 }
 
@@ -133,7 +125,6 @@ std::vector<RoutedPair> SmartRouter::RouteBatch(
     out[i].p_ap = p_ap[i];
     out[i].route = p_ap[i] >= 0.5 ? EngineKind::kAp : EngineKind::kTp;
     out[i].embedding = std::move(embeddings[i]);
-    Quantize(&out[i].embedding);
   }
   return out;
 }
@@ -146,7 +137,6 @@ std::vector<double> SmartRouter::EmbedFeatures(
     const PlanTreeFeatures& tp, const PlanTreeFeatures& ap) const {
   std::vector<double> embedding;
   frozen_snapshot()->PredictApFaster(tp, ap, &embedding);
-  Quantize(&embedding);
   return embedding;
 }
 
@@ -159,7 +149,6 @@ std::vector<double> SmartRouter::EmbedMaster(const PlanPair& plans) const {
   std::vector<double> embedding;
   cnn_->PredictApFaster(FeaturizePlan(plans.tp), FeaturizePlan(plans.ap),
                         &embedding);
-  Quantize(&embedding);
   return embedding;
 }
 

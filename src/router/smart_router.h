@@ -25,7 +25,7 @@ struct RouterTrainStats {
 struct RoutedPair {
   double p_ap = 0.0;        // probability AP is faster
   EngineKind route = EngineKind::kTp;
-  std::vector<double> embedding;  // quantized pair embedding (2E dims)
+  std::vector<double> embedding;  // pair embedding (2E dims)
 };
 
 /// ByteHTAP's "smart router": a lightweight tree-CNN classifier that
@@ -75,14 +75,6 @@ class SmartRouter {
   std::vector<RoutedPair> RouteBatch(
       const std::vector<const PlanPair*>& pairs) const;
 
-  /// Embedding quantization step (0 = off). Stored knowledge-base keys and
-  /// query embeddings are snapped to this grid, modelling the compressed
-  /// vector codes a production KB stores. Coarser steps save space but make
-  /// near-ties collide — the "encoding mechanism may not be perfect"
-  /// imperfection the paper attributes its K=1 accuracy drop to.
-  void set_embedding_quantization(double step) { quant_step_ = step; }
-  double embedding_quantization() const { return quant_step_; }
-
   /// The 16-dim plan-pair embedding (concatenated per-plan encodings).
   std::vector<double> Embed(const PlanPair& plans) const;
   /// Embedding from already-featurized trees (e.g. stored examples).
@@ -105,8 +97,8 @@ class SmartRouter {
   Status Save(const std::string& path) const { return cnn_->Save(path); }
   Status Load(const std::string& path);
 
-  /// Copies trained master weights + quantization step from another router
-  /// and re-freezes the float32 snapshot. Used by the sharded tier: the
+  /// Copies trained master weights from another router and re-freezes the
+  /// float32 snapshot. Used by the sharded tier: the
   /// routing explainer trains once, every shard clones — so all shards
   /// embed identically and the consistent-hash key is shard-independent.
   void CloneWeightsFrom(const SmartRouter& other);
@@ -139,14 +131,12 @@ class SmartRouter {
  private:
   /// Atomically publishes a fresh frozen snapshot of the master weights.
   void RefreshFrozen();
-  void Quantize(std::vector<double>* embedding) const;
 
   std::unique_ptr<TreeCnn> cnn_;
   mutable std::mutex frozen_mu_;  // guards only the pointer handoff below
   std::shared_ptr<const FrozenTreeCnn> frozen_;
   uint64_t next_frozen_version_ = 0;
   uint64_t seed_;
-  double quant_step_ = 0.0;
 };
 
 }  // namespace htapex

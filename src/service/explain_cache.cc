@@ -7,17 +7,18 @@
 
 namespace htapex {
 
-size_t ShardedExplainCache::KeyHash::operator()(const QuantKey& key) const {
-  // FNV-1a over the lattice coordinates.
-  uint64_t h = 1469598103934665603ull;
-  for (int64_t c : key) {
-    uint64_t u = static_cast<uint64_t>(c);
+uint64_t EmbeddingLatticeKey(const std::vector<double>& embedding,
+                             double quant_step) {
+  if (quant_step <= 0.0) quant_step = ShardedExplainCache::Options().quant_step;
+  uint64_t h = 1469598103934665603ull;  // FNV-1a offset basis
+  for (double v : embedding) {
+    uint64_t cell = static_cast<uint64_t>(std::llround(v / quant_step));
     for (int i = 0; i < 8; ++i) {
-      h ^= (u >> (8 * i)) & 0xff;
+      h ^= (cell >> (8 * i)) & 0xff;
       h *= 1099511628211ull;
     }
   }
-  return static_cast<size_t>(h);
+  return h;
 }
 
 ShardedExplainCache::ShardedExplainCache(Options options)
@@ -29,7 +30,6 @@ ShardedExplainCache::ShardedExplainCache(Options options)
   if (options_.shards == 0) options_.shards = Options().shards;
   if (options_.capacity == 0) options_.capacity = Options().capacity;
   if (options_.capacity < options_.shards) options_.capacity = options_.shards;
-  if (options_.quant_step <= 0.0) options_.quant_step = 0.05;
   per_shard_capacity_ = options_.capacity / options_.shards;
   shards_.reserve(options_.shards);
   for (size_t i = 0; i < options_.shards; ++i) {
@@ -37,29 +37,9 @@ ShardedExplainCache::ShardedExplainCache(Options options)
   }
 }
 
-ShardedExplainCache::QuantKey ShardedExplainCache::Quantize(
-    const std::vector<double>& embedding) const {
-  QuantKey key;
-  key.reserve(embedding.size());
-  for (double v : embedding) {
-    key.push_back(static_cast<int64_t>(std::llround(v / options_.quant_step)));
-  }
-  return key;
-}
-
-ShardedExplainCache::Shard& ShardedExplainCache::ShardFor(
-    const QuantKey& key) {
-  return *shards_[KeyHash()(key) % shards_.size()];
-}
-
-const ShardedExplainCache::Shard& ShardedExplainCache::ShardFor(
-    const QuantKey& key) const {
-  return *shards_[KeyHash()(key) % shards_.size()];
-}
-
 std::shared_ptr<const CachedExplanation> ShardedExplainCache::Lookup(
     const std::vector<double>& embedding) {
-  QuantKey key = Quantize(embedding);
+  const uint64_t key = KeyOf(embedding);
   Shard& shard = ShardFor(key);
   std::lock_guard<std::mutex> lock(shard.mu);
   auto it = shard.map.find(key);
@@ -82,7 +62,7 @@ std::shared_ptr<const CachedExplanation> ShardedExplainCache::Lookup(
 
 void ShardedExplainCache::Insert(
     std::shared_ptr<const CachedExplanation> value) {
-  QuantKey key = Quantize(value->embedding);
+  const uint64_t key = KeyOf(value->embedding);
   Shard& shard = ShardFor(key);
   std::lock_guard<std::mutex> lock(shard.mu);
   auto it = shard.map.find(key);
@@ -94,7 +74,7 @@ void ShardedExplainCache::Insert(
     return;
   }
   shard.lru.push_front(Entry{key, std::move(value)});
-  shard.map[std::move(key)] = shard.lru.begin();
+  shard.map[key] = shard.lru.begin();
   ++shard.insertions;
   while (shard.lru.size() > per_shard_capacity_) {
     shard.map.erase(shard.lru.back().key);

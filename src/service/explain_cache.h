@@ -26,28 +26,34 @@ struct CachedExplanation {
   GradeResult grade;
 };
 
+/// The lattice key of a plan-pair embedding: each coordinate snapped to a
+/// cell of step `quant_step` (llround(v / step)), then FNV-1a over the
+/// cells. It keys both the result cache below and the shard ring
+/// (ShardRouter::KeyOf), so two queries that would share a cache entry
+/// always land on the same shard. `quant_step` <= 0 falls back to the
+/// cache's default step.
+uint64_t EmbeddingLatticeKey(const std::vector<double>& embedding,
+                             double quant_step);
+
 /// Sharded LRU cache keyed by quantized plan-pair embeddings.
 ///
-/// Key scheme: each embedding coordinate is snapped to a lattice of step
-/// `quant_step` (llround(v / step)); the lattice cell identifies the hash
-/// bucket. Plans whose embeddings land in the same cell are candidate
-/// near-duplicates; a hit is only declared if the squared L2 distance
-/// between the query embedding and the cached entry's *exact* embedding is
-/// within `max_sq_distance` — the quantization gives O(1) lookup, the
-/// threshold guards against false sharing of a cell. Near-identical pairs
-/// straddling a cell boundary miss; that costs a regeneration, never a
-/// wrong answer.
+/// Key scheme: EmbeddingLatticeKey. Plans whose embeddings land in the
+/// same lattice cell are candidate near-duplicates; a hit is only declared
+/// if the squared L2 distance between the query embedding and the cached
+/// entry's *exact* embedding is within `max_sq_distance` — the
+/// quantization gives O(1) lookup, the threshold guards against false
+/// sharing of a key (a shared cell, or two cells whose 64-bit keys
+/// collide). Near-identical pairs straddling a cell boundary miss; that
+/// costs a regeneration, never a wrong answer.
 ///
-/// Sharding: cell hash picks the shard; each shard has its own mutex and
+/// Sharding: the key picks the shard; each shard has its own mutex and
 /// LRU list, so concurrent workers rarely contend.
 class ShardedExplainCache {
  public:
   struct Options {
     size_t capacity = 1024;  // total entries across all shards
     size_t shards = 8;
-    /// Lattice step. A service typically overrides this with the
-    /// explainer's ExplainerConfig::embedding_quantization when that is
-    /// non-zero, so cache keys and stored KB codes quantize identically.
+    /// Lattice step of the key.
     double quant_step = 0.05;
     /// Max squared L2 distance for a near-duplicate hit.
     double max_sq_distance = 1e-4;
@@ -80,30 +86,25 @@ class ShardedExplainCache {
   const Options& options() const { return options_; }
 
  private:
-  using QuantKey = std::vector<int64_t>;
-
-  struct KeyHash {
-    size_t operator()(const QuantKey& key) const;
-  };
-
   struct Entry {
-    QuantKey key;
+    uint64_t key;
     std::shared_ptr<const CachedExplanation> value;
   };
 
   struct Shard {
     mutable std::mutex mu;
     std::list<Entry> lru;  // front = most recent
-    std::unordered_map<QuantKey, std::list<Entry>::iterator, KeyHash> map;
+    std::unordered_map<uint64_t, std::list<Entry>::iterator> map;
     uint64_t hits = 0;
     uint64_t misses = 0;
     uint64_t insertions = 0;
     uint64_t evictions = 0;
   };
 
-  QuantKey Quantize(const std::vector<double>& embedding) const;
-  Shard& ShardFor(const QuantKey& key);
-  const Shard& ShardFor(const QuantKey& key) const;
+  uint64_t KeyOf(const std::vector<double>& embedding) const {
+    return EmbeddingLatticeKey(embedding, options_.quant_step);
+  }
+  Shard& ShardFor(uint64_t key) { return *shards_[key % shards_.size()]; }
 
   Options options_;
   size_t per_shard_capacity_;

@@ -17,10 +17,6 @@ namespace htapex {
 ExplainService::ExplainService(HtapExplainer* explainer, ServiceConfig config)
     : explainer_(explainer),
       config_([&] {
-        // Keep the cache lattice aligned with the explainer's stored vector
-        // codes when quantization is on.
-        double step = explainer->config().embedding_quantization;
-        if (step > 0.0) config.cache.quant_step = step;
         if (config.num_workers < 1) config.num_workers = 1;
         if (config.queue_capacity < 1) config.queue_capacity = 1;
         return config;

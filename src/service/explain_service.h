@@ -90,9 +90,9 @@ struct ServiceConfig {
 ///    on the knowledge base, so any number of explanations proceed
 ///    concurrently.
 ///  - IncorporateCorrection (the expert feedback loop, which inserts into
-///    KnowledgeBase and its HNSW index) takes the *exclusive* lock; it
-///    waits for in-flight searches and blocks new ones only for the
-///    duration of one insert.
+///    the KnowledgeBase) takes the *exclusive* lock; it waits for
+///    in-flight searches and blocks new ones only for the duration of one
+///    insert.
 ///
 /// Results for near-duplicate plan pairs are served from a sharded LRU
 /// cache keyed by quantized embeddings (see ShardedExplainCache); a hit
@@ -100,9 +100,7 @@ struct ServiceConfig {
 /// honest timing (encode + cache probe only).
 class ExplainService {
  public:
-  /// `explainer` must be trained and outlive the service. The cache quant
-  /// step follows ExplainerConfig::embedding_quantization when that is
-  /// non-zero so cache keys match the KB's stored vector codes.
+  /// `explainer` must be trained and outlive the service.
   ExplainService(HtapExplainer* explainer, ServiceConfig config = {});
   ~ExplainService();
 

@@ -1,23 +1,11 @@
 #include "service/shard_router.h"
 
 #include <algorithm>
-#include <cmath>
 
 #include "common/fault.h"
+#include "service/explain_cache.h"
 
 namespace htapex {
-
-namespace {
-
-uint64_t Fnv1a64Bytes(uint64_t h, uint64_t value) {
-  for (int i = 0; i < 8; ++i) {
-    h ^= (value >> (8 * i)) & 0xff;
-    h *= 1099511628211ull;
-  }
-  return h;
-}
-
-}  // namespace
 
 ShardRouter::ShardRouter(Options options) : options_(options) {
   if (options_.num_shards < 1) options_.num_shards = 1;
@@ -50,13 +38,7 @@ ShardRouter::ShardRouter(Options options) : options_(options) {
 
 uint64_t ShardRouter::KeyOf(const std::vector<double>& embedding,
                             double quant_step) {
-  if (quant_step <= 0.0) quant_step = 0.05;  // ShardedExplainCache default
-  uint64_t h = 1469598103934665603ull;  // FNV-1a offset basis
-  for (double v : embedding) {
-    int64_t cell = static_cast<int64_t>(std::llround(v / quant_step));
-    h = Fnv1a64Bytes(h, static_cast<uint64_t>(cell));
-  }
-  return h;
+  return EmbeddingLatticeKey(embedding, quant_step);
 }
 
 size_t ShardRouter::RingLowerBound(uint64_t key) const {

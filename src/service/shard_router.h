@@ -10,11 +10,10 @@ namespace htapex {
 
 /// Consistent-hash ring placing plan-pair embeddings onto service shards.
 ///
-/// The key is the same quantized-embedding lattice the PR-1 result cache
-/// uses (llround(coord / quant_step), FNV-1a over the lattice cell), so two
-/// queries that would share a cache entry always land on the same shard —
-/// cache affinity survives sharding for free, and a shard's local cache
-/// only ever sees its own keyspace.
+/// The key is the result cache's (EmbeddingLatticeKey in explain_cache.h),
+/// so two queries that would share a cache entry always land on the same
+/// shard — cache affinity survives sharding for free, and a shard's local
+/// cache only ever sees its own keyspace.
 ///
 /// Placement is a classic ring of virtual nodes: each shard owns
 /// `vnodes_per_shard` pseudo-random points (a pure function of ring seed,
@@ -40,9 +39,9 @@ class ShardRouter {
 
   explicit ShardRouter(Options options);
 
-  /// The ring key of an embedding: FNV-1a over its quantization lattice
-  /// cell. `quant_step` <= 0 falls back to the cache default (0.05) so the
-  /// key matches ShardedExplainCache's for the same embedding.
+  /// The ring key of an embedding: EmbeddingLatticeKey(embedding,
+  /// quant_step), so it matches ShardedExplainCache's key for the same
+  /// step (and `quant_step` <= 0 falls back to the cache default).
   static uint64_t KeyOf(const std::vector<double>& embedding,
                         double quant_step);
 

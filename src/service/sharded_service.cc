@@ -145,8 +145,6 @@ Status ShardedExplainService::InitFrom(const SmartRouter& trained) {
 
 Status ShardedExplainService::InitCommon() {
   if (initialized_) return Status::InvalidArgument("already initialized");
-  quant_step_ = explainer_config_.embedding_quantization;
-
   // Tier fault spec: same spelling rules as ExplainerConfig::faults.
   std::string spec = config_.faults;
   uint64_t fault_seed = config_.fault_seed;
@@ -237,7 +235,7 @@ Status ShardedExplainService::BuildDefaultKnowledgeBase() {
       static_cast<size_t>(config_.num_shards));
   for (const std::string& sql : routing_explainer_->DefaultKnowledgeSqls()) {
     HTAPEX_ASSIGN_OR_RETURN(auto prepared, routing_explainer_->Prepare(sql));
-    uint64_t key = ShardRouter::KeyOf(prepared.embedding, quant_step_);
+    uint64_t key = RingKey(prepared.embedding);
     int owner = router_->StaticOwner(key);
     if (owner < 0) owner = 0;
     partitions[static_cast<size_t>(owner)].push_back(sql);
@@ -255,7 +253,7 @@ Status ShardedExplainService::BuildDefaultKnowledgeBase() {
 Result<uint64_t> ShardedExplainService::KeyForSql(const std::string& sql) {
   if (!initialized_) return Status::InvalidArgument("Init() first");
   HTAPEX_ASSIGN_OR_RETURN(auto prepared, routing_explainer_->Prepare(sql));
-  return ShardRouter::KeyOf(prepared.embedding, quant_step_);
+  return RingKey(prepared.embedding);
 }
 
 Result<ShardedExplainResult> ShardedExplainService::Explain(
@@ -270,7 +268,7 @@ Result<ShardedExplainResult> ShardedExplainService::Explain(
   // the embedding that keys the ring; the owning shard then re-runs its own
   // pipeline (its PrepareBatch amortizes this across its queue).
   HTAPEX_ASSIGN_OR_RETURN(auto prepared, routing_explainer_->Prepare(sql));
-  uint64_t key = ShardRouter::KeyOf(prepared.embedding, quant_step_);
+  uint64_t key = RingKey(prepared.embedding);
 
   ShardedExplainResult out;
   std::vector<int> chain =
@@ -376,7 +374,7 @@ Result<ShardedExplainResult> ShardedExplainService::Explain(
 Status ShardedExplainService::IncorporateCorrection(
     const ShardedExplainResult& result) {
   if (!initialized_) return Status::InvalidArgument("Init() first");
-  uint64_t key = ShardRouter::KeyOf(result.result.embedding, quant_step_);
+  uint64_t key = RingKey(result.result.embedding);
   std::vector<int> chain =
       router_->OwnerChain(key, config_.max_failover_hops + 1);
   if (chain.empty()) return Status::Unavailable("no live shard for key");

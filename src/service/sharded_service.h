@@ -310,11 +310,14 @@ class ShardedExplainService {
   void LogEvent(const std::string& event);
   ServiceStats ShardStatsLocked(int shard) const;
   TraceMetrics::Stats ShardTracesLocked(int shard) const;
+  /// The ring key, on the shard caches' lattice so cache affinity holds.
+  uint64_t RingKey(const std::vector<double>& embedding) const {
+    return ShardRouter::KeyOf(embedding, config_.shard.cache.quant_step);
+  }
 
   const HtapSystem* system_;
   ExplainerConfig explainer_config_;
   ShardedServiceConfig config_;
-  double quant_step_ = 0.0;
 
   std::unique_ptr<HtapExplainer> routing_explainer_;
   std::unique_ptr<ShardRouter> router_;

@@ -9,7 +9,12 @@ namespace {
 
 // Parenthesised expressions, function and aggregate arguments, NOT chains
 // and unary minus recurse; a statement nested deeper than this is rejected
-// with a parse error instead of overflowing the stack.
+// with a parse error instead of overflowing the stack (here or in the
+// binder and evaluator, which recurse over the tree). Binary operators
+// (OR, AND, + - * /) count against the same limit: a flat chain of them
+// builds a left-deep tree as deep as the chain is long, and how deep an
+// operand ends up is only known once the chains above it are parsed, so
+// every application stays counted until its top-level expression ends.
 constexpr int kMaxNesting = 256;
 
 /// Holds one level of expression nesting for the lifetime of a parse call.
@@ -198,15 +203,23 @@ class Parser {
   }
 
   Status CheckNesting() const {
-    if (depth_ <= kMaxNesting) return Status::OK();
-    return Status::ParseError(
-        StrFormat("expression nested deeper than %d levels at offset %zu",
-                  kMaxNesting, Peek().offset));
+    if (depth_ + operators_ <= kMaxNesting) return Status::OK();
+    return Status::ParseError(StrFormat(
+        "expression nested deeper than %d levels (binary operators count "
+        "as levels) at offset %zu",
+        kMaxNesting, Peek().offset));
+  }
+
+  /// Counts one binary-operator application against kMaxNesting.
+  Status CountOperator() {
+    ++operators_;
+    return CheckNesting();
   }
 
   // Expression grammar: Or > And > Not > Predicate > Additive >
   // Multiplicative > Primary.
   Result<std::unique_ptr<Expr>> ParseExpr() {
+    if (depth_ == 0) operators_ = 0;  // a new top-level expression
     NestingGuard nested(&depth_);
     HTAPEX_RETURN_IF_ERROR(CheckNesting());
     return ParseOr();
@@ -216,6 +229,7 @@ class Parser {
     std::unique_ptr<Expr> left;
     HTAPEX_ASSIGN_OR_RETURN(left, ParseAnd());
     while (ConsumeKeyword("OR")) {
+      HTAPEX_RETURN_IF_ERROR(CountOperator());
       std::unique_ptr<Expr> right;
       HTAPEX_ASSIGN_OR_RETURN(right, ParseAnd());
       auto e = std::make_unique<Expr>(ExprKind::kOr);
@@ -231,6 +245,7 @@ class Parser {
     HTAPEX_ASSIGN_OR_RETURN(left, ParseNot());
     while (Peek().IsKeyword("AND")) {
       ++pos_;
+      HTAPEX_RETURN_IF_ERROR(CountOperator());
       std::unique_ptr<Expr> right;
       HTAPEX_ASSIGN_OR_RETURN(right, ParseNot());
       left = MakeAnd(std::move(left), std::move(right));
@@ -327,6 +342,7 @@ class Parser {
     HTAPEX_ASSIGN_OR_RETURN(left, ParseMultiplicative());
     while (Peek().IsOperator("+") || Peek().IsOperator("-")) {
       ArithOp op = Advance().text == "+" ? ArithOp::kAdd : ArithOp::kSub;
+      HTAPEX_RETURN_IF_ERROR(CountOperator());
       std::unique_ptr<Expr> right;
       HTAPEX_ASSIGN_OR_RETURN(right, ParseMultiplicative());
       auto e = std::make_unique<Expr>(ExprKind::kArithmetic);
@@ -343,6 +359,7 @@ class Parser {
     HTAPEX_ASSIGN_OR_RETURN(left, ParsePrimary());
     while (Peek().IsOperator("*") || Peek().IsOperator("/")) {
       ArithOp op = Advance().text == "*" ? ArithOp::kMul : ArithOp::kDiv;
+      HTAPEX_RETURN_IF_ERROR(CountOperator());
       std::unique_ptr<Expr> right;
       HTAPEX_ASSIGN_OR_RETURN(right, ParsePrimary());
       auto e = std::make_unique<Expr>(ExprKind::kArithmetic);
@@ -481,7 +498,8 @@ class Parser {
 
   std::vector<Token> tokens_;
   size_t pos_ = 0;
-  int depth_ = 0;  // current expression nesting, see kMaxNesting
+  int depth_ = 0;      // current expression nesting, see kMaxNesting
+  int operators_ = 0;  // binary operators in the current top-level expression
 };
 
 }  // namespace

@@ -4,7 +4,6 @@
 
 #include <algorithm>
 #include <cstdio>
-#include <cstring>
 #include <set>
 #include <utility>
 
@@ -12,31 +11,6 @@
 #include "common/string_util.h"
 
 namespace htapex {
-
-namespace {
-
-/// Stable request key for search-fault draws: FNV over the embedding bytes.
-uint64_t HashEmbedding(const std::vector<double>& v) {
-  uint64_t h = 1469598103934665603ull;
-  for (double d : v) {
-    uint64_t bits;
-    std::memcpy(&bits, &d, sizeof(bits));
-    for (int i = 0; i < 8; ++i) {
-      h ^= (bits >> (8 * i)) & 0xff;
-      h *= 1099511628211ull;
-    }
-  }
-  return h;
-}
-
-}  // namespace
-
-KnowledgeBase::KnowledgeBase(int dim, IndexMode mode)
-    : dim_(dim), mode_(mode), exact_(dim) {
-  if (mode_ == IndexMode::kHnsw) {
-    hnsw_ = std::make_unique<HnswIndex>(dim);
-  }
-}
 
 size_t KnowledgeBase::size() const { return exact_.size(); }
 
@@ -60,9 +34,6 @@ Result<int> KnowledgeBase::Insert(KbEntry entry) {
   }
   int id;
   HTAPEX_ASSIGN_OR_RETURN(id, exact_.Add(entry.embedding));
-  if (hnsw_ != nullptr) {
-    HTAPEX_RETURN_IF_ERROR(hnsw_->Add(entry.embedding).status());
-  }
   entry.id = id;
   entry.sequence = next_sequence_++;
   entries_.push_back(std::move(entry));
@@ -84,9 +55,6 @@ Status KnowledgeBase::Restore(KbEntry entry, bool expired) {
   }
   int id;
   HTAPEX_ASSIGN_OR_RETURN(id, exact_.Add(entry.embedding));
-  if (hnsw_ != nullptr) {
-    HTAPEX_RETURN_IF_ERROR(hnsw_->Add(entry.embedding).status());
-  }
   next_sequence_ = std::max(next_sequence_, entry.sequence + 1);
   entries_.push_back(std::move(entry));
   expired_.push_back(expired ? 1 : 0);
@@ -101,27 +69,12 @@ Status KnowledgeBase::Restore(KbEntry entry, bool expired) {
 
 std::vector<const KbEntry*> KnowledgeBase::Retrieve(
     const std::vector<double>& embedding, int k) const {
-  if (static_cast<int>(embedding.size()) != dim_ || k <= 0) return {};
-  std::vector<SearchHit> hits;
-  bool hnsw_degraded =
-      hnsw_ != nullptr && faults_ != nullptr &&
-      faults_->Draw(kFaultKbHnswSearch, HashEmbedding(embedding), 0).fired;
-  if (hnsw_ != nullptr && !hnsw_degraded) {
-    // Over-fetch to compensate for tombstoned entries the graph still holds.
-    hits = hnsw_->Search(embedding, k + static_cast<int>(entries_.size()) -
-                                        static_cast<int>(size()));
-  } else {
-    // Exact path: either configured, or the graceful fallback when the
-    // HNSW graph is fault-injected as unavailable — slower, never wrong.
-    hits = exact_.Search(embedding, k);
-  }
+  // The exact store holds live entries only (Expire and Restore remove
+  // tombstoned ids from it) and checks the dimension and k itself.
   std::vector<const KbEntry*> out;
-  for (const SearchHit& h : hits) {
-    if (h.id < 0 || h.id >= static_cast<int>(entries_.size())) continue;
-    if (expired_[static_cast<size_t>(h.id)]) continue;
+  for (const SearchHit& h : exact_.Search(embedding, k)) {
     hits_[static_cast<size_t>(h.id)].fetch_add(1, std::memory_order_relaxed);
     out.push_back(&entries_[static_cast<size_t>(h.id)]);
-    if (static_cast<int>(out.size()) >= k) break;
   }
   return out;
 }

@@ -3,14 +3,12 @@
 
 #include <atomic>
 #include <deque>
-#include <memory>
 #include <string>
 #include <vector>
 
 #include "common/fault.h"
 #include "common/result.h"
 #include "plan/plan_node.h"
-#include "vectordb/hnsw.h"
 #include "vectordb/vector_store.h"
 
 namespace htapex {
@@ -47,23 +45,26 @@ class KbMutationSink {
 /// The RAG knowledge base: a vector database keyed by plan-pair embeddings
 /// with the expert-curated explanations as values. Supports insertion of
 /// new expert-annotated queries, correction of explanations (the paper's
-/// expert feedback loop), expiry of stale entries, and either exact or
-/// HNSW-indexed search. Persists to JSON.
+/// expert feedback loop), expiry of stale entries, and exact top-k search
+/// (VectorStore). Persists to JSON.
 class KnowledgeBase {
  public:
-  enum class IndexMode { kExact, kHnsw };
+  /// One value and a constant index_mode(): both stay only because the
+  /// benchmark harness (perfbench/explain.cc) rebuilds a recovered KB with
+  /// `KnowledgeBase(live.dim(), live.index_mode())`.
+  enum class IndexMode { kExact };
 
-  explicit KnowledgeBase(int dim, IndexMode mode = IndexMode::kExact);
+  explicit KnowledgeBase(int dim, IndexMode = IndexMode::kExact)
+      : dim_(dim), exact_(dim) {}
 
   int dim() const { return dim_; }
   size_t size() const;
-  IndexMode index_mode() const { return mode_; }
+  IndexMode index_mode() const { return IndexMode::kExact; }
 
   /// Wires deterministic fault injection into this KB (see common/fault.h).
   /// `faults` must outlive the KB; nullptr (the default) disables faults.
-  /// Active points: kb.hnsw_search — the HNSW graph "fails" and Retrieve
-  /// degrades gracefully to the exact scan; kb.insert — Insert returns a
-  /// retryable Unavailable, modelling transient write contention.
+  /// Active point: kb.insert — Insert returns a retryable Unavailable,
+  /// modelling transient write contention.
   /// Not thread-safe; set before serving traffic.
   void set_fault_injector(const FaultInjector* faults) { faults_ = faults; }
   const FaultInjector* fault_injector() const { return faults_; }
@@ -130,7 +131,6 @@ class KnowledgeBase {
 
  private:
   int dim_;
-  IndexMode mode_;
   std::vector<KbEntry> entries_;
   std::vector<uint8_t> expired_;
   // Usage statistics; mutable so the logically-const Retrieve can count.
@@ -138,8 +138,7 @@ class KnowledgeBase {
   // service layer runs concurrent Retrieves under a shared lock: counting
   // must not race, and Insert only ever runs under the exclusive lock.
   mutable std::deque<std::atomic<int64_t>> hits_;
-  VectorStore exact_;
-  std::unique_ptr<HnswIndex> hnsw_;
+  VectorStore exact_;  // live entries only, ids == entry ids
   int64_t next_sequence_ = 0;
   const FaultInjector* faults_ = nullptr;
   KbMutationSink* sink_ = nullptr;

@@ -63,10 +63,15 @@ std::vector<SearchHit> VectorStore::Search(const std::vector<double>& query,
         static_cast<int>(i),
         static_cast<double>(kernels::SquaredL2(q, row, dim_))});
   }
-  std::sort(hits.begin(), hits.end(), [](const SearchHit& a, const SearchHit& b) {
-    return a.distance < b.distance || (a.distance == b.distance && a.id < b.id);
-  });
-  if (static_cast<int>(hits.size()) > k) hits.resize(static_cast<size_t>(k));
+  // (distance, id) is a strict total order, so keeping only the k best
+  // returns exactly the prefix a full sort would.
+  const size_t keep = std::min(hits.size(), static_cast<size_t>(k));
+  std::partial_sort(hits.begin(), hits.begin() + keep, hits.end(),
+                    [](const SearchHit& a, const SearchHit& b) {
+                      return a.distance < b.distance ||
+                             (a.distance == b.distance && a.id < b.id);
+                    });
+  hits.resize(keep);
   return hits;
 }
 

@@ -19,9 +19,10 @@ struct SearchHit {
 /// parity-checked against, so it stays exactly as-is.
 double SquaredL2(const std::vector<double>& a, const std::vector<double>& b);
 
-/// Exact brute-force kNN store. The paper's knowledge base holds only ~20
-/// vectors, where exact search is measured in microseconds; the HNSW index
-/// (hnsw.h) covers the growth scenario discussed in Section VI-B.
+/// Exact brute-force kNN store, the knowledge base's only search. The
+/// paper's knowledge base holds ~20 vectors and the served ones at most a
+/// few thousand, where an exact top-k scan takes microseconds (EXPERIMENTS
+/// L2 has the sweep).
 ///
 /// Vectors live in one contiguous float32 slab (id-ordered rows) so the
 /// scan is a straight run of `kernels::SquaredL2` over sequential memory —
@@ -41,8 +42,8 @@ class VectorStore {
   /// Tombstones an id (removed from future searches).
   Status Remove(int id);
 
-  /// k nearest neighbours by squared L2, ascending distance. Returns empty
-  /// for a wrong-dimension query or non-positive k.
+  /// k nearest neighbours by squared L2, ascending (distance, id). Returns
+  /// empty for a wrong-dimension query or non-positive k.
   std::vector<SearchHit> Search(const std::vector<double>& query, int k) const;
 
   /// The stored float32 row for a live id, nullptr otherwise.

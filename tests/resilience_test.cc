@@ -50,6 +50,20 @@ TEST(FaultInjectorTest, RejectsUnknownPointAndBadValues) {
   EXPECT_FALSE(FaultInjector::Parse("llm.timeout:p=0.1,lat=-5").ok());
 }
 
+TEST(FaultInjectorTest, EnvironmentSpecParses) {
+  // The chaos job arms HTAPEX_FAULTS for this suite. An explainer given a
+  // spec it cannot parse only logs a warning and runs fault-free, so a
+  // stale point name there would silently turn the chaos run into a clean
+  // one; this test makes it fail instead.
+  const std::string spec = FaultInjector::EnvSpec();
+  if (spec.empty()) {
+    GTEST_SKIP() << "HTAPEX_FAULTS is unset";
+  }
+  auto inj = FaultInjector::Parse(spec, FaultInjector::EnvSeed(42));
+  ASSERT_TRUE(inj.ok()) << inj.status();
+  EXPECT_TRUE(inj->enabled());
+}
+
 TEST(FaultInjectorTest, DrawsAreDeterministicPerCoordinates) {
   auto a = FaultInjector::Parse("llm.transient_error:p=0.5", 42);
   auto b = FaultInjector::Parse("llm.transient_error:p=0.5", 42);

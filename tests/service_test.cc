@@ -18,8 +18,7 @@ namespace htapex {
 namespace {
 
 /// Shared expensive fixture: plan-only system + trained explainer with the
-/// default 20-entry knowledge base (HNSW-indexed, so concurrent corrections
-/// exercise the graph insert path too).
+/// default 20-entry knowledge base.
 class ServiceTest : public ::testing::Test {
  protected:
   static void SetUpTestSuite() {
@@ -27,9 +26,7 @@ class ServiceTest : public ::testing::Test {
     HtapConfig config;
     config.data_scale_factor = 0.0;
     ASSERT_TRUE(system_->Init(config).ok());
-    ExplainerConfig ec;
-    ec.kb_index = KnowledgeBase::IndexMode::kHnsw;
-    explainer_ = new HtapExplainer(system_, ec);
+    explainer_ = new HtapExplainer(system_, ExplainerConfig{});
     auto train = explainer_->TrainRouter();
     ASSERT_TRUE(train.ok()) << train.status();
     ASSERT_TRUE(explainer_->BuildDefaultKnowledgeBase().ok());
@@ -238,7 +235,7 @@ TEST_F(ServiceTest, OverBudgetRequestRejectedAtDequeue) {
 
 TEST_F(ServiceTest, ChaosFaultsDegradeGracefullyWithoutLosses) {
   // 8 workers under a 20% transient + 10% timeout LLM fault rate (plus KB
-  // search/insert faults), with concurrent expert corrections. The chaos
+  // insert faults), with concurrent expert corrections. The chaos
   // invariants: every future resolves (no deadlock, no lost promises),
   // nothing hard-fails (every valid query is answered at SOME rung of the
   // degradation ladder), the degradation tags are valid, and the service's
@@ -246,8 +243,7 @@ TEST_F(ServiceTest, ChaosFaultsDegradeGracefullyWithoutLosses) {
   ASSERT_TRUE(explainer_
                   ->ConfigureFaults(
                       "llm.transient_error:p=0.2;llm.timeout:p=0.1;"
-                      "llm.garbled_output:p=0.05;kb.hnsw_search:p=0.2;"
-                      "kb.insert:p=0.1",
+                      "llm.garbled_output:p=0.05;kb.insert:p=0.1",
                       /*fault_seed=*/1337)
                   .ok());
 

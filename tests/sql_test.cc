@@ -151,6 +151,28 @@ TEST(ParserTest, DeepNestingIsAParseErrorNotACrash) {
   EXPECT_TRUE(moderate.ok()) << moderate.status();
 }
 
+TEST(ParserTest, LongOperatorChainIsAParseErrorNotACrash) {
+  // A flat chain nests nothing, but it parses into a left-deep tree as deep
+  // as the chain is long, and the binder recursing over 100,000 levels
+  // overflows the stack.
+  const int kTerms = 100000;
+  const std::string where = "SELECT c_name FROM customer WHERE ";
+  const std::string hostile[] = {
+      where + "c_custkey = 0" + Repeat(" OR c_custkey = 1", kTerms - 1),
+      where + "c_custkey = 0" + Repeat(" AND c_custkey = 1", kTerms - 1),
+      where + "c_custkey" + Repeat(" + 1", kTerms - 1) + " = 1",
+  };
+  for (const std::string& sql : hostile) {
+    auto parsed = ParseSelect(sql);
+    ASSERT_FALSE(parsed.ok()) << sql.substr(0, 60);
+    EXPECT_EQ(parsed.status().code(), StatusCode::kParseError);
+  }
+  // Ordinary chains still parse.
+  auto moderate = ParseSelect(where + "c_custkey = 0" +
+                              Repeat(" OR c_custkey = 1", 100));
+  EXPECT_TRUE(moderate.ok()) << moderate.status();
+}
+
 TEST(ParserTest, RoundTripToString) {
   const char* sql =
       "SELECT COUNT(*) FROM customer, orders WHERE o_custkey = c_custkey "
