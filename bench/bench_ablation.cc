@@ -65,7 +65,7 @@ int main() {
       "shape: the engine frontier is robust — resources change the "
       "*magnitude* of AP's win (Example 1: 2.6s -> 85ms across the sweep), "
       "while only borderline small joins flip sides (higher dispatch "
-      "overhead nudges a few % of queries to TP). TP's win region (index "
+      "overhead nudges a few %% of queries to TP). TP's win region (index "
       "point lookups, streamed top-N) survives even 32x parallelism.\n\n");
 
   std::printf("=== M2b: foreign-key index ablation (Example 1) ===\n");

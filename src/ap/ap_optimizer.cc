@@ -1,7 +1,6 @@
 #include "ap/ap_optimizer.h"
 
 #include <algorithm>
-#include <cmath>
 #include <set>
 
 #include "plan/cardinality.h"
@@ -11,13 +10,15 @@ namespace htapex {
 
 namespace {
 
-double Log2(double x) { return std::log2(std::max(x, 2.0)); }
-
 class ApPlanBuilder {
  public:
   ApPlanBuilder(const Catalog& catalog, const ApCostParams& params,
                 const BoundQuery& query)
-      : catalog_(catalog), params_(params), query_(query), est_(catalog) {}
+      : params_(params),
+        hash_rates_{params.hash_build_row, params.hash_probe_row,
+                    params.output_row},
+        query_(query),
+        est_(catalog) {}
 
   Result<PhysicalPlan> Build() {
     std::unique_ptr<PlanNode> root;
@@ -26,7 +27,9 @@ class ApPlanBuilder {
         ApplyPredicateTransfer(query_, est_, params_.sift, root.get()) > 0) {
       RecostJoinTree(root.get());
     }
-    HTAPEX_ASSIGN_OR_RETURN(root, AddAggregation(std::move(root)));
+    HTAPEX_ASSIGN_OR_RETURN(
+        root, AddAggregation(std::move(root), PlanOp::kHashAggregate, query_,
+                             est_, params_.agg_row, &agg_slots_));
     HTAPEX_ASSIGN_OR_RETURN(root, AddOrderLimitProject(std::move(root)));
     root->total_cost += params_.startup;
     PhysicalPlan plan;
@@ -37,32 +40,27 @@ class ApPlanBuilder {
   }
 
  private:
+  /// Cost of scanning `scan`'s referenced columns over its base rows.
+  double ScanCost(const PlanNode& scan) const {
+    return scan.base_rows * static_cast<double>(scan.columns_read.size()) *
+           params_.scan_value;
+  }
+
   /// Columnar scan with all single-table predicates pushed into the scan
   /// (the column store evaluates them during the scan, zone maps first).
   std::unique_ptr<PlanNode> BuildScan(int t) {
-    const BoundTable& bt = query_.table(t);
     double base_rows = est_.BaseTableRows(query_, t);
-    auto scan = std::make_unique<PlanNode>(PlanOp::kColumnScan);
-    scan->relation = bt.ref.table;
-    scan->table_idx = t;
-    scan->slot_offset = bt.flat_offset;
-    scan->slot_count = static_cast<int>(bt.schema->num_columns());
+    auto scan = MakeScanNode(PlanOp::kColumnScan, query_, t, base_rows);
     scan->columns_read = ReferencedColumns(query_, t);
     if (scan->columns_read.empty()) {
       // COUNT(*)-only tables still read one (cheap) column.
-      scan->columns_read.push_back(bt.schema->column(0).name);
+      scan->columns_read.push_back(query_.table(t).schema->column(0).name);
     }
-    double sel = 1.0;
-    for (int ci : SingleTableConjuncts(query_, t)) {
-      const ConjunctInfo& c = query_.conjuncts[static_cast<size_t>(ci)];
-      scan->predicates.push_back(c.expr->Clone());
-      sel *= est_.ConjunctSelectivity(query_, c);
-    }
-    scan->base_rows = base_rows;
+    double sel =
+        AttachConjuncts(query_, est_, SingleTableConjuncts(query_, t),
+                        scan.get());
     scan->estimated_rows = std::max(base_rows * sel, 1.0);
-    scan->total_cost = base_rows *
-                       static_cast<double>(scan->columns_read.size()) *
-                       params_.scan_value;
+    scan->total_cost = ScanCost(*scan);
     return scan;
   }
 
@@ -72,121 +70,48 @@ class ApPlanBuilder {
     for (int t = 0; t < n; ++t) {
       scans[static_cast<size_t>(t)] = BuildScan(t);
     }
-    // Bitset DP is exponential in table count; 16 tables = 65536 masks is
-    // the hard ceiling regardless of the configured threshold.
-    if (params_.enable_dp && n > 1 &&
-        n <= std::min(params_.dp_table_threshold, 16)) {
+    if (params_.enable_dp && n > 1 && n <= kApDpMaxTables) {
       return BuildJoinTreeDp(std::move(scans));
     }
     return BuildJoinTreeGreedy(std::move(scans));
   }
 
-  /// Hash join node over `probe` and `build` along `edge`. `out_rows` is the
-  /// caller's output estimate (greedy: incremental, DP: closed form) with
-  /// the edge's extra conjuncts already applied.
+  /// Hash join node over `probe` and `build` (whose tables are
+  /// `build_tables`) along `edge`. `out_rows` is the caller's output
+  /// estimate (greedy: incremental, DP: closed form) with the edge's extra
+  /// conjuncts already applied.
   std::unique_ptr<PlanNode> MakeHashJoin(std::unique_ptr<PlanNode> probe,
                                          std::unique_ptr<PlanNode> build,
-                                         const std::set<int>& probe_tables,
+                                         const std::set<int>& build_tables,
                                          const JoinEdge& edge,
                                          double out_rows) {
-    auto join = std::make_unique<PlanNode>(PlanOp::kHashJoin);
-    if (edge.hash_conjunct >= 0) {
-      const ConjunctInfo& jp =
-          query_.conjuncts[static_cast<size_t>(edge.hash_conjunct)];
-      // left = probe side, right = build side.
-      if (probe_tables.count(jp.left_table) > 0) {
-        join->left_key = jp.left_column->Clone();
-        join->right_key = jp.right_column->Clone();
-      } else {
-        join->left_key = jp.right_column->Clone();
-        join->right_key = jp.left_column->Clone();
-      }
-    }
-    for (int ci : edge.extra_equi) {
-      join->predicates.push_back(
-          query_.conjuncts[static_cast<size_t>(ci)].expr->Clone());
-    }
-    for (int ci : edge.residuals) {
-      join->predicates.push_back(
-          query_.conjuncts[static_cast<size_t>(ci)].expr->Clone());
-    }
-    join->estimated_rows = std::max(out_rows, 1.0);
-    join->total_cost = probe->total_cost + build->total_cost +
-                       build->estimated_rows * params_.hash_build_row +
-                       probe->estimated_rows * params_.hash_probe_row +
-                       join->estimated_rows * params_.output_row;
+    // left = probe side, right = build side.
+    auto join = MakeJoinNode(PlanOp::kHashJoin, query_, edge,
+                             EdgeKeys(query_, edge, build_tables), out_rows);
+    join->total_cost = HashJoinCost(hash_rates_, probe->total_cost,
+                                    probe->estimated_rows, build->total_cost,
+                                    build->estimated_rows,
+                                    join->estimated_rows);
     join->children.push_back(std::move(probe));
     join->children.push_back(std::move(build));
     return join;
   }
 
-  /// Output estimate of joining `probe_rows` x `build_rows` along `edge`:
-  /// JoinOutputRows of the hash conjunct, times the selectivity of the
-  /// extra equi conjuncts and residual filters attached to the same node
-  /// (historically those were attached as predicates but never reflected in
-  /// estimated_rows, so multi-conjunct joins were systematically
-  /// over-estimated).
-  double EdgeOutputRows(const JoinEdge& edge, double probe_rows,
-                        double build_rows) const {
-    double out;
-    if (edge.hash_conjunct >= 0) {
-      out = est_.JoinOutputRows(
-          query_, query_.conjuncts[static_cast<size_t>(edge.hash_conjunct)],
-          probe_rows, build_rows);
-    } else {
-      out = probe_rows * build_rows;
-    }
-    return std::max(out * edge.extra_selectivity, 1.0);
-  }
-
+  /// Left-deep greedy join tree starting from the largest filtered table:
+  /// it becomes the probe side of the first hash join, so hash tables are
+  /// built on the smaller inputs.
   Result<std::unique_ptr<PlanNode>> BuildJoinTreeGreedy(
       std::vector<std::unique_ptr<PlanNode>> scans) {
-    const int n = query_.num_tables();
-    std::vector<double> rows(static_cast<size_t>(n));
-    for (int t = 0; t < n; ++t) {
-      rows[static_cast<size_t>(t)] = scans[static_cast<size_t>(t)]->estimated_rows;
-    }
-
-    // Start from the largest filtered table: it becomes the probe side of
-    // the first hash join, so hash tables are built on the smaller inputs.
-    int start = 0;
-    for (int t = 1; t < n; ++t) {
-      if (rows[static_cast<size_t>(t)] > rows[static_cast<size_t>(start)]) {
-        start = t;
-      }
-    }
-    std::set<int> joined = {start};
+    std::vector<double> rows;
+    for (const auto& s : scans) rows.push_back(s->estimated_rows);
+    int start = static_cast<int>(std::max_element(rows.begin(), rows.end()) -
+                                 rows.begin());
     std::unique_ptr<PlanNode> current =
         std::move(scans[static_cast<size_t>(start)]);
-    double current_rows = rows[static_cast<size_t>(start)];
-
-    while (static_cast<int>(joined.size()) < n) {
-      int best_t = -1;
-      double best_out = 0;
-      bool best_connected = false;
-      JoinEdge best_edge;
-      for (int t = 0; t < n; ++t) {
-        if (joined.count(t) > 0) continue;
-        JoinEdge edge = AnalyzeJoinEdge(query_, est_, joined, {t});
-        bool connected = edge.hash_conjunct >= 0;
-        double out =
-            EdgeOutputRows(edge, current_rows, rows[static_cast<size_t>(t)]);
-        bool better = best_t < 0 || (connected && !best_connected) ||
-                      (connected == best_connected && out < best_out);
-        if (better) {
-          best_t = t;
-          best_out = out;
-          best_connected = connected;
-          best_edge = edge;
-        }
-      }
-
-      std::set<int> probe_tables = joined;
-      joined.insert(best_t);
+    for (const GreedyStep& step : GreedyJoinOrder(query_, est_, rows, start)) {
       current = MakeHashJoin(std::move(current),
-                             std::move(scans[static_cast<size_t>(best_t)]),
-                             probe_tables, best_edge, best_out);
-      current_rows = current->estimated_rows;
+                             std::move(scans[static_cast<size_t>(step.table)]),
+                             {step.table}, step.edge, step.out_rows);
     }
     return Result<std::unique_ptr<PlanNode>>(std::move(current));
   }
@@ -202,7 +127,7 @@ class ApPlanBuilder {
   Result<std::unique_ptr<PlanNode>> BuildJoinTreeDp(
       std::vector<std::unique_ptr<PlanNode>> scans) {
     const int n = query_.num_tables();
-    const uint32_t full = (n == 32 ? ~0u : (1u << n) - 1u);
+    const uint32_t full = (1u << n) - 1u;
 
     // Per-conjunct table mask + selectivity factor for the closed form.
     struct ConjunctFactor {
@@ -274,10 +199,9 @@ class ApPlanBuilder {
               AnalyzeJoinEdge(query_, est_, tables_of(probe), tables_of(build));
           bool connected = edge.hash_conjunct >= 0;
           if (pass == 0 && !connected) continue;
-          double cost = dp[probe].cost + dp[build].cost +
-                        dp[build].rows * params_.hash_build_row +
-                        dp[probe].rows * params_.hash_probe_row +
-                        e.rows * params_.output_row;
+          double cost = HashJoinCost(hash_rates_, dp[probe].cost,
+                                     dp[probe].rows, dp[build].cost,
+                                     dp[build].rows, e.rows);
           if (!e.valid || cost < e.cost) {
             e.cost = cost;
             e.probe = probe;
@@ -299,17 +223,16 @@ class ApPlanBuilder {
       }
       const DpEntry& e = dp[mask];
       uint32_t build_mask = mask & ~e.probe;
-      std::set<int> probe_tables = tables_of(e.probe);
+      std::set<int> build_tables = tables_of(build_mask);
       JoinEdge edge =
-          AnalyzeJoinEdge(query_, est_, probe_tables, tables_of(build_mask));
+          AnalyzeJoinEdge(query_, est_, tables_of(e.probe), build_tables);
       auto probe = self(self, e.probe);
       auto build = self(self, build_mask);
       auto join = MakeHashJoin(std::move(probe), std::move(build),
-                               probe_tables, edge, e.rows);
-      // MakeHashJoin costs incrementally; pin the DP-modeled figures so the
+                               build_tables, edge, e.rows);
+      // MakeHashJoin costs incrementally; pin the DP-modeled cost so the
       // tree reports exactly what the enumeration compared.
       join->total_cost = e.cost;
-      join->estimated_rows = std::max(e.rows, 1.0);
       return join;
     };
     return Result<std::unique_ptr<PlanNode>>(rebuild(rebuild, full));
@@ -320,9 +243,7 @@ class ApPlanBuilder {
   /// producing join; producers pay for building their Bloom filters).
   double RecostJoinTree(PlanNode* node) {
     if (node->op == PlanOp::kColumnScan || node->op == PlanOp::kSiftedScan) {
-      node->total_cost = node->base_rows *
-                         static_cast<double>(node->columns_read.size()) *
-                         params_.scan_value;
+      node->total_cost = ScanCost(*node);
       // Bloom probes run on every row surviving the scan predicates; charge
       // base rows as a conservative bound (zone maps may skip some).
       node->total_cost += node->base_rows * params_.bloom_probe_row *
@@ -334,10 +255,10 @@ class ApPlanBuilder {
       double build_cost = RecostJoinTree(node->children[1].get());
       const PlanNode& probe = *node->children[0];
       const PlanNode& build = *node->children[1];
-      node->total_cost = probe_cost + build_cost +
-                         build.estimated_rows * params_.hash_build_row +
-                         probe.estimated_rows * params_.hash_probe_row +
-                         node->estimated_rows * params_.output_row;
+      node->total_cost = HashJoinCost(hash_rates_, probe_cost,
+                                      probe.estimated_rows, build_cost,
+                                      build.estimated_rows,
+                                      node->estimated_rows);
       if (node->sift_id >= 0) {
         node->total_cost += build.estimated_rows * params_.bloom_build_row;
       }
@@ -346,136 +267,33 @@ class ApPlanBuilder {
     return node->total_cost;
   }
 
-  Result<std::unique_ptr<PlanNode>> AddAggregation(
-      std::unique_ptr<PlanNode> child) {
-    if (!query_.has_aggregates && !query_.is_grouped) {
-      return Result<std::unique_ptr<PlanNode>>(std::move(child));
-    }
-    auto agg = std::make_unique<PlanNode>(PlanOp::kHashAggregate);
-    double in_rows = child->estimated_rows;
-    OutputSlotMap slots;
-    int slot = 0;
-    for (const auto& g : query_.stmt.group_by) {
-      agg->group_keys.push_back(g->Clone());
-      slots[g->ToString()] = slot++;
-    }
-    for (const Expr* a : CollectAggregates(query_)) {
-      agg->aggregates.push_back(a->Clone());
-      slots[a->ToString()] = slot++;
-    }
-    double groups = 1.0;
-    for (const auto& g : agg->group_keys) {
-      std::vector<const Expr*> refs;
-      g->CollectColumnRefs(&refs);
-      double k = refs.empty() ? 10.0 : est_.ColumnNdv(query_, *refs[0]);
-      groups *= k;
-    }
-    groups = std::min(groups, in_rows);
-    agg->estimated_rows = std::max(groups, 1.0);
-    agg->total_cost = child->total_cost + in_rows * params_.agg_row;
-    agg->children.push_back(std::move(child));
-    agg_slots_ = std::move(slots);
-    std::unique_ptr<PlanNode> result = std::move(agg);
-    if (query_.stmt.having != nullptr) {
-      // HAVING: a filter over the aggregation's output layout.
-      auto having = std::make_unique<PlanNode>(PlanOp::kFilter);
-      std::unique_ptr<Expr> pred;
-      HTAPEX_ASSIGN_OR_RETURN(pred,
-                              RewriteForOutput(*query_.stmt.having, agg_slots_));
-      having->predicates.push_back(std::move(pred));
-      having->estimated_rows =
-          std::max(result->estimated_rows * CardinalityEstimator::kDefaultSelectivity, 1.0);
-      having->total_cost = result->total_cost;
-      having->children.push_back(std::move(result));
-      result = std::move(having);
-    }
-    return Result<std::unique_ptr<PlanNode>>(std::move(result));
-  }
-
-  Result<std::unique_ptr<Expr>> FinalExpr(const Expr& e) const {
-    if (agg_slots_.empty()) return e.Clone();
-    return RewriteForOutput(e, agg_slots_);
-  }
-
   Result<std::unique_ptr<PlanNode>> AddOrderLimitProject(
       std::unique_ptr<PlanNode> child) {
     const SelectStatement& stmt = query_.stmt;
-    double rows = child->estimated_rows;
-
     if (!stmt.order_by.empty() && stmt.limit.has_value()) {
       // Bounded-heap Top-N: AP's way to avoid a full sort.
       auto topn = std::make_unique<PlanNode>(PlanOp::kTopN);
-      for (const auto& o : stmt.order_by) {
-        std::unique_ptr<Expr> key;
-        HTAPEX_ASSIGN_OR_RETURN(key, FinalExpr(*o.expr));
-        topn->sort_keys.push_back(SortKey{std::move(key), o.descending});
-      }
+      HTAPEX_ASSIGN_OR_RETURN(topn->sort_keys, OrderByKeys(query_, agg_slots_));
       topn->limit = *stmt.limit;
       topn->offset = stmt.offset.value_or(0);
+      double rows = child->estimated_rows;
       double k = static_cast<double>(*stmt.limit + stmt.offset.value_or(0));
       topn->estimated_rows = std::min(rows, static_cast<double>(*stmt.limit));
       topn->total_cost =
-          child->total_cost + rows * params_.topn_row * Log2(std::max(k, 2.0));
+          child->total_cost + rows * params_.topn_row * Log2(k);
       topn->children.push_back(std::move(child));
       child = std::move(topn);
     } else {
-      if (!stmt.order_by.empty()) {
-        auto sort = std::make_unique<PlanNode>(PlanOp::kSort);
-        for (const auto& o : stmt.order_by) {
-          std::unique_ptr<Expr> key;
-          HTAPEX_ASSIGN_OR_RETURN(key, FinalExpr(*o.expr));
-          sort->sort_keys.push_back(SortKey{std::move(key), o.descending});
-        }
-        sort->estimated_rows = rows;
-        sort->total_cost =
-            child->total_cost + rows * Log2(rows) * params_.sort_row_log;
-        sort->children.push_back(std::move(child));
-        child = std::move(sort);
-      }
-      if (stmt.limit.has_value() || stmt.offset.has_value()) {
-        auto limit = std::make_unique<PlanNode>(PlanOp::kLimit);
-        limit->limit = stmt.limit.value_or(-1);
-        limit->offset = stmt.offset.value_or(0);
-        double out = rows;
-        if (stmt.limit.has_value()) {
-          out = std::min(out, static_cast<double>(*stmt.limit));
-        }
-        limit->estimated_rows = std::max(out, 1.0);
-        limit->total_cost = child->total_cost;
-        limit->children.push_back(std::move(child));
-        child = std::move(limit);
-      }
+      HTAPEX_ASSIGN_OR_RETURN(child, AddSort(std::move(child), query_,
+                                             agg_slots_, params_.sort_row_log));
+      child = AddLimit(std::move(child), stmt);
     }
-
-    bool identity = !agg_slots_.empty() &&
-                    query_.stmt.items.size() == agg_slots_.size();
-    if (identity) {
-      int pos = 0;
-      for (const auto& item : query_.stmt.items) {
-        auto it = agg_slots_.find(item.expr->ToString());
-        if (it == agg_slots_.end() || it->second != pos++) {
-          identity = false;
-          break;
-        }
-      }
-    }
-    if (identity) return Result<std::unique_ptr<PlanNode>>(std::move(child));
-
-    auto project = std::make_unique<PlanNode>(PlanOp::kProject);
-    for (const auto& item : query_.stmt.items) {
-      std::unique_ptr<Expr> e;
-      HTAPEX_ASSIGN_OR_RETURN(e, FinalExpr(*item.expr));
-      project->projections.push_back(std::move(e));
-    }
-    project->estimated_rows = child->estimated_rows;
-    project->total_cost =
-        child->total_cost + child->estimated_rows * params_.output_row;
-    project->children.push_back(std::move(child));
-    return Result<std::unique_ptr<PlanNode>>(std::move(project));
+    return AddProjection(std::move(child), query_, agg_slots_,
+                         params_.output_row);
   }
 
-  [[maybe_unused]] const Catalog& catalog_;
   const ApCostParams& params_;
+  const HashJoinRates hash_rates_;
   const BoundQuery& query_;
   CardinalityEstimator est_;
   OutputSlotMap agg_slots_;

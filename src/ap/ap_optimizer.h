@@ -9,6 +9,11 @@
 
 namespace htapex {
 
+/// Largest join the AP optimizer orders by bitset DP: its table has one
+/// entry per table subset (2^10) and it tries every split (3^10). Larger
+/// joins take the greedy order.
+inline constexpr int kApDpMaxTables = 10;
+
 /// Cost constants of the AP (column-store) optimizer. Units are AP-internal
 /// "vector units" — a different scale from TP's units by construction; the
 /// two engines' costs are not comparable (the paper emphasizes this).
@@ -24,11 +29,10 @@ struct ApCostParams {
   double bloom_build_row = 0.001;   // insert one build key into a sift filter
   double bloom_probe_row = 0.0002;  // probe one scan row against one filter
   /// Join enumeration: bitset DP over all partitions (connected first,
-  /// cross-join fallback) up to dp_table_threshold tables; the original
-  /// greedy chaining beyond that, and always when enable_dp is off
-  /// (the `bad_join_order` counterfactual).
+  /// cross-join fallback) up to kApDpMaxTables tables; the greedy chain
+  /// beyond that, and always when enable_dp is off (the `bad_join_order`
+  /// counterfactual).
   bool enable_dp = true;
-  int dp_table_threshold = 10;
   /// Bloom-filter predicate-transfer policy (see plan/pt_graph.h).
   SiftParams sift;
 };
@@ -44,8 +48,6 @@ class ApOptimizer {
       : catalog_(catalog), params_(params) {}
 
   Result<PhysicalPlan> Plan(const BoundQuery& query) const;
-
-  const ApCostParams& params() const { return params_; }
 
  private:
   const Catalog& catalog_;

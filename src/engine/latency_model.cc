@@ -1,13 +1,12 @@
 #include "engine/latency_model.h"
 
 #include <algorithm>
-#include <cmath>
+
+#include "plan/planner_util.h"
 
 namespace htapex {
 
 namespace {
-
-double Log2(double x) { return std::log2(std::max(x, 2.0)); }
 
 /// Walks a plan tree bottom-up, charging each operator an analytic latency
 /// from its (base/estimated) cardinalities and the engine's LatencyParams.

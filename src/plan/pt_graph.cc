@@ -104,9 +104,10 @@ int SiftSpine(const BoundQuery& query, const CardinalityEstimator& est,
 
     // The sift removes rows that could never match this join, so the scan
     // and every spine join strictly below the producer shrink; the
-    // producer's own output (and everything above) is unchanged.
+    // producer's own output (and everything above) is unchanged. The
+    // joins below are the ones this bottom-up walk has already passed.
     scan->estimated_rows = std::max(scan->estimated_rows * eff_sel, 1.0);
-    for (auto below = it; ++below != spine.rend();) {
+    for (auto below = spine.rbegin(); below != it; ++below) {
       (*below)->estimated_rows =
           std::max((*below)->estimated_rows * eff_sel, 1.0);
     }

@@ -189,6 +189,11 @@ class Parser {
   }
 
   Status ParseTableRef(SelectStatement* stmt) {
+    if (stmt->from.size() >= static_cast<size_t>(kMaxStatementTables)) {
+      return Status::InvalidArgument(
+          StrFormat("more than %d tables in one statement (offset %zu)",
+                    kMaxStatementTables, Peek().offset));
+    }
     TableRef ref;
     HTAPEX_ASSIGN_OR_RETURN(ref.table, ExpectIdentifier());
     if (ConsumeKeyword("AS")) {

@@ -1,7 +1,6 @@
 #include "tp/tp_optimizer.h"
 
 #include <algorithm>
-#include <cmath>
 #include <set>
 
 #include "plan/cardinality.h"
@@ -11,8 +10,6 @@ namespace htapex {
 
 namespace {
 
-double Log2(double x) { return std::log2(std::max(x, 2.0)); }
-
 /// Builder holding the per-query planning state.
 class TpPlanBuilder {
  public:
@@ -21,9 +18,10 @@ class TpPlanBuilder {
       : catalog_(catalog), params_(params), query_(query), est_(catalog) {}
 
   Result<PhysicalPlan> Build() {
-    std::unique_ptr<PlanNode> root;
-    HTAPEX_ASSIGN_OR_RETURN(root, BuildJoinTree());
-    HTAPEX_ASSIGN_OR_RETURN(root, AddAggregation(std::move(root)));
+    std::unique_ptr<PlanNode> root = BuildJoinTree();
+    HTAPEX_ASSIGN_OR_RETURN(
+        root, AddAggregation(std::move(root), PlanOp::kGroupAggregate, query_,
+                             est_, params_.agg_row, &agg_slots_));
     HTAPEX_ASSIGN_OR_RETURN(root, AddOrderLimitProject(std::move(root)));
     PhysicalPlan plan;
     plan.engine = EngineKind::kTp;
@@ -33,11 +31,26 @@ class TpPlanBuilder {
   }
 
  private:
+  /// A B+-tree probe of `idx` on table `t` fetching `rows` rows: one
+  /// descent plus one fetch per row.
+  std::unique_ptr<PlanNode> IndexScan(int t, const IndexDef& idx,
+                                      double rows) const {
+    auto scan = MakeScanNode(PlanOp::kIndexScan, query_, t,
+                             est_.BaseTableRows(query_, t));
+    scan->index_name = idx.name;
+    scan->index_column = idx.leading_column();
+    scan->estimated_rows = rows;
+    scan->total_cost = Log2(scan->base_rows) * params_.index_descend +
+                       rows * params_.index_fetch;
+    return scan;
+  }
+
   /// Builds the access path for one table: IndexScan when a sargable
   /// predicate matches an index (most selective one wins), else TableScan.
   /// Remaining single-table predicates go into a Filter node above, in the
-  /// Table II style Filter{Table Scan}.
-  std::unique_ptr<PlanNode> BuildAccessPath(int t, bool* used_index) {
+  /// Table II style Filter{Table Scan}. Records in used_index_ whether
+  /// the path probes an index.
+  std::unique_ptr<PlanNode> BuildAccessPath(int t) {
     const BoundTable& bt = query_.table(t);
     double base_rows = est_.BaseTableRows(query_, t);
     std::vector<int> singles = SingleTableConjuncts(query_, t);
@@ -61,297 +74,96 @@ class TpPlanBuilder {
     }
 
     std::unique_ptr<PlanNode> scan;
-    double scan_rows;
+    used_index_[static_cast<size_t>(t)] = best_index != nullptr;
     if (best_index != nullptr) {
-      *used_index = true;
-      scan = std::make_unique<PlanNode>(PlanOp::kIndexScan);
-      scan->relation = bt.ref.table;
-      scan->table_idx = t;
-      scan->slot_offset = bt.flat_offset;
-      scan->slot_count = static_cast<int>(bt.schema->num_columns());
-      scan->index_name = best_index->name;
-      scan->index_column = best_index->leading_column();
-      scan->base_rows = base_rows;
+      scan = IndexScan(t, *best_index, std::max(base_rows * best_sel, 1.0));
       scan->predicates.push_back(
           query_.conjuncts[static_cast<size_t>(best_conjunct)].expr->Clone());
-      scan_rows = std::max(base_rows * best_sel, 1.0);
-      scan->estimated_rows = scan_rows;
-      scan->total_cost = Log2(base_rows) * params_.index_descend +
-                         scan_rows * params_.index_fetch;
     } else {
-      *used_index = false;
-      scan = std::make_unique<PlanNode>(PlanOp::kTableScan);
-      scan->relation = bt.ref.table;
-      scan->table_idx = t;
-      scan->slot_offset = bt.flat_offset;
-      scan->slot_count = static_cast<int>(bt.schema->num_columns());
-      scan->base_rows = base_rows;
-      scan_rows = base_rows;
+      scan = MakeScanNode(PlanOp::kTableScan, query_, t, base_rows);
       scan->estimated_rows = base_rows;
       scan->total_cost = base_rows * params_.seq_row;
     }
-
-    // Residual single-table predicates.
     std::vector<int> residual;
     for (int ci : singles) {
       if (ci != best_conjunct) residual.push_back(ci);
     }
-    if (residual.empty()) return scan;
-    auto filter = std::make_unique<PlanNode>(PlanOp::kFilter);
-    double sel = 1.0;
-    for (int ci : residual) {
-      const ConjunctInfo& c = query_.conjuncts[static_cast<size_t>(ci)];
-      filter->predicates.push_back(c.expr->Clone());
-      sel *= est_.ConjunctSelectivity(query_, c);
-    }
-    filter->estimated_rows = std::max(scan_rows * sel, 1.0);
-    filter->total_cost = scan->total_cost + scan_rows * params_.filter_row;
-    filter->children.push_back(std::move(scan));
-    return filter;
+    return AddFilter(std::move(scan), query_, est_, residual,
+                     params_.filter_row);
   }
 
-  /// Rescan cost of a subtree (what one nested-loop iteration over the
-  /// inner side costs). For in-memory row stores this equals the subtree
-  /// cost minus one-time effects; we approximate with the subtree cost.
-  static double RescanCost(const PlanNode& node) { return node.total_cost; }
-
-  Result<std::unique_ptr<PlanNode>> BuildJoinTree() {
+  /// Left-deep greedy join tree starting from the smallest filtered table.
+  std::unique_ptr<PlanNode> BuildJoinTree() {
     const int n = query_.num_tables();
-    // Access paths and filtered row estimates for every table.
     std::vector<std::unique_ptr<PlanNode>> access(static_cast<size_t>(n));
     std::vector<double> rows(static_cast<size_t>(n));
-    std::vector<bool> used_index(static_cast<size_t>(n));
+    used_index_.assign(static_cast<size_t>(n), false);
     for (int t = 0; t < n; ++t) {
-      bool ui = false;
-      access[static_cast<size_t>(t)] = BuildAccessPath(t, &ui);
-      used_index[static_cast<size_t>(t)] = ui;
+      access[static_cast<size_t>(t)] = BuildAccessPath(t);
       rows[static_cast<size_t>(t)] = est_.FilteredTableRows(query_, t);
     }
-
-    // Start from the smallest filtered table.
-    int start = 0;
-    for (int t = 1; t < n; ++t) {
-      if (rows[static_cast<size_t>(t)] < rows[static_cast<size_t>(start)]) {
-        start = t;
-      }
-    }
-    std::set<int> joined = {start};
+    int start = static_cast<int>(std::min_element(rows.begin(), rows.end()) -
+                                 rows.begin());
     std::unique_ptr<PlanNode> current =
         std::move(access[static_cast<size_t>(start)]);
-    double current_rows = rows[static_cast<size_t>(start)];
-
-    while (static_cast<int>(joined.size()) < n) {
-      // Pick the connected table with the smallest estimated join output;
-      // disconnected tables are considered last (cross join). The edge
-      // analysis picks the most selective crossing equi conjunct as the
-      // join key and folds the other crossing conjuncts into the estimate.
-      int best_t = -1;
-      double best_out = 0;
-      bool best_connected = false;
-      JoinEdge best_edge;
-      for (int t = 0; t < n; ++t) {
-        if (joined.count(t) > 0) continue;
-        JoinEdge edge = AnalyzeJoinEdge(query_, est_, joined, {t});
-        bool connected = edge.hash_conjunct >= 0;
-        double out;
-        if (connected) {
-          out = est_.JoinOutputRows(
-              query_,
-              query_.conjuncts[static_cast<size_t>(edge.hash_conjunct)],
-              current_rows, rows[static_cast<size_t>(t)]);
-        } else {
-          out = current_rows * rows[static_cast<size_t>(t)];
-        }
-        out = std::max(out * edge.extra_selectivity, 1.0);
-        bool better = best_t < 0 || (connected && !best_connected) ||
-                      (connected == best_connected && out < best_out);
-        if (better) {
-          best_t = t;
-          best_out = out;
-          best_connected = connected;
-          best_edge = edge;
-        }
-      }
-
-      std::unique_ptr<PlanNode> join;
-      HTAPEX_ASSIGN_OR_RETURN(
-          join, BuildJoin(std::move(current), current_rows, best_t, best_edge,
-                          std::move(access[static_cast<size_t>(best_t)])));
-      joined.insert(best_t);
-      current = std::move(join);
-      current_rows = current->estimated_rows;
+    for (const GreedyStep& step : GreedyJoinOrder(query_, est_, rows, start)) {
+      current = BuildJoin(std::move(current), step,
+                          std::move(access[static_cast<size_t>(step.table)]));
     }
-    return Result<std::unique_ptr<PlanNode>>(std::move(current));
+    return current;
   }
 
-  /// Joins `outer` with table `t`. When `t` has an index on its join
-  /// column, probe it per outer row (index nested loop); otherwise rescan
-  /// `t`'s access path (plain nested loop). TP never hash-joins.
-  Result<std::unique_ptr<PlanNode>> BuildJoin(
-      std::unique_ptr<PlanNode> outer, double outer_rows, int t,
-      const JoinEdge& edge, std::unique_ptr<PlanNode> inner_access) {
-    const BoundTable& bt = query_.table(t);
-    double inner_base = est_.BaseTableRows(query_, t);
-    double inner_filtered = est_.FilteredTableRows(query_, t);
-
-    const ConjunctInfo* join_pred =
-        edge.hash_conjunct >= 0
-            ? &query_.conjuncts[static_cast<size_t>(edge.hash_conjunct)]
-            : nullptr;
-    const Expr* outer_key = nullptr;
-    const Expr* inner_key = nullptr;
-    if (join_pred != nullptr) {
-      if (join_pred->left_table == t) {
-        inner_key = join_pred->left_column;
-        outer_key = join_pred->right_column;
-      } else {
-        inner_key = join_pred->right_column;
-        outer_key = join_pred->left_column;
-      }
-    }
-
+  /// Joins `outer` with `step.table`. When that table has an index on its
+  /// join column, probe it per outer row (index nested loop); otherwise
+  /// rescan its access path `inner` per outer row (plain nested loop). TP
+  /// never hash-joins, except in the force_hash_join counterfactual.
+  std::unique_ptr<PlanNode> BuildJoin(std::unique_ptr<PlanNode> outer,
+                                      const GreedyStep& step,
+                                      std::unique_ptr<PlanNode> inner) {
+    const int t = step.table;
+    JoinKeys keys = EdgeKeys(query_, step.edge, {t});
     const IndexDef* probe_index =
-        inner_key == nullptr
+        keys.inner == nullptr
             ? nullptr
-            : catalog_.FindIndexOnColumn(bt.ref.table, inner_key->column_name);
-
-    // Extra crossing equi conjuncts and residual filters attach below as
-    // join-level predicates; their selectivity belongs in the estimate too
-    // (historically it was dropped, over-estimating multi-conjunct joins).
-    double out_rows =
-        join_pred != nullptr
-            ? est_.JoinOutputRows(query_, *join_pred, outer_rows, inner_filtered)
-            : outer_rows * inner_filtered;
-    out_rows = std::max(out_rows * edge.extra_selectivity, 1.0);
-
-    std::unique_ptr<PlanNode> join;
-    if (params_.force_hash_join && join_pred != nullptr) {
+            : catalog_.FindIndexOnColumn(query_.table(t).ref.table,
+                                         keys.inner->column_name);
+    PlanOp op = PlanOp::kNestedLoopJoin;
+    double cost;
+    if (params_.force_hash_join && keys.inner != nullptr) {
       // Counterfactual mode: TP executes the equi-join as a hash join over
       // its row-store access paths.
-      join = std::make_unique<PlanNode>(PlanOp::kHashJoin);
-      join->total_cost = outer->total_cost + inner_access->total_cost +
-                         inner_filtered * params_.hash_build_row +
-                         outer_rows * params_.hash_probe_row +
-                         out_rows * params_.output_row;
-      join->children.push_back(std::move(outer));
-      join->children.push_back(std::move(inner_access));
-    } else if (probe_index != nullptr) {
-      // Rebuild the inner side as an index probe: matches-per-probe is the
-      // inner's rows divided by the join column's distinct count.
-      double ndv = est_.ColumnNdv(query_, *inner_key);
-      double per_probe = std::max(inner_base / std::max(ndv, 1.0), 1.0);
-      auto probe = std::make_unique<PlanNode>(PlanOp::kIndexScan);
-      probe->relation = bt.ref.table;
-      probe->table_idx = t;
-      probe->slot_offset = bt.flat_offset;
-      probe->slot_count = static_cast<int>(bt.schema->num_columns());
-      probe->index_name = probe_index->name;
-      probe->index_column = probe_index->leading_column();
-      probe->base_rows = inner_base;
-      probe->estimated_rows = per_probe;
-      probe->total_cost = Log2(inner_base) * params_.index_descend +
-                          per_probe * params_.index_fetch;
-      std::unique_ptr<PlanNode> inner = std::move(probe);
-      std::vector<int> singles = SingleTableConjuncts(query_, t);
-      if (!singles.empty()) {
-        auto filter = std::make_unique<PlanNode>(PlanOp::kFilter);
-        double sel = 1.0;
-        for (int ci : singles) {
-          const ConjunctInfo& c = query_.conjuncts[static_cast<size_t>(ci)];
-          filter->predicates.push_back(c.expr->Clone());
-          sel *= est_.ConjunctSelectivity(query_, c);
-        }
-        filter->estimated_rows = std::max(per_probe * sel, 1.0);
-        filter->total_cost =
-            inner->total_cost + per_probe * params_.filter_row;
-        filter->children.push_back(std::move(inner));
-        inner = std::move(filter);
-      }
-      join = std::make_unique<PlanNode>(PlanOp::kIndexNestedLoopJoin);
-      join->total_cost = outer->total_cost +
-                         outer_rows * inner->total_cost +
-                         out_rows * params_.output_row;
-      join->children.push_back(std::move(outer));
-      join->children.push_back(std::move(inner));
+      op = PlanOp::kHashJoin;
+      cost = HashJoinCost({params_.hash_build_row, params_.hash_probe_row,
+                           params_.output_row},
+                          outer->total_cost, step.outer_rows,
+                          inner->total_cost, est_.FilteredTableRows(query_, t),
+                          step.out_rows);
     } else {
-      join = std::make_unique<PlanNode>(PlanOp::kNestedLoopJoin);
-      join->total_cost = outer->total_cost +
-                         outer_rows * RescanCost(*inner_access) +
-                         out_rows * params_.output_row;
-      join->children.push_back(std::move(outer));
-      join->children.push_back(std::move(inner_access));
+      if (probe_index != nullptr) {
+        // Rebuild the inner side as an index probe: matches-per-probe is
+        // the inner's rows divided by the join column's distinct count.
+        double ndv = est_.ColumnNdv(query_, *keys.inner);
+        double per_probe = std::max(
+            est_.BaseTableRows(query_, t) / std::max(ndv, 1.0), 1.0);
+        inner = AddFilter(IndexScan(t, *probe_index, per_probe), query_, est_,
+                          SingleTableConjuncts(query_, t), params_.filter_row);
+        op = PlanOp::kIndexNestedLoopJoin;
+      }
+      // The inner side runs once per outer row; rescanning an in-memory
+      // access path costs what scanning it once does.
+      cost = outer->total_cost + step.outer_rows * inner->total_cost +
+             step.out_rows * params_.output_row;
     }
-    join->estimated_rows = std::max(out_rows, 1.0);
-    if (outer_key != nullptr) {
-      join->left_key = outer_key->Clone();
-      join->right_key = inner_key->Clone();
-    }
-    // Extra join conjuncts between the same pair plus residual multi-table
-    // predicates become join-level filters.
-    for (int ci : edge.extra_equi) {
-      join->predicates.push_back(
-          query_.conjuncts[static_cast<size_t>(ci)].expr->Clone());
-    }
-    for (int ci : edge.residuals) {
-      join->predicates.push_back(
-          query_.conjuncts[static_cast<size_t>(ci)].expr->Clone());
-    }
-    return Result<std::unique_ptr<PlanNode>>(std::move(join));
-  }
-
-  Result<std::unique_ptr<PlanNode>> AddAggregation(
-      std::unique_ptr<PlanNode> child) {
-    if (!query_.has_aggregates && !query_.is_grouped) return Result<std::unique_ptr<PlanNode>>(std::move(child));
-    auto agg = std::make_unique<PlanNode>(PlanOp::kGroupAggregate);
-    double in_rows = child->estimated_rows;
-    OutputSlotMap slots;
-    int slot = 0;
-    for (const auto& g : query_.stmt.group_by) {
-      agg->group_keys.push_back(g->Clone());
-      slots[g->ToString()] = slot++;
-    }
-    for (const Expr* a : CollectAggregates(query_)) {
-      agg->aggregates.push_back(a->Clone());
-      slots[a->ToString()] = slot++;
-    }
-    double groups = 1.0;
-    for (const auto& g : agg->group_keys) {
-      std::vector<const Expr*> refs;
-      g->CollectColumnRefs(&refs);
-      double k = refs.empty() ? 10.0 : est_.ColumnNdv(query_, *refs[0]);
-      groups *= k;
-    }
-    groups = std::min(groups, in_rows);
-    agg->estimated_rows = std::max(groups, 1.0);
-    agg->total_cost = child->total_cost + in_rows * params_.agg_row;
-    agg->children.push_back(std::move(child));
-    agg_slots_ = std::move(slots);
-    std::unique_ptr<PlanNode> result = std::move(agg);
-    if (query_.stmt.having != nullptr) {
-      // HAVING: a filter over the aggregation's output layout.
-      auto having = std::make_unique<PlanNode>(PlanOp::kFilter);
-      std::unique_ptr<Expr> pred;
-      HTAPEX_ASSIGN_OR_RETURN(pred,
-                              RewriteForOutput(*query_.stmt.having, agg_slots_));
-      having->predicates.push_back(std::move(pred));
-      having->estimated_rows =
-          std::max(result->estimated_rows * CardinalityEstimator::kDefaultSelectivity, 1.0);
-      having->total_cost = result->total_cost;
-      having->children.push_back(std::move(result));
-      result = std::move(having);
-    }
-    return Result<std::unique_ptr<PlanNode>>(std::move(result));
-  }
-
-  Result<std::unique_ptr<Expr>> FinalExpr(const Expr& e) const {
-    if (agg_slots_.empty()) return e.Clone();
-    return RewriteForOutput(e, agg_slots_);
+    auto join = MakeJoinNode(op, query_, step.edge, keys, step.out_rows);
+    join->total_cost = cost;
+    join->children.push_back(std::move(outer));
+    join->children.push_back(std::move(inner));
+    return join;
   }
 
   Result<std::unique_ptr<PlanNode>> AddOrderLimitProject(
       std::unique_ptr<PlanNode> child) {
     const SelectStatement& stmt = query_.stmt;
-    double rows = child->estimated_rows;
 
     // Top-N by index order: single table, no grouping, ascending ORDER BY
     // on an indexed bare column — the B+-tree delivers rows pre-sorted, so
@@ -362,103 +174,27 @@ class TpPlanBuilder {
         query_.num_tables() == 1 && stmt.order_by.size() == 1 &&
         stmt.order_by[0].expr->kind == ExprKind::kColumnRef) {
       const Expr& key = *stmt.order_by[0].expr;
-      const BoundTable& bt = query_.table(0);
       const IndexDef* idx =
-          catalog_.FindIndexOnColumn(bt.ref.table, key.column_name);
-      if (idx != nullptr && child->op != PlanOp::kIndexScan) {
-        // Replace the access path with an ordered index scan + filters.
-        auto scan = std::make_unique<PlanNode>(PlanOp::kIndexScan);
-        scan->relation = bt.ref.table;
-        scan->table_idx = 0;
-        scan->slot_offset = bt.flat_offset;
-        scan->slot_count = static_cast<int>(bt.schema->num_columns());
-        scan->index_name = idx->name;
-        scan->index_column = idx->leading_column();
-        double base = est_.BaseTableRows(query_, 0);
-        scan->base_rows = base;
-        scan->estimated_rows = base;
-        scan->total_cost = Log2(base) * params_.index_descend +
-                           base * params_.index_fetch;
+          catalog_.FindIndexOnColumn(query_.table(0).ref.table, key.column_name);
+      if (idx != nullptr && !used_index_[0]) {
+        // Replace a full-scan access path with an ordered index scan +
+        // filters. An access path that already probes a (selective) index
+        // stays, with or without a residual Filter above it.
+        auto scan = IndexScan(0, *idx, est_.BaseTableRows(query_, 0));
         scan->sort_keys.push_back(
-            SortKey{stmt.order_by[0].expr->Clone(),
-                    stmt.order_by[0].descending});
-        std::unique_ptr<PlanNode> acc = std::move(scan);
-        std::vector<int> singles = SingleTableConjuncts(query_, 0);
-        if (!singles.empty()) {
-          auto filter = std::make_unique<PlanNode>(PlanOp::kFilter);
-          double sel = 1.0;
-          for (int ci : singles) {
-            const ConjunctInfo& c = query_.conjuncts[static_cast<size_t>(ci)];
-            filter->predicates.push_back(c.expr->Clone());
-            sel *= est_.ConjunctSelectivity(query_, c);
-          }
-          filter->estimated_rows = std::max(base * sel, 1.0);
-          filter->total_cost = acc->total_cost + base * params_.filter_row;
-          filter->children.push_back(std::move(acc));
-          acc = std::move(filter);
-        }
-        child = std::move(acc);
-        rows = child->estimated_rows;
+            SortKey{key.Clone(), stmt.order_by[0].descending});
+        child = AddFilter(std::move(scan), query_, est_,
+                          SingleTableConjuncts(query_, 0), params_.filter_row);
         topn_by_index = true;
       }
     }
-
-    if (!stmt.order_by.empty() && !topn_by_index) {
-      auto sort = std::make_unique<PlanNode>(PlanOp::kSort);
-      for (const auto& o : stmt.order_by) {
-        std::unique_ptr<Expr> key;
-        HTAPEX_ASSIGN_OR_RETURN(key, FinalExpr(*o.expr));
-        sort->sort_keys.push_back(SortKey{std::move(key), o.descending});
-      }
-      sort->estimated_rows = rows;
-      sort->total_cost =
-          child->total_cost + rows * Log2(rows) * params_.sort_row_log;
-      sort->children.push_back(std::move(child));
-      child = std::move(sort);
+    if (!topn_by_index) {
+      HTAPEX_ASSIGN_OR_RETURN(child, AddSort(std::move(child), query_,
+                                             agg_slots_, params_.sort_row_log));
     }
-
-    if (stmt.limit.has_value() || stmt.offset.has_value()) {
-      auto limit = std::make_unique<PlanNode>(PlanOp::kLimit);
-      limit->limit = stmt.limit.value_or(-1);
-      limit->offset = stmt.offset.value_or(0);
-      double out = rows;
-      if (stmt.limit.has_value()) {
-        out = std::min(out, static_cast<double>(*stmt.limit));
-      }
-      limit->estimated_rows = std::max(out, 1.0);
-      limit->total_cost = child->total_cost;
-      limit->children.push_back(std::move(child));
-      child = std::move(limit);
-    }
-
-    // Projection: skip when the aggregate output already matches the select
-    // list exactly (keeps Example 1's root = Group aggregate, as in the
-    // paper's Table II).
-    bool identity = !agg_slots_.empty() &&
-                    query_.stmt.items.size() == agg_slots_.size();
-    if (identity) {
-      int pos = 0;
-      for (const auto& item : query_.stmt.items) {
-        auto it = agg_slots_.find(item.expr->ToString());
-        if (it == agg_slots_.end() || it->second != pos++) {
-          identity = false;
-          break;
-        }
-      }
-    }
-    if (identity) return Result<std::unique_ptr<PlanNode>>(std::move(child));
-
-    auto project = std::make_unique<PlanNode>(PlanOp::kProject);
-    for (const auto& item : query_.stmt.items) {
-      std::unique_ptr<Expr> e;
-      HTAPEX_ASSIGN_OR_RETURN(e, FinalExpr(*item.expr));
-      project->projections.push_back(std::move(e));
-    }
-    project->estimated_rows = child->estimated_rows;
-    project->total_cost =
-        child->total_cost + child->estimated_rows * params_.output_row;
-    project->children.push_back(std::move(child));
-    return Result<std::unique_ptr<PlanNode>>(std::move(project));
+    child = AddLimit(std::move(child), stmt);
+    return AddProjection(std::move(child), query_, agg_slots_,
+                         params_.output_row);
   }
 
   const Catalog& catalog_;
@@ -466,6 +202,7 @@ class TpPlanBuilder {
   const BoundQuery& query_;
   CardinalityEstimator est_;
   OutputSlotMap agg_slots_;
+  std::vector<bool> used_index_;  // per table: its access path is an index
 };
 
 }  // namespace

@@ -41,8 +41,6 @@ class TpOptimizer {
 
   Result<PhysicalPlan> Plan(const BoundQuery& query) const;
 
-  const TpCostParams& params() const { return params_; }
-
  private:
   const Catalog& catalog_;
   TpCostParams params_;

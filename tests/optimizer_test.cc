@@ -4,6 +4,7 @@
 #include "engine/htap_system.h"
 #include "plan/cardinality.h"
 #include "sql/binder.h"
+#include "sql/parser.h"
 
 namespace htapex {
 namespace {
@@ -288,22 +289,127 @@ TEST_F(OptimizerTest, ApNoSiftForLargeBuildSide) {
   EXPECT_EQ(Find(*plans.ap.root, PlanOp::kSiftedScan), nullptr);
 }
 
-// Above the DP table threshold the optimizer falls back to greedy and
+/// `SELECT COUNT(*)` over a chain of `n` nation aliases, each joined to
+/// the previous one on n_nationkey.
+std::string NationChain(int n) {
+  std::string sql = "SELECT COUNT(*) FROM nation n0";
+  for (int k = 1; k < n; ++k) {
+    sql += " JOIN nation n" + std::to_string(k) + " ON n" + std::to_string(k) +
+           ".n_nationkey = n" + std::to_string(k - 1) + ".n_nationkey";
+  }
+  return sql;
+}
+
+// One table past the DP limit the optimizer falls back to greedy and
 // still produces a valid (left-deep) plan.
 TEST_F(OptimizerTest, ApGreedyFallbackAboveDpThreshold) {
-  ApCostParams params;
-  params.dp_table_threshold = 2;  // forces greedy for 3+ tables
-  ApOptimizer opt(system_->catalog(), params);
-  auto query = system_->Bind(
-      "SELECT COUNT(*) FROM customer, nation, orders WHERE o_custkey = "
-      "c_custkey AND n_nationkey = c_nationkey AND n_name = 'egypt'");
-  ASSERT_TRUE(query.ok());
-  auto plan = opt.Plan(*query);
-  ASSERT_TRUE(plan.ok()) << plan.status();
-  // Greedy is left-deep: no hash join on any build side.
-  const PlanNode* join = Find(*plan->root, PlanOp::kHashJoin);
-  ASSERT_NE(join, nullptr);
-  EXPECT_EQ(Find(*join->children[1], PlanOp::kHashJoin), nullptr);
+  PlanPair plans = Plans(NationChain(kApDpMaxTables + 1));
+  // Greedy is left-deep: no hash join on any build side of the spine.
+  int joins = 0;
+  for (const PlanNode* join = plans.ap.root.get();
+       join != nullptr && !join->children.empty();
+       join = join->children[0].get()) {
+    if (join->op != PlanOp::kHashJoin) continue;
+    ++joins;
+    EXPECT_EQ(Find(*join->children[1], PlanOp::kHashJoin), nullptr);
+  }
+  EXPECT_EQ(joins, kApDpMaxTables);
+}
+
+// Regression: a residual predicate puts a Filter over TP's selective index
+// probe, and the top-N-by-index rule used to mistake that for a full scan
+// and swap it for an ordered scan of the whole ORDER BY index (150M rows of
+// pk_orders here, modelled at ~435 s). The probe must stay.
+TEST_F(OptimizerTest, TpTopNKeepsSelectiveIndexUnderResidualFilter) {
+  struct Case {
+    const char* sql;
+    const char* index;
+    const char* predicate_column;
+  };
+  for (const Case& c :
+       {Case{"SELECT o_orderkey FROM orders WHERE o_custkey = 5 AND "
+             "o_totalprice > 100 ORDER BY o_orderkey LIMIT 10",
+             "fk_orders_o_custkey", "o_custkey"},
+        Case{"SELECT c_name FROM customer WHERE c_custkey = 42 AND "
+             "c_acctbal > 0 ORDER BY c_custkey LIMIT 5",
+             "pk_customer", "c_custkey"}}) {
+    PlanPair plans = Plans(c.sql);
+    const PlanNode* scan = Find(*plans.tp.root, PlanOp::kIndexScan);
+    ASSERT_NE(scan, nullptr) << c.sql;
+    EXPECT_EQ(scan->index_name, c.index) << c.sql;
+    ASSERT_EQ(scan->predicates.size(), 1u) << c.sql;
+    EXPECT_NE(scan->predicates[0]->ToString().find(c.predicate_column),
+              std::string::npos)
+        << c.sql;
+    EXPECT_LT(scan->estimated_rows, 100.0) << c.sql;
+    EXPECT_LT(system_->LatencyMs(plans.tp), 1.0) << c.sql;
+  }
+}
+
+// Predicate transfer shrinks the sifted scan and the probe-spine joins
+// strictly below each producer; the producer's own output and everything
+// above it keep their sift-off estimates. The greedy order keeps the same
+// tree with and without sifting, so the spines line up node for node.
+TEST_F(OptimizerTest, ApSiftScalesOnlyBelowTheProducer) {
+  ApCostParams on;
+  on.enable_dp = false;
+  ApCostParams off = on;
+  off.sift.enabled = false;
+  ApOptimizer sift_on(system_->catalog(), on);
+  ApOptimizer sift_off(system_->catalog(), off);
+  int producers = 0;
+  int joins_below = 0;
+  for (const char* sql :
+       {"SELECT COUNT(*) FROM customer, nation, region WHERE n_nationkey = "
+        "c_nationkey AND n_name = 'egypt'",
+        "SELECT COUNT(*) FROM lineitem, part, supplier, orders WHERE "
+        "l_partkey = p_partkey AND l_suppkey = s_suppkey AND l_orderkey = "
+        "o_orderkey AND p_size = 10 AND s_acctbal > 8000"}) {
+    auto query = system_->Bind(sql);
+    ASSERT_TRUE(query.ok()) << sql;
+    auto a = sift_on.Plan(*query);
+    auto b = sift_off.Plan(*query);
+    ASSERT_TRUE(a.ok() && b.ok()) << sql;
+    bool below = false;
+    const PlanNode* x = a->root.get();
+    const PlanNode* y = b->root.get();
+    for (; x != nullptr && y != nullptr;
+         x = x->children.empty() ? nullptr : x->children[0].get(),
+         y = y->children.empty() ? nullptr : y->children[0].get()) {
+      if (below) {
+        EXPECT_LT(x->estimated_rows, y->estimated_rows)
+            << sql << ": " << PlanOpName(x->op);
+        if (x->op == PlanOp::kHashJoin) ++joins_below;
+      } else {
+        EXPECT_DOUBLE_EQ(x->estimated_rows, y->estimated_rows)
+            << sql << ": " << PlanOpName(x->op);
+      }
+      if (x->sift_id >= 0) {
+        below = true;
+        ++producers;
+      }
+    }
+    EXPECT_EQ(x, nullptr) << sql;
+    EXPECT_EQ(y, nullptr) << sql;
+    EXPECT_TRUE(below) << sql << ": no sift applied";
+  }
+  EXPECT_EQ(producers, 3);
+  EXPECT_GE(joins_below, 1);
+}
+
+// A statement at the table cap binds and plans on both engines; the AP
+// side takes the greedy order (well past the DP limit).
+TEST_F(OptimizerTest, TableCapChainPlansOnBothEngines) {
+  PlanPair plans = Plans(NationChain(kMaxStatementTables));
+  ASSERT_NE(plans.tp.root, nullptr);
+  ASSERT_NE(plans.ap.root, nullptr);
+  auto count_scans = [](const PlanNode& n, auto&& self) -> int {
+    int scans = n.relation.empty() ? 0 : 1;
+    for (const auto& c : n.children) scans += self(*c, self);
+    return scans;
+  };
+  EXPECT_EQ(count_scans(*plans.tp.root, count_scans), kMaxStatementTables);
+  EXPECT_EQ(count_scans(*plans.ap.root, count_scans), kMaxStatementTables);
 }
 
 // The no-stats NDV fallback is one shared constant: an equality predicate

@@ -286,6 +286,38 @@ TEST_F(BinderTest, Errors) {
       ParseAndBind(catalog_, "SELECT frobnicate(c_name) FROM customer").ok());
 }
 
+/// `SELECT COUNT(*)` over `n` nation aliases, each joined to the previous
+/// one with JOIN ... ON, or listed with commas when `commas` is set.
+std::string NationChain(int n, bool commas = false) {
+  std::string sql = "SELECT COUNT(*) FROM nation n0";
+  for (int k = 1; k < n; ++k) {
+    std::string alias = "n" + std::to_string(k);
+    sql += commas ? ", nation " + alias
+                  : " JOIN nation " + alias + " ON " + alias +
+                        ".n_nationkey = n" + std::to_string(k - 1) +
+                        ".n_nationkey";
+  }
+  return sql;
+}
+
+// The parser stops at the table cap with kInvalidArgument, so an oversized
+// statement never reaches the binder or the optimizers.
+TEST_F(BinderTest, TableCapIsInvalidArgumentBeforeBinding) {
+  for (bool commas : {false, true}) {
+    auto at_cap = ParseAndBind(catalog_, NationChain(kMaxStatementTables, commas));
+    ASSERT_TRUE(at_cap.ok()) << at_cap.status();
+    EXPECT_EQ(at_cap->num_tables(), kMaxStatementTables);
+    for (int n : {kMaxStatementTables + 1, 2000}) {
+      auto parsed = ParseSelect(NationChain(n, commas));
+      ASSERT_FALSE(parsed.ok()) << n;
+      EXPECT_EQ(parsed.status().code(), StatusCode::kInvalidArgument) << n;
+      auto bound = ParseAndBind(catalog_, NationChain(n, commas));
+      ASSERT_FALSE(bound.ok()) << n;
+      EXPECT_EQ(bound.status().code(), StatusCode::kInvalidArgument) << n;
+    }
+  }
+}
+
 TEST_F(BinderTest, ExpressionEvaluation) {
   auto q = ParseAndBind(catalog_,
                         "SELECT c_name FROM customer WHERE "
