@@ -25,6 +25,15 @@ const JsonValue* JsonValue::Find(std::string_view key) const {
   return nullptr;
 }
 
+int64_t JsonValue::int_value() const {
+  if (!is_double()) return int_;
+  if (std::isnan(double_)) return 0;
+  // 2^63 is the first double past INT64_MAX; -2^63 is INT64_MIN exactly.
+  if (double_ >= 0x1p63) return INT64_MAX;
+  if (double_ < -0x1p63) return INT64_MIN;
+  return static_cast<int64_t>(double_);
+}
+
 int64_t JsonValue::GetInt(std::string_view key, int64_t def) const {
   const JsonValue* v = Find(key);
   return (v != nullptr && v->is_number()) ? v->int_value() : def;

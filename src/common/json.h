@@ -74,7 +74,10 @@ class JsonValue {
   bool is_object() const { return type_ == Type::kObject; }
 
   bool bool_value() const { return bool_; }
-  int64_t int_value() const { return is_double() ? static_cast<int64_t>(double_) : int_; }
+  /// Doubles saturate to the int64 range (NaN reads as 0): casting an
+  /// out-of-range double is undefined behaviour, and every decoder reads
+  /// ids, sequences and sizes from untrusted files through here.
+  int64_t int_value() const;
   double double_value() const { return is_int() ? static_cast<double>(int_) : double_; }
   const std::string& string_value() const { return string_; }
   const Array& array() const { return array_; }

@@ -1,20 +1,14 @@
 #include "durable/durable_kb.h"
 
-#include <fcntl.h>
-#include <sys/stat.h>
-#include <unistd.h>
-
 #include <algorithm>
-#include <cerrno>
-#include <cinttypes>
 #include <cmath>
 #include <cstdio>
-#include <cstring>
 #include <filesystem>
 #include <set>
 #include <utility>
 
 #include "common/crc32.h"
+#include "common/file_io.h"
 #include "common/json.h"
 #include "common/sim_clock.h"
 #include "common/string_util.h"
@@ -25,62 +19,9 @@ namespace {
 
 constexpr char kManifestFile[] = "MANIFEST";
 
-Status WriteAllFd(int fd, const char* data, size_t len) {
-  size_t done = 0;
-  while (done < len) {
-    ssize_t n = ::write(fd, data + done, len - done);
-    if (n < 0) {
-      if (errno == EINTR) continue;
-      return Status::IoError(StrFormat("write failed: %s",
-                                       std::strerror(errno)));
-    }
-    done += static_cast<size_t>(n);
-  }
-  return Status::OK();
-}
-
-Result<std::string> ReadFileToString(const std::string& path) {
-  std::FILE* fp = std::fopen(path.c_str(), "rb");
-  if (fp == nullptr) return Status::IoError("cannot open " + path);
-  std::string text;
-  char buf[1 << 16];
-  size_t n;
-  while ((n = std::fread(buf, 1, sizeof(buf), fp)) > 0) text.append(buf, n);
-  std::fclose(fp);
-  return text;
-}
-
-/// Durably replaces `path`: temp file, fsync, atomic rename, dir fsync.
-Status WriteFileAtomic(const std::string& path, std::string_view text) {
-  std::string tmp = path + ".tmp";
-  int fd = ::open(tmp.c_str(), O_CREAT | O_TRUNC | O_WRONLY, 0644);
-  if (fd < 0) return Status::IoError("cannot open " + tmp);
-  Status st = WriteAllFd(fd, text.data(), text.size());
-  if (st.ok() && ::fsync(fd) != 0) st = Status::IoError("fsync " + tmp);
-  ::close(fd);
-  if (!st.ok()) {
-    std::remove(tmp.c_str());
-    return st;
-  }
-  if (std::rename(tmp.c_str(), path.c_str()) != 0) {
-    std::remove(tmp.c_str());
-    return Status::IoError("cannot rename " + tmp + " -> " + path);
-  }
-  return Status::OK();
-}
-
-/// Makes a rename/create visible after a crash (best effort — a failure
-/// here only widens the crash window, it cannot corrupt anything).
-void FsyncDir(const std::string& dir) {
-  int fd = ::open(dir.c_str(), O_RDONLY | O_DIRECTORY);
-  if (fd < 0) return;
-  ::fsync(fd);
-  ::close(fd);
-}
-
 bool FileExists(const std::string& path) {
-  struct stat st;
-  return ::stat(path.c_str(), &st) == 0;
+  std::error_code ec;
+  return std::filesystem::exists(path, ec);
 }
 
 }  // namespace
@@ -88,7 +29,6 @@ bool FileExists(const std::string& path) {
 DurableKnowledgeBase::DurableKnowledgeBase(DurabilityOptions options)
     : options_(std::move(options)) {
   if (options_.fsync_every_n < 1) options_.fsync_every_n = 1;
-  if (options_.keep_generations < 1) options_.keep_generations = 1;
 }
 
 DurableKnowledgeBase::~DurableKnowledgeBase() { Detach(); }
@@ -120,77 +60,6 @@ std::string DurableKnowledgeBase::SnapshotPath(
   return options_.dir + "/" + file;
 }
 
-std::string DurableKnowledgeBase::SerializeKbState() const {
-  JsonValue root = JsonValue::MakeObject();
-  root.Set("dim", JsonValue::Int(kb_->dim()));
-  root.Set("next_sequence", JsonValue::Int(kb_->next_sequence()));
-  JsonValue items = JsonValue::MakeArray();
-  for (int id = 0; id < static_cast<int>(kb_->total_entries()); ++id) {
-    const KbEntry* e = kb_->RawGet(id);
-    JsonValue item = JsonValue::MakeObject();
-    item.Set("id", JsonValue::Int(e->id));
-    item.Set("sql", JsonValue::String(e->sql));
-    JsonValue emb = JsonValue::MakeArray();
-    for (double v : e->embedding) emb.Append(JsonValue::Double(v));
-    item.Set("embedding", std::move(emb));
-    item.Set("tp_plan", JsonValue::String(e->tp_plan_json));
-    item.Set("ap_plan", JsonValue::String(e->ap_plan_json));
-    item.Set("faster", JsonValue::String(EngineName(e->faster)));
-    item.Set("tp_latency_ms", JsonValue::Double(e->tp_latency_ms));
-    item.Set("ap_latency_ms", JsonValue::Double(e->ap_latency_ms));
-    item.Set("explanation", JsonValue::String(e->expert_explanation));
-    item.Set("sequence", JsonValue::Int(e->sequence));
-    item.Set("expired", JsonValue::Bool(kb_->IsExpired(id)));
-    items.Append(std::move(item));
-  }
-  root.Set("entries", std::move(items));
-  return root.Dump();
-}
-
-Status DurableKnowledgeBase::RestoreKbState(const std::string& text,
-                                            size_t* entries_restored) {
-  JsonValue root;
-  HTAPEX_ASSIGN_OR_RETURN(root, JsonValue::Parse(text));
-  if (root.GetInt("dim") != kb_->dim()) {
-    return Status::InvalidArgument(
-        "snapshot dimension does not match knowledge base");
-  }
-  const JsonValue* items = root.Find("entries");
-  if (items == nullptr || !items->is_array()) {
-    return Status::ParseError("snapshot missing entries array");
-  }
-  for (const JsonValue& item : items->array()) {
-    KbEntry e;
-    e.id = static_cast<int>(item.GetInt("id", -1));
-    e.sql = item.GetString("sql");
-    const JsonValue* emb = item.Find("embedding");
-    if (emb == nullptr || !emb->is_array()) {
-      return Status::ParseError("snapshot entry missing embedding");
-    }
-    for (const JsonValue& v : emb->array()) {
-      e.embedding.push_back(v.double_value());
-    }
-    e.tp_plan_json = item.GetString("tp_plan");
-    e.ap_plan_json = item.GetString("ap_plan");
-    e.faster =
-        item.GetString("faster") == "AP" ? EngineKind::kAp : EngineKind::kTp;
-    e.tp_latency_ms = item.GetDouble("tp_latency_ms");
-    e.ap_latency_ms = item.GetDouble("ap_latency_ms");
-    e.expert_explanation = item.GetString("explanation");
-    e.sequence = item.GetInt("sequence", 0);
-    HTAPEX_RETURN_IF_ERROR(kb_->Restore(std::move(e),
-                                        item.GetBool("expired")));
-    ++*entries_restored;
-  }
-  // Every insert ever made stays in the snapshot (expiry only tombstones),
-  // so the restored counter must equal the persisted one — a mismatch
-  // means the snapshot lied despite its checksum.
-  if (kb_->next_sequence() != root.GetInt("next_sequence", 0)) {
-    return Status::Internal("snapshot sequence counter inconsistent");
-  }
-  return Status::OK();
-}
-
 Status DurableKnowledgeBase::WriteManifest(const Manifest& manifest) const {
   JsonValue root = JsonValue::MakeObject();
   root.Set("next_gen", JsonValue::Int(static_cast<int64_t>(manifest.next_gen)));
@@ -209,17 +78,14 @@ Status DurableKnowledgeBase::WriteManifest(const Manifest& manifest) const {
     gens.Append(std::move(item));
   }
   root.Set("generations", std::move(gens));
-  std::string path = options_.dir + "/" + kManifestFile;
-  HTAPEX_RETURN_IF_ERROR(WriteFileAtomic(path, root.Dump()));
-  FsyncDir(options_.dir);
-  return Status::OK();
+  return WriteFileAtomic(options_.dir + "/" + kManifestFile, root.Dump());
 }
 
 Result<DurableKnowledgeBase::Manifest> DurableKnowledgeBase::ReadManifest()
     const {
   std::string text;
   HTAPEX_ASSIGN_OR_RETURN(
-      text, ReadFileToString(options_.dir + "/" + kManifestFile));
+      text, ReadFile(options_.dir + "/" + kManifestFile));
   JsonValue root;
   HTAPEX_ASSIGN_OR_RETURN(root, JsonValue::Parse(text));
   Manifest manifest;
@@ -298,44 +164,31 @@ Result<RecoveryInfo> DurableKnowledgeBase::Attach(KnowledgeBase* kb) {
   }
   RemoveOrphanTempFiles();
   kb_ = kb;
-  RecoveryInfo info;
-  if (HasState(options_.dir)) {
-    if (kb->next_sequence() != 0 || kb->total_entries() != 0) {
-      kb_ = nullptr;
-      return Status::InvalidArgument(
-          "cannot recover into a knowledge base that already has entries");
-    }
-    auto manifest = ReadManifest();
-    if (!manifest.ok()) {
-      kb_ = nullptr;
-      return manifest.status();
-    }
-    auto recovered = Recover(*manifest);
-    if (!recovered.ok()) {
-      kb_ = nullptr;
-      return recovered.status();
-    }
-    info = *recovered;
-  } else {
-    Status st = Bootstrap();
-    if (!st.ok()) {
-      kb_ = nullptr;
-      return st;
-    }
+  Result<RecoveryInfo> info = HasState(options_.dir) ? Recover() : Bootstrap();
+  if (!info.ok()) {
+    kb_ = nullptr;
+    return info.status();
   }
   kb_->set_mutation_sink(this);
   return info;
 }
 
-Status DurableKnowledgeBase::Bootstrap() {
+Result<RecoveryInfo> DurableKnowledgeBase::Bootstrap() {
   manifest_ = Manifest{};
   // The bootstrap snapshot turns whatever the KB already holds (typically
   // the paper's default 20-entry KB) into generation 0, so durability
   // covers the curated seed as well as future mutations.
-  return Snapshot();
+  HTAPEX_RETURN_IF_ERROR(Snapshot());
+  return RecoveryInfo{};
 }
 
-Result<RecoveryInfo> DurableKnowledgeBase::Recover(const Manifest& manifest) {
+Result<RecoveryInfo> DurableKnowledgeBase::Recover() {
+  if (kb_->next_sequence() != 0 || kb_->total_entries() != 0) {
+    return Status::InvalidArgument(
+        "cannot recover into a knowledge base that already has entries");
+  }
+  Manifest manifest;
+  HTAPEX_ASSIGN_OR_RETURN(manifest, ReadManifest());
   WallTimer timer;
   RecoveryInfo info;
   info.recovered = true;
@@ -343,13 +196,13 @@ Result<RecoveryInfo> DurableKnowledgeBase::Recover(const Manifest& manifest) {
   // Newest generation whose snapshot bytes still match their checksum;
   // corrupt generations are skipped (the fallback path).
   const Generation* chosen = nullptr;
-  std::string state_text;
+  KbDocument state;
   for (auto it = manifest.generations.rbegin();
        it != manifest.generations.rend(); ++it) {
-    auto text = ReadFileToString(SnapshotPath(it->snapshot_file));
+    auto text = ReadFile(SnapshotPath(it->snapshot_file));
     if (text.ok() && Crc32(*text) == it->crc) {
       chosen = &*it;
-      state_text = std::move(*text);
+      HTAPEX_ASSIGN_OR_RETURN(state, DecodeKbDocument(*text, kb_->dim()));
       break;
     }
     info.snapshot_fallbacks += 1;
@@ -359,9 +212,8 @@ Result<RecoveryInfo> DurableKnowledgeBase::Recover(const Manifest& manifest) {
     return Status::IoError(
         "no snapshot generation survived checksum verification");
   }
-  size_t restored = 0;
-  HTAPEX_RETURN_IF_ERROR(RestoreKbState(state_text, &restored));
-  info.snapshot_entries = restored;
+  info.snapshot_entries = state.entries.size();
+  HTAPEX_RETURN_IF_ERROR(kb_->Restore(std::move(state)));
 
   // Replay the WAL from the chosen generation's segment through every
   // later segment on disk (rotation keeps segment numbers contiguous).
@@ -369,8 +221,8 @@ Result<RecoveryInfo> DurableKnowledgeBase::Recover(const Manifest& manifest) {
   // that already committed once — they must not fail a second time.
   const FaultInjector* kb_faults = kb_->fault_injector();
   kb_->set_fault_injector(nullptr);
-  auto apply = [this](const WalRecord& record) -> Status {
-    return ApplyWalRecord(record, kb_);
+  auto apply = [this](const KbMutation& record) -> Status {
+    return kb_->Apply(record);
   };
   Status replay_status = Status::OK();
   bool bad_history = false;
@@ -381,7 +233,8 @@ Result<RecoveryInfo> DurableKnowledgeBase::Recover(const Manifest& manifest) {
     last_segment = seg;
     bool is_last = !FileExists(SegmentPath(seg + 1));
     WalReplayStats stats;
-    replay_status = ReplayWalSegment(path, is_last, apply, &stats);
+    replay_status =
+        ReplayWalSegment(path, kb_->dim(), is_last, apply, &stats);
     info.replayed_records += stats.replayed;
     info.truncated_records += stats.truncated;
     info.corrupt_records += stats.corrupt;
@@ -430,7 +283,7 @@ Status DurableKnowledgeBase::Snapshot() {
     metrics_.snapshot_failures.Inc();
     return st;
   };
-  std::string text = SerializeKbState();
+  std::string text = kb_->ToJson(/*snapshot=*/true);
   uint32_t crc = Crc32(text);
   uint64_t gen = manifest_.next_gen;
   std::string file = StrFormat("snapshot-%06llu.json",
@@ -438,26 +291,19 @@ Status DurableKnowledgeBase::Snapshot() {
   std::string final_path = SnapshotPath(file);
   std::string tmp = final_path + ".tmp";
 
-  int fd = ::open(tmp.c_str(), O_CREAT | O_TRUNC | O_WRONLY, 0644);
-  if (fd < 0) return fail(Status::IoError("cannot open " + tmp));
+  // The two halves of WriteFileAtomic, called here so the crash points sit
+  // between them.
   if (faults_ != nullptr &&
       faults_->Draw(kFaultSnapshotWrite, gen, 0).fired) {
     // Simulated crash mid-snapshot: half the bytes land in the temp file,
     // which never gets renamed — recovery must ignore it entirely.
-    WriteAllFd(fd, text.data(), text.size() / 2);
-    ::close(fd);
+    (void)WriteFileSynced(tmp,
+                          std::string_view(text).substr(0, text.size() / 2));
     return fail(
         Status::IoError("snapshot.write fault injected (crash mid-write)"));
   }
-  Status st = WriteAllFd(fd, text.data(), text.size());
-  if (st.ok() && ::fsync(fd) != 0) {
-    st = Status::IoError("fsync " + tmp);
-  }
-  ::close(fd);
-  if (!st.ok()) {
-    std::remove(tmp.c_str());
-    return fail(st);
-  }
+  Status st = WriteFileSynced(tmp, text);
+  if (!st.ok()) return fail(st);
   if (faults_ != nullptr &&
       faults_->Draw(kFaultSnapshotRename, gen, 0).fired) {
     // Simulated crash between the temp-file fsync and the rename: the
@@ -466,11 +312,8 @@ Status DurableKnowledgeBase::Snapshot() {
     return fail(Status::IoError(
         "snapshot.rename fault injected (crash before rename)"));
   }
-  if (std::rename(tmp.c_str(), final_path.c_str()) != 0) {
-    std::remove(tmp.c_str());
-    return fail(Status::IoError("cannot rename " + tmp));
-  }
-  FsyncDir(options_.dir);
+  st = RenameSynced(tmp, final_path);
+  if (!st.ok()) return fail(st);
 
   // Rotate the WAL before publishing the manifest: new records go to the
   // fresh segment either way, and if the manifest write dies the old
@@ -493,8 +336,7 @@ Status DurableKnowledgeBase::Snapshot() {
   g.wal_segment = new_segment;
   g.wal_offset = 0;
   next.generations.push_back(std::move(g));
-  while (static_cast<int>(next.generations.size()) >
-         options_.keep_generations) {
+  while (static_cast<int>(next.generations.size()) > kKeptGenerations) {
     next.generations.erase(next.generations.begin());
   }
   Status manifest_status = WriteManifest(next);
@@ -506,7 +348,7 @@ Status DurableKnowledgeBase::Snapshot() {
   return Status::OK();
 }
 
-Status DurableKnowledgeBase::LogMutation(const WalRecord& record) {
+Status DurableKnowledgeBase::WillApply(const KbMutation& mutation) {
   if (kb_ == nullptr) {
     return Status::Internal("durable knowledge base not attached");
   }
@@ -519,7 +361,7 @@ Status DurableKnowledgeBase::LogMutation(const WalRecord& record) {
     // points) but leaves the log intact, so the next mutation retries.
     HTAPEX_RETURN_IF_ERROR(Snapshot());
   }
-  HTAPEX_RETURN_IF_ERROR(wal_.Append(EncodeWalRecord(record)));
+  HTAPEX_RETURN_IF_ERROR(wal_.Append(EncodeWalRecord(mutation)));
   mutations_since_snapshot_ += 1;
   if (++appends_since_sync_ >=
       static_cast<uint64_t>(options_.fsync_every_n)) {
@@ -527,29 +369,6 @@ Status DurableKnowledgeBase::LogMutation(const WalRecord& record) {
     appends_since_sync_ = 0;
   }
   return Status::OK();
-}
-
-Status DurableKnowledgeBase::WillInsert(const KbEntry& entry) {
-  WalRecord record;
-  record.op = WalRecord::Op::kInsert;
-  record.entry = entry;
-  return LogMutation(record);
-}
-
-Status DurableKnowledgeBase::WillCorrect(int id,
-                                         const std::string& new_explanation) {
-  WalRecord record;
-  record.op = WalRecord::Op::kCorrect;
-  record.id = id;
-  record.text = new_explanation;
-  return LogMutation(record);
-}
-
-Status DurableKnowledgeBase::WillExpire(int id) {
-  WalRecord record;
-  record.op = WalRecord::Op::kExpire;
-  record.id = id;
-  return LogMutation(record);
 }
 
 }  // namespace htapex

@@ -25,10 +25,11 @@ struct DurabilityOptions {
   /// Install a snapshot (and rotate the WAL) automatically every N
   /// mutations; 0 disables the trigger (snapshots only via Snapshot()).
   int snapshot_every_n = 0;
-  /// Snapshot generations kept on disk. The newest serves recovery; older
-  /// ones are the fallback when the newest turns out corrupt. Minimum 1.
-  int keep_generations = 2;
 };
+
+/// Snapshot generations kept on disk. The newest serves recovery; the one
+/// before it is the fallback when the newest turns out corrupt.
+inline constexpr int kKeptGenerations = 2;
 
 /// What recovery found (also folded into DurabilityMetrics).
 struct RecoveryInfo {
@@ -50,10 +51,10 @@ struct RecoveryInfo {
 /// is appended to a checksummed write-ahead log *before* it is applied, and
 /// fsynced per DurabilityOptions. Periodically — every snapshot_every_n
 /// mutations or on demand — the full KB state is written to a snapshot via
-/// temp file + fsync + atomic rename, the WAL rotates to a fresh segment,
-/// and the MANIFEST (also atomically replaced) records the new generation
-/// as (snapshot, wal segment, offset). Superseded segments and snapshots
-/// beyond keep_generations are garbage-collected.
+/// temp file + fsync + atomic rename (common/file_io.h), the WAL rotates to
+/// a fresh segment, and the MANIFEST (also atomically replaced) records the
+/// new generation as (snapshot, wal segment, offset). Superseded segments
+/// and snapshots beyond kKeptGenerations are garbage-collected.
 ///
 /// Recovery (Attach on a directory with a MANIFEST) loads the newest
 /// snapshot whose checksum verifies — falling back generation by
@@ -113,10 +114,9 @@ class DurableKnowledgeBase : public KbMutationSink {
     return mutations_since_snapshot_;
   }
 
-  // KbMutationSink — write-ahead hooks invoked by the KnowledgeBase.
-  Status WillInsert(const KbEntry& entry) override;
-  Status WillCorrect(int id, const std::string& new_explanation) override;
-  Status WillExpire(int id) override;
+  /// KbMutationSink: appends the mutation to the WAL (snapshotting first
+  /// when the trigger is due) before the KnowledgeBase applies it.
+  Status WillApply(const KbMutation& mutation) override;
 
  private:
   struct Generation {
@@ -134,15 +134,15 @@ class DurableKnowledgeBase : public KbMutationSink {
 
   std::string SegmentPath(uint64_t segment) const;
   std::string SnapshotPath(const std::string& file) const;
-  std::string SerializeKbState() const;
-  Status RestoreKbState(const std::string& text, size_t* entries_restored);
   Status WriteManifest(const Manifest& manifest) const;
   Result<Manifest> ReadManifest() const;
   /// Deletes snapshots/segments no kept generation references.
   void CollectGarbage();
-  Status LogMutation(const WalRecord& record);
-  Result<RecoveryInfo> Recover(const Manifest& manifest);
-  Status Bootstrap();
+  /// Rebuilds the (empty) KB from the MANIFEST's newest valid snapshot
+  /// plus the WAL.
+  Result<RecoveryInfo> Recover();
+  /// Initializes a fresh directory with a snapshot of the KB as it is.
+  Result<RecoveryInfo> Bootstrap();
   void RemoveOrphanTempFiles() const;
 
   DurabilityOptions options_;

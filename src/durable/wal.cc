@@ -6,11 +6,12 @@
 
 #include <algorithm>
 #include <cerrno>
-#include <cstdio>
+#include <climits>
 #include <cstring>
 #include <utility>
 
 #include "common/crc32.h"
+#include "common/file_io.h"
 #include "common/json.h"
 #include "common/string_util.h"
 
@@ -35,46 +36,27 @@ uint32_t GetU32(const unsigned char* p) {
          (static_cast<uint32_t>(p[3]) << 24);
 }
 
-Status WriteAll(int fd, const char* data, size_t len) {
-  size_t done = 0;
-  while (done < len) {
-    ssize_t n = ::write(fd, data + done, len - done);
-    if (n < 0) {
-      if (errno == EINTR) continue;
-      return Status::IoError(StrFormat("wal write failed: %s",
-                                       std::strerror(errno)));
-    }
-    done += static_cast<size_t>(n);
-  }
-  return Status::OK();
-}
-
 }  // namespace
 
-std::string EncodeWalRecord(const WalRecord& record) {
+void AppendWalFrame(std::string* out, std::string_view payload) {
+  PutU32(out, static_cast<uint32_t>(payload.size()));
+  PutU32(out, Crc32(payload));
+  out->append(payload);
+}
+
+std::string EncodeWalRecord(const KbMutation& record) {
   JsonValue root = JsonValue::MakeObject();
   switch (record.op) {
-    case WalRecord::Op::kInsert: {
+    case KbMutation::Op::kInsert:
       root.Set("op", JsonValue::String("insert"));
-      root.Set("sql", JsonValue::String(record.entry.sql));
-      JsonValue emb = JsonValue::MakeArray();
-      for (double v : record.entry.embedding) emb.Append(JsonValue::Double(v));
-      root.Set("embedding", std::move(emb));
-      root.Set("tp_plan", JsonValue::String(record.entry.tp_plan_json));
-      root.Set("ap_plan", JsonValue::String(record.entry.ap_plan_json));
-      root.Set("faster", JsonValue::String(EngineName(record.entry.faster)));
-      root.Set("tp_latency_ms", JsonValue::Double(record.entry.tp_latency_ms));
-      root.Set("ap_latency_ms", JsonValue::Double(record.entry.ap_latency_ms));
-      root.Set("explanation",
-               JsonValue::String(record.entry.expert_explanation));
+      EncodeKbEntry(record.entry, /*with_ids=*/false, &root);
       break;
-    }
-    case WalRecord::Op::kCorrect:
+    case KbMutation::Op::kCorrect:
       root.Set("op", JsonValue::String("correct"));
       root.Set("id", JsonValue::Int(record.id));
       root.Set("text", JsonValue::String(record.text));
       break;
-    case WalRecord::Op::kExpire:
+    case KbMutation::Op::kExpire:
       root.Set("op", JsonValue::String("expire"));
       root.Set("id", JsonValue::Int(record.id));
       break;
@@ -86,35 +68,23 @@ std::string EncodeWalRecord(const WalRecord& record) {
   return root.Dump();
 }
 
-Result<WalRecord> DecodeWalRecord(std::string_view payload) {
+Result<KbMutation> DecodeWalRecord(std::string_view payload, int dim) {
   JsonValue root;
   HTAPEX_ASSIGN_OR_RETURN(root, JsonValue::Parse(payload));
-  WalRecord record;
+  KbMutation record;
   std::string op = root.GetString("op");
   if (op == "insert") {
-    record.op = WalRecord::Op::kInsert;
-    record.entry.sql = root.GetString("sql");
-    const JsonValue* emb = root.Find("embedding");
-    if (emb == nullptr || !emb->is_array()) {
-      return Status::ParseError("wal insert record missing embedding");
+    record.op = KbMutation::Op::kInsert;
+    HTAPEX_ASSIGN_OR_RETURN(record.entry, DecodeKbEntry(root, dim));
+  } else if (op == "correct" || op == "expire") {
+    record.op = op == "correct" ? KbMutation::Op::kCorrect
+                                : KbMutation::Op::kExpire;
+    int64_t id = root.GetInt("id", -1);
+    if (id < 0 || id > INT_MAX) {
+      return Status::ParseError("wal record id out of range");
     }
-    for (const JsonValue& v : emb->array()) {
-      record.entry.embedding.push_back(v.double_value());
-    }
-    record.entry.tp_plan_json = root.GetString("tp_plan");
-    record.entry.ap_plan_json = root.GetString("ap_plan");
-    record.entry.faster =
-        root.GetString("faster") == "AP" ? EngineKind::kAp : EngineKind::kTp;
-    record.entry.tp_latency_ms = root.GetDouble("tp_latency_ms");
-    record.entry.ap_latency_ms = root.GetDouble("ap_latency_ms");
-    record.entry.expert_explanation = root.GetString("explanation");
-  } else if (op == "correct") {
-    record.op = WalRecord::Op::kCorrect;
-    record.id = static_cast<int>(root.GetInt("id", -1));
+    record.id = static_cast<int>(id);
     record.text = root.GetString("text");
-  } else if (op == "expire") {
-    record.op = WalRecord::Op::kExpire;
-    record.id = static_cast<int>(root.GetInt("id", -1));
   } else {
     return Status::ParseError("unknown wal op: " + op);
   }
@@ -179,9 +149,7 @@ Status WalWriter::Append(std::string_view payload) {
   }
   std::string frame;
   frame.reserve(kFrameHeaderBytes + payload.size());
-  PutU32(&frame, static_cast<uint32_t>(payload.size()));
-  PutU32(&frame, Crc32(payload));
-  frame.append(payload);
+  AppendWalFrame(&frame, payload);
   uint64_t ordinal = append_ordinal_++;
   if (faults_ != nullptr &&
       faults_->Draw(kFaultWalAppend, Fnv1a64(payload), ordinal).fired) {
@@ -192,12 +160,12 @@ Status WalWriter::Append(std::string_view payload) {
     size_t torn = ordinal % 2 == 0
                       ? frame.size() / 2
                       : std::min(frame.size() - 1, kFrameHeaderBytes - 3);
-    Status st = WriteAll(fd_, frame.data(), torn);
+    Status st = WriteAll(fd_, std::string_view(frame).substr(0, torn));
     wedged_ = true;
     if (!st.ok()) return st;
     return Status::IoError("wal.append fault injected (crash mid-append)");
   }
-  HTAPEX_RETURN_IF_ERROR(WriteAll(fd_, frame.data(), frame.size()));
+  HTAPEX_RETURN_IF_ERROR(WriteAll(fd_, frame));
   offset_ += frame.size();
   if (metrics_ != nullptr) {
     metrics_->wal_appends.Inc();
@@ -232,25 +200,14 @@ Status WalWriter::Sync() {
   return Status::OK();
 }
 
-Status ApplyWalRecord(const WalRecord& record, KnowledgeBase* kb) {
-  switch (record.op) {
-    case WalRecord::Op::kInsert:
-      return kb->Insert(record.entry).status();
-    case WalRecord::Op::kCorrect:
-      return kb->CorrectExplanation(record.id, record.text);
-    case WalRecord::Op::kExpire:
-      return kb->Expire(record.id);
-  }
-  return Status::Internal("unreachable wal op");
-}
-
-Status ReplayWalSegment(const std::string& path, bool truncate_torn_tail,
-                        const std::function<Status(const WalRecord&)>& apply,
+Status ReplayWalSegment(const std::string& path, int dim,
+                        bool truncate_torn_tail,
+                        const std::function<Status(const KbMutation&)>& apply,
                         WalReplayStats* stats) {
   return ReplayWalFrames(
       path, truncate_torn_tail,
-      [&apply](std::string_view payload) -> Status {
-        Result<WalRecord> record = DecodeWalRecord(payload);
+      [&apply, dim](std::string_view payload) -> Status {
+        Result<KbMutation> record = DecodeWalRecord(payload, dim);
         if (!record.ok()) return record.status();
         return apply(*record);
       },
@@ -260,16 +217,12 @@ Status ReplayWalSegment(const std::string& path, bool truncate_torn_tail,
 Status ReplayWalFrames(const std::string& path, bool truncate_torn_tail,
                        const std::function<Status(std::string_view)>& apply,
                        WalReplayStats* stats) {
-  std::FILE* fp = std::fopen(path.c_str(), "rb");
-  if (fp == nullptr) {
-    if (errno == ENOENT) return Status::OK();  // nothing logged yet
-    return Status::IoError("cannot open wal segment " + path);
+  Result<std::string> read = ReadFile(path);
+  if (read.status().code() == StatusCode::kNotFound) {
+    return Status::OK();  // nothing logged yet
   }
-  std::string data;
-  char buf[1 << 16];
-  size_t n;
-  while ((n = std::fread(buf, 1, sizeof(buf), fp)) > 0) data.append(buf, n);
-  std::fclose(fp);
+  HTAPEX_RETURN_IF_ERROR(read.status());
+  const std::string& data = *read;
 
   size_t pos = 0;
   bool bad_suffix = false;  // torn or corrupt bytes start at `pos`

@@ -13,28 +13,16 @@
 
 namespace htapex {
 
-/// One logged knowledge-base mutation. Insert entries are recorded before
-/// id/sequence assignment: both are deterministic functions of apply order,
-/// so replaying the log in order reproduces them exactly.
-struct WalRecord {
-  enum class Op { kInsert, kCorrect, kExpire };
+/// Compact JSON payload for one mutation (the bytes the CRC covers).
+std::string EncodeWalRecord(const KbMutation& record);
+/// Inverse of EncodeWalRecord; errors on unknown ops, malformed JSON, or an
+/// insert entry DecodeKbEntry rejects for a `dim`-wide knowledge base.
+Result<KbMutation> DecodeWalRecord(std::string_view payload, int dim);
 
-  Op op = Op::kInsert;
-  KbEntry entry;     // kInsert payload
-  int id = -1;       // kCorrect / kExpire target
-  std::string text;  // kCorrect replacement explanation
-  /// Per-source replication sequence number, 1-based; 0 (the default) in
-  /// local WAL segments. Replica-log shipping stamps each shipped record
-  /// with its source shard's mutation ordinal so a shard rebuilt from
-  /// replica logs scattered across several successors can restore the
-  /// original mutation order by sorting on it (see sharded_service.h).
-  uint64_t ordinal = 0;
-};
-
-/// Compact JSON payload for one record (the bytes the CRC covers).
-std::string EncodeWalRecord(const WalRecord& record);
-/// Inverse of EncodeWalRecord; errors on unknown ops or malformed JSON.
-Result<WalRecord> DecodeWalRecord(std::string_view payload);
+/// Appends one WAL frame, [u32 length][u32 crc32(payload)][payload], to
+/// `out`. WalWriter::Append and the feedback-log compaction both frame
+/// through here.
+void AppendWalFrame(std::string* out, std::string_view payload);
 
 /// Append-only writer over one WAL segment file.
 ///
@@ -97,14 +85,16 @@ struct WalReplayStats {
 };
 
 /// Replays every intact record of the segment at `path` through `apply`,
-/// in order. A torn tail (incomplete final frame) is truncated off the
-/// file when `truncate_torn_tail` is set, so a recovered writer appends at
-/// a clean boundary. A corrupt record (full frame, bad checksum, or an
+/// in order, decoding inserts for a `dim`-wide knowledge base. A torn tail
+/// (incomplete final frame) is truncated off the file when
+/// `truncate_torn_tail` is set, so a recovered writer appends at a clean
+/// boundary. A corrupt record (full frame, bad checksum, or an
 /// apply failure) stops the replay — everything before it is kept. Never
 /// returns an error for bad log bytes; only an unreadable file is an
 /// error. A missing file replays zero records.
-Status ReplayWalSegment(const std::string& path, bool truncate_torn_tail,
-                        const std::function<Status(const WalRecord&)>& apply,
+Status ReplayWalSegment(const std::string& path, int dim,
+                        bool truncate_torn_tail,
+                        const std::function<Status(const KbMutation&)>& apply,
                         WalReplayStats* stats);
 
 /// Payload-agnostic frame replay: walks the [u32 length][u32 crc][payload]
@@ -115,13 +105,6 @@ Status ReplayWalSegment(const std::string& path, bool truncate_torn_tail,
 Status ReplayWalFrames(const std::string& path, bool truncate_torn_tail,
                        const std::function<Status(std::string_view)>& apply,
                        WalReplayStats* stats);
-
-/// Applies one decoded WAL record to a knowledge base: the canonical
-/// op → mutation mapping shared by local recovery replay
-/// (DurableKnowledgeBase) and replica-log replay (the sharded tier's
-/// lose-disk bootstrap). Keeping it here means a new WalRecord::Op cannot
-/// be handled on one path and forgotten on the other.
-Status ApplyWalRecord(const WalRecord& record, KnowledgeBase* kb);
 
 }  // namespace htapex
 

@@ -49,6 +49,7 @@ Status HtapSystem::DropIndex(const std::string& name) {
 
 Result<BoundQuery> HtapSystem::Bind(std::string_view sql,
                                     Trace* trace) const {
+  HTAPEX_RETURN_IF_ERROR(CheckStatementBytes(sql));
   SelectStatement stmt;
   {
     ScopedWallSpan span(trace, spanname::kParse);

@@ -3,6 +3,7 @@
 #include <algorithm>
 
 #include "engine/latency_model.h"
+#include "plan/pt_graph.h"
 
 namespace htapex {
 
@@ -191,7 +192,7 @@ ExpertAnalysis ExpertAnalyzer::Analyze(const HtapQueryOutcome& outcome,
         HasSmallBuildHashJoin(*ap_root)) {
       AddUnique(&analysis.secondary, PerfFactor::kMissingSift);
     }
-    if (MaxSiftFpRate(*ap_root) > 0.10) {
+    if (MaxSiftFpRate(*ap_root) > kSiftFpOverrunRate) {
       AddUnique(&analysis.secondary, PerfFactor::kBloomFpOverrun);
     }
   }

@@ -1,10 +1,11 @@
 #include "lifecycle/feedback_buffer.h"
 
 #include <algorithm>
-#include <cstdio>
+#include <climits>
 #include <filesystem>
 #include <utility>
 
+#include "common/file_io.h"
 #include "common/json.h"
 
 namespace htapex {
@@ -30,8 +31,8 @@ JsonValue TreeToJson(const PlanTreeFeatures& tree) {
 }
 
 Status TreeFromJson(const JsonValue& node, PlanTreeFeatures* tree) {
-  tree->num_nodes = static_cast<int>(node.GetInt("n", 0));
-  tree->feature_dim = static_cast<int>(node.GetInt("f", 0));
+  const int64_t num_nodes = node.GetInt("n", 0);
+  const int64_t feature_dim = node.GetInt("f", 0);
   const JsonValue* x = node.Find("x");
   const JsonValue* left = node.Find("l");
   const JsonValue* right = node.Find("r");
@@ -39,22 +40,30 @@ Status TreeFromJson(const JsonValue& node, PlanTreeFeatures* tree) {
       !left->is_array() || right == nullptr || !right->is_array()) {
     return Status::ParseError("feedback sample tree missing arrays");
   }
-  if (tree->num_nodes < 0 || tree->feature_dim < 0 ||
-      x->array().size() != static_cast<size_t>(tree->num_nodes) *
-                               static_cast<size_t>(tree->feature_dim) ||
-      left->array().size() != static_cast<size_t>(tree->num_nodes) ||
-      right->array().size() != static_cast<size_t>(tree->num_nodes)) {
+  if (num_nodes < 0 || feature_dim < 0 || num_nodes > INT_MAX ||
+      feature_dim > INT_MAX ||
+      x->array().size() != static_cast<size_t>(num_nodes) *
+                               static_cast<size_t>(feature_dim) ||
+      left->array().size() != static_cast<size_t>(num_nodes) ||
+      right->array().size() != static_cast<size_t>(num_nodes)) {
     return Status::ParseError("feedback sample tree shape mismatch");
   }
+  tree->num_nodes = static_cast<int>(num_nodes);
+  tree->feature_dim = static_cast<int>(feature_dim);
   tree->x.reserve(x->array().size());
   for (const JsonValue& v : x->array()) tree->x.push_back(v.double_value());
-  tree->left.reserve(left->array().size());
-  for (const JsonValue& v : left->array()) {
-    tree->left.push_back(static_cast<int>(v.int_value()));
-  }
-  tree->right.reserve(right->array().size());
-  for (const JsonValue& v : right->array()) {
-    tree->right.push_back(static_cast<int>(v.int_value()));
+  // Children are node indices or -1; anything else would index past the
+  // tree when the sample is trained on.
+  for (auto [from, to] : {std::pair{left, &tree->left},
+                          std::pair{right, &tree->right}}) {
+    to->reserve(from->array().size());
+    for (const JsonValue& v : from->array()) {
+      int64_t child = v.int_value();
+      if (child < -1 || child >= num_nodes) {
+        return Status::ParseError("feedback sample tree child out of range");
+      }
+      to->push_back(static_cast<int>(child));
+    }
   }
   return Status::OK();
 }
@@ -91,7 +100,6 @@ Result<FeedbackSample> DecodeFeedbackSample(std::string_view payload) {
 FeedbackBuffer::FeedbackBuffer(FeedbackBufferOptions options)
     : options_(std::move(options)) {
   if (options_.capacity == 0) options_.capacity = 1;
-  if (options_.compact_factor < 2) options_.compact_factor = 2;
 }
 
 void FeedbackBuffer::set_fault_injector(const FaultInjector* faults) {
@@ -161,32 +169,25 @@ Status FeedbackBuffer::AppendLocked(const FeedbackSample& sample) {
 
 void FeedbackBuffer::MaybeCompactLocked() {
   if (!wal_.is_open() || wal_dead_ ||
-      wal_records_ <= options_.compact_factor * options_.capacity) {
+      wal_records_ <= kFeedbackCompactFactor * options_.capacity) {
     return;
   }
-  // Rewrite the log as exactly the in-memory window: write a temp file,
-  // sync it, then rename over the old log so a crash at any point leaves
-  // either the full old log or the full new one.
+  // Rewrite the log as exactly the in-memory window, atomically: a crash
+  // at any point leaves either the full old log or the full new one.
   const std::string path = options_.dir + "/" + kLogName;
-  const std::string tmp = path + ".tmp";
-  std::remove(tmp.c_str());
-  Result<WalWriter> fresh = WalWriter::Open(tmp, nullptr);
-  if (!fresh.ok()) {
-    wal_failures_ += 1;
-    return;
-  }
+  std::string log;
   for (const FeedbackSample& sample : samples_) {
-    if (!fresh->Append(EncodeFeedbackSample(sample)).ok()) {
-      wal_failures_ += 1;
-      return;  // old log stays authoritative
-    }
+    AppendWalFrame(&log, EncodeFeedbackSample(sample));
   }
-  if (!fresh->Sync().ok()) {
-    wal_failures_ += 1;
+  if (!WriteFileAtomic(path, log).ok()) {
+    wal_failures_ += 1;  // the old log stays authoritative
     return;
   }
-  if (std::rename(tmp.c_str(), path.c_str()) != 0) {
+  Result<WalWriter> fresh = WalWriter::Open(path, nullptr);
+  if (!fresh.ok()) {
+    // The rewritten log is in place but takes no appends: memory-only.
     wal_failures_ += 1;
+    wal_dead_ = true;
     return;
   }
   wal_ = std::move(*fresh);  // old fd closes; writer now appends to `path`

@@ -40,10 +40,11 @@ struct FeedbackBufferOptions {
   std::string dir;
   /// Fsync cadence: sync after every Nth append (<=1 = every append).
   int fsync_every_n = 8;
-  /// Rewrite the log from the in-memory window once it holds more than
-  /// compact_factor * capacity records, bounding disk growth.
-  size_t compact_factor = 4;
 };
+
+/// The log is rewritten from the in-memory window once it holds more than
+/// kFeedbackCompactFactor * capacity records, bounding disk growth.
+inline constexpr size_t kFeedbackCompactFactor = 4;
 
 /// Bounded, WAL-backed ring of execution-feedback samples.
 ///
@@ -52,7 +53,8 @@ struct FeedbackBufferOptions {
 /// training windows. Durability reuses the durable tier's WAL framing
 /// ([u32 len][u32 crc][payload], see durable/wal.h) with JSON sample
 /// payloads; recovery replays the log through ReplayWalFrames, truncates
-/// any torn tail, and keeps the newest `capacity` samples. A wedged or
+/// any torn tail, and keeps the newest `capacity` samples. Compaction
+/// rewrites the log with WriteFileAtomic (common/file_io.h). A wedged or
 /// failing writer (e.g. an injected wal.append crash) degrades the buffer
 /// to memory-only — feedback keeps flowing, wal_failures() counts the
 /// loss — because the lifecycle must never stall serving on its own disk.

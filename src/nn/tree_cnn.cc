@@ -1,11 +1,10 @@
 #include "nn/tree_cnn.h"
 
-#include <unistd.h>
-
 #include <cmath>
-#include <cstdio>
+#include <cstring>
 
 #include "common/crc32.h"
+#include "common/file_io.h"
 #include "common/rng.h"
 
 namespace htapex {
@@ -335,81 +334,50 @@ size_t TreeCnn::FrozenByteSize() const {
 }
 
 Status TreeCnn::Save(const std::string& path) const {
-  // Temp file + checked writes + CRC32 footer + atomic rename: a full disk
-  // or a crash leaves either the previous good model or the complete new
-  // one, and Load detects any torn/bit-rotted file via the checksum.
-  std::string tmp = path + ".tmp";
-  std::FILE* fp = std::fopen(tmp.c_str(), "wb");
-  if (fp == nullptr) return Status::IoError("cannot open for write: " + tmp);
-  auto fail = [&](const std::string& msg) {
-    std::fclose(fp);
-    std::remove(tmp.c_str());
-    return Status::IoError(msg);
-  };
+  // Header + tensors + CRC32 footer, written atomically: a full disk or a
+  // crash leaves either the previous good model or the complete new one,
+  // and Load detects any torn/bit-rotted file via the checksum.
   int32_t header[4] = {config_.feature_dim, config_.conv1, config_.conv2,
                        config_.embed};
-  uint32_t crc = Crc32(header, sizeof(header));
-  if (std::fwrite(header, sizeof(header), 1, fp) != 1) {
-    return fail("short write to " + tmp);
-  }
+  std::string bytes(reinterpret_cast<const char*>(header), sizeof(header));
   for (const Tensor* t : AllTensors()) {
-    size_t bytes = t->v.size() * sizeof(double);
-    crc = Crc32(t->v.data(), bytes, crc);
-    if (std::fwrite(t->v.data(), sizeof(double), t->v.size(), fp) !=
-        t->v.size()) {
-      return fail("short write to " + tmp);
-    }
+    bytes.append(reinterpret_cast<const char*>(t->v.data()),
+                 t->v.size() * sizeof(double));
   }
-  if (std::fwrite(&crc, sizeof(crc), 1, fp) != 1 || std::fflush(fp) != 0 ||
-      ::fsync(::fileno(fp)) != 0) {
-    return fail("short write to " + tmp);
-  }
-  std::fclose(fp);
-  if (std::rename(tmp.c_str(), path.c_str()) != 0) {
-    std::remove(tmp.c_str());
-    return Status::IoError("cannot rename " + tmp + " -> " + path);
-  }
-  return Status::OK();
+  uint32_t crc = Crc32(bytes);
+  bytes.append(reinterpret_cast<const char*>(&crc), sizeof(crc));
+  return WriteFileAtomic(path, bytes);
 }
 
 Status TreeCnn::Load(const std::string& path) {
-  std::FILE* fp = std::fopen(path.c_str(), "rb");
-  if (fp == nullptr) return Status::IoError("cannot open for read: " + path);
+  std::string bytes;
+  HTAPEX_ASSIGN_OR_RETURN(bytes, ReadFile(path));
   int32_t header[4];
-  if (std::fread(header, sizeof(header), 1, fp) != 1) {
-    std::fclose(fp);
+  if (bytes.size() < sizeof(header)) {
     return Status::IoError("truncated model file: " + path);
   }
+  std::memcpy(header, bytes.data(), sizeof(header));
   if (header[0] != config_.feature_dim || header[1] != config_.conv1 ||
       header[2] != config_.conv2 || header[3] != config_.embed) {
-    std::fclose(fp);
     return Status::InvalidArgument("model dimensions do not match: " + path);
   }
-  // Stage into fresh buffers so a truncated/corrupt file cannot leave the
-  // live model half-overwritten.
-  uint32_t crc = Crc32(header, sizeof(header));
-  std::vector<std::vector<double>> staged;
-  for (Tensor* t : AllTensors()) {
-    std::vector<double> buf(t->v.size());
-    if (std::fread(buf.data(), sizeof(double), buf.size(), fp) !=
-        buf.size()) {
-      std::fclose(fp);
-      return Status::IoError("truncated model file: " + path);
-    }
-    crc = Crc32(buf.data(), buf.size() * sizeof(double), crc);
-    staged.push_back(std::move(buf));
+  const size_t body = sizeof(header) + ByteSize();
+  if (bytes.size() != body + sizeof(uint32_t)) {
+    return Status::IoError("model file size mismatch: " + path);
   }
   uint32_t stored_crc = 0;
-  if (std::fread(&stored_crc, sizeof(stored_crc), 1, fp) != 1) {
-    std::fclose(fp);
-    return Status::IoError("model file missing CRC32 footer: " + path);
-  }
-  std::fclose(fp);
-  if (stored_crc != crc) {
+  std::memcpy(&stored_crc, bytes.data() + body, sizeof(stored_crc));
+  if (stored_crc != Crc32(std::string_view(bytes).substr(0, body))) {
     return Status::IoError("model file CRC32 mismatch: " + path);
   }
-  size_t i = 0;
-  for (Tensor* t : AllTensors()) t->v = std::move(staged[i++]);
+  // Only a verified file reaches the live tensors, so a bad one never
+  // leaves the model half-overwritten.
+  size_t offset = sizeof(header);
+  for (Tensor* t : AllTensors()) {
+    std::memcpy(t->v.data(), bytes.data() + offset,
+                t->v.size() * sizeof(double));
+    offset += t->v.size() * sizeof(double);
+  }
   return Status::OK();
 }
 

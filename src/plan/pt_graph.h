@@ -70,10 +70,11 @@ struct SiftParams {
   double max_selectivity = 0.5;
   /// Scans estimated below this many rows are not worth sifting.
   double min_scan_rows = 1000.0;
-  /// Expected fp rates above this are flagged (`bloom_fp_overrun`): the
-  /// filter passes so much noise the transfer stops paying for itself.
-  double fp_overrun_threshold = 0.10;
 };
+
+/// Expected fp rates above this are flagged (`bloom_fp_overrun`): the
+/// filter passes so much noise the transfer stops paying for itself.
+inline constexpr double kSiftFpOverrunRate = 0.10;
 
 /// Walks the plan tree and applies profitable Bloom-filter transfers:
 /// probe-spine scans become kSiftedScan with one SiftProbe per producing

@@ -11,6 +11,7 @@
 #include "common/sim_clock.h"
 #include "durable/durable_kb.h"
 #include "obs/exposition.h"
+#include "sql/parser.h"
 
 namespace htapex {
 
@@ -102,8 +103,19 @@ void ExplainService::ShutdownInternal(bool kill) {
   }
 }
 
+std::future<Result<ExplainResult>> ExplainService::Reject(Status status) {
+  metrics_.requests.Inc();
+  metrics_.errors.Inc();
+  metrics_.degraded_failed.Inc();
+  metrics_.completed.Inc();
+  std::promise<Result<ExplainResult>> promise;
+  promise.set_value(std::move(status));
+  return promise.get_future();
+}
+
 std::future<Result<ExplainResult>> ExplainService::Submit(std::string sql,
                                                           double budget_ms) {
+  if (Status st = CheckStatementBytes(sql); !st.ok()) return Reject(st);
   Request req;
   req.sql = std::move(sql);
   req.budget_ms = budget_ms > 0.0 ? budget_ms : 0.0;
@@ -140,6 +152,11 @@ std::vector<std::future<Result<ExplainResult>>> ExplainService::SubmitBatch(
       if (stopping_) break;
       auto now = std::chrono::steady_clock::now();
       while (next < sqls.size() && queue_.size() < config_.queue_capacity) {
+        if (Status st = CheckStatementBytes(sqls[next]); !st.ok()) {
+          futures.push_back(Reject(st));
+          ++next;
+          continue;
+        }
         Request req;
         req.sql = std::move(sqls[next++]);
         req.budget_ms = budget_ms > 0.0 ? budget_ms : 0.0;

@@ -109,7 +109,9 @@ class ExplainService {
 
   /// Enqueues a query; blocks while the queue is full. The future resolves
   /// when a worker finishes it. After Shutdown() the future resolves
-  /// immediately with a typed Unavailable status.
+  /// immediately with a typed Unavailable status, and a statement over
+  /// kMaxStatementBytes (sql/parser.h) resolves at once with
+  /// InvalidArgument without ever being queued.
   ///
   /// `budget_ms` > 0 sets a per-request deadline: a request whose queue
   /// wait already exceeds the budget is rejected at dequeue with
@@ -126,8 +128,9 @@ class ExplainService {
   /// Enqueues a whole batch under one lock acquisition (chunked by the
   /// queue capacity, blocking for space as needed). Per-request mutex and
   /// wakeup traffic is what limits a high-QPS producer; batching amortizes
-  /// it. Futures are returned in input order; on a shutdown race the
-  /// un-enqueued remainder resolves with Unavailable.
+  /// it. Futures are returned in input order; oversized statements are
+  /// rejected as in Submit, and on a shutdown race the un-enqueued
+  /// remainder resolves with Unavailable.
   std::vector<std::future<Result<ExplainResult>>> SubmitBatch(
       std::vector<std::string> sqls, double budget_ms = 0.0);
 
@@ -189,6 +192,9 @@ class ExplainService {
   /// The typed kUnavailable for "this service is stopping", carrying the
   /// shard id when configured (see ServiceConfig::shard_id).
   Status DrainStatus() const;
+  /// Resolves a request at admission without queueing it, counted like a
+  /// request whose binding failed in a worker.
+  std::future<Result<ExplainResult>> Reject(Status status);
   /// Cache probe + stage two for one request whose stage one (bind/plan/
   /// batched embed) already ran via HtapExplainer::PrepareBatch.
   Result<ExplainResult> ProcessPrepared(Result<PreparedQuery> prepared_or,

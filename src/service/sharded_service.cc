@@ -57,47 +57,18 @@ ShardedExplainService::Incarnation::~Incarnation() {
 
 // --- FanoutSink -------------------------------------------------------------
 
-Status ShardedExplainService::FanoutSink::WillInsert(const KbEntry& entry) {
-  WalRecord record;
-  record.op = WalRecord::Op::kInsert;
-  record.entry = entry;
-  return Fanout(std::move(record));
-}
-
-Status ShardedExplainService::FanoutSink::WillCorrect(
-    int id, const std::string& new_explanation) {
-  WalRecord record;
-  record.op = WalRecord::Op::kCorrect;
-  record.id = id;
-  record.text = new_explanation;
-  return Fanout(std::move(record));
-}
-
-Status ShardedExplainService::FanoutSink::WillExpire(int id) {
-  WalRecord record;
-  record.op = WalRecord::Op::kExpire;
-  record.id = id;
-  return Fanout(std::move(record));
-}
-
-Status ShardedExplainService::FanoutSink::Fanout(WalRecord record) {
+Status ShardedExplainService::FanoutSink::WillApply(
+    const KbMutation& mutation) {
   // Ship to the successor BEFORE any local durability. A failed ship
   // aborts the mutation with no durable record anywhere — the caller gets
   // no ack, so "acked" always implies "on two disks". (The reverse order
   // would let an aborted mutation leave a valid local WAL record, which
-  // local recovery would then resurrect.)
-  record.ordinal = parent_->NextOrdinal(shard_);
-  HTAPEX_RETURN_IF_ERROR(parent_->ShipToReplica(shard_, record));
-  if (local_ == nullptr) return Status::OK();
-  switch (record.op) {
-    case WalRecord::Op::kInsert:
-      return local_->WillInsert(record.entry);
-    case WalRecord::Op::kCorrect:
-      return local_->WillCorrect(record.id, record.text);
-    case WalRecord::Op::kExpire:
-      return local_->WillExpire(record.id);
-  }
-  return Status::Internal("unreachable wal op");
+  // local recovery would then resurrect.) Only the shipped copy carries
+  // the replication ordinal; the local WAL record stays ordinal-free.
+  KbMutation shipped = mutation;
+  shipped.ordinal = parent_->NextOrdinal(shard_);
+  HTAPEX_RETURN_IF_ERROR(parent_->ShipToReplica(shard_, shipped));
+  return local_ == nullptr ? Status::OK() : local_->WillApply(mutation);
 }
 
 // --- ShardedExplainService --------------------------------------------------
@@ -183,7 +154,7 @@ Status ShardedExplainService::InitCommon() {
 }
 
 Status ShardedExplainService::BuildShard(
-    int shard, const std::vector<WalRecord>& bootstrap) {
+    int shard, const std::vector<KbMutation>& bootstrap) {
   auto inc = std::make_shared<Incarnation>();
   inc->explainer = std::make_unique<HtapExplainer>(system_, explainer_config_);
   // All shards embed with the routing explainer's trained weights, so ring
@@ -195,8 +166,8 @@ Status ShardedExplainService::BuildShard(
     KnowledgeBase* kb = &inc->explainer->mutable_knowledge_base();
     // Lose-disk revival: replay the replica records into the fresh KB
     // before attaching, so they become the bootstrap snapshot.
-    for (const WalRecord& record : bootstrap) {
-      Status st = ApplyWalRecord(record, kb);
+    for (const KbMutation& record : bootstrap) {
+      Status st = kb->Apply(record);
       if (!st.ok()) {
         HTAPEX_LOG(Warning) << "replica bootstrap record skipped for shard "
                             << shard << ": " << st;
@@ -479,7 +450,7 @@ Status ShardedExplainService::ReviveShard(int shard, bool lose_disk) {
       return Status::InvalidArgument("shard is not dead");
     }
   }
-  std::vector<WalRecord> bootstrap;
+  std::vector<KbMutation> bootstrap;
   if (lose_disk) {
     if (config_.data_dir.empty() || !config_.replicate_corrections ||
         config_.num_shards < 2) {
@@ -509,17 +480,18 @@ Status ShardedExplainService::ReviveShard(int shard, bool lose_disk) {
   return Status::OK();
 }
 
-Result<std::vector<WalRecord>>
+Result<std::vector<KbMutation>>
 ShardedExplainService::CollectReplicaRecords(int shard) {
-  std::vector<WalRecord> records;
+  std::vector<KbMutation> records;
   for (int host = 0; host < config_.num_shards; ++host) {
     if (host == shard) continue;
     std::string path =
         ShardDir(host) + "/replica-from-" + std::to_string(shard) + ".log";
     WalReplayStats stats;
     Status st = ReplayWalSegment(
-        path, /*truncate_torn_tail=*/false,
-        [&records](const WalRecord& record) -> Status {
+        path, routing_explainer_->knowledge_base().dim(),
+        /*truncate_torn_tail=*/false,
+        [&records](const KbMutation& record) -> Status {
           records.push_back(record);
           return Status::OK();
         },
@@ -530,14 +502,14 @@ ShardedExplainService::CollectReplicaRecords(int shard) {
   // unique (gaps where a ship was dropped are fine — those mutations were
   // never acked and never applied anywhere).
   std::stable_sort(records.begin(), records.end(),
-                   [](const WalRecord& a, const WalRecord& b) {
+                   [](const KbMutation& a, const KbMutation& b) {
                      return a.ordinal < b.ordinal;
                    });
   return records;
 }
 
 Status ShardedExplainService::ShipToReplica(int source,
-                                            const WalRecord& record) {
+                                            const KbMutation& record) {
   if (config_.data_dir.empty() || !config_.replicate_corrections ||
       config_.num_shards < 2) {
     return Status::OK();

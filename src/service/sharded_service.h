@@ -251,12 +251,9 @@ class ShardedExplainService {
     FanoutSink(ShardedExplainService* parent, int shard,
                DurableKnowledgeBase* local)
         : parent_(parent), shard_(shard), local_(local) {}
-    Status WillInsert(const KbEntry& entry) override;
-    Status WillCorrect(int id, const std::string& new_explanation) override;
-    Status WillExpire(int id) override;
+    Status WillApply(const KbMutation& mutation) override;
 
    private:
-    Status Fanout(WalRecord record);
     ShardedExplainService* parent_;
     int shard_;
     DurableKnowledgeBase* local_;
@@ -294,17 +291,17 @@ class ShardedExplainService {
   std::string ShardDir(int shard) const;
   /// Builds a fresh incarnation; `bootstrap` (may be empty) is replayed
   /// into the new KB before the durable layer attaches (lose-disk revival).
-  Status BuildShard(int shard, const std::vector<WalRecord>& bootstrap);
+  Status BuildShard(int shard, const std::vector<KbMutation>& bootstrap);
   /// Next 1-based replication ordinal for mutations originating at
   /// `source` (monotone across incarnations).
   uint64_t NextOrdinal(int source);
   /// Ships one record (already stamped with its source ordinal) to the
   /// current successor's replica log. Called by FanoutSink under the KB
   /// writer lock of the source shard.
-  Status ShipToReplica(int source, const WalRecord& record);
+  Status ShipToReplica(int source, const KbMutation& record);
   /// Collects every replica record other shards hold for `shard`, sorted
   /// by source ordinal.
-  Result<std::vector<WalRecord>> CollectReplicaRecords(int shard);
+  Result<std::vector<KbMutation>> CollectReplicaRecords(int shard);
   void OnShardFailure(int shard);
   void OnShardSuccess(int shard);
   void LogEvent(const std::string& event);

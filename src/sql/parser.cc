@@ -509,6 +509,13 @@ class Parser {
 
 }  // namespace
 
+Status CheckStatementBytes(std::string_view sql) {
+  if (sql.size() <= kMaxStatementBytes) return Status::OK();
+  return Status::InvalidArgument(
+      StrFormat("statement is %zu bytes, over the %zu-byte limit", sql.size(),
+                kMaxStatementBytes));
+}
+
 Result<SelectStatement> ParseSelect(std::string_view sql) {
   std::vector<Token> tokens;
   HTAPEX_ASSIGN_OR_RETURN(tokens, Tokenize(sql));

@@ -1,6 +1,7 @@
 #ifndef HTAPEX_SQL_PARSER_H_
 #define HTAPEX_SQL_PARSER_H_
 
+#include <cstddef>
 #include <string_view>
 
 #include "common/result.h"
@@ -13,6 +14,15 @@ namespace htapex {
 /// tables in a few ms; the greedy join order grows super-cubically past
 /// that) and the depth of the AND spine the JOIN ... ON conditions build.
 inline constexpr int kMaxStatementTables = 64;
+
+/// Longest SQL text, in bytes, that HtapSystem::Bind and ExplainService
+/// admission accept: about 5x the longest statement the repository uses
+/// (the 3,341-byte 64-table JOIN chain). Checked before any lexing, so an
+/// oversized statement costs nothing. ParseSelect itself is not capped.
+inline constexpr size_t kMaxStatementBytes = 16 * 1024;
+
+/// kInvalidArgument when `sql` is longer than kMaxStatementBytes.
+Status CheckStatementBytes(std::string_view sql);
 
 /// Parses one SELECT statement (optionally ';'-terminated). Explicit
 /// `a JOIN b ON cond` is normalized into comma-FROM plus WHERE conjuncts.

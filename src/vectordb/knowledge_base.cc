@@ -1,16 +1,97 @@
 #include "vectordb/knowledge_base.h"
 
-#include <unistd.h>
-
 #include <algorithm>
-#include <cstdio>
+#include <climits>
 #include <set>
 #include <utility>
 
-#include "common/json.h"
+#include "common/file_io.h"
 #include "common/string_util.h"
 
 namespace htapex {
+
+void EncodeKbEntry(const KbEntry& e, bool with_ids, JsonValue* out) {
+  if (with_ids) out->Set("id", JsonValue::Int(e.id));
+  out->Set("sql", JsonValue::String(e.sql));
+  JsonValue emb = JsonValue::MakeArray();
+  for (double v : e.embedding) emb.Append(JsonValue::Double(v));
+  out->Set("embedding", std::move(emb));
+  out->Set("tp_plan", JsonValue::String(e.tp_plan_json));
+  out->Set("ap_plan", JsonValue::String(e.ap_plan_json));
+  out->Set("faster", JsonValue::String(EngineName(e.faster)));
+  out->Set("tp_latency_ms", JsonValue::Double(e.tp_latency_ms));
+  out->Set("ap_latency_ms", JsonValue::Double(e.ap_latency_ms));
+  out->Set("explanation", JsonValue::String(e.expert_explanation));
+  if (with_ids) out->Set("sequence", JsonValue::Int(e.sequence));
+}
+
+Result<KbEntry> DecodeKbEntry(const JsonValue& item, int dim) {
+  KbEntry e;
+  const JsonValue* emb = item.Find("embedding");
+  if (emb == nullptr || !emb->is_array()) {
+    return Status::ParseError("missing embedding");
+  }
+  if (static_cast<int64_t>(emb->array().size()) != dim) {
+    return Status::InvalidArgument(
+        StrFormat("embedding dimension %zu != knowledge base dimension %d",
+                  emb->array().size(), dim));
+  }
+  e.embedding.reserve(emb->array().size());
+  for (const JsonValue& v : emb->array()) {
+    if (!v.is_number()) return Status::ParseError("non-numeric embedding");
+    e.embedding.push_back(v.double_value());
+  }
+  int64_t id = item.GetInt("id", -1);
+  if (item.Find("id") != nullptr && (id < 0 || id > INT_MAX)) {
+    return Status::InvalidArgument("id out of range");
+  }
+  e.id = static_cast<int>(id);
+  e.sequence = item.GetInt("sequence", 0);
+  if (e.sequence < 0 || e.sequence == INT64_MAX) {
+    return Status::InvalidArgument("sequence out of range");
+  }
+  e.sql = item.GetString("sql");
+  e.tp_plan_json = item.GetString("tp_plan");
+  e.ap_plan_json = item.GetString("ap_plan");
+  e.faster =
+      item.GetString("faster") == "AP" ? EngineKind::kAp : EngineKind::kTp;
+  e.tp_latency_ms = item.GetDouble("tp_latency_ms");
+  e.ap_latency_ms = item.GetDouble("ap_latency_ms");
+  e.expert_explanation = item.GetString("explanation");
+  return e;
+}
+
+Result<KbDocument> DecodeKbDocument(std::string_view text, int dim) {
+  JsonValue root;
+  HTAPEX_ASSIGN_OR_RETURN(root, JsonValue::Parse(text));
+  if (root.GetInt("dim") != dim) {
+    return Status::InvalidArgument(
+        "document dimension does not match knowledge base");
+  }
+  const JsonValue* items = root.Find("entries");
+  if (items == nullptr || !items->is_array()) {
+    return Status::ParseError("missing entries array");
+  }
+  KbDocument doc;
+  doc.next_sequence = root.GetInt("next_sequence", 0);
+  doc.entries.reserve(items->array().size());
+  std::set<int> seen_ids;
+  for (const JsonValue& item : items->array()) {
+    Result<KbEntry> e = DecodeKbEntry(item, dim);
+    if (!e.ok()) {
+      return Status(e.status().code(),
+                    StrFormat("entry %zu: ", doc.entries.size()) +
+                        e.status().message());
+    }
+    if (e->id >= 0 && !seen_ids.insert(e->id).second) {
+      return Status::InvalidArgument(StrFormat(
+          "entry %zu: duplicate id %d", doc.entries.size(), e->id));
+    }
+    doc.expired.push_back(item.GetBool("expired") ? 1 : 0);
+    doc.entries.push_back(std::move(e).value());
+  }
+  return doc;
+}
 
 size_t KnowledgeBase::size() const { return exact_.size(); }
 
@@ -30,7 +111,10 @@ Result<int> KnowledgeBase::Insert(KbEntry entry) {
   if (sink_ != nullptr) {
     // Write-ahead: the durable log sees the mutation before it is applied,
     // and a logging failure aborts it (nothing applied, nothing logged).
-    HTAPEX_RETURN_IF_ERROR(sink_->WillInsert(entry));
+    KbMutation insert;
+    insert.op = KbMutation::Op::kInsert;
+    insert.entry = entry;
+    HTAPEX_RETURN_IF_ERROR(sink_->WillApply(insert));
   }
   int id;
   HTAPEX_ASSIGN_OR_RETURN(id, exact_.Add(entry.embedding));
@@ -42,28 +126,48 @@ Result<int> KnowledgeBase::Insert(KbEntry entry) {
   return id;
 }
 
-Status KnowledgeBase::Restore(KbEntry entry, bool expired) {
-  if (static_cast<int>(entry.embedding.size()) != dim_) {
-    return Status::InvalidArgument("embedding dimension mismatch");
+Status KnowledgeBase::Apply(const KbMutation& mutation) {
+  switch (mutation.op) {
+    case KbMutation::Op::kInsert:
+      return Insert(mutation.entry).status();
+    case KbMutation::Op::kCorrect:
+      return CorrectExplanation(mutation.id, mutation.text);
+    case KbMutation::Op::kExpire:
+      return Expire(mutation.id);
   }
-  if (entry.id != static_cast<int>(entries_.size())) {
-    return Status::InvalidArgument(
-        "snapshot entries must restore in dense id order");
+  return Status::Internal("unreachable kb mutation op");
+}
+
+Status KnowledgeBase::Restore(KbDocument document) {
+  int64_t next_sequence = next_sequence_;
+  for (size_t i = 0; i < document.entries.size(); ++i) {
+    const KbEntry& e = document.entries[i];
+    if (e.id != static_cast<int>(entries_.size() + i)) {
+      return Status::InvalidArgument(
+          "snapshot entries must restore in dense id order");
+    }
+    next_sequence = std::max(next_sequence, e.sequence + 1);
   }
-  if (entry.sequence < 0) {
-    return Status::InvalidArgument("negative sequence in snapshot entry");
+  // Every insert ever made stays in the snapshot (expiry only tombstones),
+  // so the restored counter must equal the persisted one: a mismatch means
+  // the snapshot lied despite its checksum.
+  if (next_sequence != document.next_sequence) {
+    return Status::Internal("snapshot sequence counter inconsistent");
   }
-  int id;
-  HTAPEX_ASSIGN_OR_RETURN(id, exact_.Add(entry.embedding));
-  next_sequence_ = std::max(next_sequence_, entry.sequence + 1);
-  entries_.push_back(std::move(entry));
-  expired_.push_back(expired ? 1 : 0);
-  hits_.emplace_back(0);
-  if (expired) {
-    // Mirror Expire(): tombstoned entries stay out of the exact store so
-    // recovered search behaviour matches the pre-crash KB.
-    HTAPEX_RETURN_IF_ERROR(exact_.Remove(id));
+  for (size_t i = 0; i < document.entries.size(); ++i) {
+    KbEntry& e = document.entries[i];
+    int id;
+    HTAPEX_ASSIGN_OR_RETURN(id, exact_.Add(e.embedding));
+    entries_.push_back(std::move(e));
+    expired_.push_back(document.expired[i]);
+    hits_.emplace_back(0);
+    if (document.expired[i]) {
+      // Mirror Expire(): tombstoned entries stay out of the exact store so
+      // recovered search behaviour matches the pre-crash KB.
+      HTAPEX_RETURN_IF_ERROR(exact_.Remove(id));
+    }
   }
+  next_sequence_ = next_sequence;
   return Status::OK();
 }
 
@@ -85,7 +189,11 @@ Status KnowledgeBase::CorrectExplanation(int id, std::string new_explanation) {
     return Status::NotFound("no such knowledge-base entry");
   }
   if (sink_ != nullptr) {
-    HTAPEX_RETURN_IF_ERROR(sink_->WillCorrect(id, new_explanation));
+    KbMutation correct;
+    correct.op = KbMutation::Op::kCorrect;
+    correct.id = id;
+    correct.text = new_explanation;
+    HTAPEX_RETURN_IF_ERROR(sink_->WillApply(correct));
   }
   entries_[static_cast<size_t>(id)].expert_explanation =
       std::move(new_explanation);
@@ -98,7 +206,10 @@ Status KnowledgeBase::Expire(int id) {
     return Status::NotFound("no such knowledge-base entry");
   }
   if (sink_ != nullptr) {
-    HTAPEX_RETURN_IF_ERROR(sink_->WillExpire(id));
+    KbMutation expire;
+    expire.op = KbMutation::Op::kExpire;
+    expire.id = id;
+    HTAPEX_RETURN_IF_ERROR(sink_->WillApply(expire));
   }
   expired_[static_cast<size_t>(id)] = 1;
   return exact_.Remove(id);
@@ -135,111 +246,34 @@ std::vector<const KbEntry*> KnowledgeBase::Entries() const {
   return out;
 }
 
-Status KnowledgeBase::SaveJson(const std::string& path) const {
+std::string KnowledgeBase::ToJson(bool snapshot) const {
   JsonValue root = JsonValue::MakeObject();
   root.Set("dim", JsonValue::Int(dim_));
+  if (snapshot) root.Set("next_sequence", JsonValue::Int(next_sequence_));
   JsonValue items = JsonValue::MakeArray();
-  for (const KbEntry* e : Entries()) {
+  for (size_t i = 0; i < entries_.size(); ++i) {
+    if (expired_[i] && !snapshot) continue;
     JsonValue item = JsonValue::MakeObject();
-    item.Set("id", JsonValue::Int(e->id));
-    item.Set("sql", JsonValue::String(e->sql));
-    JsonValue emb = JsonValue::MakeArray();
-    for (double v : e->embedding) emb.Append(JsonValue::Double(v));
-    item.Set("embedding", emb);
-    item.Set("tp_plan", JsonValue::String(e->tp_plan_json));
-    item.Set("ap_plan", JsonValue::String(e->ap_plan_json));
-    item.Set("faster", JsonValue::String(EngineName(e->faster)));
-    item.Set("tp_latency_ms", JsonValue::Double(e->tp_latency_ms));
-    item.Set("ap_latency_ms", JsonValue::Double(e->ap_latency_ms));
-    item.Set("explanation", JsonValue::String(e->expert_explanation));
-    item.Set("sequence", JsonValue::Int(e->sequence));
+    EncodeKbEntry(entries_[i], /*with_ids=*/true, &item);
+    if (snapshot) item.Set("expired", JsonValue::Bool(expired_[i] != 0));
     items.Append(std::move(item));
   }
   root.Set("entries", std::move(items));
-  // Temp file + fsync + atomic rename: a crash at any point leaves either
-  // the previous good file or the complete new one, never a torn mix.
-  std::string tmp = path + ".tmp";
-  std::FILE* fp = std::fopen(tmp.c_str(), "w");
-  if (fp == nullptr) return Status::IoError("cannot open for write: " + tmp);
-  std::string text = root.Dump(2);
-  size_t written = std::fwrite(text.data(), 1, text.size(), fp);
-  if (written != text.size() || std::fflush(fp) != 0 ||
-      ::fsync(::fileno(fp)) != 0) {
-    std::fclose(fp);
-    std::remove(tmp.c_str());
-    return Status::IoError("short write to " + tmp);
-  }
-  std::fclose(fp);
-  if (std::rename(tmp.c_str(), path.c_str()) != 0) {
-    std::remove(tmp.c_str());
-    return Status::IoError("cannot rename " + tmp + " -> " + path);
-  }
-  return Status::OK();
+  return snapshot ? root.Dump() : root.Dump(2);
+}
+
+Status KnowledgeBase::SaveJson(const std::string& path) const {
+  return WriteFileAtomic(path, ToJson(/*snapshot=*/false));
 }
 
 Status KnowledgeBase::LoadJson(const std::string& path) {
-  std::FILE* fp = std::fopen(path.c_str(), "r");
-  if (fp == nullptr) return Status::IoError("cannot open for read: " + path);
-  std::string text;
-  char buf[4096];
-  size_t n;
-  while ((n = std::fread(buf, 1, sizeof(buf), fp)) > 0) text.append(buf, n);
-  std::fclose(fp);
-  JsonValue root;
-  HTAPEX_ASSIGN_OR_RETURN(root, JsonValue::Parse(text));
-  if (root.GetInt("dim") != dim_) {
-    return Status::InvalidArgument("knowledge base dimension mismatch");
+  KbDocument doc;
+  {
+    std::string text;
+    HTAPEX_ASSIGN_OR_RETURN(text, ReadFile(path));
+    HTAPEX_ASSIGN_OR_RETURN(doc, DecodeKbDocument(text, dim_));
   }
-  const JsonValue* items = root.Find("entries");
-  if (items == nullptr || !items->is_array()) {
-    return Status::ParseError("missing entries array");
-  }
-  // Validate the whole file before ingesting anything, so a malformed
-  // export is rejected atomically instead of half-loaded.
-  std::vector<KbEntry> parsed;
-  std::set<int64_t> seen_ids;
-  parsed.reserve(items->array().size());
-  for (const JsonValue& item : items->array()) {
-    KbEntry e;
-    e.sql = item.GetString("sql");
-    const JsonValue* emb = item.Find("embedding");
-    if (emb == nullptr || !emb->is_array()) {
-      return Status::ParseError("entry missing embedding");
-    }
-    for (const JsonValue& v : emb->array()) {
-      e.embedding.push_back(v.double_value());
-    }
-    if (static_cast<int>(e.embedding.size()) != dim_) {
-      return Status::InvalidArgument(StrFormat(
-          "entry %zu: embedding dimension %zu != knowledge base dimension %d",
-          parsed.size(), e.embedding.size(), dim_));
-    }
-    if (const JsonValue* id = item.Find("id"); id != nullptr) {
-      if (id->int_value() < 0) {
-        return Status::InvalidArgument(
-            StrFormat("entry %zu: negative id", parsed.size()));
-      }
-      if (!seen_ids.insert(id->int_value()).second) {
-        return Status::InvalidArgument(StrFormat(
-            "entry %zu: duplicate id %lld", parsed.size(),
-            static_cast<long long>(id->int_value())));
-      }
-    }
-    e.sequence = item.GetInt("sequence", 0);
-    if (e.sequence < 0) {
-      return Status::InvalidArgument(
-          StrFormat("entry %zu: negative sequence", parsed.size()));
-    }
-    e.tp_plan_json = item.GetString("tp_plan");
-    e.ap_plan_json = item.GetString("ap_plan");
-    e.faster =
-        item.GetString("faster") == "AP" ? EngineKind::kAp : EngineKind::kTp;
-    e.tp_latency_ms = item.GetDouble("tp_latency_ms");
-    e.ap_latency_ms = item.GetDouble("ap_latency_ms");
-    e.expert_explanation = item.GetString("explanation");
-    parsed.push_back(std::move(e));
-  }
-  for (KbEntry& e : parsed) {
+  for (KbEntry& e : doc.entries) {
     int64_t sequence = e.sequence;
     int id;
     HTAPEX_ASSIGN_OR_RETURN(id, Insert(std::move(e)));

@@ -4,9 +4,11 @@
 #include <atomic>
 #include <deque>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "common/fault.h"
+#include "common/json.h"
 #include "common/result.h"
 #include "plan/plan_node.h"
 #include "vectordb/vector_store.h"
@@ -28,19 +30,59 @@ struct KbEntry {
   int64_t sequence = 0;             // insertion order, for expiry policies
 };
 
-/// Write-ahead hook for knowledge-base mutations (see src/durable/). Each
-/// callback runs *before* the mutation is applied, after validation has
-/// already succeeded; a non-OK return aborts the mutation, leaving the KB
-/// untouched. Insert entries are passed before id/sequence assignment —
-/// both are deterministic functions of insertion order, so a replay that
-/// re-applies the logged mutations in order reproduces them exactly.
+/// One knowledge-base mutation: what the mutation sink sees before it is
+/// applied, what the write-ahead log records, what replication ships and
+/// what replay applies (KnowledgeBase::Apply). Insert entries are recorded
+/// before id/sequence assignment: both are deterministic functions of apply
+/// order, so replaying the mutations in order reproduces them exactly.
+struct KbMutation {
+  enum class Op { kInsert, kCorrect, kExpire };
+
+  Op op = Op::kInsert;
+  KbEntry entry;     // kInsert payload
+  int id = -1;       // kCorrect / kExpire target
+  std::string text;  // kCorrect replacement explanation
+  /// Per-source replication sequence number, 1-based; 0 (the default) in
+  /// local WAL segments. Replica-log shipping stamps each shipped record
+  /// with its source shard's mutation ordinal so a shard rebuilt from
+  /// replica logs scattered across several successors can restore the
+  /// original mutation order by sorting on it (see sharded_service.h).
+  uint64_t ordinal = 0;
+};
+
+/// Write-ahead hook for knowledge-base mutations (see src/durable/). Runs
+/// *before* the mutation is applied, after validation has already
+/// succeeded; a non-OK return aborts the mutation, leaving the KB untouched.
 class KbMutationSink {
  public:
   virtual ~KbMutationSink() = default;
-  virtual Status WillInsert(const KbEntry& entry) = 0;
-  virtual Status WillCorrect(int id, const std::string& new_explanation) = 0;
-  virtual Status WillExpire(int id) = 0;
+  virtual Status WillApply(const KbMutation& mutation) = 0;
 };
+
+/// The KbEntry codec every KB file shares: the export, the snapshot and the
+/// WAL insert record. Appends the entry's fields to the JSON object `out`,
+/// with `id` first and `sequence` last when `with_ids` is set. WAL insert
+/// records leave both out (they are assigned at apply time).
+void EncodeKbEntry(const KbEntry& entry, bool with_ids, JsonValue* out);
+
+/// Parses the fields EncodeKbEntry writes. The embedding must be present,
+/// numeric and `dim` long; an id must be a non-negative int and a sequence
+/// non-negative (and below INT64_MAX, so the counter can advance past it).
+/// An absent id reads as -1 and an absent sequence as 0.
+Result<KbEntry> DecodeKbEntry(const JsonValue& item, int dim);
+
+/// A decoded KB export or snapshot: validated entries in file order.
+struct KbDocument {
+  std::vector<KbEntry> entries;
+  std::vector<uint8_t> expired;  // per entry; snapshots only
+  int64_t next_sequence = 0;     // snapshots only
+};
+
+/// The one decoder for KB documents (SaveJson exports and durable
+/// snapshots). Checks the document dimension against `dim`, decodes every
+/// entry with DecodeKbEntry and rejects duplicate ids, so a bad document is
+/// refused before any of it is applied.
+Result<KbDocument> DecodeKbDocument(std::string_view text, int dim);
 
 /// The RAG knowledge base: a vector database keyed by plan-pair embeddings
 /// with the expert-curated explanations as values. Supports insertion of
@@ -105,20 +147,29 @@ class KnowledgeBase {
   /// for expiry policies); 0 for unknown ids.
   int64_t RetrievalHits(int id) const;
 
-  /// Restores one entry from a durable snapshot, preserving its recorded
-  /// id, sequence and tombstone state. Entries must arrive in dense id
-  /// order (entry.id == current entry count); the sequence counter advances
-  /// past every restored sequence. Bypasses the mutation sink and fault
-  /// injection — recovery must not re-log or fail what is already durable.
-  Status Restore(KbEntry entry, bool expired);
+  /// Applies one mutation through Insert, CorrectExplanation or Expire:
+  /// the one op -> mutation mapping WAL replay and replica bootstrap share.
+  Status Apply(const KbMutation& mutation);
+
+  /// The KB as one JSON document. A snapshot holds every entry ever
+  /// inserted (tombstones flagged `expired`) and the sequence counter, so
+  /// Restore reproduces ids exactly; an export (`snapshot` false, what
+  /// SaveJson writes) holds the live entries only.
+  std::string ToJson(bool snapshot) const;
+
+  /// Moves a decoded snapshot into this empty KB, preserving ids,
+  /// sequences and tombstones. Checks that ids are dense and that the
+  /// recorded sequence counter matches the entries before applying any.
+  /// Bypasses the mutation sink and fault injection: recovery must not
+  /// re-log or fail what is already durable.
+  Status Restore(KbDocument document);
 
   /// The next sequence number Insert would assign (durable snapshots
   /// persist this so recovery resumes the counter exactly).
   int64_t next_sequence() const { return next_sequence_; }
 
-  /// Atomic legacy export: serializes live entries (with their ids and
-  /// sequences) to `<path>.tmp`, fsyncs, then renames over `path` — a crash
-  /// mid-save never clobbers the previous good file.
+  /// Atomic export of the live entries (with their ids and sequences):
+  /// WriteFileAtomic, so a crash mid-save never clobbers the previous file.
   Status SaveJson(const std::string& path) const;
   /// Loads a SaveJson export into this KB (appending to it). Rejects
   /// dimension mismatches (whole-file and per-entry), duplicate or negative

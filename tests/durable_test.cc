@@ -76,38 +76,38 @@ TEST(Crc32Test, KnownVectorsAndIncrementality) {
 }
 
 TEST(WalRecordTest, EncodeDecodeRoundTrip) {
-  WalRecord insert;
-  insert.op = WalRecord::Op::kInsert;
+  KbMutation insert;
+  insert.op = KbMutation::Op::kInsert;
   insert.entry = MakeEntry(3);
-  auto decoded = DecodeWalRecord(EncodeWalRecord(insert));
+  auto decoded = DecodeWalRecord(EncodeWalRecord(insert), kDim);
   ASSERT_TRUE(decoded.ok()) << decoded.status().ToString();
-  EXPECT_EQ(decoded->op, WalRecord::Op::kInsert);
+  EXPECT_EQ(decoded->op, KbMutation::Op::kInsert);
   EXPECT_EQ(decoded->entry.sql, insert.entry.sql);
   EXPECT_EQ(decoded->entry.embedding, insert.entry.embedding);
   EXPECT_EQ(decoded->entry.expert_explanation,
             insert.entry.expert_explanation);
   EXPECT_EQ(decoded->entry.faster, EngineKind::kAp);
 
-  WalRecord correct;
-  correct.op = WalRecord::Op::kCorrect;
+  KbMutation correct;
+  correct.op = KbMutation::Op::kCorrect;
   correct.id = 7;
   correct.text = "better explanation";
-  decoded = DecodeWalRecord(EncodeWalRecord(correct));
+  decoded = DecodeWalRecord(EncodeWalRecord(correct), kDim);
   ASSERT_TRUE(decoded.ok());
-  EXPECT_EQ(decoded->op, WalRecord::Op::kCorrect);
+  EXPECT_EQ(decoded->op, KbMutation::Op::kCorrect);
   EXPECT_EQ(decoded->id, 7);
   EXPECT_EQ(decoded->text, "better explanation");
 
-  WalRecord expire;
-  expire.op = WalRecord::Op::kExpire;
+  KbMutation expire;
+  expire.op = KbMutation::Op::kExpire;
   expire.id = 2;
-  decoded = DecodeWalRecord(EncodeWalRecord(expire));
+  decoded = DecodeWalRecord(EncodeWalRecord(expire), kDim);
   ASSERT_TRUE(decoded.ok());
-  EXPECT_EQ(decoded->op, WalRecord::Op::kExpire);
+  EXPECT_EQ(decoded->op, KbMutation::Op::kExpire);
   EXPECT_EQ(decoded->id, 2);
 
-  EXPECT_FALSE(DecodeWalRecord("not json").ok());
-  EXPECT_FALSE(DecodeWalRecord("{\"op\":\"bogus\"}").ok());
+  EXPECT_FALSE(DecodeWalRecord("not json", kDim).ok());
+  EXPECT_FALSE(DecodeWalRecord("{\"op\":\"bogus\"}", kDim).ok());
 }
 
 TEST(WalWriterTest, AppendSyncReplay) {
@@ -119,8 +119,8 @@ TEST(WalWriterTest, AppendSyncReplay) {
   ASSERT_TRUE(writer.ok()) << writer.status().ToString();
   std::vector<std::string> payloads;
   for (int i = 0; i < 5; ++i) {
-    WalRecord r;
-    r.op = WalRecord::Op::kCorrect;
+    KbMutation r;
+    r.op = KbMutation::Op::kCorrect;
     r.id = i;
     r.text = "text " + std::to_string(i);
     payloads.push_back(EncodeWalRecord(r));
@@ -134,8 +134,8 @@ TEST(WalWriterTest, AppendSyncReplay) {
   std::vector<int> ids;
   WalReplayStats stats;
   Status st = ReplayWalSegment(
-      path, /*truncate_torn_tail=*/true,
-      [&](const WalRecord& r) {
+      path, kDim, /*truncate_torn_tail=*/true,
+      [&](const KbMutation& r) {
         ids.push_back(r.id);
         return Status::OK();
       },
@@ -154,8 +154,8 @@ TEST(WalWriterTest, TornTailTruncatedOnReplay) {
   {
     auto writer = WalWriter::Open(path, nullptr);
     ASSERT_TRUE(writer.ok());
-    WalRecord r;
-    r.op = WalRecord::Op::kExpire;
+    KbMutation r;
+    r.op = KbMutation::Op::kExpire;
     r.id = 1;
     ASSERT_TRUE(writer->Append(EncodeWalRecord(r)).ok());
     ASSERT_TRUE(writer->Sync().ok());
@@ -170,8 +170,8 @@ TEST(WalWriterTest, TornTailTruncatedOnReplay) {
   WalReplayStats stats;
   uint64_t replayed = 0;
   Status st = ReplayWalSegment(
-      path, /*truncate_torn_tail=*/true,
-      [&](const WalRecord&) {
+      path, kDim, /*truncate_torn_tail=*/true,
+      [&](const KbMutation&) {
         ++replayed;
         return Status::OK();
       },
@@ -192,16 +192,16 @@ TEST(WalWriterTest, CorruptRecordStopsReplay) {
     auto writer = WalWriter::Open(path, nullptr);
     ASSERT_TRUE(writer.ok());
     for (int i = 0; i < 3; ++i) {
-      WalRecord r;
-      r.op = WalRecord::Op::kExpire;
+      KbMutation r;
+      r.op = KbMutation::Op::kExpire;
       r.id = i;
       ASSERT_TRUE(writer->Append(EncodeWalRecord(r)).ok());
     }
     ASSERT_TRUE(writer->Sync().ok());
   }
   // Flip one payload byte inside the *second* record.
-  WalRecord probe;
-  probe.op = WalRecord::Op::kExpire;
+  KbMutation probe;
+  probe.op = KbMutation::Op::kExpire;
   probe.id = 0;
   size_t frame = 8 + EncodeWalRecord(probe).size();
   {
@@ -212,8 +212,8 @@ TEST(WalWriterTest, CorruptRecordStopsReplay) {
   WalReplayStats stats;
   uint64_t replayed = 0;
   Status st = ReplayWalSegment(
-      path, /*truncate_torn_tail=*/true,
-      [&](const WalRecord&) {
+      path, kDim, /*truncate_torn_tail=*/true,
+      [&](const KbMutation&) {
         ++replayed;
         return Status::OK();
       },
@@ -365,14 +365,13 @@ TEST(DurableKbTest, SnapshotTriggerRotatesAndCollectsGarbage) {
   DurabilityOptions opt;
   opt.dir = dir;
   opt.snapshot_every_n = 3;
-  opt.keep_generations = 2;
   DurableKnowledgeBase durable(opt);
   ASSERT_TRUE(durable.Attach(&kb).ok());
   for (int i = 0; i < 14; ++i) ASSERT_TRUE(kb.Insert(MakeEntry(i)).ok());
   EXPECT_GE(durable.metrics()->snapshots.Value(), 4u);
   EXPECT_GE(durable.metrics()->wal_rotations.Value(), 4u);
   EXPECT_GT(durable.metrics()->gc_files.Value(), 0u);
-  // Only keep_generations snapshots remain on disk; superseded WAL
+  // Only kKeptGenerations snapshots remain on disk; superseded WAL
   // segments are gone too.
   size_t snapshots = 0;
   size_t segments = 0;
@@ -398,7 +397,6 @@ TEST(DurableKbTest, CorruptNewestSnapshotFallsBackOneGeneration) {
   KnowledgeBase kb(kDim);
   DurabilityOptions opt;
   opt.dir = dir;
-  opt.keep_generations = 2;
   DurableKnowledgeBase durable(opt);
   ASSERT_TRUE(durable.Attach(&kb).ok());
   for (int i = 0; i < 4; ++i) ASSERT_TRUE(kb.Insert(MakeEntry(i)).ok());

@@ -1,6 +1,9 @@
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <cstdint>
 #include <string>
+#include <utility>
 
 #include "catalog/value.h"
 #include "common/json.h"
@@ -92,6 +95,29 @@ TEST(JsonPropertyTest, DeepNestingIsAParseErrorNotACrash) {
   auto moderate =
       JsonValue::Parse(std::string(100, '[') + std::string(100, ']'));
   EXPECT_TRUE(moderate.ok()) << moderate.status();
+}
+
+TEST(JsonPropertyTest, OutOfRangeNumbersSaturateAsIntegers) {
+  // Decoders read ids, sequences and sizes through int_value(); a double
+  // outside the int64 range must saturate, not hit an undefined cast.
+  const std::pair<const char*, int64_t> cases[] = {
+      {"1e300", INT64_MAX},
+      {"-1e300", INT64_MIN},
+      {"1e999", INT64_MAX},  // strtod overflows to +inf
+      {"-1e999", INT64_MIN},
+      {"9.3e18", INT64_MAX},
+      {"-9223372036854775808.0", INT64_MIN},
+      {"12.9", 12},
+  };
+  for (const auto& [text, expected] : cases) {
+    auto parsed = JsonValue::Parse(text);
+    ASSERT_TRUE(parsed.ok()) << text;
+    EXPECT_EQ(parsed->int_value(), expected) << text;
+  }
+  EXPECT_EQ(JsonValue::Double(std::nan("")).int_value(), 0);
+  auto doc = JsonValue::Parse("{\"id\": 1e300}");
+  ASSERT_TRUE(doc.ok());
+  EXPECT_EQ(doc->GetInt("id"), INT64_MAX);
 }
 
 TEST(DatePropertyTest, EveryDayRoundTripsAcrossTheTpchRange) {

@@ -223,7 +223,6 @@ TEST(FeedbackBufferTest, CompactionBoundsLogAndPreservesWindow) {
   const std::string dir = TestDir("compact");
   FeedbackBufferOptions opts;
   opts.capacity = 4;
-  opts.compact_factor = 2;
   opts.dir = dir;
   opts.fsync_every_n = 1;
   {
@@ -242,7 +241,7 @@ TEST(FeedbackBufferTest, CompactionBoundsLogAndPreservesWindow) {
   // far fewer records than the 40 appends — bounded by factor * capacity
   // plus the appends since the last rewrite.
   EXPECT_LE(recovered.recovery_stats().replayed,
-            opts.compact_factor * opts.capacity + 1);
+            kFeedbackCompactFactor * opts.capacity + 1);
   std::vector<PairExample> newest = recovered.NewestExamples(4);
   ASSERT_EQ(newest.size(), 4u);
   EXPECT_DOUBLE_EQ(newest.back().tp.x[1], 39.0);

@@ -12,6 +12,7 @@
 #include "obs/metrics.h"
 #include "service/explain_cache.h"
 #include "service/explain_service.h"
+#include "sql/parser.h"
 #include "workload/query_generator.h"
 
 namespace htapex {
@@ -231,6 +232,38 @@ TEST_F(ServiceTest, OverBudgetRequestRejectedAtDequeue) {
   ServiceStats stats = service.Stats();
   EXPECT_EQ(stats.early_rejections, 1u) << stats.ToString();
   EXPECT_EQ(stats.degraded_failed, 1u) << stats.ToString();
+}
+
+// A statement over kMaxStatementBytes is resolved at admission with
+// kInvalidArgument: Submit and SubmitBatch never queue it.
+TEST_F(ServiceTest, OversizeStatementRejectedAtAdmission) {
+  std::string at_cap = "SELECT COUNT(*) FROM nation WHERE n_name <> ''";
+  at_cap.insert(at_cap.size() - 1, kMaxStatementBytes - at_cap.size(), 'x');
+  const std::string over = at_cap + " ";
+  ExplainService service(explainer_, ServiceConfig{});
+  auto single = service.Submit(over).get();
+  EXPECT_EQ(single.status().code(), StatusCode::kInvalidArgument);
+  auto batch = service.SubmitBatch({at_cap, over, at_cap});
+  ASSERT_EQ(batch.size(), 3u);
+  for (size_t i = 0; i < batch.size(); ++i) {
+    auto r = batch[i].get();
+    if (i == 1) {
+      EXPECT_EQ(r.status().code(), StatusCode::kInvalidArgument);
+    } else {
+      EXPECT_TRUE(r.ok()) << r.status();
+    }
+  }
+  ServiceStats stats = service.Stats();
+  EXPECT_EQ(stats.requests, 4u) << stats.ToString();
+  EXPECT_EQ(stats.completed, 4u) << stats.ToString();
+  EXPECT_EQ(stats.errors, 2u) << stats.ToString();
+  // After shutdown a queued request would resolve Unavailable; the
+  // oversize one is still refused at admission, before the queue.
+  service.Shutdown();
+  EXPECT_EQ(service.Submit(over).get().status().code(),
+            StatusCode::kInvalidArgument);
+  EXPECT_EQ(service.Submit(at_cap).get().status().code(),
+            StatusCode::kUnavailable);
 }
 
 TEST_F(ServiceTest, ChaosFaultsDegradeGracefullyWithoutLosses) {

@@ -1,8 +1,11 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <chrono>
 #include <string>
 
 #include "catalog/tpch.h"
+#include "engine/htap_system.h"
 #include "sql/binder.h"
 #include "sql/lexer.h"
 #include "sql/parser.h"
@@ -316,6 +319,45 @@ TEST_F(BinderTest, TableCapIsInvalidArgumentBeforeBinding) {
       EXPECT_EQ(bound.status().code(), StatusCode::kInvalidArgument) << n;
     }
   }
+}
+
+/// A statement of exactly `bytes` bytes that binds: a string literal pads
+/// a one-table COUNT out to the length.
+std::string StatementOfBytes(size_t bytes) {
+  std::string sql = "SELECT COUNT(*) FROM nation WHERE n_name <> ''";
+  sql.insert(sql.size() - 1, bytes - sql.size(), 'x');
+  return sql;
+}
+
+// HtapSystem::Bind checks the byte cap before lexing: a statement at the
+// cap binds, one byte more is kInvalidArgument, and the 2,000-table join
+// (115 KB, ~4.5 ms to lex) fails in well under a millisecond.
+TEST(StatementBytesTest, CapIsInvalidArgumentBeforeLexing) {
+  HtapSystem system;
+  HtapConfig config;
+  config.data_scale_factor = 0.0;
+  ASSERT_TRUE(system.Init(config).ok());
+  const std::string at_cap = StatementOfBytes(kMaxStatementBytes);
+  ASSERT_EQ(at_cap.size(), kMaxStatementBytes);
+  auto bound = system.Bind(at_cap);
+  ASSERT_TRUE(bound.ok()) << bound.status();
+  const std::string over = StatementOfBytes(kMaxStatementBytes + 1);
+  EXPECT_EQ(system.Bind(over).status().code(), StatusCode::kInvalidArgument);
+  // ParseSelect itself stays uncapped.
+  EXPECT_TRUE(ParseSelect(over).ok());
+
+  const std::string chain = NationChain(2000);
+  ASSERT_GT(chain.size(), 100'000u);
+  double best_ms = 1e9;
+  for (int i = 0; i < 5; ++i) {
+    const auto start = std::chrono::steady_clock::now();
+    auto rejected = system.Bind(chain);
+    best_ms = std::min(best_ms, std::chrono::duration<double, std::milli>(
+                                    std::chrono::steady_clock::now() - start)
+                                    .count());
+    EXPECT_EQ(rejected.status().code(), StatusCode::kInvalidArgument);
+  }
+  EXPECT_LT(best_ms, 1.0);
 }
 
 TEST_F(BinderTest, ExpressionEvaluation) {

@@ -1,6 +1,10 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstdio>
+#include <fstream>
+#include <string>
+#include <utility>
 
 #include "common/kernels.h"
 #include "common/rng.h"
@@ -173,6 +177,31 @@ TEST(KnowledgeBaseTest, SaveLoadRoundTrip) {
   // Dimension mismatch on load.
   KnowledgeBase wrong(3);
   EXPECT_FALSE(wrong.LoadJson(path).ok());
+}
+
+// Export values outside the decoder's ranges end in a typed status, never
+// a narrowed or undefined integer: an id of 1e300 once read as INT64_MIN
+// and was rejected as "negative".
+TEST(KnowledgeBaseTest, LoadJsonRejectsOutOfRangeValues) {
+  const std::string path = ::testing::TempDir() + "/kb_ranges.json";
+  const std::pair<const char*, StatusCode> cases[] = {
+      {R"({"id": 1e300, "embedding": [1, 2]})", StatusCode::kInvalidArgument},
+      {R"({"id": 4294967296, "embedding": [1, 2]})",
+       StatusCode::kInvalidArgument},
+      {R"({"sequence": 1e999, "embedding": [1, 2]})",
+       StatusCode::kInvalidArgument},
+      {R"({"embedding": [1, "2"]})", StatusCode::kParseError},
+      {R"({"embedding": {"a": 1}})", StatusCode::kParseError},
+  };
+  for (const auto& [entry, code] : cases) {
+    std::ofstream(path) << R"({"dim": 2, "entries": [)" << entry << "]}";
+    KnowledgeBase kb(2);
+    EXPECT_EQ(kb.LoadJson(path).code(), code) << entry;
+    EXPECT_EQ(kb.size(), 0u);
+  }
+  KnowledgeBase kb(2);
+  EXPECT_EQ(kb.LoadJson(path + ".missing").code(), StatusCode::kNotFound);
+  std::remove(path.c_str());
 }
 
 TEST(KnowledgeBaseTest, WrongDimensionOrBadKRetrieveReturnsEmpty) {
