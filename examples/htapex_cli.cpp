@@ -282,19 +282,9 @@ int RunServeSharded(const HtapSystem* system, const ExplainerConfig& ec,
   ShardedServiceStats stats = tier.Stats();
   std::printf("\n=== tier stats (bucket-merged over %d shards) ===\n%s\n",
               shards, stats.merged.ToString().c_str());
-  std::printf(
-      "failover: requests=%llu failovers=%llu ejections=%llu "
-      "readmissions=%llu kills=%llu replications=%llu aborts=%llu "
-      "live=%d/%d beats=%llu\n",
-      static_cast<unsigned long long>(stats.failover.requests),
-      static_cast<unsigned long long>(stats.failover.failovers),
-      static_cast<unsigned long long>(stats.failover.ejections),
-      static_cast<unsigned long long>(stats.failover.readmissions),
-      static_cast<unsigned long long>(stats.failover.kills),
-      static_cast<unsigned long long>(stats.failover.replications),
-      static_cast<unsigned long long>(stats.failover.replicate_aborts),
-      stats.live_shards, shards,
-      static_cast<unsigned long long>(stats.heartbeats));
+  std::printf("failover: %s live=%d/%d beats=%llu\n",
+              stats.failover.ToString().c_str(), stats.live_shards, shards,
+              static_cast<unsigned long long>(stats.heartbeats));
   for (const std::string& event : tier.EventLog()) {
     std::printf("  event: %s\n", event.c_str());
   }
@@ -307,24 +297,8 @@ int RunServeSharded(const HtapSystem* system, const ExplainerConfig& ec,
 /// renders the explainer-side counters and the traces ExplainOne recorded.
 std::string InteractiveMetricsText(const HtapExplainer& explainer) {
   ExpositionBuilder b;
-  ResilienceStats r = explainer.ResilienceSnapshot();
-  b.Counter("htapex_llm_attempts_total", "Simulated-LLM call attempts",
-            r.llm_attempts);
-  b.Counter("htapex_llm_retries_total", "Attempts beyond the first",
-            r.llm_retries);
-  b.Counter("htapex_breaker_short_circuits_total",
-            "Calls rejected while a breaker was open",
-            r.breaker_short_circuits);
-  TraceMetrics::Stats t = g_trace_metrics.Snap();
-  b.Counter("htapex_traces_recorded_total", "Completed request traces",
-            t.traces);
-  b.Counter("htapex_slow_traces_total",
-            "Traces above the --trace-log threshold", t.slow_traces);
-  const char* kSpanHelp = "Per-span latency summaries from request traces";
-  for (const TraceMetrics::SpanStat& span : t.spans) {
-    b.Summary("htapex_span_latency_ms", kSpanHelp, span.hist,
-              {{"span", span.name}});
-  }
+  Expose(explainer.ResilienceSnapshot(), kServicePrefix, &b);
+  Expose(g_trace_metrics.Snap(), kServicePrefix, &b);
   return b.Text();
 }
 

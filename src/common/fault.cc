@@ -1,5 +1,6 @@
 #include "common/fault.h"
 
+#include <cmath>
 #include <cstdlib>
 
 #include "common/rng.h"
@@ -80,6 +81,9 @@ Result<FaultInjector> FaultInjector::Parse(const std::string& spec,
       if (end == v.c_str() || *end != '\0') {
         return Status::InvalidArgument("non-numeric fault param value: " + v);
       }
+      if (!std::isfinite(d)) {
+        return Status::InvalidArgument("non-finite fault param value: " + v);
+      }
       if (k == "p" || k == "prob") {
         if (d < 0.0 || d > 1.0) {
           return Status::InvalidArgument("fault probability out of [0,1]: " +
@@ -87,8 +91,10 @@ Result<FaultInjector> FaultInjector::Parse(const std::string& spec,
         }
         fs.probability = d;
       } else if (k == "lat" || k == "latency_ms") {
-        if (d < 0.0) {
-          return Status::InvalidArgument("negative fault latency: " + v);
+        if (d < 0.0 || d > kMaxFaultLatencyMs) {
+          return Status::InvalidArgument(
+              StrFormat("fault latency out of [0, %.0f] ms: %s",
+                        kMaxFaultLatencyMs, v.c_str()));
         }
         fs.latency_ms = d;
       } else {

@@ -49,6 +49,11 @@ inline constexpr char kFaultRetrainFail[] = "retrain.fail";
 inline constexpr char kFaultShadowStall[] = "shadow.stall";
 inline constexpr char kFaultSwapPublish[] = "swap.publish";
 
+/// Largest latency a spec may inject: one simulated hour, far above the
+/// hundreds of milliseconds real specs use, and small enough that the
+/// simulated clocks' integer microseconds never overflow.
+inline constexpr double kMaxFaultLatencyMs = 3'600'000.0;
+
 /// Per-point injection parameters.
 struct FaultSpec {
   double probability = 0.0;  // chance a draw fires, in [0, 1]
@@ -84,8 +89,10 @@ class FaultInjector {
  public:
   FaultInjector() = default;
 
-  /// Parses a spec string. Empty spec yields a disabled injector. Errors on
-  /// unknown point names, malformed fragments, or out-of-range values.
+  /// Parses a spec string. Empty spec yields a disabled injector. Errors
+  /// (kInvalidArgument) on unknown point names, malformed fragments, and
+  /// values that are not finite or out of range: p outside [0, 1], lat
+  /// outside [0, kMaxFaultLatencyMs].
   static Result<FaultInjector> Parse(const std::string& spec,
                                      uint64_t seed = 42);
 

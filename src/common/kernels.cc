@@ -382,24 +382,8 @@ struct DispatchTable {
   void (*max_accum)(float*, const float*, int) = MaxAccumScalar;
 };
 
-struct KernelCounters {
-  std::atomic<uint64_t> squared_l2{0};
-  std::atomic<uint64_t> gemm{0};
-  std::atomic<uint64_t> relu{0};
-  std::atomic<uint64_t> max_accum{0};
-  std::atomic<uint64_t> mask_cmp{0};
-  std::atomic<uint64_t> mask_and{0};
-  std::atomic<uint64_t> mask_andnot{0};
-  std::atomic<uint64_t> count_mask{0};
-  std::atomic<uint64_t> sum_f64{0};
-  std::atomic<uint64_t> sum_i64{0};
-  std::atomic<uint64_t> hash_i64{0};
-  std::atomic<uint64_t> hash_f64{0};
-  std::atomic<uint64_t> hash_bytes{0};
-};
-
-KernelCounters& Counters() {
-  static KernelCounters counters;
+BasicKernelStats<Counter>& Counters() {
+  static BasicKernelStats<Counter> counters;
   return counters;
 }
 
@@ -519,85 +503,85 @@ bool ForceBackendForTest(Backend backend) {
 }
 
 float SquaredL2(const float* a, const float* b, int n) {
-  Counters().squared_l2.fetch_add(1, std::memory_order_relaxed);
+  Counters().squared_l2.Inc();
   return Table().squared_l2(a, b, n);
 }
 
 void GemmAccum(const float* a, const float* b, float* c, int m, int k,
                int n) {
-  Counters().gemm.fetch_add(1, std::memory_order_relaxed);
+  Counters().gemm.Inc();
   Table().gemm(a, b, c, m, k, n);
 }
 
 void Relu(float* x, int n) {
-  Counters().relu.fetch_add(1, std::memory_order_relaxed);
+  Counters().relu.Inc();
   Table().relu(x, n);
 }
 
 void MaxAccum(float* acc, const float* x, int n) {
-  Counters().max_accum.fetch_add(1, std::memory_order_relaxed);
+  Counters().max_accum.Inc();
   Table().max_accum(acc, x, n);
 }
 
 void MaskCmpI64(const int64_t* a, int64_t lit, MaskCmpOp op, uint8_t* out,
                 int n) {
-  Counters().mask_cmp.fetch_add(1, std::memory_order_relaxed);
+  Counters().mask_cmp.Inc();
   MaskCmpT(a, lit, op, out, n);
 }
 
 void MaskCmpF64(const double* a, double lit, MaskCmpOp op, uint8_t* out,
                 int n) {
-  Counters().mask_cmp.fetch_add(1, std::memory_order_relaxed);
+  Counters().mask_cmp.Inc();
   MaskCmpT(a, lit, op, out, n);
 }
 
 void MaskAnd(uint8_t* mask, const uint8_t* other, int n) {
-  Counters().mask_and.fetch_add(1, std::memory_order_relaxed);
+  Counters().mask_and.Inc();
   for (int i = 0; i < n; ++i) mask[i] &= other[i];
 }
 
 void MaskAndNot(uint8_t* mask, const uint8_t* other, int n) {
-  Counters().mask_andnot.fetch_add(1, std::memory_order_relaxed);
+  Counters().mask_andnot.Inc();
   for (int i = 0; i < n; ++i) {
     mask[i] = static_cast<uint8_t>(mask[i] & (other[i] ^ 1));
   }
 }
 
 int64_t CountMask(const uint8_t* mask, int n) {
-  Counters().count_mask.fetch_add(1, std::memory_order_relaxed);
+  Counters().count_mask.Inc();
   int64_t count = 0;
   for (int i = 0; i < n; ++i) count += mask[i];
   return count;
 }
 
 double SumF64(const double* a, int n) {
-  Counters().sum_f64.fetch_add(1, std::memory_order_relaxed);
+  Counters().sum_f64.Inc();
   double acc = 0.0;
   for (int i = 0; i < n; ++i) acc += a[i];
   return acc;
 }
 
 int64_t SumI64(const int64_t* a, int n) {
-  Counters().sum_i64.fetch_add(1, std::memory_order_relaxed);
+  Counters().sum_i64.Inc();
   int64_t acc = 0;
   for (int i = 0; i < n; ++i) acc += a[i];
   return acc;
 }
 
 void HashI64(const int64_t* a, uint64_t* out, int n) {
-  Counters().hash_i64.fetch_add(1, std::memory_order_relaxed);
+  Counters().hash_i64.Inc();
   for (int i = 0; i < n; ++i) {
     out[i] = SplitmixDoubleBits(static_cast<double>(a[i]));
   }
 }
 
 void HashF64(const double* a, uint64_t* out, int n) {
-  Counters().hash_f64.fetch_add(1, std::memory_order_relaxed);
+  Counters().hash_f64.Inc();
   for (int i = 0; i < n; ++i) out[i] = SplitmixDoubleBits(a[i]);
 }
 
 uint64_t HashBytes(const void* data, size_t len) {
-  Counters().hash_bytes.fetch_add(1, std::memory_order_relaxed);
+  Counters().hash_bytes.Inc();
   const unsigned char* p = static_cast<const unsigned char*>(data);
   uint64_t h = 1469598103934665603ull;
   for (size_t i = 0; i < len; ++i) {
@@ -607,25 +591,7 @@ uint64_t HashBytes(const void* data, size_t len) {
   return h;
 }
 
-KernelStats Stats() {
-  const KernelCounters& c = Counters();
-  KernelStats s;
-  s.backend = ActiveBackend();
-  s.squared_l2 = c.squared_l2.load(std::memory_order_relaxed);
-  s.gemm = c.gemm.load(std::memory_order_relaxed);
-  s.relu = c.relu.load(std::memory_order_relaxed);
-  s.max_accum = c.max_accum.load(std::memory_order_relaxed);
-  s.mask_cmp = c.mask_cmp.load(std::memory_order_relaxed);
-  s.mask_and = c.mask_and.load(std::memory_order_relaxed);
-  s.mask_andnot = c.mask_andnot.load(std::memory_order_relaxed);
-  s.count_mask = c.count_mask.load(std::memory_order_relaxed);
-  s.sum_f64 = c.sum_f64.load(std::memory_order_relaxed);
-  s.sum_i64 = c.sum_i64.load(std::memory_order_relaxed);
-  s.hash_i64 = c.hash_i64.load(std::memory_order_relaxed);
-  s.hash_f64 = c.hash_f64.load(std::memory_order_relaxed);
-  s.hash_bytes = c.hash_bytes.load(std::memory_order_relaxed);
-  return s;
-}
+KernelStats Stats() { return {LoadStats(Counters()), ActiveBackend()}; }
 
 // ---------------------------------------------------------------------------
 // Arena

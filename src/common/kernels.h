@@ -6,6 +6,8 @@
 #include <memory>
 #include <vector>
 
+#include "obs/metrics.h"
+
 namespace htapex {
 namespace kernels {
 
@@ -112,21 +114,46 @@ uint64_t HashBytes(const void* data, size_t len);
 /// Per-kernel invocation counters (relaxed atomics, process-wide), exported
 /// into the Prometheus exposition next to the dispatch gauge so an operator
 /// can see both which backend is live and how hot each kernel runs.
-struct KernelStats {
+template <typename Cell>
+struct BasicKernelStats {
+  Cell squared_l2{};
+  Cell gemm{};
+  Cell relu{};
+  Cell max_accum{};
+  Cell mask_cmp{};
+  Cell mask_and{};
+  Cell mask_andnot{};
+  Cell count_mask{};
+  Cell sum_f64{};
+  Cell sum_i64{};
+  Cell hash_i64{};
+  Cell hash_f64{};
+  Cell hash_bytes{};
+
+  template <typename F, typename... G>
+  static void ForEachField(F&& f, G&... g) {
+    constexpr LabeledFamily kernel{"kernel_ops_total",
+                                   "Compute-kernel invocations by kernel",
+                                   "kernel"};
+    f(kernel("squared_l2", "squared_l2"), g.squared_l2...);
+    f(kernel("gemm", "gemm"), g.gemm...);
+    f(kernel("relu", "relu"), g.relu...);
+    f(kernel("max_accum", "max_accum"), g.max_accum...);
+    f(kernel("mask_cmp", "mask_cmp"), g.mask_cmp...);
+    f(kernel("mask_and", "mask_and"), g.mask_and...);
+    f(kernel("mask_andnot", "mask_andnot"), g.mask_andnot...);
+    f(kernel("count_mask", "count_mask"), g.count_mask...);
+    f(kernel("sum_f64", "sum_f64"), g.sum_f64...);
+    f(kernel("sum_i64", "sum_i64"), g.sum_i64...);
+    f(kernel("hash_i64", "hash_i64"), g.hash_i64...);
+    f(kernel("hash_f64", "hash_f64"), g.hash_f64...);
+    f(kernel("hash_bytes", "hash_bytes"), g.hash_bytes...);
+  }
+};
+
+/// Snapshot of the counters, with the backend they dispatch to.
+struct KernelStats : BasicKernelStats<uint64_t> {
   Backend backend = Backend::kScalar;
-  uint64_t squared_l2 = 0;
-  uint64_t gemm = 0;
-  uint64_t relu = 0;
-  uint64_t max_accum = 0;
-  uint64_t mask_cmp = 0;
-  uint64_t mask_and = 0;
-  uint64_t mask_andnot = 0;
-  uint64_t count_mask = 0;
-  uint64_t sum_f64 = 0;
-  uint64_t sum_i64 = 0;
-  uint64_t hash_i64 = 0;
-  uint64_t hash_f64 = 0;
-  uint64_t hash_bytes = 0;
 };
 KernelStats Stats();
 

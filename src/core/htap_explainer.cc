@@ -10,6 +10,10 @@ namespace htapex {
 
 namespace {
 
+// Router training workload: queries generated, and epochs over them.
+constexpr int kRouterTrainQueries = 320;
+constexpr int kRouterTrainEpochs = 60;
+
 LlmPersona ConfigPersona(const ExplainerConfig& config) {
   return config.persona == "gpt4" ? Gpt4Persona() : DoubaoPersona();
 }
@@ -65,7 +69,7 @@ Status HtapExplainer::ConfigureFaults(const std::string& spec,
   HTAPEX_ASSIGN_OR_RETURN(
       faults_, FaultInjector::Parse(spec == "off" ? "" : spec, fault_seed));
   kb_.set_fault_injector(&faults_);
-  resilience_metrics_.Reset();
+  ResetStats(resilience_metrics_);
   RebuildResilientLlms();
   if (faults_.enabled()) {
     HTAPEX_LOG(Info) << "fault injection active: " << faults_.ToString()
@@ -96,7 +100,7 @@ Result<RouterTrainStats> HtapExplainer::TrainRouter() {
   QueryGenerator gen(system_->config().stats_scale_factor,
                      config_.seed ^ 0xa11ce);
   std::vector<PairExample> dataset;
-  auto queries = gen.GenerateMix(config_.router_train_queries);
+  auto queries = gen.GenerateMix(kRouterTrainQueries);
   dataset.reserve(queries.size());
   for (const GeneratedQuery& gq : queries) {
     BoundQuery query;
@@ -108,7 +112,7 @@ Result<RouterTrainStats> HtapExplainer::TrainRouter() {
                             : EngineKind::kAp;
     dataset.push_back(router_.MakeExample(plans, faster));
   }
-  RouterTrainStats stats = router_.Train(dataset, config_.router_train_epochs);
+  RouterTrainStats stats = router_.Train(dataset, kRouterTrainEpochs);
   HTAPEX_LOG(Info) << "router trained on " << dataset.size() << " queries: "
                    << 100.0 * stats.train_accuracy << "% train accuracy in "
                    << stats.wall_seconds << "s";

@@ -29,9 +29,6 @@ struct ExplainerConfig {
   /// false = DBG-PT-style baseline: no knowledge retrieved, RAG sections
   /// removed from the prompt (the paper's Section VI-D comparison setup).
   bool use_rag = true;
-  /// Router training workload size and epochs.
-  int router_train_queries = 320;
-  int router_train_epochs = 60;
   uint64_t seed = 7;
   /// Fault-injection spec (see common/fault.h), e.g.
   /// "llm.transient_error:p=0.2;llm.timeout:p=0.1,lat=500". Empty reads the
@@ -216,7 +213,7 @@ class HtapExplainer {
 
   /// Point-in-time copy of the resilience counters.
   ResilienceStats ResilienceSnapshot() const {
-    return SnapshotResilience(resilience_metrics_);
+    return LoadStats(resilience_metrics_);
   }
   const FaultInjector& faults() const { return faults_; }
   /// Breaker state of the primary (RAG) dependency.

@@ -104,9 +104,7 @@ class DurableKnowledgeBase : public KbMutationSink {
   /// update, GC of superseded files. Mutation-count trigger resets.
   Status Snapshot();
 
-  DurabilityStats StatsSnapshot() const {
-    return SnapshotDurability(metrics_);
-  }
+  DurabilityStats StatsSnapshot() const { return LoadStats(metrics_); }
   DurabilityMetrics* metrics() { return &metrics_; }
   const DurabilityOptions& options() const { return options_; }
   /// Mutations logged since the last installed snapshot.

@@ -7,6 +7,17 @@
 
 namespace htapex {
 
+namespace {
+
+// Candidate retrain minibatch size and learning rate.
+constexpr int kRetrainBatchSize = 16;
+constexpr double kRetrainLearningRate = 5e-3;
+// Accuracy margin a shadowed candidate needs over the serving snapshot to
+// be swapped in: a tie swaps.
+constexpr double kShadowMinGain = 0.0;
+
+}  // namespace
+
 const char* LifecyclePhaseName(LifecyclePhase phase) {
   switch (phase) {
     case LifecyclePhase::kIdle:
@@ -122,22 +133,24 @@ void ModelLifecycleManager::StepIdleLocked() {
   }
   last_eval_total_ = total;
   double recent = ServingAccuracyLocked(options_.drift_window);
-  serving_accuracy_ = recent;
+  stats_.serving_accuracy = recent;
   if (!baseline_set_) {
     baseline_set_ = true;
-    baseline_accuracy_ = recent;
+    stats_.baseline_accuracy = recent;
     LogLocked(StrFormat("baseline set acc=%.4f", recent));
     return;
   }
-  if (recent > baseline_accuracy_) {
-    baseline_accuracy_ = recent;  // high-water mark
+  if (recent > stats_.baseline_accuracy) {
+    stats_.baseline_accuracy = recent;  // high-water mark
     return;
   }
-  if (baseline_accuracy_ - recent < options_.drift_threshold) return;
-  counters_.drift_detections += 1;
+  if (stats_.baseline_accuracy - recent < options_.drift_threshold) return;
+  stats_.drift_detections += 1;
   LogLocked(StrFormat("drift detected recent=%.4f baseline=%.4f", recent,
-                      baseline_accuracy_));
-  if (options_.curate_on_drift) CurateLocked();
+                      stats_.baseline_accuracy));
+  // Stale routing usually means stale KB exemplars too: same cause, same
+  // fix.
+  CurateLocked();
   ++cycle_;
   shadow_attempt_ = 0;
   phase_ = LifecyclePhase::kRetrain;
@@ -149,7 +162,7 @@ void ModelLifecycleManager::StepRetrainLocked() {
   if (faults_ != nullptr) {
     FaultDraw draw = faults_->Draw(kFaultRetrainFail, cycle_, 0);
     if (draw.fired) {
-      counters_.retrain_failures += 1;
+      stats_.retrain_failures += 1;
       sim_millis_ += draw.latency_ms;
       phase_ = LifecyclePhase::kIdle;
       LogLocked(StrFormat("retrain failed cycle=%llu; serving v%llu unchanged",
@@ -169,9 +182,9 @@ void ModelLifecycleManager::StepRetrainLocked() {
   // workloads want the new regime learned, not the old one fine-tuned.
   candidate_ = std::make_unique<SmartRouter>(options_.seed);
   RouterTrainStats stats = candidate_->Train(
-      examples, options_.retrain_epochs, options_.retrain_batch_size,
-      options_.retrain_learning_rate);
-  counters_.retrains += 1;
+      examples, options_.retrain_epochs, kRetrainBatchSize,
+      kRetrainLearningRate);
+  stats_.retrains += 1;
   LogLocked(StrFormat("retrain complete cycle=%llu examples=%llu acc=%.4f",
                       (unsigned long long)cycle_,
                       (unsigned long long)examples.size(),
@@ -186,10 +199,10 @@ void ModelLifecycleManager::StepShadowLocked() {
     FaultDraw draw = faults_->Draw(kFaultShadowStall, cycle_, shadow_attempt_);
     ++shadow_attempt_;
     if (draw.fired) {
-      counters_.shadow_stalls += 1;
+      stats_.shadow_stalls += 1;
       sim_millis_ += draw.latency_ms > 0 ? draw.latency_ms : 50.0;
       if (++shadow_stalls_ > options_.max_shadow_stalls) {
-        counters_.shadow_aborts += 1;
+        stats_.shadow_aborts += 1;
         candidate_.reset();
         phase_ = LifecyclePhase::kIdle;
         LogLocked(StrFormat(
@@ -208,15 +221,15 @@ void ModelLifecycleManager::StepShadowLocked() {
       buffer_.NewestExamples(options_.shadow_window);
   double serving = router_->EvaluateAccuracy(window);
   double candidate = candidate_->EvaluateAccuracy(window);
-  counters_.shadow_runs += 1;
-  serving_accuracy_ = serving;
-  candidate_accuracy_ = candidate;
+  stats_.shadow_runs += 1;
+  stats_.serving_accuracy = serving;
+  stats_.candidate_accuracy = candidate;
   LogLocked(StrFormat("shadow scored cycle=%llu serving=%.4f candidate=%.4f",
                       (unsigned long long)cycle_, serving, candidate));
-  if (candidate >= serving + options_.shadow_min_gain && candidate > 0.0) {
+  if (candidate >= serving + kShadowMinGain && candidate > 0.0) {
     AttemptSwapLocked();
   } else {
-    counters_.shadow_rejects += 1;
+    stats_.shadow_rejects += 1;
     candidate_.reset();
     phase_ = LifecyclePhase::kIdle;
     LogLocked(StrFormat("candidate rejected cycle=%llu; serving v%llu kept",
@@ -229,7 +242,7 @@ void ModelLifecycleManager::AttemptSwapLocked() {
   if (faults_ != nullptr) {
     FaultDraw draw = faults_->Draw(kFaultSwapPublish, cycle_, 0);
     if (draw.fired) {
-      counters_.swap_failures += 1;
+      stats_.swap_failures += 1;
       candidate_.reset();
       phase_ = LifecyclePhase::kIdle;
       LogLocked(StrFormat(
@@ -246,12 +259,12 @@ void ModelLifecycleManager::AttemptSwapLocked() {
   retained.master = router_->CloneMaster();
   retained.version = router_->frozen_version();
   retained.crc = router_->frozen_crc();
-  retained.baseline = baseline_accuracy_;
+  retained.baseline = stats_.baseline_accuracy;
   router_->CloneWeightsFrom(*candidate_);  // atomic RCU publication inside
   retained_ = std::move(retained);
   candidate_.reset();
-  counters_.swaps += 1;
-  expected_accuracy_ = candidate_accuracy_;
+  stats_.swaps += 1;
+  expected_accuracy_ = stats_.candidate_accuracy;
   watch_start_total_ = buffer_.total_added();
   phase_ = LifecyclePhase::kWatch;
   LogLocked(StrFormat("swap published v%llu crc=%08x expected=%.4f",
@@ -264,16 +277,16 @@ void ModelLifecycleManager::StepWatchLocked() {
     return;  // not enough post-swap traffic for a verdict yet
   }
   double post = ServingAccuracyLocked(options_.watch_window);
-  serving_accuracy_ = post;
+  stats_.serving_accuracy = post;
   if (post + options_.regression_threshold < expected_accuracy_) {
     RollbackLocked(StrFormat("regression post=%.4f expected=%.4f", post,
                              expected_accuracy_));
     return;
   }
   baseline_set_ = true;
-  baseline_accuracy_ = post;
+  stats_.baseline_accuracy = post;
   last_eval_total_ = buffer_.total_added();
-  retained_->baseline = baseline_accuracy_;
+  retained_->baseline = stats_.baseline_accuracy;
   phase_ = LifecyclePhase::kIdle;
   LogLocked(StrFormat("swap accepted v%llu post=%.4f",
                       (unsigned long long)router_->frozen_version(), post));
@@ -282,7 +295,7 @@ void ModelLifecycleManager::StepWatchLocked() {
 void ModelLifecycleManager::RollbackLocked(const std::string& why) {
   if (!retained_.has_value()) return;
   Status status = router_->AdoptMaster(*retained_->master);
-  counters_.rollbacks += 1;
+  stats_.rollbacks += 1;
   if (!status.ok()) {
     LogLocked("rollback failed: " + status.message());
     return;
@@ -293,7 +306,7 @@ void ModelLifecycleManager::RollbackLocked(const std::string& why) {
       why.c_str(), (unsigned long long)router_->frozen_version(),
       router_->frozen_crc(), retained_->crc, bit_identical ? 1 : 0));
   baseline_set_ = true;
-  baseline_accuracy_ = retained_->baseline;
+  stats_.baseline_accuracy = retained_->baseline;
   retained_.reset();
   // Cooldown: drift evaluation restarts from fresh traffic so the rolled-
   // back model is not immediately re-flagged on the window that sank the
@@ -311,8 +324,8 @@ void ModelLifecycleManager::CurateLocked() {
     LogLocked("kb curation failed: " + status.message());
     return;
   }
-  counters_.kb_expired += expired;
-  counters_.kb_backfilled += backfilled;
+  stats_.kb_expired += expired;
+  stats_.kb_backfilled += backfilled;
   LogLocked(StrFormat("kb curated expired=%llu backfilled=%llu",
                       (unsigned long long)expired,
                       (unsigned long long)backfilled));
@@ -369,15 +382,12 @@ LifecyclePhase ModelLifecycleManager::phase() const {
 
 LifecycleStats ModelLifecycleManager::Stats() const {
   std::lock_guard<std::mutex> lock(mu_);
-  LifecycleStats stats = counters_;
+  LifecycleStats stats = stats_;
   stats.phase = LifecyclePhaseName(phase_);
   stats.active_version = router_->frozen_version();
   stats.active_crc = router_->frozen_crc();
   stats.feedback_samples = buffer_.total_added();
   stats.feedback_wal_failures = buffer_.wal_failures();
-  stats.serving_accuracy = serving_accuracy_;
-  stats.baseline_accuracy = baseline_accuracy_;
-  stats.candidate_accuracy = candidate_accuracy_;
   return stats;
 }
 

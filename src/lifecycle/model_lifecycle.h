@@ -52,8 +52,6 @@ struct LifecycleOptions {
   // --- retrain (kRetrain) ---
   size_t retrain_window = 256;  // newest samples used as the training set
   int retrain_epochs = 40;
-  int retrain_batch_size = 16;
-  double retrain_learning_rate = 5e-3;
 
   // --- shadow validation (kShadow) ---
   /// Samples the candidate and serving snapshot are both scored on.
@@ -63,8 +61,6 @@ struct LifecycleOptions {
   /// shadow.stall faults absorbed before the run is abandoned — bounds the
   /// phase even under a p=1 stall spec.
   int max_shadow_stalls = 3;
-  /// Candidate must beat serving accuracy by at least this much to swap.
-  double shadow_min_gain = 0.0;
 
   // --- post-swap watch (kWatch) ---
   /// Fresh samples required after a swap before the verdict.
@@ -77,9 +73,6 @@ struct LifecycleOptions {
   /// Auto-tick cadence for MaybeTick: attempt a tick every Nth recorded
   /// sample (0 = external ticks only).
   size_t tick_every_samples = 8;
-  /// Run the curation hook when drift fires (stale routing usually means
-  /// stale KB exemplars too — same cause, same fix).
-  bool curate_on_drift = true;
   /// Candidate retrain seed (determinism contract).
   uint64_t seed = 7;
 };
@@ -191,9 +184,6 @@ class ModelLifecycleManager {
   uint64_t cycle_ = 0;  // retrain cycles started; fault-draw key
   uint64_t last_eval_total_ = 0;
   bool baseline_set_ = false;
-  double baseline_accuracy_ = 0.0;
-  double serving_accuracy_ = 0.0;
-  double candidate_accuracy_ = 0.0;
   std::unique_ptr<SmartRouter> candidate_;
   int shadow_beats_left_ = 0;
   int shadow_stalls_ = 0;
@@ -201,7 +191,9 @@ class ModelLifecycleManager {
   uint64_t watch_start_total_ = 0;
   double expected_accuracy_ = 0.0;  // what the winning candidate shadowed
   std::optional<Retained> retained_;
-  LifecycleStats counters_;  // counter fields only; identity filled by Stats
+  /// Event counters and accuracies; Stats() adds the phase, the serving
+  /// snapshot's identity and the feedback counts.
+  LifecycleStats stats_;
   std::vector<std::string> events_;
   double sim_millis_ = 0.0;
 };

@@ -21,6 +21,11 @@ constexpr uint64_t kBackoffPurpose = 0xbac0ffull;
 constexpr double kDefaultTransientMs = 50.0;
 constexpr double kDefaultSlowMs = 2'000.0;
 
+// Full-jitter exponential backoff: sleep ~ U(0, min(cap, base * 2^k))
+// after failed attempt k.
+constexpr double kBackoffBaseMs = 250.0;
+constexpr double kBackoffCapMs = 4'000.0;
+
 }  // namespace
 
 const char* BreakerStateName(BreakerState s) {
@@ -235,8 +240,7 @@ Result<LlmCallOutcome> ResilientLlm::Explain(const Prompt& prompt,
     breaker_.RecordFailure(sim_now_ms());
     if (attempt + 1 < policy_.max_attempts) {
       // Full-jitter exponential backoff on the simulated clock.
-      double cap = std::min(policy_.backoff_cap_ms,
-                            policy_.backoff_base_ms * std::exp2(attempt));
+      double cap = std::min(kBackoffCapMs, kBackoffBaseMs * std::exp2(attempt));
       Rng rng(MixFaultSeed(policy_.seed, kBackoffPurpose, key, a));
       double backoff_ms = rng.UniformReal(0.0, cap);
       note("backoff", StrFormat("%.1f ms", backoff_ms));

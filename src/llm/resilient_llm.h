@@ -23,11 +23,9 @@ struct ResiliencePolicy {
   /// this is abandoned as a timeout. The paper reports thinking <= 2 s and
   /// generation ~10 s, so 15 s comfortably covers a healthy call.
   double attempt_deadline_ms = 15'000.0;
-  /// Bounded retries (total attempts, including the first).
+  /// Bounded retries (total attempts, including the first), with
+  /// full-jitter exponential backoff between them (see resilient_llm.cc).
   int max_attempts = 3;
-  /// Full-jitter exponential backoff: sleep ~ U(0, min(cap, base * 2^k)).
-  double backoff_base_ms = 250.0;
-  double backoff_cap_ms = 4'000.0;
   /// Breaker opens after this many consecutive failures...
   int breaker_failure_threshold = 5;
   /// ...and half-opens (admits one probe) after this simulated cooldown.

@@ -39,6 +39,18 @@ std::string EscapeLabelValue(const std::string& v) {
   return out;
 }
 
+std::string FamilyName(std::string_view prefix, const MetricRow& row) {
+  const char* family = row.tier_family != nullptr && prefix == kTierPrefix
+                           ? row.tier_family
+                           : row.family;
+  return std::string(prefix) + family;
+}
+
+ExpositionLabels RowLabels(const MetricRow& row) {
+  if (row.label == nullptr) return {};
+  return {{row.label, row.value}};
+}
+
 /// Renders a finite double without trailing-zero noise.
 std::string FormatValue(double v) {
   if (std::isnan(v)) return "NaN";
@@ -103,6 +115,40 @@ void ExpositionBuilder::Summary(const std::string& name,
   }
   Sample(name + "_count", labels, static_cast<double>(snap.count));
   Sample(name + "_sum", labels, snap.sum_ms);
+}
+
+void ExpositionBuilder::Field(std::string_view prefix, const MetricRow& row,
+                              uint64_t value) {
+  std::string name = FamilyName(prefix, row);
+  if (name.ends_with("_total")) {
+    Counter(name, row.help, value, RowLabels(row));
+  } else {
+    Gauge(name, row.help, static_cast<double>(value), RowLabels(row));
+  }
+}
+
+void ExpositionBuilder::Field(std::string_view prefix, const MetricRow& row,
+                              double value) {
+  Gauge(FamilyName(prefix, row), row.help, value, RowLabels(row));
+}
+
+void ExpositionBuilder::Field(std::string_view prefix, const MetricRow& row,
+                              const LatencyHistogram::Snapshot& value) {
+  Summary(FamilyName(prefix, row), row.help, value, RowLabels(row));
+}
+
+void Expose(const ServiceStats& s, std::string_view prefix,
+            ExpositionBuilder* b) {
+  Expose<ServiceStats>(s, prefix, b);  // the service's own fields
+  Expose(s.cache, prefix, b);
+  Expose(s.resilience, prefix, b);
+  if (s.durability_enabled) Expose(s.durability, prefix, b);
+  if (s.lifecycle_enabled) {
+    b->Gauge(std::string(prefix) + "lifecycle_phase",
+             "Current lifecycle phase (constant 1, labeled)", 1.0,
+             {{"phase", s.lifecycle.phase}});
+    Expose(s.lifecycle, prefix, b);
+  }
 }
 
 namespace {

@@ -3,6 +3,7 @@
 
 #include <cstdint>
 #include <string>
+#include <string_view>
 #include <utility>
 #include <vector>
 
@@ -37,6 +38,13 @@ class ExpositionBuilder {
                const LatencyHistogram::Snapshot& snap,
                const ExpositionLabels& labels = {});
 
+  /// One sample of a stats group's field list under `prefix`: a counter,
+  /// gauge or summary as MetricRow describes.
+  void Field(std::string_view prefix, const MetricRow& row, uint64_t value);
+  void Field(std::string_view prefix, const MetricRow& row, double value);
+  void Field(std::string_view prefix, const MetricRow& row,
+             const LatencyHistogram::Snapshot& value);
+
   const std::string& Text() const { return out_; }
 
  private:
@@ -48,6 +56,27 @@ class ExpositionBuilder {
   std::string out_;
   std::vector<std::string> declared_;  // families with emitted headers
 };
+
+/// Family prefixes: a service's own page, and the sharded tier's page for
+/// the service groups it merges across shards.
+inline constexpr std::string_view kServicePrefix = "htapex_";
+inline constexpr std::string_view kTierPrefix = "htapex_tier_";
+
+/// Renders every field of a stats group (see MetricRow) under `prefix`.
+template <typename Group>
+void Expose(const Group& g, std::string_view prefix, ExpositionBuilder* b) {
+  Group::ForEachField(
+      [&](const MetricRow& row, const auto& cell) {
+        b->Field(prefix, row, cell);
+      },
+      g);
+}
+
+/// A service's groups: its own fields, the result cache, resilience, and
+/// durability and the lifecycle when enabled. The lifecycle phase is the
+/// one hand-written sample: a labeled state gauge.
+void Expose(const ServiceStats& s, std::string_view prefix,
+            ExpositionBuilder* b);
 
 /// One parsed sample line.
 struct ExpositionSample {

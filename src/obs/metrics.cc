@@ -126,276 +126,68 @@ LatencyHistogram::Snapshot LatencyHistogram::Merge(const Snapshot& a,
   return m;
 }
 
-ResilienceStats SnapshotResilience(const ResilienceMetrics& metrics) {
-  ResilienceStats s;
-  s.llm_attempts = metrics.llm_attempts.Value();
-  s.llm_retries = metrics.llm_retries.Value();
-  s.llm_timeouts = metrics.llm_timeouts.Value();
-  s.llm_transient_errors = metrics.llm_transient_errors.Value();
-  s.llm_garbled = metrics.llm_garbled.Value();
-  s.llm_slow = metrics.llm_slow.Value();
-  s.budget_exhausted = metrics.budget_exhausted.Value();
-  s.breaker_opens = metrics.breaker_opens.Value();
-  s.breaker_half_opens = metrics.breaker_half_opens.Value();
-  s.breaker_closes = metrics.breaker_closes.Value();
-  s.breaker_short_circuits = metrics.breaker_short_circuits.Value();
-  s.fallbacks_baseline = metrics.fallbacks_baseline.Value();
-  s.fallbacks_plan_diff = metrics.fallbacks_plan_diff.Value();
-  s.kb_insert_retries = metrics.kb_insert_retries.Value();
-  return s;
+void AppendField(std::string* out, const char* field, uint64_t value) {
+  if (!out->empty()) *out += ' ';
+  *out += StrFormat("%s=%llu", field, static_cast<unsigned long long>(value));
 }
 
-std::string ResilienceStats::ToString() const {
-  return StrFormat(
-      "attempts=%llu retries=%llu timeouts=%llu transient=%llu garbled=%llu "
-      "slow=%llu budget_exhausted=%llu breaker(open=%llu half=%llu "
-      "close=%llu short_circuit=%llu) fallbacks(baseline=%llu "
-      "plan_diff=%llu) kb_insert_retries=%llu",
-      static_cast<unsigned long long>(llm_attempts),
-      static_cast<unsigned long long>(llm_retries),
-      static_cast<unsigned long long>(llm_timeouts),
-      static_cast<unsigned long long>(llm_transient_errors),
-      static_cast<unsigned long long>(llm_garbled),
-      static_cast<unsigned long long>(llm_slow),
-      static_cast<unsigned long long>(budget_exhausted),
-      static_cast<unsigned long long>(breaker_opens),
-      static_cast<unsigned long long>(breaker_half_opens),
-      static_cast<unsigned long long>(breaker_closes),
-      static_cast<unsigned long long>(breaker_short_circuits),
-      static_cast<unsigned long long>(fallbacks_baseline),
-      static_cast<unsigned long long>(fallbacks_plan_diff),
-      static_cast<unsigned long long>(kb_insert_retries));
+void AppendField(std::string* out, const char* field, double value) {
+  if (!out->empty()) *out += ' ';
+  *out += StrFormat("%s=%.3f", field, value);
 }
 
-DurabilityStats SnapshotDurability(const DurabilityMetrics& metrics) {
-  DurabilityStats s;
-  s.wal_appends = metrics.wal_appends.Value();
-  s.wal_fsyncs = metrics.wal_fsyncs.Value();
-  s.wal_bytes = metrics.wal_bytes.Value();
-  s.wal_rotations = metrics.wal_rotations.Value();
-  s.snapshots = metrics.snapshots.Value();
-  s.snapshot_failures = metrics.snapshot_failures.Value();
-  s.snapshot_fallbacks = metrics.snapshot_fallbacks.Value();
-  s.replayed_records = metrics.replayed_records.Value();
-  s.truncated_records = metrics.truncated_records.Value();
-  s.corrupt_records = metrics.corrupt_records.Value();
-  s.recoveries = metrics.recoveries.Value();
-  s.recovery_micros = metrics.recovery_micros.Value();
-  s.gc_files = metrics.gc_files.Value();
-  return s;
-}
-
-std::string DurabilityStats::ToString() const {
-  return StrFormat(
-      "wal(appends=%llu fsyncs=%llu bytes=%llu rotations=%llu) "
-      "snapshots(ok=%llu failed=%llu fallbacks=%llu) "
-      "replay(records=%llu truncated=%llu corrupt=%llu) "
-      "recoveries=%llu recovery=%.2fms gc_files=%llu",
-      static_cast<unsigned long long>(wal_appends),
-      static_cast<unsigned long long>(wal_fsyncs),
-      static_cast<unsigned long long>(wal_bytes),
-      static_cast<unsigned long long>(wal_rotations),
-      static_cast<unsigned long long>(snapshots),
-      static_cast<unsigned long long>(snapshot_failures),
-      static_cast<unsigned long long>(snapshot_fallbacks),
-      static_cast<unsigned long long>(replayed_records),
-      static_cast<unsigned long long>(truncated_records),
-      static_cast<unsigned long long>(corrupt_records),
-      static_cast<unsigned long long>(recoveries), recovery_ms(),
-      static_cast<unsigned long long>(gc_files));
+void AppendField(std::string* out, const char* field,
+                 const LatencyHistogram::Snapshot& value) {
+  if (!out->empty()) *out += ' ';
+  *out += StrFormat(
+      "%s=[n=%llu mean=%.3f p50=%.3f p95=%.3f p99=%.3f max=%.3f ms]", field,
+      static_cast<unsigned long long>(value.count), value.mean_ms(),
+      value.p50_ms, value.p95_ms, value.p99_ms, value.max_ms);
 }
 
 std::string LifecycleStats::ToString() const {
-  return StrFormat(
-      "phase=%s v%llu crc=%08x samples=%llu drift=%llu "
-      "retrain(ok=%llu fail=%llu) shadow(runs=%llu rejects=%llu stalls=%llu "
-      "aborts=%llu) swaps=%llu swap_fail=%llu rollbacks=%llu "
-      "kb(expired=%llu backfilled=%llu) acc(serving=%.3f baseline=%.3f "
-      "candidate=%.3f)",
-      phase.empty() ? "-" : phase.c_str(),
-      static_cast<unsigned long long>(active_version),
-      static_cast<unsigned>(active_crc),
-      static_cast<unsigned long long>(feedback_samples),
-      static_cast<unsigned long long>(drift_detections),
-      static_cast<unsigned long long>(retrains),
-      static_cast<unsigned long long>(retrain_failures),
-      static_cast<unsigned long long>(shadow_runs),
-      static_cast<unsigned long long>(shadow_rejects),
-      static_cast<unsigned long long>(shadow_stalls),
-      static_cast<unsigned long long>(shadow_aborts),
-      static_cast<unsigned long long>(swaps),
-      static_cast<unsigned long long>(swap_failures),
-      static_cast<unsigned long long>(rollbacks),
-      static_cast<unsigned long long>(kb_expired),
-      static_cast<unsigned long long>(kb_backfilled), serving_accuracy,
-      baseline_accuracy, candidate_accuracy);
+  return "phase=" + (phase.empty() ? std::string("-") : phase) + " " +
+         StatsToString(*this);
 }
 
-LifecycleStats MergeLifecycleStats(const LifecycleStats& a,
-                                   const LifecycleStats& b) {
-  LifecycleStats m;
-  m.feedback_samples = a.feedback_samples + b.feedback_samples;
-  m.feedback_wal_failures =
-      a.feedback_wal_failures + b.feedback_wal_failures;
-  m.drift_detections = a.drift_detections + b.drift_detections;
-  m.retrains = a.retrains + b.retrains;
-  m.retrain_failures = a.retrain_failures + b.retrain_failures;
-  m.shadow_runs = a.shadow_runs + b.shadow_runs;
-  m.shadow_rejects = a.shadow_rejects + b.shadow_rejects;
-  m.shadow_stalls = a.shadow_stalls + b.shadow_stalls;
-  m.shadow_aborts = a.shadow_aborts + b.shadow_aborts;
-  m.swaps = a.swaps + b.swaps;
-  m.swap_failures = a.swap_failures + b.swap_failures;
-  m.rollbacks = a.rollbacks + b.rollbacks;
-  m.kb_expired = a.kb_expired + b.kb_expired;
-  m.kb_backfilled = a.kb_backfilled + b.kb_backfilled;
-  const LifecycleStats& newest =
-      b.active_version > a.active_version ? b : a;
+LifecycleStats MergeStats(const LifecycleStats& a, const LifecycleStats& b) {
+  // The row-wise merge sums every field; the identity then follows the
+  // newest snapshot instead.
+  LifecycleStats m = MergeStats<LifecycleStats>(a, b);
+  const LifecycleStats& newest = b.active_version > a.active_version ? b : a;
   m.active_version = newest.active_version;
   m.active_crc = newest.active_crc;
   m.serving_accuracy = newest.serving_accuracy;
   m.baseline_accuracy = newest.baseline_accuracy;
   m.candidate_accuracy = newest.candidate_accuracy;
-  m.phase = a.phase == b.phase ? a.phase : std::string();
+  m.phase = a.phase == b.phase ? a.phase : "mixed";
   return m;
 }
 
-ServiceStats SnapshotMetrics(const ServiceMetrics& metrics) {
-  ServiceStats s;
-  s.requests = metrics.requests.Value();
-  s.completed = metrics.completed.Value();
-  s.errors = metrics.errors.Value();
-  s.cache_hits = metrics.cache_hits.Value();
-  s.cache_misses = metrics.cache_misses.Value();
-  s.kb_inserts = metrics.kb_inserts.Value();
-  s.early_rejections = metrics.early_rejections.Value();
-  s.degraded_full = metrics.degraded_full.Value();
-  s.degraded_baseline = metrics.degraded_baseline.Value();
-  s.degraded_plan_diff = metrics.degraded_plan_diff.Value();
-  s.degraded_failed = metrics.degraded_failed.Value();
-  s.encode = metrics.encode.Snap();
-  s.cache_lookup = metrics.cache_lookup.Snap();
-  s.kb_search = metrics.kb_search.Snap();
-  s.generate = metrics.generate.Snap();
-  s.end_to_end = metrics.end_to_end.Snap();
-  return s;
-}
-
-ServiceStats MergeServiceStats(const ServiceStats& a, const ServiceStats& b) {
-  ServiceStats m;
-  m.requests = a.requests + b.requests;
-  m.completed = a.completed + b.completed;
-  m.errors = a.errors + b.errors;
-  m.cache_hits = a.cache_hits + b.cache_hits;
-  m.cache_misses = a.cache_misses + b.cache_misses;
-  m.kb_inserts = a.kb_inserts + b.kb_inserts;
-  m.early_rejections = a.early_rejections + b.early_rejections;
-  m.degraded_full = a.degraded_full + b.degraded_full;
-  m.degraded_baseline = a.degraded_baseline + b.degraded_baseline;
-  m.degraded_plan_diff = a.degraded_plan_diff + b.degraded_plan_diff;
-  m.degraded_failed = a.degraded_failed + b.degraded_failed;
-
-  auto merge_res = [](const ResilienceStats& x, const ResilienceStats& y) {
-    ResilienceStats r;
-    r.llm_attempts = x.llm_attempts + y.llm_attempts;
-    r.llm_retries = x.llm_retries + y.llm_retries;
-    r.llm_timeouts = x.llm_timeouts + y.llm_timeouts;
-    r.llm_transient_errors = x.llm_transient_errors + y.llm_transient_errors;
-    r.llm_garbled = x.llm_garbled + y.llm_garbled;
-    r.llm_slow = x.llm_slow + y.llm_slow;
-    r.budget_exhausted = x.budget_exhausted + y.budget_exhausted;
-    r.breaker_opens = x.breaker_opens + y.breaker_opens;
-    r.breaker_half_opens = x.breaker_half_opens + y.breaker_half_opens;
-    r.breaker_closes = x.breaker_closes + y.breaker_closes;
-    r.breaker_short_circuits =
-        x.breaker_short_circuits + y.breaker_short_circuits;
-    r.fallbacks_baseline = x.fallbacks_baseline + y.fallbacks_baseline;
-    r.fallbacks_plan_diff = x.fallbacks_plan_diff + y.fallbacks_plan_diff;
-    r.kb_insert_retries = x.kb_insert_retries + y.kb_insert_retries;
-    return r;
-  };
-  m.resilience = merge_res(a.resilience, b.resilience);
-
+ServiceStats MergeStats(const ServiceStats& a, const ServiceStats& b) {
+  // The row-wise merge covers the service's own fields; the groups it
+  // fronts merge with their own lists.
+  ServiceStats m = MergeStats<ServiceStats>(a, b);
+  m.resilience = MergeStats(a.resilience, b.resilience);
+  m.cache = MergeStats(a.cache, b.cache);
   m.durability_enabled = a.durability_enabled || b.durability_enabled;
-  auto merge_dur = [](const DurabilityStats& x, const DurabilityStats& y) {
-    DurabilityStats d;
-    d.wal_appends = x.wal_appends + y.wal_appends;
-    d.wal_fsyncs = x.wal_fsyncs + y.wal_fsyncs;
-    d.wal_bytes = x.wal_bytes + y.wal_bytes;
-    d.wal_rotations = x.wal_rotations + y.wal_rotations;
-    d.snapshots = x.snapshots + y.snapshots;
-    d.snapshot_failures = x.snapshot_failures + y.snapshot_failures;
-    d.snapshot_fallbacks = x.snapshot_fallbacks + y.snapshot_fallbacks;
-    d.replayed_records = x.replayed_records + y.replayed_records;
-    d.truncated_records = x.truncated_records + y.truncated_records;
-    d.corrupt_records = x.corrupt_records + y.corrupt_records;
-    d.recoveries = x.recoveries + y.recoveries;
-    d.recovery_micros = x.recovery_micros + y.recovery_micros;
-    d.gc_files = x.gc_files + y.gc_files;
-    return d;
-  };
-  m.durability = merge_dur(a.durability, b.durability);
-
+  m.durability = MergeStats(a.durability, b.durability);
   m.lifecycle_enabled = a.lifecycle_enabled || b.lifecycle_enabled;
   if (a.lifecycle_enabled && b.lifecycle_enabled) {
-    m.lifecycle = MergeLifecycleStats(a.lifecycle, b.lifecycle);
-  } else if (a.lifecycle_enabled) {
-    m.lifecycle = a.lifecycle;
+    m.lifecycle = MergeStats(a.lifecycle, b.lifecycle);
   } else if (b.lifecycle_enabled) {
     m.lifecycle = b.lifecycle;
   }
-
-  m.encode = LatencyHistogram::Merge(a.encode, b.encode);
-  m.cache_lookup = LatencyHistogram::Merge(a.cache_lookup, b.cache_lookup);
-  m.kb_search = LatencyHistogram::Merge(a.kb_search, b.kb_search);
-  m.generate = LatencyHistogram::Merge(a.generate, b.generate);
-  m.end_to_end = LatencyHistogram::Merge(a.end_to_end, b.end_to_end);
   return m;
 }
 
-namespace {
-
-std::string HistLine(const char* name,
-                     const LatencyHistogram::Snapshot& h) {
-  return StrFormat(
-      "  %-12s n=%llu mean=%.3fms p50=%.3fms p95=%.3fms p99=%.3fms "
-      "max=%.3fms",
-      name, static_cast<unsigned long long>(h.count), h.mean_ms(), h.p50_ms,
-      h.p95_ms, h.p99_ms, h.max_ms);
-}
-
-}  // namespace
-
 std::string ServiceStats::ToString() const {
-  std::string out = StrFormat(
-      "requests=%llu completed=%llu errors=%llu cache_hits=%llu "
-      "cache_misses=%llu hit_rate=%.1f%% kb_inserts=%llu\n",
-      static_cast<unsigned long long>(requests),
-      static_cast<unsigned long long>(completed),
-      static_cast<unsigned long long>(errors),
-      static_cast<unsigned long long>(cache_hits),
-      static_cast<unsigned long long>(cache_misses), 100.0 * cache_hit_rate(),
-      static_cast<unsigned long long>(kb_inserts));
-  out += StrFormat(
-      "degradation: full=%llu baseline=%llu plan_diff=%llu failed=%llu "
-      "early_rejected=%llu\n",
-      static_cast<unsigned long long>(degraded_full),
-      static_cast<unsigned long long>(degraded_baseline),
-      static_cast<unsigned long long>(degraded_plan_diff),
-      static_cast<unsigned long long>(degraded_failed),
-      static_cast<unsigned long long>(early_rejections));
-  out += "resilience: " + resilience.ToString() + "\n";
-  if (durability_enabled) {
-    out += "durability: " + durability.ToString() + "\n";
-  }
-  if (lifecycle_enabled) {
-    out += "lifecycle: " + lifecycle.ToString() + "\n";
-  }
-  out += HistLine("encode", encode) + "\n";
-  out += HistLine("cache_lookup", cache_lookup) + "\n";
-  out += HistLine("kb_search", kb_search) + "\n";
-  out += HistLine("generate", generate) + "\n";
-  out += HistLine("end_to_end", end_to_end);
+  std::string out = "service: " + StatsToString(*this);
+  out += "\ncache: " + StatsToString(cache) +
+         StrFormat(" hit_rate=%.1f%%", 100.0 * cache_hit_rate());
+  out += "\nresilience: " + resilience.ToString();
+  if (durability_enabled) out += "\ndurability: " + durability.ToString();
+  if (lifecycle_enabled) out += "\nlifecycle: " + lifecycle.ToString();
   return out;
 }
 

@@ -5,6 +5,7 @@
 #include <atomic>
 #include <cstdint>
 #include <string>
+#include <type_traits>
 
 namespace htapex {
 
@@ -76,126 +77,243 @@ class LatencyHistogram {
   std::atomic<uint64_t> max_ns_{0};
 };
 
-/// Counters for the resilient LLM invocation path (retries, deadlines,
-/// circuit breaker, degradation ladder). Updated by ResilientLlm and
-/// HtapExplainer; plain relaxed atomics like everything else here.
-struct ResilienceMetrics {
-  Counter llm_attempts;          // every simulated-LLM call attempt
-  Counter llm_retries;           // attempts beyond the first
-  Counter llm_timeouts;          // attempts abandoned at the deadline
-  Counter llm_transient_errors;  // injected transient dependency errors
-  Counter llm_garbled;           // responses rejected as garbled
-  Counter llm_slow;              // slow-generation faults absorbed
-  Counter budget_exhausted;      // calls stopped by the request budget
-  Counter breaker_opens;         // closed/half-open -> open transitions
-  Counter breaker_half_opens;    // open -> half-open transitions
-  Counter breaker_closes;        // half-open -> closed transitions
-  Counter breaker_short_circuits;  // calls rejected while open
-  Counter fallbacks_baseline;    // RAG exhausted -> DBG-PT baseline
-  Counter fallbacks_plan_diff;   // baseline exhausted -> plan-diff report
-  Counter kb_insert_retries;     // transient KB-write faults retried
+// ---------------------------------------------------------------------------
+// Stats groups. Each group declares its fields once, and lists them once in
+// a static ForEachField(f, g...) that calls
+//   f(MetricRow{...}, g.field...)
+// for every field, in lockstep over any number of group objects. The
+// snapshot, merge, reset, ToString and Prometheus exposition (Expose in
+// obs/exposition.h) are written once, over that list. A group with a live
+// twin is a template on its cell type: Counter (and LatencyHistogram) in the
+// live struct, uint64_t (and LatencyHistogram::Snapshot) in the snapshot.
+// ---------------------------------------------------------------------------
 
-  /// Zeroes every counter (between-run resets only; see Counter::Reset).
-  void Reset() {
-    for (Counter* c :
-         {&llm_attempts, &llm_retries, &llm_timeouts, &llm_transient_errors,
-          &llm_garbled, &llm_slow, &budget_exhausted, &breaker_opens,
-          &breaker_half_opens, &breaker_closes, &breaker_short_circuits,
-          &fallbacks_baseline, &fallbacks_plan_diff, &kb_insert_retries}) {
-      c->Reset();
-    }
+/// How one field prints and exports. The Prometheus family is `family`
+/// after the renderer's prefix ("htapex_"); rows sharing a family tell
+/// their samples apart by one label. A family ending in `_total` is a
+/// counter, any other scalar a gauge, a histogram a summary.
+struct MetricRow {
+  const char* field;  // the field's name, printed by ToString
+  const char* family;
+  const char* help;
+  const char* label = nullptr;  // label key, e.g. "kind"
+  const char* value = nullptr;  // label value, e.g. "timeout"
+  /// The family under the tier prefix, when `family` is taken there by a
+  /// tier-level metric of the same name.
+  const char* tier_family = nullptr;
+};
+
+/// The rows of one labeled family: family, help and label key stated once,
+/// e.g. `kind("llm_timeouts", "timeout")`.
+struct LabeledFamily {
+  const char* family;
+  const char* help;
+  const char* label;
+  constexpr MetricRow operator()(const char* field, const char* value) const {
+    return {field, family, help, label, value};
   }
 };
 
-/// Point-in-time copy of ResilienceMetrics.
-struct ResilienceStats {
-  uint64_t llm_attempts = 0;
-  uint64_t llm_retries = 0;
-  uint64_t llm_timeouts = 0;
-  uint64_t llm_transient_errors = 0;
-  uint64_t llm_garbled = 0;
-  uint64_t llm_slow = 0;
-  uint64_t budget_exhausted = 0;
-  uint64_t breaker_opens = 0;
-  uint64_t breaker_half_opens = 0;
-  uint64_t breaker_closes = 0;
-  uint64_t breaker_short_circuits = 0;
-  uint64_t fallbacks_baseline = 0;
-  uint64_t fallbacks_plan_diff = 0;
-  uint64_t kb_insert_retries = 0;
+/// The histogram cell that goes with a counter cell.
+template <typename Cell>
+using HistogramCell = std::conditional_t<std::is_same_v<Cell, Counter>,
+                                         LatencyHistogram,
+                                         LatencyHistogram::Snapshot>;
 
-  /// One-line human-readable summary.
-  std::string ToString() const;
+/// Snapshot of a live group: relaxed counter loads, histogram snapshots.
+template <template <typename> class Group>
+Group<uint64_t> LoadStats(const Group<Counter>& live) {
+  Group<uint64_t> out;
+  Group<uint64_t>::ForEachField(
+      [](const MetricRow&, auto& cell, const auto& source) {
+        if constexpr (std::is_same_v<std::decay_t<decltype(source)>,
+                                     Counter>) {
+          cell = source.Value();
+        } else {
+          cell = source.Snap();
+        }
+      },
+      out, live);
+  return out;
+}
+
+/// Merges two snapshots of one group (shards, incarnations): scalars add,
+/// histograms merge bucket-wise. Fields outside the list come from `a`.
+template <typename Group>
+Group MergeStats(const Group& a, const Group& b) {
+  Group out = a;
+  Group::ForEachField(
+      [](const MetricRow&, auto& cell, const auto& x, const auto& y) {
+        if constexpr (std::is_arithmetic_v<std::decay_t<decltype(x)>>) {
+          cell = x + y;
+        } else {
+          cell = LatencyHistogram::Merge(x, y);
+        }
+      },
+      out, a, b);
+  return out;
+}
+
+/// Zeroes every counter of a live group (between-run resets only; see
+/// Counter::Reset).
+template <typename Group>
+void ResetStats(Group& live) {
+  Group::ForEachField([](const MetricRow&, Counter& c) { c.Reset(); }, live);
+}
+
+/// Appends " field=value" (no leading space on an empty string).
+void AppendField(std::string* out, const char* field, uint64_t value);
+void AppendField(std::string* out, const char* field, double value);
+void AppendField(std::string* out, const char* field,
+                 const LatencyHistogram::Snapshot& value);
+
+/// One line, `field=value` per field.
+template <typename Group>
+std::string StatsToString(const Group& g) {
+  std::string out;
+  Group::ForEachField(
+      [&out](const MetricRow& row, const auto& cell) {
+        AppendField(&out, row.field, cell);
+      },
+      g);
+  return out;
+}
+
+/// Counters for the resilient LLM invocation path (retries, deadlines,
+/// circuit breaker, degradation ladder). Updated by ResilientLlm and
+/// HtapExplainer.
+template <typename Cell>
+struct BasicResilienceStats {
+  Cell llm_attempts{};            // every simulated-LLM call attempt
+  Cell llm_retries{};             // attempts beyond the first
+  Cell llm_timeouts{};            // attempts abandoned at the deadline
+  Cell llm_transient_errors{};    // injected transient dependency errors
+  Cell llm_garbled{};             // responses rejected as garbled
+  Cell llm_slow{};                // slow-generation faults absorbed
+  Cell budget_exhausted{};        // calls stopped by the request budget
+  Cell breaker_opens{};           // closed/half-open -> open transitions
+  Cell breaker_half_opens{};      // open -> half-open transitions
+  Cell breaker_closes{};          // half-open -> closed transitions
+  Cell breaker_short_circuits{};  // calls rejected while open
+  Cell fallbacks_baseline{};      // RAG exhausted -> DBG-PT baseline
+  Cell fallbacks_plan_diff{};     // baseline exhausted -> plan-diff report
+  Cell kb_insert_retries{};       // transient KB-write faults retried
+
+  template <typename F, typename... G>
+  static void ForEachField(F&& f, G&... g) {
+    constexpr LabeledFamily kind{"llm_failures_total",
+                                 "LLM attempt failures by kind", "kind"};
+    constexpr LabeledFamily transition{"breaker_transitions_total",
+                                       "Circuit-breaker state transitions",
+                                       "transition"};
+    constexpr LabeledFamily rung{"fallbacks_total",
+                                 "Degradation-ladder fallbacks taken", "rung"};
+    f(MetricRow{"llm_attempts", "llm_attempts_total",
+                "Simulated-LLM call attempts"},
+      g.llm_attempts...);
+    f(MetricRow{"llm_retries", "llm_retries_total",
+                "Attempts beyond the first"},
+      g.llm_retries...);
+    f(kind("llm_timeouts", "timeout"), g.llm_timeouts...);
+    f(kind("llm_transient_errors", "transient"), g.llm_transient_errors...);
+    f(kind("llm_garbled", "garbled"), g.llm_garbled...);
+    f(MetricRow{"llm_slow", "llm_slow_total",
+                "Slow-generation faults absorbed"},
+      g.llm_slow...);
+    f(MetricRow{"budget_exhausted", "budget_exhausted_total",
+                "Calls stopped by the request budget"},
+      g.budget_exhausted...);
+    f(transition("breaker_opens", "open"), g.breaker_opens...);
+    f(transition("breaker_half_opens", "half_open"), g.breaker_half_opens...);
+    f(transition("breaker_closes", "close"), g.breaker_closes...);
+    f(MetricRow{"breaker_short_circuits", "breaker_short_circuits_total",
+                "Calls rejected while a breaker was open"},
+      g.breaker_short_circuits...);
+    f(rung("fallbacks_baseline", "baseline"), g.fallbacks_baseline...);
+    f(rung("fallbacks_plan_diff", "plan_diff"), g.fallbacks_plan_diff...);
+    f(MetricRow{"kb_insert_retries", "kb_insert_retries_total",
+                "Transient KB-write faults retried"},
+      g.kb_insert_retries...);
+  }
+
+  std::string ToString() const { return StatsToString(*this); }
 };
-
-ResilienceStats SnapshotResilience(const ResilienceMetrics& metrics);
+using ResilienceMetrics = BasicResilienceStats<Counter>;
+using ResilienceStats = BasicResilienceStats<uint64_t>;
 
 /// Counters for the knowledge-base durability subsystem (src/durable/):
 /// WAL traffic, snapshot lifecycle, and what recovery found. Updated by
-/// DurableKnowledgeBase; relaxed atomics like everything else here.
-struct DurabilityMetrics {
-  Counter wal_appends;          // records appended to the WAL
-  Counter wal_fsyncs;           // fsyncs issued on the active segment
-  Counter wal_bytes;            // payload + framing bytes appended
-  Counter wal_rotations;        // segment rotations (one per snapshot)
-  Counter snapshots;            // snapshots durably installed
-  Counter snapshot_failures;    // snapshot attempts aborted (fault/IO)
-  Counter snapshot_fallbacks;   // recoveries that skipped a corrupt newest
-                                // snapshot for an older generation
-  Counter replayed_records;     // WAL records applied during recovery
-  Counter truncated_records;    // torn tails dropped during recovery
-  Counter corrupt_records;      // checksum/framing failures during replay
-  Counter recoveries;           // successful Open() recoveries
-  Counter recovery_micros;      // total recovery wall time, microseconds
-  Counter gc_files;             // superseded segments/snapshots deleted
+/// DurableKnowledgeBase and its WalWriter.
+template <typename Cell>
+struct BasicDurabilityStats {
+  Cell wal_appends{};         // records appended to the WAL
+  Cell wal_fsyncs{};          // fsyncs issued on the active segment
+  Cell wal_bytes{};           // payload + framing bytes appended
+  Cell wal_rotations{};       // segment rotations (one per snapshot)
+  Cell snapshots{};           // snapshots durably installed
+  Cell snapshot_failures{};   // snapshot attempts aborted (fault/IO)
+  Cell snapshot_fallbacks{};  // recoveries that skipped a corrupt newest
+                              // snapshot for an older generation
+  Cell replayed_records{};    // WAL records applied during recovery
+  Cell truncated_records{};   // torn tails dropped during recovery
+  Cell corrupt_records{};     // checksum/framing failures during replay
+  Cell recoveries{};          // successful Open() recoveries
+  Cell recovery_micros{};     // total recovery wall time, microseconds
+  Cell gc_files{};            // superseded segments/snapshots deleted
 
-  /// Zeroes every counter (between-run resets only; see Counter::Reset).
-  void Reset() {
-    for (Counter* c :
-         {&wal_appends, &wal_fsyncs, &wal_bytes, &wal_rotations, &snapshots,
-          &snapshot_failures, &snapshot_fallbacks, &replayed_records,
-          &truncated_records, &corrupt_records, &recoveries, &recovery_micros,
-          &gc_files}) {
-      c->Reset();
-    }
+  template <typename F, typename... G>
+  static void ForEachField(F&& f, G&... g) {
+    f(MetricRow{"wal_appends", "wal_appends_total", "WAL records appended"},
+      g.wal_appends...);
+    f(MetricRow{"wal_fsyncs", "wal_fsyncs_total", "WAL fsyncs issued"},
+      g.wal_fsyncs...);
+    f(MetricRow{"wal_bytes", "wal_bytes_total", "WAL bytes appended"},
+      g.wal_bytes...);
+    f(MetricRow{"wal_rotations", "wal_rotations_total",
+                "WAL segment rotations"},
+      g.wal_rotations...);
+    f(MetricRow{"snapshots", "snapshots_total", "Snapshots durably installed"},
+      g.snapshots...);
+    f(MetricRow{"snapshot_failures", "snapshot_failures_total",
+                "Snapshot attempts aborted"},
+      g.snapshot_failures...);
+    f(MetricRow{"snapshot_fallbacks", "snapshot_fallbacks_total",
+                "Recoveries that skipped a corrupt newest snapshot"},
+      g.snapshot_fallbacks...);
+    f(MetricRow{"replayed_records", "replayed_records_total",
+                "WAL records applied during recovery"},
+      g.replayed_records...);
+    f(MetricRow{"truncated_records", "truncated_records_total",
+                "Torn WAL tails dropped during recovery"},
+      g.truncated_records...);
+    f(MetricRow{"corrupt_records", "corrupt_records_total",
+                "WAL checksum or framing failures during recovery"},
+      g.corrupt_records...);
+    f(MetricRow{"recoveries", "recoveries_total",
+                "Successful startup recoveries"},
+      g.recoveries...);
+    f(MetricRow{"recovery_micros", "recovery_micros_total",
+                "Recovery wall time, microseconds"},
+      g.recovery_micros...);
+    f(MetricRow{"gc_files", "gc_files_total",
+                "Superseded WAL segments and snapshots deleted"},
+      g.gc_files...);
   }
+
+  std::string ToString() const { return StatsToString(*this); }
 };
-
-/// Point-in-time copy of DurabilityMetrics.
-struct DurabilityStats {
-  uint64_t wal_appends = 0;
-  uint64_t wal_fsyncs = 0;
-  uint64_t wal_bytes = 0;
-  uint64_t wal_rotations = 0;
-  uint64_t snapshots = 0;
-  uint64_t snapshot_failures = 0;
-  uint64_t snapshot_fallbacks = 0;
-  uint64_t replayed_records = 0;
-  uint64_t truncated_records = 0;
-  uint64_t corrupt_records = 0;
-  uint64_t recoveries = 0;
-  uint64_t recovery_micros = 0;
-  uint64_t gc_files = 0;
-
-  double recovery_ms() const {
-    return static_cast<double>(recovery_micros) / 1000.0;
-  }
-
-  /// One-line human-readable summary.
-  std::string ToString() const;
-};
-
-DurabilityStats SnapshotDurability(const DurabilityMetrics& metrics);
+using DurabilityMetrics = BasicDurabilityStats<Counter>;
+using DurabilityStats = BasicDurabilityStats<uint64_t>;
 
 /// Point-in-time view of one ModelLifecycleManager (src/lifecycle/): the
 /// retrain → shadow → swap → watch loop's counters plus the identity of the
 /// serving snapshot. Produced under the manager's lock (plain values, no
-/// atomics); merged across shards by MergeLifecycleStats.
+/// atomics).
 struct LifecycleStats {
-  std::string phase;             // current state-machine phase name
-  uint64_t active_version = 0;   // serving frozen-snapshot version
-  uint32_t active_crc = 0;       // serving frozen-snapshot CRC32
-  uint64_t feedback_samples = 0; // execution-feedback samples recorded
+  std::string phase;               // state-machine phase (labeled gauge)
+  uint64_t active_version = 0;     // serving frozen-snapshot version
+  uint64_t active_crc = 0;         // serving frozen-snapshot CRC32
+  uint64_t feedback_samples = 0;   // execution-feedback samples recorded
   uint64_t feedback_wal_failures = 0;  // feedback appends lost (wedged log)
   uint64_t drift_detections = 0;
   uint64_t retrains = 0;           // candidate retrains completed
@@ -213,88 +331,164 @@ struct LifecycleStats {
   double baseline_accuracy = 0.0;  // high-water accuracy since last swap
   double candidate_accuracy = 0.0; // latest shadow-scored candidate
 
-  /// One-line human-readable summary.
+  template <typename F, typename... G>
+  static void ForEachField(F&& f, G&... g) {
+    constexpr LabeledFamily event{"lifecycle_events_total",
+                                  "Model-lifecycle events by kind", "event"};
+    constexpr LabeledFamily series{"lifecycle_accuracy",
+                                   "Windowed router accuracy by series",
+                                   "series"};
+    f(MetricRow{"active_version", "lifecycle_active_version",
+                "Serving frozen-snapshot version"},
+      g.active_version...);
+    f(MetricRow{"active_crc", "lifecycle_active_crc",
+                "Serving frozen-snapshot CRC32"},
+      g.active_crc...);
+    f(MetricRow{"feedback_samples", "lifecycle_feedback_samples_total",
+                "Execution-feedback samples recorded"},
+      g.feedback_samples...);
+    f(MetricRow{"feedback_wal_failures",
+                "lifecycle_feedback_wal_failures_total",
+                "Feedback appends lost to a wedged log"},
+      g.feedback_wal_failures...);
+    f(event("drift_detections", "drift_detected"), g.drift_detections...);
+    f(event("retrains", "retrain"), g.retrains...);
+    f(event("retrain_failures", "retrain_failure"), g.retrain_failures...);
+    f(event("shadow_runs", "shadow_run"), g.shadow_runs...);
+    f(event("shadow_rejects", "shadow_reject"), g.shadow_rejects...);
+    f(event("shadow_stalls", "shadow_stall"), g.shadow_stalls...);
+    f(event("shadow_aborts", "shadow_abort"), g.shadow_aborts...);
+    f(event("swaps", "swap"), g.swaps...);
+    f(event("swap_failures", "swap_failure"), g.swap_failures...);
+    f(event("rollbacks", "rollback"), g.rollbacks...);
+    f(event("kb_expired", "kb_expired"), g.kb_expired...);
+    f(event("kb_backfilled", "kb_backfilled"), g.kb_backfilled...);
+    f(series("serving_accuracy", "serving"), g.serving_accuracy...);
+    f(series("baseline_accuracy", "baseline"), g.baseline_accuracy...);
+    f(series("candidate_accuracy", "candidate"), g.candidate_accuracy...);
+  }
+
   std::string ToString() const;
 };
 
 /// Fleet aggregation: counters sum; the snapshot identity (version/CRC) and
 /// accuracies follow the input with the highest version (per-shard routers
 /// version independently — the merged identity is "the newest anywhere");
-/// phase is kept only when both agree.
-LifecycleStats MergeLifecycleStats(const LifecycleStats& a,
-                                   const LifecycleStats& b);
+/// phase is kept only when both agree, "mixed" otherwise.
+LifecycleStats MergeStats(const LifecycleStats& a, const LifecycleStats& b);
 
-/// All service-level metrics, updated by ExplainService workers.
-struct ServiceMetrics {
-  Counter requests;       // submitted to the service
-  Counter completed;      // finished (ok or error)
-  Counter errors;         // bind/plan failures etc.
-  Counter cache_hits;
-  Counter cache_misses;
-  Counter kb_inserts;     // expert-loop corrections incorporated
-  Counter early_rejections;  // over-budget requests rejected at dequeue
-  // Degradation mix (see DegradationLevel in core/htap_explainer.h).
-  Counter degraded_full;
-  Counter degraded_baseline;
-  Counter degraded_plan_diff;
-  Counter degraded_failed;   // errors + early rejections
+/// Result-cache events and residency (ShardedExplainCache::Stats). Each
+/// cache shard counts into its own copy under its mutex.
+struct ResultCacheStats {
+  uint64_t hits = 0;
+  uint64_t misses = 0;
+  uint64_t insertions = 0;
+  uint64_t evictions = 0;
+  uint64_t size = 0;  // resident entries
 
-  LatencyHistogram encode;        // router embedding
-  LatencyHistogram cache_lookup;  // result-cache probe
-  LatencyHistogram kb_search;     // knowledge-base retrieval
-  LatencyHistogram generate;      // simulated LLM thinking + generation
-  LatencyHistogram end_to_end;    // full per-request latency
+  template <typename F, typename... G>
+  static void ForEachField(F&& f, G&... g) {
+    constexpr LabeledFamily event{"cache_events_total", "Result-cache events",
+                                  "event"};
+    f(event("hits", "hit"), g.hits...);
+    f(event("misses", "miss"), g.misses...);
+    f(event("insertions", "insertion"), g.insertions...);
+    f(event("evictions", "eviction"), g.evictions...);
+    f(MetricRow{"size", "cache_entries", "Result-cache resident entries"},
+      g.size...);
+  }
 };
 
-/// Point-in-time copy of ServiceMetrics, cheap to pass around and print.
-struct ServiceStats {
-  uint64_t requests = 0;
-  uint64_t completed = 0;
-  uint64_t errors = 0;
-  uint64_t cache_hits = 0;
-  uint64_t cache_misses = 0;
-  uint64_t kb_inserts = 0;
-  uint64_t early_rejections = 0;
-  uint64_t degraded_full = 0;
-  uint64_t degraded_baseline = 0;
-  uint64_t degraded_plan_diff = 0;
-  uint64_t degraded_failed = 0;
+/// Service-level counters and stage latencies, updated by ExplainService
+/// workers.
+template <typename Cell>
+struct BasicServiceStats {
+  Cell requests{};          // submitted to the service
+  Cell completed{};         // finished (ok or error)
+  Cell errors{};            // bind/plan failures etc.
+  Cell kb_inserts{};        // expert-loop corrections incorporated
+  Cell early_rejections{};  // over-budget requests rejected at dequeue
+  // Degradation mix (see DegradationLevel in core/htap_explainer.h).
+  Cell degraded_full{};
+  Cell degraded_baseline{};
+  Cell degraded_plan_diff{};
+  Cell degraded_failed{};  // errors + early rejections
 
-  /// Snapshot of the explainer's resilience counters (retries, breaker
-  /// transitions, fallbacks) taken alongside the service counters.
-  ResilienceStats resilience;
+  HistogramCell<Cell> encode{};        // router embedding
+  HistogramCell<Cell> cache_lookup{};  // result-cache probe
+  HistogramCell<Cell> kb_search{};     // knowledge-base retrieval
+  HistogramCell<Cell> generate{};      // simulated LLM thinking + generation
+  HistogramCell<Cell> end_to_end{};    // full per-request latency
+
+  template <typename F, typename... G>
+  static void ForEachField(F&& f, G&... g) {
+    constexpr LabeledFamily level{
+        "degraded_total", "Completed requests by degradation-ladder rung",
+        "level"};
+    constexpr LabeledFamily stage{"stage_latency_ms",
+                                  "Service stage latency summaries", "stage"};
+    f(MetricRow{.field = "requests",
+                .family = "requests_total",
+                .help = "Requests submitted to the service",
+                .tier_family = "shard_requests_total"},
+      g.requests...);
+    f(MetricRow{"completed", "completed_total",
+                "Requests finished (ok or error)"},
+      g.completed...);
+    f(MetricRow{"errors", "errors_total",
+                "Requests failed in bind/plan/explain"},
+      g.errors...);
+    f(MetricRow{"kb_inserts", "kb_inserts_total",
+                "Expert corrections incorporated into the knowledge base"},
+      g.kb_inserts...);
+    f(MetricRow{"early_rejections", "early_rejections_total",
+                "Over-budget requests shed at dequeue"},
+      g.early_rejections...);
+    f(level("degraded_full", "full"), g.degraded_full...);
+    f(level("degraded_baseline", "baseline"), g.degraded_baseline...);
+    f(level("degraded_plan_diff", "plan_diff"), g.degraded_plan_diff...);
+    f(level("degraded_failed", "failed"), g.degraded_failed...);
+    f(stage("encode", "encode"), g.encode...);
+    f(stage("cache_lookup", "cache_lookup"), g.cache_lookup...);
+    f(stage("kb_search", "kb_search"), g.kb_search...);
+    f(stage("generate", "generate"), g.generate...);
+    f(stage("end_to_end", "end_to_end"), g.end_to_end...);
+  }
+};
+using ServiceMetrics = BasicServiceStats<Counter>;
+
+/// Point-in-time view of one service: its own counters and stage
+/// latencies plus the snapshots of the groups it fronts.
+struct ServiceStats : BasicServiceStats<uint64_t> {
+  /// The explainer's resilience counters (retries, breaker transitions,
+  /// fallbacks) taken alongside the service counters.
+  ResilienceStats resilience{};
+  /// The result cache's own counters: the one count of hits and misses.
+  ResultCacheStats cache{};
 
   /// Durability counters (WAL/snapshot/recovery) when the service fronts a
   /// DurableKnowledgeBase; all-zero (and not printed) otherwise.
   bool durability_enabled = false;
-  DurabilityStats durability;
+  DurabilityStats durability{};
 
   /// Model-lifecycle counters when the service runs a ModelLifecycleManager
   /// (ServiceConfig::lifecycle.enabled); all-zero (not printed) otherwise.
   bool lifecycle_enabled = false;
-  LifecycleStats lifecycle;
-
-  LatencyHistogram::Snapshot encode;
-  LatencyHistogram::Snapshot cache_lookup;
-  LatencyHistogram::Snapshot kb_search;
-  LatencyHistogram::Snapshot generate;
-  LatencyHistogram::Snapshot end_to_end;
+  LifecycleStats lifecycle{};
 
   double cache_hit_rate() const {
-    uint64_t probes = cache_hits + cache_misses;
-    return probes == 0 ? 0.0 : static_cast<double>(cache_hits) / probes;
+    uint64_t probes = cache.hits + cache.misses;
+    return probes == 0 ? 0.0 : static_cast<double>(cache.hits) / probes;
   }
 
   /// Multi-line human-readable summary (used by the CLI and bench).
   std::string ToString() const;
 };
 
-ServiceStats SnapshotMetrics(const ServiceMetrics& metrics);
-
-/// Aggregates per-shard ServiceStats into fleet-level stats: counters sum,
-/// histograms merge bucket-wise (LatencyHistogram::Merge — no sample loss,
-/// no quantile averaging), durability is enabled if any input had it.
-ServiceStats MergeServiceStats(const ServiceStats& a, const ServiceStats& b);
+/// Aggregates per-shard ServiceStats into fleet-level stats: every group
+/// merges with MergeStats; durability and lifecycle are enabled if either
+/// input had them.
+ServiceStats MergeStats(const ServiceStats& a, const ServiceStats& b);
 
 }  // namespace htapex
 

@@ -113,18 +113,6 @@ std::string Trace::TreeSignature() const {
   return out;
 }
 
-const std::array<const char*, TraceMetrics::kNumSpanNames>&
-TraceMetrics::SpanNames() {
-  static const std::array<const char*, kNumSpanNames> kNames = {
-      spanname::kQueueWait, spanname::kParse,       spanname::kBind,
-      spanname::kTpOptimize, spanname::kApOptimize, spanname::kRoute,
-      spanname::kEmbed,      spanname::kCacheLookup, spanname::kAnalyze,
-      spanname::kRetrieve,   spanname::kPrompt,      spanname::kGenerate,
-      spanname::kGrade,      spanname::kKbInsert,    spanname::kTotal,
-  };
-  return kNames;
-}
-
 int TraceMetrics::IndexOf(const std::string& name) {
   const auto& names = SpanNames();
   for (int i = 0; i < kNumSpanNames; ++i) {
@@ -134,16 +122,16 @@ int TraceMetrics::IndexOf(const std::string& name) {
 }
 
 void TraceMetrics::Record(const Trace& trace) {
-  traces_recorded.Inc();
+  traces.Inc();
   for (const Span& s : trace.spans()) {
     int idx = IndexOf(s.name);
     if (idx < 0) {
       unknown_spans.Inc();
       continue;
     }
-    hist_[static_cast<size_t>(idx)].Record(s.dur_ms);
+    spans[static_cast<size_t>(idx)].Record(s.dur_ms);
   }
-  hist_[static_cast<size_t>(IndexOf(spanname::kTotal))].Record(
+  spans[static_cast<size_t>(IndexOf(spanname::kTotal))].Record(
       trace.total_ms());
 }
 
@@ -153,41 +141,7 @@ void TraceMetrics::RecordSpan(const char* name, double ms) {
     unknown_spans.Inc();
     return;
   }
-  hist_[static_cast<size_t>(idx)].Record(ms);
-}
-
-TraceMetrics::Stats TraceMetrics::Snap() const {
-  Stats s;
-  s.traces = traces_recorded.Value();
-  s.slow_traces = slow_traces.Value();
-  s.unknown_spans = unknown_spans.Value();
-  s.spans.reserve(kNumSpanNames);
-  const auto& names = SpanNames();
-  for (int i = 0; i < kNumSpanNames; ++i) {
-    SpanStat stat;
-    stat.name = names[static_cast<size_t>(i)];
-    stat.hist = hist_[static_cast<size_t>(i)].Snap();
-    s.spans.push_back(std::move(stat));
-  }
-  return s;
-}
-
-TraceMetrics::Stats TraceMetrics::MergeStats(const Stats& a, const Stats& b) {
-  if (a.spans.empty()) return b;
-  if (b.spans.empty()) return a;
-  Stats m;
-  m.traces = a.traces + b.traces;
-  m.slow_traces = a.slow_traces + b.slow_traces;
-  m.unknown_spans = a.unknown_spans + b.unknown_spans;
-  size_t n = std::min(a.spans.size(), b.spans.size());
-  m.spans.reserve(n);
-  for (size_t i = 0; i < n; ++i) {
-    SpanStat stat;
-    stat.name = a.spans[i].name;
-    stat.hist = LatencyHistogram::Merge(a.spans[i].hist, b.spans[i].hist);
-    m.spans.push_back(std::move(stat));
-  }
-  return m;
+  spans[static_cast<size_t>(idx)].Record(ms);
 }
 
 TraceRing::TraceRing(size_t capacity)

@@ -32,6 +32,13 @@ inline constexpr const char* kGenerate = "generate";         // LLM ladder
 inline constexpr const char* kGrade = "grade";               // expert grading
 inline constexpr const char* kKbInsert = "kb_insert";        // feedback loop
 inline constexpr const char* kTotal = "total";               // whole request
+
+/// The taxonomy in histogram order.
+inline constexpr std::array<const char*, 15> kAll = {
+    kQueueWait, kParse,    kBind,        kTpOptimize, kApOptimize,
+    kRoute,     kEmbed,    kCacheLookup, kAnalyze,    kRetrieve,
+    kPrompt,    kGenerate, kGrade,       kKbInsert,   kTotal,
+};
 }  // namespace spanname
 
 /// A point-in-time annotation on a span: retry attempts, breaker
@@ -148,13 +155,45 @@ class ScopedWallSpan {
   WallTimer timer_;
 };
 
+/// Trace counters plus one latency histogram per canonical span, in
+/// spanname::kAll order: the one declaration behind TraceMetrics (live)
+/// and TraceMetrics::Stats.
+template <typename Cell>
+struct BasicTraceStats {
+  Cell traces{};         // completed traces recorded
+  Cell slow_traces{};    // above the service's slow-request threshold
+  Cell unknown_spans{};  // span names outside the canonical taxonomy
+  std::array<HistogramCell<Cell>, spanname::kAll.size()> spans{};
+
+  template <typename F, typename... G>
+  static void ForEachField(F&& f, G&... g) {
+    f(MetricRow{"traces", "traces_recorded_total", "Completed request traces"},
+      g.traces...);
+    f(MetricRow{"slow_traces", "slow_traces_total",
+                "Traces above the slow-request threshold"},
+      g.slow_traces...);
+    f(MetricRow{"unknown_spans", "unknown_spans_total",
+                "Spans recorded outside the canonical taxonomy"},
+      g.unknown_spans...);
+    for (size_t i = 0; i < spanname::kAll.size(); ++i) {
+      f(MetricRow{spanname::kAll[i], "span_latency_ms",
+                  "Per-span latency summaries from request traces", "span",
+                  spanname::kAll[i]},
+        g.spans[i]...);
+    }
+  }
+};
+
 /// Per-span latency histograms over the canonical taxonomy, fed by every
 /// completed trace. Relaxed atomics throughout (same contract as the rest
 /// of obs/): recording never serializes the request path it observes.
-class TraceMetrics {
+class TraceMetrics : public BasicTraceStats<Counter> {
  public:
-  static constexpr int kNumSpanNames = 15;
-  static const std::array<const char*, kNumSpanNames>& SpanNames();
+  using Stats = BasicTraceStats<uint64_t>;
+  static constexpr int kNumSpanNames = static_cast<int>(spanname::kAll.size());
+  static const std::array<const char*, kNumSpanNames>& SpanNames() {
+    return spanname::kAll;
+  }
 
   /// Records every span of a completed trace plus a synthetic "total".
   void Record(const Trace& trace);
@@ -162,30 +201,10 @@ class TraceMetrics {
   /// which runs outside any request trace).
   void RecordSpan(const char* name, double ms);
 
-  struct SpanStat {
-    const char* name = nullptr;
-    LatencyHistogram::Snapshot hist;
-  };
-  struct Stats {
-    uint64_t traces = 0;
-    uint64_t slow_traces = 0;
-    uint64_t unknown_spans = 0;
-    std::vector<SpanStat> spans;  // canonical order; zero-count included
-  };
-  Stats Snap() const;
-
-  /// Merges two Stats (e.g. from different shards): counters sum, per-span
-  /// histograms merge bucket-wise via LatencyHistogram::Merge. Both inputs
-  /// must be in canonical span order (as produced by Snap()).
-  static Stats MergeStats(const Stats& a, const Stats& b);
-
-  Counter traces_recorded;
-  Counter slow_traces;   // above the service's slow-request threshold
-  Counter unknown_spans; // span names outside the canonical taxonomy
+  Stats Snap() const { return LoadStats<BasicTraceStats>(*this); }
 
  private:
   static int IndexOf(const std::string& name);
-  std::array<LatencyHistogram, kNumSpanNames> hist_;
 };
 
 /// Lock-free ring of the last N completed traces (the service's flight

@@ -44,7 +44,7 @@ std::shared_ptr<const CachedExplanation> ShardedExplainCache::Lookup(
   std::lock_guard<std::mutex> lock(shard.mu);
   auto it = shard.map.find(key);
   if (it == shard.map.end()) {
-    ++shard.misses;
+    ++shard.counts.misses;
     return nullptr;
   }
   // Same lattice cell — confirm it is a genuine near-duplicate before
@@ -52,11 +52,11 @@ std::shared_ptr<const CachedExplanation> ShardedExplainCache::Lookup(
   const std::shared_ptr<const CachedExplanation>& value = it->second->value;
   if (value->embedding.size() != embedding.size() ||
       SquaredL2(embedding, value->embedding) > options_.max_sq_distance) {
-    ++shard.misses;
+    ++shard.counts.misses;
     return nullptr;
   }
   shard.lru.splice(shard.lru.begin(), shard.lru, it->second);
-  ++shard.hits;
+  ++shard.counts.hits;
   return value;
 }
 
@@ -75,11 +75,11 @@ void ShardedExplainCache::Insert(
   }
   shard.lru.push_front(Entry{key, std::move(value)});
   shard.map[key] = shard.lru.begin();
-  ++shard.insertions;
+  ++shard.counts.insertions;
   while (shard.lru.size() > per_shard_capacity_) {
     shard.map.erase(shard.lru.back().key);
     shard.lru.pop_back();
-    ++shard.evictions;
+    ++shard.counts.evictions;
   }
 }
 
@@ -87,11 +87,9 @@ ShardedExplainCache::Stats ShardedExplainCache::GetStats() const {
   Stats s;
   for (const auto& shard : shards_) {
     std::lock_guard<std::mutex> lock(shard->mu);
-    s.hits += shard->hits;
-    s.misses += shard->misses;
-    s.insertions += shard->insertions;
-    s.evictions += shard->evictions;
-    s.size += shard->lru.size();
+    Stats counts = shard->counts;
+    counts.size = shard->lru.size();
+    s = MergeStats(s, counts);
   }
   return s;
 }

@@ -9,6 +9,7 @@
 #include <vector>
 
 #include "core/htap_explainer.h"
+#include "obs/metrics.h"
 
 namespace htapex {
 
@@ -70,13 +71,7 @@ class ShardedExplainCache {
   /// evicting the shard's LRU entry when over capacity. Thread-safe.
   void Insert(std::shared_ptr<const CachedExplanation> value);
 
-  struct Stats {
-    uint64_t hits = 0;
-    uint64_t misses = 0;
-    uint64_t insertions = 0;
-    uint64_t evictions = 0;
-    size_t size = 0;
-  };
+  using Stats = ResultCacheStats;
   Stats GetStats() const;
 
   size_t size() const;
@@ -95,10 +90,7 @@ class ShardedExplainCache {
     mutable std::mutex mu;
     std::list<Entry> lru;  // front = most recent
     std::unordered_map<uint64_t, std::list<Entry>::iterator> map;
-    uint64_t hits = 0;
-    uint64_t misses = 0;
-    uint64_t insertions = 0;
-    uint64_t evictions = 0;
+    Stats counts;  // `size` unused; GetStats reads the LRU list
   };
 
   uint64_t KeyOf(const std::vector<double>& embedding) const {

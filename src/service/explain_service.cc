@@ -352,7 +352,6 @@ Result<ExplainResult> ExplainService::ProcessPrepared(
       if (hit != nullptr) trace->Event("cache_hit");
     }
     if (hit != nullptr) {
-      metrics_.cache_hits.Inc();
       // Fresh plans + cached explanation. Search/generation timings are
       // zeroed: nothing was searched or generated for this request, and
       // end_to_end_ms() must reflect what this request actually cost.
@@ -373,7 +372,6 @@ Result<ExplainResult> ExplainService::ProcessPrepared(
       FinalizeTrace(std::move(trace), &result);
       return result;
     }
-    metrics_.cache_misses.Inc();
   }
 
   Result<ExplainResult> result = [&] {
@@ -455,8 +453,9 @@ Status ExplainService::IncorporateCorrection(const ExplainResult& result) {
 }
 
 ServiceStats ExplainService::Stats() const {
-  ServiceStats stats = SnapshotMetrics(metrics_);
+  ServiceStats stats{LoadStats(metrics_)};
   stats.resilience = explainer_->ResilienceSnapshot();
+  stats.cache = cache_.GetStats();
   if (config_.durable != nullptr) {
     stats.durability_enabled = true;
     stats.durability = config_.durable->StatsSnapshot();
@@ -469,142 +468,8 @@ ServiceStats ExplainService::Stats() const {
 }
 
 std::string ExplainService::ExpositionText() const {
-  ServiceStats s = Stats();
-  ShardedExplainCache::Stats c = CacheStats();
-  TraceMetrics::Stats t = TraceSnapshot();
   ExpositionBuilder b;
-
-  b.Counter("htapex_requests_total", "Requests submitted to the service",
-            s.requests);
-  b.Counter("htapex_completed_total", "Requests finished (ok or error)",
-            s.completed);
-  b.Counter("htapex_errors_total", "Requests failed in bind/plan/explain",
-            s.errors);
-  b.Counter("htapex_early_rejections_total",
-            "Over-budget requests shed at dequeue", s.early_rejections);
-  b.Counter("htapex_kb_inserts_total",
-            "Expert corrections incorporated into the knowledge base",
-            s.kb_inserts);
-  const char* kDegradedHelp =
-      "Completed requests by degradation-ladder rung";
-  b.Counter("htapex_degraded_total", kDegradedHelp, s.degraded_full,
-            {{"level", "full"}});
-  b.Counter("htapex_degraded_total", kDegradedHelp, s.degraded_baseline,
-            {{"level", "baseline"}});
-  b.Counter("htapex_degraded_total", kDegradedHelp, s.degraded_plan_diff,
-            {{"level", "plan_diff"}});
-  b.Counter("htapex_degraded_total", kDegradedHelp, s.degraded_failed,
-            {{"level", "failed"}});
-
-  const char* kCacheHelp = "Result-cache events";
-  b.Counter("htapex_cache_events_total", kCacheHelp, c.hits,
-            {{"event", "hit"}});
-  b.Counter("htapex_cache_events_total", kCacheHelp, c.misses,
-            {{"event", "miss"}});
-  b.Counter("htapex_cache_events_total", kCacheHelp, c.insertions,
-            {{"event", "insertion"}});
-  b.Counter("htapex_cache_events_total", kCacheHelp, c.evictions,
-            {{"event", "eviction"}});
-  b.Gauge("htapex_cache_entries", "Result-cache resident entries",
-          static_cast<double>(c.size));
-
-  const ResilienceStats& r = s.resilience;
-  b.Counter("htapex_llm_attempts_total", "Simulated-LLM call attempts",
-            r.llm_attempts);
-  b.Counter("htapex_llm_retries_total", "Attempts beyond the first",
-            r.llm_retries);
-  const char* kLlmFaultHelp = "LLM attempt failures by kind";
-  b.Counter("htapex_llm_failures_total", kLlmFaultHelp, r.llm_timeouts,
-            {{"kind", "timeout"}});
-  b.Counter("htapex_llm_failures_total", kLlmFaultHelp, r.llm_transient_errors,
-            {{"kind", "transient"}});
-  b.Counter("htapex_llm_failures_total", kLlmFaultHelp, r.llm_garbled,
-            {{"kind", "garbled"}});
-  b.Counter("htapex_llm_slow_total", "Slow-generation faults absorbed",
-            r.llm_slow);
-  b.Counter("htapex_budget_exhausted_total",
-            "Calls stopped by the request budget", r.budget_exhausted);
-  const char* kBreakerHelp = "Circuit-breaker state transitions";
-  b.Counter("htapex_breaker_transitions_total", kBreakerHelp, r.breaker_opens,
-            {{"transition", "open"}});
-  b.Counter("htapex_breaker_transitions_total", kBreakerHelp,
-            r.breaker_half_opens, {{"transition", "half_open"}});
-  b.Counter("htapex_breaker_transitions_total", kBreakerHelp,
-            r.breaker_closes, {{"transition", "close"}});
-  b.Counter("htapex_breaker_short_circuits_total",
-            "Calls rejected while a breaker was open",
-            r.breaker_short_circuits);
-  const char* kFallbackHelp = "Degradation-ladder fallbacks taken";
-  b.Counter("htapex_fallbacks_total", kFallbackHelp, r.fallbacks_baseline,
-            {{"rung", "baseline"}});
-  b.Counter("htapex_fallbacks_total", kFallbackHelp, r.fallbacks_plan_diff,
-            {{"rung", "plan_diff"}});
-  b.Counter("htapex_kb_insert_retries_total",
-            "Transient KB-write faults retried", r.kb_insert_retries);
-
-  if (s.durability_enabled) {
-    const DurabilityStats& d = s.durability;
-    b.Counter("htapex_wal_appends_total", "WAL records appended",
-              d.wal_appends);
-    b.Counter("htapex_wal_bytes_total", "WAL bytes appended", d.wal_bytes);
-    b.Counter("htapex_wal_fsyncs_total", "WAL fsyncs issued", d.wal_fsyncs);
-    b.Counter("htapex_snapshots_total", "Snapshots durably installed",
-              d.snapshots);
-    b.Counter("htapex_snapshot_failures_total", "Snapshot attempts aborted",
-              d.snapshot_failures);
-    b.Counter("htapex_recoveries_total", "Successful startup recoveries",
-              d.recoveries);
-    b.Counter("htapex_replayed_records_total",
-              "WAL records applied during recovery", d.replayed_records);
-  }
-
-  if (s.lifecycle_enabled) {
-    const LifecycleStats& l = s.lifecycle;
-    b.Gauge("htapex_lifecycle_phase",
-            "Current lifecycle phase (constant 1, labeled)", 1.0,
-            {{"phase", l.phase}});
-    b.Gauge("htapex_lifecycle_active_version",
-            "Serving frozen-snapshot version",
-            static_cast<double>(l.active_version));
-    b.Counter("htapex_lifecycle_feedback_samples_total",
-              "Execution-feedback samples recorded", l.feedback_samples);
-    b.Counter("htapex_lifecycle_feedback_wal_failures_total",
-              "Feedback appends lost to a wedged log",
-              l.feedback_wal_failures);
-    const char* kLifecycleHelp = "Model-lifecycle events by kind";
-    b.Counter("htapex_lifecycle_events_total", kLifecycleHelp,
-              l.drift_detections, {{"event", "drift_detected"}});
-    b.Counter("htapex_lifecycle_events_total", kLifecycleHelp, l.retrains,
-              {{"event", "retrain"}});
-    b.Counter("htapex_lifecycle_events_total", kLifecycleHelp,
-              l.retrain_failures, {{"event", "retrain_failure"}});
-    b.Counter("htapex_lifecycle_events_total", kLifecycleHelp, l.shadow_runs,
-              {{"event", "shadow_run"}});
-    b.Counter("htapex_lifecycle_events_total", kLifecycleHelp,
-              l.shadow_rejects, {{"event", "shadow_reject"}});
-    b.Counter("htapex_lifecycle_events_total", kLifecycleHelp,
-              l.shadow_stalls, {{"event", "shadow_stall"}});
-    b.Counter("htapex_lifecycle_events_total", kLifecycleHelp,
-              l.shadow_aborts, {{"event", "shadow_abort"}});
-    b.Counter("htapex_lifecycle_events_total", kLifecycleHelp, l.swaps,
-              {{"event", "swap"}});
-    b.Counter("htapex_lifecycle_events_total", kLifecycleHelp,
-              l.swap_failures, {{"event", "swap_failure"}});
-    b.Counter("htapex_lifecycle_events_total", kLifecycleHelp, l.rollbacks,
-              {{"event", "rollback"}});
-    b.Counter("htapex_lifecycle_events_total", kLifecycleHelp, l.kb_expired,
-              {{"event", "kb_expired"}});
-    b.Counter("htapex_lifecycle_events_total", kLifecycleHelp,
-              l.kb_backfilled, {{"event", "kb_backfilled"}});
-    const char* kAccuracyHelp = "Windowed router accuracy by series";
-    b.Gauge("htapex_lifecycle_accuracy", kAccuracyHelp, l.serving_accuracy,
-            {{"series", "serving"}});
-    b.Gauge("htapex_lifecycle_accuracy", kAccuracyHelp, l.baseline_accuracy,
-            {{"series", "baseline"}});
-    b.Gauge("htapex_lifecycle_accuracy", kAccuracyHelp, l.candidate_accuracy,
-            {{"series", "candidate"}});
-  }
-
+  Expose(Stats(), kServicePrefix, &b);
   // Kernel dispatch: which SIMD backend is live (constant 1 gauge, labeled
   // by backend) and how hot each kernel runs — process-wide counters, so an
   // operator can correlate backend choice with the span latencies below.
@@ -612,57 +477,8 @@ std::string ExplainService::ExpositionText() const {
   b.Gauge("htapex_kernel_backend",
           "Active compute-kernel dispatch backend (constant 1)", 1.0,
           {{"backend", kernels::BackendName(k.backend)}});
-  const char* kKernelHelp = "Compute-kernel invocations by kernel";
-  b.Counter("htapex_kernel_ops_total", kKernelHelp, k.squared_l2,
-            {{"kernel", "squared_l2"}});
-  b.Counter("htapex_kernel_ops_total", kKernelHelp, k.gemm,
-            {{"kernel", "gemm"}});
-  b.Counter("htapex_kernel_ops_total", kKernelHelp, k.relu,
-            {{"kernel", "relu"}});
-  b.Counter("htapex_kernel_ops_total", kKernelHelp, k.max_accum,
-            {{"kernel", "max_accum"}});
-  b.Counter("htapex_kernel_ops_total", kKernelHelp, k.mask_cmp,
-            {{"kernel", "mask_cmp"}});
-  b.Counter("htapex_kernel_ops_total", kKernelHelp, k.mask_and,
-            {{"kernel", "mask_and"}});
-  b.Counter("htapex_kernel_ops_total", kKernelHelp, k.mask_andnot,
-            {{"kernel", "mask_andnot"}});
-  b.Counter("htapex_kernel_ops_total", kKernelHelp, k.count_mask,
-            {{"kernel", "count_mask"}});
-  b.Counter("htapex_kernel_ops_total", kKernelHelp, k.sum_f64,
-            {{"kernel", "sum_f64"}});
-  b.Counter("htapex_kernel_ops_total", kKernelHelp, k.sum_i64,
-            {{"kernel", "sum_i64"}});
-  b.Counter("htapex_kernel_ops_total", kKernelHelp, k.hash_i64,
-            {{"kernel", "hash_i64"}});
-  b.Counter("htapex_kernel_ops_total", kKernelHelp, k.hash_f64,
-            {{"kernel", "hash_f64"}});
-  b.Counter("htapex_kernel_ops_total", kKernelHelp, k.hash_bytes,
-            {{"kernel", "hash_bytes"}});
-
-  const char* kStageHelp = "Service stage latency summaries";
-  b.Summary("htapex_stage_latency_ms", kStageHelp, s.encode,
-            {{"stage", "encode"}});
-  b.Summary("htapex_stage_latency_ms", kStageHelp, s.cache_lookup,
-            {{"stage", "cache_lookup"}});
-  b.Summary("htapex_stage_latency_ms", kStageHelp, s.kb_search,
-            {{"stage", "kb_search"}});
-  b.Summary("htapex_stage_latency_ms", kStageHelp, s.generate,
-            {{"stage", "generate"}});
-  b.Summary("htapex_stage_latency_ms", kStageHelp, s.end_to_end,
-            {{"stage", "end_to_end"}});
-
-  b.Counter("htapex_traces_recorded_total", "Completed request traces",
-            t.traces);
-  b.Counter("htapex_slow_traces_total",
-            "Traces above the slow-request threshold", t.slow_traces);
-  b.Counter("htapex_unknown_spans_total",
-            "Spans recorded outside the canonical taxonomy", t.unknown_spans);
-  const char* kSpanHelp = "Per-span latency summaries from request traces";
-  for (const TraceMetrics::SpanStat& span : t.spans) {
-    b.Summary("htapex_span_latency_ms", kSpanHelp, span.hist,
-              {{"span", span.name}});
-  }
+  Expose(k, kServicePrefix, &b);
+  Expose(TraceSnapshot(), kServicePrefix, &b);
   return b.Text();
 }
 

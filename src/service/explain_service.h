@@ -149,10 +149,11 @@ class ExplainService {
   /// Newest-first snapshot of the flight-recorder ring (empty when tracing
   /// or the ring is disabled).
   std::vector<std::shared_ptr<const Trace>> RecentTraces() const;
-  /// Everything the service measures — ServiceStats, cache, resilience,
-  /// durability, and the per-span histograms — rendered in the Prometheus
-  /// text exposition format (obs/exposition.h). The output is guaranteed to
-  /// round-trip through ParseExposition; CI holds that invariant.
+  /// Everything the service measures — the ServiceStats groups, the
+  /// kernel counters and the per-span histograms — rendered from their
+  /// field lists in the Prometheus text exposition format
+  /// (obs/exposition.h). The output is guaranteed to round-trip through
+  /// ParseExposition; CI holds that invariant.
   std::string ExpositionText() const;
 
   /// Stops accepting work, lets workers drain the queue, joins them, then

@@ -7,18 +7,16 @@
 
 namespace htapex {
 
-ShardRouter::ShardRouter(Options options) : options_(options) {
-  if (options_.num_shards < 1) options_.num_shards = 1;
-  if (options_.vnodes_per_shard < 1) options_.vnodes_per_shard = 1;
-  ring_.reserve(static_cast<size_t>(options_.num_shards) *
-                static_cast<size_t>(options_.vnodes_per_shard));
-  for (int shard = 0; shard < options_.num_shards; ++shard) {
-    for (int v = 0; v < options_.vnodes_per_shard; ++v) {
+ShardRouter::ShardRouter(int num_shards)
+    : num_shards_(std::max(num_shards, 1)) {
+  ring_.reserve(static_cast<size_t>(num_shards_) * kVnodesPerShard);
+  for (int shard = 0; shard < num_shards_; ++shard) {
+    for (int v = 0; v < kVnodesPerShard; ++v) {
       VNode node;
       // MixFaultSeed is the repo's splitmix64-style (seed, a, b, c) mixer;
       // reusing it keeps vnode placement a pure deterministic function of
       // (ring seed, shard, vnode) with well-scrambled high bits.
-      node.hash = MixFaultSeed(options_.seed, 0x5ba5d0c5ull,
+      node.hash = MixFaultSeed(kRingSeed, 0x5ba5d0c5ull,
                                static_cast<uint64_t>(shard),
                                static_cast<uint64_t>(v));
       node.shard = shard;
@@ -30,8 +28,8 @@ ShardRouter::ShardRouter(Options options) : options_(options) {
     return a.shard < b.shard;  // tie-break keeps the ring deterministic
   });
   live_ = std::make_unique<std::atomic<bool>[]>(
-      static_cast<size_t>(std::max(options_.num_shards, 1)));
-  for (int i = 0; i < options_.num_shards; ++i) {
+      static_cast<size_t>(num_shards_));
+  for (int i = 0; i < num_shards_; ++i) {
     live_[static_cast<size_t>(i)].store(true, std::memory_order_relaxed);
   }
 }
@@ -90,26 +88,26 @@ std::vector<int> ShardRouter::OwnerChain(uint64_t key, int max_shards) const {
 }
 
 int ShardRouter::NextLiveAfter(int shard) const {
-  for (int step = 1; step < options_.num_shards; ++step) {
-    int candidate = (shard + step) % options_.num_shards;
+  for (int step = 1; step < num_shards_; ++step) {
+    int candidate = (shard + step) % num_shards_;
     if (IsLive(candidate)) return candidate;
   }
   return -1;
 }
 
 void ShardRouter::SetLive(int shard, bool live) {
-  if (shard < 0 || shard >= options_.num_shards) return;
+  if (shard < 0 || shard >= num_shards_) return;
   live_[static_cast<size_t>(shard)].store(live, std::memory_order_release);
 }
 
 bool ShardRouter::IsLive(int shard) const {
-  if (shard < 0 || shard >= options_.num_shards) return false;
+  if (shard < 0 || shard >= num_shards_) return false;
   return live_[static_cast<size_t>(shard)].load(std::memory_order_acquire);
 }
 
 int ShardRouter::NumLive() const {
   int n = 0;
-  for (int i = 0; i < options_.num_shards; ++i) {
+  for (int i = 0; i < num_shards_; ++i) {
     if (IsLive(i)) ++n;
   }
   return n;

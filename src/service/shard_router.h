@@ -16,7 +16,7 @@ namespace htapex {
 /// cache only ever sees its own keyspace.
 ///
 /// Placement is a classic ring of virtual nodes: each shard owns
-/// `vnodes_per_shard` pseudo-random points (a pure function of ring seed,
+/// kVnodesPerShard pseudo-random points (a pure function of kRingSeed,
 /// shard id, and vnode ordinal — no global RNG), a key is owned by the
 /// first vnode clockwise from its hash. Consequences the tests pin down:
 ///  - adding/removing one shard of N moves only ~1/N of the keyspace;
@@ -28,16 +28,15 @@ namespace htapex {
 /// without locking. The ring itself is immutable after construction.
 class ShardRouter {
  public:
-  struct Options {
-    int num_shards = 4;
-    /// Virtual nodes per shard. More vnodes = smoother key distribution
-    /// (spread ~ 1/sqrt(vnodes)) at O(N * vnodes) ring memory.
-    int vnodes_per_shard = 64;
-    /// Seeds vnode placement; same seed + same shard count = same ring.
-    uint64_t seed = 42;
-  };
+  /// Virtual nodes per shard. More vnodes = smoother key distribution
+  /// (spread ~ 1/sqrt(vnodes)) at O(N * vnodes) ring memory.
+  static constexpr int kVnodesPerShard = 64;
+  /// Seeds vnode placement: the same shard count gives the same ring in
+  /// every process.
+  static constexpr uint64_t kRingSeed = 42;
 
-  explicit ShardRouter(Options options);
+  /// A ring over `num_shards` shards (at least 1), all live.
+  explicit ShardRouter(int num_shards);
 
   /// The ring key of an embedding: EmbeddingLatticeKey(embedding,
   /// quant_step), so it matches ShardedExplainCache's key for the same
@@ -67,8 +66,7 @@ class ShardRouter {
   void SetLive(int shard, bool live);
   bool IsLive(int shard) const;
   int NumLive() const;
-  int num_shards() const { return options_.num_shards; }
-  const Options& options() const { return options_; }
+  int num_shards() const { return num_shards_; }
 
  private:
   struct VNode {
@@ -79,7 +77,7 @@ class ShardRouter {
   /// First vnode at or after `key` on the ring (wrapping).
   size_t RingLowerBound(uint64_t key) const;
 
-  Options options_;
+  int num_shards_;
   std::vector<VNode> ring_;  // sorted by hash, immutable after construction
   std::unique_ptr<std::atomic<bool>[]> live_;
 };

@@ -80,7 +80,6 @@ ShardedExplainService::ShardedExplainService(const HtapSystem* system,
       explainer_config_(std::move(explainer_config)),
       config_(std::move(config)) {
   if (config_.num_shards < 1) config_.num_shards = 1;
-  if (config_.max_failover_hops < 0) config_.max_failover_hops = 0;
   if (config_.eject_after_failures < 1) config_.eject_after_failures = 1;
   if (config_.probation_successes < 1) config_.probation_successes = 1;
   if (config_.probation_after_beats < 1) config_.probation_after_beats = 1;
@@ -127,11 +126,7 @@ Status ShardedExplainService::InitCommon() {
   }
   HTAPEX_ASSIGN_OR_RETURN(faults_, FaultInjector::Parse(spec, fault_seed));
 
-  ShardRouter::Options ring;
-  ring.num_shards = config_.num_shards;
-  ring.vnodes_per_shard = config_.vnodes_per_shard;
-  ring.seed = config_.ring_seed;
-  router_ = std::make_unique<ShardRouter>(ring);
+  router_ = std::make_unique<ShardRouter>(config_.num_shards);
 
   const size_t n = static_cast<size_t>(config_.num_shards);
   shards_.clear();
@@ -179,7 +174,7 @@ Status ShardedExplainService::BuildShard(
     inc->durable->set_fault_injector(&faults_);
     HTAPEX_ASSIGN_OR_RETURN(auto recovery, inc->durable->Attach(kb));
     (void)recovery;
-    if (config_.replicate_corrections && config_.num_shards > 1) {
+    if (config_.num_shards > 1) {
       inc->sink =
           std::make_unique<FanoutSink>(this, shard, inc->durable.get());
       kb->set_mutation_sink(inc->sink.get());
@@ -196,6 +191,9 @@ Status ShardedExplainService::BuildShard(
     sc.lifecycle.data_dir = ShardDir(shard) + "/lifecycle";
   }
   inc->service = std::make_unique<ExplainService>(inc->explainer.get(), sc);
+  // Published under the lock Stats() reads it under, like the unpublish
+  // in KillShard.
+  std::lock_guard<std::mutex> lock(health_mu_);
   shards_[static_cast<size_t>(shard)]->inc.store(std::move(inc));
   return Status::OK();
 }
@@ -242,8 +240,7 @@ Result<ShardedExplainResult> ShardedExplainService::Explain(
   uint64_t key = RingKey(prepared.embedding);
 
   ShardedExplainResult out;
-  std::vector<int> chain =
-      router_->OwnerChain(key, config_.max_failover_hops + 1);
+  std::vector<int> chain = router_->OwnerChain(key, kMaxFailoverHops + 1);
   if (chain.empty()) {
     std::lock_guard<std::mutex> lock(health_mu_);
     ++failover_.no_live_shard;
@@ -346,8 +343,7 @@ Status ShardedExplainService::IncorporateCorrection(
     const ShardedExplainResult& result) {
   if (!initialized_) return Status::InvalidArgument("Init() first");
   uint64_t key = RingKey(result.result.embedding);
-  std::vector<int> chain =
-      router_->OwnerChain(key, config_.max_failover_hops + 1);
+  std::vector<int> chain = router_->OwnerChain(key, kMaxFailoverHops + 1);
   if (chain.empty()) return Status::Unavailable("no live shard for key");
   Status last = Status::Unavailable("all correction attempts exhausted");
   for (int shard : chain) {
@@ -414,22 +410,23 @@ void ShardedExplainService::KillShard(int shard) {
   }
   router_->SetLive(shard, false);
   Shard& s = *shards_[static_cast<size_t>(shard)];
-  std::shared_ptr<Incarnation> inc = s.inc.exchange(nullptr);
+  std::shared_ptr<Incarnation> inc = s.inc.load();
   if (inc != nullptr) {
     // Crash semantics: fail the backlog, join workers, NO snapshot — the
     // shard's directory stays exactly as the "crash" found it.
     inc->service->Kill();
+    // The incarnation stays published until its stats are folded, and both
+    // happen in one section, so Stats() never sees the tier's counters
+    // drop. A concurrent ReviveShard may already have published its
+    // successor; that one stays.
     std::lock_guard<std::mutex> lock(health_mu_);
-    s.retained_stats = s.has_retained
-                           ? MergeServiceStats(s.retained_stats,
-                                               inc->service->Stats())
-                           : inc->service->Stats();
+    ServiceStats final_stats = inc->service->Stats();
+    final_stats.cache.size = 0;  // its cache died with it
+    s.retained_stats = MergeStats(s.retained_stats, final_stats);
     s.retained_traces =
-        s.has_retained
-            ? TraceMetrics::MergeStats(s.retained_traces,
-                                       inc->service->TraceSnapshot())
-            : inc->service->TraceSnapshot();
-    s.has_retained = true;
+        MergeStats(s.retained_traces, inc->service->TraceSnapshot());
+    std::shared_ptr<Incarnation> killed = inc;
+    s.inc.compare_exchange_strong(killed, nullptr);
   }
   {
     // Close replica appenders this shard hosts; sources re-route on their
@@ -452,8 +449,7 @@ Status ShardedExplainService::ReviveShard(int shard, bool lose_disk) {
   }
   std::vector<KbMutation> bootstrap;
   if (lose_disk) {
-    if (config_.data_dir.empty() || !config_.replicate_corrections ||
-        config_.num_shards < 2) {
+    if (config_.data_dir.empty() || config_.num_shards < 2) {
       return Status::InvalidArgument(
           "lose_disk revival requires replication");
     }
@@ -510,8 +506,7 @@ ShardedExplainService::CollectReplicaRecords(int shard) {
 
 Status ShardedExplainService::ShipToReplica(int source,
                                             const KbMutation& record) {
-  if (config_.data_dir.empty() || !config_.replicate_corrections ||
-      config_.num_shards < 2) {
+  if (config_.data_dir.empty() || config_.num_shards < 2) {
     return Status::OK();
   }
   std::string payload = EncodeWalRecord(record);
@@ -579,7 +574,7 @@ void ShardedExplainService::Heartbeat() {
   {
     std::lock_guard<std::mutex> lock(health_mu_);
     ++beats_;
-    clock_.AdvanceMillis(config_.heartbeat_interval_ms);
+    clock_.AdvanceMillis(kHeartbeatIntervalMs);
     for (int i = 0; i < config_.num_shards; ++i) {
       size_t s = static_cast<size_t>(i);
       uint64_t waited = beats_ - state_since_beat_[s];
@@ -681,22 +676,17 @@ std::vector<std::string> ShardedExplainService::EventLog() const {
 
 ServiceStats ShardedExplainService::ShardStatsLocked(int shard) const {
   const Shard& s = *shards_[static_cast<size_t>(shard)];
-  ServiceStats stats = s.has_retained ? s.retained_stats : ServiceStats{};
   auto inc = s.inc.load();
-  if (inc != nullptr) stats = MergeServiceStats(stats, inc->service->Stats());
-  return stats;
+  if (inc == nullptr) return s.retained_stats;
+  return MergeStats(s.retained_stats, inc->service->Stats());
 }
 
 TraceMetrics::Stats ShardedExplainService::ShardTracesLocked(
     int shard) const {
   const Shard& s = *shards_[static_cast<size_t>(shard)];
-  TraceMetrics::Stats stats =
-      s.has_retained ? s.retained_traces : TraceMetrics::Stats{};
   auto inc = s.inc.load();
-  if (inc != nullptr) {
-    stats = TraceMetrics::MergeStats(stats, inc->service->TraceSnapshot());
-  }
-  return stats;
+  if (inc == nullptr) return s.retained_traces;
+  return MergeStats(s.retained_traces, inc->service->TraceSnapshot());
 }
 
 ShardedServiceStats ShardedExplainService::Stats() const {
@@ -710,9 +700,8 @@ ShardedServiceStats ShardedExplainService::Stats() const {
   out.live_shards = router_->NumLive();
   for (int i = 0; i < config_.num_shards; ++i) {
     ServiceStats stats = ShardStatsLocked(i);
-    out.merged = MergeServiceStats(out.merged, stats);
-    out.merged_traces =
-        TraceMetrics::MergeStats(out.merged_traces, ShardTracesLocked(i));
+    out.merged = MergeStats(out.merged, stats);
+    out.merged_traces = MergeStats(out.merged_traces, ShardTracesLocked(i));
     out.shards.push_back(std::move(stats));
   }
   return out;
@@ -721,77 +710,9 @@ ShardedServiceStats ShardedExplainService::Stats() const {
 std::string ShardedExplainService::ExpositionText() const {
   ShardedServiceStats s = Stats();
   ExpositionBuilder b;
-
-  b.Counter("htapex_tier_requests_total",
-            "Requests submitted to the sharded tier", s.failover.requests);
-  b.Counter("htapex_tier_completed_total",
-            "Requests finished across all shards", s.merged.completed);
-  b.Counter("htapex_tier_errors_total", "Requests failed across all shards",
-            s.merged.errors);
-  const char* kCacheHelp = "Result-cache events across all shards";
-  b.Counter("htapex_tier_cache_events_total", kCacheHelp,
-            s.merged.cache_hits, {{"event", "hit"}});
-  b.Counter("htapex_tier_cache_events_total", kCacheHelp,
-            s.merged.cache_misses, {{"event", "miss"}});
-  b.Counter("htapex_tier_kb_inserts_total",
-            "Expert corrections incorporated across all shards",
-            s.merged.kb_inserts);
-
-  const char* kFailHelp = "Failover-tier events";
-  b.Counter("htapex_failover_events_total", kFailHelp, s.failover.failovers,
-            {{"event", "failover"}});
-  b.Counter("htapex_failover_events_total", kFailHelp, s.failover.hops,
-            {{"event", "hop"}});
-  b.Counter("htapex_failover_events_total", kFailHelp, s.failover.ejections,
-            {{"event", "ejection"}});
-  b.Counter("htapex_failover_events_total", kFailHelp,
-            s.failover.readmissions, {{"event", "readmission"}});
-  b.Counter("htapex_failover_events_total", kFailHelp, s.failover.kills,
-            {{"event", "kill"}});
-  b.Counter("htapex_failover_events_total", kFailHelp, s.failover.revivals,
-            {{"event", "revival"}});
-  b.Counter("htapex_failover_events_total", kFailHelp, s.failover.stalls,
-            {{"event", "stall"}});
-  b.Counter("htapex_failover_events_total", kFailHelp,
-            s.failover.no_live_shard, {{"event", "no_live_shard"}});
-  const char* kReplHelp = "Correction-replication events";
-  b.Counter("htapex_replication_events_total", kReplHelp,
-            s.failover.replications, {{"event", "shipped"}});
-  b.Counter("htapex_replication_events_total", kReplHelp,
-            s.failover.replicate_drops, {{"event", "dropped"}});
-  b.Counter("htapex_replication_events_total", kReplHelp,
-            s.failover.replicate_aborts, {{"event", "aborted"}});
-
-  if (s.merged.lifecycle_enabled) {
-    const LifecycleStats& l = s.merged.lifecycle;
-    const char* kLifecycleHelp =
-        "Model-lifecycle events summed across shards";
-    b.Counter("htapex_tier_lifecycle_events_total", kLifecycleHelp,
-              l.drift_detections, {{"event", "drift_detected"}});
-    b.Counter("htapex_tier_lifecycle_events_total", kLifecycleHelp,
-              l.retrains, {{"event", "retrain"}});
-    b.Counter("htapex_tier_lifecycle_events_total", kLifecycleHelp,
-              l.retrain_failures, {{"event", "retrain_failure"}});
-    b.Counter("htapex_tier_lifecycle_events_total", kLifecycleHelp,
-              l.shadow_rejects, {{"event", "shadow_reject"}});
-    b.Counter("htapex_tier_lifecycle_events_total", kLifecycleHelp, l.swaps,
-              {{"event", "swap"}});
-    b.Counter("htapex_tier_lifecycle_events_total", kLifecycleHelp,
-              l.swap_failures, {{"event", "swap_failure"}});
-    b.Counter("htapex_tier_lifecycle_events_total", kLifecycleHelp,
-              l.rollbacks, {{"event", "rollback"}});
-    b.Counter("htapex_tier_lifecycle_events_total", kLifecycleHelp,
-              l.kb_expired, {{"event", "kb_expired"}});
-    b.Counter("htapex_tier_lifecycle_events_total", kLifecycleHelp,
-              l.kb_backfilled, {{"event", "kb_backfilled"}});
-    b.Counter("htapex_tier_lifecycle_feedback_samples_total",
-              "Execution-feedback samples recorded across shards",
-              l.feedback_samples);
-    b.Gauge("htapex_tier_lifecycle_max_version",
-            "Highest serving snapshot version on any shard",
-            static_cast<double>(l.active_version));
-  }
-
+  Expose(s.failover, kServicePrefix, &b);
+  Expose(s.merged, kTierPrefix, &b);
+  Expose(s.merged_traces, kTierPrefix, &b);
   b.Gauge("htapex_live_shards", "Shards currently serving on the ring",
           static_cast<double>(s.live_shards));
   b.Gauge("htapex_heartbeats", "Health-monitor beats elapsed",
@@ -801,26 +722,6 @@ std::string ShardedExplainService::ExpositionText() const {
             "Shard health state (constant 1, labeled by state)", 1.0,
             {{"shard", std::to_string(i)},
              {"state", ShardHealthName(s.health[i])}});
-  }
-
-  const char* kStageHelp =
-      "Stage latency summaries bucket-merged across shards";
-  b.Summary("htapex_tier_stage_latency_ms", kStageHelp, s.merged.encode,
-            {{"stage", "encode"}});
-  b.Summary("htapex_tier_stage_latency_ms", kStageHelp,
-            s.merged.cache_lookup, {{"stage", "cache_lookup"}});
-  b.Summary("htapex_tier_stage_latency_ms", kStageHelp, s.merged.kb_search,
-            {{"stage", "kb_search"}});
-  b.Summary("htapex_tier_stage_latency_ms", kStageHelp, s.merged.generate,
-            {{"stage", "generate"}});
-  b.Summary("htapex_tier_stage_latency_ms", kStageHelp, s.merged.end_to_end,
-            {{"stage", "end_to_end"}});
-
-  const char* kSpanHelp =
-      "Per-span latency summaries bucket-merged across shards";
-  for (const TraceMetrics::SpanStat& span : s.merged_traces.spans) {
-    b.Summary("htapex_tier_span_latency_ms", kSpanHelp, span.hist,
-              {{"span", span.name}});
   }
   return b.Text();
 }

@@ -21,12 +21,15 @@
 
 namespace htapex {
 
+/// Sim-clock milliseconds one Heartbeat() advances.
+inline constexpr double kHeartbeatIntervalMs = 100.0;
+/// Failover hops one request may take after its primary: it tries at most
+/// kMaxFailoverHops + 1 distinct shards.
+inline constexpr int kMaxFailoverHops = 3;
+
 /// Configuration of the sharded explanation tier.
 struct ShardedServiceConfig {
   int num_shards = 4;
-  int vnodes_per_shard = 64;
-  /// Seeds consistent-hash vnode placement (see ShardRouter::Options).
-  uint64_t ring_seed = 42;
   /// Per-shard service template. `shard_id` and `durable` are overwritten
   /// per shard; everything else (workers, queue, cache, tracing) applies to
   /// each shard identically.
@@ -40,20 +43,16 @@ struct ShardedServiceConfig {
   int probation_after_beats = 4;
   /// Consecutive successful probes that re-admit a probation shard.
   int probation_successes = 2;
-  /// Sim-clock milliseconds one Heartbeat() advances.
-  double heartbeat_interval_ms = 100.0;
-  /// Max distinct shards one request may try (primary + failover hops).
-  int max_failover_hops = 3;
 
   // --- Durability + correction replication ---
-  /// Root directory; each shard persists under `<data_dir>/shard-<i>`.
-  /// Empty disables durability AND replication (pure in-memory tier).
+  /// Root directory; each shard persists under `<data_dir>/shard-<i>`,
+  /// and with two or more shards ships every KB mutation to a successor
+  /// shard's replica log before the local write-ahead ack (see the protocol
+  /// note on ShardedExplainService). Empty disables durability AND
+  /// replication (pure in-memory tier).
   std::string data_dir;
   /// Per-shard durability template; `dir` is overwritten per shard.
   DurabilityOptions durability;
-  /// Ship every KB mutation to a successor shard's replica log before the
-  /// local write-ahead ack (see the protocol note on ShardedExplainService).
-  bool replicate_corrections = true;
   /// Ship attempts per mutation before the mutation is aborted (each
   /// attempt is an independent replicate.drop draw).
   int replicate_attempts = 3;
@@ -94,7 +93,7 @@ enum class ShardHealth { kHealthy, kEjected, kProbation, kDead };
 const char* ShardHealthName(ShardHealth health);
 
 /// Tier-level counters (plain values — the tier updates them under its own
-/// locks, snapshots are copies).
+/// locks, snapshots are copies). Exported under the "htapex_" prefix.
 struct FailoverStats {
   uint64_t requests = 0;
   uint64_t failovers = 0;         // requests answered off their primary
@@ -113,6 +112,36 @@ struct FailoverStats {
   uint64_t probe_failures = 0;
   /// Beats from the most recent kill to that shard re-entering kHealthy.
   uint64_t last_recovery_beats = 0;
+
+  template <typename F, typename... G>
+  static void ForEachField(F&& f, G&... g) {
+    constexpr LabeledFamily event{"failover_events_total",
+                                  "Failover-tier events", "event"};
+    constexpr LabeledFamily shipment{"replication_events_total",
+                                     "Correction-replication events", "event"};
+    f(MetricRow{"requests", "tier_requests_total",
+                "Requests submitted to the sharded tier"},
+      g.requests...);
+    f(event("failovers", "failover"), g.failovers...);
+    f(event("hops", "hop"), g.hops...);
+    f(event("no_live_shard", "no_live_shard"), g.no_live_shard...);
+    f(event("ejections", "ejection"), g.ejections...);
+    f(event("readmissions", "readmission"), g.readmissions...);
+    f(event("kills", "kill"), g.kills...);
+    f(event("revivals", "revival"), g.revivals...);
+    f(event("stalls", "stall"), g.stalls...);
+    f(event("injected_kills", "injected_kill"), g.injected_kills...);
+    f(shipment("replications", "shipped"), g.replications...);
+    f(shipment("replicate_drops", "dropped"), g.replicate_drops...);
+    f(shipment("replicate_aborts", "aborted"), g.replicate_aborts...);
+    f(event("probe_successes", "probe_success"), g.probe_successes...);
+    f(event("probe_failures", "probe_failure"), g.probe_failures...);
+    f(MetricRow{"last_recovery_beats", "failover_last_recovery_beats",
+                "Beats from the latest kill to that shard's readmission"},
+      g.last_recovery_beats...);
+  }
+
+  std::string ToString() const { return StatsToString(*this); }
 };
 
 /// Aggregated view over every shard. Histograms inside `merged` /
@@ -218,8 +247,10 @@ class ShardedExplainService {
 
   ShardHealth HealthOf(int shard) const;
   ShardedServiceStats Stats() const;
-  /// Merged Prometheus exposition (round-trips ParseExposition): fleet
-  /// counters + bucket-merged latency summaries + per-shard health gauges.
+  /// Merged Prometheus exposition (round-trips ParseExposition): the
+  /// failover group, the service and trace groups merged across shards
+  /// under kTierPrefix, and the live-shard, heartbeat and per-shard health
+  /// gauges.
   std::string ExpositionText() const;
 
   /// Chronological, deterministic failover event log ("kill shard=2
@@ -283,7 +314,6 @@ class ShardedExplainService {
     /// kill never loses recorded samples.
     ServiceStats retained_stats;
     TraceMetrics::Stats retained_traces;
-    bool has_retained = false;
   };
 
   /// Shared tail of Init/InitFrom: fault spec, ring, shard construction.

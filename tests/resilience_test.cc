@@ -4,10 +4,13 @@
 // bottom rung, and the observability guards they rely on.
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <iterator>
 #include <memory>
 #include <string>
 
 #include "common/fault.h"
+#include "common/string_util.h"
 #include "llm/llm.h"
 #include "llm/resilient_llm.h"
 #include "obs/metrics.h"
@@ -48,6 +51,31 @@ TEST(FaultInjectorTest, RejectsUnknownPointAndBadValues) {
   EXPECT_FALSE(FaultInjector::Parse("llm.timeout:p=abc").ok());
   EXPECT_FALSE(FaultInjector::Parse("llm.timeout").ok());
   EXPECT_FALSE(FaultInjector::Parse("llm.timeout:p=0.1,lat=-5").ok());
+}
+
+TEST(FaultInjectorTest, RejectsValuesThatOverflowTheSimulatedClock) {
+  // Accepted, these drove ResilientLlm's simulated clock through a
+  // double -> uint64_t cast of 1e303 microseconds (undefined behaviour).
+  for (const char* spec :
+       {"llm.transient_error:p=1,lat=1e300", "llm.transient_error:p=1,lat=inf",
+        "llm.timeout:p=nan", "llm.timeout:p=0.5,lat=nan",
+        "llm.timeout:p=inf", "llm.slow_generation:p=1,lat=-inf"}) {
+    auto inj = FaultInjector::Parse(spec);
+    ASSERT_FALSE(inj.ok()) << spec;
+    EXPECT_EQ(inj.status().code(), StatusCode::kInvalidArgument) << spec;
+  }
+}
+
+TEST(FaultInjectorTest, LatencyBoundIsInclusive) {
+  auto at = FaultInjector::Parse(
+      StrFormat("llm.slow_generation:p=1,lat=%.17g", kMaxFaultLatencyMs));
+  ASSERT_TRUE(at.ok()) << at.status();
+  EXPECT_DOUBLE_EQ(at->Find(kFaultLlmSlow)->latency_ms, kMaxFaultLatencyMs);
+  auto past = FaultInjector::Parse(
+      StrFormat("llm.slow_generation:p=1,lat=%.17g",
+                std::nextafter(kMaxFaultLatencyMs, HUGE_VAL)));
+  ASSERT_FALSE(past.ok());
+  EXPECT_EQ(past.status().code(), StatusCode::kInvalidArgument);
 }
 
 TEST(FaultInjectorTest, EnvironmentSpecParses) {
@@ -361,6 +389,63 @@ TEST(ResilientLlmTest, TranscriptIsDeterministic) {
   EXPECT_EQ(m1.llm_timeouts.Value(), m2.llm_timeouts.Value());
 }
 
+/// Seeded byte mutations of the CI chaos spec: each ends in an injector
+/// or kInvalidArgument, and each accepted spec drives one call to a value
+/// or a typed Status in finite simulated time.
+TEST(ResilientLlmTest, MutatedFaultSpecsEndInValueOrStatus) {
+  constexpr int kTrials = 400;
+  const std::string chaos =
+      "llm.transient_error:p=0.2;llm.timeout:p=0.1;"
+      "llm.garbled_output:p=0.05;kb.insert:p=0.1";
+  static const char* kTokens[] = {"nan", "inf", "-inf", "1e300", "1e999",
+                                  "-1",  "0x10", "lat=", "p=", ";",
+                                  ",",   ":",    "=",    "3600000.5"};
+  static const char kBytes[] = "0123456789.;:,=-+eplatnif ";
+  const uint64_t seed = FaultInjector::EnvSeed(42);
+  int accepted = 0;
+  for (int trial = 0; trial < kTrials; ++trial) {
+    std::string spec = chaos;
+    const auto t = static_cast<uint64_t>(trial);
+    const int n = 1 + static_cast<int>(MixFaultSeed(seed, 0xFA, t, 0) % 3);
+    for (int m = 0; m < n; ++m) {
+      const uint64_t d = MixFaultSeed(seed, 0xFA, t, m + 1);
+      const size_t pos = (d >> 8) % (spec.size() + 1);
+      const uint64_t pick = d >> 40;
+      switch (d % 3) {
+        case 0:
+          spec.insert(pos, kTokens[pick % std::size(kTokens)]);
+          break;
+        case 1:
+          spec.erase(pos, 1 + pick % 4);
+          break;
+        default:
+          if (pos < spec.size()) spec[pos] = kBytes[pick % (sizeof(kBytes) - 1)];
+      }
+    }
+    SCOPED_TRACE("spec=" + spec);
+    auto inj = FaultInjector::Parse(spec, seed);
+    if (!inj.ok()) {
+      EXPECT_EQ(inj.status().code(), StatusCode::kInvalidArgument);
+      continue;
+    }
+    ++accepted;
+    ResilienceMetrics metrics;
+    ResilientLlm llm(std::make_unique<StubLlm>(), "rag", ResiliencePolicy{},
+                     &*inj, &metrics);
+    double spent = 0.0;
+    auto r = llm.Explain(TestPrompt("SELECT " + std::to_string(trial)), 0.0,
+                         &spent);
+    if (!r.ok()) {
+      EXPECT_EQ(r.status().code(), StatusCode::kUnavailable) << r.status();
+    }
+    EXPECT_TRUE(std::isfinite(spent));
+    EXPECT_TRUE(std::isfinite(llm.sim_now_ms()));
+  }
+  // The loop must exercise both outcomes.
+  EXPECT_GT(accepted, 0);
+  EXPECT_LT(accepted, kTrials);
+}
+
 // ---------------------------------------------------------------- output --
 
 TEST(GarbleTest, GarbledTextIsDetectedCleanTextIsNot) {
@@ -415,7 +500,7 @@ TEST(MetricsGuardTest, ResilienceStatsToStringMentionsCounts) {
   ResilienceMetrics metrics;
   metrics.llm_retries.Inc(3);
   metrics.breaker_opens.Inc();
-  ResilienceStats stats = SnapshotResilience(metrics);
+  ResilienceStats stats = LoadStats(metrics);
   EXPECT_EQ(stats.llm_retries, 3u);
   EXPECT_EQ(stats.breaker_opens, 1u);
   EXPECT_NE(stats.ToString().find("retries"), std::string::npos);

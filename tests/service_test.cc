@@ -80,8 +80,8 @@ TEST_F(ServiceTest, RepeatedQueryServedFromCacheWithHonestTiming) {
   EXPECT_LT(hit->end_to_end_ms(), miss->end_to_end_ms());
 
   ServiceStats stats = service.Stats();
-  EXPECT_EQ(stats.cache_hits, 1u);
-  EXPECT_EQ(stats.cache_misses, 1u);
+  EXPECT_EQ(stats.cache.hits, 1u);
+  EXPECT_EQ(stats.cache.misses, 1u);
   EXPECT_EQ(stats.completed, 2u);
   EXPECT_EQ(stats.end_to_end.count, 2u);
 }
@@ -96,7 +96,7 @@ TEST_F(ServiceTest, CacheDisabledNeverHits) {
     ASSERT_TRUE(r.ok());
     EXPECT_FALSE(r->from_cache);
   }
-  EXPECT_EQ(service.Stats().cache_hits, 0u);
+  EXPECT_EQ(service.Stats().cache.hits, 0u);
 }
 
 TEST_F(ServiceTest, InvalidSqlReportsErrorNotCrash) {
@@ -163,7 +163,7 @@ TEST_F(ServiceTest, ConcurrentExplainAndCorrectionLosesNothing) {
             kb_before + static_cast<size_t>(correction_ok.load()));
 
   ServiceStats stats = service.Stats();
-  EXPECT_GT(stats.cache_hits, 0u) << stats.ToString();
+  EXPECT_GT(stats.cache.hits, 0u) << stats.ToString();
   EXPECT_EQ(stats.errors, 0u) << stats.ToString();
   EXPECT_EQ(stats.completed,
             static_cast<uint64_t>(kExplainThreads * kQueriesPerThread +

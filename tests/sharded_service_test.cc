@@ -1,10 +1,14 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <atomic>
 #include <filesystem>
 #include <map>
 #include <memory>
 #include <set>
 #include <string>
+#include <string_view>
+#include <thread>
 #include <vector>
 
 #include "common/fault.h"
@@ -31,12 +35,8 @@ std::vector<uint64_t> SyntheticKeys(int n) {
 
 TEST(ShardRouterTest, AddingOneShardMovesBoundedKeyFraction) {
   constexpr int kKeys = 20000;
-  ShardRouter::Options before;
-  before.num_shards = 4;
-  ShardRouter::Options after = before;
-  after.num_shards = 5;
-  ShardRouter r4(before);
-  ShardRouter r5(after);
+  ShardRouter r4(4);
+  ShardRouter r5(5);
   int moved = 0;
   for (uint64_t key : SyntheticKeys(kKeys)) {
     int a = r4.StaticOwner(key);
@@ -58,9 +58,7 @@ TEST(ShardRouterTest, AddingOneShardMovesBoundedKeyFraction) {
 
 TEST(ShardRouterTest, EjectionMovesOnlyTheEjectedShardsKeys) {
   constexpr int kKeys = 20000;
-  ShardRouter::Options opt;
-  opt.num_shards = 4;
-  ShardRouter router(opt);
+  ShardRouter router(4);
   std::vector<int> before;
   for (uint64_t key : SyntheticKeys(kKeys)) {
     before.push_back(router.Owner(key));
@@ -85,9 +83,7 @@ TEST(ShardRouterTest, EjectionMovesOnlyTheEjectedShardsKeys) {
 }
 
 TEST(ShardRouterTest, OwnerChainIsDistinctLiveAndOrdered) {
-  ShardRouter::Options opt;
-  opt.num_shards = 4;
-  ShardRouter router(opt);
+  ShardRouter router(4);
   for (uint64_t key : SyntheticKeys(64)) {
     std::vector<int> chain = router.OwnerChain(key, 4);
     ASSERT_EQ(chain.size(), 4u);
@@ -118,9 +114,7 @@ TEST(ShardRouterTest, KeyOfIsQuantizationStable) {
 }
 
 TEST(ShardRouterTest, NextLiveAfterSkipsDeadShards) {
-  ShardRouter::Options opt;
-  opt.num_shards = 4;
-  ShardRouter router(opt);
+  ShardRouter router(4);
   EXPECT_EQ(router.NextLiveAfter(0), 1);
   router.SetLive(1, false);
   EXPECT_EQ(router.NextLiveAfter(0), 2);
@@ -177,10 +171,10 @@ TEST(HistogramMergeTest, MergeWithEmptyIsIdentity) {
   EXPECT_EQ(both.count, 0u);
 }
 
-TEST(HistogramMergeTest, MergeServiceStatsSumsCountersAndMergesHistograms) {
+TEST(HistogramMergeTest, MergeStatsSumsCountersAndMergesHistograms) {
   ServiceStats a, b;
   a.completed = 3;
-  a.cache_hits = 1;
+  a.cache.hits = 1;
   b.completed = 5;
   b.errors = 2;
   b.durability_enabled = true;
@@ -189,9 +183,9 @@ TEST(HistogramMergeTest, MergeServiceStatsSumsCountersAndMergesHistograms) {
   hb.Record(9.0);
   a.end_to_end = ha.Snap();
   b.end_to_end = hb.Snap();
-  ServiceStats m = MergeServiceStats(a, b);
+  ServiceStats m = MergeStats(a, b);
   EXPECT_EQ(m.completed, 8u);
-  EXPECT_EQ(m.cache_hits, 1u);
+  EXPECT_EQ(m.cache.hits, 1u);
   EXPECT_EQ(m.errors, 2u);
   EXPECT_TRUE(m.durability_enabled);
   EXPECT_EQ(m.end_to_end.count, 2u);
@@ -304,7 +298,7 @@ TEST_F(ShardedServiceTest, SameSqlAlwaysLandsOnSameShard) {
     EXPECT_EQ(r->failover.final_shard, first);
   }
   // Shard-local cache affinity follows: the repeats hit.
-  EXPECT_GE(tier->Stats().merged.cache_hits, 2u);
+  EXPECT_GE(tier->Stats().merged.cache.hits, 2u);
 }
 
 TEST_F(ShardedServiceTest, KillShardFailsOverWithBudgetCarryOver) {
@@ -379,7 +373,7 @@ TEST_F(ShardedServiceTest, HealthLifecycleEjectProbeReadmit) {
   // Recovery took exactly 4 beats of the sim clock, and Stats says so.
   EXPECT_EQ(stats.failover.last_recovery_beats, 4u);
   EXPECT_EQ(stats.heartbeats, 4u);
-  EXPECT_DOUBLE_EQ(stats.sim_now_ms, 4 * config.heartbeat_interval_ms);
+  EXPECT_DOUBLE_EQ(stats.sim_now_ms, 4 * kHeartbeatIntervalMs);
 
   // The event log tells the full story in order.
   std::vector<std::string> events = tier->EventLog();
@@ -401,7 +395,7 @@ TEST_F(ShardedServiceTest, CacheAffinitySurvivesSingleEjection) {
   for (const std::string& sql : sqls) ASSERT_TRUE(tier->Explain(sql).ok());
   ShardedServiceStats pass2 = tier->Stats();
   // Warm tier: every repeat is a shard-local cache hit.
-  EXPECT_EQ(pass2.merged.cache_hits - pass1.merged.cache_hits, n);
+  EXPECT_EQ(pass2.merged.cache.hits - pass1.merged.cache.hits, n);
 
   // Kill the owner of the first query's key; only ITS keys go cold.
   auto key0 = tier->KeyForSql(sqls[0]);
@@ -417,7 +411,7 @@ TEST_F(ShardedServiceTest, CacheAffinitySurvivesSingleEjection) {
   tier->KillShard(victim);
   for (const std::string& sql : sqls) ASSERT_TRUE(tier->Explain(sql).ok());
   ShardedServiceStats after = tier->Stats();
-  uint64_t pass3_hits = after.merged.cache_hits - pass2.merged.cache_hits;
+  uint64_t pass3_hits = after.merged.cache.hits - pass2.merged.cache.hits;
   // Consistent hashing keeps every surviving shard's cache intact: at
   // most the victim's keys miss. Mod-N rehashing would cold-miss nearly
   // the whole set.
@@ -591,6 +585,134 @@ TEST_F(ShardedServiceTest, ExpositionMergesShardsAndRoundTrips) {
   EXPECT_TRUE(saw_live);
   EXPECT_TRUE(saw_dead_health);
   EXPECT_TRUE(saw_e2e_count);
+}
+
+TEST_F(ShardedServiceTest, KilledShardsCountersNeverGoBackwards) {
+  // A scraper reads any drop in a counter as a reset. Each round kills
+  // shard 1 while a second thread polls the merged counters, which must
+  // include the dying incarnation's requests at every instant.
+  ShardedServiceConfig config;
+  config.num_shards = 2;
+  auto tier = MakeTier(config);
+  std::atomic<bool> done{false};
+  std::atomic<int> drops{0};
+  std::thread poller([&] {
+    uint64_t completed = 0, requests = 0;
+    while (!done.load()) {
+      ShardedServiceStats stats = tier->Stats();
+      if (stats.merged.completed < completed ||
+          stats.merged.requests < requests) {
+        drops.fetch_add(1);
+      }
+      completed = std::max(completed, stats.merged.completed);
+      requests = std::max(requests, stats.merged.requests);
+    }
+  });
+  for (int round = 0; round < 12; ++round) {
+    ExplainService* shard = tier->shard_service(1);
+    ASSERT_NE(shard, nullptr);
+    for (const std::string& sql : QuerySet(10, round)) {
+      (void)shard->ExplainSync(sql);
+    }
+    tier->KillShard(1);
+    ASSERT_TRUE(tier->ReviveShard(1).ok());
+  }
+  done.store(true);
+  poller.join();
+  EXPECT_EQ(drops.load(), 0);
+  EXPECT_EQ(tier->Stats().merged.completed, 120u);
+}
+
+/// Each sample as "family{key=value,...}": summary suffixes and quantile
+/// labels dropped, and the values of state-gauge labels, which vary by
+/// machine and phase, replaced by "*".
+std::set<std::string> Vocabulary(const std::vector<ExpositionSample>& samples) {
+  std::set<std::string> out;
+  for (const ExpositionSample& s : samples) {
+    std::string entry = s.name;
+    for (const std::string_view suffix : {"_count", "_sum"}) {
+      if (entry.ends_with(suffix)) entry.resize(entry.size() - suffix.size());
+    }
+    std::string labels;
+    for (const auto& [key, value] : s.labels) {
+      if (key == "quantile") continue;
+      const bool state = key == "backend" || key == "phase" || key == "state";
+      labels += (labels.empty() ? "" : ",") + key + "=" + (state ? "*" : value);
+    }
+    out.insert(labels.empty() ? entry : entry + "{" + labels + "}");
+  }
+  return out;
+}
+
+TEST_F(ShardedServiceTest, ExpositionKeepsItsVocabulary) {
+  // Every sample a 4-shard tier with the lifecycle on emitted before its
+  // metrics moved to per-group field lists. The one rename:
+  // htapex_tier_lifecycle_max_version is htapex_tier_lifecycle_active_version.
+  const char* const kVocabulary[] = {
+    "htapex_tier_requests_total", "htapex_tier_completed_total",
+    "htapex_tier_errors_total", "htapex_tier_cache_events_total{event=hit}",
+    "htapex_tier_cache_events_total{event=miss}",
+    "htapex_tier_kb_inserts_total",
+    "htapex_failover_events_total{event=failover}",
+    "htapex_failover_events_total{event=hop}",
+    "htapex_failover_events_total{event=ejection}",
+    "htapex_failover_events_total{event=readmission}",
+    "htapex_failover_events_total{event=kill}",
+    "htapex_failover_events_total{event=revival}",
+    "htapex_failover_events_total{event=stall}",
+    "htapex_failover_events_total{event=no_live_shard}",
+    "htapex_replication_events_total{event=shipped}",
+    "htapex_replication_events_total{event=dropped}",
+    "htapex_replication_events_total{event=aborted}",
+    "htapex_tier_lifecycle_events_total{event=drift_detected}",
+    "htapex_tier_lifecycle_events_total{event=retrain}",
+    "htapex_tier_lifecycle_events_total{event=retrain_failure}",
+    "htapex_tier_lifecycle_events_total{event=shadow_reject}",
+    "htapex_tier_lifecycle_events_total{event=swap}",
+    "htapex_tier_lifecycle_events_total{event=swap_failure}",
+    "htapex_tier_lifecycle_events_total{event=rollback}",
+    "htapex_tier_lifecycle_events_total{event=kb_expired}",
+    "htapex_tier_lifecycle_events_total{event=kb_backfilled}",
+    "htapex_tier_lifecycle_feedback_samples_total",
+    "htapex_tier_lifecycle_active_version", "htapex_live_shards",
+    "htapex_heartbeats", "htapex_shard_health{shard=0,state=*}",
+    "htapex_shard_health{shard=1,state=*}",
+    "htapex_shard_health{shard=2,state=*}",
+    "htapex_shard_health{shard=3,state=*}",
+    "htapex_tier_stage_latency_ms{stage=encode}",
+    "htapex_tier_stage_latency_ms{stage=cache_lookup}",
+    "htapex_tier_stage_latency_ms{stage=kb_search}",
+    "htapex_tier_stage_latency_ms{stage=generate}",
+    "htapex_tier_stage_latency_ms{stage=end_to_end}",
+    "htapex_tier_span_latency_ms{span=queue_wait}",
+    "htapex_tier_span_latency_ms{span=parse}",
+    "htapex_tier_span_latency_ms{span=bind}",
+    "htapex_tier_span_latency_ms{span=tp_optimize}",
+    "htapex_tier_span_latency_ms{span=ap_optimize}",
+    "htapex_tier_span_latency_ms{span=route}",
+    "htapex_tier_span_latency_ms{span=embed}",
+    "htapex_tier_span_latency_ms{span=cache_lookup}",
+    "htapex_tier_span_latency_ms{span=analyze}",
+    "htapex_tier_span_latency_ms{span=retrieve}",
+    "htapex_tier_span_latency_ms{span=prompt}",
+    "htapex_tier_span_latency_ms{span=generate}",
+    "htapex_tier_span_latency_ms{span=grade}",
+    "htapex_tier_span_latency_ms{span=kb_insert}",
+    "htapex_tier_span_latency_ms{span=total}",
+  };
+  ShardedServiceConfig config;
+  config.shard.lifecycle.enabled = true;
+  auto tier = MakeTier(config);
+  for (const std::string& sql : QuerySet(4)) {
+    ASSERT_TRUE(tier->Explain(sql).ok());
+  }
+  std::string text = tier->ExpositionText();
+  auto parsed = ParseExposition(text);
+  ASSERT_TRUE(parsed.ok()) << parsed.status() << "\n" << text;
+  std::set<std::string> emitted = Vocabulary(*parsed);
+  for (const char* sample : kVocabulary) {
+    EXPECT_TRUE(emitted.count(sample)) << "no longer emitted: " << sample;
+  }
 }
 
 TEST_F(ShardedServiceTest, SameSeedSameScriptSameEventLog) {

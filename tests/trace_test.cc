@@ -1,12 +1,15 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <filesystem>
 #include <memory>
 #include <set>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "core/htap_explainer.h"
+#include "durable/durable_kb.h"
 #include "obs/exposition.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
@@ -264,6 +267,143 @@ TEST_F(TraceTest, ServiceExpositionRoundTripsThroughParser) {
             static_cast<size_t>(TraceMetrics::kNumSpanNames));
 }
 
+/// Each sample as "family{key=value,...}": summary suffixes and quantile
+/// labels dropped, and the values of state-gauge labels, which vary by
+/// machine and phase, replaced by "*".
+std::set<std::string> Vocabulary(const std::vector<ExpositionSample>& samples) {
+  std::set<std::string> out;
+  for (const ExpositionSample& s : samples) {
+    std::string entry = s.name;
+    for (const std::string_view suffix : {"_count", "_sum"}) {
+      if (entry.ends_with(suffix)) entry.resize(entry.size() - suffix.size());
+    }
+    std::string labels;
+    for (const auto& [key, value] : s.labels) {
+      if (key == "quantile") continue;
+      const bool state = key == "backend" || key == "phase" || key == "state";
+      labels += (labels.empty() ? "" : ",") + key + "=" + (state ? "*" : value);
+    }
+    out.insert(labels.empty() ? entry : entry + "{" + labels + "}");
+  }
+  return out;
+}
+
+TEST_F(TraceTest, ServiceExpositionKeepsItsVocabulary) {
+  // Every sample a service with a durable KB, the lifecycle and fault
+  // injection on emitted before its metrics moved to per-group field lists.
+  const char* const kVocabulary[] = {
+    "htapex_requests_total", "htapex_completed_total", "htapex_errors_total",
+    "htapex_early_rejections_total", "htapex_kb_inserts_total",
+    "htapex_degraded_total{level=full}",
+    "htapex_degraded_total{level=baseline}",
+    "htapex_degraded_total{level=plan_diff}",
+    "htapex_degraded_total{level=failed}",
+    "htapex_cache_events_total{event=hit}",
+    "htapex_cache_events_total{event=miss}",
+    "htapex_cache_events_total{event=insertion}",
+    "htapex_cache_events_total{event=eviction}", "htapex_cache_entries",
+    "htapex_llm_attempts_total", "htapex_llm_retries_total",
+    "htapex_llm_failures_total{kind=timeout}",
+    "htapex_llm_failures_total{kind=transient}",
+    "htapex_llm_failures_total{kind=garbled}", "htapex_llm_slow_total",
+    "htapex_budget_exhausted_total",
+    "htapex_breaker_transitions_total{transition=open}",
+    "htapex_breaker_transitions_total{transition=half_open}",
+    "htapex_breaker_transitions_total{transition=close}",
+    "htapex_breaker_short_circuits_total",
+    "htapex_fallbacks_total{rung=baseline}",
+    "htapex_fallbacks_total{rung=plan_diff}", "htapex_kb_insert_retries_total",
+    "htapex_wal_appends_total", "htapex_wal_bytes_total",
+    "htapex_wal_fsyncs_total", "htapex_snapshots_total",
+    "htapex_snapshot_failures_total", "htapex_recoveries_total",
+    "htapex_replayed_records_total", "htapex_lifecycle_phase{phase=*}",
+    "htapex_lifecycle_active_version",
+    "htapex_lifecycle_feedback_samples_total",
+    "htapex_lifecycle_feedback_wal_failures_total",
+    "htapex_lifecycle_events_total{event=drift_detected}",
+    "htapex_lifecycle_events_total{event=retrain}",
+    "htapex_lifecycle_events_total{event=retrain_failure}",
+    "htapex_lifecycle_events_total{event=shadow_run}",
+    "htapex_lifecycle_events_total{event=shadow_reject}",
+    "htapex_lifecycle_events_total{event=shadow_stall}",
+    "htapex_lifecycle_events_total{event=shadow_abort}",
+    "htapex_lifecycle_events_total{event=swap}",
+    "htapex_lifecycle_events_total{event=swap_failure}",
+    "htapex_lifecycle_events_total{event=rollback}",
+    "htapex_lifecycle_events_total{event=kb_expired}",
+    "htapex_lifecycle_events_total{event=kb_backfilled}",
+    "htapex_lifecycle_accuracy{series=serving}",
+    "htapex_lifecycle_accuracy{series=baseline}",
+    "htapex_lifecycle_accuracy{series=candidate}",
+    "htapex_kernel_backend{backend=*}",
+    "htapex_kernel_ops_total{kernel=squared_l2}",
+    "htapex_kernel_ops_total{kernel=gemm}",
+    "htapex_kernel_ops_total{kernel=relu}",
+    "htapex_kernel_ops_total{kernel=max_accum}",
+    "htapex_kernel_ops_total{kernel=mask_cmp}",
+    "htapex_kernel_ops_total{kernel=mask_and}",
+    "htapex_kernel_ops_total{kernel=mask_andnot}",
+    "htapex_kernel_ops_total{kernel=count_mask}",
+    "htapex_kernel_ops_total{kernel=sum_f64}",
+    "htapex_kernel_ops_total{kernel=sum_i64}",
+    "htapex_kernel_ops_total{kernel=hash_i64}",
+    "htapex_kernel_ops_total{kernel=hash_f64}",
+    "htapex_kernel_ops_total{kernel=hash_bytes}",
+    "htapex_stage_latency_ms{stage=encode}",
+    "htapex_stage_latency_ms{stage=cache_lookup}",
+    "htapex_stage_latency_ms{stage=kb_search}",
+    "htapex_stage_latency_ms{stage=generate}",
+    "htapex_stage_latency_ms{stage=end_to_end}",
+    "htapex_traces_recorded_total", "htapex_slow_traces_total",
+    "htapex_unknown_spans_total", "htapex_span_latency_ms{span=queue_wait}",
+    "htapex_span_latency_ms{span=parse}", "htapex_span_latency_ms{span=bind}",
+    "htapex_span_latency_ms{span=tp_optimize}",
+    "htapex_span_latency_ms{span=ap_optimize}",
+    "htapex_span_latency_ms{span=route}", "htapex_span_latency_ms{span=embed}",
+    "htapex_span_latency_ms{span=cache_lookup}",
+    "htapex_span_latency_ms{span=analyze}",
+    "htapex_span_latency_ms{span=retrieve}",
+    "htapex_span_latency_ms{span=prompt}",
+    "htapex_span_latency_ms{span=generate}",
+    "htapex_span_latency_ms{span=grade}",
+    "htapex_span_latency_ms{span=kb_insert}",
+    "htapex_span_latency_ms{span=total}",
+  };
+  ExplainerConfig ec;
+  ec.faults = "llm.transient_error:p=0.3";
+  ec.fault_seed = 7;
+  HtapExplainer explainer(system_, ec);
+  explainer.mutable_router().CloneWeightsFrom(explainer_->router());
+  ASSERT_TRUE(explainer.BuildDefaultKnowledgeBase().ok());
+  DurabilityOptions options;
+  options.dir = ::testing::TempDir() + "htapex_trace_vocabulary";
+  std::filesystem::remove_all(options.dir);
+  DurableKnowledgeBase durable(options);
+  ASSERT_TRUE(durable.Attach(&explainer.mutable_knowledge_base()).ok());
+  std::string text;
+  {
+    ServiceConfig config;
+    config.num_workers = 1;
+    config.durable = &durable;
+    config.lifecycle.enabled = true;
+    ExplainService service(&explainer, config);
+    auto r = service.ExplainSync(kSql);
+    ASSERT_TRUE(r.ok()) << r.status();
+    ASSERT_TRUE(service.IncorporateCorrection(*r).ok());
+    ASSERT_TRUE(service.ExplainSync(kSql2).ok());
+    text = service.ExpositionText();
+  }
+  durable.Detach();
+  std::filesystem::remove_all(options.dir);
+
+  auto parsed = ParseExposition(text);
+  ASSERT_TRUE(parsed.ok()) << parsed.status() << "\n" << text;
+  std::set<std::string> emitted = Vocabulary(*parsed);
+  for (const char* sample : kVocabulary) {
+    EXPECT_TRUE(emitted.count(sample)) << "no longer emitted: " << sample;
+  }
+}
+
 TEST(ExpositionTest, BuilderEscapesAndParserRoundTrips) {
   ExpositionBuilder b;
   b.Counter("demo_total", "a counter", 3, {{"kind", "a\"b\\c\nd"}});
@@ -322,8 +462,10 @@ TEST(TraceMetricsTest, CanonicalSpansRecordedUnknownCounted) {
   ASSERT_EQ(stats.spans.size(),
             static_cast<size_t>(TraceMetrics::kNumSpanNames));
   auto hist_of = [&](const char* name) -> const LatencyHistogram::Snapshot& {
-    for (const auto& s : stats.spans) {
-      if (std::string(s.name) == name) return s.hist;
+    for (size_t i = 0; i < stats.spans.size(); ++i) {
+      if (std::string(TraceMetrics::SpanNames()[i]) == name) {
+        return stats.spans[i];
+      }
     }
     static LatencyHistogram::Snapshot empty;
     return empty;
