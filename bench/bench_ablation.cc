@@ -29,12 +29,10 @@ double TpWinRate(const HtapSystem& system, int n_queries) {
   QueryGenerator gen(system.config().stats_scale_factor, 4321);
   int tp = 0, total = 0;
   for (const GeneratedQuery& gq : gen.GenerateMix(n_queries)) {
-    auto bound = system.Bind(gq.sql);
-    if (!bound.ok()) continue;
-    auto plans = system.PlanBoth(*bound);
-    if (!plans.ok()) continue;
+    auto planned = system.Plan(gq.sql);
+    if (!planned.ok()) continue;
     ++total;
-    if (system.LatencyMs(plans->tp) <= system.LatencyMs(plans->ap)) ++tp;
+    if (planned->outcome.faster == EngineKind::kTp) ++tp;
   }
   return total == 0 ? 0.0 : 100.0 * tp / total;
 }

@@ -183,7 +183,7 @@ RunResult RunOnce(Fixture* fixture, const std::vector<std::string>& sqls,
 
   ShardedServiceStats stats = tier.Stats();
   out.p99_ms = stats.merged.end_to_end.p99_ms;
-  out.recovery_beats = stats.failover.last_recovery_beats;
+  out.recovery_beats = stats.last_recovery_beats;
   out.failover = stats.failover;
   out.events = tier.EventLog();
 

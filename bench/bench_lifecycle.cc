@@ -63,15 +63,10 @@ std::vector<PairExample> Label(const HtapSystem& system,
                                const std::vector<GeneratedQuery>& queries) {
   std::vector<PairExample> out;
   for (const GeneratedQuery& gq : queries) {
-    auto bound = system.Bind(gq.sql);
-    if (!bound.ok()) continue;
-    auto plans = system.PlanBoth(*bound);
-    if (!plans.ok()) continue;
-    EngineKind faster =
-        system.LatencyMs(plans->tp) <= system.LatencyMs(plans->ap)
-            ? EngineKind::kTp
-            : EngineKind::kAp;
-    out.push_back(router.MakeExample(*plans, faster));
+    auto planned = system.Plan(gq.sql);
+    if (!planned.ok()) continue;
+    out.push_back(router.MakeExample(planned->outcome.plans,
+                                     planned->outcome.faster));
   }
   return out;
 }

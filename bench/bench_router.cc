@@ -30,15 +30,10 @@ struct RouterFixture {
     QueryGenerator gen(config.stats_scale_factor, 4242);
     int i = 0;
     for (const GeneratedQuery& gq : gen.GenerateMix(400)) {
-      auto bound = f->system->Bind(gq.sql);
-      if (!bound.ok()) return nullptr;
-      auto plans = f->system->PlanBoth(*bound);
-      if (!plans.ok()) return nullptr;
-      EngineKind faster = f->system->LatencyMs(plans->tp) <=
-                                  f->system->LatencyMs(plans->ap)
-                              ? EngineKind::kTp
-                              : EngineKind::kAp;
-      PairExample ex = f->router->MakeExample(*plans, faster);
+      auto planned = f->system->Plan(gq.sql);
+      if (!planned.ok()) return nullptr;
+      PairExample ex = f->router->MakeExample(planned->outcome.plans,
+                                              planned->outcome.faster);
       (++i % 5 == 0 ? f->test : f->train).push_back(std::move(ex));
     }
     f->stats = f->router->Train(f->train, /*epochs=*/60);

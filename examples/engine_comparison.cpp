@@ -24,15 +24,10 @@ int main() {
     QueryGenerator train_gen(config.stats_scale_factor, 1001);
     std::vector<PairExample> dataset;
     for (const GeneratedQuery& gq : train_gen.GenerateMix(300)) {
-      auto bound = system.Bind(gq.sql);
-      if (!bound.ok()) continue;
-      auto plans = system.PlanBoth(*bound);
-      if (!plans.ok()) continue;
-      EngineKind faster =
-          system.LatencyMs(plans->tp) <= system.LatencyMs(plans->ap)
-              ? EngineKind::kTp
-              : EngineKind::kAp;
-      dataset.push_back(router.MakeExample(*plans, faster));
+      auto planned = system.Plan(gq.sql);
+      if (!planned.ok()) continue;
+      dataset.push_back(router.MakeExample(planned->outcome.plans,
+                                           planned->outcome.faster));
     }
     RouterTrainStats stats = router.Train(dataset, 60);
     std::printf("router trained: %.1f%% train accuracy, %zu bytes, %.2fs\n\n",
@@ -50,19 +45,16 @@ int main() {
   std::map<QueryPattern, PatternStats> stats;
   QueryGenerator test_gen(config.stats_scale_factor, 2002);
   for (const GeneratedQuery& gq : test_gen.GenerateMix(200)) {
-    auto bound = system.Bind(gq.sql);
-    if (!bound.ok()) continue;
-    auto plans = system.PlanBoth(*bound);
-    if (!plans.ok()) continue;
-    double tp_ms = system.LatencyMs(plans->tp);
-    double ap_ms = system.LatencyMs(plans->ap);
-    EngineKind faster = tp_ms <= ap_ms ? EngineKind::kTp : EngineKind::kAp;
+    auto planned = system.Plan(gq.sql);
+    if (!planned.ok()) continue;
+    const HtapQueryOutcome& outcome = planned->outcome;
     PatternStats& ps = stats[gq.pattern];
     ++ps.n;
-    ps.ap_wins += faster == EngineKind::kAp ? 1 : 0;
-    ps.routed_correctly += router.Route(*plans) == faster ? 1 : 0;
-    ps.tp_ms_sum += tp_ms;
-    ps.ap_ms_sum += ap_ms;
+    ps.ap_wins += outcome.faster == EngineKind::kAp ? 1 : 0;
+    ps.routed_correctly +=
+        router.Route(outcome.plans) == outcome.faster ? 1 : 0;
+    ps.tp_ms_sum += outcome.tp_latency_ms;
+    ps.ap_ms_sum += outcome.ap_latency_ms;
   }
 
   std::printf("%-20s %4s %9s %9s %10s %10s %8s\n", "pattern", "n", "AP wins",

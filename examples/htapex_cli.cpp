@@ -282,8 +282,10 @@ int RunServeSharded(const HtapSystem* system, const ExplainerConfig& ec,
   ShardedServiceStats stats = tier.Stats();
   std::printf("\n=== tier stats (bucket-merged over %d shards) ===\n%s\n",
               shards, stats.merged.ToString().c_str());
-  std::printf("failover: %s live=%d/%d beats=%llu\n",
-              stats.failover.ToString().c_str(), stats.live_shards, shards,
+  std::printf("failover: %s last_recovery_beats=%llu live=%d/%d beats=%llu\n",
+              stats.failover.ToString().c_str(),
+              static_cast<unsigned long long>(stats.last_recovery_beats),
+              stats.live_shards, shards,
               static_cast<unsigned long long>(stats.heartbeats));
   for (const std::string& event : tier.EventLog()) {
     std::printf("  event: %s\n", event.c_str());

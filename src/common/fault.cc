@@ -108,6 +108,12 @@ Result<FaultInjector> FaultInjector::Parse(const std::string& spec,
   return out;
 }
 
+Result<FaultInjector> FaultInjector::FromConfig(const std::string& spec,
+                                                uint64_t seed) {
+  if (spec.empty()) return Parse(EnvSpec(), EnvSeed(seed));
+  return Parse(spec == "off" ? "" : spec, seed);
+}
+
 std::string FaultInjector::EnvSpec() {
   const char* env = std::getenv("HTAPEX_FAULTS");
   return env == nullptr ? std::string() : std::string(env);

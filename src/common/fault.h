@@ -96,6 +96,13 @@ class FaultInjector {
   static Result<FaultInjector> Parse(const std::string& spec,
                                      uint64_t seed = 42);
 
+  /// Resolves a config's `faults` field (ExplainerConfig,
+  /// ShardedServiceConfig): "" reads HTAPEX_FAULTS, seeded by
+  /// HTAPEX_FAULT_SEED when that is set; "off" disables injection; any
+  /// other spec parses with `seed`. Errors as Parse does.
+  static Result<FaultInjector> FromConfig(const std::string& spec,
+                                          uint64_t seed);
+
   /// The HTAPEX_FAULTS environment spec ("" when unset).
   static std::string EnvSpec();
   /// The HTAPEX_FAULT_SEED environment value, or `fallback` when unset.

@@ -44,22 +44,15 @@ HtapExplainer::HtapExplainer(const HtapSystem* system, ExplainerConfig config)
   prompt_builder_.set_user_context(config_.user_context);
   // Fault spec: explicit config wins; empty falls through to the
   // HTAPEX_FAULTS environment (the chaos-CI hook); "off" forces clean runs.
-  std::string spec = config_.faults;
-  uint64_t fault_seed = config_.fault_seed;
-  if (spec.empty()) {
-    spec = FaultInjector::EnvSpec();
-    fault_seed = FaultInjector::EnvSeed(fault_seed);
-  } else if (spec == "off") {
-    spec.clear();
-  }
-  Status st = ConfigureFaults(spec, fault_seed);
-  if (!st.ok()) {
+  Result<FaultInjector> faults =
+      FaultInjector::FromConfig(config_.faults, config_.fault_seed);
+  if (!faults.ok()) {
     // A constructor cannot propagate the error; refusing to inject is the
     // safe interpretation of a malformed spec.
-    HTAPEX_LOG(Warning) << "ignoring malformed fault spec '" << spec
-                     << "': " << st;
-    (void)ConfigureFaults("", fault_seed);
+    HTAPEX_LOG(Warning) << "ignoring malformed fault spec: "
+                        << faults.status();
   }
+  InstallFaults(faults.ok() ? std::move(faults).value() : FaultInjector());
 }
 
 Status HtapExplainer::ConfigureFaults(const std::string& spec,
@@ -67,7 +60,14 @@ Status HtapExplainer::ConfigureFaults(const std::string& spec,
   // "off" is accepted here too so callers sweeping fault levels (benches)
   // can use the same spellings ExplainerConfig::faults accepts.
   HTAPEX_ASSIGN_OR_RETURN(
-      faults_, FaultInjector::Parse(spec == "off" ? "" : spec, fault_seed));
+      FaultInjector faults,
+      FaultInjector::Parse(spec == "off" ? "" : spec, fault_seed));
+  InstallFaults(std::move(faults));
+  return Status::OK();
+}
+
+void HtapExplainer::InstallFaults(FaultInjector faults) {
+  faults_ = std::move(faults);
   kb_.set_fault_injector(&faults_);
   ResetStats(resilience_metrics_);
   RebuildResilientLlms();
@@ -75,7 +75,6 @@ Status HtapExplainer::ConfigureFaults(const std::string& spec,
     HTAPEX_LOG(Info) << "fault injection active: " << faults_.ToString()
                      << " (seed " << faults_.seed() << ")";
   }
-  return Status::OK();
 }
 
 void HtapExplainer::RebuildResilientLlms() {
@@ -103,14 +102,9 @@ Result<RouterTrainStats> HtapExplainer::TrainRouter() {
   auto queries = gen.GenerateMix(kRouterTrainQueries);
   dataset.reserve(queries.size());
   for (const GeneratedQuery& gq : queries) {
-    BoundQuery query;
-    HTAPEX_ASSIGN_OR_RETURN(query, system_->Bind(gq.sql));
-    PlanPair plans;
-    HTAPEX_ASSIGN_OR_RETURN(plans, system_->PlanBoth(query));
-    EngineKind faster = system_->LatencyMs(plans.tp) <= system_->LatencyMs(plans.ap)
-                            ? EngineKind::kTp
-                            : EngineKind::kAp;
-    dataset.push_back(router_.MakeExample(plans, faster));
+    HTAPEX_ASSIGN_OR_RETURN(PlannedQuery planned, system_->Plan(gq.sql));
+    dataset.push_back(
+        router_.MakeExample(planned.outcome.plans, planned.outcome.faster));
   }
   RouterTrainStats stats = router_.Train(dataset, kRouterTrainEpochs);
   HTAPEX_LOG(Info) << "router trained on " << dataset.size() << " queries: "
@@ -119,24 +113,11 @@ Result<RouterTrainStats> HtapExplainer::TrainRouter() {
   return stats;
 }
 
-Result<ExpertAnalysis> HtapExplainer::AnalyzeCase(
-    const HtapQueryOutcome& outcome, const BoundQuery& query) const {
-  return expert_.Analyze(outcome, query);
-}
-
 Status HtapExplainer::AddToKnowledgeBase(const std::vector<std::string>& sqls) {
   for (const std::string& sql : sqls) {
-    BoundQuery query;
-    HTAPEX_ASSIGN_OR_RETURN(query, system_->Bind(sql));
-    HtapQueryOutcome outcome;
-    outcome.sql = sql;
-    HTAPEX_ASSIGN_OR_RETURN(outcome.plans, system_->PlanBoth(query));
-    outcome.tp_latency_ms = system_->LatencyMs(outcome.plans.tp);
-    outcome.ap_latency_ms = system_->LatencyMs(outcome.plans.ap);
-    outcome.faster = outcome.tp_latency_ms <= outcome.ap_latency_ms
-                         ? EngineKind::kTp
-                         : EngineKind::kAp;
-    ExpertAnalysis truth = expert_.Analyze(outcome, query);
+    HTAPEX_ASSIGN_OR_RETURN(PlannedQuery planned, system_->Plan(sql));
+    const HtapQueryOutcome& outcome = planned.outcome;
+    ExpertAnalysis truth = expert_.Analyze(outcome, planned.query);
     KbEntry entry;
     entry.sql = sql;
     entry.embedding = router_.Embed(outcome.plans);
@@ -161,15 +142,11 @@ Status HtapExplainer::CurateKnowledgeBase(uint64_t* expired,
   };
   std::vector<StaleEntry> stale;
   for (const KbEntry* entry : kb_.Entries()) {
-    Result<BoundQuery> bound = system_->Bind(entry->sql);
-    if (!bound.ok()) continue;  // schema drifted from under the entry; skip
-    Result<PlanPair> plans = system_->PlanBoth(*bound);
-    if (!plans.ok()) continue;
-    EngineKind fresh =
-        system_->LatencyMs(plans->tp) <= system_->LatencyMs(plans->ap)
-            ? EngineKind::kTp
-            : EngineKind::kAp;
-    if (fresh != entry->faster) stale.push_back({entry->id, entry->sql});
+    Result<PlannedQuery> planned = system_->Plan(entry->sql);
+    if (!planned.ok()) continue;  // schema drifted from under the entry; skip
+    if (planned->outcome.faster != entry->faster) {
+      stale.push_back({entry->id, entry->sql});
+    }
   }
   for (const StaleEntry& entry : stale) {
     HTAPEX_RETURN_IF_ERROR(kb_.Expire(entry.id));
@@ -229,27 +206,6 @@ Status HtapExplainer::BuildDefaultKnowledgeBase() {
   return AddToKnowledgeBase(DefaultKnowledgeSqls());
 }
 
-Result<PreparedQuery> HtapExplainer::PreparePlans(const std::string& sql,
-                                                  Trace* trace) const {
-  PreparedQuery prepared;
-  HTAPEX_ASSIGN_OR_RETURN(prepared.query, system_->Bind(sql, trace));
-  prepared.outcome.sql = sql;
-  HTAPEX_ASSIGN_OR_RETURN(prepared.outcome.plans,
-                          system_->PlanBoth(prepared.query, trace));
-  {
-    ScopedWallSpan span(trace, spanname::kRoute);
-    prepared.outcome.tp_latency_ms =
-        system_->LatencyMs(prepared.outcome.plans.tp);
-    prepared.outcome.ap_latency_ms =
-        system_->LatencyMs(prepared.outcome.plans.ap);
-    prepared.outcome.faster =
-        prepared.outcome.tp_latency_ms <= prepared.outcome.ap_latency_ms
-            ? EngineKind::kTp
-            : EngineKind::kAp;
-  }
-  return prepared;
-}
-
 std::vector<Result<PreparedQuery>> HtapExplainer::PrepareBatch(
     const std::vector<std::string>& sqls,
     const std::vector<Trace*>& traces) const {
@@ -258,8 +214,15 @@ std::vector<Result<PreparedQuery>> HtapExplainer::PrepareBatch(
   std::vector<size_t> planned;  // indices that bound + planned cleanly
   for (size_t i = 0; i < sqls.size(); ++i) {
     Trace* trace = i < traces.size() ? traces[i] : nullptr;
-    out.push_back(PreparePlans(sqls[i], trace));
-    if (out.back().ok()) planned.push_back(i);
+    Result<PlannedQuery> plan = system_->Plan(sqls[i], trace);
+    if (!plan.ok()) {
+      out.push_back(plan.status());
+      continue;
+    }
+    PreparedQuery prepared;
+    static_cast<PlannedQuery&>(prepared) = std::move(plan).value();
+    out.push_back(std::move(prepared));
+    planned.push_back(i);
   }
   if (planned.empty()) return out;
   // One frozen forward pass covers every planned pair in the drain.

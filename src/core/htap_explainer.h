@@ -100,14 +100,12 @@ struct ExplainResult {
   }
 };
 
-/// Stage one of Explain(): everything derivable from the SQL alone —
-/// binding, both plans, modelled latencies, and the plan-pair embedding.
-/// Cheap relative to stage two (no expert analysis, retrieval, or
-/// generation), which lets a service probe its result cache by embedding
-/// before committing to the expensive stage.
-struct PreparedQuery {
-  BoundQuery query;
-  HtapQueryOutcome outcome;
+/// Stage one of Explain(): everything derivable from the SQL alone — the
+/// planned query (HtapSystem::Plan) plus the plan-pair embedding. Cheap
+/// relative to stage two (no expert analysis, retrieval, or generation),
+/// which lets a service probe its result cache by embedding before
+/// committing to the expensive stage.
+struct PreparedQuery : PlannedQuery {
   std::vector<double> embedding;
   double encode_ms = 0.0;  // measured embedding wall time
   /// Router verdict from the same frozen forward pass that produced the
@@ -234,12 +232,9 @@ class HtapExplainer {
   const HtapSystem& system() const { return *system_; }
 
  private:
-  /// Bind + plan + latency model for one query — everything in stage one
-  /// except the (batched) embedding.
-  Result<PreparedQuery> PreparePlans(const std::string& sql,
-                                     Trace* trace) const;
-  Result<ExpertAnalysis> AnalyzeCase(const HtapQueryOutcome& outcome,
-                                     const BoundQuery& query) const;
+  /// Makes `faults` the active injector: KB writes and both LLM wrappers
+  /// draw from it, and the resilience counters start from zero.
+  void InstallFaults(FaultInjector faults);
   /// (Re)creates the resilient wrappers around fresh model instances —
   /// primary follows config_.use_rag; fallback is the DBG-PT baseline
   /// (null when the primary already is the baseline).

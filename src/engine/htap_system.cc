@@ -101,29 +101,39 @@ Result<QueryResultSet> HtapSystem::ExecuteWithMode(ExecMode mode,
   return executor_->Execute(plan, OutputNames(query), stats);
 }
 
-Result<HtapQueryOutcome> HtapSystem::RunQuery(std::string_view sql) const {
-  HtapQueryOutcome outcome;
+Result<PlannedQuery> HtapSystem::Plan(std::string_view sql,
+                                      Trace* trace) const {
+  PlannedQuery planned;
+  HTAPEX_ASSIGN_OR_RETURN(planned.query, Bind(sql, trace));
+  HtapQueryOutcome& outcome = planned.outcome;
   outcome.sql = std::string(sql);
-  BoundQuery query;
-  HTAPEX_ASSIGN_OR_RETURN(query, Bind(sql));
-  outcome.output_names = OutputNames(query);
-  HTAPEX_ASSIGN_OR_RETURN(outcome.plans, PlanBoth(query));
-  outcome.tp_latency_ms = LatencyMs(outcome.plans.tp);
-  outcome.ap_latency_ms = LatencyMs(outcome.plans.ap);
-  outcome.faster = outcome.tp_latency_ms <= outcome.ap_latency_ms
-                       ? EngineKind::kTp
-                       : EngineKind::kAp;
+  HTAPEX_ASSIGN_OR_RETURN(outcome.plans, PlanBoth(planned.query, trace));
+  {
+    ScopedWallSpan span(trace, spanname::kRoute);
+    outcome.tp_latency_ms = LatencyMs(outcome.plans.tp);
+    outcome.ap_latency_ms = LatencyMs(outcome.plans.ap);
+    outcome.faster = outcome.tp_latency_ms <= outcome.ap_latency_ms
+                         ? EngineKind::kTp
+                         : EngineKind::kAp;
+  }
+  return planned;
+}
+
+Result<HtapQueryOutcome> HtapSystem::RunQuery(std::string_view sql) const {
+  HTAPEX_ASSIGN_OR_RETURN(PlannedQuery planned, Plan(sql));
+  HtapQueryOutcome& outcome = planned.outcome;
+  outcome.output_names = OutputNames(planned.query);
   if (data_loaded_) {
     HTAPEX_ASSIGN_OR_RETURN(QueryResultSet tp_result,
-                            Execute(outcome.plans.tp, query));
+                            Execute(outcome.plans.tp, planned.query));
     HTAPEX_ASSIGN_OR_RETURN(QueryResultSet ap_result,
-                            Execute(outcome.plans.ap, query));
+                            Execute(outcome.plans.ap, planned.query));
     outcome.results_match =
         tp_result.Fingerprint() == ap_result.Fingerprint();
     outcome.tp_result = std::move(tp_result);
     outcome.ap_result = std::move(ap_result);
   }
-  return outcome;
+  return std::move(outcome);
 }
 
 }  // namespace htapex

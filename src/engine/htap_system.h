@@ -63,6 +63,13 @@ struct HtapQueryOutcome {
   }
 };
 
+/// A query bound and planned on both engines, with both latencies modelled
+/// and the faster engine decided (no execution).
+struct PlannedQuery {
+  BoundQuery query;
+  HtapQueryOutcome outcome;
+};
+
 /// The ByteHTAP-like substrate: one SQL front end, a shared catalog, a
 /// row-store TP engine and a column-store AP engine with *separate*
 /// optimizers and non-comparable cost models, plus an analytic latency
@@ -120,8 +127,15 @@ class HtapSystem {
                                          const BoundQuery& query,
                                          ExecStats* stats = nullptr) const;
 
-  /// Full pipeline: bind, plan both, model latencies, execute both (when
-  /// data is loaded) and cross-check results.
+  /// Binds, plans on both engines, models both latencies and decides the
+  /// faster engine: the lower modelled latency, ties to TP. The one place
+  /// a query gets its label — router training data, KB entries and every
+  /// explanation take it from here. Spans on a non-null `trace`: parse,
+  /// bind, tp_optimize, ap_optimize, route.
+  Result<PlannedQuery> Plan(std::string_view sql, Trace* trace = nullptr) const;
+
+  /// Full pipeline: Plan, then execute both plans (when data is loaded)
+  /// and cross-check results.
   Result<HtapQueryOutcome> RunQuery(std::string_view sql) const;
 
  private:

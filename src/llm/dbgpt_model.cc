@@ -48,8 +48,8 @@ class DbgPtLlm : public SimulatedLlm {
       winner = EngineKind::kTp;
     } else if (sig.tp_small_index_access && sig.tiny_work) {
       winner = EngineKind::kTp;
-    } else if (s.ap.HasNode("Hash join") || s.ap.num_joins >= 1 ||
-               s.ap.HasNode("Hash aggregate")) {
+    } else if (s.ap.HasNode(PlanOp::kHashJoin) || s.ap.num_joins >= 1 ||
+               s.ap.HasNode(PlanOp::kHashAggregate)) {
       winner = EngineKind::kAp;
     } else {
       // Failure mode 3: falls back to the forbidden cost comparison.
@@ -67,7 +67,7 @@ class DbgPtLlm : public SimulatedLlm {
     if (winner == EngineKind::kAp) {
       // Failure mode 2: columnar storage always leads.
       factors.push_back(PerfFactor::kColumnarScanWidth);
-      if (s.ap.HasNode("Hash join")) {
+      if (s.ap.HasNode(PlanOp::kHashJoin)) {
         factors.push_back(PerfFactor::kHashJoinAdvantage);
       }
       // The deeper root causes are cited only some of the time.

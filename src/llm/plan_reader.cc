@@ -1,6 +1,8 @@
 #include "llm/plan_reader.h"
 
 #include <algorithm>
+#include <optional>
+#include <string_view>
 
 #include "common/json.h"
 #include "common/string_util.h"
@@ -9,12 +11,24 @@ namespace htapex {
 
 namespace {
 
+/// The operator whose PlanOpName is `name`, if any (kExchange is the last
+/// PlanOp).
+std::optional<PlanOp> PlanOpFromName(std::string_view name) {
+  for (int i = 0; i <= static_cast<int>(PlanOp::kExchange); ++i) {
+    PlanOp op = static_cast<PlanOp>(i);
+    if (name == PlanOpName(op)) return op;
+  }
+  return std::nullopt;
+}
+
 void WalkPlan(const JsonValue& node, PlanSurface* out, bool is_root) {
-  std::string type = node.GetString("Node Type");
-  if (!type.empty()) out->node_types.insert(type);
-  if (ContainsIgnoreCase(type, "join")) ++out->num_joins;
-  if (type == "Sort") out->has_sort = true;
-  if (type == "Top-N") {
+  std::optional<PlanOp> op = PlanOpFromName(node.GetString("Node Type"));
+  if (op.has_value()) out->node_types.insert(*op);
+  const bool nested_loop =
+      op == PlanOp::kNestedLoopJoin || op == PlanOp::kIndexNestedLoopJoin;
+  if (nested_loop || op == PlanOp::kHashJoin) ++out->num_joins;
+  if (op == PlanOp::kSort) out->has_sort = true;
+  if (op == PlanOp::kTopN) {
     out->has_topn = true;
     out->has_limit = true;
   }
@@ -46,7 +60,7 @@ void WalkPlan(const JsonValue& node, PlanSurface* out, bool is_root) {
   if (offset != nullptr && offset->is_number()) {
     out->offset = std::max(out->offset, offset->int_value());
   }
-  if (type == "Index Scan" && node.Find("Sort Key") != nullptr) {
+  if (op == PlanOp::kIndexScan && node.Find("Sort Key") != nullptr) {
     out->ordered_index_scan = true;
   }
   const JsonValue* columns = node.Find("Columns");
@@ -59,15 +73,14 @@ void WalkPlan(const JsonValue& node, PlanSurface* out, bool is_root) {
     for (const JsonValue& child : plans->array()) {
       WalkPlan(child, out, /*is_root=*/false);
     }
-    if (ContainsIgnoreCase(type, "nested loop") &&
-        plans->array().size() == 2) {
+    if (nested_loop && plans->array().size() == 2) {
       const JsonValue& outer = plans->array()[0];
       const JsonValue& inner = plans->array()[1];
       double outer_rows = outer.GetDouble("Plan Rows");
       // For an index NLJ the inner 'Plan Rows' is matches-per-probe; for a
       // plain NLJ the inner side is rescanned, so its base table size (or
       // output) is the per-iteration volume.
-      double inner_rows = ContainsIgnoreCase(type, "index")
+      double inner_rows = op == PlanOp::kIndexNestedLoopJoin
                               ? inner.GetDouble("Plan Rows")
                               : std::max(inner.GetDouble("Table Rows"),
                                          inner.GetDouble("Plan Rows"));
@@ -98,11 +111,11 @@ Result<PairSurface> ReadPairSurface(const std::string& tp_plan_json,
 PairSignature ComputeSignature(const PairSurface& s, EngineKind faster) {
   PairSignature sig;
   sig.faster = faster;
-  sig.tp_plain_nlj = s.tp.HasNode("Nested loop inner join");
-  sig.tp_index_join = s.tp.HasNode("Index nested loop join");
+  sig.tp_plain_nlj = s.tp.HasNode(PlanOp::kNestedLoopJoin);
+  sig.tp_index_join = s.tp.HasNode(PlanOp::kIndexNestedLoopJoin);
   sig.tp_heavy_loop_join = s.tp.max_loop_join_volume > 300'000;
   sig.tp_small_index_access =
-      s.tp.HasNode("Index Scan") && s.tp.max_plan_rows < 10'000;
+      s.tp.HasNode(PlanOp::kIndexScan) && s.tp.max_plan_rows < 10'000;
   sig.tp_ordered_stream_limit =
       s.tp.ordered_index_scan && s.tp.has_limit && !s.tp.has_sort;
   sig.tp_big_sort = s.tp.has_sort && s.tp.max_plan_rows > 100'000;
@@ -110,7 +123,7 @@ PairSignature ComputeSignature(const PairSurface& s, EngineKind faster) {
   sig.function_predicate =
       s.tp.condition_applies_function || s.ap.condition_applies_function;
   sig.multi_join = s.ap.num_joins >= 2 || s.tp.num_joins >= 2;
-  sig.grouped_agg = s.ap.HasNode("Hash aggregate");
+  sig.grouped_agg = s.ap.HasNode(PlanOp::kHashAggregate);
   // "Tiny" means both engines touch little data: no big base relation is
   // scanned end to end and no big intermediate result exists.
   sig.tiny_work =

@@ -17,7 +17,9 @@ namespace htapex {
 /// it has no access to the engine internals — which keeps the simulation
 /// honest about what a real LLM pipeline exchanges.
 struct PlanSurface {
-  std::set<std::string> node_types;
+  /// Node kinds present, read from 'Node Type' through PlanOpName; names
+  /// no engine emits are ignored.
+  std::set<PlanOp> node_types;
   std::set<std::string> relations;
   std::vector<std::string> index_columns;  // from 'Index Column' fields
   std::vector<std::string> conditions;     // from 'Condition' fields
@@ -38,9 +40,7 @@ struct PlanSurface {
   bool has_topn = false;
   bool condition_applies_function = false;  // e.g. substring(col,...) in a condition
 
-  bool HasNode(const std::string& type) const {
-    return node_types.count(type) > 0;
-  }
+  bool HasNode(PlanOp op) const { return node_types.count(op) > 0; }
 };
 
 /// Both sides of a plan pair.

@@ -20,11 +20,12 @@ bool FactorApplicable(PerfFactor f, const PairSurface& s,
     case PerfFactor::kIndexProbeJoinLargeOuter:
       return sig.tp_index_join;
     case PerfFactor::kHashJoinAdvantage:
-      return s.ap.HasNode("Hash join");
+      return s.ap.HasNode(PlanOp::kHashJoin);
     case PerfFactor::kColumnarScanWidth:
-      return s.ap.HasNode("Columnar scan");
+      return s.ap.HasNode(PlanOp::kColumnScan);
     case PerfFactor::kHashAggLargeInput:
-      return s.ap.HasNode("Hash aggregate") && s.ap.max_plan_rows > 100'000;
+      return s.ap.HasNode(PlanOp::kHashAggregate) &&
+             s.ap.max_plan_rows > 100'000;
     case PerfFactor::kIndexPointLookup:
       return sig.tp_small_index_access;
     case PerfFactor::kTopNIndexOrderStreaming:
@@ -40,10 +41,10 @@ bool FactorApplicable(PerfFactor f, const PairSurface& s,
     case PerfFactor::kBadJoinOrder:
       return s.ap.num_joins >= 2 && s.ap.max_plan_rows > 100'000;
     case PerfFactor::kMissingSift:
-      return s.ap.HasNode("Hash join") &&
-             !s.ap.HasNode("Sifted columnar scan");
+      return s.ap.HasNode(PlanOp::kHashJoin) &&
+             !s.ap.HasNode(PlanOp::kSiftedScan);
     case PerfFactor::kBloomFpOverrun:
-      return s.ap.HasNode("Sifted columnar scan");
+      return s.ap.HasNode(PlanOp::kSiftedScan);
   }
   return false;
 }

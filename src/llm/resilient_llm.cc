@@ -304,17 +304,19 @@ GeneratedExplanation MakePlanDiffExplanation(const Prompt& prompt) {
   auto add = [&text](const std::string& line) { text += "\n- " + line; };
   add(StrFormat("join strategy: TP uses %d join(s)%s; AP uses %d join(s)%s.",
                 tp.num_joins,
-                tp.HasNode("Index nested loop join")
+                tp.HasNode(PlanOp::kIndexNestedLoopJoin)
                     ? " (index nested loop)"
-                    : (tp.HasNode("Nested loop join") ? " (nested loop)" : ""),
-                ap.num_joins, ap.HasNode("Hash join") ? " (hash join)" : ""));
+                    : (tp.HasNode(PlanOp::kNestedLoopJoin) ? " (nested loop)"
+                                                           : ""),
+                ap.num_joins,
+                ap.HasNode(PlanOp::kHashJoin) ? " (hash join)" : ""));
   add(StrFormat("access paths: TP %s; AP %s.",
-                tp.HasNode("Index Scan") || tp.ordered_index_scan ||
+                tp.HasNode(PlanOp::kIndexScan) || tp.ordered_index_scan ||
                         !tp.index_columns.empty()
                     ? "reads via index"
                     : "scans rows",
-                ap.HasNode("Columnar scan") ? "scans columns"
-                                            : "scans rows"));
+                ap.HasNode(PlanOp::kColumnScan) ? "scans columns"
+                                                : "scans rows"));
   if (tp.has_limit || ap.has_limit) {
     add(StrFormat("limit/offset: LIMIT %lld OFFSET %lld.",
                   static_cast<long long>(std::max(tp.limit, ap.limit)),

@@ -157,9 +157,20 @@ LifecycleStats MergeStats(const LifecycleStats& a, const LifecycleStats& b) {
   const LifecycleStats& newest = b.active_version > a.active_version ? b : a;
   m.active_version = newest.active_version;
   m.active_crc = newest.active_crc;
-  m.serving_accuracy = newest.serving_accuracy;
-  m.baseline_accuracy = newest.baseline_accuracy;
-  m.candidate_accuracy = newest.candidate_accuracy;
+  // A newer snapshot's accuracies win outright. On a version tie (shards
+  // clone one set of weights) each side counts by its feedback samples, so
+  // an idle shard adds nothing.
+  const bool tie = a.active_version == b.active_version;
+  const double wa = tie ? static_cast<double>(a.feedback_samples)
+                        : (&newest == &a ? 1.0 : 0.0);
+  const double wb = tie ? static_cast<double>(b.feedback_samples) : 1.0 - wa;
+  for (double LifecycleStats::*accuracy :
+       {&LifecycleStats::serving_accuracy, &LifecycleStats::baseline_accuracy,
+        &LifecycleStats::candidate_accuracy}) {
+    m.*accuracy = wa + wb > 0.0
+                      ? (a.*accuracy * wa + b.*accuracy * wb) / (wa + wb)
+                      : a.*accuracy;
+  }
   m.phase = a.phase == b.phase ? a.phase : "mixed";
   return m;
 }

@@ -374,7 +374,9 @@ struct LifecycleStats {
 /// Fleet aggregation: counters sum; the snapshot identity (version/CRC) and
 /// accuracies follow the input with the highest version (per-shard routers
 /// version independently — the merged identity is "the newest anywhere");
-/// phase is kept only when both agree, "mixed" otherwise.
+/// on a version tie the accuracies are averaged weighted by
+/// feedback_samples; phase is kept only when both agree, "mixed"
+/// otherwise.
 LifecycleStats MergeStats(const LifecycleStats& a, const LifecycleStats& b);
 
 /// Result-cache events and residency (ShardedExplainCache::Stats). Each

@@ -66,9 +66,10 @@ Status ShardedExplainService::FanoutSink::WillApply(
   // local recovery would then resurrect.) Only the shipped copy carries
   // the replication ordinal; the local WAL record stays ordinal-free.
   KbMutation shipped = mutation;
-  shipped.ordinal = parent_->NextOrdinal(shard_);
+  shipped.ordinal = ++parent_->shards_[static_cast<size_t>(shard_)]
+                          ->replica_ordinal;
   HTAPEX_RETURN_IF_ERROR(parent_->ShipToReplica(shard_, shipped));
-  return local_ == nullptr ? Status::OK() : local_->WillApply(mutation);
+  return local_->WillApply(mutation);
 }
 
 // --- ShardedExplainService --------------------------------------------------
@@ -80,7 +81,6 @@ ShardedExplainService::ShardedExplainService(const HtapSystem* system,
       explainer_config_(std::move(explainer_config)),
       config_(std::move(config)) {
   if (config_.num_shards < 1) config_.num_shards = 1;
-  if (config_.eject_after_failures < 1) config_.eject_after_failures = 1;
   if (config_.probation_successes < 1) config_.probation_successes = 1;
   if (config_.probation_after_beats < 1) config_.probation_after_beats = 1;
 }
@@ -91,56 +91,18 @@ std::string ShardedExplainService::ShardDir(int shard) const {
   return config_.data_dir + "/shard-" + std::to_string(shard);
 }
 
-uint64_t ShardedExplainService::NextOrdinal(int source) {
-  return replica_ordinals_[static_cast<size_t>(source)]->fetch_add(
-             1, std::memory_order_relaxed) +
-         1;
-}
-
-Status ShardedExplainService::Init() {
-  routing_explainer_ =
-      std::make_unique<HtapExplainer>(system_, explainer_config_);
-  HTAPEX_ASSIGN_OR_RETURN(RouterTrainStats train_stats,
-                          routing_explainer_->TrainRouter());
-  (void)train_stats;
-  return InitCommon();
-}
-
 Status ShardedExplainService::InitFrom(const SmartRouter& trained) {
+  if (initialized_) return Status::InvalidArgument("already initialized");
+  HTAPEX_ASSIGN_OR_RETURN(
+      faults_, FaultInjector::FromConfig(config_.faults, config_.fault_seed));
   routing_explainer_ =
       std::make_unique<HtapExplainer>(system_, explainer_config_);
   routing_explainer_->mutable_router().CloneWeightsFrom(trained);
-  return InitCommon();
-}
-
-Status ShardedExplainService::InitCommon() {
-  if (initialized_) return Status::InvalidArgument("already initialized");
-  // Tier fault spec: same spelling rules as ExplainerConfig::faults.
-  std::string spec = config_.faults;
-  uint64_t fault_seed = config_.fault_seed;
-  if (spec.empty()) {
-    spec = FaultInjector::EnvSpec();
-    fault_seed = FaultInjector::EnvSeed(fault_seed);
-  } else if (spec == "off") {
-    spec.clear();
-  }
-  HTAPEX_ASSIGN_OR_RETURN(faults_, FaultInjector::Parse(spec, fault_seed));
-
   router_ = std::make_unique<ShardRouter>(config_.num_shards);
-
-  const size_t n = static_cast<size_t>(config_.num_shards);
   shards_.clear();
-  replica_ordinals_.clear();
-  for (size_t i = 0; i < n; ++i) {
+  for (int i = 0; i < config_.num_shards; ++i) {
     shards_.push_back(std::make_unique<Shard>());
-    replica_ordinals_.push_back(std::make_unique<std::atomic<uint64_t>>(0));
   }
-  health_.assign(n, ShardHealth::kHealthy);
-  consecutive_failures_.assign(n, 0);
-  probe_streak_.assign(n, 0);
-  state_since_beat_.assign(n, 0);
-  killed_at_beat_.assign(n, 0);
-
   for (int i = 0; i < config_.num_shards; ++i) {
     HTAPEX_RETURN_IF_ERROR(BuildShard(i, {}));
   }
@@ -199,7 +161,7 @@ Status ShardedExplainService::BuildShard(
 }
 
 Status ShardedExplainService::BuildDefaultKnowledgeBase() {
-  if (!initialized_) return Status::InvalidArgument("Init() first");
+  if (!initialized_) return Status::InvalidArgument("InitFrom() first");
   std::vector<std::vector<std::string>> partitions(
       static_cast<size_t>(config_.num_shards));
   for (const std::string& sql : routing_explainer_->DefaultKnowledgeSqls()) {
@@ -220,19 +182,16 @@ Status ShardedExplainService::BuildDefaultKnowledgeBase() {
 }
 
 Result<uint64_t> ShardedExplainService::KeyForSql(const std::string& sql) {
-  if (!initialized_) return Status::InvalidArgument("Init() first");
+  if (!initialized_) return Status::InvalidArgument("InitFrom() first");
   HTAPEX_ASSIGN_OR_RETURN(auto prepared, routing_explainer_->Prepare(sql));
   return RingKey(prepared.embedding);
 }
 
 Result<ShardedExplainResult> ShardedExplainService::Explain(
     const std::string& sql, double budget_ms) {
-  if (!initialized_) return Status::InvalidArgument("Init() first");
+  if (!initialized_) return Status::InvalidArgument("InitFrom() first");
   WallTimer timer;
-  {
-    std::lock_guard<std::mutex> lock(health_mu_);
-    ++failover_.requests;
-  }
+  failover_.requests.Inc();
   // Stage one runs once on the shared routing explainer (read-only) to get
   // the embedding that keys the ring; the owning shard then re-runs its own
   // pipeline (its PrepareBatch amortizes this across its queue).
@@ -242,8 +201,7 @@ Result<ShardedExplainResult> ShardedExplainService::Explain(
   ShardedExplainResult out;
   std::vector<int> chain = router_->OwnerChain(key, kMaxFailoverHops + 1);
   if (chain.empty()) {
-    std::lock_guard<std::mutex> lock(health_mu_);
-    ++failover_.no_live_shard;
+    failover_.no_live_shard.Inc();
     return Status::Unavailable("no live shard for key");
   }
   out.failover.primary_shard = chain[0];
@@ -256,10 +214,7 @@ Result<ShardedExplainResult> ShardedExplainService::Explain(
     FaultDraw kill = faults_.Draw(kFaultShardKill, key,
                                   static_cast<uint64_t>(shard));
     if (kill.fired && HealthOf(shard) == ShardHealth::kHealthy) {
-      {
-        std::lock_guard<std::mutex> lock(health_mu_);
-        ++failover_.injected_kills;
-      }
+      failover_.injected_kills.Inc();
       KillShard(shard);
       last = Status::Unavailable("shard killed by injected fault");
       continue;
@@ -271,10 +226,7 @@ Result<ShardedExplainResult> ShardedExplainService::Explain(
       double stall_ms =
           stall.latency_ms > 0.0 ? stall.latency_ms : kDefaultStallMs;
       out.failover.stall_ms += stall_ms;
-      {
-        std::lock_guard<std::mutex> lock(health_mu_);
-        ++failover_.stalls;
-      }
+      failover_.stalls.Inc();
       // A stalling shard still answers, but the stall erodes its health —
       // repeated stalls eject it just like hard failures.
       OnShardFailure(shard);
@@ -303,9 +255,8 @@ Result<ShardedExplainResult> ShardedExplainService::Explain(
       out.failover.final_shard = shard;
       out.failover.failed_over = out.failover.attempts > 1;
       if (out.failover.failed_over) {
-        std::lock_guard<std::mutex> lock(health_mu_);
-        ++failover_.failovers;
-        failover_.hops += static_cast<uint64_t>(out.failover.attempts - 1);
+        failover_.failovers.Inc();
+        failover_.hops.Inc(static_cast<uint64_t>(out.failover.attempts - 1));
       }
       return out;
     }
@@ -331,17 +282,14 @@ Result<ShardedExplainResult> ShardedExplainService::Explain(
     OnShardSuccess(shard);
     return result.status();
   }
-  {
-    std::lock_guard<std::mutex> lock(health_mu_);
-    failover_.hops += static_cast<uint64_t>(
-        out.failover.attempts > 0 ? out.failover.attempts - 1 : 0);
-  }
+  failover_.hops.Inc(static_cast<uint64_t>(
+      out.failover.attempts > 0 ? out.failover.attempts - 1 : 0));
   return last;
 }
 
 Status ShardedExplainService::IncorporateCorrection(
     const ShardedExplainResult& result) {
-  if (!initialized_) return Status::InvalidArgument("Init() first");
+  if (!initialized_) return Status::InvalidArgument("InitFrom() first");
   uint64_t key = RingKey(result.result.embedding);
   std::vector<int> chain = router_->OwnerChain(key, kMaxFailoverHops + 1);
   if (chain.empty()) return Status::Unavailable("no live shard for key");
@@ -368,21 +316,21 @@ Status ShardedExplainService::IncorporateCorrection(
 
 void ShardedExplainService::OnShardFailure(int shard) {
   std::lock_guard<std::mutex> lock(health_mu_);
-  size_t i = static_cast<size_t>(shard);
-  switch (health_[i]) {
+  Shard& s = *shards_[static_cast<size_t>(shard)];
+  switch (s.health) {
     case ShardHealth::kHealthy:
-      if (++consecutive_failures_[i] >= config_.eject_after_failures) {
-        health_[i] = ShardHealth::kEjected;
-        state_since_beat_[i] = beats_;
-        consecutive_failures_[i] = 0;
+      if (++s.consecutive_failures >= kEjectAfterFailures) {
+        s.health = ShardHealth::kEjected;
+        s.state_since_beat = beats_;
+        s.consecutive_failures = 0;
         router_->SetLive(shard, false);
-        ++failover_.ejections;
+        failover_.ejections.Inc();
         LogEvent(StrFormat("eject shard=%d beat=%llu", shard,
                            static_cast<unsigned long long>(beats_)));
       }
       break;
     case ShardHealth::kProbation:
-      probe_streak_[i] = 0;
+      s.probe_streak = 0;
       break;
     case ShardHealth::kEjected:
     case ShardHealth::kDead:
@@ -392,39 +340,39 @@ void ShardedExplainService::OnShardFailure(int shard) {
 
 void ShardedExplainService::OnShardSuccess(int shard) {
   std::lock_guard<std::mutex> lock(health_mu_);
-  consecutive_failures_[static_cast<size_t>(shard)] = 0;
+  shards_[static_cast<size_t>(shard)]->consecutive_failures = 0;
 }
 
 void ShardedExplainService::KillShard(int shard) {
   if (!initialized_ || shard < 0 || shard >= config_.num_shards) return;
+  Shard& s = *shards_[static_cast<size_t>(shard)];
   {
     std::lock_guard<std::mutex> lock(health_mu_);
-    size_t i = static_cast<size_t>(shard);
-    if (health_[i] == ShardHealth::kDead) return;
-    health_[i] = ShardHealth::kDead;
-    state_since_beat_[i] = beats_;
-    killed_at_beat_[i] = beats_;
-    ++failover_.kills;
+    if (s.health == ShardHealth::kDead) return;
+    s.health = ShardHealth::kDead;
+    s.state_since_beat = beats_;
+    s.killed_at_beat = beats_;
+    failover_.kills.Inc();
     LogEvent(StrFormat("kill shard=%d beat=%llu", shard,
                        static_cast<unsigned long long>(beats_)));
   }
   router_->SetLive(shard, false);
-  Shard& s = *shards_[static_cast<size_t>(shard)];
   std::shared_ptr<Incarnation> inc = s.inc.load();
   if (inc != nullptr) {
     // Crash semantics: fail the backlog, join workers, NO snapshot — the
-    // shard's directory stays exactly as the "crash" found it.
+    // shard's directory stays exactly as the "crash" found it. Its
+    // counters are final once Kill() returns.
     inc->service->Kill();
-    // The incarnation stays published until its stats are folded, and both
-    // happen in one section, so Stats() never sees the tier's counters
-    // drop. A concurrent ReviveShard may already have published its
-    // successor; that one stays.
-    std::lock_guard<std::mutex> lock(health_mu_);
     ServiceStats final_stats = inc->service->Stats();
     final_stats.cache.size = 0;  // its cache died with it
+    TraceMetrics::Stats final_traces = inc->service->TraceSnapshot();
+    // Fold and unpublish in one section. A Stats() that copied the
+    // incarnation before the fold reads these same final counters, so the
+    // tier's counters never drop. A concurrent ReviveShard may already
+    // have published its successor; that one stays.
+    std::lock_guard<std::mutex> lock(health_mu_);
     s.retained_stats = MergeStats(s.retained_stats, final_stats);
-    s.retained_traces =
-        MergeStats(s.retained_traces, inc->service->TraceSnapshot());
+    s.retained_traces = MergeStats(s.retained_traces, final_traces);
     std::shared_ptr<Incarnation> killed = inc;
     s.inc.compare_exchange_strong(killed, nullptr);
   }
@@ -441,9 +389,10 @@ Status ShardedExplainService::ReviveShard(int shard, bool lose_disk) {
   if (!initialized_ || shard < 0 || shard >= config_.num_shards) {
     return Status::InvalidArgument("bad shard");
   }
+  Shard& s = *shards_[static_cast<size_t>(shard)];
   {
     std::lock_guard<std::mutex> lock(health_mu_);
-    if (health_[static_cast<size_t>(shard)] != ShardHealth::kDead) {
+    if (s.health != ShardHealth::kDead) {
       return Status::InvalidArgument("shard is not dead");
     }
   }
@@ -461,18 +410,15 @@ Status ShardedExplainService::ReviveShard(int shard, bool lose_disk) {
     }
   }
   HTAPEX_RETURN_IF_ERROR(BuildShard(shard, bootstrap));
-  {
-    std::lock_guard<std::mutex> lock(health_mu_);
-    size_t i = static_cast<size_t>(shard);
-    health_[i] = ShardHealth::kProbation;
-    state_since_beat_[i] = beats_;
-    probe_streak_[i] = 0;
-    consecutive_failures_[i] = 0;
-    ++failover_.revivals;
-    LogEvent(StrFormat("revive shard=%d beat=%llu lose_disk=%d records=%zu",
-                       shard, static_cast<unsigned long long>(beats_),
-                       lose_disk ? 1 : 0, bootstrap.size()));
-  }
+  std::lock_guard<std::mutex> lock(health_mu_);
+  s.health = ShardHealth::kProbation;
+  s.state_since_beat = beats_;
+  s.probe_streak = 0;
+  s.consecutive_failures = 0;
+  failover_.revivals.Inc();
+  LogEvent(StrFormat("revive shard=%d beat=%llu lose_disk=%d records=%zu",
+                     shard, static_cast<unsigned long long>(beats_),
+                     lose_disk ? 1 : 0, bootstrap.size()));
   return Status::OK();
 }
 
@@ -506,26 +452,20 @@ ShardedExplainService::CollectReplicaRecords(int shard) {
 
 Status ShardedExplainService::ShipToReplica(int source,
                                             const KbMutation& record) {
-  if (config_.data_dir.empty() || config_.num_shards < 2) {
-    return Status::OK();
-  }
   std::string payload = EncodeWalRecord(record);
-  int attempts = std::max(1, config_.replicate_attempts);
-  for (int attempt = 0; attempt < attempts; ++attempt) {
+  for (int attempt = 0; attempt < kReplicateAttempts; ++attempt) {
     // Sticky-by-liveness successor: first live shard after the source in
     // index order. Re-evaluated per attempt so a mid-retry death advances.
     int target = router_->NextLiveAfter(source);
     if (target < 0) {
-      std::lock_guard<std::mutex> lock(health_mu_);
-      ++failover_.replicate_aborts;
+      failover_.replicate_aborts.Inc();
       return Status::Unavailable("no live replica target");
     }
     FaultDraw drop = faults_.Draw(kFaultReplicateDrop,
                                   ReplicaDrawKey(source, record.ordinal),
                                   static_cast<uint64_t>(attempt));
     if (drop.fired) {
-      std::lock_guard<std::mutex> lock(health_mu_);
-      ++failover_.replicate_drops;
+      failover_.replicate_drops.Inc();
       continue;
     }
     Status append_status;
@@ -557,14 +497,13 @@ Status ShardedExplainService::ShipToReplica(int source,
                           << " failed: " << append_status;
       continue;
     }
-    std::lock_guard<std::mutex> lock(health_mu_);
-    ++failover_.replications;
+    failover_.replications.Inc();
     return Status::OK();
   }
-  std::lock_guard<std::mutex> lock(health_mu_);
-  ++failover_.replicate_aborts;
+  failover_.replicate_aborts.Inc();
   return Status::Unavailable("replication dropped after " +
-                             std::to_string(attempts) + " attempts");
+                             std::to_string(kReplicateAttempts) +
+                             " attempts");
 }
 
 void ShardedExplainService::Heartbeat() {
@@ -576,9 +515,9 @@ void ShardedExplainService::Heartbeat() {
     ++beats_;
     clock_.AdvanceMillis(kHeartbeatIntervalMs);
     for (int i = 0; i < config_.num_shards; ++i) {
-      size_t s = static_cast<size_t>(i);
-      uint64_t waited = beats_ - state_since_beat_[s];
-      switch (health_[s]) {
+      Shard& s = *shards_[static_cast<size_t>(i)];
+      uint64_t waited = beats_ - s.state_since_beat;
+      switch (s.health) {
         case ShardHealth::kDead:
           if (waited >= static_cast<uint64_t>(config_.probation_after_beats)) {
             to_revive.push_back(i);
@@ -586,9 +525,9 @@ void ShardedExplainService::Heartbeat() {
           break;
         case ShardHealth::kEjected:
           if (waited >= static_cast<uint64_t>(config_.probation_after_beats)) {
-            health_[s] = ShardHealth::kProbation;
-            state_since_beat_[s] = beats_;
-            probe_streak_[s] = 0;
+            s.health = ShardHealth::kProbation;
+            s.state_since_beat = beats_;
+            s.probe_streak = 0;
             LogEvent(StrFormat("probation shard=%d beat=%llu", i,
                                static_cast<unsigned long long>(beats_)));
           }
@@ -606,34 +545,34 @@ void ShardedExplainService::Heartbeat() {
     if (!st.ok()) {
       std::lock_guard<std::mutex> lock(health_mu_);
       // Retry after another full wait instead of hammering every beat.
-      state_since_beat_[static_cast<size_t>(shard)] = beats_;
+      shards_[static_cast<size_t>(shard)]->state_since_beat = beats_;
       LogEvent(StrFormat("revive_failed shard=%d beat=%llu", shard,
                          static_cast<unsigned long long>(beats_)));
     }
   }
   for (int shard : to_probe) {
-    auto inc = shards_[static_cast<size_t>(shard)]->inc.load();
+    Shard& s = *shards_[static_cast<size_t>(shard)];
+    auto inc = s.inc.load();
     if (inc == nullptr) continue;
     Result<ExplainResult> probe = inc->service->ExplainSync(kProbeSql);
     std::lock_guard<std::mutex> lock(health_mu_);
-    size_t s = static_cast<size_t>(shard);
-    if (health_[s] != ShardHealth::kProbation) continue;
+    if (s.health != ShardHealth::kProbation) continue;
     if (probe.ok()) {
-      ++failover_.probe_successes;
-      if (++probe_streak_[s] >= config_.probation_successes) {
-        health_[s] = ShardHealth::kHealthy;
-        state_since_beat_[s] = beats_;
+      failover_.probe_successes.Inc();
+      if (++s.probe_streak >= config_.probation_successes) {
+        s.health = ShardHealth::kHealthy;
+        s.state_since_beat = beats_;
         router_->SetLive(shard, true);
-        ++failover_.readmissions;
-        if (killed_at_beat_[s] > 0 || failover_.kills > 0) {
-          failover_.last_recovery_beats = beats_ - killed_at_beat_[s];
+        failover_.readmissions.Inc();
+        if (s.killed_at_beat > 0 || failover_.kills.Value() > 0) {
+          last_recovery_beats_ = beats_ - s.killed_at_beat;
         }
         LogEvent(StrFormat("readmit shard=%d beat=%llu", shard,
                            static_cast<unsigned long long>(beats_)));
       }
     } else {
-      ++failover_.probe_failures;
-      probe_streak_[s] = 0;
+      failover_.probe_failures.Inc();
+      s.probe_streak = 0;
     }
   }
   if (config_.shard.lifecycle.enabled) {
@@ -653,16 +592,11 @@ void ShardedExplainService::Heartbeat() {
 }
 
 ShardHealth ShardedExplainService::HealthOf(int shard) const {
-  std::lock_guard<std::mutex> lock(health_mu_);
-  if (shard < 0 || shard >= static_cast<int>(health_.size())) {
+  if (shard < 0 || shard >= static_cast<int>(shards_.size())) {
     return ShardHealth::kDead;
   }
-  return health_[static_cast<size_t>(shard)];
-}
-
-uint64_t ShardedExplainService::heartbeats() const {
   std::lock_guard<std::mutex> lock(health_mu_);
-  return beats_;
+  return shards_[static_cast<size_t>(shard)]->health;
 }
 
 void ShardedExplainService::LogEvent(const std::string& event) {
@@ -674,35 +608,37 @@ std::vector<std::string> ShardedExplainService::EventLog() const {
   return events_;
 }
 
-ServiceStats ShardedExplainService::ShardStatsLocked(int shard) const {
-  const Shard& s = *shards_[static_cast<size_t>(shard)];
-  auto inc = s.inc.load();
-  if (inc == nullptr) return s.retained_stats;
-  return MergeStats(s.retained_stats, inc->service->Stats());
-}
-
-TraceMetrics::Stats ShardedExplainService::ShardTracesLocked(
-    int shard) const {
-  const Shard& s = *shards_[static_cast<size_t>(shard)];
-  auto inc = s.inc.load();
-  if (inc == nullptr) return s.retained_traces;
-  return MergeStats(s.retained_traces, inc->service->TraceSnapshot());
-}
-
 ShardedServiceStats ShardedExplainService::Stats() const {
-  std::lock_guard<std::mutex> lock(health_mu_);
   ShardedServiceStats out;
   if (!initialized_) return out;
-  out.health = health_;
-  out.heartbeats = beats_;
-  out.sim_now_ms = clock_.now_millis();
-  out.failover = failover_;
+  // Copy under the lock, ask the shards after it: a shard's Stats() can
+  // wait on its lifecycle's retrain, and requests must not queue behind.
+  struct ShardCopy {
+    std::shared_ptr<Incarnation> inc;
+    ServiceStats stats;
+    TraceMetrics::Stats traces;
+  };
+  std::vector<ShardCopy> copies;
+  {
+    std::lock_guard<std::mutex> lock(health_mu_);
+    out.heartbeats = beats_;
+    out.sim_now_ms = clock_.now_millis();
+    out.last_recovery_beats = last_recovery_beats_;
+    for (const auto& s : shards_) {
+      out.health.push_back(s->health);
+      copies.push_back({s->inc.load(), s->retained_stats, s->retained_traces});
+    }
+  }
+  out.failover = LoadStats(failover_);
   out.live_shards = router_->NumLive();
-  for (int i = 0; i < config_.num_shards; ++i) {
-    ServiceStats stats = ShardStatsLocked(i);
-    out.merged = MergeStats(out.merged, stats);
-    out.merged_traces = MergeStats(out.merged_traces, ShardTracesLocked(i));
-    out.shards.push_back(std::move(stats));
+  for (ShardCopy& copy : copies) {
+    if (copy.inc != nullptr) {
+      copy.stats = MergeStats(copy.stats, copy.inc->service->Stats());
+      copy.traces = MergeStats(copy.traces, copy.inc->service->TraceSnapshot());
+    }
+    out.merged = MergeStats(out.merged, copy.stats);
+    out.merged_traces = MergeStats(out.merged_traces, copy.traces);
+    out.shards.push_back(std::move(copy.stats));
   }
   return out;
 }
@@ -711,6 +647,9 @@ std::string ShardedExplainService::ExpositionText() const {
   ShardedServiceStats s = Stats();
   ExpositionBuilder b;
   Expose(s.failover, kServicePrefix, &b);
+  b.Gauge("htapex_failover_last_recovery_beats",
+          "Beats from the latest kill to that shard's readmission",
+          static_cast<double>(s.last_recovery_beats));
   Expose(s.merged, kTierPrefix, &b);
   Expose(s.merged_traces, kTierPrefix, &b);
   b.Gauge("htapex_live_shards", "Shards currently serving on the ring",

@@ -26,6 +26,11 @@ inline constexpr double kHeartbeatIntervalMs = 100.0;
 /// Failover hops one request may take after its primary: it tries at most
 /// kMaxFailoverHops + 1 distinct shards.
 inline constexpr int kMaxFailoverHops = 3;
+/// Consecutive request failures that eject a shard from the ring.
+inline constexpr int kEjectAfterFailures = 3;
+/// Ship attempts per mutation before the mutation is aborted (each attempt
+/// is an independent replicate.drop draw).
+inline constexpr int kReplicateAttempts = 3;
 
 /// Configuration of the sharded explanation tier.
 struct ShardedServiceConfig {
@@ -36,8 +41,6 @@ struct ShardedServiceConfig {
   ServiceConfig shard;
 
   // --- Health monitor (all intervals in sim-clock heartbeats) ---
-  /// Consecutive request failures that eject a shard from the ring.
-  int eject_after_failures = 3;
   /// Beats a dead shard waits before auto-revival into probation, and an
   /// ejected (but alive) shard waits before probation probing starts.
   int probation_after_beats = 4;
@@ -53,9 +56,6 @@ struct ShardedServiceConfig {
   std::string data_dir;
   /// Per-shard durability template; `dir` is overwritten per shard.
   DurabilityOptions durability;
-  /// Ship attempts per mutation before the mutation is aborted (each
-  /// attempt is an independent replicate.drop draw).
-  int replicate_attempts = 3;
 
   // --- Fault injection (tier-level points; shard explainers get the same
   // spec for the PR-2/PR-3 points) ---
@@ -92,26 +92,26 @@ enum class ShardHealth { kHealthy, kEjected, kProbation, kDead };
 
 const char* ShardHealthName(ShardHealth health);
 
-/// Tier-level counters (plain values — the tier updates them under its own
-/// locks, snapshots are copies). Exported under the "htapex_" prefix.
-struct FailoverStats {
-  uint64_t requests = 0;
-  uint64_t failovers = 0;         // requests answered off their primary
-  uint64_t hops = 0;              // extra dispatch attempts, total
-  uint64_t no_live_shard = 0;     // requests failed with the ring empty
-  uint64_t ejections = 0;
-  uint64_t readmissions = 0;
-  uint64_t kills = 0;
-  uint64_t revivals = 0;
-  uint64_t stalls = 0;            // shard.stall faults absorbed
-  uint64_t injected_kills = 0;    // shard.kill faults fired
-  uint64_t replications = 0;      // mutation records shipped to a successor
-  uint64_t replicate_drops = 0;   // ship attempts dropped by replicate.drop
-  uint64_t replicate_aborts = 0;  // mutations aborted: no successor ack
-  uint64_t probe_successes = 0;
-  uint64_t probe_failures = 0;
-  /// Beats from the most recent kill to that shard re-entering kHealthy.
-  uint64_t last_recovery_beats = 0;
+/// Tier-level event counters: Counter cells in the live group the tier
+/// bumps lock-free, uint64_t cells in the snapshot Stats() returns.
+/// Exported under the "htapex_" prefix.
+template <typename Cell>
+struct BasicFailoverStats {
+  Cell requests{};
+  Cell failovers{};         // requests answered off their primary
+  Cell hops{};              // extra dispatch attempts, total
+  Cell no_live_shard{};     // requests failed with the ring empty
+  Cell ejections{};
+  Cell readmissions{};
+  Cell kills{};
+  Cell revivals{};
+  Cell stalls{};            // shard.stall faults absorbed
+  Cell injected_kills{};    // shard.kill faults fired
+  Cell replications{};      // mutation records shipped to a successor
+  Cell replicate_drops{};   // ship attempts dropped by replicate.drop
+  Cell replicate_aborts{};  // mutations aborted: no successor ack
+  Cell probe_successes{};
+  Cell probe_failures{};
 
   template <typename F, typename... G>
   static void ForEachField(F&& f, G&... g) {
@@ -136,13 +136,12 @@ struct FailoverStats {
     f(shipment("replicate_aborts", "aborted"), g.replicate_aborts...);
     f(event("probe_successes", "probe_success"), g.probe_successes...);
     f(event("probe_failures", "probe_failure"), g.probe_failures...);
-    f(MetricRow{"last_recovery_beats", "failover_last_recovery_beats",
-                "Beats from the latest kill to that shard's readmission"},
-      g.last_recovery_beats...);
   }
 
   std::string ToString() const { return StatsToString(*this); }
 };
+using FailoverMetrics = BasicFailoverStats<Counter>;
+using FailoverStats = BasicFailoverStats<uint64_t>;
 
 /// Aggregated view over every shard. Histograms inside `merged` /
 /// `merged_traces` are bucket-merged (LatencyHistogram::Merge) across
@@ -156,6 +155,9 @@ struct ShardedServiceStats {
   FailoverStats failover;
   uint64_t heartbeats = 0;
   int live_shards = 0;
+  /// Beats from the most recent kill to that shard re-entering kHealthy
+  /// (exported as htapex_failover_last_recovery_beats).
+  uint64_t last_recovery_beats = 0;
   double sim_now_ms = 0.0;
 };
 
@@ -173,14 +175,15 @@ struct ShardedServiceStats {
 /// The tier itself is a thin synchronous router over the per-shard worker
 /// pools: Explain() blocks the calling thread, callers bring their own
 /// concurrency (bench_failover drives it with an open-loop dispatcher
-/// pool). Health state is mutex-guarded; shard teardown/revival is
-/// serialized by the same mutex.
+/// pool). Tier counters are lock-free; the health state machine lives
+/// under one leaf mutex that is never held across a shard call (see
+/// `health_mu_`).
 ///
 /// Replication ack rule (zero-lost-corrections): with replication on,
 /// every KB mutation is shipped to the current successor shard's replica
 /// log (fsynced WAL-format segment in the successor's directory) BEFORE
 /// the local write-ahead hook runs. A mutation whose ship fails (after
-/// replicate_attempts draws) is aborted — the caller never gets an ack and
+/// kReplicateAttempts draws) is aborted — the caller never gets an ack and
 /// no durable record exists anywhere. Hence an acked mutation has, at ack
 /// time, a durable record on two disks (successor replica log + local
 /// WAL), and a kill at ANY single fault point loses nothing acked:
@@ -194,8 +197,8 @@ struct ShardedServiceStats {
 /// ambiguity a real crashed write has; the crash matrix pins this bound).
 class ShardedExplainService {
  public:
-  /// `system` must outlive the tier. Call Init() (or InitFrom) before
-  /// anything else; construction alone does no work.
+  /// `system` must outlive the tier. Call InitFrom() before anything
+  /// else; construction alone does no work.
   ShardedExplainService(const HtapSystem* system,
                         ExplainerConfig explainer_config,
                         ShardedServiceConfig config);
@@ -204,12 +207,11 @@ class ShardedExplainService {
   ShardedExplainService(const ShardedExplainService&) = delete;
   ShardedExplainService& operator=(const ShardedExplainService&) = delete;
 
-  /// Trains the shared routing explainer, then builds every shard (each
-  /// with router weights cloned from the routing explainer, so embeddings
-  /// — and therefore ring keys and cache keys — are identical tier-wide).
-  /// Shards with durable state on disk recover it.
-  Status Init();
-  /// Same, but adopts pre-trained router weights instead of training.
+  /// Adopts `trained`'s router weights for the shared routing explainer,
+  /// then builds every shard with the same weights, so embeddings — and
+  /// therefore ring keys and cache keys — are identical tier-wide. Shards
+  /// with durable state on disk recover it. Fails on a malformed fault
+  /// spec.
   Status InitFrom(const SmartRouter& trained);
 
   /// Partitions the explainer's default 20-query knowledge across shards
@@ -260,10 +262,7 @@ class ShardedExplainService {
 
   ShardRouter* router() { return router_.get(); }
   const ShardRouter* router() const { return router_.get(); }
-  HtapExplainer* routing_explainer() { return routing_explainer_.get(); }
   int num_shards() const { return config_.num_shards; }
-  uint64_t heartbeats() const;
-  const ShardedServiceConfig& config() const { return config_; }
 
   /// Ring key for a SQL text via the routing explainer (stage one + KeyOf).
   Result<uint64_t> KeyForSql(const std::string& sql);
@@ -276,7 +275,8 @@ class ShardedExplainService {
  private:
   /// Replication sink: ships each mutation to the successor's replica log,
   /// then forwards to the shard's local DurableKnowledgeBase. Installed as
-  /// the KB's mutation sink in place of the durable layer.
+  /// the KB's mutation sink in place of the durable layer, so only with a
+  /// data dir and two or more shards.
   class FanoutSink : public KbMutationSink {
    public:
     FanoutSink(ShardedExplainService* parent, int shard,
@@ -304,27 +304,36 @@ class ShardedExplainService {
     ~Incarnation();
   };
 
+  /// One shard: its current incarnation, the replica logs it hosts, and
+  /// the health monitor's record of it.
   struct Shard {
+    /// Published and unpublished under health_mu_ (Stats() copies it
+    /// there); requests load it lock-free.
     std::atomic<std::shared_ptr<Incarnation>> inc;
+    /// Next replication ordinal for mutations this shard originates
+    /// (1-based, monotone across incarnations).
+    std::atomic<uint64_t> replica_ordinal{0};
     /// Replica logs this shard HOSTS, keyed by source shard; lazily opened
     /// appenders onto `<dir>/replica-from-<source>.log`.
     std::mutex replica_mu;
     std::map<int, WalWriter> replica_writers;
+
+    // Guarded by health_mu_.
+    ShardHealth health = ShardHealth::kHealthy;
+    int consecutive_failures = 0;
+    int probe_streak = 0;
+    uint64_t state_since_beat = 0;  // beat of the last state change
+    uint64_t killed_at_beat = 0;
     /// Stats carried over from destroyed incarnations of this shard, so a
     /// kill never loses recorded samples.
     ServiceStats retained_stats;
     TraceMetrics::Stats retained_traces;
   };
 
-  /// Shared tail of Init/InitFrom: fault spec, ring, shard construction.
-  Status InitCommon();
   std::string ShardDir(int shard) const;
   /// Builds a fresh incarnation; `bootstrap` (may be empty) is replayed
   /// into the new KB before the durable layer attaches (lose-disk revival).
   Status BuildShard(int shard, const std::vector<KbMutation>& bootstrap);
-  /// Next 1-based replication ordinal for mutations originating at
-  /// `source` (monotone across incarnations).
-  uint64_t NextOrdinal(int source);
   /// Ships one record (already stamped with its source ordinal) to the
   /// current successor's replica log. Called by FanoutSink under the KB
   /// writer lock of the source shard.
@@ -334,9 +343,8 @@ class ShardedExplainService {
   Result<std::vector<KbMutation>> CollectReplicaRecords(int shard);
   void OnShardFailure(int shard);
   void OnShardSuccess(int shard);
+  /// Appends to the event log; the caller holds health_mu_.
   void LogEvent(const std::string& event);
-  ServiceStats ShardStatsLocked(int shard) const;
-  TraceMetrics::Stats ShardTracesLocked(int shard) const;
   /// The ring key, on the shard caches' lattice so cache affinity holds.
   uint64_t RingKey(const std::vector<double>& embedding) const {
     return ShardRouter::KeyOf(embedding, config_.shard.cache.quant_step);
@@ -349,24 +357,19 @@ class ShardedExplainService {
   std::unique_ptr<HtapExplainer> routing_explainer_;
   std::unique_ptr<ShardRouter> router_;
   FaultInjector faults_;
+  FailoverMetrics failover_;
 
   std::vector<std::unique_ptr<Shard>> shards_;
 
-  /// Guards health state, shard teardown/revival, stats retention, events.
+  /// Guards each Shard's health record and retained stats, incarnation
+  /// publication, the beat clock and the event log. A leaf lock: no other
+  /// mutex is taken and no shard code (service, lifecycle, KB, WAL) runs
+  /// while it is held.
   mutable std::mutex health_mu_;
-  std::vector<ShardHealth> health_;
-  std::vector<int> consecutive_failures_;
-  std::vector<int> probe_streak_;
-  std::vector<uint64_t> state_since_beat_;  // beat of last state change
-  std::vector<uint64_t> killed_at_beat_;
   uint64_t beats_ = 0;
   SimClock clock_;
-  FailoverStats failover_;
+  uint64_t last_recovery_beats_ = 0;
   std::vector<std::string> events_;
-
-  /// Per-source replication ordinals (1-based, monotone across shard
-  /// incarnations — the tier object outlives its shards).
-  std::vector<std::unique_ptr<std::atomic<uint64_t>>> replica_ordinals_;
 
   bool initialized_ = false;
 };

@@ -5,6 +5,7 @@
 #include "llm/plan_reader.h"
 #include "llm/prompt.h"
 #include "llm/realizer.h"
+#include "llm/resilient_llm.h"
 
 namespace htapex {
 namespace {
@@ -44,8 +45,8 @@ TEST(PlanReaderTest, ReadsTableIIStylePlan) {
       " {'Node Type': 'Filter', 'Plan Rows': 13}]}]}";
   auto surface = ReadPlanSurface(tp_plan);
   ASSERT_TRUE(surface.ok()) << surface.status();
-  EXPECT_TRUE(surface->HasNode("Group aggregate"));
-  EXPECT_TRUE(surface->HasNode("Nested loop inner join"));
+  EXPECT_TRUE(surface->HasNode(PlanOp::kGroupAggregate));
+  EXPECT_TRUE(surface->HasNode(PlanOp::kNestedLoopJoin));
   EXPECT_EQ(surface->num_joins, 1);
   EXPECT_TRUE(surface->relations.count("customer") > 0);
   EXPECT_TRUE(surface->condition_applies_function);
@@ -281,6 +282,20 @@ TEST_F(LlmModelTest, DbgPtMisreadsFunctionOverIndex) {
     claimed_index = claimed_index || f == PerfFactor::kIndexPointLookup;
   }
   EXPECT_TRUE(claimed_index);
+}
+
+TEST_F(LlmModelTest, PlanDiffCitesPlainNestedLoop) {
+  // No index serves the join key, so TP runs a plain nested loop — the
+  // paper's Example 1 root cause, which the degraded answer must name.
+  Prompt p = MakePrompt(
+      "SELECT COUNT(*) FROM customer, supplier WHERE c_acctbal = s_acctbal",
+      {});
+  ASSERT_NE(p.question_tp_plan_json.find("Nested loop inner join"),
+            std::string::npos);
+  GeneratedExplanation out = MakePlanDiffExplanation(p);
+  EXPECT_NE(out.text.find("TP uses 1 join(s) (nested loop)"),
+            std::string::npos)
+      << out.text;
 }
 
 }  // namespace

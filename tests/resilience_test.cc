@@ -92,6 +92,20 @@ TEST(FaultInjectorTest, EnvironmentSpecParses) {
   EXPECT_TRUE(inj->enabled());
 }
 
+TEST(FaultInjectorTest, FromConfigResolvesConfigSpellings) {
+  // "off" disables even when HTAPEX_FAULTS is set; an explicit spec wins
+  // over the environment and keeps the configured seed.
+  auto off = FaultInjector::FromConfig("off", 7);
+  ASSERT_TRUE(off.ok()) << off.status();
+  EXPECT_FALSE(off->enabled());
+  auto spec = FaultInjector::FromConfig("llm.timeout:p=0.5", 7);
+  ASSERT_TRUE(spec.ok()) << spec.status();
+  EXPECT_TRUE(spec->enabled());
+  EXPECT_EQ(spec->seed(), 7u);
+  EXPECT_EQ(FaultInjector::FromConfig("llm.timeot:p=0.5", 7).status().code(),
+            StatusCode::kInvalidArgument);
+}
+
 TEST(FaultInjectorTest, DrawsAreDeterministicPerCoordinates) {
   auto a = FaultInjector::Parse("llm.transient_error:p=0.5", 42);
   auto b = FaultInjector::Parse("llm.transient_error:p=0.5", 42);

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <atomic>
+#include <chrono>
 #include <filesystem>
 #include <map>
 #include <memory>
@@ -193,6 +194,34 @@ TEST(HistogramMergeTest, MergeStatsSumsCountersAndMergesHistograms) {
   EXPECT_DOUBLE_EQ(m.end_to_end.max_ms, 9.0);
 }
 
+TEST(HistogramMergeTest, LifecycleVersionTieWeighsAccuraciesBySamples) {
+  // Shards clone one set of weights, so equal versions are the norm; an
+  // idle shard's zero accuracies must not mask a busy shard's.
+  LifecycleStats busy, idle;
+  busy.active_version = idle.active_version = 1;
+  busy.feedback_samples = 300;
+  busy.serving_accuracy = 0.9;
+  busy.baseline_accuracy = 0.95;
+  LifecycleStats m = MergeStats(idle, busy);
+  EXPECT_EQ(m.feedback_samples, 300u);
+  EXPECT_DOUBLE_EQ(m.serving_accuracy, 0.9);
+  EXPECT_DOUBLE_EQ(m.baseline_accuracy, 0.95);
+
+  LifecycleStats other = busy;
+  other.feedback_samples = 100;
+  other.serving_accuracy = 0.5;
+  EXPECT_DOUBLE_EQ(MergeStats(busy, other).serving_accuracy, 0.8);
+
+  // A newer snapshot still wins outright, however few samples it saw.
+  LifecycleStats newer;
+  newer.active_version = 2;
+  newer.feedback_samples = 1;
+  newer.serving_accuracy = 0.25;
+  m = MergeStats(busy, newer);
+  EXPECT_EQ(m.active_version, 2u);
+  EXPECT_DOUBLE_EQ(m.serving_accuracy, 0.25);
+}
+
 // ---------------------------------------------------------------------------
 // ShardedExplainService (shared expensive fixture, plan-only system).
 // ---------------------------------------------------------------------------
@@ -258,6 +287,16 @@ class ShardedServiceTest : public ::testing::Test {
       }
     }
     return sqls;
+  }
+
+  /// The shard holding the most execution feedback.
+  static int BusiestShard(const ShardedServiceStats& stats) {
+    auto busiest = std::max_element(
+        stats.shards.begin(), stats.shards.end(),
+        [](const ServiceStats& a, const ServiceStats& b) {
+          return a.lifecycle.feedback_samples < b.lifecycle.feedback_samples;
+        });
+    return static_cast<int>(busiest - stats.shards.begin());
   }
 
   static HtapSystem* system_;
@@ -371,7 +410,7 @@ TEST_F(ShardedServiceTest, HealthLifecycleEjectProbeReadmit) {
   EXPECT_EQ(stats.failover.readmissions, 1u);
   EXPECT_GE(stats.failover.probe_successes, 2u);
   // Recovery took exactly 4 beats of the sim clock, and Stats says so.
-  EXPECT_EQ(stats.failover.last_recovery_beats, 4u);
+  EXPECT_EQ(stats.last_recovery_beats, 4u);
   EXPECT_EQ(stats.heartbeats, 4u);
   EXPECT_DOUBLE_EQ(stats.sim_now_ms, 4 * kHeartbeatIntervalMs);
 
@@ -425,7 +464,6 @@ TEST_F(ShardedServiceTest, CacheAffinitySurvivesSingleEjection) {
 TEST_F(ShardedServiceTest, StallFaultAbsorbsLatencyAndErodesHealth) {
   ShardedServiceConfig config;
   config.faults = "shard.stall:p=1,lat=40";
-  config.eject_after_failures = 1000;  // observe stalls without ejection
   auto tier = MakeTier(config);
   auto r = tier->Explain(QuerySet(1)[0]);
   ASSERT_TRUE(r.ok()) << r.status();
@@ -437,6 +475,14 @@ TEST_F(ShardedServiceTest, StallFaultAbsorbsLatencyAndErodesHealth) {
   auto starved = tier->Explain(QuerySet(1)[0], 10.0);
   ASSERT_FALSE(starved.ok());
   EXPECT_EQ(starved.status().code(), StatusCode::kDeadlineExceeded);
+}
+
+TEST_F(ShardedServiceTest, InitFromRejectsAMalformedFaultSpec) {
+  ShardedServiceConfig config;
+  config.faults = "shard.kil:p=1";
+  ShardedExplainService tier(system_, ExplainerConfig{}, std::move(config));
+  EXPECT_EQ(tier.InitFrom(trained_->router()).code(),
+            StatusCode::kInvalidArgument);
 }
 
 TEST_F(ShardedServiceTest, InjectedKillFaultTriggersFailover) {
@@ -525,7 +571,6 @@ TEST_F(ShardedServiceTest, DroppedReplicationAbortsWithoutAck) {
   ShardedServiceConfig config;
   config.data_dir = dir;
   config.faults = "replicate.drop:p=1";
-  config.replicate_attempts = 2;
   auto tier = MakeTier(config);
   std::multiset<std::string> before = TierKbSqls(*tier);
 
@@ -713,6 +758,73 @@ TEST_F(ShardedServiceTest, ExpositionKeepsItsVocabulary) {
   for (const char* sample : kVocabulary) {
     EXPECT_TRUE(emitted.count(sample)) << "no longer emitted: " << sample;
   }
+}
+
+TEST_F(ShardedServiceTest, MergedAccuracyComesFromShardsWithFeedback) {
+  ShardedServiceConfig config;
+  config.shard.lifecycle.enabled = true;
+  auto tier = MakeTier(config);
+  // Point lookups share one ring key, so one shard records all feedback
+  // while the others, on the same weights, stay idle.
+  for (const std::string& sql : QuerySet(200)) {
+    ASSERT_TRUE(tier->Explain(sql).ok());
+  }
+  ShardedServiceStats stats = tier->Stats();
+  const LifecycleStats& busy =
+      stats.shards[static_cast<size_t>(BusiestShard(stats))].lifecycle;
+  ASSERT_EQ(busy.feedback_samples, 200u);
+  ASSERT_GT(busy.serving_accuracy, 0.0);
+  EXPECT_DOUBLE_EQ(stats.merged.lifecycle.serving_accuracy,
+                   busy.serving_accuracy);
+
+  auto samples = ParseExposition(tier->ExpositionText());
+  ASSERT_TRUE(samples.ok()) << samples.status();
+  bool saw_serving = false;
+  for (const ExpositionSample& s : *samples) {
+    if (s.name != "htapex_tier_lifecycle_accuracy") continue;
+    for (const auto& [key, value] : s.labels) {
+      if (key == "series" && value == "serving") {
+        saw_serving = true;
+        EXPECT_NEAR(s.value, busy.serving_accuracy, 1e-6);
+      }
+    }
+  }
+  EXPECT_TRUE(saw_serving);
+}
+
+TEST_F(ShardedServiceTest, RequestsDoNotWaitForAScrapeOfARetrainingShard) {
+  // A Stats() scrape waits for a shard's retrain (the lifecycle's Stats()
+  // takes its cycle lock); the request path must not wait with it.
+  ShardedServiceConfig config;
+  config.shard.lifecycle.enabled = true;
+  config.shard.lifecycle.retrain_epochs = 400;  // a retrain of seconds
+  auto tier = MakeTier(config);
+  for (const std::string& sql : QuerySet(200)) {
+    ASSERT_TRUE(tier->Explain(sql).ok());
+  }
+  // Retrain time grows with the samples, so retrain the busiest shard.
+  const int busy = BusiestShard(tier->Stats());
+  ModelLifecycleManager* lifecycle = tier->shard_service(busy)->lifecycle();
+  ASSERT_NE(lifecycle, nullptr);
+  ASSERT_TRUE(lifecycle->ForceRetrain().ok());
+
+  std::atomic<bool> retrained{false};
+  std::thread retrain([&] {
+    lifecycle->Tick();
+    retrained.store(true);
+  });
+  std::this_thread::sleep_for(std::chrono::milliseconds(100));
+  std::thread scrape([&] { (void)tier->Stats(); });
+  std::this_thread::sleep_for(std::chrono::milliseconds(100));
+  auto r = tier->Explain(QuerySet(1, /*salt=*/900)[0]);
+  const bool answered_during_retrain = !retrained.load();
+  retrain.join();
+  scrape.join();
+  ASSERT_TRUE(r.ok()) << r.status();
+  EXPECT_TRUE(answered_during_retrain)
+      << "Explain() waited for the retrain behind the Stats() scrape";
+  EXPECT_EQ(tier->Stats().shards[static_cast<size_t>(busy)].lifecycle.retrains,
+            1u);
 }
 
 TEST_F(ShardedServiceTest, SameSeedSameScriptSameEventLog) {
