@@ -32,6 +32,7 @@
 #include <atomic>
 #include <cstdio>
 #include <cstring>
+#include <future>
 #include <memory>
 #include <string>
 #include <thread>
@@ -273,7 +274,8 @@ void ServiceIntegration() {
   for (const GeneratedQuery& q : TestWorkload(*fixture->system, 48)) {
     sqls.push_back(q.sql);
   }
-  auto futures = service.SubmitBatch(sqls);
+  std::vector<std::future<Result<ExplainResult>>> futures;
+  for (const std::string& sql : sqls) futures.push_back(service.Submit(sql));
   size_t ok_count = 0;
   for (auto& fut : futures) {
     if (fut.get().ok()) ++ok_count;

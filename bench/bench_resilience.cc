@@ -22,6 +22,7 @@
 // are zero hard failures — every query is answered at kFull or
 // kBaselineFallback.
 #include <cstdio>
+#include <future>
 #include <string>
 #include <vector>
 
@@ -77,7 +78,8 @@ Mix RunOnce(Fixture* fixture, const std::vector<std::string>& sqls,
   ExplainService service(fixture->explainer.get(), config);
 
   Mix mix;
-  auto futures = service.SubmitBatch(sqls);
+  std::vector<std::future<Result<ExplainResult>>> futures;
+  for (const std::string& sql : sqls) futures.push_back(service.Submit(sql));
   for (auto& fut : futures) {
     Result<ExplainResult> r = fut.get();
     if (!r.ok()) {

@@ -18,6 +18,7 @@
 #include <benchmark/benchmark.h>
 
 #include <cstdio>
+#include <future>
 #include <memory>
 #include <string>
 #include <vector>
@@ -60,7 +61,8 @@ void BM_ServiceThroughput(benchmark::State& state) {
 
   int64_t processed = 0;
   for (auto _ : state) {
-    auto futures = service.SubmitBatch(sqls);
+    std::vector<std::future<Result<ExplainResult>>> futures;
+    for (const std::string& sql : sqls) futures.push_back(service.Submit(sql));
     for (auto& fut : futures) {
       auto r = fut.get();
       if (!r.ok()) state.SkipWithError(r.status().ToString().c_str());
@@ -116,7 +118,8 @@ double MeasureThroughput(Fixture* f, const std::vector<std::string>& sqls,
   ExplainService service(f->explainer.get(), config);
   WallTimer timer;
   for (int round = 0; round < rounds; ++round) {
-    auto futures = service.SubmitBatch(sqls);
+    std::vector<std::future<Result<ExplainResult>>> futures;
+    for (const std::string& sql : sqls) futures.push_back(service.Submit(sql));
     for (auto& fut : futures) fut.get().status();
   }
   double seconds = timer.ElapsedMillis() / 1000.0;

@@ -20,6 +20,7 @@
 #include <algorithm>
 #include <cstdio>
 #include <cstring>
+#include <future>
 #include <memory>
 #include <string>
 #include <vector>
@@ -61,7 +62,8 @@ double MeasureQps(Fixture* f, const std::vector<std::string>& sqls,
   ExplainService service(f->explainer.get(), config);
   WallTimer timer;
   for (int round = 0; round < rounds; ++round) {
-    auto futures = service.SubmitBatch(sqls);
+    std::vector<std::future<Result<ExplainResult>>> futures;
+    for (const std::string& sql : sqls) futures.push_back(service.Submit(sql));
     for (auto& fut : futures) fut.get().status();
   }
   double seconds = timer.ElapsedMillis() / 1000.0;
@@ -103,7 +105,8 @@ bool CheckCoverage(Fixture* f, const std::vector<std::string>& sqls,
   size_t checked = 0, hits = 0;
   double worst_coverage = 100.0;
   for (int round = 0; round < 2; ++round) {  // round 2 = cache hits
-    auto futures = service.SubmitBatch(sqls);
+    std::vector<std::future<Result<ExplainResult>>> futures;
+    for (const std::string& sql : sqls) futures.push_back(service.Submit(sql));
     for (auto& fut : futures) {
       auto r = fut.get();
       if (!r.ok()) {

@@ -71,6 +71,7 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <future>
 #include <iostream>
 #include <memory>
 #include <string>
@@ -132,9 +133,29 @@ void ExplainOne(HtapExplainer* explainer, const std::string& sql) {
   std::printf("\n%s\n", result->generation.text.c_str());
 }
 
-/// --serve: batch mode over the concurrent service. Queries come from
-/// stdin (one per line; ';' suffix tolerated), or the demo set repeated 4x
-/// when stdin is a terminal so the cache has something to hit.
+/// The --serve batch: stdin lines (one query per line; ';' suffix
+/// tolerated), or the demo set repeated 4x when stdin is a terminal so the
+/// cache has something to hit.
+std::vector<std::string> ReadServeQueries(const char* const* demo,
+                                          size_t demo_count) {
+  std::vector<std::string> sqls;
+  if (isatty(0)) {
+    for (int round = 0; round < 4; ++round) {
+      for (size_t i = 0; i < demo_count; ++i) sqls.push_back(demo[i]);
+    }
+    return sqls;
+  }
+  std::string line;
+  while (std::getline(std::cin, line)) {
+    std::string sql(Trim(line));
+    if (!sql.empty() && sql.back() == ';') sql.pop_back();
+    if (!sql.empty()) sqls.push_back(std::move(sql));
+  }
+  return sqls;
+}
+
+/// --serve: batch mode over the concurrent service (queries from
+/// ReadServeQueries).
 int RunServe(HtapExplainer* explainer, DurableKnowledgeBase* durable,
              int workers, const std::string& data_dir, const char* const* demo,
              size_t demo_count) {
@@ -148,26 +169,15 @@ int RunServe(HtapExplainer* explainer, DurableKnowledgeBase* durable,
   }
   ExplainService service(explainer, config);
 
-  std::vector<std::string> sqls;
-  if (isatty(0)) {
-    for (int round = 0; round < 4; ++round) {
-      for (size_t i = 0; i < demo_count; ++i) sqls.push_back(demo[i]);
-    }
-  } else {
-    std::string line;
-    while (std::getline(std::cin, line)) {
-      std::string sql(Trim(line));
-      if (!sql.empty() && sql.back() == ';') sql.pop_back();
-      if (!sql.empty()) sqls.push_back(std::move(sql));
-    }
-  }
+  std::vector<std::string> sqls = ReadServeQueries(demo, demo_count);
   if (sqls.empty()) {
     std::printf("--serve: no queries on stdin\n");
     return 0;
   }
 
   std::printf("serving %zu queries on %d workers...\n", sqls.size(), workers);
-  auto futures = service.SubmitBatch(sqls);
+  std::vector<std::future<Result<ExplainResult>>> futures;
+  for (const std::string& sql : sqls) futures.push_back(service.Submit(sql));
   for (size_t i = 0; i < futures.size(); ++i) {
     auto result = futures[i].get();
     if (!result.ok()) {
@@ -232,19 +242,7 @@ int RunServeSharded(const HtapSystem* system, const ExplainerConfig& ec,
     }
   }
 
-  std::vector<std::string> sqls;
-  if (isatty(0)) {
-    for (int round = 0; round < 4; ++round) {
-      for (size_t i = 0; i < demo_count; ++i) sqls.push_back(demo[i]);
-    }
-  } else {
-    std::string line;
-    while (std::getline(std::cin, line)) {
-      std::string sql(Trim(line));
-      if (!sql.empty() && sql.back() == ';') sql.pop_back();
-      if (!sql.empty()) sqls.push_back(std::move(sql));
-    }
-  }
+  std::vector<std::string> sqls = ReadServeQueries(demo, demo_count);
   if (sqls.empty()) {
     std::printf("--serve: no queries on stdin\n");
     return 0;

@@ -206,53 +206,23 @@ Status HtapExplainer::BuildDefaultKnowledgeBase() {
   return AddToKnowledgeBase(DefaultKnowledgeSqls());
 }
 
-std::vector<Result<PreparedQuery>> HtapExplainer::PrepareBatch(
-    const std::vector<std::string>& sqls,
-    const std::vector<Trace*>& traces) const {
-  std::vector<Result<PreparedQuery>> out;
-  out.reserve(sqls.size());
-  std::vector<size_t> planned;  // indices that bound + planned cleanly
-  for (size_t i = 0; i < sqls.size(); ++i) {
-    Trace* trace = i < traces.size() ? traces[i] : nullptr;
-    Result<PlannedQuery> plan = system_->Plan(sqls[i], trace);
-    if (!plan.ok()) {
-      out.push_back(plan.status());
-      continue;
-    }
-    PreparedQuery prepared;
-    static_cast<PlannedQuery&>(prepared) = std::move(plan).value();
-    out.push_back(std::move(prepared));
-    planned.push_back(i);
-  }
-  if (planned.empty()) return out;
-  // One frozen forward pass covers every planned pair in the drain.
-  // Pointers are taken only now, after `out` stopped growing.
-  std::vector<const PlanPair*> pairs;
-  pairs.reserve(planned.size());
-  for (size_t i : planned) pairs.push_back(&out[i]->outcome.plans);
-  WallTimer encode_timer;
-  std::vector<RoutedPair> routed = router_.RouteBatch(pairs);
-  double per_query_ms =
-      encode_timer.ElapsedMillis() / static_cast<double>(planned.size());
-  for (size_t j = 0; j < planned.size(); ++j) {
-    PreparedQuery& prepared = *out[planned[j]];
-    prepared.embedding = std::move(routed[j].embedding);
-    prepared.p_ap = routed[j].p_ap;
-    prepared.encode_ms = per_query_ms;
-    // Recorded rather than scoped: the span must carry the same measured
-    // value end_to_end_ms() charges as router_encode_ms.
-    Trace* trace = planned[j] < traces.size() ? traces[planned[j]] : nullptr;
-    if (trace != nullptr) {
-      trace->AddSpan(spanname::kEmbed, per_query_ms, /*simulated=*/false);
-    }
-  }
-  return out;
-}
-
 Result<PreparedQuery> HtapExplainer::Prepare(const std::string& sql,
                                              Trace* trace) const {
-  std::vector<Result<PreparedQuery>> batch = PrepareBatch({sql}, {trace});
-  return std::move(batch[0]);
+  PreparedQuery prepared;
+  HTAPEX_ASSIGN_OR_RETURN(static_cast<PlannedQuery&>(prepared),
+                          system_->Plan(sql, trace));
+  WallTimer encode_timer;
+  std::vector<RoutedPair> routed =
+      router_.RouteBatch({&prepared.outcome.plans});
+  prepared.encode_ms = encode_timer.ElapsedMillis();
+  prepared.embedding = std::move(routed[0].embedding);
+  prepared.p_ap = routed[0].p_ap;
+  // Recorded rather than scoped: the span must carry the same measured
+  // value end_to_end_ms() charges as router_encode_ms.
+  if (trace != nullptr) {
+    trace->AddSpan(spanname::kEmbed, prepared.encode_ms, /*simulated=*/false);
+  }
+  return prepared;
 }
 
 Result<ExplainResult> HtapExplainer::ExplainPrepared(PreparedQuery prepared,

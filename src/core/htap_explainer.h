@@ -161,23 +161,14 @@ class HtapExplainer {
   Result<ExplainResult> Explain(const std::string& sql,
                                 Trace* trace = nullptr);
 
-  /// Stage one: bind, plan both engines, model latencies, embed the pair.
-  /// Read-only on the explainer (safe to run concurrently with other
+  /// Stage one: bind, plan both engines, model latencies, then one frozen
+  /// router forward pass that embeds the pair and scores the route. Read-
+  /// only on the explainer (safe to run concurrently with other
   /// Prepare/ExplainPrepared calls). Spans: parse, bind, tp_optimize,
-  /// ap_optimize, route, embed. Delegates to PrepareBatch of one.
+  /// ap_optimize, route, embed; the embed span carries the measured encode
+  /// time end_to_end_ms() charges.
   Result<PreparedQuery> Prepare(const std::string& sql,
                                 Trace* trace = nullptr) const;
-
-  /// Stage one for a whole admission batch: per-query binding/planning
-  /// (with per-query spans and per-query errors in the matching slot), then
-  /// ONE batched router forward pass over every successfully planned pair —
-  /// all plan nodes of a conv layer go through a single GEMM. `traces` is
-  /// index-aligned with `sqls`; missing/short entries mean untraced.
-  /// Batched encode time is charged evenly across the batch (the kEmbed
-  /// span carries the same per-query value end_to_end_ms() reports).
-  std::vector<Result<PreparedQuery>> PrepareBatch(
-      const std::vector<std::string>& sqls,
-      const std::vector<Trace*>& traces = {}) const;
 
   /// Stage two: expert analysis, knowledge retrieval, prompting,
   /// generation, grading. Reads the knowledge base — callers running this

@@ -42,7 +42,9 @@ ModelLifecycleManager::ModelLifecycleManager(SmartRouter* router,
         fb.dir = options_.data_dir;
         fb.fsync_every_n = options_.fsync_every_n;
         return fb;
-      }()) {}
+      }()) {
+  PublishLocked();  // Stats() reads "idle" before the first step
+}
 
 Status ModelLifecycleManager::Open() {
   if (!options_.enabled) return Status::OK();
@@ -123,6 +125,20 @@ void ModelLifecycleManager::TickLocked() {
       StepWatchLocked();
       break;
   }
+  PublishLocked();
+}
+
+void ModelLifecycleManager::PublishLocked() {
+  LifecycleStats stats = stats_;
+  stats.phase = LifecyclePhaseName(phase_);
+  // Read here, not in Stats(): after construction the router's weights
+  // change only inside locked steps, so a scrape sees the version and CRC
+  // that go with the counters and phase.
+  stats.active_version = router_->frozen_version();
+  stats.active_crc = router_->frozen_crc();
+  std::lock_guard<std::mutex> lock(published_mu_);
+  published_phase_ = phase_;
+  published_stats_ = std::move(stats);
 }
 
 void ModelLifecycleManager::StepIdleLocked() {
@@ -343,6 +359,7 @@ Status ModelLifecycleManager::ForceRetrain() {
   phase_ = LifecyclePhase::kRetrain;
   LogLocked(StrFormat("manual retrain requested cycle=%llu",
                       (unsigned long long)cycle_));
+  PublishLocked();
   return Status::OK();
 }
 
@@ -353,6 +370,7 @@ Status ModelLifecycleManager::ForceRollback() {
     return Status::NotFound("no retained pre-swap snapshot to roll back to");
   }
   RollbackLocked("manual");
+  PublishLocked();
   return Status::OK();
 }
 
@@ -376,16 +394,16 @@ Status ModelLifecycleManager::RunToIdle(int max_ticks) {
 }
 
 LifecyclePhase ModelLifecycleManager::phase() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return phase_;
+  std::lock_guard<std::mutex> lock(published_mu_);
+  return published_phase_;
 }
 
 LifecycleStats ModelLifecycleManager::Stats() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  LifecycleStats stats = stats_;
-  stats.phase = LifecyclePhaseName(phase_);
-  stats.active_version = router_->frozen_version();
-  stats.active_crc = router_->frozen_crc();
+  LifecycleStats stats;
+  {
+    std::lock_guard<std::mutex> lock(published_mu_);
+    stats = published_stats_;
+  }
   stats.feedback_samples = buffer_.total_added();
   stats.feedback_wal_failures = buffer_.wal_failures();
   return stats;

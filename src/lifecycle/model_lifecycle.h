@@ -88,8 +88,10 @@ struct LifecycleOptions {
 /// pass — they never block behind a retrain. All state-machine work runs
 /// under the cycle mutex inside Tick; MaybeTick try-locks so a serving
 /// worker skips the tick rather than waiting when another thread is mid-
-/// cycle. The serving router's snapshot publication is RCU-style (see
-/// SmartRouter), so in-flight readers keep the old snapshot across a swap.
+/// cycle. Stats() and phase() read a copy each cycle step publishes, so a
+/// metrics scrape never waits for a retrain either. The serving router's
+/// snapshot publication is RCU-style (see SmartRouter), so in-flight
+/// readers keep the old snapshot across a swap.
 ///
 /// Determinism contract: ticked single-threaded with a fixed seed and a
 /// fixed sample stream, the manager produces an identical event log —
@@ -142,6 +144,8 @@ class ModelLifecycleManager {
   Status RunToIdle(int max_ticks = 64);
 
   bool enabled() const { return options_.enabled; }
+  /// The phase, counters and serving version/CRC as of the last completed
+  /// cycle step; both return at once while a step (e.g. a retrain) runs.
   LifecyclePhase phase() const;
   LifecycleStats Stats() const;
   /// Deterministic, append-only event log (same-seed runs match exactly).
@@ -168,6 +172,8 @@ class ModelLifecycleManager {
   void RollbackLocked(const std::string& why);
   void CurateLocked();
   void LogLocked(std::string event);
+  /// Copies the phase and counters to where Stats() and phase() read them.
+  void PublishLocked();
   double ServingAccuracyLocked(size_t window) const;
 
   SmartRouter* router_;
@@ -196,6 +202,12 @@ class ModelLifecycleManager {
   LifecycleStats stats_;
   std::vector<std::string> events_;
   double sim_millis_ = 0.0;
+
+  /// Guards the copy below, taken after mu_ (never the other way round)
+  /// and held only to copy it.
+  mutable std::mutex published_mu_;
+  LifecyclePhase published_phase_ = LifecyclePhase::kIdle;
+  LifecycleStats published_stats_;
 };
 
 }  // namespace htapex

@@ -379,8 +379,8 @@ struct LifecycleStats {
 /// otherwise.
 LifecycleStats MergeStats(const LifecycleStats& a, const LifecycleStats& b);
 
-/// Result-cache events and residency (ShardedExplainCache::Stats). Each
-/// cache shard counts into its own copy under its mutex.
+/// Result-cache events and residency (ExplainCache::Stats), counted under
+/// the cache's mutex.
 struct ResultCacheStats {
   uint64_t hits = 0;
   uint64_t misses = 0;

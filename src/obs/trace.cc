@@ -144,28 +144,22 @@ void TraceMetrics::RecordSpan(const char* name, double ms) {
   spans[static_cast<size_t>(idx)].Record(ms);
 }
 
-TraceRing::TraceRing(size_t capacity)
-    : capacity_(capacity == 0 ? 1 : capacity),
-      slots_(std::make_unique<std::atomic<std::shared_ptr<const Trace>>[]>(
-          capacity_)) {}
+TraceRing::TraceRing(size_t capacity) : slots_(capacity == 0 ? 1 : capacity) {}
 
 void TraceRing::Push(std::shared_ptr<const Trace> trace) {
   if (trace == nullptr) return;
-  uint64_t slot = head_.fetch_add(1, std::memory_order_relaxed) % capacity_;
-  slots_[slot].store(std::move(trace), std::memory_order_release);
+  std::lock_guard<std::mutex> lock(mu_);
+  slots_[pushed_ % slots_.size()] = std::move(trace);
+  ++pushed_;
 }
 
 std::vector<std::shared_ptr<const Trace>> TraceRing::Recent() const {
+  std::lock_guard<std::mutex> lock(mu_);
+  const uint64_t n = std::min<uint64_t>(pushed_, slots_.size());
   std::vector<std::shared_ptr<const Trace>> out;
-  out.reserve(capacity_);
-  uint64_t head = head_.load(std::memory_order_acquire);
-  // Walk backwards from the most recently claimed slot; slots not yet
-  // published (or never written) read as null and are skipped.
-  for (uint64_t i = 0; i < capacity_; ++i) {
-    uint64_t slot = (head + capacity_ - 1 - i) % capacity_;
-    std::shared_ptr<const Trace> t =
-        slots_[slot].load(std::memory_order_acquire);
-    if (t != nullptr) out.push_back(std::move(t));
+  out.reserve(n);
+  for (uint64_t i = 1; i <= n; ++i) {
+    out.push_back(slots_[(pushed_ - i) % slots_.size()]);
   }
   return out;
 }

@@ -2,9 +2,9 @@
 #define HTAPEX_OBS_TRACE_H_
 
 #include <array>
-#include <atomic>
 #include <cstdint>
 #include <memory>
+#include <mutex>
 #include <string>
 #include <vector>
 
@@ -207,24 +207,24 @@ class TraceMetrics : public BasicTraceStats<Counter> {
   static int IndexOf(const std::string& name);
 };
 
-/// Lock-free ring of the last N completed traces (the service's flight
-/// recorder). Writers claim a slot with one fetch_add and publish with one
-/// atomic shared_ptr store; readers snapshot without blocking writers.
+/// Ring of the last N completed traces (the service's flight recorder).
+/// One mutex guards the slots: a Push holds it for one shared_ptr move, a
+/// Recent() snapshot for N shared_ptr copies. Safe to call concurrently.
 class TraceRing {
  public:
   explicit TraceRing(size_t capacity);
 
   void Push(std::shared_ptr<const Trace> trace);
 
-  /// Newest-first snapshot of whatever is currently published.
+  /// Newest-first snapshot of the traces pushed so far (at most capacity).
   std::vector<std::shared_ptr<const Trace>> Recent() const;
 
-  size_t capacity() const { return capacity_; }
+  size_t capacity() const { return slots_.size(); }
 
  private:
-  size_t capacity_;
-  std::unique_ptr<std::atomic<std::shared_ptr<const Trace>>[]> slots_;
-  std::atomic<uint64_t> head_{0};
+  mutable std::mutex mu_;
+  std::vector<std::shared_ptr<const Trace>> slots_;
+  uint64_t pushed_ = 0;  // total pushes; the next slot is pushed_ % capacity
 };
 
 }  // namespace htapex

@@ -69,9 +69,9 @@ class SmartRouter {
   /// Routing decision.
   EngineKind Route(const PlanPair& plans) const;
 
-  /// Routes + embeds a whole admission batch in one frozen forward pass
-  /// (all plan nodes of a conv layer go through one GEMM). Output is
-  /// index-aligned with `pairs`.
+  /// Routes + embeds a batch of plan pairs in one frozen forward pass (all
+  /// plan nodes of a conv layer go through one GEMM); HtapExplainer::Prepare
+  /// passes one pair. Output is index-aligned with `pairs`.
   std::vector<RoutedPair> RouteBatch(
       const std::vector<const PlanPair*>& pairs) const;
 

@@ -1,8 +1,6 @@
 #include "service/explain_service.h"
 
-#include <algorithm>
 #include <chrono>
-#include <optional>
 #include <thread>
 #include <utility>
 
@@ -19,13 +17,8 @@ ExplainService::ExplainService(HtapExplainer* explainer, ServiceConfig config)
     : explainer_(explainer),
       config_([&] {
         if (config.num_workers < 1) config.num_workers = 1;
-        if (config.queue_capacity < 1) config.queue_capacity = 1;
         return config;
-      }()),
-      cache_(config_.cache) {
-  if (config_.tracing && config_.trace_ring > 0) {
-    trace_ring_ = std::make_unique<TraceRing>(config_.trace_ring);
-  }
+      }()) {
   if (config_.lifecycle.enabled) {
     lifecycle_ = std::make_unique<ModelLifecycleManager>(
         &explainer_->mutable_router(), config_.lifecycle);
@@ -123,7 +116,7 @@ std::future<Result<ExplainResult>> ExplainService::Submit(std::string sql,
   {
     std::unique_lock<std::mutex> lock(queue_mu_);
     space_cv_.wait(lock, [this] {
-      return stopping_ || queue_.size() < config_.queue_capacity;
+      return stopping_ || queue_.size() < kServiceQueueCapacity;
     });
     if (stopping_) {
       req.promise.set_value(DrainStatus());
@@ -137,170 +130,81 @@ std::future<Result<ExplainResult>> ExplainService::Submit(std::string sql,
   return future;
 }
 
-std::vector<std::future<Result<ExplainResult>>> ExplainService::SubmitBatch(
-    std::vector<std::string> sqls, double budget_ms) {
-  std::vector<std::future<Result<ExplainResult>>> futures;
-  futures.reserve(sqls.size());
-  size_t next = 0;
-  while (next < sqls.size()) {
-    size_t pushed = 0;
-    {
-      std::unique_lock<std::mutex> lock(queue_mu_);
-      space_cv_.wait(lock, [this] {
-        return stopping_ || queue_.size() < config_.queue_capacity;
-      });
-      if (stopping_) break;
-      auto now = std::chrono::steady_clock::now();
-      while (next < sqls.size() && queue_.size() < config_.queue_capacity) {
-        if (Status st = CheckStatementBytes(sqls[next]); !st.ok()) {
-          futures.push_back(Reject(st));
-          ++next;
-          continue;
-        }
-        Request req;
-        req.sql = std::move(sqls[next++]);
-        req.budget_ms = budget_ms > 0.0 ? budget_ms : 0.0;
-        req.enqueued = now;
-        futures.push_back(req.promise.get_future());
-        queue_.push_back(std::move(req));
-        ++pushed;
-      }
-    }
-    metrics_.requests.Inc(pushed);
-    if (pushed > 1) {
-      queue_cv_.notify_all();
-    } else {
-      queue_cv_.notify_one();
-    }
-  }
-  // Shutdown raced the batch: fail the remainder without enqueueing.
-  for (; next < sqls.size(); ++next) {
-    std::promise<Result<ExplainResult>> promise;
-    futures.push_back(promise.get_future());
-    promise.set_value(DrainStatus());
-  }
-  return futures;
-}
-
 Result<ExplainResult> ExplainService::ExplainSync(const std::string& sql,
                                                   double budget_ms) {
   return Submit(sql, budget_ms).get();
 }
 
 void ExplainService::WorkerLoop() {
-  // Workers drain in small batches: one lock round-trip per kPopBatch
-  // requests instead of per request, and the whole drain goes through ONE
-  // batched stage one (HtapExplainer::PrepareBatch) — per-query binding and
-  // planning, then a single frozen-router forward pass that featurizes and
-  // embeds every admitted request together.
-  constexpr size_t kPopBatch = 8;
-  std::vector<Request> batch;
-  std::vector<size_t> admitted;                 // indices past budget triage
-  std::vector<std::string> sqls;                // aligned with admitted
-  std::vector<std::shared_ptr<Trace>> traces;   // aligned with admitted
-  std::vector<Trace*> trace_ptrs;               // aligned with admitted
   for (;;) {
-    batch.clear();
+    Request req;
     {
       std::unique_lock<std::mutex> lock(queue_mu_);
       queue_cv_.wait(lock, [this] { return stopping_ || !queue_.empty(); });
       if (queue_.empty()) return;  // stopping_ and drained
-      size_t n = std::min(kPopBatch, queue_.size());
-      for (size_t i = 0; i < n; ++i) {
-        batch.push_back(std::move(queue_.front()));
-        queue_.pop_front();
-      }
+      req = std::move(queue_.front());
+      queue_.pop_front();
     }
-    space_cv_.notify_all();
-
-    // Budget triage: requests whose budget died in the queue are shed
-    // before any binding/planning/embedding is spent on them.
-    admitted.clear();
-    sqls.clear();
-    traces.clear();
-    trace_ptrs.clear();
-    std::vector<std::optional<Result<ExplainResult>>> results(batch.size());
-    const auto now = std::chrono::steady_clock::now();
-    for (size_t i = 0; i < batch.size(); ++i) {
-      double waited_ms =
-          std::chrono::duration<double, std::milli>(now - batch[i].enqueued)
-              .count();
-      if (batch[i].budget_ms > 0.0 && batch[i].budget_ms - waited_ms <= 0.0) {
-        // The budget died in the queue: shed the request before any
-        // binding/planning/embedding is spent on it.
-        metrics_.early_rejections.Inc();
-        results[i] = Result<ExplainResult>(Status::DeadlineExceeded(
-            "request budget exhausted while queued"));
-        continue;
-      }
-      std::shared_ptr<Trace> trace;
-      if (config_.tracing) {
-        trace = std::make_shared<Trace>(
-            next_trace_id_.fetch_add(1, std::memory_order_relaxed) + 1,
-            batch[i].sql);
-        // Always present (even ~0 ms) so every trace has the same span set
-        // for a given pipeline path — the determinism tests rely on that.
-        trace->AddSpan(spanname::kQueueWait, waited_ms, /*simulated=*/false);
-      }
-      admitted.push_back(i);
-      sqls.push_back(batch[i].sql);
-      trace_ptrs.push_back(trace.get());
-      traces.push_back(std::move(trace));
-    }
-
-    if (!admitted.empty()) {
-      std::vector<Result<PreparedQuery>> prepared =
-          explainer_->PrepareBatch(sqls, trace_ptrs);
-      if (lifecycle_ != nullptr) {
-        // Execution feedback: the measured outcome plus the router verdict
-        // from the same frozen pass that served the request. Recorded
-        // before ProcessPrepared consumes the prepared queries; only
-        // touches the lifecycle's internally-locked buffer, so the drain
-        // never waits behind a retrain cycle.
-        for (size_t j = 0; j < admitted.size(); ++j) {
-          if (prepared[j].ok()) {
-            lifecycle_->RecordOutcome(prepared[j]->outcome.plans,
-                                      prepared[j]->outcome.faster,
-                                      prepared[j]->p_ap);
-          }
-        }
-      }
-      for (size_t j = 0; j < admitted.size(); ++j) {
-        const size_t i = admitted[j];
-        double left = 0.0;
-        if (batch[i].budget_ms > 0.0) {
-          // Re-triage: earlier requests of this drain (and the batched
-          // prepare) ran on this worker's wall clock, so a budget that
-          // survived the queue can still die waiting its turn here.
-          double waited_ms = std::chrono::duration<double, std::milli>(
-                                 std::chrono::steady_clock::now() -
-                                 batch[i].enqueued)
-                                 .count();
-          left = batch[i].budget_ms - waited_ms;
-          if (left <= 0.0) {
-            metrics_.early_rejections.Inc();
-            results[i] = Result<ExplainResult>(Status::DeadlineExceeded(
-                "request budget exhausted while queued"));
-            continue;
-          }
-        }
-        results[i] =
-            ProcessPrepared(std::move(prepared[j]), left, std::move(traces[j]));
-      }
-    }
-
-    for (size_t i = 0; i < batch.size(); ++i) {
-      RecordDegradation(*results[i]);
-      // Count before fulfilling the promise so a caller who wakes from the
-      // future already sees this request in Stats().
-      metrics_.completed.Inc();
-      batch[i].promise.set_value(std::move(*results[i]));
-    }
-    // Advance the lifecycle at most one step per drain (on top of its own
+    space_cv_.notify_one();
+    Result<ExplainResult> result = Process(req);
+    RecordDegradation(result);
+    // Count before fulfilling the promise so a caller who wakes from the
+    // future already sees this request in Stats().
+    metrics_.completed.Inc();
+    req.promise.set_value(std::move(result));
+    // Advance the lifecycle at most one step per request (on top of its own
     // sample-count cadence). try-locked: if another worker is mid-cycle
-    // this drain skips rather than waits.
+    // this worker skips rather than waits.
     if (lifecycle_ != nullptr) lifecycle_->MaybeTick();
   }
+}
+
+Result<ExplainResult> ExplainService::Process(const Request& req) {
+  auto waited_ms = [&req] {
+    return std::chrono::duration<double, std::milli>(
+               std::chrono::steady_clock::now() - req.enqueued)
+        .count();
+  };
+  const double queued_ms = waited_ms();
+  if (req.budget_ms > 0.0 && req.budget_ms - queued_ms <= 0.0) {
+    // The budget died in the queue: shed the request before any
+    // binding/planning/embedding is spent on it.
+    metrics_.early_rejections.Inc();
+    return Status::DeadlineExceeded("request budget exhausted while queued");
+  }
+  std::shared_ptr<Trace> trace;
+  if (config_.tracing) {
+    trace = std::make_shared<Trace>(
+        next_trace_id_.fetch_add(1, std::memory_order_relaxed) + 1, req.sql);
+    // Always present (even ~0 ms) so every trace has the same span set
+    // for a given pipeline path — the determinism tests rely on that.
+    trace->AddSpan(spanname::kQueueWait, queued_ms, /*simulated=*/false);
+  }
+  Result<PreparedQuery> prepared = explainer_->Prepare(req.sql, trace.get());
+  if (!prepared.ok()) {
+    metrics_.errors.Inc();
+    return prepared.status();
+  }
+  if (lifecycle_ != nullptr) {
+    // Execution feedback: the measured outcome plus the router verdict
+    // from the same frozen pass that served the request. Only touches the
+    // lifecycle's internally-locked buffer, so it never waits behind a
+    // retrain cycle.
+    lifecycle_->RecordOutcome(prepared->outcome.plans,
+                              prepared->outcome.faster, prepared->p_ap);
+  }
+  double left = 0.0;
+  if (req.budget_ms > 0.0) {
+    // Re-check: stage one ran on this worker's wall clock, so a budget
+    // that survived the queue can still run out here. ExplainPrepared
+    // reads a budget <= 0 as unbounded, so an exhausted one ends here.
+    left = req.budget_ms - waited_ms();
+    if (left <= 0.0) {
+      metrics_.early_rejections.Inc();
+      return Status::DeadlineExceeded("request budget exhausted while queued");
+    }
+  }
+  return ProcessPrepared(std::move(prepared).value(), left, std::move(trace));
 }
 
 void ExplainService::RecordDegradation(const Result<ExplainResult>& result) {
@@ -325,13 +229,7 @@ void ExplainService::RecordDegradation(const Result<ExplainResult>& result) {
 }
 
 Result<ExplainResult> ExplainService::ProcessPrepared(
-    Result<PreparedQuery> prepared_or, double budget_ms,
-    std::shared_ptr<Trace> trace) {
-  if (!prepared_or.ok()) {
-    metrics_.errors.Inc();
-    return prepared_or.status();
-  }
-  PreparedQuery prepared = std::move(prepared_or).value();
+    PreparedQuery prepared, double budget_ms, std::shared_ptr<Trace> trace) {
   metrics_.encode.Record(prepared.encode_ms);
   if (lifecycle_ != nullptr && trace != nullptr) {
     // Which snapshot generation served this request — post-incident trace
@@ -424,14 +322,13 @@ void ExplainService::FinalizeTrace(std::shared_ptr<Trace> trace,
                         << trace->ToString();
   }
   std::shared_ptr<const Trace> published = std::move(trace);
-  if (trace_ring_ != nullptr) trace_ring_->Push(published);
+  recent_traces_.Push(published);
   result->trace = std::move(published);
 }
 
 std::vector<std::shared_ptr<const Trace>> ExplainService::RecentTraces()
     const {
-  if (trace_ring_ == nullptr) return {};
-  return trace_ring_->Recent();
+  return recent_traces_.Recent();
 }
 
 Status ExplainService::IncorporateCorrection(const ExplainResult& result) {

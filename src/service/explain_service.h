@@ -23,13 +23,16 @@ namespace htapex {
 
 class DurableKnowledgeBase;
 
+/// Requests the service queue holds; Submit blocks while it is full
+/// (backpressure instead of unbounded memory under overload).
+inline constexpr size_t kServiceQueueCapacity = 256;
+/// Completed traces the flight-recorder ring keeps for RecentTraces().
+inline constexpr size_t kServiceTraceRing = 64;
+
 /// Configuration of the concurrent explanation service.
 struct ServiceConfig {
   /// Fixed worker pool size.
   int num_workers = 4;
-  /// Bounded request queue; Submit blocks when full (backpressure instead
-  /// of unbounded memory under overload).
-  size_t queue_capacity = 256;
   /// Fraction of the simulated LLM time a cache miss incurs as *real* wall
   /// time (0 disables). The SimClock models the hosted-LLM round trip as
   /// zero wall time, which hides the very wait a worker pool exists to
@@ -37,19 +40,15 @@ struct ServiceConfig {
   /// throughput scaling reflects the real serving bottleneck. Keep 0 in
   /// unit tests.
   double llm_wall_scale = 0.0;
-  /// Embedding-keyed result cache. Disable to measure the uncached path.
+  /// Embedding-keyed result cache (ExplainCache). Disable to measure the
+  /// uncached path.
   bool cache_enabled = true;
-  ShardedExplainCache::Options cache;
   /// Per-request tracing: every result carries a span tree decomposing its
   /// end_to_end_ms (see obs/trace.h), completed traces feed the per-span
   /// latency histograms and the flight-recorder ring. Cheap enough to keep
   /// on (bench_trace holds the overhead under 5%); disable only to measure
   /// the untraced path.
   bool tracing = true;
-  /// Flight recorder: how many of the most recent completed traces
-  /// RecentTraces() can return. 0 disables the ring (tracing itself stays
-  /// per the flag above).
-  size_t trace_ring = 64;
   /// Slow-request log: a completed trace whose total timeline exceeds this
   /// is logged in full (span tree + events) at Warning and counted in
   /// TraceSnapshot().slow_traces. <= 0 disables.
@@ -80,10 +79,11 @@ struct ServiceConfig {
   int shard_id = -1;
 };
 
-/// Thread-safe, batched front end over HtapExplainer — the serving layer
-/// the paper's single-query pipeline grows into.
+/// Thread-safe front end over HtapExplainer — the serving layer the
+/// paper's single-query pipeline grows into.
 ///
 /// Concurrency model:
+///  - Each worker takes one request per dequeue and runs it to completion.
 ///  - Prepare (bind/plan/embed) is read-only on the explainer and runs
 ///    without any lock.
 ///  - ExplainPrepared (retrieval + generation) runs under a *shared* lock
@@ -94,8 +94,8 @@ struct ServiceConfig {
 ///    in-flight searches and blocks new ones only for the duration of one
 ///    insert.
 ///
-/// Results for near-duplicate plan pairs are served from a sharded LRU
-/// cache keyed by quantized embeddings (see ShardedExplainCache); a hit
+/// Results for near-duplicate plan pairs are served from an LRU cache
+/// keyed by quantized embeddings (see ExplainCache); a hit
 /// skips analysis, retrieval and generation entirely and is reported with
 /// honest timing (encode + cache probe only).
 class ExplainService {
@@ -125,15 +125,6 @@ class ExplainService {
   std::future<Result<ExplainResult>> Submit(std::string sql,
                                             double budget_ms = 0.0);
 
-  /// Enqueues a whole batch under one lock acquisition (chunked by the
-  /// queue capacity, blocking for space as needed). Per-request mutex and
-  /// wakeup traffic is what limits a high-QPS producer; batching amortizes
-  /// it. Futures are returned in input order; oversized statements are
-  /// rejected as in Submit, and on a shutdown race the un-enqueued
-  /// remainder resolves with Unavailable.
-  std::vector<std::future<Result<ExplainResult>>> SubmitBatch(
-      std::vector<std::string> sqls, double budget_ms = 0.0);
-
   /// Convenience: Submit + wait.
   Result<ExplainResult> ExplainSync(const std::string& sql,
                                     double budget_ms = 0.0);
@@ -143,11 +134,11 @@ class ExplainService {
 
   /// Point-in-time metrics snapshot.
   ServiceStats Stats() const;
-  ShardedExplainCache::Stats CacheStats() const { return cache_.GetStats(); }
+  ExplainCache::Stats CacheStats() const { return cache_.GetStats(); }
   /// Per-span latency histograms + trace counters.
   TraceMetrics::Stats TraceSnapshot() const { return trace_metrics_.Snap(); }
   /// Newest-first snapshot of the flight-recorder ring (empty when tracing
-  /// or the ring is disabled).
+  /// is disabled). Safe to call while workers serve.
   std::vector<std::shared_ptr<const Trace>> RecentTraces() const;
   /// Everything the service measures — the ServiceStats groups, the
   /// kernel counters and the per-span histograms — rendered from their
@@ -196,9 +187,12 @@ class ExplainService {
   /// Resolves a request at admission without queueing it, counted like a
   /// request whose binding failed in a worker.
   std::future<Result<ExplainResult>> Reject(Status status);
+  /// Runs one dequeued request through both stages: budget triage, stage
+  /// one, lifecycle feedback, the cache probe and stage two.
+  Result<ExplainResult> Process(const Request& req);
   /// Cache probe + stage two for one request whose stage one (bind/plan/
-  /// batched embed) already ran via HtapExplainer::PrepareBatch.
-  Result<ExplainResult> ProcessPrepared(Result<PreparedQuery> prepared_or,
+  /// embed) already ran via HtapExplainer::Prepare.
+  Result<ExplainResult> ProcessPrepared(PreparedQuery prepared,
                                         double budget_ms,
                                         std::shared_ptr<Trace> trace);
   /// Counts the result against the degradation-mix counters.
@@ -209,10 +203,10 @@ class ExplainService {
 
   HtapExplainer* explainer_;
   ServiceConfig config_;
-  ShardedExplainCache cache_;
+  ExplainCache cache_;
   ServiceMetrics metrics_;
   TraceMetrics trace_metrics_;
-  std::unique_ptr<TraceRing> trace_ring_;  // null when disabled
+  TraceRing recent_traces_{kServiceTraceRing};
   std::unique_ptr<ModelLifecycleManager> lifecycle_;  // null when disabled
   std::atomic<uint64_t> next_trace_id_{0};
 

@@ -3,7 +3,6 @@
 #include <algorithm>
 
 #include "common/fault.h"
-#include "service/explain_cache.h"
 
 namespace htapex {
 
@@ -32,11 +31,6 @@ ShardRouter::ShardRouter(int num_shards)
   for (int i = 0; i < num_shards_; ++i) {
     live_[static_cast<size_t>(i)].store(true, std::memory_order_relaxed);
   }
-}
-
-uint64_t ShardRouter::KeyOf(const std::vector<double>& embedding,
-                            double quant_step) {
-  return EmbeddingLatticeKey(embedding, quant_step);
 }
 
 size_t ShardRouter::RingLowerBound(uint64_t key) const {

@@ -38,12 +38,6 @@ class ShardRouter {
   /// A ring over `num_shards` shards (at least 1), all live.
   explicit ShardRouter(int num_shards);
 
-  /// The ring key of an embedding: EmbeddingLatticeKey(embedding,
-  /// quant_step), so it matches ShardedExplainCache's key for the same
-  /// step (and `quant_step` <= 0 falls back to the cache default).
-  static uint64_t KeyOf(const std::vector<double>& embedding,
-                        double quant_step);
-
   /// Owning shard among the *live* shards (first live vnode clockwise), or
   /// -1 when no shard is live.
   int Owner(uint64_t key) const;

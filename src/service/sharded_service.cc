@@ -7,6 +7,7 @@
 #include "common/logging.h"
 #include "common/string_util.h"
 #include "obs/exposition.h"
+#include "service/explain_cache.h"
 
 namespace htapex {
 
@@ -166,7 +167,7 @@ Status ShardedExplainService::BuildDefaultKnowledgeBase() {
       static_cast<size_t>(config_.num_shards));
   for (const std::string& sql : routing_explainer_->DefaultKnowledgeSqls()) {
     HTAPEX_ASSIGN_OR_RETURN(auto prepared, routing_explainer_->Prepare(sql));
-    uint64_t key = RingKey(prepared.embedding);
+    uint64_t key = EmbeddingLatticeKey(prepared.embedding);
     int owner = router_->StaticOwner(key);
     if (owner < 0) owner = 0;
     partitions[static_cast<size_t>(owner)].push_back(sql);
@@ -184,7 +185,7 @@ Status ShardedExplainService::BuildDefaultKnowledgeBase() {
 Result<uint64_t> ShardedExplainService::KeyForSql(const std::string& sql) {
   if (!initialized_) return Status::InvalidArgument("InitFrom() first");
   HTAPEX_ASSIGN_OR_RETURN(auto prepared, routing_explainer_->Prepare(sql));
-  return RingKey(prepared.embedding);
+  return EmbeddingLatticeKey(prepared.embedding);
 }
 
 Result<ShardedExplainResult> ShardedExplainService::Explain(
@@ -194,9 +195,9 @@ Result<ShardedExplainResult> ShardedExplainService::Explain(
   failover_.requests.Inc();
   // Stage one runs once on the shared routing explainer (read-only) to get
   // the embedding that keys the ring; the owning shard then re-runs its own
-  // pipeline (its PrepareBatch amortizes this across its queue).
+  // pipeline.
   HTAPEX_ASSIGN_OR_RETURN(auto prepared, routing_explainer_->Prepare(sql));
-  uint64_t key = RingKey(prepared.embedding);
+  uint64_t key = EmbeddingLatticeKey(prepared.embedding);
 
   ShardedExplainResult out;
   std::vector<int> chain = router_->OwnerChain(key, kMaxFailoverHops + 1);
@@ -228,7 +229,8 @@ Result<ShardedExplainResult> ShardedExplainService::Explain(
       out.failover.stall_ms += stall_ms;
       failover_.stalls.Inc();
       // A stalling shard still answers, but the stall erodes its health —
-      // repeated stalls eject it just like hard failures.
+      // repeated stalls eject it just like hard failures, so its answer
+      // below does not reset the failure count.
       OnShardFailure(shard);
     }
 
@@ -250,7 +252,7 @@ Result<ShardedExplainResult> ShardedExplainService::Explain(
     }
     Result<ExplainResult> result = inc->service->ExplainSync(sql, remaining);
     if (result.ok()) {
-      OnShardSuccess(shard);
+      if (!stall.fired) OnShardSuccess(shard);
       out.result = std::move(result).value();
       out.failover.final_shard = shard;
       out.failover.failed_over = out.failover.attempts > 1;
@@ -279,7 +281,7 @@ Result<ShardedExplainResult> ShardedExplainService::Explain(
       return result.status();
     }
     // Request-level error (bad SQL etc.): the shard did its job.
-    OnShardSuccess(shard);
+    if (!stall.fired) OnShardSuccess(shard);
     return result.status();
   }
   failover_.hops.Inc(static_cast<uint64_t>(
@@ -290,7 +292,7 @@ Result<ShardedExplainResult> ShardedExplainService::Explain(
 Status ShardedExplainService::IncorporateCorrection(
     const ShardedExplainResult& result) {
   if (!initialized_) return Status::InvalidArgument("InitFrom() first");
-  uint64_t key = RingKey(result.result.embedding);
+  uint64_t key = EmbeddingLatticeKey(result.result.embedding);
   std::vector<int> chain = router_->OwnerChain(key, kMaxFailoverHops + 1);
   if (chain.empty()) return Status::Unavailable("no live shard for key");
   Status last = Status::Unavailable("all correction attempts exhausted");

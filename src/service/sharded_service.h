@@ -166,8 +166,8 @@ struct ShardedServiceStats {
 ///
 /// Request path: stage one (bind/plan/embed) runs once on the shared
 /// routing explainer; the quantized plan-pair embedding keys the ring
-/// (ShardRouter::KeyOf — the PR-1 cache key, so shard-local caches keep
-/// their affinity); the request dispatches to the owner and, on typed
+/// (EmbeddingLatticeKey, the result cache's key, so shard-local caches
+/// keep their affinity); the request dispatches to the owner and, on typed
 /// kUnavailable (shard draining/dead), fails over along the key's ring arc
 /// with the remaining per-request budget carried over. Every result is
 /// tagged with a FailoverInfo.
@@ -264,7 +264,8 @@ class ShardedExplainService {
   const ShardRouter* router() const { return router_.get(); }
   int num_shards() const { return config_.num_shards; }
 
-  /// Ring key for a SQL text via the routing explainer (stage one + KeyOf).
+  /// Ring key for a SQL text via the routing explainer (stage one +
+  /// EmbeddingLatticeKey).
   Result<uint64_t> KeyForSql(const std::string& sql);
 
   /// Test/bench access to one live shard's KB (nullptr when dead).
@@ -345,10 +346,6 @@ class ShardedExplainService {
   void OnShardSuccess(int shard);
   /// Appends to the event log; the caller holds health_mu_.
   void LogEvent(const std::string& event);
-  /// The ring key, on the shard caches' lattice so cache affinity holds.
-  uint64_t RingKey(const std::vector<double>& embedding) const {
-    return ShardRouter::KeyOf(embedding, config_.shard.cache.quant_step);
-  }
 
   const HtapSystem* system_;
   ExplainerConfig explainer_config_;

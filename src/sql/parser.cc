@@ -7,16 +7,6 @@ namespace htapex {
 
 namespace {
 
-// Parenthesised expressions, function and aggregate arguments, NOT chains
-// and unary minus recurse; a statement nested deeper than this is rejected
-// with a parse error instead of overflowing the stack (here or in the
-// binder and evaluator, which recurse over the tree). Binary operators
-// (OR, AND, + - * /) count against the same limit: a flat chain of them
-// builds a left-deep tree as deep as the chain is long, and how deep an
-// operand ends up is only known once the chains above it are parsed, so
-// every application stays counted until its top-level expression ends.
-constexpr int kMaxNesting = 256;
-
 /// Holds one level of expression nesting for the lifetime of a parse call.
 class NestingGuard {
  public:

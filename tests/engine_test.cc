@@ -1,8 +1,10 @@
 #include <gtest/gtest.h>
 
 #include <functional>
+#include <string>
 
 #include "engine/htap_system.h"
+#include "sql/parser.h"
 
 namespace htapex {
 namespace {
@@ -344,6 +346,50 @@ TEST_F(EngineTest, TopNBreaksSortKeyTiesDeterministically) {
 TEST_F(EngineTest, BindErrorsPropagate) {
   EXPECT_FALSE(system_->RunQuery("SELECT nope FROM customer").ok());
   EXPECT_FALSE(system_->RunQuery("not sql at all").ok());
+}
+
+/// A kMaxStatementTables-table nation chain whose WHERE expression nests
+/// `levels` deep: the top-level expression is one level, each NOT one
+/// more, and each `+ 0` of the arithmetic chain under the comparison one
+/// more (binary operators count as levels).
+std::string DeepStatement(int levels) {
+  std::string sql = "SELECT COUNT(*), SUM(n0.n_regionkey) FROM nation n0";
+  for (int k = 1; k < kMaxStatementTables; ++k) {
+    sql += " JOIN nation n" + std::to_string(k) + " ON n" + std::to_string(k) +
+           ".n_nationkey = n" + std::to_string(k - 1) + ".n_nationkey";
+  }
+  const int nots = (levels - 1) / 2;
+  sql += " WHERE ";
+  for (int i = 0; i < nots; ++i) sql += "NOT ";
+  sql += "n" + std::to_string(kMaxStatementTables - 1) + ".n_regionkey";
+  for (int i = nots + 1; i < levels; ++i) sql += " + 0";
+  return sql + " < 2";
+}
+
+// The deepest statement the parser limits accept binds, plans and executes
+// on both engines (the JOIN ... ON AND spine plus a WHERE tree at
+// kMaxNesting); one level deeper is a parse error.
+TEST_F(EngineTest, DeepestAcceptedStatementRunsOnBothEngines) {
+  const std::string deepest = DeepStatement(kMaxNesting);
+  ASSERT_LE(deepest.size(), kMaxStatementBytes);
+  auto bound = system_->Bind(deepest);
+  ASSERT_TRUE(bound.ok()) << bound.status();
+  EXPECT_EQ(bound->num_tables(), kMaxStatementTables);
+  auto outcome = system_->RunQuery(deepest);
+  ASSERT_TRUE(outcome.ok()) << outcome.status();
+  ASSERT_TRUE(outcome->tp_result.has_value());
+  ASSERT_TRUE(outcome->ap_result.has_value());
+  EXPECT_EQ(outcome->tp_result->Fingerprint(),
+            outcome->ap_result->Fingerprint());
+  EXPECT_TRUE(outcome->results_match);
+  // 127 NOTs leave n_regionkey >= 2: regions 2-4, five nations each.
+  ASSERT_EQ(outcome->tp_result->rows.size(), 1u);
+  EXPECT_EQ(outcome->tp_result->rows[0][0].AsInt(), 15);
+  EXPECT_EQ(outcome->tp_result->rows[0][1].AsInt(), 45);
+
+  auto deeper = system_->RunQuery(DeepStatement(kMaxNesting + 1));
+  ASSERT_FALSE(deeper.ok());
+  EXPECT_EQ(deeper.status().code(), StatusCode::kParseError);
 }
 
 TEST_F(EngineTest, PlanOnlyModeRefusesExecution) {

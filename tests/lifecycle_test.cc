@@ -7,10 +7,14 @@
 // keeps answering from the old snapshot, version and CRC unchanged.
 #include <gtest/gtest.h>
 
+#include <atomic>
+#include <chrono>
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
+#include <future>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "common/fault.h"
@@ -504,6 +508,36 @@ TEST(ModelLifecycleTest, ForceRetrainRejectsWhenBusy) {
   EXPECT_TRUE(manager.RunToIdle().ok());
 }
 
+TEST(ModelLifecycleTest, StatsDoNotWaitForARetrain) {
+  auto router = TrainedRouter();
+  LifecycleOptions opts = TestOptions();
+  opts.retrain_window = 200;
+  opts.retrain_epochs = 400;  // with 200 samples, a retrain of seconds
+  ModelLifecycleManager manager(router.get(), opts);
+  ASSERT_TRUE(manager.Open().ok());
+  Feed(&manager, SyntheticSet(93, 200, false));
+  ASSERT_TRUE(manager.ForceRetrain().ok());
+
+  std::atomic<bool> retrained{false};
+  std::thread tick([&] {
+    manager.Tick();
+    retrained.store(true);
+  });
+  std::this_thread::sleep_for(std::chrono::milliseconds(100));
+  const LifecycleStats during = manager.Stats();
+  const LifecyclePhase phase = manager.phase();
+  const bool returned_during_retrain = !retrained.load();
+  tick.join();
+  EXPECT_TRUE(returned_during_retrain)
+      << "Stats() waited for the retrain to finish";
+  EXPECT_EQ(during.phase, "retrain");
+  EXPECT_EQ(phase, LifecyclePhase::kRetrain);
+  EXPECT_EQ(during.retrains, 0u);
+  // Once the step completes, its counters are published.
+  EXPECT_EQ(manager.Stats().retrains, 1u);
+  EXPECT_EQ(manager.Stats().phase, "shadow");
+}
+
 TEST(ModelLifecycleTest, SameSeedRunsProduceIdenticalEventLogs) {
   auto run = [] {
     auto router = TrainedRouter();
@@ -567,8 +601,10 @@ TEST(ModelLifecycleTest, ExplainServiceRecordsFeedbackAndExposesStats) {
   QueryGenerator gen(sys_config.stats_scale_factor, 0x11fe);
   std::vector<std::string> sqls;
   for (const GeneratedQuery& q : gen.GenerateMix(24)) sqls.push_back(q.sql);
+  std::vector<std::future<Result<ExplainResult>>> futures;
+  for (const std::string& sql : sqls) futures.push_back(service.Submit(sql));
   size_t ok_count = 0;
-  for (auto& fut : service.SubmitBatch(sqls)) {
+  for (auto& fut : futures) {
     if (fut.get().ok()) ++ok_count;
   }
   ASSERT_GT(ok_count, 0u);

@@ -8,6 +8,7 @@
 #include <thread>
 #include <vector>
 
+#include "common/sim_clock.h"
 #include "core/htap_explainer.h"
 #include "obs/metrics.h"
 #include "service/explain_cache.h"
@@ -173,20 +174,34 @@ TEST_F(ServiceTest, ConcurrentExplainAndCorrectionLosesNothing) {
 
 TEST_F(ServiceTest, SubmitManyFuturesAllResolve) {
   ServiceConfig config;
-  config.num_workers = 2;
-  config.queue_capacity = 4;  // forces Submit to block on backpressure
+  config.num_workers = 1;
+  // The first request is a cache miss that holds the one worker for
+  // ~25 ms (simulated LLM time at 1/200 scale) while the queue fills.
+  config.llm_wall_scale = 0.005;
   ExplainService service(explainer_, config);
+  // More requests than the queue holds: Submit blocks on backpressure.
+  const int n = static_cast<int>(kServiceQueueCapacity) + 24;
   std::vector<std::future<Result<ExplainResult>>> futures;
-  for (int i = 0; i < 24; ++i) {
+  WallTimer submitting;
+  for (int i = 0; i < n; ++i) {
     futures.push_back(service.Submit(
         "SELECT c_name FROM customer WHERE c_custkey = " +
         std::to_string(i % 3)));
   }
-  int ok = 0;
-  for (auto& f : futures) {
-    if (f.get().ok()) ++ok;
+  const double submit_ms = submitting.ElapsedMillis();
+  Result<ExplainResult> first = futures[0].get();
+  ASSERT_TRUE(first.ok()) << first.status();
+  // Submit number kServiceQueueCapacity + 2 finds a full queue until the
+  // worker has finished the first request, so the loop waited out its hold.
+  const double hold_ms =
+      first->generation.timing.total_ms() * config.llm_wall_scale;
+  EXPECT_GT(hold_ms, 1.0);
+  EXPECT_GE(submit_ms, 0.99 * hold_ms);
+  int ok = 1;
+  for (size_t i = 1; i < futures.size(); ++i) {
+    if (futures[i].get().ok()) ++ok;
   }
-  EXPECT_EQ(ok, 24);
+  EXPECT_EQ(ok, n);
 }
 
 TEST_F(ServiceTest, SubmitAfterShutdownFailsCleanly) {
@@ -198,15 +213,12 @@ TEST_F(ServiceTest, SubmitAfterShutdownFailsCleanly) {
   // Typed rejection: callers can distinguish "shutting down" from a bad
   // query or an exhausted dependency.
   EXPECT_EQ(r.status().code(), StatusCode::kUnavailable);
-  // Batch submissions racing shutdown resolve every future the same way.
-  auto futures = service.SubmitBatch(
-      {"SELECT c_name FROM customer WHERE c_custkey = 2",
-       "SELECT c_name FROM customer WHERE c_custkey = 3"});
-  ASSERT_EQ(futures.size(), 2u);
-  for (auto& f : futures) {
-    auto br = f.get();
-    ASSERT_FALSE(br.ok());
-    EXPECT_EQ(br.status().code(), StatusCode::kUnavailable);
+  // Every later submission resolves the same way.
+  for (const char* sql : {"SELECT c_name FROM customer WHERE c_custkey = 2",
+                          "SELECT c_name FROM customer WHERE c_custkey = 3"}) {
+    auto later = service.Submit(sql).get();
+    ASSERT_FALSE(later.ok());
+    EXPECT_EQ(later.status().code(), StatusCode::kUnavailable);
   }
 }
 
@@ -235,7 +247,7 @@ TEST_F(ServiceTest, OverBudgetRequestRejectedAtDequeue) {
 }
 
 // A statement over kMaxStatementBytes is resolved at admission with
-// kInvalidArgument: Submit and SubmitBatch never queue it.
+// kInvalidArgument: Submit never queues it.
 TEST_F(ServiceTest, OversizeStatementRejectedAtAdmission) {
   std::string at_cap = "SELECT COUNT(*) FROM nation WHERE n_name <> ''";
   at_cap.insert(at_cap.size() - 1, kMaxStatementBytes - at_cap.size(), 'x');
@@ -243,10 +255,12 @@ TEST_F(ServiceTest, OversizeStatementRejectedAtAdmission) {
   ExplainService service(explainer_, ServiceConfig{});
   auto single = service.Submit(over).get();
   EXPECT_EQ(single.status().code(), StatusCode::kInvalidArgument);
-  auto batch = service.SubmitBatch({at_cap, over, at_cap});
-  ASSERT_EQ(batch.size(), 3u);
-  for (size_t i = 0; i < batch.size(); ++i) {
-    auto r = batch[i].get();
+  std::vector<std::future<Result<ExplainResult>>> futures;
+  for (const std::string& sql : {at_cap, over, at_cap}) {
+    futures.push_back(service.Submit(sql));
+  }
+  for (size_t i = 0; i < futures.size(); ++i) {
+    auto r = futures[i].get();
     if (i == 1) {
       EXPECT_EQ(r.status().code(), StatusCode::kInvalidArgument);
     } else {
@@ -313,8 +327,8 @@ TEST_F(ServiceTest, ChaosFaultsDegradeGracefullyWithoutLosses) {
         if (service.IncorporateCorrection(*r).ok()) correction_ok.fetch_add(1);
       }
     });
-    auto futures = service.SubmitBatch(sqls);
-    ASSERT_EQ(futures.size(), sqls.size());
+    std::vector<std::future<Result<ExplainResult>>> futures;
+    for (const std::string& sql : sqls) futures.push_back(service.Submit(sql));
     for (auto& fut : futures) {
       // A hang here is the deadlock the chaos test exists to catch.
       ASSERT_EQ(fut.wait_for(std::chrono::seconds(60)),
@@ -364,10 +378,7 @@ TEST_F(ServiceTest, ChaosFaultsDegradeGracefullyWithoutLosses) {
 }
 
 TEST(ExplainCacheTest, QuantizedKeyAndThreshold) {
-  ShardedExplainCache::Options opts;
-  opts.quant_step = 0.1;
-  opts.max_sq_distance = 1e-4;
-  ShardedExplainCache cache(opts);
+  ExplainCache cache;
 
   auto entry = std::make_shared<CachedExplanation>();
   entry->embedding = {1.0, 2.0, 3.0};
@@ -383,8 +394,10 @@ TEST(ExplainCacheTest, QuantizedKeyAndThreshold) {
   EXPECT_NE(cache.Lookup({1.000001, 2.0, 3.0}), nullptr);
 
   // Same cell but beyond the distance threshold: the guard rejects it.
-  // (0.04 offset stays in the 0.1 cell, 0.04^2 = 1.6e-3 > 1e-4.)
-  EXPECT_EQ(cache.Lookup({1.04, 2.0, 3.0}), nullptr);
+  // (0.02 offset stays in the 0.05 cell around 1.0, 0.02^2 = 4e-4 > 1e-4.)
+  static_assert(kEmbeddingLatticeStep == 0.05 &&
+                kNearDuplicateSqDistance == 1e-4);
+  EXPECT_EQ(cache.Lookup({1.02, 2.0, 3.0}), nullptr);
 
   // Different cell: miss.
   EXPECT_EQ(cache.Lookup({1.5, 2.0, 3.0}), nullptr);
@@ -395,53 +408,22 @@ TEST(ExplainCacheTest, QuantizedKeyAndThreshold) {
   EXPECT_EQ(stats.size, 1u);
 }
 
-TEST(ExplainCacheTest, LruEvictsWithinShard) {
-  ShardedExplainCache::Options opts;
-  opts.capacity = 4;
-  opts.shards = 1;
-  opts.quant_step = 1.0;
-  ShardedExplainCache cache(opts);
-  for (int i = 0; i < 10; ++i) {
+TEST(ExplainCacheTest, LruEvictsPastCapacity) {
+  ExplainCache cache;
+  const int n = static_cast<int>(kExplainCacheCapacity) + 6;
+  for (int i = 0; i < n; ++i) {
     auto e = std::make_shared<CachedExplanation>();
-    e->embedding = {static_cast<double>(10 * i)};
+    e->embedding = {static_cast<double>(i)};  // one lattice cell each
     cache.Insert(e);
   }
   auto stats = cache.GetStats();
-  EXPECT_EQ(stats.size, 4u);
+  EXPECT_EQ(stats.size, kExplainCacheCapacity);
   EXPECT_EQ(stats.evictions, 6u);
   // Most recent survives, oldest evicted.
-  EXPECT_NE(cache.Lookup({90.0}), nullptr);
+  EXPECT_NE(cache.Lookup({static_cast<double>(n - 1)}), nullptr);
+  EXPECT_NE(cache.Lookup({6.0}), nullptr);
+  EXPECT_EQ(cache.Lookup({5.0}), nullptr);
   EXPECT_EQ(cache.Lookup({0.0}), nullptr);
-}
-
-TEST(ExplainCacheTest, ZeroShardsOrCapacityFallBackToDefaults) {
-  // Regression: shards = 0 used to clamp to a single shard (serializing
-  // every worker on one mutex) and a zero capacity collapsed to one entry
-  // per shard. A zero is a misconfiguration, not a request for a
-  // degenerate cache — both now fall back to the documented defaults.
-  ShardedExplainCache::Options zeroed;
-  zeroed.shards = 0;
-  zeroed.capacity = 0;
-  ShardedExplainCache cache(zeroed);
-  ShardedExplainCache::Options defaults;
-  EXPECT_EQ(cache.options().shards, defaults.shards);
-  EXPECT_EQ(cache.options().capacity, defaults.capacity);
-
-  // And the defaulted cache actually works.
-  auto e = std::make_shared<CachedExplanation>();
-  e->embedding = {1.0, 2.0};
-  e->generation.text = "cached";
-  cache.Insert(e);
-  auto hit = cache.Lookup({1.0, 2.0});
-  ASSERT_NE(hit, nullptr);
-  EXPECT_EQ(hit->generation.text, "cached");
-
-  // capacity < shards still rounds capacity up so each shard holds >= 1.
-  ShardedExplainCache::Options tiny;
-  tiny.shards = 8;
-  tiny.capacity = 2;
-  ShardedExplainCache small(tiny);
-  EXPECT_EQ(small.options().capacity, 8u);
 }
 
 TEST(MetricsTest, HistogramQuantilesAndCounters) {

@@ -15,6 +15,7 @@
 #include "common/fault.h"
 #include "obs/exposition.h"
 #include "obs/metrics.h"
+#include "service/explain_cache.h"
 #include "service/shard_router.h"
 #include "service/sharded_service.h"
 
@@ -106,12 +107,9 @@ TEST(ShardRouterTest, KeyOfIsQuantizationStable) {
   nudged[0] += 0.01;  // well inside the 0.05 lattice cell
   std::vector<double> far = base;
   far[0] += 0.10;  // two cells away
-  uint64_t k0 = ShardRouter::KeyOf(base, 0.05);
-  EXPECT_EQ(k0, ShardRouter::KeyOf(nudged, 0.05));
-  EXPECT_NE(k0, ShardRouter::KeyOf(far, 0.05));
-  // quant_step <= 0 falls back to the cache default rather than dividing
-  // by zero.
-  EXPECT_EQ(ShardRouter::KeyOf(base, 0.0), k0);
+  uint64_t k0 = EmbeddingLatticeKey(base);
+  EXPECT_EQ(k0, EmbeddingLatticeKey(nudged));
+  EXPECT_NE(k0, EmbeddingLatticeKey(far));
 }
 
 TEST(ShardRouterTest, NextLiveAfterSkipsDeadShards) {
@@ -465,16 +463,29 @@ TEST_F(ShardedServiceTest, StallFaultAbsorbsLatencyAndErodesHealth) {
   ShardedServiceConfig config;
   config.faults = "shard.stall:p=1,lat=40";
   auto tier = MakeTier(config);
-  auto r = tier->Explain(QuerySet(1)[0]);
+  const std::string sql = QuerySet(1)[0];
+  auto r = tier->Explain(sql);
   ASSERT_TRUE(r.ok()) << r.status();
   EXPECT_DOUBLE_EQ(r->failover.stall_ms, 40.0);
   EXPECT_EQ(tier->Stats().failover.stalls, 1u);
+  const int primary = r->failover.primary_shard;
+  // The stalled shard answered, yet the stall still counts against it.
+  EXPECT_EQ(tier->HealthOf(primary), ShardHealth::kHealthy);
 
   // With a budget below the stall, the request dies of deadline — the
   // stall latency counts against the carried-over budget.
-  auto starved = tier->Explain(QuerySet(1)[0], 10.0);
+  auto starved = tier->Explain(sql, 10.0);
   ASSERT_FALSE(starved.ok());
   EXPECT_EQ(starved.status().code(), StatusCode::kDeadlineExceeded);
+
+  // Consecutive stalls on one key eject its primary even though every
+  // stalled request was answered: an answer after a stall does not reset
+  // the failure count.
+  for (int i = 2; i < kEjectAfterFailures; ++i) {
+    ASSERT_TRUE(tier->Explain(sql).ok());
+  }
+  EXPECT_EQ(tier->HealthOf(primary), ShardHealth::kEjected);
+  EXPECT_EQ(tier->Stats().failover.ejections, 1u);
 }
 
 TEST_F(ShardedServiceTest, InitFromRejectsAMalformedFaultSpec) {
@@ -793,8 +804,9 @@ TEST_F(ShardedServiceTest, MergedAccuracyComesFromShardsWithFeedback) {
 }
 
 TEST_F(ShardedServiceTest, RequestsDoNotWaitForAScrapeOfARetrainingShard) {
-  // A Stats() scrape waits for a shard's retrain (the lifecycle's Stats()
-  // takes its cycle lock); the request path must not wait with it.
+  // A request must not wait for a shard's retrain, even with a Stats()
+  // scrape of the tier in flight. (lifecycle_test checks that the scrape
+  // itself returns during the retrain.)
   ShardedServiceConfig config;
   config.shard.lifecycle.enabled = true;
   config.shard.lifecycle.retrain_epochs = 400;  // a retrain of seconds

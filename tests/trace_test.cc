@@ -1,11 +1,14 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <atomic>
 #include <filesystem>
+#include <map>
 #include <memory>
 #include <set>
 #include <string>
 #include <string_view>
+#include <thread>
 #include <vector>
 
 #include "core/htap_explainer.h"
@@ -222,19 +225,19 @@ TEST_F(TraceTest, SlowTraceThresholdCountsAndKeepsServing) {
 TEST_F(TraceTest, RecentTracesNewestFirstBoundedByRing) {
   ServiceConfig config;
   config.num_workers = 1;  // deterministic completion order
-  config.trace_ring = 3;
   config.cache_enabled = false;
   ExplainService service(explainer_, config);
-  for (int i = 0; i < 5; ++i) {
+  const uint64_t n = kServiceTraceRing + 2;
+  for (uint64_t i = 0; i < n; ++i) {
     ASSERT_TRUE(service.ExplainSync(i % 2 == 0 ? kSql : kSql2).ok());
   }
   auto recent = service.RecentTraces();
-  ASSERT_EQ(recent.size(), 3u);
-  // Ids are assigned in submission order; the ring keeps the last 3,
-  // newest first.
-  EXPECT_EQ(recent[0]->id(), 5u);
-  EXPECT_EQ(recent[1]->id(), 4u);
-  EXPECT_EQ(recent[2]->id(), 3u);
+  ASSERT_EQ(recent.size(), kServiceTraceRing);
+  // Ids are assigned in submission order; the ring keeps the last
+  // kServiceTraceRing, newest first.
+  for (size_t i = 0; i < recent.size(); ++i) {
+    EXPECT_EQ(recent[i]->id(), n - i);
+  }
 }
 
 TEST_F(TraceTest, ServiceExpositionRoundTripsThroughParser) {
@@ -493,6 +496,45 @@ TEST(TraceRingTest, KeepsTheLastNNewestFirst) {
   TraceRing tiny(0);
   tiny.Push(std::make_shared<const Trace>(1, "t"));
   EXPECT_EQ(tiny.Recent().size(), 1u);
+}
+
+// Workers push while a monitor reads RecentTraces(): under TSan this
+// must run clean, and every snapshot must hold only published traces,
+// each pusher's newest first.
+TEST(TraceRingTest, ConcurrentPushAndRecent) {
+  constexpr int kPushers = 2;
+  constexpr uint64_t kPushes = 2000;
+  TraceRing ring(16);
+  std::atomic<int> running{kPushers};
+  std::vector<std::thread> pushers;
+  for (int t = 0; t < kPushers; ++t) {
+    pushers.emplace_back([&ring, &running, t] {
+      for (uint64_t i = 1; i <= kPushes; ++i) {
+        ring.Push(std::make_shared<const Trace>(i, std::to_string(t)));
+      }
+      running.fetch_sub(1);
+    });
+  }
+  bool done = false;
+  while (!done) {
+    done = running.load() == 0;  // one more snapshot after the last push
+    auto recent = ring.Recent();
+    EXPECT_LE(recent.size(), ring.capacity());
+    std::map<std::string, uint64_t> older_than;  // pusher -> last id seen
+    for (const auto& trace : recent) {
+      if (trace == nullptr) {
+        ADD_FAILURE() << "unpublished slot in a snapshot";
+        continue;
+      }
+      auto [it, first] = older_than.emplace(trace->label(), trace->id());
+      if (!first) {
+        EXPECT_LT(trace->id(), it->second) << "pusher " << trace->label();
+        it->second = trace->id();
+      }
+    }
+  }
+  for (std::thread& t : pushers) t.join();
+  EXPECT_EQ(ring.Recent().size(), ring.capacity());
 }
 
 TEST(MetricsRegressionTest, SingleSampleHistogramQuantilesStayInRange) {
