@@ -1,8 +1,9 @@
 #include "common/json.h"
 
+#include <charconv>
 #include <cmath>
-#include <cstdio>
 #include <cstdlib>
+#include <cstring>
 
 #include "common/string_util.h"
 
@@ -26,12 +27,7 @@ const JsonValue* JsonValue::Find(std::string_view key) const {
 }
 
 int64_t JsonValue::int_value() const {
-  if (!is_double()) return int_;
-  if (std::isnan(double_)) return 0;
-  // 2^63 is the first double past INT64_MAX; -2^63 is INT64_MIN exactly.
-  if (double_ >= 0x1p63) return INT64_MAX;
-  if (double_ < -0x1p63) return INT64_MIN;
-  return static_cast<int64_t>(double_);
+  return is_double() ? SaturatingInt64(double_) : int_;
 }
 
 int64_t JsonValue::GetInt(std::string_view key, int64_t def) const {
@@ -54,58 +50,6 @@ bool JsonValue::GetBool(std::string_view key, bool def) const {
   return (v != nullptr && v->is_bool()) ? v->bool_value() : def;
 }
 
-namespace {
-
-void EscapeStringTo(std::string* out, const std::string& s, char quote) {
-  out->push_back(quote);
-  for (char c : s) {
-    switch (c) {
-      case '\\':
-        *out += "\\\\";
-        break;
-      case '\n':
-        *out += "\\n";
-        break;
-      case '\t':
-        *out += "\\t";
-        break;
-      case '\r':
-        *out += "\\r";
-        break;
-      default:
-        if (c == quote) {
-          out->push_back('\\');
-          out->push_back(c);
-        } else if (static_cast<unsigned char>(c) < 0x20) {
-          *out += StrFormat("\\u%04x", c);
-        } else {
-          out->push_back(c);
-        }
-    }
-  }
-  out->push_back(quote);
-}
-
-void NumberTo(std::string* out, double d) {
-  if (std::isfinite(d) && d == std::floor(d) && std::fabs(d) < 1e15) {
-    // Keep a trailing ".0" so doubles stay doubles on round-trip.
-    *out += StrFormat("%.1f", d);
-    return;
-  }
-  // Shortest representation that still round-trips exactly: try increasing
-  // precision until the value parses back bit-identically.
-  for (int precision = 13; precision <= 17; ++precision) {
-    std::string text = StrFormat("%.*g", precision, d);
-    if (std::strtod(text.c_str(), nullptr) == d) {
-      *out += text;
-      return;
-    }
-  }
-  *out += StrFormat("%.17g", d);
-}
-
-}  // namespace
-
 void JsonValue::DumpTo(std::string* out, int indent, int depth,
                        bool pythonish) const {
   const char quote = pythonish ? '\'' : '"';
@@ -127,13 +71,13 @@ void JsonValue::DumpTo(std::string* out, int indent, int depth,
       }
       break;
     case Type::kInt:
-      *out += StrFormat("%lld", static_cast<long long>(int_));
+      AppendJsonInt(out, int_);
       break;
     case Type::kDouble:
-      NumberTo(out, double_);
+      AppendJsonNumber(out, double_);
       break;
     case Type::kString:
-      EscapeStringTo(out, string_, quote);
+      AppendJsonString(out, string_, quote);
       break;
     case Type::kArray: {
       out->push_back('[');
@@ -153,7 +97,7 @@ void JsonValue::DumpTo(std::string* out, int indent, int depth,
         if (i > 0) out->push_back(',');
         newline(depth + 1);
         if (indent <= 0 && i > 0) out->push_back(' ');
-        EscapeStringTo(out, object_[i].first, quote);
+        AppendJsonString(out, object_[i].first, quote);
         *out += ": ";
         object_[i].second.DumpTo(out, indent, depth + 1, pythonish);
       }
@@ -200,31 +144,167 @@ bool JsonValue::operator==(const JsonValue& other) const {
   return false;
 }
 
+void AppendJsonString(std::string* out, std::string_view s, char quote) {
+  out->push_back(quote);
+  size_t run = 0;  // first byte not yet copied
+  for (size_t i = 0; i < s.size(); ++i) {
+    const char c = s[i];
+    if (static_cast<unsigned char>(c) >= 0x20 && c != '\\' && c != quote) {
+      continue;
+    }
+    out->append(s.data() + run, i - run);
+    run = i + 1;
+    switch (c) {
+      case '\\':
+        *out += "\\\\";
+        break;
+      case '\n':
+        *out += "\\n";
+        break;
+      case '\t':
+        *out += "\\t";
+        break;
+      case '\r':
+        *out += "\\r";
+        break;
+      default:
+        if (c == quote) {
+          out->push_back('\\');
+          out->push_back(c);
+        } else {
+          // printf "\\u%04x" of a byte below 0x20.
+          static constexpr char kHex[] = "0123456789abcdef";
+          const char code[] = {'\\', 'u', '0', '0', kHex[c >> 4],
+                               kHex[c & 0xF]};
+          out->append(code, sizeof(code));
+        }
+    }
+  }
+  out->append(s.data() + run, s.size() - run);
+  out->push_back(quote);
+}
+
+void AppendJsonNumber(std::string* out, double d) {
+  char buf[32];
+  char* const last = buf + sizeof(buf);
+  if (std::isfinite(d) && d == std::floor(d) && std::fabs(d) < 1e15) {
+    // "%.1f" of an integral double below 1e15 is its exact integer and ".0".
+    char* end = buf;
+    if (d == 0 && std::signbit(d)) *end++ = '-';
+    end = std::to_chars(end, last, static_cast<int64_t>(d)).ptr;
+    *end++ = '.';
+    *end++ = '0';
+    out->append(buf, end);
+    return;
+  }
+  // to_chars with a precision prints what printf "%.*g" prints, and
+  // from_chars reads what strtod reads wherever it succeeds; its range
+  // errors are texts strtod reads as 0 or inf, which cannot equal `d` here.
+  char* end = buf;
+  for (int precision = 13; precision <= 17; ++precision) {
+    end = std::to_chars(buf, last, d, std::chars_format::general, precision)
+              .ptr;
+    double back = 0.0;
+    if (std::from_chars(buf, end, back).ec == std::errc() && back == d) break;
+  }
+  out->append(buf, end);
+}
+
+void AppendJsonInt(std::string* out, int64_t i) {
+  char buf[24];
+  out->append(buf, std::to_chars(buf, buf + sizeof(buf), i).ptr);
+}
+
+int64_t SaturatingInt64(double d) {
+  if (std::isnan(d)) return 0;
+  // 2^63 is the first double past INT64_MAX; -2^63 is INT64_MIN exactly.
+  if (d >= 0x1p63) return INT64_MAX;
+  if (d < -0x1p63) return INT64_MIN;
+  return static_cast<int64_t>(d);
+}
+
 namespace {
+
+/// The value of hex digit `h`, or -1.
+int HexValue(char h) {
+  if (h >= '0' && h <= '9') return h - '0';
+  if (h >= 'a' && h <= 'f') return h - 'a' + 10;
+  if (h >= 'A' && h <= 'F') return h - 'A' + 10;
+  return -1;
+}
+
+/// Calls strtod or strtoll on a copy of `token` with a terminating NUL.
+template <typename Convert>
+auto ConvertTerminated(std::string_view token, Convert convert) {
+  char buf[64];
+  std::string long_token;
+  const char* text = buf;
+  if (token.size() < sizeof(buf)) {
+    std::memcpy(buf, token.data(), token.size());
+    buf[token.size()] = '\0';
+  } else {
+    long_token.assign(token);
+    text = long_token.c_str();
+  }
+  return convert(text);
+}
+
+/// What strtoll reads from an integer token, [+-]?[0-9]*. Up to 18 digits
+/// cannot overflow, so those are summed directly.
+int64_t TokenToInt(std::string_view token) {
+  const bool negative = token[0] == '-';
+  const std::string_view digits =
+      token.substr(negative || token[0] == '+' ? 1 : 0);
+  if (digits.empty() || digits.size() > 18) {
+    return ConvertTerminated(
+        token, [](const char* t) { return std::strtoll(t, nullptr, 10); });
+  }
+  int64_t value = 0;
+  for (char c : digits) value = value * 10 + (c - '0');
+  return negative ? -value : value;
+}
+
+/// What strtod reads from a number token. from_chars rounds decimal text
+/// exactly as strtod does; strtod handles what from_chars rejects or reads
+/// only in part (a leading '+', out-of-range values, "1e").
+double TokenToDouble(std::string_view token) {
+  const char* end = token.data() + token.size();
+  double value = 0.0;
+  auto [parsed_end, ec] = std::from_chars(token.data(), end, value);
+  if (ec == std::errc() && parsed_end == end) return value;
+  return ConvertTerminated(
+      token, [](const char* t) { return std::strtod(t, nullptr); });
+}
 
 /// Arrays and objects nested deeper than this are rejected with a parse
 /// error instead of overflowing the recursive descent's stack.
 constexpr int kMaxDepth = 256;
 
-/// Recursive-descent JSON parser tolerant of single-quoted strings and
-/// Python literals (None/True/False), so Table II style plans round-trip.
+/// Recursive-descent tokenizer tolerant of single-quoted strings and Python
+/// literals (None/True/False), so Table II style plans round-trip. Each
+/// Parse* returns false after recording the first error in `error_`.
 class JsonParser {
  public:
-  explicit JsonParser(std::string_view text) : text_(text) {}
+  JsonParser(std::string_view text, JsonEvents* events)
+      : text_(text), events_(events) {}
 
-  Result<JsonValue> Parse() {
+  Status Parse() {
     SkipWs();
-    JsonValue v;
-    HTAPEX_ASSIGN_OR_RETURN(v, ParseValue(0));
+    if (!ParseValue(0)) return error_;
     SkipWs();
     if (pos_ != text_.size()) {
       return Status::ParseError(
           StrFormat("trailing characters at offset %zu", pos_));
     }
-    return v;
+    return Status::OK();
   }
 
  private:
+  bool Fail(std::string message) {
+    error_ = Status::ParseError(std::move(message));
+    return false;
+  }
+
   void SkipWs() {
     while (pos_ < text_.size() &&
            (text_[pos_] == ' ' || text_[pos_] == '\t' || text_[pos_] == '\n' ||
@@ -252,80 +332,62 @@ class JsonParser {
   }
 
   /// `depth` counts the arrays and objects enclosing this value.
-  Result<JsonValue> ParseValue(int depth) {
+  bool ParseValue(int depth) {
     SkipWs();
-    if (pos_ >= text_.size()) return Status::ParseError("unexpected end of input");
+    if (pos_ >= text_.size()) return Fail("unexpected end of input");
     char c = text_[pos_];
     if ((c == '{' || c == '[') && depth >= kMaxDepth) {
-      return Status::ParseError(StrFormat(
-          "nesting deeper than %d levels at offset %zu", kMaxDepth, pos_));
+      return Fail(StrFormat("nesting deeper than %d levels at offset %zu",
+                            kMaxDepth, pos_));
     }
     if (c == '{') return ParseObject(depth + 1);
     if (c == '[') return ParseArray(depth + 1);
     if (c == '"' || c == '\'') {
-      std::string s;
-      HTAPEX_ASSIGN_OR_RETURN(s, ParseString());
-      return JsonValue::String(std::move(s));
+      JsonString s;
+      if (!ParseString(&s)) return false;
+      events_->String(s);
+      return true;
     }
-    if (ConsumeWord("null") || ConsumeWord("None")) return JsonValue::Null();
-    if (ConsumeWord("true") || ConsumeWord("True")) return JsonValue::Bool(true);
-    if (ConsumeWord("false") || ConsumeWord("False")) return JsonValue::Bool(false);
+    if (ConsumeWord("null") || ConsumeWord("None")) {
+      events_->Null();
+      return true;
+    }
+    if (ConsumeWord("true") || ConsumeWord("True")) {
+      events_->Bool(true);
+      return true;
+    }
+    if (ConsumeWord("false") || ConsumeWord("False")) {
+      events_->Bool(false);
+      return true;
+    }
     return ParseNumber();
   }
 
-  Result<std::string> ParseString() {
-    char quote = text_[pos_];
-    ++pos_;
-    std::string out;
+  /// Scans the string token at pos_ (an opening quote), validating escapes.
+  bool ParseString(JsonString* out) {
+    const char quote = text_[pos_++];
+    const size_t start = pos_;
+    bool escaped = false;
     while (pos_ < text_.size()) {
       char c = text_[pos_++];
-      if (c == quote) return out;
-      if (c == '\\') {
-        if (pos_ >= text_.size()) break;
-        char e = text_[pos_++];
-        switch (e) {
-          case 'n':
-            out.push_back('\n');
-            break;
-          case 't':
-            out.push_back('\t');
-            break;
-          case 'r':
-            out.push_back('\r');
-            break;
-          case 'u': {
-            if (pos_ + 4 > text_.size()) {
-              return Status::ParseError("bad \\u escape");
-            }
-            unsigned code = 0;
-            for (int i = 0; i < 4; ++i) {
-              char h = text_[pos_++];
-              code <<= 4;
-              if (h >= '0' && h <= '9') {
-                code += static_cast<unsigned>(h - '0');
-              } else if (h >= 'a' && h <= 'f') {
-                code += static_cast<unsigned>(h - 'a' + 10);
-              } else if (h >= 'A' && h <= 'F') {
-                code += static_cast<unsigned>(h - 'A' + 10);
-              } else {
-                return Status::ParseError("bad \\u escape digit");
-              }
-            }
-            // ASCII-only support is enough for plan text.
-            out.push_back(static_cast<char>(code & 0x7F));
-            break;
-          }
-          default:
-            out.push_back(e);
-        }
-      } else {
-        out.push_back(c);
+      if (c == quote) {
+        out->raw = text_.substr(start, pos_ - 1 - start);
+        out->escaped = escaped;
+        return true;
+      }
+      if (c != '\\') continue;
+      escaped = true;
+      if (pos_ >= text_.size()) break;
+      if (text_[pos_++] != 'u') continue;
+      if (pos_ + 4 > text_.size()) return Fail("bad \\u escape");
+      for (int i = 0; i < 4; ++i) {
+        if (HexValue(text_[pos_++]) < 0) return Fail("bad \\u escape digit");
       }
     }
-    return Status::ParseError("unterminated string");
+    return Fail("unterminated string");
   }
 
-  Result<JsonValue> ParseNumber() {
+  bool ParseNumber() {
     size_t start = pos_;
     if (Peek('-') || Peek('+')) ++pos_;
     bool is_double = false;
@@ -347,61 +409,154 @@ class JsonParser {
       }
     }
     if (pos_ == start) {
-      return Status::ParseError(StrFormat("invalid token at offset %zu", start));
+      return Fail(StrFormat("invalid token at offset %zu", start));
     }
-    std::string tok(text_.substr(start, pos_ - start));
+    const std::string_view token = text_.substr(start, pos_ - start);
     if (is_double) {
-      return JsonValue::Double(std::strtod(tok.c_str(), nullptr));
+      events_->Double(TokenToDouble(token));
+    } else {
+      events_->Int(TokenToInt(token));
     }
-    return JsonValue::Int(std::strtoll(tok.c_str(), nullptr, 10));
+    return true;
   }
 
-  Result<JsonValue> ParseArray(int depth) {
+  bool ParseArray(int depth) {
     ++pos_;  // '['
-    JsonValue arr = JsonValue::MakeArray();
+    events_->BeginArray();
     SkipWs();
-    if (Consume(']')) return arr;
-    while (true) {
-      JsonValue v;
-      HTAPEX_ASSIGN_OR_RETURN(v, ParseValue(depth));
-      arr.Append(std::move(v));
-      SkipWs();
-      if (Consume(']')) return arr;
-      if (!Consume(',')) return Status::ParseError("expected ',' in array");
+    if (!Consume(']')) {
+      while (true) {
+        if (!ParseValue(depth)) return false;
+        SkipWs();
+        if (Consume(']')) break;
+        if (!Consume(',')) return Fail("expected ',' in array");
+      }
     }
+    events_->EndArray();
+    return true;
   }
 
-  Result<JsonValue> ParseObject(int depth) {
+  bool ParseObject(int depth) {
     ++pos_;  // '{'
-    JsonValue obj = JsonValue::MakeObject();
+    events_->BeginObject();
     SkipWs();
-    if (Consume('}')) return obj;
-    while (true) {
-      SkipWs();
-      if (!Peek('"') && !Peek('\'')) {
-        return Status::ParseError("expected string key in object");
+    if (!Consume('}')) {
+      while (true) {
+        SkipWs();
+        if (!Peek('"') && !Peek('\'')) {
+          return Fail("expected string key in object");
+        }
+        JsonString key;
+        if (!ParseString(&key)) return false;
+        SkipWs();
+        if (!Consume(':')) return Fail("expected ':' in object");
+        events_->Key(key);
+        if (!ParseValue(depth)) return false;
+        SkipWs();
+        if (Consume('}')) break;
+        if (!Consume(',')) return Fail("expected ',' in object");
       }
-      std::string key;
-      HTAPEX_ASSIGN_OR_RETURN(key, ParseString());
-      SkipWs();
-      if (!Consume(':')) return Status::ParseError("expected ':' in object");
-      JsonValue v;
-      HTAPEX_ASSIGN_OR_RETURN(v, ParseValue(depth));
-      obj.Set(std::move(key), std::move(v));
-      SkipWs();
-      if (Consume('}')) return obj;
-      if (!Consume(',')) return Status::ParseError("expected ',' in object");
     }
+    events_->EndObject();
+    return true;
   }
 
   std::string_view text_;
+  JsonEvents* events_;
   size_t pos_ = 0;
+  Status error_;
+};
+
+/// Builds the document model from the tokenizer's events: open containers
+/// wait on a stack, and each finished value joins the container below it.
+class DomBuilder final : public JsonEvents {
+ public:
+  JsonValue Take() { return std::move(root_); }
+
+  void Null() override { Add(JsonValue::Null()); }
+  void Bool(bool b) override { Add(JsonValue::Bool(b)); }
+  void Int(int64_t i) override { Add(JsonValue::Int(i)); }
+  void Double(double d) override { Add(JsonValue::Double(d)); }
+  void String(const JsonString& s) override {
+    Add(JsonValue::String(s.Decode()));
+  }
+  void Key(const JsonString& key) override { keys_.push_back(key.Decode()); }
+  void BeginObject() override { open_.push_back(JsonValue::MakeObject()); }
+  void EndObject() override { Close(); }
+  void BeginArray() override { open_.push_back(JsonValue::MakeArray()); }
+  void EndArray() override { Close(); }
+
+ private:
+  void Close() {
+    JsonValue done = std::move(open_.back());
+    open_.pop_back();
+    Add(std::move(done));
+  }
+
+  void Add(JsonValue v) {
+    if (open_.empty()) {
+      root_ = std::move(v);
+    } else if (open_.back().is_array()) {
+      open_.back().Append(std::move(v));
+    } else {
+      open_.back().Set(std::move(keys_.back()), std::move(v));
+      keys_.pop_back();
+    }
+  }
+
+  std::vector<JsonValue> open_;
+  std::vector<std::string> keys_;  // one per open object member
+  JsonValue root_;
 };
 
 }  // namespace
 
+std::string JsonString::Decode() const {
+  if (!escaped) return std::string(raw);
+  // The tokenizer validated every escape, so each one is complete here.
+  std::string out;
+  out.reserve(raw.size());
+  for (size_t i = 0; i < raw.size(); ++i) {
+    char c = raw[i];
+    if (c != '\\') {
+      out.push_back(c);
+      continue;
+    }
+    char e = raw[++i];
+    switch (e) {
+      case 'n':
+        out.push_back('\n');
+        break;
+      case 't':
+        out.push_back('\t');
+        break;
+      case 'r':
+        out.push_back('\r');
+        break;
+      case 'u': {
+        unsigned code = 0;
+        for (int k = 0; k < 4; ++k) {
+          code = (code << 4) + static_cast<unsigned>(HexValue(raw[++i]));
+        }
+        // ASCII-only support is enough for plan text.
+        out.push_back(static_cast<char>(code & 0x7F));
+        break;
+      }
+      default:
+        out.push_back(e);
+    }
+  }
+  return out;
+}
+
+Status ParseJson(std::string_view text, JsonEvents* events) {
+  return JsonParser(text, events).Parse();
+}
+
 Result<JsonValue> JsonValue::Parse(std::string_view text) {
-  return JsonParser(text).Parse();
+  DomBuilder dom;
+  HTAPEX_RETURN_IF_ERROR(ParseJson(text, &dom));
+  return dom.Take();
 }
 
 }  // namespace htapex

@@ -12,12 +12,13 @@
 
 namespace htapex {
 
-/// A small self-contained JSON document model used for plan serialization
-/// (EXPLAIN output in the Table II format), knowledge-base persistence, and
-/// structured prompts.
+/// A small self-contained JSON document model used for knowledge-base
+/// persistence, the WAL and other structured records. Plan text (the Table
+/// II format) is written by PhysicalPlan::Explain and read by
+/// ReadPlanSurface without this model, through the routines below it.
 ///
-/// Objects preserve insertion order so that serialized plans read in the
-/// same order the optimizer emitted them.
+/// Objects preserve insertion order, so a document prints its members in
+/// the order they were set.
 class JsonValue {
  public:
   enum class Type { kNull, kBool, kInt, kDouble, kString, kArray, kObject };
@@ -74,9 +75,7 @@ class JsonValue {
   bool is_object() const { return type_ == Type::kObject; }
 
   bool bool_value() const { return bool_; }
-  /// Doubles saturate to the int64 range (NaN reads as 0): casting an
-  /// out-of-range double is undefined behaviour, and every decoder reads
-  /// ids, sequences and sizes from untrusted files through here.
+  /// Doubles saturate to the int64 range (see SaturatingInt64).
   int64_t int_value() const;
   double double_value() const { return is_int() ? static_cast<double>(int_) : double_; }
   const std::string& string_value() const { return string_; }
@@ -108,7 +107,7 @@ class JsonValue {
   std::string DumpPythonish() const;
 
   /// Parses standard JSON (also accepts single-quoted strings so the
-  /// Table II flavour round-trips).
+  /// Table II flavour round-trips): a JsonEvents consumer of ParseJson.
   static Result<JsonValue> Parse(std::string_view text);
 
   bool operator==(const JsonValue& other) const;
@@ -124,6 +123,70 @@ class JsonValue {
   Array array_;
   Object object_;
 };
+
+// ---------------------------------------------------------------- writing
+// The routines every JSON writer uses: JsonValue::Dump and DumpPythonish,
+// and PhysicalPlan::Explain, which writes Table II text straight from the
+// plan tree.
+
+/// Appends `s` between two `quote` characters, escaping backslash, `quote`,
+/// newline, tab, carriage return and other bytes below 0x20 (as \u00XX).
+void AppendJsonString(std::string* out, std::string_view s, char quote);
+
+/// Appends `d` as number text, byte-identical to printf: finite integral
+/// values below 1e15 in magnitude as "%.1f" (a trailing ".0" keeps them
+/// doubles on a round trip), anything else as the first "%.*g" of
+/// precision 13..17 that strtod reads back as `d`, else "%.17g".
+void AppendJsonNumber(std::string* out, double d);
+
+/// Appends `i` in decimal (printf "%lld").
+void AppendJsonInt(std::string* out, int64_t i);
+
+/// `d` converted to int64, saturating at the type's range; NaN reads as 0.
+/// Casting an out-of-range double is undefined behaviour, and decoders read
+/// ids, sequences and sizes from untrusted text as doubles.
+int64_t SaturatingInt64(double d);
+
+// ---------------------------------------------------------------- reading
+
+/// A string token as it appears in the text: the bytes between its quotes,
+/// escapes not yet decoded. `raw` points into the text given to ParseJson.
+struct JsonString {
+  std::string_view raw;
+  bool escaped = false;  // `raw` holds at least one backslash escape
+
+  /// The string's value: `raw` with its escapes decoded.
+  std::string Decode() const;
+};
+
+/// Receives the tokens of one JSON text from ParseJson in document order.
+/// An object member arrives as Key followed by its value's events. After a
+/// grammar error no further events arrive, and the consumer discards what
+/// it built.
+class JsonEvents {
+ public:
+  virtual void Null() = 0;
+  virtual void Bool(bool b) = 0;
+  virtual void Int(int64_t i) = 0;
+  virtual void Double(double d) = 0;
+  virtual void String(const JsonString& s) = 0;
+  virtual void Key(const JsonString& key) = 0;
+  virtual void BeginObject() = 0;
+  virtual void EndObject() = 0;
+  virtual void BeginArray() = 0;
+  virtual void EndArray() = 0;
+
+ protected:
+  ~JsonEvents() = default;
+};
+
+/// The one JSON tokenizer. Accepts standard JSON plus the Table II flavour
+/// (single-quoted strings, None/True/False), rejects arrays and objects
+/// nested deeper than 256 levels, and reads numbers as strtoll (no '.',
+/// 'e' or 'E') or strtod does. Returns OK only when `text` is exactly one
+/// value with optional surrounding whitespace; otherwise a kParseError
+/// naming the first fault.
+Status ParseJson(std::string_view text, JsonEvents* events);
 
 }  // namespace htapex
 

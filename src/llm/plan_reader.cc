@@ -3,6 +3,8 @@
 #include <algorithm>
 #include <optional>
 #include <string_view>
+#include <utility>
+#include <vector>
 
 #include "common/json.h"
 #include "common/string_util.h"
@@ -11,18 +13,212 @@ namespace htapex {
 
 namespace {
 
+/// The members ReadPlanSurface reads; any other key is kOther.
+enum Member {
+  kNodeType,
+  kRelation,
+  kIndexColumn,
+  kCondition,
+  kPlanRows,
+  kTableRows,
+  kTotalCost,
+  kLimit,
+  kOffset,
+  kSortKey,
+  kColumns,
+  kPlans,
+  kMemberCount,
+  kOther = kMemberCount,
+};
+
+Member MemberOf(const JsonString& key) {
+  static constexpr std::string_view kNames[kMemberCount] = {
+      "Node Type",  "Relation Name", "Index Column", "Condition",
+      "Plan Rows",  "Table Rows",    "Total Cost",   "Limit",
+      "Offset",     "Sort Key",      "Columns",      "Plans"};
+  std::string decoded;
+  std::string_view name = key.raw;
+  if (key.escaped) {
+    decoded = key.Decode();
+    name = decoded;
+  }
+  for (int m = 0; m < kMemberCount; ++m) {
+    if (name == kNames[m]) return static_cast<Member>(m);
+  }
+  return kOther;
+}
+
+/// A member's last value, reduced to what JsonValue's getters see in it.
+struct MemberValue {
+  enum class Kind { kAbsent, kString, kNumber, kOther };
+  Kind kind = Kind::kAbsent;
+  JsonString text;      // kString
+  double number = 0.0;  // kNumber, as double_value() reads it
+  int64_t integer = 0;  // kNumber, as int_value() reads it
+
+  static MemberValue Of(Kind kind) {
+    MemberValue v;
+    v.kind = kind;
+    return v;
+  }
+};
+
+/// One plan node: its members (a later occurrence of a key overwrites an
+/// earlier one, as JsonValue::Set does) and, when the last 'Plans' is an
+/// array, its elements as child nodes linked in document order. A
+/// non-object element is a node with no members.
+struct NodeFields {
+  MemberValue members[kMemberCount];
+  int columns = 0;  // elements of 'Columns' when its last value is an array
+  int num_children = 0;
+  int first_child = -1;
+  int last_child = -1;
+  int next_sibling = -1;
+
+  JsonString GetString(Member m) const {
+    return members[m].kind == MemberValue::Kind::kString ? members[m].text
+                                                         : JsonString();
+  }
+  double GetDouble(Member m) const {
+    return members[m].kind == MemberValue::Kind::kNumber ? members[m].number
+                                                         : 0.0;
+  }
+  bool IsNumber(Member m) const {
+    return members[m].kind == MemberValue::Kind::kNumber;
+  }
+};
+
+/// Collects NodeFields from the tokenizer's events. Each open container
+/// has a frame saying what its elements are: members of a node, nodes of
+/// a 'Plans' array, elements of a 'Columns' array, or ignored values.
+class SurfaceReader final : public JsonEvents {
+ public:
+  SurfaceReader() {
+    nodes_.reserve(16);
+    nodes_.emplace_back();  // the root, memberless unless it is an object
+    frames_.reserve(16);
+  }
+
+  const std::vector<NodeFields>& nodes() const { return nodes_; }
+
+  void Null() override { Scalar(MemberValue::Of(MemberValue::Kind::kOther)); }
+  void Bool(bool) override {
+    Scalar(MemberValue::Of(MemberValue::Kind::kOther));
+  }
+  void Int(int64_t i) override { Number(static_cast<double>(i), i); }
+  void Double(double d) override { Number(d, SaturatingInt64(d)); }
+  void String(const JsonString& s) override {
+    MemberValue v = MemberValue::Of(MemberValue::Kind::kString);
+    v.text = s;
+    Scalar(v);
+  }
+  void Key(const JsonString& key) override { member_ = MemberOf(key); }
+  void BeginObject() override { Open(/*is_object=*/true); }
+  void BeginArray() override { Open(/*is_object=*/false); }
+  void EndObject() override { frames_.pop_back(); }
+  void EndArray() override { frames_.pop_back(); }
+
+ private:
+  enum class Frame { kNode, kPlans, kColumns, kIgnored };
+  struct Level {
+    Frame kind;
+    int node;  // the node this container belongs to
+  };
+
+  void Number(double d, int64_t i) {
+    MemberValue v = MemberValue::Of(MemberValue::Kind::kNumber);
+    v.number = d;
+    v.integer = i;
+    Scalar(v);
+  }
+
+  /// A value that is not an array or object.
+  void Scalar(const MemberValue& value) {
+    if (frames_.empty()) return;
+    const Level& top = frames_.back();
+    if (top.kind == Frame::kNode) {
+      SetMember(top.node, value);
+    } else if (top.kind == Frame::kPlans) {
+      AddChild(top.node);
+    } else if (top.kind == Frame::kColumns) {
+      ++nodes_[top.node].columns;
+    }
+  }
+
+  /// Gives the current member of `node` a new last value; an earlier
+  /// 'Plans' or 'Columns' array no longer counts.
+  void SetMember(int node, const MemberValue& value) {
+    if (member_ == kOther) return;
+    NodeFields& n = nodes_[node];
+    n.members[member_] = value;
+    if (member_ == kColumns) n.columns = 0;
+    if (member_ == kPlans) {
+      n.num_children = 0;
+      n.first_child = n.last_child = -1;
+    }
+  }
+
+  int AddChild(int parent) {
+    const int child = static_cast<int>(nodes_.size());
+    nodes_.emplace_back();
+    NodeFields& p = nodes_[parent];
+    if (p.last_child >= 0) {
+      nodes_[p.last_child].next_sibling = child;
+    } else {
+      p.first_child = child;
+    }
+    p.last_child = child;
+    ++p.num_children;
+    return child;
+  }
+
+  void Open(bool is_object) {
+    if (frames_.empty()) {
+      frames_.push_back({is_object ? Frame::kNode : Frame::kIgnored, 0});
+      return;
+    }
+    const Level top = frames_.back();
+    Frame kind = Frame::kIgnored;
+    int node = top.node;
+    if (top.kind == Frame::kNode) {
+      SetMember(node, MemberValue::Of(MemberValue::Kind::kOther));
+      if (!is_object && member_ == kPlans) kind = Frame::kPlans;
+      if (!is_object && member_ == kColumns) kind = Frame::kColumns;
+    } else if (top.kind == Frame::kPlans) {
+      node = AddChild(node);
+      if (is_object) kind = Frame::kNode;
+    } else if (top.kind == Frame::kColumns) {
+      ++nodes_[node].columns;
+    }
+    frames_.push_back({kind, node});
+  }
+
+  std::vector<NodeFields> nodes_;
+  std::vector<Level> frames_;
+  Member member_ = kOther;
+};
+
 /// The operator whose PlanOpName is `name`, if any (kExchange is the last
 /// PlanOp).
-std::optional<PlanOp> PlanOpFromName(std::string_view name) {
+std::optional<PlanOp> PlanOpFromName(const JsonString& name) {
+  std::string decoded;
+  std::string_view text = name.raw;
+  if (name.escaped) {
+    decoded = name.Decode();
+    text = decoded;
+  }
   for (int i = 0; i <= static_cast<int>(PlanOp::kExchange); ++i) {
     PlanOp op = static_cast<PlanOp>(i);
-    if (name == PlanOpName(op)) return op;
+    if (text == PlanOpName(op)) return op;
   }
   return std::nullopt;
 }
 
-void WalkPlan(const JsonValue& node, PlanSurface* out, bool is_root) {
-  std::optional<PlanOp> op = PlanOpFromName(node.GetString("Node Type"));
+/// Folds node `index` and its subtree into `out`, parents before children.
+void WalkPlan(const std::vector<NodeFields>& nodes, int index,
+              PlanSurface* out, bool is_root) {
+  const NodeFields& node = nodes[index];
+  std::optional<PlanOp> op = PlanOpFromName(node.GetString(kNodeType));
   if (op.has_value()) out->node_types.insert(*op);
   const bool nested_loop =
       op == PlanOp::kNestedLoopJoin || op == PlanOp::kIndexNestedLoopJoin;
@@ -32,13 +228,16 @@ void WalkPlan(const JsonValue& node, PlanSurface* out, bool is_root) {
     out->has_topn = true;
     out->has_limit = true;
   }
-  std::string relation = node.GetString("Relation Name");
-  if (!relation.empty()) out->relations.insert(relation);
-  std::string index_col = node.GetString("Index Column");
-  if (!index_col.empty()) out->index_columns.push_back(index_col);
-  std::string condition = node.GetString("Condition");
-  if (!condition.empty()) {
-    out->conditions.push_back(condition);
+  // An escape decodes to one byte, so a non-empty raw string decodes to a
+  // non-empty value.
+  const JsonString relation = node.GetString(kRelation);
+  if (!relation.raw.empty()) out->relations.insert(relation.Decode());
+  const JsonString index_col = node.GetString(kIndexColumn);
+  if (!index_col.raw.empty()) out->index_columns.push_back(index_col.Decode());
+  const JsonString condition_text = node.GetString(kCondition);
+  if (!condition_text.raw.empty()) {
+    out->conditions.push_back(condition_text.Decode());
+    const std::string& condition = out->conditions.back();
     if (ContainsIgnoreCase(condition, "substring(") ||
         ContainsIgnoreCase(condition, "lower(") ||
         ContainsIgnoreCase(condition, "upper(") ||
@@ -46,57 +245,47 @@ void WalkPlan(const JsonValue& node, PlanSurface* out, bool is_root) {
       out->condition_applies_function = true;
     }
   }
-  double rows = node.GetDouble("Plan Rows");
-  out->max_plan_rows = std::max(out->max_plan_rows, rows);
+  out->max_plan_rows = std::max(out->max_plan_rows, node.GetDouble(kPlanRows));
   out->max_table_rows =
-      std::max(out->max_table_rows, node.GetDouble("Table Rows"));
-  if (is_root) out->root_cost = node.GetDouble("Total Cost");
-  const JsonValue* limit = node.Find("Limit");
-  if (limit != nullptr && limit->is_number()) {
+      std::max(out->max_table_rows, node.GetDouble(kTableRows));
+  if (is_root) out->root_cost = node.GetDouble(kTotalCost);
+  if (node.IsNumber(kLimit)) {
     out->has_limit = true;
-    out->limit = limit->int_value();
+    out->limit = node.members[kLimit].integer;
   }
-  const JsonValue* offset = node.Find("Offset");
-  if (offset != nullptr && offset->is_number()) {
-    out->offset = std::max(out->offset, offset->int_value());
+  if (node.IsNumber(kOffset)) {
+    out->offset = std::max(out->offset, node.members[kOffset].integer);
   }
-  if (op == PlanOp::kIndexScan && node.Find("Sort Key") != nullptr) {
+  if (op == PlanOp::kIndexScan &&
+      node.members[kSortKey].kind != MemberValue::Kind::kAbsent) {
     out->ordered_index_scan = true;
   }
-  const JsonValue* columns = node.Find("Columns");
-  if (columns != nullptr && columns->is_array()) {
-    out->max_columns_read = std::max(
-        out->max_columns_read, static_cast<int>(columns->array().size()));
+  out->max_columns_read = std::max(out->max_columns_read, node.columns);
+  for (int c = node.first_child; c >= 0; c = nodes[c].next_sibling) {
+    WalkPlan(nodes, c, out, /*is_root=*/false);
   }
-  const JsonValue* plans = node.Find("Plans");
-  if (plans != nullptr && plans->is_array()) {
-    for (const JsonValue& child : plans->array()) {
-      WalkPlan(child, out, /*is_root=*/false);
-    }
-    if (nested_loop && plans->array().size() == 2) {
-      const JsonValue& outer = plans->array()[0];
-      const JsonValue& inner = plans->array()[1];
-      double outer_rows = outer.GetDouble("Plan Rows");
-      // For an index NLJ the inner 'Plan Rows' is matches-per-probe; for a
-      // plain NLJ the inner side is rescanned, so its base table size (or
-      // output) is the per-iteration volume.
-      double inner_rows = op == PlanOp::kIndexNestedLoopJoin
-                              ? inner.GetDouble("Plan Rows")
-                              : std::max(inner.GetDouble("Table Rows"),
-                                         inner.GetDouble("Plan Rows"));
-      out->max_loop_join_volume =
-          std::max(out->max_loop_join_volume, outer_rows * inner_rows);
-    }
+  if (nested_loop && node.num_children == 2) {
+    const NodeFields& outer = nodes[node.first_child];
+    const NodeFields& inner = nodes[outer.next_sibling];
+    // For an index NLJ the inner 'Plan Rows' is matches-per-probe; for a
+    // plain NLJ the inner side is rescanned, so its base table size (or
+    // output) is the per-iteration volume.
+    double inner_rows = op == PlanOp::kIndexNestedLoopJoin
+                            ? inner.GetDouble(kPlanRows)
+                            : std::max(inner.GetDouble(kTableRows),
+                                       inner.GetDouble(kPlanRows));
+    out->max_loop_join_volume = std::max(
+        out->max_loop_join_volume, outer.GetDouble(kPlanRows) * inner_rows);
   }
 }
 
 }  // namespace
 
 Result<PlanSurface> ReadPlanSurface(const std::string& plan_json) {
-  JsonValue root;
-  HTAPEX_ASSIGN_OR_RETURN(root, JsonValue::Parse(plan_json));
+  SurfaceReader reader;
+  HTAPEX_RETURN_IF_ERROR(ParseJson(plan_json, &reader));
   PlanSurface surface;
-  WalkPlan(root, &surface, /*is_root=*/true);
+  WalkPlan(reader.nodes(), 0, &surface, /*is_root=*/true);
   return surface;
 }
 

@@ -41,6 +41,7 @@ struct PlanSurface {
   bool condition_applies_function = false;  // e.g. substring(col,...) in a condition
 
   bool HasNode(PlanOp op) const { return node_types.count(op) > 0; }
+  bool operator==(const PlanSurface&) const = default;
 };
 
 /// Both sides of a plan pair.
@@ -49,7 +50,10 @@ struct PairSurface {
   PlanSurface ap;
 };
 
-/// Parses one EXPLAIN JSON text (Table II flavour accepted).
+/// Parses one EXPLAIN JSON text (Table II flavour accepted) from
+/// ParseJson's events, without building a document. Reads what JsonValue's
+/// getters would read from the parsed text: a member's last occurrence wins
+/// and a member of the wrong type reads as absent.
 Result<PlanSurface> ReadPlanSurface(const std::string& plan_json);
 
 /// Parses both plans of a pair.

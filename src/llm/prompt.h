@@ -2,6 +2,7 @@
 #define HTAPEX_LLM_PROMPT_H_
 
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "plan/plan_node.h"
@@ -33,7 +34,8 @@ struct Prompt {
 
   /// Full prompt text as sent to the model.
   std::string Render() const;
-  /// Rough token count (~0.75 words per token).
+  /// Rough token count (~0.75 words per token): ApproxTokenCount(Render()),
+  /// summed section by section without rendering.
   int ApproxTokens() const;
 };
 
@@ -62,7 +64,7 @@ class PromptBuilder {
 };
 
 /// Rough token estimate for arbitrary text.
-int ApproxTokenCount(const std::string& text);
+int ApproxTokenCount(std::string_view text);
 
 }  // namespace htapex
 

@@ -1,7 +1,9 @@
 #include "plan/plan_node.h"
 
 #include <cmath>
+#include <string_view>
 
+#include "common/json.h"
 #include "common/string_util.h"
 
 namespace htapex {
@@ -46,76 +48,122 @@ const char* PlanOpName(PlanOp op) {
   return "?";
 }
 
-JsonValue PlanNode::ToJson() const {
-  JsonValue obj = JsonValue::MakeObject();
-  obj.Set("Node Type", JsonValue::String(PlanOpName(op)));
+namespace {
+
+/// Appends the member separator and the quoted `key` of a Table II member.
+void AppendKey(std::string* out, std::string_view key) {
+  *out += ", ";
+  AppendJsonString(out, key, '\'');
+  *out += ": ";
+}
+
+/// Appends `exprs` joined by `sep` as one quoted string.
+template <typename Exprs, typename ToText>
+void AppendJoined(std::string* out, const Exprs& exprs, std::string_view sep,
+                  ToText to_text) {
+  std::string text;
+  for (size_t i = 0; i < exprs.size(); ++i) {
+    if (i > 0) text += sep;
+    text += to_text(exprs[i]);
+  }
+  AppendJsonString(out, text, '\'');
+}
+
+/// Writes one node and its subtree. Members appear in a fixed order and
+/// only when set.
+void ExplainNode(const PlanNode& node, std::string* out) {
+  constexpr char kQuote = '\'';
+  *out += "{'Node Type': ";
+  AppendJsonString(out, PlanOpName(node.op), kQuote);
   // Costs render with one decimal at most three significant digits like the
   // paper's examples (5213.0, 2.75, 290.0).
-  obj.Set("Total Cost", JsonValue::Double(std::round(total_cost * 100.0) / 100.0));
-  obj.Set("Plan Rows",
-          JsonValue::Int(static_cast<int64_t>(std::llround(
-              estimated_rows < 1.0 ? 1.0 : estimated_rows))));
-  if (!relation.empty()) {
-    obj.Set("Relation Name", JsonValue::String(relation));
-    if (base_rows > 0) {
-      obj.Set("Table Rows", JsonValue::Int(static_cast<int64_t>(base_rows)));
+  AppendKey(out, "Total Cost");
+  AppendJsonNumber(out, std::round(node.total_cost * 100.0) / 100.0);
+  AppendKey(out, "Plan Rows");
+  const double rows = node.estimated_rows < 1.0 ? 1.0 : node.estimated_rows;
+  AppendJsonInt(out, static_cast<int64_t>(std::llround(rows)));
+  if (!node.relation.empty()) {
+    AppendKey(out, "Relation Name");
+    AppendJsonString(out, node.relation, kQuote);
+    if (node.base_rows > 0) {
+      AppendKey(out, "Table Rows");
+      AppendJsonInt(out, static_cast<int64_t>(node.base_rows));
     }
   }
-  if (!index_name.empty()) {
-    obj.Set("Index Name", JsonValue::String(index_name));
-    obj.Set("Index Column", JsonValue::String(index_column));
+  if (!node.index_name.empty()) {
+    AppendKey(out, "Index Name");
+    AppendJsonString(out, node.index_name, kQuote);
+    AppendKey(out, "Index Column");
+    AppendJsonString(out, node.index_column, kQuote);
   }
-  if (!columns_read.empty()) {
-    JsonValue cols = JsonValue::MakeArray();
-    for (const auto& c : columns_read) cols.Append(JsonValue::String(c));
-    obj.Set("Columns", cols);
-  }
-  if (!predicates.empty()) {
-    std::string cond;
-    for (size_t i = 0; i < predicates.size(); ++i) {
-      if (i > 0) cond += " AND ";
-      cond += predicates[i]->ToString();
+  if (!node.columns_read.empty()) {
+    AppendKey(out, "Columns");
+    out->push_back('[');
+    for (size_t i = 0; i < node.columns_read.size(); ++i) {
+      if (i > 0) *out += ", ";
+      AppendJsonString(out, node.columns_read[i], kQuote);
     }
-    obj.Set("Condition", JsonValue::String(cond));
+    out->push_back(']');
   }
-  if (left_key != nullptr && right_key != nullptr) {
-    obj.Set("Join Cond", JsonValue::String(left_key->ToString() + " = " +
-                                           right_key->ToString()));
+  const auto expr_text = [](const std::unique_ptr<Expr>& e) {
+    return e->ToString();
+  };
+  if (!node.predicates.empty()) {
+    AppendKey(out, "Condition");
+    AppendJoined(out, node.predicates, " AND ", expr_text);
   }
-  if (sift_id >= 0) obj.Set("Sift Id", JsonValue::Int(sift_id));
-  if (!sift_probes.empty()) {
-    std::string keys;
-    for (size_t i = 0; i < sift_probes.size(); ++i) {
-      if (i > 0) keys += ", ";
-      keys += sift_probes[i].key->ToString();
+  if (node.left_key != nullptr && node.right_key != nullptr) {
+    AppendKey(out, "Join Cond");
+    AppendJsonString(
+        out, node.left_key->ToString() + " = " + node.right_key->ToString(),
+        kQuote);
+  }
+  if (node.sift_id >= 0) {
+    AppendKey(out, "Sift Id");
+    AppendJsonInt(out, node.sift_id);
+  }
+  if (!node.sift_probes.empty()) {
+    AppendKey(out, "Sift Key");
+    AppendJoined(out, node.sift_probes, ", ",
+                 [](const SiftProbe& p) { return p.key->ToString(); });
+  }
+  if (!node.sort_keys.empty()) {
+    AppendKey(out, "Sort Key");
+    AppendJoined(out, node.sort_keys, ", ", [](const SortKey& k) {
+      return k.descending ? k.expr->ToString() + " DESC" : k.expr->ToString();
+    });
+  }
+  if (node.limit >= 0) {
+    AppendKey(out, "Limit");
+    AppendJsonInt(out, node.limit);
+  }
+  if (node.offset > 0) {
+    AppendKey(out, "Offset");
+    AppendJsonInt(out, node.offset);
+  }
+  if (!node.group_keys.empty()) {
+    AppendKey(out, "Group Key");
+    AppendJoined(out, node.group_keys, ", ", expr_text);
+  }
+  if (!node.children.empty()) {
+    AppendKey(out, "Plans");
+    out->push_back('[');
+    for (size_t i = 0; i < node.children.size(); ++i) {
+      if (i > 0) *out += ", ";
+      ExplainNode(*node.children[i], out);
     }
-    obj.Set("Sift Key", JsonValue::String(keys));
+    out->push_back(']');
   }
-  if (!sort_keys.empty()) {
-    std::string keys;
-    for (size_t i = 0; i < sort_keys.size(); ++i) {
-      if (i > 0) keys += ", ";
-      keys += sort_keys[i].expr->ToString();
-      if (sort_keys[i].descending) keys += " DESC";
-    }
-    obj.Set("Sort Key", JsonValue::String(keys));
-  }
-  if (limit >= 0) obj.Set("Limit", JsonValue::Int(limit));
-  if (offset > 0) obj.Set("Offset", JsonValue::Int(offset));
-  if (!group_keys.empty()) {
-    std::string keys;
-    for (size_t i = 0; i < group_keys.size(); ++i) {
-      if (i > 0) keys += ", ";
-      keys += group_keys[i]->ToString();
-    }
-    obj.Set("Group Key", JsonValue::String(keys));
-  }
-  if (!children.empty()) {
-    JsonValue plans = JsonValue::MakeArray();
-    for (const auto& c : children) plans.Append(c->ToJson());
-    obj.Set("Plans", plans);
-  }
-  return obj;
+  out->push_back('}');
+}
+
+}  // namespace
+
+std::string PhysicalPlan::Explain() const {
+  std::string out;
+  out.reserve(1024);
+  ExplainNode(*root, &out);
+  return out;
 }
 
 std::string PlanNode::ToTreeString(int indent) const {

@@ -6,7 +6,6 @@
 #include <string>
 #include <vector>
 
-#include "common/json.h"
 #include "sql/expr.h"
 
 namespace htapex {
@@ -118,10 +117,6 @@ struct PlanNode {
 
   std::vector<std::unique_ptr<PlanNode>> children;
 
-  /// Serializes in the paper's Table II format:
-  /// {'Node Type': ..., 'Total Cost': ..., 'Plan Rows': ..., 'Plans': [...]}.
-  JsonValue ToJson() const;
-
   /// Indented one-line-per-node rendering for debugging.
   std::string ToTreeString(int indent = 0) const;
 
@@ -135,9 +130,10 @@ struct PhysicalPlan {
   std::unique_ptr<PlanNode> root;
   int total_slots = 0;  // composite-row width for execution
 
-  JsonValue ToJson() const { return root->ToJson(); }
-  /// EXPLAIN text in the paper's Python-dict flavour.
-  std::string Explain() const { return root->ToJson().DumpPythonish(); }
+  /// EXPLAIN text in the paper's Table II format, a Python-dict flavoured
+  /// JSON object per node, written in one pass over the tree:
+  /// {'Node Type': ..., 'Total Cost': ..., 'Plan Rows': ..., 'Plans': [...]}.
+  std::string Explain() const;
 };
 
 /// Plan-pair container: the unit the explainer reasons about.

@@ -2,12 +2,17 @@
 
 #include <cmath>
 #include <cstdint>
+#include <cstdlib>
+#include <cstring>
+#include <limits>
 #include <string>
 #include <utility>
+#include <vector>
 
 #include "catalog/value.h"
 #include "common/json.h"
 #include "common/rng.h"
+#include "common/string_util.h"
 
 namespace htapex {
 namespace {
@@ -118,6 +123,123 @@ TEST(JsonPropertyTest, OutOfRangeNumbersSaturateAsIntegers) {
   auto doc = JsonValue::Parse("{\"id\": 1e300}");
   ASSERT_TRUE(doc.ok());
   EXPECT_EQ(doc->GetInt("id"), INT64_MAX);
+}
+
+/// The printf-based number printer AppendJsonNumber replaced: "%.1f" for
+/// integral values below 1e15, else the first "%.*g" of precision 13..17
+/// that strtod reads back as `d`, else "%.17g".
+std::string ReferenceNumber(double d) {
+  if (std::isfinite(d) && d == std::floor(d) && std::fabs(d) < 1e15) {
+    return StrFormat("%.1f", d);
+  }
+  for (int precision = 13; precision <= 17; ++precision) {
+    std::string text = StrFormat("%.*g", precision, d);
+    if (std::strtod(text.c_str(), nullptr) == d) return text;
+  }
+  return StrFormat("%.17g", d);
+}
+
+std::string PrintNumber(double d) {
+  std::string out;
+  AppendJsonNumber(&out, d);
+  return out;
+}
+
+double FromBits(uint64_t bits) {
+  double d = 0.0;
+  std::memcpy(&d, &bits, sizeof(d));
+  return d;
+}
+
+TEST(JsonNumberTest, PrinterMatchesPrintfOnRandomBitPatterns) {
+  // Uniform bit patterns reach every exponent: subnormals, both zeros,
+  // NaNs of both signs and both infinities all turn up among 1M draws,
+  // and are also listed explicitly.
+  Rng rng(107);
+  std::vector<double> cases = {
+      0.0, -0.0, std::numeric_limits<double>::infinity(),
+      -std::numeric_limits<double>::infinity(), std::nan(""), -std::nan(""),
+      std::numeric_limits<double>::denorm_min(),
+      -std::numeric_limits<double>::denorm_min(),
+      std::numeric_limits<double>::min(), std::numeric_limits<double>::max(),
+      std::numeric_limits<double>::lowest(), 0.1, 2.75, 152.37, 5213.0};
+  for (int i = 0; i < 1'000'000; ++i) cases.push_back(FromBits(rng.NextU64()));
+  int subnormals = 0, non_finite = 0;
+  for (double d : cases) {
+    if (std::fpclassify(d) == FP_SUBNORMAL) ++subnormals;
+    if (!std::isfinite(d)) ++non_finite;
+    ASSERT_EQ(PrintNumber(d), ReferenceNumber(d)) << StrFormat("%a", d);
+  }
+  EXPECT_GT(subnormals, 100);
+  EXPECT_GT(non_finite, 100);
+}
+
+TEST(JsonNumberTest, PrinterMatchesPrintfNearItsIntegralCutoffs) {
+  // 1e15 switches "%.1f" to "%.*g"; 2^53 is where doubles stop holding
+  // every integer. Step through the integers and their neighbours there.
+  for (double center : {1e15, 0x1p53, 1e16, 1e17, 1.0}) {
+    for (int64_t k = -2048; k <= 2048; ++k) {
+      const double d = center + static_cast<double>(k);
+      for (double v : {d, -d, std::nextafter(d, 0.0), std::nextafter(d, 1e300),
+                       d / 8, d * 1024}) {
+        ASSERT_EQ(PrintNumber(v), ReferenceNumber(v)) << StrFormat("%a", v);
+      }
+    }
+  }
+  // Plan costs are rounded to cents: every cent value up to 1e6.
+  for (int64_t cents = 0; cents <= 100'000'000; cents += 997) {
+    const double d = static_cast<double>(cents) / 100.0;
+    ASSERT_EQ(PrintNumber(d), ReferenceNumber(d)) << cents;
+  }
+}
+
+TEST(JsonNumberTest, IntPrinterMatchesPrintf) {
+  Rng rng(108);
+  std::vector<int64_t> cases = {0, 1, -1, INT64_MAX, INT64_MIN,
+                                INT64_MIN + 1, 999'999'999'999'999'999};
+  for (int i = 0; i < 1'000'000; ++i) {
+    const uint64_t bits = rng.NextU64();
+    // Random magnitudes, not only 19-digit ones.
+    cases.push_back(static_cast<int64_t>(bits) >> rng.Uniform(0, 63));
+  }
+  for (int64_t v : cases) {
+    std::string out;
+    AppendJsonInt(&out, v);
+    ASSERT_EQ(out, StrFormat("%lld", static_cast<long long>(v)));
+  }
+}
+
+TEST(JsonNumberTest, TokensReadAsStrtodAndStrtollRead) {
+  // The tokenizer takes a number token to be a run of digits, '.', 'e',
+  // 'E', and signs at the start or after an exponent mark; it reads it
+  // with strtoll when it has no '.', 'e' or 'E', else with strtod. Random
+  // tokens over that alphabet, including ones the C functions read only in
+  // part ("1e", "+.") or that overflow, must read the same.
+  Rng rng(109);
+  const char* alphabet = "0123456789012345678901234567890123456789.eE+-";
+  int checked = 0;
+  for (int trial = 0; trial < 200'000; ++trial) {
+    const int64_t last = static_cast<int64_t>(std::strlen(alphabet)) - 1;
+    const int64_t len = rng.Uniform(1, rng.Bernoulli(0.1) ? 40 : 12);
+    std::string token;
+    for (int64_t i = 0; i < len; ++i) {
+      token.push_back(alphabet[rng.Uniform(0, last)]);
+    }
+    auto parsed = JsonValue::Parse(token);
+    if (!parsed.ok()) continue;  // not one number token: '+'/'-' mid-token
+    ++checked;
+    if (token.find_first_of(".eE") == std::string::npos) {
+      ASSERT_TRUE(parsed->is_int()) << token;
+      EXPECT_EQ(parsed->int_value(), std::strtoll(token.c_str(), nullptr, 10))
+          << token;
+    } else {
+      ASSERT_TRUE(parsed->is_double()) << token;
+      const double expected = std::strtod(token.c_str(), nullptr);
+      const double got = parsed->double_value();
+      EXPECT_EQ(std::memcmp(&expected, &got, sizeof(got)), 0) << token;
+    }
+  }
+  EXPECT_GT(checked, 50'000);
 }
 
 TEST(DatePropertyTest, EveryDayRoundTripsAcrossTheTpchRange) {

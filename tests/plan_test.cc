@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include "common/json.h"
 #include "engine/htap_system.h"
 #include "engine/latency_model.h"
 #include "plan/cardinality.h"
@@ -33,15 +34,14 @@ TEST_F(PlanTest, ExplainJsonHasTableIIKeys) {
   ASSERT_TRUE(query.ok());
   auto plans = system_->PlanBoth(*query);
   ASSERT_TRUE(plans.ok());
-  JsonValue tp = plans->tp.ToJson();
-  EXPECT_FALSE(tp.GetString("Node Type").empty());
-  EXPECT_GT(tp.GetDouble("Total Cost"), 0.0);
-  EXPECT_GE(tp.GetInt("Plan Rows"), 1);
-  ASSERT_NE(tp.Find("Plans"), nullptr);
-  // Round-trips through the pythonish flavour (what prompts embed).
-  auto parsed = JsonValue::Parse(plans->tp.Explain());
-  ASSERT_TRUE(parsed.ok()) << parsed.status();
-  EXPECT_EQ(parsed->GetString("Node Type"), tp.GetString("Node Type"));
+  // The pythonish flavour (what prompts embed) parses as JSON.
+  auto tp = JsonValue::Parse(plans->tp.Explain());
+  ASSERT_TRUE(tp.ok()) << tp.status();
+  EXPECT_EQ(tp->GetString("Node Type"), PlanOpName(plans->tp.root->op));
+  EXPECT_GT(tp->GetDouble("Total Cost"), 0.0);
+  EXPECT_GE(tp->GetInt("Plan Rows"), 1);
+  ASSERT_NE(tp->Find("Plans"), nullptr);
+  EXPECT_TRUE(tp->Find("Plans")->is_array());
 }
 
 TEST_F(PlanTest, TreeSizeAndTreeString) {

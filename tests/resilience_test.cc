@@ -396,7 +396,9 @@ TEST(ResilientLlmTest, TranscriptIsDeterministic) {
     auto r2 = llm2->Explain(p, 0.0, &spent2);
     EXPECT_EQ(r1.ok(), r2.ok()) << q;
     EXPECT_DOUBLE_EQ(spent1, spent2) << q;
-    if (r1.ok()) EXPECT_EQ(r1->attempts, r2->attempts) << q;
+    if (r1.ok()) {
+      EXPECT_EQ(r1->attempts, r2->attempts) << q;
+    }
   }
   EXPECT_EQ(m1.llm_attempts.Value(), m2.llm_attempts.Value());
   EXPECT_EQ(m1.llm_retries.Value(), m2.llm_retries.Value());
