@@ -126,10 +126,10 @@ std::vector<BoundSql> BindAll(const HtapSystem& system,
 /// Check 1: the DP enumerator's modeled cost is never worse than greedy's.
 bool CheckDpNeverWorse(const HtapSystem& system) {
   ApCostParams dp_params;
-  dp_params.sift.enabled = false;
+  dp_params.sift = false;
   ApCostParams greedy_params;
   greedy_params.enable_dp = false;
-  greedy_params.sift.enabled = false;
+  greedy_params.sift = false;
   ApOptimizer dp_opt(system.catalog(), dp_params);
   ApOptimizer greedy_opt(system.catalog(), greedy_params);
 
@@ -185,7 +185,7 @@ size_t SumActualRows(const ExecStats& stats) {
 bool CheckSiftingPays(const HtapSystem& system) {
   ApCostParams sift_on;
   ApCostParams sift_off;
-  sift_off.sift.enabled = false;
+  sift_off.sift = false;
   ApOptimizer on_opt(system.catalog(), sift_on);
   ApOptimizer off_opt(system.catalog(), sift_off);
 
@@ -332,7 +332,7 @@ void BM_SiftedExecution(benchmark::State& state) {
     return;
   }
   ApCostParams params;
-  params.sift.enabled = state.range(0) != 0;
+  params.sift = state.range(0) != 0;
   ApOptimizer opt(system->catalog(), params);
   auto bound = system->Bind(
       "SELECT COUNT(*) FROM lineitem, part WHERE l_partkey = p_partkey "
@@ -350,7 +350,7 @@ void BM_SiftedExecution(benchmark::State& state) {
     benchmark::DoNotOptimize(
         system->ExecuteWithMode(ExecMode::kRow, *plan, *bound));
   }
-  state.SetLabel(params.sift.enabled ? "sift on" : "sift off");
+  state.SetLabel(params.sift ? "sift on" : "sift off");
 }
 BENCHMARK(BM_SiftedExecution)->Arg(0)->Arg(1)->Unit(benchmark::kMillisecond);
 

@@ -96,9 +96,6 @@ Mix RunOnce(Fixture* fixture, const std::vector<std::string>& sqls,
       case DegradationLevel::kPlanDiffOnly:
         ++mix.plan_diff;
         break;
-      case DegradationLevel::kFailed:
-        ++mix.failed;
-        break;
     }
   }
   mix.resilience = fixture->explainer->ResilienceSnapshot();

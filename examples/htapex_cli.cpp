@@ -68,13 +68,18 @@
 //   \correct <id> <text>  replace an entry's explanation (logged + durable)
 //   \expire <id>          tombstone an entry (logged + durable)
 //   \snapshot             install a snapshot now and report durability stats
+// An <id> is a whole decimal entry id as \kb lists it; anything else prints
+// the command's usage line and changes nothing.
+#include <charconv>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
 #include <future>
 #include <iostream>
 #include <memory>
+#include <optional>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include <atomic>
@@ -293,6 +298,15 @@ int RunServeSharded(const HtapSystem* system, const ExplainerConfig& ec,
   return 0;
 }
 
+/// A knowledge-base entry id: `token` must be one whole decimal int.
+std::optional<int> ParseEntryId(std::string_view token) {
+  int id = 0;
+  const char* end = token.data() + token.size();
+  auto [ptr, ec] = std::from_chars(token.data(), end, id);
+  if (token.empty() || ec != std::errc() || ptr != end) return std::nullopt;
+  return id;
+}
+
 /// \metrics outside --serve: the interactive path has no service, so it
 /// renders the explainer-side counters and the traces ExplainOne recorded.
 std::string InteractiveMetricsText(const HtapExplainer& explainer) {
@@ -499,27 +513,37 @@ int main(int argc, char** argv) {
     if (sql == "\\demo") {
       run_demo();
     } else if (sql == "\\kb") {
-      for (const KbEntry* e : explainer.knowledge_base().Entries()) {
+      std::vector<const KbEntry*> entries =
+          explainer.knowledge_base().Entries();
+      if (entries.empty()) std::printf("knowledge base is empty\n");
+      for (const KbEntry* e : entries) {
         std::printf("[%2d] %s faster | %.60s...\n", e->id,
                     EngineName(e->faster), e->sql.c_str());
       }
-    } else if (sql.rfind("\\correct ", 0) == 0) {
+    } else if (sql == "\\correct" || sql.rfind("\\correct ", 0) == 0) {
       // \correct <id> <new explanation> — the expert feedback loop,
       // write-ahead logged when --data-dir is active.
-      char* end = nullptr;
-      long id = std::strtol(sql.c_str() + 9, &end, 10);
-      std::string text(Trim(end == nullptr ? "" : end));
-      if (text.empty()) {
+      std::string_view args = Trim(std::string_view(sql).substr(8));
+      const size_t space = args.find_first_of(" \t\v\f\r");
+      std::optional<int> id = ParseEntryId(args.substr(0, space));
+      std::string text(
+          Trim(space == std::string_view::npos ? "" : args.substr(space)));
+      if (!id.has_value() || text.empty()) {
         std::printf("usage: \\correct <id> <new explanation>\n");
       } else {
-        Status st = explainer.mutable_knowledge_base().CorrectExplanation(
-            static_cast<int>(id), text);
+        Status st =
+            explainer.mutable_knowledge_base().CorrectExplanation(*id, text);
         std::printf("%s\n", st.ok() ? "corrected" : st.ToString().c_str());
       }
-    } else if (sql.rfind("\\expire ", 0) == 0) {
-      Status st = explainer.mutable_knowledge_base().Expire(
-          std::atoi(sql.c_str() + 8));
-      std::printf("%s\n", st.ok() ? "expired" : st.ToString().c_str());
+    } else if (sql == "\\expire" || sql.rfind("\\expire ", 0) == 0) {
+      std::optional<int> id =
+          ParseEntryId(Trim(std::string_view(sql).substr(7)));
+      if (!id.has_value()) {
+        std::printf("usage: \\expire <id>\n");
+      } else {
+        Status st = explainer.mutable_knowledge_base().Expire(*id);
+        std::printf("%s\n", st.ok() ? "expired" : st.ToString().c_str());
+      }
     } else if (sql == "\\snapshot") {
       if (durable == nullptr) {
         std::printf("no durable state (run with --data-dir=PATH)\n");

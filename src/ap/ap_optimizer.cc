@@ -5,33 +5,42 @@
 
 #include "plan/cardinality.h"
 #include "plan/planner_util.h"
+#include "plan/pt_graph.h"
 
 namespace htapex {
 
 namespace {
 
+// Cost constants, in AP-internal vector units.
+constexpr double kScanValue = 0.0005;      // read one column value
+constexpr double kAggRow = 0.0015;         // hash-aggregate one row
+constexpr double kSortRowLog = 0.002;      // n*log2(n) multiplier
+constexpr double kTopNRow = 0.0008;        // bounded-heap push
+constexpr double kOutputRow = 0.0005;      // emit one row
+constexpr double kStartup = 30.0;          // distributed dispatch overhead
+constexpr double kBloomBuildRow = 0.001;   // insert one build key into a sift
+constexpr double kBloomProbeRow = 0.0002;  // probe one scan row, one filter
+// Insert one row into a join hash table, probe one row, emit one row.
+constexpr HashJoinRates kHashRates{0.002, 0.001, kOutputRow};
+
 class ApPlanBuilder {
  public:
   ApPlanBuilder(const Catalog& catalog, const ApCostParams& params,
                 const BoundQuery& query)
-      : params_(params),
-        hash_rates_{params.hash_build_row, params.hash_probe_row,
-                    params.output_row},
-        query_(query),
-        est_(catalog) {}
+      : params_(params), query_(query), est_(catalog) {}
 
   Result<PhysicalPlan> Build() {
     std::unique_ptr<PlanNode> root;
     HTAPEX_ASSIGN_OR_RETURN(root, BuildJoinTree());
-    if (query_.num_tables() > 1 &&
-        ApplyPredicateTransfer(query_, est_, params_.sift, root.get()) > 0) {
+    if (params_.sift && query_.num_tables() > 1 &&
+        ApplyPredicateTransfer(query_, est_, root.get()) > 0) {
       RecostJoinTree(root.get());
     }
     HTAPEX_ASSIGN_OR_RETURN(
         root, AddAggregation(std::move(root), PlanOp::kHashAggregate, query_,
-                             est_, params_.agg_row, &agg_slots_));
+                             est_, kAggRow, &agg_slots_));
     HTAPEX_ASSIGN_OR_RETURN(root, AddOrderLimitProject(std::move(root)));
-    root->total_cost += params_.startup;
+    root->total_cost += kStartup;
     PhysicalPlan plan;
     plan.engine = EngineKind::kAp;
     plan.root = std::move(root);
@@ -43,7 +52,7 @@ class ApPlanBuilder {
   /// Cost of scanning `scan`'s referenced columns over its base rows.
   double ScanCost(const PlanNode& scan) const {
     return scan.base_rows * static_cast<double>(scan.columns_read.size()) *
-           params_.scan_value;
+           kScanValue;
   }
 
   /// Columnar scan with all single-table predicates pushed into the scan
@@ -88,7 +97,7 @@ class ApPlanBuilder {
     // left = probe side, right = build side.
     auto join = MakeJoinNode(PlanOp::kHashJoin, query_, edge,
                              EdgeKeys(query_, edge, build_tables), out_rows);
-    join->total_cost = HashJoinCost(hash_rates_, probe->total_cost,
+    join->total_cost = HashJoinCost(kHashRates, probe->total_cost,
                                     probe->estimated_rows, build->total_cost,
                                     build->estimated_rows,
                                     join->estimated_rows);
@@ -199,7 +208,7 @@ class ApPlanBuilder {
               AnalyzeJoinEdge(query_, est_, tables_of(probe), tables_of(build));
           bool connected = edge.hash_conjunct >= 0;
           if (pass == 0 && !connected) continue;
-          double cost = HashJoinCost(hash_rates_, dp[probe].cost,
+          double cost = HashJoinCost(kHashRates, dp[probe].cost,
                                      dp[probe].rows, dp[build].cost,
                                      dp[build].rows, e.rows);
           if (!e.valid || cost < e.cost) {
@@ -246,7 +255,7 @@ class ApPlanBuilder {
       node->total_cost = ScanCost(*node);
       // Bloom probes run on every row surviving the scan predicates; charge
       // base rows as a conservative bound (zone maps may skip some).
-      node->total_cost += node->base_rows * params_.bloom_probe_row *
+      node->total_cost += node->base_rows * kBloomProbeRow *
                           static_cast<double>(node->sift_probes.size());
       return node->total_cost;
     }
@@ -255,12 +264,12 @@ class ApPlanBuilder {
       double build_cost = RecostJoinTree(node->children[1].get());
       const PlanNode& probe = *node->children[0];
       const PlanNode& build = *node->children[1];
-      node->total_cost = HashJoinCost(hash_rates_, probe_cost,
+      node->total_cost = HashJoinCost(kHashRates, probe_cost,
                                       probe.estimated_rows, build_cost,
                                       build.estimated_rows,
                                       node->estimated_rows);
       if (node->sift_id >= 0) {
-        node->total_cost += build.estimated_rows * params_.bloom_build_row;
+        node->total_cost += build.estimated_rows * kBloomBuildRow;
       }
       return node->total_cost;
     }
@@ -280,20 +289,19 @@ class ApPlanBuilder {
       double k = static_cast<double>(*stmt.limit + stmt.offset.value_or(0));
       topn->estimated_rows = std::min(rows, static_cast<double>(*stmt.limit));
       topn->total_cost =
-          child->total_cost + rows * params_.topn_row * Log2(k);
+          child->total_cost + rows * kTopNRow * Log2(k);
       topn->children.push_back(std::move(child));
       child = std::move(topn);
     } else {
       HTAPEX_ASSIGN_OR_RETURN(child, AddSort(std::move(child), query_,
-                                             agg_slots_, params_.sort_row_log));
+                                             agg_slots_, kSortRowLog));
       child = AddLimit(std::move(child), stmt);
     }
     return AddProjection(std::move(child), query_, agg_slots_,
-                         params_.output_row);
+                         kOutputRow);
   }
 
   const ApCostParams& params_;
-  const HashJoinRates hash_rates_;
   const BoundQuery& query_;
   CardinalityEstimator est_;
   OutputSlotMap agg_slots_;

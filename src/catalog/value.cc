@@ -6,20 +6,6 @@
 
 namespace htapex {
 
-const char* DataTypeName(DataType t) {
-  switch (t) {
-    case DataType::kInt:
-      return "INT";
-    case DataType::kDouble:
-      return "DOUBLE";
-    case DataType::kString:
-      return "VARCHAR";
-    case DataType::kDate:
-      return "DATE";
-  }
-  return "?";
-}
-
 int Value::Compare(const Value& other) const {
   // NULLs first.
   if (is_null() || other.is_null()) {

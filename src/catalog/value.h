@@ -15,8 +15,6 @@ enum class DataType {
   kDate,    // days since 1970-01-01, stored as int64
 };
 
-const char* DataTypeName(DataType t);
-
 /// A dynamically-typed SQL value. NULL is represented by monostate.
 class Value {
  public:

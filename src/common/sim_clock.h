@@ -14,7 +14,6 @@ class SimClock {
   SimClock() = default;
 
   void AdvanceMillis(double ms) { now_ms_ += ms; }
-  void AdvanceSeconds(double s) { now_ms_ += s * 1000.0; }
 
   double now_millis() const { return now_ms_; }
   double now_seconds() const { return now_ms_ / 1000.0; }
@@ -31,14 +30,10 @@ class WallTimer {
  public:
   WallTimer() : start_(std::chrono::steady_clock::now()) {}
 
-  void Restart() { start_ = std::chrono::steady_clock::now(); }
-
   double ElapsedMillis() const {
     auto d = std::chrono::steady_clock::now() - start_;
     return std::chrono::duration<double, std::milli>(d).count();
   }
-
-  double ElapsedMicros() const { return ElapsedMillis() * 1000.0; }
 
  private:
   std::chrono::steady_clock::time_point start_;

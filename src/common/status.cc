@@ -24,8 +24,6 @@ const char* StatusCodeName(StatusCode code) {
       return "IoError";
     case StatusCode::kInternal:
       return "Internal";
-    case StatusCode::kNotImplemented:
-      return "NotImplemented";
     case StatusCode::kUnavailable:
       return "Unavailable";
     case StatusCode::kDeadlineExceeded:

@@ -21,7 +21,6 @@ enum class StatusCode {
   kExecutionError,
   kIoError,
   kInternal,
-  kNotImplemented,
   kUnavailable,        // dependency down / breaker open / shutting down
   kDeadlineExceeded,   // per-request budget exhausted
 };
@@ -64,9 +63,6 @@ class Status {
   }
   static Status Internal(std::string msg) {
     return Status(StatusCode::kInternal, std::move(msg));
-  }
-  static Status NotImplemented(std::string msg) {
-    return Status(StatusCode::kNotImplemented, std::move(msg));
   }
   static Status Unavailable(std::string msg) {
     return Status(StatusCode::kUnavailable, std::move(msg));

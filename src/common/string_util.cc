@@ -1,5 +1,6 @@
 #include "common/string_util.h"
 
+#include <array>
 #include <cctype>
 #include <cstdarg>
 #include <cstdio>
@@ -55,13 +56,30 @@ bool EndsWith(std::string_view s, std::string_view suffix) {
   return s.size() >= suffix.size() && s.substr(s.size() - suffix.size()) == suffix;
 }
 
+namespace {
+
+/// ASCII case folding by table. Nothing calls setlocale, so std::tolower
+/// runs in the "C" locale, where it maps exactly 'A'-'Z'; the table agrees
+/// with it on every byte.
+constexpr std::array<unsigned char, 256> kFoldCase = [] {
+  std::array<unsigned char, 256> fold{};
+  for (int c = 0; c < 256; ++c) {
+    fold[static_cast<size_t>(c)] =
+        static_cast<unsigned char>(c >= 'A' && c <= 'Z' ? c + ('a' - 'A') : c);
+  }
+  return fold;
+}();
+
+unsigned char FoldCase(char c) {
+  return kFoldCase[static_cast<unsigned char>(c)];
+}
+
+}  // namespace
+
 bool EqualsIgnoreCase(std::string_view a, std::string_view b) {
   if (a.size() != b.size()) return false;
   for (size_t i = 0; i < a.size(); ++i) {
-    if (std::tolower(static_cast<unsigned char>(a[i])) !=
-        std::tolower(static_cast<unsigned char>(b[i]))) {
-      return false;
-    }
+    if (FoldCase(a[i]) != FoldCase(b[i])) return false;
   }
   return true;
 }
@@ -69,8 +87,22 @@ bool EqualsIgnoreCase(std::string_view a, std::string_view b) {
 bool ContainsIgnoreCase(std::string_view haystack, std::string_view needle) {
   if (needle.empty()) return true;
   if (needle.size() > haystack.size()) return false;
-  for (size_t i = 0; i + needle.size() <= haystack.size(); ++i) {
-    if (EqualsIgnoreCase(haystack.substr(i, needle.size()), needle)) return true;
+  std::string folded(needle.size(), '\0');
+  for (size_t j = 0; j < needle.size(); ++j) {
+    folded[j] = static_cast<char>(FoldCase(needle[j]));
+  }
+  // One pass over the haystack: a position is checked further only when
+  // its byte folds to the needle's first byte.
+  const char first = folded[0];
+  const size_t last = haystack.size() - needle.size();
+  for (size_t i = 0; i <= last; ++i) {
+    if (static_cast<char>(FoldCase(haystack[i])) != first) continue;
+    size_t j = 1;
+    while (j < folded.size() &&
+           static_cast<char>(FoldCase(haystack[i + j])) == folded[j]) {
+      ++j;
+    }
+    if (j == folded.size()) return true;
   }
   return false;
 }

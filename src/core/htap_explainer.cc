@@ -28,8 +28,6 @@ const char* DegradationLevelName(DegradationLevel level) {
       return "baseline_fallback";
     case DegradationLevel::kPlanDiffOnly:
       return "plan_diff_only";
-    case DegradationLevel::kFailed:
-      return "failed";
   }
   return "unknown";
 }
@@ -78,18 +76,18 @@ void HtapExplainer::InstallFaults(FaultInjector faults) {
 }
 
 void HtapExplainer::RebuildResilientLlms() {
-  ResiliencePolicy policy = config_.resilience;
-  policy.seed = faults_.enabled() ? faults_.seed() : config_.fault_seed;
+  const uint64_t seed =
+      faults_.enabled() ? faults_.seed() : config_.fault_seed;
   if (config_.use_rag) {
     primary_ = std::make_unique<ResilientLlm>(
-        MakeRagLlm(ConfigPersona(config_)), "rag", policy, &faults_,
+        MakeRagLlm(ConfigPersona(config_)), "rag", seed, &faults_,
         &resilience_metrics_);
     fallback_ = std::make_unique<ResilientLlm>(
-        MakeDbgPtLlm(ConfigPersona(config_)), "baseline", policy, &faults_,
+        MakeDbgPtLlm(ConfigPersona(config_)), "baseline", seed, &faults_,
         &resilience_metrics_);
   } else {
     primary_ = std::make_unique<ResilientLlm>(
-        MakeDbgPtLlm(ConfigPersona(config_)), "baseline", policy, &faults_,
+        MakeDbgPtLlm(ConfigPersona(config_)), "baseline", seed, &faults_,
         &resilience_metrics_);
     fallback_.reset();
   }
@@ -269,11 +267,9 @@ Result<ExplainResult> HtapExplainer::ExplainPrepared(PreparedQuery prepared,
   double total_spent = spent;
   if (call.ok()) {
     result.generation = std::move(call->explanation);
-    result.llm_attempts = call->attempts;
     result.resilience_ms = call->overhead_ms;
     result.degradation = DegradationLevel::kFull;
   } else {
-    int attempts = config_.resilience.max_attempts;  // pessimistic floor
     std::string reason = call.status().ToString();
     bool answered = false;
     if (fallback_ != nullptr) {
@@ -290,7 +286,6 @@ Result<ExplainResult> HtapExplainer::ExplainPrepared(PreparedQuery prepared,
         total_spent += spent;
         if (fb.ok()) {
           result.generation = std::move(fb->explanation);
-          result.llm_attempts = attempts + fb->attempts;
           result.resilience_ms = total_spent - result.generation.timing.total_ms();
           result.degradation = DegradationLevel::kBaselineFallback;
           result.degradation_reason = std::move(reason);
@@ -308,7 +303,6 @@ Result<ExplainResult> HtapExplainer::ExplainPrepared(PreparedQuery prepared,
       resilience_metrics_.fallbacks_plan_diff.Inc();
       if (trace != nullptr) trace->Event("fallback_plan_diff", reason);
       result.generation = MakePlanDiffExplanation(result.prompt);
-      result.llm_attempts = attempts;
       result.resilience_ms = total_spent;
       result.degradation = DegradationLevel::kPlanDiffOnly;
       result.degradation_reason = std::move(reason);

@@ -37,10 +37,6 @@ struct ExplainerConfig {
   /// Seed for fault draws and backoff jitter (HTAPEX_FAULT_SEED overrides
   /// when the spec came from the environment).
   uint64_t fault_seed = 42;
-  /// Deadline / retry / circuit-breaker policy for the simulated hosted
-  /// LLM dependencies (shared by the RAG model and the DBG-PT fallback,
-  /// each with its own breaker).
-  ResiliencePolicy resilience;
   /// Additional user context appended to prompts (Table I's third section).
   std::string user_context =
       "Beyond the default indexes on primary and foreign keys, an "
@@ -58,7 +54,6 @@ enum class DegradationLevel {
   kFull = 0,             // RAG-grounded explanation (the configured model)
   kBaselineFallback,     // RAG exhausted/short-circuited; DBG-PT answered
   kPlanDiffOnly,         // both models failed; structural plan diff
-  kFailed,               // nothing produced (error or early rejection)
 };
 const char* DegradationLevelName(DegradationLevel level);
 
@@ -77,12 +72,10 @@ struct ExplainResult {
   /// pays the probe, so both paths report it.
   bool from_cache = false;
   double cache_lookup_ms = 0.0;
-  /// Which rung of the degradation ladder produced this answer, how many
-  /// LLM attempts it took across both dependencies, and the simulated time
-  /// burned on failed attempts + backoff + fallback chains. Empty reason
-  /// for kFull.
+  /// Which rung of the degradation ladder produced this answer and the
+  /// simulated time burned on failed attempts + backoff + fallback chains.
+  /// Empty reason for kFull.
   DegradationLevel degradation = DegradationLevel::kFull;
-  int llm_attempts = 1;
   double resilience_ms = 0.0;
   std::string degradation_reason;
   /// Per-request span tree (see obs/trace.h) when the producing pipeline

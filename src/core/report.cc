@@ -36,8 +36,7 @@ void RenderAnnotatedPlan(const HtapExplainer& explainer,
 }  // namespace
 
 std::string RenderExplainReport(const HtapExplainer& explainer,
-                                const ExplainResult& result,
-                                ReportOptions options) {
+                                const ExplainResult& result) {
   std::string md;
   md += "# Query performance explanation\n\n";
   md += "```sql\n" + result.outcome.sql + "\n```\n\n";
@@ -52,55 +51,37 @@ std::string RenderExplainReport(const HtapExplainer& explainer,
 
   md += "## Explanation\n\n" + result.generation.text + "\n\n";
 
-  if (options.include_plans) {
-    md += "## TP plan (per-node modelled self time)\n\n```\n";
-    RenderAnnotatedPlan(explainer, result.outcome.plans.tp, &md);
-    md += "```\n\n## AP plan\n\n```\n";
-    RenderAnnotatedPlan(explainer, result.outcome.plans.ap, &md);
-    md += "```\n\n";
-  }
+  md += "## TP plan (per-node modelled self time)\n\n```\n";
+  RenderAnnotatedPlan(explainer, result.outcome.plans.tp, &md);
+  md += "```\n\n## AP plan\n\n```\n";
+  RenderAnnotatedPlan(explainer, result.outcome.plans.ap, &md);
+  md += "```\n\n";
 
-  if (options.include_retrieval) {
-    md += StrFormat("## Retrieved knowledge (top %zu by plan-pair embedding)\n\n",
-                    result.retrieval.items.size());
-    if (result.retrieval.items.empty()) {
-      md += "_none (RAG disabled or empty knowledge base)_\n\n";
-    }
-    for (size_t i = 0; i < result.retrieval.items.size(); ++i) {
-      const KnowledgeItem& k = result.retrieval.items[i];
-      md += StrFormat("%zu. `%s` — %s faster. Expert: %s\n", i + 1,
-                      k.sql.c_str(), EngineName(k.faster),
-                      k.expert_explanation.c_str());
-    }
-    md += "\n";
+  md += StrFormat("## Retrieved knowledge (top %zu by plan-pair embedding)\n\n",
+                  result.retrieval.items.size());
+  if (result.retrieval.items.empty()) {
+    md += "_none (RAG disabled or empty knowledge base)_\n\n";
   }
+  for (size_t i = 0; i < result.retrieval.items.size(); ++i) {
+    const KnowledgeItem& k = result.retrieval.items[i];
+    md += StrFormat("%zu. `%s` — %s faster. Expert: %s\n", i + 1,
+                    k.sql.c_str(), EngineName(k.faster),
+                    k.expert_explanation.c_str());
+  }
+  md += "\n";
 
-  if (options.include_grading) {
-    md += "## Evaluation (ground truth)\n\n";
-    md += StrFormat("- expert primary factor: `%s`\n",
-                    PerfFactorId(result.truth.primary));
-    for (PerfFactor f : result.truth.secondary) {
-      md += StrFormat("- expert secondary factor: `%s`\n", PerfFactorId(f));
-    }
-    md += StrFormat("- grade: **%s** (%s)\n\n",
-                    ExplanationGradeName(result.grade.grade),
-                    result.grade.reason.c_str());
-  }
-
-  if (options.include_timing) {
-    md += "## Response-time components\n\n";
-    md += StrFormat("| component | time |\n|---|---|\n");
-    md += StrFormat("| router encoding (measured) | %s |\n",
-                    FormatMillis(result.router_encode_ms).c_str());
-    md += StrFormat("| knowledge-base search (measured) | %s |\n",
-                    FormatMillis(result.retrieval.search_ms).c_str());
-    md += StrFormat("| LLM thinking (simulated) | %s |\n",
-                    FormatMillis(result.generation.timing.thinking_ms).c_str());
-    md += StrFormat("| LLM generation (simulated) | %s |\n",
-                    FormatMillis(result.generation.timing.generation_ms).c_str());
-    md += StrFormat("| end to end | %s |\n",
-                    FormatMillis(result.end_to_end_ms()).c_str());
-  }
+  md += "## Response-time components\n\n";
+  md += StrFormat("| component | time |\n|---|---|\n");
+  md += StrFormat("| router encoding (measured) | %s |\n",
+                  FormatMillis(result.router_encode_ms).c_str());
+  md += StrFormat("| knowledge-base search (measured) | %s |\n",
+                  FormatMillis(result.retrieval.search_ms).c_str());
+  md += StrFormat("| LLM thinking (simulated) | %s |\n",
+                  FormatMillis(result.generation.timing.thinking_ms).c_str());
+  md += StrFormat("| LLM generation (simulated) | %s |\n",
+                  FormatMillis(result.generation.timing.generation_ms).c_str());
+  md += StrFormat("| end to end | %s |\n",
+                  FormatMillis(result.end_to_end_ms()).c_str());
   return md;
 }
 

@@ -7,21 +7,13 @@
 
 namespace htapex {
 
-/// What to include in a rendered explanation report.
-struct ReportOptions {
-  bool include_plans = true;        // tree-form plans with latency breakdown
-  bool include_retrieval = true;    // retrieved knowledge summaries
-  bool include_grading = false;     // ground truth + grade (evaluation runs)
-  bool include_timing = true;       // response-time components
-};
-
 /// Renders an ExplainResult as a self-contained markdown report — what a
-/// deployment would attach to a slow-query ticket: the query, both plans
-/// annotated with the latency model's per-node attribution, the retrieved
-/// precedents, and the generated explanation.
+/// deployment would attach to a slow-query ticket: the query, the
+/// generated explanation, both plans annotated with the latency model's
+/// per-node attribution, the retrieved precedents, and the response-time
+/// components.
 std::string RenderExplainReport(const HtapExplainer& explainer,
-                                const ExplainResult& result,
-                                ReportOptions options = {});
+                                const ExplainResult& result);
 
 }  // namespace htapex
 

@@ -19,7 +19,7 @@ Status HtapSystem::Init(const HtapConfig& config) {
   vec_executor_ = std::make_unique<VecExecutor>(catalog_, column_store_);
   vec_executor_->set_num_workers(config.vec_workers);
   if (config.data_scale_factor > 0) {
-    TpchDataGenerator gen(config.data_scale_factor, config.datagen_seed);
+    TpchDataGenerator gen(config.data_scale_factor);
     for (const auto& table : catalog_.TableNames()) {
       HTAPEX_ASSIGN_OR_RETURN(TableData data, gen.Generate(table));
       HTAPEX_RETURN_IF_ERROR(column_store_.LoadTable(catalog_, data));
@@ -56,7 +56,7 @@ Result<BoundQuery> HtapSystem::Bind(std::string_view sql,
     HTAPEX_ASSIGN_OR_RETURN(stmt, ParseSelect(sql));
   }
   ScopedWallSpan span(trace, spanname::kBind);
-  return htapex::Bind(catalog_, std::move(stmt), std::string(sql));
+  return htapex::Bind(catalog_, std::move(stmt));
 }
 
 Result<PlanPair> HtapSystem::PlanBoth(const BoundQuery& query,
@@ -122,7 +122,6 @@ Result<PlannedQuery> HtapSystem::Plan(std::string_view sql,
 Result<HtapQueryOutcome> HtapSystem::RunQuery(std::string_view sql) const {
   HTAPEX_ASSIGN_OR_RETURN(PlannedQuery planned, Plan(sql));
   HtapQueryOutcome& outcome = planned.outcome;
-  outcome.output_names = OutputNames(planned.query);
   if (data_loaded_) {
     HTAPEX_ASSIGN_OR_RETURN(QueryResultSet tp_result,
                             Execute(outcome.plans.tp, planned.query));

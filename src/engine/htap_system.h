@@ -34,7 +34,6 @@ struct HtapConfig {
   /// engines really execute queries and can be cross-checked). <= 0
   /// disables data loading (plan-only mode).
   double data_scale_factor = 0.01;
-  uint64_t datagen_seed = 20260705;
   LatencyParams latency;
   TpCostParams tp_cost;
   ApCostParams ap_cost;
@@ -55,7 +54,6 @@ struct HtapQueryOutcome {
   std::optional<QueryResultSet> tp_result;
   std::optional<QueryResultSet> ap_result;
   bool results_match = true;
-  std::vector<std::string> output_names;
 
   double speedup() const {
     double lo = std::min(tp_latency_ms, ap_latency_ms);

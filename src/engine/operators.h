@@ -104,8 +104,7 @@ Status HashBuildKeys(const PlanNode& join, const Rows& build,
   BloomFilter* bloom = nullptr;
   if (join.sift_id >= 0) {
     bloom = &ctx->sift_filters
-                 .emplace(join.sift_id,
-                          BloomFilter(build.size(), join.sift_bits_per_key))
+                 .emplace(join.sift_id, BloomFilter(build.size()))
                  .first->second;
   }
   keys->resize(build.size());

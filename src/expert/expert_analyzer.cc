@@ -3,7 +3,6 @@
 #include <algorithm>
 
 #include "engine/latency_model.h"
-#include "plan/pt_graph.h"
 
 namespace htapex {
 
@@ -72,16 +71,6 @@ bool HasSmallBuildHashJoin(const PlanNode& node) {
     if (HasSmallBuildHashJoin(*c)) return true;
   }
   return false;
-}
-
-/// Worst expected Bloom false-positive rate across all sifted scans.
-double MaxSiftFpRate(const PlanNode& node) {
-  double m = 0.0;
-  for (const SiftProbe& p : node.sift_probes) {
-    m = std::max(m, p.expected_fp_rate);
-  }
-  for (const auto& c : node.children) m = std::max(m, MaxSiftFpRate(*c));
-  return m;
 }
 
 }  // namespace
@@ -192,9 +181,6 @@ ExpertAnalysis ExpertAnalyzer::Analyze(const HtapQueryOutcome& outcome,
         HasSmallBuildHashJoin(*ap_root)) {
       AddUnique(&analysis.secondary, PerfFactor::kMissingSift);
     }
-    if (MaxSiftFpRate(*ap_root) > kSiftFpOverrunRate) {
-      AddUnique(&analysis.secondary, PerfFactor::kBloomFpOverrun);
-    }
   }
 
   analysis.explanation = RenderExpertExplanation(analysis);
@@ -232,7 +218,6 @@ std::string RenderExpertExplanation(const ExpertAnalysis& analysis) {
       break;
     case PerfFactor::kBadJoinOrder:
     case PerfFactor::kMissingSift:
-    case PerfFactor::kBloomFpOverrun:
       text = std::string(winner) + " is faster because on the " + loser +
              " side " + PerfFactorPhrase(analysis.primary) + ".";
       break;

@@ -32,8 +32,6 @@ const char* PerfFactorId(PerfFactor f) {
       return "bad_join_order";
     case PerfFactor::kMissingSift:
       return "missing_sift";
-    case PerfFactor::kBloomFpOverrun:
-      return "bloom_fp_overrun";
   }
   return "?";
 }
@@ -67,9 +65,6 @@ const char* PerfFactorPhrase(PerfFactor f) {
              "output";
     case PerfFactor::kMissingSift:
       return "no Bloom filter sifts the probe side before the join";
-    case PerfFactor::kBloomFpOverrun:
-      return "undersized Bloom filter lets too many false positives through "
-             "the sift";
   }
   return "?";
 }
@@ -87,8 +82,7 @@ std::vector<PerfFactor> AllPerfFactors() {
           PerfFactor::kApStartupOverhead,
           PerfFactor::kFunctionDefeatsIndex,
           PerfFactor::kBadJoinOrder,
-          PerfFactor::kMissingSift,
-          PerfFactor::kBloomFpOverrun};
+          PerfFactor::kMissingSift};
 }
 
 std::vector<PerfFactor> ExtractFactorsFromText(const std::string& text) {

@@ -24,7 +24,6 @@ enum class PerfFactor {
   kFunctionDefeatsIndex,     // function over an indexed column blocks the index
   kBadJoinOrder,             // greedy join order blows up an intermediate
   kMissingSift,              // no Bloom-filter predicate transfer on the probe
-  kBloomFpOverrun,           // undersized sift passes too many false positives
 };
 
 /// Stable identifier, e.g. "no_index_nested_loop".

@@ -38,7 +38,7 @@ ModelLifecycleManager::ModelLifecycleManager(SmartRouter* router,
       options_(std::move(options)),
       buffer_([this] {
         FeedbackBufferOptions fb;
-        fb.capacity = options_.feedback_capacity;
+        fb.capacity = kLifecycleFeedbackCapacity;
         fb.dir = options_.data_dir;
         fb.fsync_every_n = options_.fsync_every_n;
         return fb;
@@ -217,7 +217,7 @@ void ModelLifecycleManager::StepShadowLocked() {
     if (draw.fired) {
       stats_.shadow_stalls += 1;
       sim_millis_ += draw.latency_ms > 0 ? draw.latency_ms : 50.0;
-      if (++shadow_stalls_ > options_.max_shadow_stalls) {
+      if (++shadow_stalls_ > kLifecycleMaxShadowStalls) {
         stats_.shadow_aborts += 1;
         candidate_.reset();
         phase_ = LifecyclePhase::kIdle;

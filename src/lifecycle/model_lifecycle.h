@@ -28,12 +28,17 @@ enum class LifecyclePhase { kIdle, kRetrain, kShadow, kWatch };
 
 const char* LifecyclePhaseName(LifecyclePhase phase);
 
+/// Samples the feedback buffer keeps (the newest win).
+inline constexpr size_t kLifecycleFeedbackCapacity = 512;
+/// shadow.stall faults absorbed before a shadow run is abandoned — bounds
+/// the phase even under a p=1 stall spec.
+inline constexpr int kLifecycleMaxShadowStalls = 3;
+
 struct LifecycleOptions {
   /// Master switch: a disabled manager records nothing and never ticks.
   bool enabled = false;
 
   // --- feedback buffer ---
-  size_t feedback_capacity = 512;
   /// Backing-log directory for the feedback buffer; empty = memory-only.
   std::string data_dir;
   int fsync_every_n = 8;
@@ -58,9 +63,6 @@ struct LifecycleOptions {
   size_t shadow_window = 64;
   /// Ticks the candidate shadows before scoring (lets fresh traffic land).
   int shadow_beats = 2;
-  /// shadow.stall faults absorbed before the run is abandoned — bounds the
-  /// phase even under a p=1 stall spec.
-  int max_shadow_stalls = 3;
 
   // --- post-swap watch (kWatch) ---
   /// Fresh samples required after a swap before the verdict.

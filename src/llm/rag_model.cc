@@ -43,8 +43,6 @@ bool FactorApplicable(PerfFactor f, const PairSurface& s,
     case PerfFactor::kMissingSift:
       return s.ap.HasNode(PlanOp::kHashJoin) &&
              !s.ap.HasNode(PlanOp::kSiftedScan);
-    case PerfFactor::kBloomFpOverrun:
-      return s.ap.HasNode(PlanOp::kSiftedScan);
   }
   return false;
 }

@@ -93,11 +93,6 @@ std::string FactorSentence(PerfFactor f, const PairSurface& surface,
           "On the AP side %s, so the big scan feeds every row into the "
           "probe even though most of them could never match.",
           phrase.c_str());
-    case PerfFactor::kBloomFpOverrun:
-      return StrFormat(
-          "Here an %s, so the sifted scan pays the filtering cost without "
-          "the cardinality payoff.",
-          phrase.c_str());
   }
   return phrase + ".";
 }

@@ -28,18 +28,6 @@ constexpr double kBackoffCapMs = 4'000.0;
 
 }  // namespace
 
-const char* BreakerStateName(BreakerState s) {
-  switch (s) {
-    case BreakerState::kClosed:
-      return "closed";
-    case BreakerState::kOpen:
-      return "open";
-    case BreakerState::kHalfOpen:
-      return "half-open";
-  }
-  return "unknown";
-}
-
 CircuitBreaker::CircuitBreaker(int failure_threshold, double cooldown_ms,
                                ResilienceMetrics* metrics)
     : failure_threshold_(std::max(1, failure_threshold)),
@@ -102,17 +90,16 @@ BreakerState CircuitBreaker::state(double now_ms) const {
 }
 
 ResilientLlm::ResilientLlm(std::unique_ptr<SimulatedLlm> inner,
-                           std::string dependency, ResiliencePolicy policy,
+                           std::string dependency, uint64_t seed,
                            const FaultInjector* faults,
                            ResilienceMetrics* metrics)
     : inner_(std::move(inner)),
       dependency_(std::move(dependency)),
       dependency_hash_(Fnv1a64(dependency_)),
-      policy_(policy),
+      seed_(seed),
       faults_(faults),
       metrics_(metrics),
-      breaker_(policy.breaker_failure_threshold, policy.breaker_cooldown_ms,
-               metrics) {}
+      breaker_(kLlmBreakerFailureThreshold, kLlmBreakerCooldownMs, metrics) {}
 
 double ResilientLlm::sim_now_ms() const {
   return static_cast<double>(sim_now_us_.load(std::memory_order_relaxed)) /
@@ -138,7 +125,7 @@ Result<LlmCallOutcome> ResilientLlm::Explain(const Prompt& prompt,
   const uint64_t key = Fnv1a64(prompt.question_sql) ^ dependency_hash_;
   // Model the gap since the previous request: not charged to this caller,
   // but it is what lets an open breaker's cooldown elapse under load.
-  AdvanceClock(policy_.interarrival_ms);
+  AdvanceClock(kLlmInterarrivalMs);
   double spent = 0.0;
   const char* last_failure = "no attempt made";
   auto charge = [&](double ms) {
@@ -151,7 +138,7 @@ Result<LlmCallOutcome> ResilientLlm::Explain(const Prompt& prompt,
     if (trace != nullptr) trace->Event(name, std::move(detail));
   };
 
-  for (int attempt = 0; attempt < policy_.max_attempts; ++attempt) {
+  for (int attempt = 0; attempt < kLlmMaxAttempts; ++attempt) {
     if (budget_ms > 0.0 && spent >= budget_ms) {
       metrics_->budget_exhausted.Inc();
       note("budget_exhausted",
@@ -185,7 +172,7 @@ Result<LlmCallOutcome> ResilientLlm::Explain(const Prompt& prompt,
     if (timeout.fired) {
       // The caller hangs on the dependency until the deadline, then gives
       // up: a timeout costs exactly the per-attempt deadline.
-      attempt_ms = policy_.attempt_deadline_ms;
+      attempt_ms = kLlmAttemptDeadlineMs;
       metrics_->llm_timeouts.Inc();
       last_failure = "timeout";
       note_attempt("timeout", attempt_ms);
@@ -210,13 +197,13 @@ Result<LlmCallOutcome> ResilientLlm::Explain(const Prompt& prompt,
                               : FaultDraw{};
       if (garbled.fired) {
         gen.text = GarbleText(std::move(gen.text),
-                              MixFaultSeed(policy_.seed, key, a, 0x6a4bull));
+                              MixFaultSeed(seed_, key, a, 0x6a4bull));
       }
       attempt_ms = gen.timing.total_ms();
-      if (attempt_ms > policy_.attempt_deadline_ms) {
+      if (attempt_ms > kLlmAttemptDeadlineMs) {
         // Abandoned at the deadline — the over-long generation is thrown
         // away and only the deadline is paid.
-        attempt_ms = policy_.attempt_deadline_ms;
+        attempt_ms = kLlmAttemptDeadlineMs;
         metrics_->llm_timeouts.Inc();
         last_failure = "deadline exceeded";
         note_attempt("deadline exceeded", attempt_ms);
@@ -238,10 +225,10 @@ Result<LlmCallOutcome> ResilientLlm::Explain(const Prompt& prompt,
 
     charge(attempt_ms);
     breaker_.RecordFailure(sim_now_ms());
-    if (attempt + 1 < policy_.max_attempts) {
+    if (attempt + 1 < kLlmMaxAttempts) {
       // Full-jitter exponential backoff on the simulated clock.
       double cap = std::min(kBackoffCapMs, kBackoffBaseMs * std::exp2(attempt));
-      Rng rng(MixFaultSeed(policy_.seed, kBackoffPurpose, key, a));
+      Rng rng(MixFaultSeed(seed_, kBackoffPurpose, key, a));
       double backoff_ms = rng.UniformReal(0.0, cap);
       note("backoff", StrFormat("%.1f ms", backoff_ms));
       charge(backoff_ms);
@@ -249,10 +236,10 @@ Result<LlmCallOutcome> ResilientLlm::Explain(const Prompt& prompt,
   }
   note("attempts_exhausted",
        StrFormat("%s after %d attempts (last: %s)", dependency_.c_str(),
-                 policy_.max_attempts, last_failure));
+                 kLlmMaxAttempts, last_failure));
   return Status::Unavailable(StrFormat("%s: %d attempts exhausted (last: %s)",
                                        dependency_.c_str(),
-                                       policy_.max_attempts, last_failure));
+                                       kLlmMaxAttempts, last_failure));
 }
 
 std::string GarbleText(std::string text, uint64_t seed) {

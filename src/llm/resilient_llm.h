@@ -14,35 +14,30 @@
 
 namespace htapex {
 
-/// Retry / deadline / circuit-breaker policy for one hosted-LLM dependency.
-/// All times are simulated milliseconds (the hosted round trip is modelled,
-/// not slept — see SimClock), so benches report paper-scale numbers while
-/// running instantly.
-struct ResiliencePolicy {
-  /// Per-attempt deadline: an attempt whose simulated round trip exceeds
-  /// this is abandoned as a timeout. The paper reports thinking <= 2 s and
-  /// generation ~10 s, so 15 s comfortably covers a healthy call.
-  double attempt_deadline_ms = 15'000.0;
-  /// Bounded retries (total attempts, including the first), with
-  /// full-jitter exponential backoff between them (see resilient_llm.cc).
-  int max_attempts = 3;
-  /// Breaker opens after this many consecutive failures...
-  int breaker_failure_threshold = 5;
-  /// ...and half-opens (admits one probe) after this simulated cooldown.
-  double breaker_cooldown_ms = 60'000.0;
-  /// Simulated time between successive requests reaching this dependency.
-  /// Advanced on every Explain call (but never charged to the caller): it
-  /// is what makes an open breaker's cooldown elapse even while every
-  /// request is being short-circuited — without it the simulated clock
-  /// would freeze and an open breaker could never half-open again.
-  double interarrival_ms = 500.0;
-  /// Seed for backoff jitter; draws are keyed by (seed, purpose, request
-  /// key, attempt) so transcripts reproduce byte-identically.
-  uint64_t seed = 42;
-};
+/// Retry / deadline / circuit-breaker policy for every hosted-LLM
+/// dependency. All times are simulated milliseconds (the hosted round trip
+/// is modelled, not slept — see SimClock), so benches report paper-scale
+/// numbers while running instantly.
+///
+/// Per-attempt deadline: an attempt whose simulated round trip exceeds
+/// this is abandoned as a timeout. The paper reports thinking <= 2 s and
+/// generation ~10 s, so 15 s comfortably covers a healthy call.
+inline constexpr double kLlmAttemptDeadlineMs = 15'000.0;
+/// Bounded retries (total attempts, including the first), with full-jitter
+/// exponential backoff between them (see resilient_llm.cc).
+inline constexpr int kLlmMaxAttempts = 3;
+/// The breaker opens after this many consecutive failed attempts...
+inline constexpr int kLlmBreakerFailureThreshold = 5;
+/// ...and half-opens (admits one probe) after this simulated cooldown.
+inline constexpr double kLlmBreakerCooldownMs = 60'000.0;
+/// Simulated time between successive requests reaching a dependency.
+/// Advanced on every Explain call (but never charged to the caller): it is
+/// what makes an open breaker's cooldown elapse even while every request is
+/// being short-circuited — without it the simulated clock would freeze and
+/// an open breaker could never half-open again.
+inline constexpr double kLlmInterarrivalMs = 500.0;
 
 enum class BreakerState { kClosed, kOpen, kHalfOpen };
-const char* BreakerStateName(BreakerState s);
 
 /// Classic three-state circuit breaker over a simulated clock. Thread-safe;
 /// all transitions are reported through ResilienceMetrics.
@@ -98,9 +93,11 @@ struct LlmCallOutcome {
 class ResilientLlm {
  public:
   /// `faults` and `metrics` may outlive-or-be-null / must outlive the
-  /// wrapper respectively; a null injector disables fault draws.
+  /// wrapper respectively; a null injector disables fault draws. `seed`
+  /// keys the backoff jitter: draws are keyed by (seed, purpose, request
+  /// key, attempt), so transcripts reproduce byte-identically.
   ResilientLlm(std::unique_ptr<SimulatedLlm> inner, std::string dependency,
-               ResiliencePolicy policy, const FaultInjector* faults,
+               uint64_t seed, const FaultInjector* faults,
                ResilienceMetrics* metrics);
 
   /// Runs the call chain. `budget_ms` > 0 caps the total simulated time
@@ -130,7 +127,7 @@ class ResilientLlm {
   std::unique_ptr<SimulatedLlm> inner_;
   std::string dependency_;
   uint64_t dependency_hash_;
-  ResiliencePolicy policy_;
+  uint64_t seed_;
   const FaultInjector* faults_;
   ResilienceMetrics* metrics_;
   CircuitBreaker breaker_;

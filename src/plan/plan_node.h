@@ -57,8 +57,6 @@ struct SortKey {
 struct SiftProbe {
   int sift_id = -1;
   std::unique_ptr<Expr> key;  // probe-side join key (a scan-table column)
-  /// Modeled Bloom false-positive rate at the configured bits-per-key.
-  double expected_fp_rate = 0.0;
   /// Modeled fraction of scan rows surviving this probe (fp included).
   double expected_selectivity = 1.0;
 };
@@ -96,8 +94,6 @@ struct PlanNode {
   /// kSiftedScan below its probe side (the scan's SiftProbe carries the
   /// matching id).
   int sift_id = -1;
-  /// kHashJoin producers: Bloom sizing for the filter this join builds.
-  double sift_bits_per_key = 10.0;
 
   // kSiftedScan: Bloom probes applied after this scan's own predicates, in
   // producer-join order from the bottom of the probe spine upward.

@@ -18,13 +18,12 @@ uint64_t Remix(uint64_t x) {
 
 }  // namespace
 
-BloomFilter::BloomFilter(size_t expected_keys, double bits_per_key) {
-  double bits = std::max(64.0, static_cast<double>(expected_keys) *
-                                   std::max(bits_per_key, 1.0));
+BloomFilter::BloomFilter(size_t expected_keys) {
+  double bits = std::max(
+      64.0, static_cast<double>(expected_keys) * kSiftBitsPerKey);
   num_bits_ = static_cast<size_t>(bits);
   words_.assign((num_bits_ + 63) / 64, 0);
-  num_hashes_ = std::max(
-      1, static_cast<int>(std::lround(0.6931 * std::max(bits_per_key, 1.0))));
+  num_hashes_ = static_cast<int>(std::lround(0.6931 * kSiftBitsPerKey));
 }
 
 void BloomFilter::Insert(uint64_t hash) {
@@ -46,13 +45,21 @@ bool BloomFilter::MayContain(uint64_t hash) const {
   return true;
 }
 
-double BloomFilter::ExpectedFpRate(double bits_per_key) {
-  double bpk = std::max(bits_per_key, 1.0);
-  double k = std::max(1.0, std::round(0.6931 * bpk));
-  return std::pow(1.0 - std::exp(-k / bpk), k);
+double BloomFilter::ExpectedFpRate() {
+  double k = std::round(0.6931 * kSiftBitsPerKey);
+  return std::pow(1.0 - std::exp(-k / kSiftBitsPerKey), k);
 }
 
 namespace {
+
+// Joins whose build side exceeds this many (estimated) rows do not sift:
+// the filter itself would rival the hash table.
+constexpr double kSiftMaxBuildRows = 500000.0;
+// Only sift when the modeled surviving fraction (matches + false
+// positives) is at most this.
+constexpr double kSiftMaxSelectivity = 0.5;
+// Scans estimated below this many rows are not worth sifting.
+constexpr double kSiftMinScanRows = 1000.0;
 
 /// Sifts the probe spine rooted at `top` (a kHashJoin): collects the
 /// children[0] chain down to a scan, then, bottom-up, attaches a SiftProbe
@@ -60,7 +67,7 @@ namespace {
 /// whose transfer is modeled profitable. `next_id` numbers producers
 /// uniquely across the whole plan.
 int SiftSpine(const BoundQuery& query, const CardinalityEstimator& est,
-              const SiftParams& params, PlanNode* top, int* next_id) {
+              PlanNode* top, int* next_id) {
   std::vector<PlanNode*> spine;  // top-down
   PlanNode* node = top;
   while (node->op == PlanOp::kHashJoin) {
@@ -80,27 +87,25 @@ int SiftSpine(const BoundQuery& query, const CardinalityEstimator& est,
         join->left_key->bound_table != scan->table_idx) {
       continue;
     }
-    if (scan->estimated_rows < params.min_scan_rows) continue;
+    if (scan->estimated_rows < kSiftMinScanRows) continue;
     const PlanNode& build = *join->children[1];
-    if (build.estimated_rows > params.max_build_rows) continue;
+    if (build.estimated_rows > kSiftMaxBuildRows) continue;
 
     double build_keys =
         std::min(build.estimated_rows, est.ColumnNdv(query, *join->right_key));
     double probe_ndv = std::max(est.ColumnNdv(query, *join->left_key), 1.0);
     double match_sel = std::min(1.0, build_keys / probe_ndv);
-    double fp = BloomFilter::ExpectedFpRate(params.bits_per_key);
+    double fp = BloomFilter::ExpectedFpRate();
     double eff_sel = std::min(1.0, match_sel + (1.0 - match_sel) * fp);
-    if (eff_sel > params.max_selectivity) continue;
+    if (eff_sel > kSiftMaxSelectivity) continue;
 
     SiftProbe probe;
     probe.sift_id = (*next_id)++;
     probe.key = join->left_key->Clone();
-    probe.expected_fp_rate = fp;
     probe.expected_selectivity = eff_sel;
     scan->op = PlanOp::kSiftedScan;
     scan->sift_probes.push_back(std::move(probe));
     join->sift_id = scan->sift_probes.back().sift_id;
-    join->sift_bits_per_key = params.bits_per_key;
 
     // The sift removes rows that could never match this join, so the scan
     // and every spine join strictly below the producer shrink; the
@@ -117,22 +122,21 @@ int SiftSpine(const BoundQuery& query, const CardinalityEstimator& est,
 }
 
 int Walk(const BoundQuery& query, const CardinalityEstimator& est,
-         const SiftParams& params, PlanNode* node, int* next_id) {
+         PlanNode* node, int* next_id) {
   if (node->op == PlanOp::kHashJoin) {
-    int applied = SiftSpine(query, est, params, node, next_id);
+    int applied = SiftSpine(query, est, node, next_id);
     // The spine's probe chain is fully handled above; build subtrees sift
     // their own spines independently.
     PlanNode* spine_node = node;
     while (spine_node->op == PlanOp::kHashJoin) {
-      applied += Walk(query, est, params, spine_node->children[1].get(),
-                      next_id);
+      applied += Walk(query, est, spine_node->children[1].get(), next_id);
       spine_node = spine_node->children[0].get();
     }
     return applied;
   }
   int applied = 0;
   for (auto& c : node->children) {
-    applied += Walk(query, est, params, c.get(), next_id);
+    applied += Walk(query, est, c.get(), next_id);
   }
   return applied;
 }
@@ -140,11 +144,9 @@ int Walk(const BoundQuery& query, const CardinalityEstimator& est,
 }  // namespace
 
 int ApplyPredicateTransfer(const BoundQuery& query,
-                           const CardinalityEstimator& est,
-                           const SiftParams& params, PlanNode* root) {
-  if (!params.enabled) return 0;
+                           const CardinalityEstimator& est, PlanNode* root) {
   int next_id = 0;
-  return Walk(query, est, params, root, &next_id);
+  return Walk(query, est, root, &next_id);
 }
 
 }  // namespace htapex

@@ -30,21 +30,26 @@ namespace htapex {
 /// the fact table. Bushy plans are handled by recursing into build subtrees,
 /// each of which sifts its own spine independently.
 
+/// Bloom bits per build-side key: k = 7 hash probes and ~0.8% false
+/// positives, far below the rate at which a sift stops paying for itself.
+inline constexpr double kSiftBitsPerKey = 10.0;
+
 /// Blocked split Bloom filter with double hashing. Deterministic: identical
 /// key-hash insertion sequences produce identical filters, which the
 /// row-vs-vectorized parity contract relies on.
 class BloomFilter {
  public:
-  /// Sizes the filter for `expected_keys` insertions at `bits_per_key` bits
-  /// each; the number of hash probes k is the standard ln(2)*bits_per_key.
-  BloomFilter(size_t expected_keys, double bits_per_key);
+  /// Sizes the filter for `expected_keys` insertions at kSiftBitsPerKey
+  /// bits each; the number of hash probes k is the standard
+  /// ln(2)*kSiftBitsPerKey.
+  explicit BloomFilter(size_t expected_keys);
 
   void Insert(uint64_t hash);
   bool MayContain(uint64_t hash) const;
 
   /// Modeled false-positive rate (1 - e^{-k/bpk})^k of a filter sized for
-  /// its key count at `bits_per_key`.
-  static double ExpectedFpRate(double bits_per_key);
+  /// its key count at bpk = kSiftBitsPerKey.
+  static double ExpectedFpRate();
 
   size_t num_bits() const { return num_bits_; }
   int num_hashes() const { return num_hashes_; }
@@ -55,27 +60,6 @@ class BloomFilter {
   int num_hashes_ = 1;
 };
 
-/// Sifting policy knobs (owned by ApCostParams so benchmarks and
-/// counterfactual KB scenarios can flip them per system).
-struct SiftParams {
-  bool enabled = true;
-  /// Bloom bits per build-side key. 10 gives ~0.8% false positives; tiny
-  /// values (1-2) are the `bloom_fp_overrun` counterfactual.
-  double bits_per_key = 10.0;
-  /// Joins whose build side exceeds this many (estimated) rows do not sift:
-  /// the filter itself would rival the hash table.
-  double max_build_rows = 500000.0;
-  /// Only sift when the modeled surviving fraction (matches + false
-  /// positives) is at most this.
-  double max_selectivity = 0.5;
-  /// Scans estimated below this many rows are not worth sifting.
-  double min_scan_rows = 1000.0;
-};
-
-/// Expected fp rates above this are flagged (`bloom_fp_overrun`): the
-/// filter passes so much noise the transfer stops paying for itself.
-inline constexpr double kSiftFpOverrunRate = 0.10;
-
 /// Walks the plan tree and applies profitable Bloom-filter transfers:
 /// probe-spine scans become kSiftedScan with one SiftProbe per producing
 /// join (bottom-up spine order), producers get matching sift_id tags, and
@@ -84,8 +68,7 @@ inline constexpr double kSiftFpOverrunRate = 0.10;
 /// owns the cost formulas re-costs the tree afterwards. Returns the number
 /// of transfers applied.
 int ApplyPredicateTransfer(const BoundQuery& query,
-                           const CardinalityEstimator& est,
-                           const SiftParams& params, PlanNode* root);
+                           const CardinalityEstimator& est, PlanNode* root);
 
 }  // namespace htapex
 

@@ -19,7 +19,6 @@ RetrievalResult Retriever::Retrieve(const std::vector<double>& embedding,
     item.faster = e->faster;
     item.expert_explanation = e->expert_explanation;
     out.items.push_back(std::move(item));
-    out.entry_ids.push_back(e->id);
   }
   return out;
 }

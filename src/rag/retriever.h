@@ -12,7 +12,6 @@ namespace htapex {
 /// end-to-end latency components).
 struct RetrievalResult {
   std::vector<KnowledgeItem> items;
-  std::vector<int> entry_ids;
   double search_ms = 0.0;
 };
 

@@ -76,7 +76,6 @@ RouterTrainStats SmartRouter::Train(const std::vector<PairExample>& dataset,
     loss /= std::max(batches, 1);
   }
   RefreshFrozen();  // weights changed; EvaluateAccuracy below uses frozen
-  stats.epochs = epochs;
   stats.final_loss = loss;
   stats.train_accuracy = EvaluateAccuracy(dataset);
   stats.wall_seconds = timer.ElapsedMillis() / 1000.0;

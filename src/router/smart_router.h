@@ -15,7 +15,6 @@ namespace htapex {
 
 /// Training report for the router.
 struct RouterTrainStats {
-  int epochs = 0;
   double final_loss = 0.0;
   double train_accuracy = 0.0;
   double wall_seconds = 0.0;

@@ -222,9 +222,6 @@ void ExplainService::RecordDegradation(const Result<ExplainResult>& result) {
     case DegradationLevel::kPlanDiffOnly:
       metrics_.degraded_plan_diff.Inc();
       break;
-    case DegradationLevel::kFailed:
-      metrics_.degraded_failed.Inc();
-      break;
   }
 }
 

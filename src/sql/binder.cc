@@ -329,11 +329,9 @@ class Binder {
 
 }  // namespace
 
-Result<BoundQuery> Bind(const Catalog& catalog, SelectStatement stmt,
-                        std::string original_sql) {
+Result<BoundQuery> Bind(const Catalog& catalog, SelectStatement stmt) {
   BoundQuery query;
   query.stmt = std::move(stmt);
-  query.original_sql = std::move(original_sql);
   Binder binder(catalog, &query);
   HTAPEX_RETURN_IF_ERROR(binder.BindAll());
   return query;
@@ -342,7 +340,7 @@ Result<BoundQuery> Bind(const Catalog& catalog, SelectStatement stmt,
 Result<BoundQuery> ParseAndBind(const Catalog& catalog, std::string_view sql) {
   SelectStatement stmt;
   HTAPEX_ASSIGN_OR_RETURN(stmt, ParseSelect(sql));
-  return Bind(catalog, std::move(stmt), std::string(sql));
+  return Bind(catalog, std::move(stmt));
 }
 
 }  // namespace htapex

@@ -45,7 +45,6 @@ struct ConjunctInfo {
 /// A fully bound query, ready for either optimizer.
 struct BoundQuery {
   SelectStatement stmt;  // WHERE has been split into `conjuncts`
-  std::string original_sql;
   std::vector<BoundTable> tables;
   std::vector<ConjunctInfo> conjuncts;
   int total_slots = 0;
@@ -58,8 +57,7 @@ struct BoundQuery {
 
 /// Resolves tables/columns, types expressions, splits and analyzes WHERE
 /// conjuncts, and validates aggregate/grouping rules.
-Result<BoundQuery> Bind(const Catalog& catalog, SelectStatement stmt,
-                        std::string original_sql = "");
+Result<BoundQuery> Bind(const Catalog& catalog, SelectStatement stmt);
 
 /// Convenience: parse + bind.
 Result<BoundQuery> ParseAndBind(const Catalog& catalog, std::string_view sql);

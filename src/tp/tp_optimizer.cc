@@ -10,6 +10,18 @@ namespace htapex {
 
 namespace {
 
+// Cost constants, in TP-internal row units.
+constexpr double kSeqRow = 0.01;        // read one row sequentially
+constexpr double kFilterRow = 0.001;    // evaluate predicates on one row
+constexpr double kIndexDescend = 0.3;   // per B+-tree level during a probe
+constexpr double kIndexFetch = 0.02;    // fetch one matching row via index
+constexpr double kSortRowLog = 0.005;   // n*log2(n) multiplier
+constexpr double kAggRow = 0.01;        // aggregate one row
+constexpr double kOutputRow = 0.001;    // emit one row
+// The force_hash_join counterfactual's hash join: insert one build row,
+// probe one row, emit one joined row.
+constexpr HashJoinRates kHashRates{0.02, 0.01, kOutputRow};
+
 /// Builder holding the per-query planning state.
 class TpPlanBuilder {
  public:
@@ -21,7 +33,7 @@ class TpPlanBuilder {
     std::unique_ptr<PlanNode> root = BuildJoinTree();
     HTAPEX_ASSIGN_OR_RETURN(
         root, AddAggregation(std::move(root), PlanOp::kGroupAggregate, query_,
-                             est_, params_.agg_row, &agg_slots_));
+                             est_, kAggRow, &agg_slots_));
     HTAPEX_ASSIGN_OR_RETURN(root, AddOrderLimitProject(std::move(root)));
     PhysicalPlan plan;
     plan.engine = EngineKind::kTp;
@@ -40,8 +52,8 @@ class TpPlanBuilder {
     scan->index_name = idx.name;
     scan->index_column = idx.leading_column();
     scan->estimated_rows = rows;
-    scan->total_cost = Log2(scan->base_rows) * params_.index_descend +
-                       rows * params_.index_fetch;
+    scan->total_cost = Log2(scan->base_rows) * kIndexDescend +
+                       rows * kIndexFetch;
     return scan;
   }
 
@@ -82,14 +94,14 @@ class TpPlanBuilder {
     } else {
       scan = MakeScanNode(PlanOp::kTableScan, query_, t, base_rows);
       scan->estimated_rows = base_rows;
-      scan->total_cost = base_rows * params_.seq_row;
+      scan->total_cost = base_rows * kSeqRow;
     }
     std::vector<int> residual;
     for (int ci : singles) {
       if (ci != best_conjunct) residual.push_back(ci);
     }
     return AddFilter(std::move(scan), query_, est_, residual,
-                     params_.filter_row);
+                     kFilterRow);
   }
 
   /// Left-deep greedy join tree starting from the smallest filtered table.
@@ -133,9 +145,7 @@ class TpPlanBuilder {
       // Counterfactual mode: TP executes the equi-join as a hash join over
       // its row-store access paths.
       op = PlanOp::kHashJoin;
-      cost = HashJoinCost({params_.hash_build_row, params_.hash_probe_row,
-                           params_.output_row},
-                          outer->total_cost, step.outer_rows,
+      cost = HashJoinCost(kHashRates, outer->total_cost, step.outer_rows,
                           inner->total_cost, est_.FilteredTableRows(query_, t),
                           step.out_rows);
     } else {
@@ -146,13 +156,13 @@ class TpPlanBuilder {
         double per_probe = std::max(
             est_.BaseTableRows(query_, t) / std::max(ndv, 1.0), 1.0);
         inner = AddFilter(IndexScan(t, *probe_index, per_probe), query_, est_,
-                          SingleTableConjuncts(query_, t), params_.filter_row);
+                          SingleTableConjuncts(query_, t), kFilterRow);
         op = PlanOp::kIndexNestedLoopJoin;
       }
       // The inner side runs once per outer row; rescanning an in-memory
       // access path costs what scanning it once does.
       cost = outer->total_cost + step.outer_rows * inner->total_cost +
-             step.out_rows * params_.output_row;
+             step.out_rows * kOutputRow;
     }
     auto join = MakeJoinNode(op, query_, step.edge, keys, step.out_rows);
     join->total_cost = cost;
@@ -184,17 +194,17 @@ class TpPlanBuilder {
         scan->sort_keys.push_back(
             SortKey{key.Clone(), stmt.order_by[0].descending});
         child = AddFilter(std::move(scan), query_, est_,
-                          SingleTableConjuncts(query_, 0), params_.filter_row);
+                          SingleTableConjuncts(query_, 0), kFilterRow);
         topn_by_index = true;
       }
     }
     if (!topn_by_index) {
       HTAPEX_ASSIGN_OR_RETURN(child, AddSort(std::move(child), query_,
-                                             agg_slots_, params_.sort_row_log));
+                                             agg_slots_, kSortRowLog));
     }
     child = AddLimit(std::move(child), stmt);
     return AddProjection(std::move(child), query_, agg_slots_,
-                         params_.output_row);
+                         kOutputRow);
   }
 
   const Catalog& catalog_;

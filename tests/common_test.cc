@@ -1,5 +1,7 @@
 #include <gtest/gtest.h>
 
+#include <cctype>
+
 #include "common/json.h"
 #include "common/result.h"
 #include "common/rng.h"
@@ -84,6 +86,69 @@ TEST(StringUtilTest, Predicates) {
   EXPECT_TRUE(EqualsIgnoreCase("SELECT", "select"));
   EXPECT_TRUE(ContainsIgnoreCase("Hash Join is fast", "hash join"));
   EXPECT_FALSE(ContainsIgnoreCase("nested loop", "hash"));
+}
+
+// The table-folded search against the byte loop it replaced (std::tolower
+// at every haystack position), on random strings over letters of both
+// cases, the bytes beside 'A'-'Z' and 'a'-'z', and bytes >= 0x80.
+TEST(StringUtilTest, ContainsIgnoreCaseMatchesTheTolowerLoop) {
+  auto old_equals = [](std::string_view a, std::string_view b) {
+    if (a.size() != b.size()) return false;
+    for (size_t i = 0; i < a.size(); ++i) {
+      if (std::tolower(static_cast<unsigned char>(a[i])) !=
+          std::tolower(static_cast<unsigned char>(b[i]))) {
+        return false;
+      }
+    }
+    return true;
+  };
+  auto old_contains = [&](std::string_view haystack, std::string_view needle) {
+    if (needle.empty()) return true;
+    if (needle.size() > haystack.size()) return false;
+    for (size_t i = 0; i + needle.size() <= haystack.size(); ++i) {
+      if (old_equals(haystack.substr(i, needle.size()), needle)) return true;
+    }
+    return false;
+  };
+  static const char kBytes[] = "aAbBzZ@[`{ \x80\xc1\xe1\xff";
+  Rng rng(20261019);
+  auto random_string = [&](int max_len) {
+    std::string out(static_cast<size_t>(rng.Uniform(0, max_len)), '\0');
+    for (char& c : out) {
+      c = kBytes[rng.Uniform(0, static_cast<int64_t>(sizeof(kBytes)) - 2)];
+    }
+    return out;
+  };
+  int found = 0;
+  for (int trial = 0; trial < 200'000; ++trial) {
+    std::string haystack = random_string(24);
+    std::string needle;
+    if (trial % 2 == 0 && !haystack.empty()) {
+      // A slice of the haystack with some letters' case flipped.
+      size_t pos = static_cast<size_t>(
+          rng.Uniform(0, static_cast<int64_t>(haystack.size()) - 1));
+      needle = haystack.substr(
+          pos, static_cast<size_t>(rng.Uniform(
+                   0, static_cast<int64_t>(haystack.size() - pos))));
+      for (char& c : needle) {
+        if (std::isalpha(static_cast<unsigned char>(c)) && rng.Bernoulli(0.5)) {
+          c = static_cast<char>(c ^ 0x20);
+        }
+      }
+    } else {
+      needle = random_string(4);
+    }
+    const bool expected = old_contains(haystack, needle);
+    found += expected ? 1 : 0;
+    ASSERT_EQ(ContainsIgnoreCase(haystack, needle), expected)
+        << "haystack=" << haystack << " needle=" << needle;
+    const std::string other = trial % 3 == 0 ? needle : random_string(3);
+    ASSERT_EQ(EqualsIgnoreCase(needle, other), old_equals(needle, other))
+        << "a=" << needle << " b=" << other;
+  }
+  // Both outcomes occur often.
+  EXPECT_GT(found, 50'000);
+  EXPECT_LT(found, 190'000);
 }
 
 TEST(StringUtilTest, StrFormat) {

@@ -1,9 +1,14 @@
 #include <gtest/gtest.h>
 
+#include <set>
+#include <string>
+#include <vector>
+
 #include "engine/htap_system.h"
 #include "expert/expert_analyzer.h"
 #include "expert/factors.h"
 #include "expert/grader.h"
+#include "workload/query_generator.h"
 
 namespace htapex {
 namespace {
@@ -220,6 +225,71 @@ TEST_F(AnalyzerTest, ExplanationTextEmbedsFactors) {
   EXPECT_EQ(extracted[0], a.primary);
   // The whole truth set must round-trip through the text.
   EXPECT_EQ(extracted.size(), a.all().size());
+}
+
+// Every factor of the taxonomy must be one the analyzer can produce: a
+// factor no plan pair reaches is dead vocabulary for the knowledge base, the
+// simulated models and the grader. Each configuration below is one the
+// benches and tests build; together they reach every factor.
+TEST(AnalyzerCoverageTest, EveryFactorIsProducedSomewhere) {
+  struct Config {
+    bool c_phone_index = false;    // function_defeats_index
+    bool drop_fk_indexes = false;  // no_index_nested_loop
+    bool sift = true;              // off: missing_sift
+    bool enable_dp = true;         // off: bad_join_order
+  };
+  const Config configs[] = {
+      {},
+      {.c_phone_index = true},
+      {.drop_fk_indexes = true},
+      {.sift = false},
+      {.enable_dp = false},
+  };
+  std::vector<std::string> pool;
+  for (const GeneratedQuery& q : QueryGenerator(100.0, 2024).GenerateMix(200)) {
+    pool.push_back(q.sql);
+  }
+  // A chain whose greedy order joins the big tables before the selective
+  // customer key.
+  pool.push_back(
+      "SELECT COUNT(*) FROM lineitem, orders, customer WHERE l_orderkey = "
+      "o_orderkey AND o_custkey = c_custkey AND c_custkey = 5");
+  std::set<PerfFactor> seen;
+  for (const Config& c : configs) {
+    HtapSystem system;
+    HtapConfig config;
+    config.data_scale_factor = 0.0;
+    config.ap_cost.sift = c.sift;
+    config.ap_cost.enable_dp = c.enable_dp;
+    ASSERT_TRUE(system.Init(config).ok());
+    if (c.c_phone_index) {
+      ASSERT_TRUE(system
+                      .CreateIndex({"idx_c_phone", "customer", {"c_phone"},
+                                    false, false})
+                      .ok());
+    }
+    if (c.drop_fk_indexes) {
+      std::vector<std::string> fks;
+      for (const IndexDef* idx : system.catalog().AllIndexes()) {
+        if (!idx->is_primary) fks.push_back(idx->name);
+      }
+      for (const std::string& name : fks) {
+        ASSERT_TRUE(system.DropIndex(name).ok());
+      }
+    }
+    ExpertAnalyzer analyzer(system.catalog(), system.config().latency);
+    for (const std::string& sql : pool) {
+      auto planned = system.Plan(sql);
+      ASSERT_TRUE(planned.ok()) << sql << ": " << planned.status();
+      for (PerfFactor f :
+           analyzer.Analyze(planned->outcome, planned->query).all()) {
+        seen.insert(f);
+      }
+    }
+  }
+  for (PerfFactor f : AllPerfFactors()) {
+    EXPECT_TRUE(seen.count(f) > 0) << PerfFactorId(f) << " never produced";
+  }
 }
 
 }  // namespace

@@ -257,7 +257,6 @@ TEST(FeedbackBufferTest, CompactionBoundsLogAndPreservesWindow) {
 LifecycleOptions TestOptions() {
   LifecycleOptions opts;
   opts.enabled = true;
-  opts.feedback_capacity = 256;
   opts.min_samples = 32;
   opts.eval_every = 8;
   opts.drift_window = 32;
@@ -411,12 +410,13 @@ TEST(ModelLifecycleTest, ShadowStallsAbortAfterBudget) {
   ASSERT_TRUE(manager.ForceRetrain().ok());
   manager.Tick();  // retrain ok -> kShadow
   ASSERT_EQ(manager.phase(), LifecyclePhase::kShadow);
-  // Every shadow beat stalls; after max_shadow_stalls the run aborts and
-  // the candidate is discarded without ever touching the serving model.
-  for (int i = 0; i <= TestOptions().max_shadow_stalls; ++i) manager.Tick();
+  // Every shadow beat stalls; after kLifecycleMaxShadowStalls the run
+  // aborts and the candidate is discarded without ever touching the
+  // serving model.
+  for (int i = 0; i <= kLifecycleMaxShadowStalls; ++i) manager.Tick();
   LifecycleStats stats = manager.Stats();
   EXPECT_EQ(stats.shadow_stalls,
-            static_cast<uint64_t>(TestOptions().max_shadow_stalls) + 1);
+            static_cast<uint64_t>(kLifecycleMaxShadowStalls) + 1);
   EXPECT_EQ(stats.shadow_aborts, 1u);
   EXPECT_EQ(stats.swaps, 0u);
   EXPECT_EQ(manager.phase(), LifecyclePhase::kIdle);

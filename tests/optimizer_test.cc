@@ -3,6 +3,7 @@
 #include "ap/ap_optimizer.h"
 #include "engine/htap_system.h"
 #include "plan/cardinality.h"
+#include "plan/pt_graph.h"
 #include "sql/binder.h"
 #include "sql/parser.h"
 
@@ -211,7 +212,7 @@ TEST_F(OptimizerTest, ApJoinEstimateAppliesResidualSelectivity) {
 // order-invariant.
 TEST_F(OptimizerTest, ApDpNeverCostlierThanGreedy) {
   ApCostParams dp_params;
-  dp_params.sift.enabled = false;
+  dp_params.sift = false;
   ApCostParams greedy_params = dp_params;
   greedy_params.enable_dp = false;
   ApOptimizer dp_opt(system_->catalog(), dp_params);
@@ -257,8 +258,8 @@ TEST_F(OptimizerTest, ApDpBuildsBushyPlanForSelectiveChain) {
 }
 
 // Sift plan shape: a selective dimension join transfers a Bloom filter
-// onto the probe scan, records its expected FP rate and selectivity, and
-// scales the scan's output estimate down.
+// onto the probe scan, records its expected selectivity (the filter's
+// modeled FP rate included), and scales the scan's output estimate down.
 TEST_F(OptimizerTest, ApSiftedScanShapeAndScaling) {
   PlanPair plans = Plans(
       "SELECT COUNT(*) FROM customer, nation WHERE n_nationkey = c_nationkey "
@@ -268,8 +269,9 @@ TEST_F(OptimizerTest, ApSiftedScanShapeAndScaling) {
   ASSERT_EQ(scan->sift_probes.size(), 1u);
   const SiftProbe& probe = scan->sift_probes[0];
   EXPECT_GE(probe.sift_id, 0);
-  EXPECT_GT(probe.expected_fp_rate, 0.0);
-  EXPECT_LT(probe.expected_fp_rate, 0.05);
+  EXPECT_GT(BloomFilter::ExpectedFpRate(), 0.0);
+  EXPECT_LT(BloomFilter::ExpectedFpRate(), 0.05);
+  EXPECT_GE(probe.expected_selectivity, BloomFilter::ExpectedFpRate());
   EXPECT_LE(probe.expected_selectivity, 0.5);
   const PlanNode* join = Find(*plans.ap.root, PlanOp::kHashJoin);
   ASSERT_NE(join, nullptr);
@@ -354,7 +356,7 @@ TEST_F(OptimizerTest, ApSiftScalesOnlyBelowTheProducer) {
   ApCostParams on;
   on.enable_dp = false;
   ApCostParams off = on;
-  off.sift.enabled = false;
+  off.sift = false;
   ApOptimizer sift_on(system_->catalog(), on);
   ApOptimizer sift_off(system_->catalog(), off);
   int producers = 0;

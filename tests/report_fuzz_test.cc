@@ -19,25 +19,13 @@ TEST(ReportTest, RendersAllSections) {
       "SELECT COUNT(*) FROM customer, orders WHERE o_custkey = c_custkey "
       "AND o_orderstatus = 'p'");
   ASSERT_TRUE(result.ok());
-  ReportOptions options;
-  options.include_grading = true;
-  std::string md = RenderExplainReport(explainer, *result, options);
+  std::string md = RenderExplainReport(explainer, *result);
   EXPECT_NE(md.find("# Query performance explanation"), std::string::npos);
   EXPECT_NE(md.find("```sql"), std::string::npos);
   EXPECT_NE(md.find("## TP plan"), std::string::npos);
   EXPECT_NE(md.find("self="), std::string::npos);  // latency annotation
   EXPECT_NE(md.find("## Retrieved knowledge"), std::string::npos);
-  EXPECT_NE(md.find("- grade:"), std::string::npos);
   EXPECT_NE(md.find("| end to end |"), std::string::npos);
-  // Section toggles work.
-  ReportOptions bare;
-  bare.include_plans = false;
-  bare.include_retrieval = false;
-  bare.include_grading = false;
-  bare.include_timing = false;
-  std::string small = RenderExplainReport(explainer, *result, bare);
-  EXPECT_EQ(small.find("## TP plan"), std::string::npos);
-  EXPECT_LT(small.size(), md.size());
 }
 
 /// Parser robustness: random token soup must produce a Status error (or a

@@ -5,6 +5,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdlib>
 #include <iterator>
 #include <memory>
 #include <string>
@@ -255,8 +256,7 @@ TEST(ResilientLlmTest, CleanCallPassesThrough) {
   FaultInjector no_faults;
   auto stub = std::make_unique<StubLlm>();
   StubLlm* raw = stub.get();
-  ResilientLlm llm(std::move(stub), "rag", ResiliencePolicy{}, &no_faults,
-                   &metrics);
+  ResilientLlm llm(std::move(stub), "rag", 42, &no_faults, &metrics);
   auto out = llm.Explain(TestPrompt());
   ASSERT_TRUE(out.ok()) << out.status();
   EXPECT_EQ(out->attempts, 1);
@@ -271,13 +271,11 @@ TEST(ResilientLlmTest, TransientFaultsRetryThenSucceedOrExhaust) {
   ResilienceMetrics metrics;
   auto inj = FaultInjector::Parse("llm.transient_error:p=1", 42);
   ASSERT_TRUE(inj.ok());
-  ResiliencePolicy policy;
-  policy.max_attempts = 3;
-  ResilientLlm llm(std::make_unique<StubLlm>(), "rag", policy, &*inj,
-                   &metrics);
+  ResilientLlm llm(std::make_unique<StubLlm>(), "rag", 42, &*inj, &metrics);
   auto out = llm.Explain(TestPrompt());
   ASSERT_FALSE(out.ok());
   EXPECT_EQ(out.status().code(), StatusCode::kUnavailable);
+  static_assert(kLlmMaxAttempts == 3);
   EXPECT_EQ(metrics.llm_attempts.Value(), 3u);
   EXPECT_EQ(metrics.llm_retries.Value(), 2u);
   EXPECT_EQ(metrics.llm_transient_errors.Value(), 3u);
@@ -287,32 +285,45 @@ TEST(ResilientLlmTest, TimeoutChargesTheFullDeadline) {
   ResilienceMetrics metrics;
   auto inj = FaultInjector::Parse("llm.timeout:p=1", 42);
   ASSERT_TRUE(inj.ok());
-  ResiliencePolicy policy;
-  policy.max_attempts = 1;
-  policy.attempt_deadline_ms = 1234.0;
-  ResilientLlm llm(std::make_unique<StubLlm>(), "rag", policy, &*inj,
-                   &metrics);
+  ResilientLlm llm(std::make_unique<StubLlm>(), "rag", 42, &*inj, &metrics);
+  Trace trace;
+  const int span = trace.Begin("generate");
   double spent = 0.0;
-  auto out = llm.Explain(TestPrompt(), /*budget_ms=*/0.0, &spent);
+  auto out = llm.Explain(TestPrompt(), /*budget_ms=*/0.0, &spent, &trace);
   EXPECT_FALSE(out.ok());
-  EXPECT_DOUBLE_EQ(spent, 1234.0);
-  EXPECT_EQ(metrics.llm_timeouts.Value(), 1u);
+  EXPECT_EQ(metrics.llm_timeouts.Value(),
+            static_cast<uint64_t>(kLlmMaxAttempts));
+  // Every attempt is charged exactly the deadline; the rest of the spent
+  // time is the jittered backoff between attempts (printed to 0.1 ms).
+  int timeouts = 0;
+  double backoff_ms = 0.0;
+  for (const SpanEvent& e : trace.spans()[static_cast<size_t>(span)].events) {
+    if (e.name == "attempt") {
+      EXPECT_NE(e.detail.find("timeout (15000.0 ms)"), std::string::npos)
+          << e.detail;
+      ++timeouts;
+    } else if (e.name == "backoff") {
+      backoff_ms += std::strtod(e.detail.c_str(), nullptr);
+    }
+  }
+  EXPECT_EQ(timeouts, kLlmMaxAttempts);
+  EXPECT_NEAR(spent, kLlmMaxAttempts * kLlmAttemptDeadlineMs + backoff_ms,
+              0.05 * (kLlmMaxAttempts - 1));
 }
 
 TEST(ResilientLlmTest, OverlongGenerationAbandonedAtDeadline) {
   // The stub "generates" for 50 s against a 15 s per-attempt deadline.
   ResilienceMetrics metrics;
   FaultInjector no_faults;
-  ResiliencePolicy policy;
-  policy.max_attempts = 2;
   ResilientLlm llm(std::make_unique<StubLlm>(/*total_ms=*/50'000.0), "rag",
-                   policy, &no_faults, &metrics);
+                   42, &no_faults, &metrics);
   double spent = 0.0;
   auto out = llm.Explain(TestPrompt(), 0.0, &spent);
   EXPECT_FALSE(out.ok());
-  EXPECT_EQ(metrics.llm_timeouts.Value(), 2u);
+  EXPECT_EQ(metrics.llm_timeouts.Value(),
+            static_cast<uint64_t>(kLlmMaxAttempts));
   // Each failed attempt pays exactly the deadline (plus jittered backoff).
-  EXPECT_GE(spent, 2 * policy.attempt_deadline_ms);
+  EXPECT_GE(spent, kLlmMaxAttempts * kLlmAttemptDeadlineMs);
 }
 
 TEST(ResilientLlmTest, GarbledOutputIsRetriedNotSurfaced) {
@@ -322,22 +333,20 @@ TEST(ResilientLlmTest, GarbledOutputIsRetriedNotSurfaced) {
   // every attempt garbled, the call must exhaust instead.
   auto inj = FaultInjector::Parse("llm.garbled_output:p=1", 42);
   ASSERT_TRUE(inj.ok());
-  ResilientLlm llm(std::make_unique<StubLlm>(), "rag", ResiliencePolicy{},
-                   &*inj, &metrics);
+  ResilientLlm llm(std::make_unique<StubLlm>(), "rag", 42, &*inj, &metrics);
   auto out = llm.Explain(TestPrompt());
   ASSERT_FALSE(out.ok());
-  EXPECT_EQ(metrics.llm_garbled.Value(), 3u);
+  EXPECT_EQ(metrics.llm_garbled.Value(),
+            static_cast<uint64_t>(kLlmMaxAttempts));
 }
 
 TEST(ResilientLlmTest, BudgetExhaustionIsTyped) {
   ResilienceMetrics metrics;
   auto inj = FaultInjector::Parse("llm.timeout:p=1", 42);
   ASSERT_TRUE(inj.ok());
-  ResiliencePolicy policy;
-  policy.attempt_deadline_ms = 1000.0;
-  ResilientLlm llm(std::make_unique<StubLlm>(), "rag", policy, &*inj,
-                   &metrics);
-  // First attempt burns 1000 ms > budget; the second attempt is refused.
+  ResilientLlm llm(std::make_unique<StubLlm>(), "rag", 42, &*inj, &metrics);
+  // The first attempt burns the whole deadline, past the budget; the second
+  // attempt is refused.
   auto out = llm.Explain(TestPrompt(), /*budget_ms=*/500.0);
   ASSERT_FALSE(out.ok());
   EXPECT_EQ(out.status().code(), StatusCode::kDeadlineExceeded);
@@ -348,13 +357,10 @@ TEST(ResilientLlmTest, BreakerOpensThenRecoversAfterCooldown) {
   ResilienceMetrics metrics;
   auto inj = FaultInjector::Parse("llm.transient_error:p=1", 42);
   ASSERT_TRUE(inj.ok());
-  ResiliencePolicy policy;
-  policy.max_attempts = 1;
-  policy.breaker_failure_threshold = 2;
-  policy.breaker_cooldown_ms = 10'000.0;
-  policy.interarrival_ms = 1000.0;
-  ResilientLlm llm(std::make_unique<StubLlm>(), "rag", policy, &*inj,
-                   &metrics);
+  ResilientLlm llm(std::make_unique<StubLlm>(), "rag", 42, &*inj, &metrics);
+  // Three failed attempts, then two more: the fifth consecutive failure
+  // opens the breaker in the middle of q2.
+  static_assert(kLlmMaxAttempts == 3 && kLlmBreakerFailureThreshold == 5);
   EXPECT_FALSE(llm.Explain(TestPrompt("q1")).ok());
   EXPECT_FALSE(llm.Explain(TestPrompt("q2")).ok());
   EXPECT_EQ(llm.breaker_state(), BreakerState::kOpen);
@@ -367,7 +373,10 @@ TEST(ResilientLlmTest, BreakerOpensThenRecoversAfterCooldown) {
   EXPECT_GT(metrics.breaker_short_circuits.Value(), 0u);
   // ...but each arrival still advances the simulated clock, so the
   // cooldown eventually elapses and a probe is admitted again.
-  for (int i = 0; i < 40 && metrics.breaker_half_opens.Value() == 0; ++i) {
+  const int arrivals =
+      static_cast<int>(kLlmBreakerCooldownMs / kLlmInterarrivalMs) + 10;
+  for (int i = 0;
+       i < arrivals && metrics.breaker_half_opens.Value() == 0; ++i) {
     (void)llm.Explain(TestPrompt("q" + std::to_string(4 + i)));
   }
   EXPECT_EQ(metrics.breaker_half_opens.Value(), 1u);
@@ -382,13 +391,11 @@ TEST(ResilientLlmTest, TranscriptIsDeterministic) {
   auto inj2 =
       FaultInjector::Parse("llm.transient_error:p=0.6;llm.timeout:p=0.3", 1337);
   ASSERT_TRUE(inj1.ok() && inj2.ok());
-  ResiliencePolicy policy;
-  policy.seed = 1337;
   ResilienceMetrics m1, m2;
   auto llm1 = std::make_unique<ResilientLlm>(std::make_unique<StubLlm>(),
-                                             "rag", policy, &*inj1, &m1);
+                                             "rag", 1337, &*inj1, &m1);
   auto llm2 = std::make_unique<ResilientLlm>(std::make_unique<StubLlm>(),
-                                             "rag", policy, &*inj2, &m2);
+                                             "rag", 1337, &*inj2, &m2);
   for (int q = 0; q < 32; ++q) {
     Prompt p = TestPrompt("SELECT " + std::to_string(q));
     double spent1 = 0.0, spent2 = 0.0;
@@ -446,8 +453,7 @@ TEST(ResilientLlmTest, MutatedFaultSpecsEndInValueOrStatus) {
     }
     ++accepted;
     ResilienceMetrics metrics;
-    ResilientLlm llm(std::make_unique<StubLlm>(), "rag", ResiliencePolicy{},
-                     &*inj, &metrics);
+    ResilientLlm llm(std::make_unique<StubLlm>(), "rag", 42, &*inj, &metrics);
     double spent = 0.0;
     auto r = llm.Explain(TestPrompt("SELECT " + std::to_string(trial)), 0.0,
                          &spent);
