@@ -342,8 +342,7 @@ int main(int argc, char** argv) {
   const int reps = self_check ? 12 : 25;
   bool ok = true;
   for (kernels::Backend backend :
-       {kernels::Backend::kScalar, kernels::Backend::kAvx2,
-        kernels::Backend::kNeon}) {
+       {kernels::Backend::kScalar, kernels::Backend::kAvx2}) {
     if (!kernels::ForceBackendForTest(backend)) continue;
     std::printf("\n=== kernel self-checks%s (backend: %s) ===\n",
                 self_check ? " (quick)" : "", kernels::BackendName(backend));

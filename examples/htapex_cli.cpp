@@ -3,14 +3,15 @@
 // framework ultimately serves. Reads from stdin (one query per line,
 // ';'-terminated lines also accepted), or runs a demo script with --demo.
 //
-// Batch serving: `htapex_cli --serve [workers]` pushes every stdin line
-// (or the demo queries, repeated, on a tty) through the concurrent
-// ExplainService and prints one line per result plus the service stats —
-// worker-pool throughput and cache hit rate included.
+// Batch serving: `htapex_cli --serve [workers]` (1-64, default 4) pushes
+// every stdin line (or the demo queries, repeated, on a tty) through the
+// concurrent ExplainService and prints one line per result plus the
+// service stats — worker-pool throughput and cache hit rate included.
 //
-// Sharded serving: `htapex_cli --serve [dispatchers] --shards=N` runs the
-// same batch through a ShardedExplainService tier — N consistent-hash
-// shards with health-checked failover (src/service/sharded_service.h).
+// Sharded serving: `htapex_cli --serve [dispatchers] --shards=N` (N 1-64)
+// runs the same batch through a ShardedExplainService tier — N
+// consistent-hash shards with health-checked failover
+// (src/service/sharded_service.h).
 // Each result line names the shard that answered and whether it failed
 // over; the summary prints the bucket-merged tier stats, the failover
 // counters, and the tier exposition. With --data-dir=PATH each shard
@@ -71,6 +72,7 @@
 // An <id> is a whole decimal entry id as \kb lists it; anything else prints
 // the command's usage line and changes nothing.
 #include <charconv>
+#include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -98,6 +100,16 @@
 namespace {
 
 using namespace htapex;
+
+/// Caps on --serve's worker (or dispatcher) threads and on --shards: each
+/// shard runs its own worker pool, so both multiply into threads.
+constexpr int kMaxServeWorkers = 64;
+constexpr int kMaxShards = 64;
+
+constexpr char kUsage[] =
+    "usage: htapex_cli [--demo | --serve [WORKERS]] [--shards=N] "
+    "[--data-dir=PATH [--recover]] [--lifecycle] [--faults=SPEC] "
+    "[--fault-seed=N] [--trace-log=MS]";
 
 double g_trace_log_ms = 0.0;                 // --trace-log threshold
 bool g_lifecycle_enabled = false;            // --lifecycle
@@ -298,13 +310,22 @@ int RunServeSharded(const HtapSystem* system, const ExplainerConfig& ec,
   return 0;
 }
 
-/// A knowledge-base entry id: `token` must be one whole decimal int.
-std::optional<int> ParseEntryId(std::string_view token) {
-  int id = 0;
+/// `token` read whole as one decimal T: nullopt when it is empty, has
+/// characters past the number, or holds a value T cannot represent.
+/// Command-line values and REPL entry ids both go through it.
+template <typename T>
+std::optional<T> ParseWhole(std::string_view token) {
+  T value{};
   const char* end = token.data() + token.size();
-  auto [ptr, ec] = std::from_chars(token.data(), end, id);
+  auto [ptr, ec] = std::from_chars(token.data(), end, value);
   if (token.empty() || ec != std::errc() || ptr != end) return std::nullopt;
-  return id;
+  return value;
+}
+
+/// Rejects the invocation: what was wrong, then the usage line; exit 2.
+int BadInvocation(const std::string& what) {
+  std::fprintf(stderr, "%s\n%s\n", what.c_str(), kUsage);
+  return 2;
 }
 
 /// \metrics outside --serve: the interactive path has no service, so it
@@ -356,26 +377,43 @@ int main(int argc, char** argv) {
         return 2;
       }
     } else if (std::strncmp(argv[i], "--fault-seed=", 13) == 0) {
-      config.fault_seed =
-          static_cast<uint64_t>(std::strtoull(argv[i] + 13, nullptr, 10));
+      std::optional<uint64_t> seed = ParseWhole<uint64_t>(argv[i] + 13);
+      if (!seed.has_value()) {
+        return BadInvocation("--fault-seed needs an unsigned 64-bit integer");
+      }
+      config.fault_seed = *seed;
     } else if (std::strncmp(argv[i], "--shards=", 9) == 0) {
-      shard_count = std::atoi(argv[i] + 9);
-      if (shard_count < 1) {
-        std::fprintf(stderr, "--shards needs a positive shard count\n");
-        return 2;
+      std::optional<int> n = ParseWhole<int>(argv[i] + 9);
+      if (!n.has_value() || *n < 1 || *n > kMaxShards) {
+        return BadInvocation(StrFormat(
+            "--shards needs a shard count from 1 to %d", kMaxShards));
       }
+      shard_count = *n;
     } else if (std::strncmp(argv[i], "--trace-log=", 12) == 0) {
-      g_trace_log_ms = std::strtod(argv[i] + 12, nullptr);
-      if (g_trace_log_ms <= 0.0) {
-        std::fprintf(stderr, "--trace-log needs a positive ms threshold\n");
-        return 2;
+      std::optional<double> ms = ParseWhole<double>(argv[i] + 12);
+      if (!ms.has_value() || !std::isfinite(*ms) || *ms <= 0.0) {
+        return BadInvocation("--trace-log needs a positive ms threshold");
       }
+      g_trace_log_ms = *ms;
     } else {
       args.push_back(argv[i]);
     }
   }
   argc = static_cast<int>(args.size());
   argv = args.data();
+  const bool serve = argc > 1 && std::strcmp(argv[1], "--serve") == 0;
+  int workers = 4;
+  if (serve && argc > 2) {
+    std::optional<int> n = ParseWhole<int>(argv[2]);
+    if (!n.has_value() || *n < 1 || *n > kMaxServeWorkers) {
+      return BadInvocation(StrFormat(
+          "--serve needs a worker count from 1 to %d", kMaxServeWorkers));
+    }
+    workers = *n;
+  }
+  if (shard_count > 1 && !serve) {
+    return BadInvocation("--shards applies to --serve mode only");
+  }
 
   HtapExplainer explainer(&system, config);
   if (explainer.faults().enabled()) {
@@ -446,9 +484,7 @@ int main(int argc, char** argv) {
       "AND c_mktsegment = 'machinery' AND o_orderstatus = 'p'",
       "SELECT o_orderkey FROM orders ORDER BY o_orderkey LIMIT 10",
   };
-  if (argc > 1 && std::strcmp(argv[1], "--serve") == 0) {
-    int workers = argc > 2 ? std::atoi(argv[2]) : 4;
-    if (workers < 1) workers = 4;
+  if (serve) {
     if (shard_count > 1) {
       return RunServeSharded(&system, config, explainer.router(), shard_count,
                              workers, data_dir, demo,
@@ -456,10 +492,6 @@ int main(int argc, char** argv) {
     }
     return RunServe(&explainer, durable.get(), workers, data_dir, demo,
                     sizeof(demo) / sizeof(demo[0]));
-  }
-  if (shard_count > 1) {
-    std::fprintf(stderr, "--shards applies to --serve mode only\n");
-    return 2;
   }
 
   // Interactive lifecycle: one manager over the explainer's router; every
@@ -525,7 +557,7 @@ int main(int argc, char** argv) {
       // write-ahead logged when --data-dir is active.
       std::string_view args = Trim(std::string_view(sql).substr(8));
       const size_t space = args.find_first_of(" \t\v\f\r");
-      std::optional<int> id = ParseEntryId(args.substr(0, space));
+      std::optional<int> id = ParseWhole<int>(args.substr(0, space));
       std::string text(
           Trim(space == std::string_view::npos ? "" : args.substr(space)));
       if (!id.has_value() || text.empty()) {
@@ -537,7 +569,7 @@ int main(int argc, char** argv) {
       }
     } else if (sql == "\\expire" || sql.rfind("\\expire ", 0) == 0) {
       std::optional<int> id =
-          ParseEntryId(Trim(std::string_view(sql).substr(7)));
+          ParseWhole<int>(Trim(std::string_view(sql).substr(7)));
       if (!id.has_value()) {
         std::printf("usage: \\expire <id>\n");
       } else {

@@ -286,7 +286,10 @@ class ApPlanBuilder {
       topn->limit = *stmt.limit;
       topn->offset = stmt.offset.value_or(0);
       double rows = child->estimated_rows;
-      double k = static_cast<double>(*stmt.limit + stmt.offset.value_or(0));
+      // Added as doubles: exact below 2^53, and LIMIT + OFFSET may not fit
+      // in int64_t.
+      double k = static_cast<double>(*stmt.limit) +
+                 static_cast<double>(stmt.offset.value_or(0));
       topn->estimated_rows = std::min(rows, static_cast<double>(*stmt.limit));
       topn->total_cost =
           child->total_cost + rows * kTopNRow * Log2(k);

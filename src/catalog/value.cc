@@ -1,7 +1,9 @@
 #include "catalog/value.h"
 
+#include <bit>
 #include <cstdio>
 
+#include "common/hash.h"
 #include "common/string_util.h"
 
 namespace htapex {
@@ -43,17 +45,7 @@ uint64_t Value::Hash() const {
   if (is_string()) return Fnv1a64(AsString());
   // Hash numerics through their double representation so 1 and 1.0 collide
   // (they compare equal).
-  double d = AsDouble();
-  uint64_t bits;
-  static_assert(sizeof(bits) == sizeof(d));
-  __builtin_memcpy(&bits, &d, sizeof(bits));
-  // splitmix-style finalizer
-  bits ^= bits >> 30;
-  bits *= 0xbf58476d1ce4e5b9ull;
-  bits ^= bits >> 27;
-  bits *= 0x94d049bb133111ebull;
-  bits ^= bits >> 31;
-  return bits;
+  return Fmix64(std::bit_cast<uint64_t>(AsDouble()));
 }
 
 namespace {

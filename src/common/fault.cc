@@ -3,6 +3,7 @@
 #include <cmath>
 #include <cstdlib>
 
+#include "common/hash.h"
 #include "common/rng.h"
 #include "common/string_util.h"
 
@@ -21,21 +22,13 @@ bool IsKnownPoint(std::string_view name) {
          name == kFaultShadowStall || name == kFaultSwapPublish;
 }
 
-uint64_t Mix64(uint64_t x) {
-  // splitmix64 finalizer.
-  x += 0x9e3779b97f4a7c15ull;
-  x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9ull;
-  x = (x ^ (x >> 27)) * 0x94d049bb133111ebull;
-  return x ^ (x >> 31);
-}
-
 }  // namespace
 
 uint64_t MixFaultSeed(uint64_t seed, uint64_t a, uint64_t b, uint64_t c) {
-  uint64_t h = Mix64(seed);
-  h = Mix64(h ^ a);
-  h = Mix64(h ^ b);
-  h = Mix64(h ^ c);
+  uint64_t h = SplitMix64(seed);
+  h = SplitMix64(h ^ a);
+  h = SplitMix64(h ^ b);
+  h = SplitMix64(h ^ c);
   return h;
 }
 

@@ -1,16 +1,16 @@
 #include "common/kernels.h"
 
 #include <atomic>
+#include <bit>
 #include <cmath>
 #include <limits>
+#include <string_view>
+
+#include "common/hash.h"
 
 #if defined(__x86_64__) || defined(_M_X64)
 #define HTAPEX_SIMD_X86 1
 #include <immintrin.h>
-#endif
-#if defined(__aarch64__)
-#define HTAPEX_SIMD_NEON 1
-#include <arm_neon.h>
 #endif
 
 namespace htapex {
@@ -258,117 +258,6 @@ __attribute__((target("avx2,fma"))) void MaxAccumAvx2(float* acc,
 #endif  // HTAPEX_SIMD_X86
 
 // ---------------------------------------------------------------------------
-// NEON backend (aarch64; NEON is baseline there, no runtime check needed).
-// ---------------------------------------------------------------------------
-
-#if HTAPEX_SIMD_NEON
-
-float SquaredL2Neon(const float* a, const float* b, int n) {
-  float32x4_t acc0 = vdupq_n_f32(0.0f);
-  float32x4_t acc1 = vdupq_n_f32(0.0f);
-  int i = 0;
-  for (; i + 8 <= n; i += 8) {
-    float32x4_t d0 = vsubq_f32(vld1q_f32(a + i), vld1q_f32(b + i));
-    float32x4_t d1 = vsubq_f32(vld1q_f32(a + i + 4), vld1q_f32(b + i + 4));
-    acc0 = vfmaq_f32(acc0, d0, d0);
-    acc1 = vfmaq_f32(acc1, d1, d1);
-  }
-  for (; i + 4 <= n; i += 4) {
-    float32x4_t d = vsubq_f32(vld1q_f32(a + i), vld1q_f32(b + i));
-    acc0 = vfmaq_f32(acc0, d, d);
-  }
-  float acc = vaddvq_f32(vaddq_f32(acc0, acc1));
-  for (; i < n; ++i) {
-    float d = a[i] - b[i];
-    acc += d * d;
-  }
-  return acc;
-}
-
-void GemmAccumNeon(const float* a, const float* b, float* c, int m, int k,
-                   int n) {
-  for (int i = 0; i < m; ++i) {
-    const float* arow = a + static_cast<size_t>(i) * k;
-    float* crow = c + static_cast<size_t>(i) * n;
-    int j = 0;
-    for (; j + 16 <= n; j += 16) {
-      float32x4_t c0 = vld1q_f32(crow + j);
-      float32x4_t c1 = vld1q_f32(crow + j + 4);
-      float32x4_t c2 = vld1q_f32(crow + j + 8);
-      float32x4_t c3 = vld1q_f32(crow + j + 12);
-      for (int kk = 0; kk < k; ++kk) {
-        float32x4_t av = vdupq_n_f32(arow[kk]);
-        const float* brow = b + static_cast<size_t>(kk) * n + j;
-        c0 = vfmaq_f32(c0, av, vld1q_f32(brow));
-        c1 = vfmaq_f32(c1, av, vld1q_f32(brow + 4));
-        c2 = vfmaq_f32(c2, av, vld1q_f32(brow + 8));
-        c3 = vfmaq_f32(c3, av, vld1q_f32(brow + 12));
-      }
-      vst1q_f32(crow + j, c0);
-      vst1q_f32(crow + j + 4, c1);
-      vst1q_f32(crow + j + 8, c2);
-      vst1q_f32(crow + j + 12, c3);
-    }
-    for (; j + 4 <= n; j += 4) {
-      float32x4_t c0 = vld1q_f32(crow + j);
-      for (int kk = 0; kk < k; ++kk) {
-        float32x4_t av = vdupq_n_f32(arow[kk]);
-        c0 = vfmaq_f32(c0, av,
-                       vld1q_f32(b + static_cast<size_t>(kk) * n + j));
-      }
-      vst1q_f32(crow + j, c0);
-    }
-    for (; j < n; ++j) {
-      float acc = crow[j];
-      for (int kk = 0; kk < k; ++kk) {
-        acc += arow[kk] * b[static_cast<size_t>(kk) * n + j];
-      }
-      crow[j] = acc;
-    }
-  }
-}
-
-void ReluNeon(float* x, int n) {
-  float32x4_t zero = vdupq_n_f32(0.0f);
-  int i = 0;
-  for (; i + 4 <= n; i += 4) {
-    float32x4_t v = vld1q_f32(x + i);
-    // vbslq on the v >= 0 mask keeps NaN lanes (comparison false -> keep v?
-    // no: false selects zero). Keep NaN explicitly: lanes where v is
-    // ordered-less-than-zero become 0, everything else (including NaN)
-    // passes through.
-    uint32x4_t lt = vcltq_f32(v, zero);
-    vst1q_f32(x + i, vbslq_f32(lt, zero, v));
-  }
-  for (; i < n; ++i) {
-    if (x[i] < 0.0f) x[i] = 0.0f;
-  }
-}
-
-void MaxAccumNeon(float* acc, const float* x, int n) {
-  float32x4_t qnan = vdupq_n_f32(std::numeric_limits<float>::quiet_NaN());
-  int i = 0;
-  for (; i + 4 <= n; i += 4) {
-    float32x4_t a = vld1q_f32(acc + i);
-    float32x4_t v = vld1q_f32(x + i);
-    float32x4_t mx = vmaxq_f32(a, v);
-    uint32x4_t a_ord = vceqq_f32(a, a);
-    uint32x4_t v_ord = vceqq_f32(v, v);
-    uint32x4_t unord = vmvnq_u32(vandq_u32(a_ord, v_ord));
-    vst1q_f32(acc + i, vbslq_f32(unord, qnan, mx));
-  }
-  for (; i < n; ++i) {
-    if (std::isnan(acc[i]) || std::isnan(x[i])) {
-      acc[i] = std::numeric_limits<float>::quiet_NaN();
-    } else if (x[i] > acc[i]) {
-      acc[i] = x[i];
-    }
-  }
-}
-
-#endif  // HTAPEX_SIMD_NEON
-
-// ---------------------------------------------------------------------------
 // Dispatch: a table of function pointers filled in once at startup (or by
 // ForceBackendForTest). Invocation counters live next to it.
 // ---------------------------------------------------------------------------
@@ -396,12 +285,6 @@ DispatchTable MakeTable(Backend backend) {
            MaxAccumAvx2};
       break;
 #endif
-#if HTAPEX_SIMD_NEON
-    case Backend::kNeon:
-      t = {Backend::kNeon, SquaredL2Neon, GemmAccumNeon, ReluNeon,
-           MaxAccumNeon};
-      break;
-#endif
     default:
       break;  // scalar, or a backend this build cannot run
   }
@@ -409,31 +292,12 @@ DispatchTable MakeTable(Backend backend) {
 }
 
 Backend BestNativeBackend() {
-  for (Backend b : {Backend::kAvx2, Backend::kNeon}) {
-    if (BackendSupported(b)) return b;
-  }
-  return Backend::kScalar;
+  return BackendSupported(Backend::kAvx2) ? Backend::kAvx2 : Backend::kScalar;
 }
 
 DispatchTable& Table() {
   static DispatchTable table = MakeTable(BestNativeBackend());
   return table;
-}
-
-// Bit-exact Value::Hash() for numerics: widen to the double representation,
-// take its bit pattern, and run the same splitmix-style finalizer. Join
-// tables and Bloom sifts built from gathered key columns would otherwise
-// diverge from the row-executor oracle.
-uint64_t SplitmixDoubleBits(double d) {
-  uint64_t bits;
-  static_assert(sizeof(bits) == sizeof(d));
-  __builtin_memcpy(&bits, &d, sizeof(bits));
-  bits ^= bits >> 30;
-  bits *= 0xbf58476d1ce4e5b9ull;
-  bits ^= bits >> 27;
-  bits *= 0x94d049bb133111ebull;
-  bits ^= bits >> 31;
-  return bits;
 }
 
 template <typename T>
@@ -468,8 +332,6 @@ const char* BackendName(Backend backend) {
       return "scalar";
     case Backend::kAvx2:
       return "avx2";
-    case Backend::kNeon:
-      return "neon";
   }
   return "unknown";
 }
@@ -481,12 +343,6 @@ bool BackendSupported(Backend backend) {
     case Backend::kAvx2:
 #if HTAPEX_SIMD_X86
       return __builtin_cpu_supports("avx2") && __builtin_cpu_supports("fma");
-#else
-      return false;
-#endif
-    case Backend::kNeon:
-#if HTAPEX_SIMD_NEON
-      return true;
 #else
       return false;
 #endif
@@ -571,24 +427,18 @@ int64_t SumI64(const int64_t* a, int n) {
 void HashI64(const int64_t* a, uint64_t* out, int n) {
   Counters().hash_i64.Inc();
   for (int i = 0; i < n; ++i) {
-    out[i] = SplitmixDoubleBits(static_cast<double>(a[i]));
+    out[i] = Fmix64(std::bit_cast<uint64_t>(static_cast<double>(a[i])));
   }
 }
 
 void HashF64(const double* a, uint64_t* out, int n) {
   Counters().hash_f64.Inc();
-  for (int i = 0; i < n; ++i) out[i] = SplitmixDoubleBits(a[i]);
+  for (int i = 0; i < n; ++i) out[i] = Fmix64(std::bit_cast<uint64_t>(a[i]));
 }
 
 uint64_t HashBytes(const void* data, size_t len) {
   Counters().hash_bytes.Inc();
-  const unsigned char* p = static_cast<const unsigned char*>(data);
-  uint64_t h = 1469598103934665603ull;
-  for (size_t i = 0; i < len; ++i) {
-    h ^= p[i];
-    h *= 1099511628211ull;
-  }
-  return h;
+  return Fnv1a64(std::string_view(static_cast<const char*>(data), len));
 }
 
 KernelStats Stats() { return {LoadStats(Counters()), ActiveBackend()}; }

@@ -12,22 +12,22 @@ namespace htapex {
 namespace kernels {
 
 /// Float32 compute kernels for the serving hot path (router inference,
-/// knowledge-base vector search). Each of the four kernels below has three
-/// implementations — AVX2+FMA, NEON, and a portable scalar fallback — and
-/// startup dispatches to the best one the CPU supports. They are the only
+/// knowledge-base vector search). Each of the four kernels below has two
+/// implementations — AVX2+FMA and a portable scalar reference — and
+/// startup dispatches to AVX2 when the CPU supports it. They are the only
 /// SIMD code in the library: each one moves the router's measured cost
-/// (EXPERIMENTS S5), which is why it keeps its specializations.
+/// (EXPERIMENTS S5), which is why it keeps its specialization. Other CPUs,
+/// aarch64 included, run the scalar reference.
 ///
-/// Numeric contract: all three backends compute the same mathematical
-/// expression over float32 inputs. SIMD backends may fuse multiply-adds
-/// (FMA), so results can differ from scalar by rounding in the last ulps;
-/// they may NOT differ in NaN/inf behaviour — a NaN or inf in the input
-/// propagates to the output on every backend (MaxAccum enforces this
-/// explicitly, since hardware max instructions quietly drop NaNs).
+/// Numeric contract: both backends compute the same mathematical
+/// expression over float32 inputs. AVX2 may fuse multiply-adds (FMA), so
+/// results can differ from scalar by rounding in the last ulps; they may
+/// NOT differ in NaN/inf behaviour — a NaN or inf in the input propagates
+/// to the output on both backends (MaxAccum enforces this explicitly,
+/// since hardware max instructions quietly drop NaNs).
 enum class Backend {
   kScalar = 0,
   kAvx2,
-  kNeon,
 };
 
 const char* BackendName(Backend backend);
@@ -98,7 +98,7 @@ double SumF64(const double* a, int n);
 int64_t SumI64(const int64_t* a, int n);
 
 /// out[i] = the hash Value::Hash() produces for the int64 a[i]: widen to
-/// double, take the bit pattern, splitmix-style finalizer. Bit-identical to
+/// double, take the bit pattern, Fmix64 (common/hash.h). Bit-identical to
 /// Value::Hash() — gathered-key join tables and Bloom sifts must agree with
 /// the per-row path exactly.
 void HashI64(const int64_t* a, uint64_t* out, int n);

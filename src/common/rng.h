@@ -6,6 +6,8 @@
 #include <cstddef>
 #include <vector>
 
+#include "common/hash.h"
+
 namespace htapex {
 
 /// Deterministic pseudo-random generator (xoshiro256** seeded via
@@ -16,14 +18,9 @@ class Rng {
   explicit Rng(uint64_t seed = 42) { Seed(seed); }
 
   void Seed(uint64_t seed) {
-    uint64_t x = seed;
     for (auto& si : s_) {
-      // splitmix64 step
-      x += 0x9e3779b97f4a7c15ull;
-      uint64_t z = x;
-      z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ull;
-      z = (z ^ (z >> 27)) * 0x94d049bb133111ebull;
-      si = z ^ (z >> 31);
+      si = SplitMix64(seed);
+      seed += kSplitMix64Gamma;
     }
   }
 

@@ -170,13 +170,4 @@ bool LikeMatch(std::string_view value, std::string_view pattern) {
   return LikeMatchImpl(value, pattern);
 }
 
-uint64_t Fnv1a64(std::string_view s) {
-  uint64_t h = 1469598103934665603ull;
-  for (char c : s) {
-    h ^= static_cast<unsigned char>(c);
-    h *= 1099511628211ull;
-  }
-  return h;
-}
-
 }  // namespace htapex

@@ -43,10 +43,6 @@ std::string FormatMillis(double ms);
 /// SQL LIKE pattern matching with % and _ wildcards (case sensitive).
 bool LikeMatch(std::string_view value, std::string_view pattern);
 
-/// Simple 64-bit FNV-1a hash of a byte string; used for deterministic
-/// pseudo-random decisions keyed on content.
-uint64_t Fnv1a64(std::string_view s);
-
 }  // namespace htapex
 
 #endif  // HTAPEX_COMMON_STRING_UTIL_H_

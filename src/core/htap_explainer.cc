@@ -18,6 +18,23 @@ LlmPersona ConfigPersona(const ExplainerConfig& config) {
   return config.persona == "gpt4" ? Gpt4Persona() : DoubaoPersona();
 }
 
+/// The knowledge-base entry for a planned query: its plans, latencies and
+/// verdict, keyed by `embedding`, explained by `expert_explanation`.
+KbEntry MakeKbEntry(const HtapQueryOutcome& outcome,
+                    std::vector<double> embedding,
+                    std::string expert_explanation) {
+  KbEntry entry;
+  entry.sql = outcome.sql;
+  entry.embedding = std::move(embedding);
+  entry.tp_plan_json = outcome.plans.tp.Explain();
+  entry.ap_plan_json = outcome.plans.ap.Explain();
+  entry.faster = outcome.faster;
+  entry.tp_latency_ms = outcome.tp_latency_ms;
+  entry.ap_latency_ms = outcome.ap_latency_ms;
+  entry.expert_explanation = std::move(expert_explanation);
+  return entry;
+}
+
 }  // namespace
 
 const char* DegradationLevelName(DegradationLevel level) {
@@ -30,6 +47,35 @@ const char* DegradationLevelName(DegradationLevel level) {
       return "plan_diff_only";
   }
   return "unknown";
+}
+
+std::vector<std::string> DefaultKnowledgeSqls(double stats_scale_factor,
+                                              uint64_t seed) {
+  // The paper's Section IV: 20 representative queries, selected to cover
+  // the workload's performance-distinction patterns (joins and top-N
+  // queries, plus the selective access paths that make TP win). The KB
+  // generator uses its own seed so knowledge queries are similar to — but
+  // never identical with — test queries.
+  QueryGenerator gen(stats_scale_factor, seed ^ 0xcb15ull);
+
+  struct PatternCount {
+    QueryPattern pattern;
+    int count;
+  };
+  const PatternCount plan[] = {
+      {QueryPattern::kPointLookup, 2},     {QueryPattern::kSelectiveRange, 2},
+      {QueryPattern::kJoinSmall, 2},       {QueryPattern::kJoinLarge, 2},
+      {QueryPattern::kJoinFunctionPred, 3},{QueryPattern::kTopNIndexed, 2},
+      {QueryPattern::kTopNUnindexed, 2},   {QueryPattern::kTopNLargeOffset, 2},
+      {QueryPattern::kGroupByAggregate, 2},{QueryPattern::kJoinStarChain, 1},
+  };
+  std::vector<std::string> sqls;
+  for (const PatternCount& pc : plan) {
+    for (int i = 0; i < pc.count; ++i) {
+      sqls.push_back(gen.Generate(pc.pattern, /*variant=*/i).sql);
+    }
+  }
+  return sqls;
 }
 
 HtapExplainer::HtapExplainer(const HtapSystem* system, ExplainerConfig config)
@@ -116,16 +162,8 @@ Status HtapExplainer::AddToKnowledgeBase(const std::vector<std::string>& sqls) {
     HTAPEX_ASSIGN_OR_RETURN(PlannedQuery planned, system_->Plan(sql));
     const HtapQueryOutcome& outcome = planned.outcome;
     ExpertAnalysis truth = expert_.Analyze(outcome, planned.query);
-    KbEntry entry;
-    entry.sql = sql;
-    entry.embedding = router_.Embed(outcome.plans);
-    entry.tp_plan_json = outcome.plans.tp.Explain();
-    entry.ap_plan_json = outcome.plans.ap.Explain();
-    entry.faster = outcome.faster;
-    entry.tp_latency_ms = outcome.tp_latency_ms;
-    entry.ap_latency_ms = outcome.ap_latency_ms;
-    entry.expert_explanation = truth.explanation;
-    HTAPEX_RETURN_IF_ERROR(InsertWithRetry(std::move(entry)));
+    HTAPEX_RETURN_IF_ERROR(InsertWithRetry(MakeKbEntry(
+        outcome, router_.Embed(outcome.plans), std::move(truth.explanation))));
   }
   return Status::OK();
 }
@@ -171,37 +209,9 @@ Status HtapExplainer::InsertWithRetry(KbEntry entry) {
   return st;
 }
 
-std::vector<std::string> HtapExplainer::DefaultKnowledgeSqls() const {
-  // The paper's Section IV: 20 representative queries, selected to cover
-  // the workload's performance-distinction patterns (joins and top-N
-  // queries, plus the selective access paths that make TP win). The KB
-  // generator uses its own seed so knowledge queries are similar to — but
-  // never identical with — test queries.
-  QueryGenerator gen(system_->config().stats_scale_factor,
-                     config_.seed ^ 0xcb15ull);
-
-  struct PatternCount {
-    QueryPattern pattern;
-    int count;
-  };
-  const PatternCount plan[] = {
-      {QueryPattern::kPointLookup, 2},     {QueryPattern::kSelectiveRange, 2},
-      {QueryPattern::kJoinSmall, 2},       {QueryPattern::kJoinLarge, 2},
-      {QueryPattern::kJoinFunctionPred, 3},{QueryPattern::kTopNIndexed, 2},
-      {QueryPattern::kTopNUnindexed, 2},   {QueryPattern::kTopNLargeOffset, 2},
-      {QueryPattern::kGroupByAggregate, 2},{QueryPattern::kJoinStarChain, 1},
-  };
-  std::vector<std::string> sqls;
-  for (const PatternCount& pc : plan) {
-    for (int i = 0; i < pc.count; ++i) {
-      sqls.push_back(gen.Generate(pc.pattern, /*variant=*/i).sql);
-    }
-  }
-  return sqls;
-}
-
 Status HtapExplainer::BuildDefaultKnowledgeBase() {
-  return AddToKnowledgeBase(DefaultKnowledgeSqls());
+  return AddToKnowledgeBase(
+      DefaultKnowledgeSqls(system_->config().stats_scale_factor, config_.seed));
 }
 
 Result<PreparedQuery> HtapExplainer::Prepare(const std::string& sql,
@@ -324,17 +334,9 @@ Result<ExplainResult> HtapExplainer::Explain(const std::string& sql,
 }
 
 Status HtapExplainer::IncorporateCorrection(const ExplainResult& result) {
-  KbEntry entry;
-  entry.sql = result.outcome.sql;
-  entry.embedding = result.embedding;
-  entry.tp_plan_json = result.outcome.plans.tp.Explain();
-  entry.ap_plan_json = result.outcome.plans.ap.Explain();
-  entry.faster = result.outcome.faster;
-  entry.tp_latency_ms = result.outcome.tp_latency_ms;
-  entry.ap_latency_ms = result.outcome.ap_latency_ms;
   // The expert's corrected explanation replaces the model's output.
-  entry.expert_explanation = result.truth.explanation;
-  return InsertWithRetry(std::move(entry));
+  return InsertWithRetry(MakeKbEntry(result.outcome, result.embedding,
+                                     result.truth.explanation));
 }
 
 std::string HtapExplainer::AnswerFollowUp(const ExplainResult& result,

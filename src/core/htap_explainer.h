@@ -107,6 +107,13 @@ struct PreparedQuery : PlannedQuery {
   double p_ap = 0.5;
 };
 
+/// The paper's 20 representative knowledge-base queries (Section IV), drawn
+/// from a workload at statistics scale `stats_scale_factor` with the
+/// explainer seed `seed`. HtapExplainer::BuildDefaultKnowledgeBase inserts
+/// them; the sharded tier partitions them across shards by ring ownership.
+std::vector<std::string> DefaultKnowledgeSqls(double stats_scale_factor,
+                                              uint64_t seed);
+
 /// The paper's contribution, end to end: a RAG-augmented LLM framework that
 /// explains TP/AP performance differences. Owns the smart router (tree-CNN
 /// classifier + plan-pair encoder), the vector knowledge base with
@@ -140,11 +147,6 @@ class HtapExplainer {
   /// how many entries were expired / backfilled; never touches entries
   /// whose verdicts still hold.
   Status CurateKnowledgeBase(uint64_t* expired, uint64_t* backfilled);
-
-  /// The SQL texts BuildDefaultKnowledgeBase would insert, without
-  /// inserting them. The sharded tier uses this to partition the default
-  /// knowledge across shards by embedding ownership.
-  std::vector<std::string> DefaultKnowledgeSqls() const;
 
   /// Full pipeline for one query: plan both engines, embed the pair,
   /// retrieve top-K knowledge, prompt the model, grade the output.

@@ -12,6 +12,7 @@
 
 #include "common/crc32.h"
 #include "common/file_io.h"
+#include "common/hash.h"
 #include "common/json.h"
 #include "common/string_util.h"
 

@@ -143,8 +143,9 @@ class LatencyWalker {
       case PlanOp::kTopN: {
         child_us = Walk(*node.children[0]);
         double n = node.children[0]->estimated_rows;
-        double k = static_cast<double>(std::max<int64_t>(node.limit, 1) +
-                                       std::max<int64_t>(node.offset, 0));
+        // Added as doubles: LIMIT + OFFSET may not fit in int64_t.
+        double k = static_cast<double>(std::max<int64_t>(node.limit, 1)) +
+                   static_cast<double>(std::max<int64_t>(node.offset, 0));
         self_us = n * Log2(k) * p_.ap_topn_row_us / p_.ap_parallelism;
         break;
       }
@@ -155,9 +156,9 @@ class LatencyWalker {
         // child delivers rows in a streaming fashion (index-ordered scans).
         if (IsStreamingPipeline(*node.children[0])) {
           double child_rows = node.children[0]->estimated_rows;
-          double need = static_cast<double>(
-              std::max<int64_t>(node.limit, 1) +
-              std::max<int64_t>(node.offset, 0));
+          double need =
+              static_cast<double>(std::max<int64_t>(node.limit, 1)) +
+              static_cast<double>(std::max<int64_t>(node.offset, 0));
           double frac = std::min(1.0, need / std::max(child_rows, 1.0));
           // Early termination: only `frac` of the child work happens, plus
           // a fixed initial B+-tree descent.

@@ -80,9 +80,8 @@ ExpertAnalysis ExpertAnalyzer::Analyze(const HtapQueryOutcome& outcome,
   ExpertAnalysis analysis;
   analysis.faster = outcome.faster;
 
-  std::vector<NodeLatency> tp_breakdown, ap_breakdown;
+  std::vector<NodeLatency> tp_breakdown;
   EstimateLatencyMs(outcome.plans.tp, latency_, &tp_breakdown);
-  EstimateLatencyMs(outcome.plans.ap, latency_, &ap_breakdown);
   const PlanNode* tp_root = outcome.plans.tp.root.get();
   const PlanNode* ap_root = outcome.plans.ap.root.get();
   const PlanNode* tp_hot = DominantNode(tp_breakdown);

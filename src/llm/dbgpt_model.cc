@@ -1,5 +1,6 @@
 #include <algorithm>
 
+#include "common/hash.h"
 #include "common/string_util.h"
 #include "llm/llm.h"
 #include "llm/plan_reader.h"

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 
+#include "common/hash.h"
 #include "common/string_util.h"
 
 namespace htapex {

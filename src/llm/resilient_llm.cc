@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 
+#include "common/hash.h"
 #include "common/rng.h"
 #include "common/string_util.h"
 #include "llm/plan_reader.h"

@@ -3,20 +3,9 @@
 #include <algorithm>
 #include <cmath>
 
+#include "common/hash.h"
+
 namespace htapex {
-
-namespace {
-
-/// SplitMix64 finalizer: derives the second hash stream for double hashing
-/// from the key hash without touching Value::Hash itself.
-uint64_t Remix(uint64_t x) {
-  x += 0x9e3779b97f4a7c15ull;
-  x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9ull;
-  x = (x ^ (x >> 27)) * 0x94d049bb133111ebull;
-  return x ^ (x >> 31);
-}
-
-}  // namespace
 
 BloomFilter::BloomFilter(size_t expected_keys) {
   double bits = std::max(
@@ -28,7 +17,8 @@ BloomFilter::BloomFilter(size_t expected_keys) {
 
 void BloomFilter::Insert(uint64_t hash) {
   uint64_t h1 = hash;
-  uint64_t h2 = Remix(hash) | 1;
+  // The second stream for double hashing, derived from the key hash.
+  uint64_t h2 = SplitMix64(hash) | 1;
   for (int i = 0; i < num_hashes_; ++i) {
     uint64_t bit = (h1 + static_cast<uint64_t>(i) * h2) % num_bits_;
     words_[bit >> 6] |= 1ull << (bit & 63);
@@ -37,7 +27,7 @@ void BloomFilter::Insert(uint64_t hash) {
 
 bool BloomFilter::MayContain(uint64_t hash) const {
   uint64_t h1 = hash;
-  uint64_t h2 = Remix(hash) | 1;
+  uint64_t h2 = SplitMix64(hash) | 1;
   for (int i = 0; i < num_hashes_; ++i) {
     uint64_t bit = (h1 + static_cast<uint64_t>(i) * h2) % num_bits_;
     if ((words_[bit >> 6] & (1ull << (bit & 63))) == 0) return false;

@@ -97,8 +97,8 @@ class SmartRouter {
   Status Load(const std::string& path);
 
   /// Copies trained master weights from another router and re-freezes the
-  /// float32 snapshot. Used by the sharded tier: the
-  /// routing explainer trains once, every shard clones — so all shards
+  /// float32 snapshot. Used by the sharded tier: its own router clones the
+  /// trained weights and every shard clones its router — so all shards
   /// embed identically and the consistent-hash key is shard-independent.
   void CloneWeightsFrom(const SmartRouter& other);
 

@@ -1,20 +1,25 @@
 #include "service/explain_cache.h"
 
+#include <bit>
 #include <cmath>
+#include <string_view>
 
+#include "common/hash.h"
 #include "vectordb/vector_store.h"
 
 namespace htapex {
 
 uint64_t EmbeddingLatticeKey(const std::vector<double>& embedding) {
-  uint64_t h = 1469598103934665603ull;  // FNV-1a offset basis
+  // Keys hash each cell's little-endian bytes, which is its object
+  // representation only on a little-endian host.
+  static_assert(std::endian::native == std::endian::little);
+  uint64_t h = kFnv1a64Basis;
   for (double v : embedding) {
     uint64_t cell =
         static_cast<uint64_t>(std::llround(v / kEmbeddingLatticeStep));
-    for (int i = 0; i < 8; ++i) {
-      h ^= (cell >> (8 * i)) & 0xff;
-      h *= 1099511628211ull;
-    }
+    h = Fnv1a64(
+        std::string_view(reinterpret_cast<const char*>(&cell), sizeof(cell)),
+        h);
   }
   return h;
 }

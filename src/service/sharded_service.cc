@@ -96,9 +96,8 @@ Status ShardedExplainService::InitFrom(const SmartRouter& trained) {
   if (initialized_) return Status::InvalidArgument("already initialized");
   HTAPEX_ASSIGN_OR_RETURN(
       faults_, FaultInjector::FromConfig(config_.faults, config_.fault_seed));
-  routing_explainer_ =
-      std::make_unique<HtapExplainer>(system_, explainer_config_);
-  routing_explainer_->mutable_router().CloneWeightsFrom(trained);
+  smart_router_ = std::make_unique<SmartRouter>(explainer_config_.seed);
+  smart_router_->CloneWeightsFrom(trained);
   router_ = std::make_unique<ShardRouter>(config_.num_shards);
   shards_.clear();
   for (int i = 0; i < config_.num_shards; ++i) {
@@ -115,10 +114,9 @@ Status ShardedExplainService::BuildShard(
     int shard, const std::vector<KbMutation>& bootstrap) {
   auto inc = std::make_shared<Incarnation>();
   inc->explainer = std::make_unique<HtapExplainer>(system_, explainer_config_);
-  // All shards embed with the routing explainer's trained weights, so ring
-  // keys and shard-local cache keys are identical tier-wide.
-  inc->explainer->mutable_router().CloneWeightsFrom(
-      routing_explainer_->router());
+  // All shards embed with the tier router's trained weights, so ring keys
+  // and shard-local cache keys are identical tier-wide.
+  inc->explainer->mutable_router().CloneWeightsFrom(*smart_router_);
 
   if (!config_.data_dir.empty()) {
     KnowledgeBase* kb = &inc->explainer->mutable_knowledge_base();
@@ -165,9 +163,10 @@ Status ShardedExplainService::BuildDefaultKnowledgeBase() {
   if (!initialized_) return Status::InvalidArgument("InitFrom() first");
   std::vector<std::vector<std::string>> partitions(
       static_cast<size_t>(config_.num_shards));
-  for (const std::string& sql : routing_explainer_->DefaultKnowledgeSqls()) {
-    HTAPEX_ASSIGN_OR_RETURN(auto prepared, routing_explainer_->Prepare(sql));
-    uint64_t key = EmbeddingLatticeKey(prepared.embedding);
+  for (const std::string& sql :
+       DefaultKnowledgeSqls(system_->config().stats_scale_factor,
+                            explainer_config_.seed)) {
+    HTAPEX_ASSIGN_OR_RETURN(uint64_t key, KeyForSql(sql));
     int owner = router_->StaticOwner(key);
     if (owner < 0) owner = 0;
     partitions[static_cast<size_t>(owner)].push_back(sql);
@@ -182,10 +181,13 @@ Status ShardedExplainService::BuildDefaultKnowledgeBase() {
   return Status::OK();
 }
 
-Result<uint64_t> ShardedExplainService::KeyForSql(const std::string& sql) {
+Result<uint64_t> ShardedExplainService::KeyForSql(
+    const std::string& sql) const {
   if (!initialized_) return Status::InvalidArgument("InitFrom() first");
-  HTAPEX_ASSIGN_OR_RETURN(auto prepared, routing_explainer_->Prepare(sql));
-  return EmbeddingLatticeKey(prepared.embedding);
+  HTAPEX_ASSIGN_OR_RETURN(PlannedQuery planned, system_->Plan(sql));
+  std::vector<RoutedPair> routed =
+      smart_router_->RouteBatch({&planned.outcome.plans});
+  return EmbeddingLatticeKey(routed[0].embedding);
 }
 
 Result<ShardedExplainResult> ShardedExplainService::Explain(
@@ -193,11 +195,8 @@ Result<ShardedExplainResult> ShardedExplainService::Explain(
   if (!initialized_) return Status::InvalidArgument("InitFrom() first");
   WallTimer timer;
   failover_.requests.Inc();
-  // Stage one runs once on the shared routing explainer (read-only) to get
-  // the embedding that keys the ring; the owning shard then re-runs its own
-  // pipeline.
-  HTAPEX_ASSIGN_OR_RETURN(auto prepared, routing_explainer_->Prepare(sql));
-  uint64_t key = EmbeddingLatticeKey(prepared.embedding);
+  // The owning shard runs stage one again on its own explainer.
+  HTAPEX_ASSIGN_OR_RETURN(uint64_t key, KeyForSql(sql));
 
   ShardedExplainResult out;
   std::vector<int> chain = router_->OwnerChain(key, kMaxFailoverHops + 1);
@@ -433,7 +432,7 @@ ShardedExplainService::CollectReplicaRecords(int shard) {
         ShardDir(host) + "/replica-from-" + std::to_string(shard) + ".log";
     WalReplayStats stats;
     Status st = ReplayWalSegment(
-        path, routing_explainer_->knowledge_base().dim(),
+        path, smart_router_->embedding_dim(),
         /*truncate_torn_tail=*/false,
         [&records](const KbMutation& record) -> Status {
           records.push_back(record);

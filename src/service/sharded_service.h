@@ -164,13 +164,14 @@ struct ShardedServiceStats {
 /// N in-process ExplainService shards behind a consistent-hash router — the
 /// tier that removes the serving stack's last single point of failure.
 ///
-/// Request path: stage one (bind/plan/embed) runs once on the shared
-/// routing explainer; the quantized plan-pair embedding keys the ring
-/// (EmbeddingLatticeKey, the result cache's key, so shard-local caches
-/// keep their affinity); the request dispatches to the owner and, on typed
-/// kUnavailable (shard draining/dead), fails over along the key's ring arc
-/// with the remaining per-request budget carried over. Every result is
-/// tagged with a FailoverInfo.
+/// Request path: the tier plans the query (HtapSystem::Plan) and embeds
+/// the plan pair with its own copy of the trained smart router; the
+/// quantized embedding keys the ring (EmbeddingLatticeKey, the result
+/// cache's key, so shard-local caches keep their affinity); the request
+/// dispatches to the owner and, on typed kUnavailable (shard draining/
+/// dead), fails over along the key's ring arc with the remaining
+/// per-request budget carried over. The owning shard runs stage one again
+/// itself. Every result is tagged with a FailoverInfo.
 ///
 /// The tier itself is a thin synchronous router over the per-shard worker
 /// pools: Explain() blocks the calling thread, callers bring their own
@@ -207,16 +208,17 @@ class ShardedExplainService {
   ShardedExplainService(const ShardedExplainService&) = delete;
   ShardedExplainService& operator=(const ShardedExplainService&) = delete;
 
-  /// Adopts `trained`'s router weights for the shared routing explainer,
-  /// then builds every shard with the same weights, so embeddings — and
+  /// Clones `trained`'s router weights into the tier's own router, then
+  /// builds every shard with the same weights, so embeddings — and
   /// therefore ring keys and cache keys — are identical tier-wide. Shards
   /// with durable state on disk recover it. Fails on a malformed fault
   /// spec.
   Status InitFrom(const SmartRouter& trained);
 
-  /// Partitions the explainer's default 20-query knowledge across shards
-  /// by static ring ownership of each query's embedding and inserts each
-  /// partition into its owner (flowing through replication + WAL).
+  /// Partitions the default 20-query knowledge (DefaultKnowledgeSqls)
+  /// across shards by static ring ownership of each query's embedding and
+  /// inserts each partition into its owner (flowing through replication +
+  /// WAL).
   Status BuildDefaultKnowledgeBase();
 
   /// Routes, dispatches, fails over. Synchronous; thread-safe.
@@ -264,9 +266,10 @@ class ShardedExplainService {
   const ShardRouter* router() const { return router_.get(); }
   int num_shards() const { return config_.num_shards; }
 
-  /// Ring key for a SQL text via the routing explainer (stage one +
-  /// EmbeddingLatticeKey).
-  Result<uint64_t> KeyForSql(const std::string& sql);
+  /// Ring key for a SQL text: HtapSystem::Plan, one RouteBatch pass on the
+  /// tier's router, then EmbeddingLatticeKey of the embedding — the same
+  /// embedding HtapExplainer::Prepare computes on a shard.
+  Result<uint64_t> KeyForSql(const std::string& sql) const;
 
   /// Test/bench access to one live shard's KB (nullptr when dead).
   const KnowledgeBase* shard_kb(int shard) const;
@@ -291,9 +294,10 @@ class ShardedExplainService {
     DurableKnowledgeBase* local_;
   };
 
-  /// One lifetime of a shard (between build/revive and kill). Destroyed
-  /// members in reverse order: service first (workers join), then sink,
-  /// durable, explainer. Held by shared_ptr with atomic access so a
+  /// One lifetime of a shard (between build/revive and kill), with the
+  /// tier's only HtapExplainer for that shard. Destroyed members in
+  /// reverse order: service first (workers join), then sink, durable,
+  /// explainer. Held by shared_ptr with atomic access so a
   /// concurrent request that already loaded the incarnation keeps it alive
   /// until its call returns — KillShard never pulls memory out from under
   /// an in-flight dispatch.
@@ -351,7 +355,8 @@ class ShardedExplainService {
   ExplainerConfig explainer_config_;
   ShardedServiceConfig config_;
 
-  std::unique_ptr<HtapExplainer> routing_explainer_;
+  /// The trained weights every shard clones; its embeddings key the ring.
+  std::unique_ptr<SmartRouter> smart_router_;
   std::unique_ptr<ShardRouter> router_;
   FaultInjector faults_;
   FailoverMetrics failover_;

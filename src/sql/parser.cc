@@ -1,5 +1,7 @@
 #include "sql/parser.h"
 
+#include <charconv>
+
 #include "common/string_util.h"
 #include "sql/lexer.h"
 
@@ -121,7 +123,21 @@ class Parser {
       return Status::ParseError(
           StrFormat("expected integer at offset %zu", Peek().offset));
     }
-    return std::strtoll(Advance().text.c_str(), nullptr, 10);
+    return IntegerValue(Advance());
+  }
+  /// The value of an integer token; a ParseError when it does not fit in
+  /// int64_t (the lexer hands over digits only, so that is the one way
+  /// conversion fails).
+  static Result<int64_t> IntegerValue(const Token& tok) {
+    int64_t v = 0;
+    const char* end = tok.text.data() + tok.text.size();
+    auto [ptr, ec] = std::from_chars(tok.text.data(), end, v);
+    if (ec != std::errc() || ptr != end) {
+      return Status::ParseError(
+          StrFormat("integer literal at offset %zu does not fit in 64 bits",
+                    tok.offset));
+    }
+    return v;
   }
   Result<std::string> ExpectIdentifier() {
     if (Peek().type != TokenType::kIdentifier) {
@@ -404,8 +420,8 @@ class Parser {
     }
     const Token& tok = Peek();
     if (tok.type == TokenType::kInteger) {
-      ++pos_;
-      return MakeLiteral(Value::Int(std::strtoll(tok.text.c_str(), nullptr, 10)));
+      HTAPEX_ASSIGN_OR_RETURN(int64_t v, IntegerValue(Advance()));
+      return MakeLiteral(Value::Int(v));
     }
     if (tok.type == TokenType::kFloat) {
       ++pos_;

@@ -179,19 +179,10 @@ Status ColumnStore::LoadTable(const Catalog& catalog, const TableData& data) {
   return Status::OK();
 }
 
-bool ColumnStore::HasTable(const std::string& table) const {
-  return tables_.count(table) > 0;
-}
-
 Result<const ColumnTable*> ColumnStore::GetTable(const std::string& table) const {
   auto it = tables_.find(table);
   if (it == tables_.end()) return Status::NotFound("table not loaded: " + table);
   return &it->second;
-}
-
-size_t ColumnStore::RowCount(const std::string& table) const {
-  auto it = tables_.find(table);
-  return it == tables_.end() ? 0 : it->second.num_rows;
 }
 
 }  // namespace htapex

@@ -98,9 +98,7 @@ class ColumnStore {
   /// Transposes row-major data into columnar form.
   Status LoadTable(const Catalog& catalog, const TableData& data);
 
-  bool HasTable(const std::string& table) const;
   Result<const ColumnTable*> GetTable(const std::string& table) const;
-  size_t RowCount(const std::string& table) const;
 
  private:
   std::map<std::string, ColumnTable> tables_;

@@ -53,10 +53,6 @@ Status RowStore::BuildIndexInternal(const Catalog& catalog,
   return Status::OK();
 }
 
-bool RowStore::HasTable(const std::string& table) const {
-  return tables_.count(table) > 0;
-}
-
 Result<const TableData*> RowStore::GetTable(const std::string& table) const {
   auto it = tables_.find(table);
   if (it == tables_.end()) return Status::NotFound("table not loaded: " + table);

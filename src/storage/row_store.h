@@ -31,7 +31,6 @@ class RowStore {
   /// customer.c_phone) over already-loaded data.
   Status BuildIndex(const Catalog& catalog, const std::string& index_name);
 
-  bool HasTable(const std::string& table) const;
   Result<const TableData*> GetTable(const std::string& table) const;
   /// Index lookup by catalog index name; nullptr when not built.
   const BTreeIndex* GetIndex(const std::string& index_name) const;

@@ -6,6 +6,7 @@
 #include <utility>
 
 #include "common/file_io.h"
+#include "common/hash.h"
 #include "common/string_util.h"
 
 namespace htapex {

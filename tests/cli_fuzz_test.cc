@@ -2,7 +2,11 @@
 // every backslash command, with and without arguments) piped through one
 // htapex_cli process. Every line the CLI echoes must get output before the
 // next echo, and the process must exit 0 within a time bound. A mutated line
-// that quits ends the run; the run always ends with a plain `\q`.
+// that quits ends the run; the run always ends with a plain `\q`. A second
+// pass runs the same rules under `--data-dir` and `--lifecycle`, so the
+// WAL-logged `\correct`/`\expire`, `\snapshot`, `\swap` and `\rollback`
+// take their durable and lifecycle paths; a `--recover` run on its directory
+// must then list the knowledge base.
 #include <gtest/gtest.h>
 
 #include <fcntl.h>
@@ -15,7 +19,9 @@
 #include <cerrno>
 #include <chrono>
 #include <cstdio>
+#include <filesystem>
 #include <iterator>
+#include <limits>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -29,6 +35,9 @@ namespace {
 
 constexpr int kLines = 300;
 constexpr auto kTimeLimit = std::chrono::seconds(120);
+/// Each `\swap` under --lifecycle retrains the router for 40 epochs, so the
+/// durable pass keeps at most this many to stay inside kTimeLimit.
+constexpr int kMaxSwaps = 2;
 
 struct CliRun {
   std::string out;
@@ -36,10 +45,17 @@ struct CliRun {
   int status = -1;  // waitpid status
 };
 
-/// Runs the CLI on `input` as its stdin (a file, so the REPL echoes each
-/// line) and collects stdout until it exits or `limit` passes.
-CliRun RunCli(const std::string& input, std::chrono::seconds limit) {
+/// Runs the CLI with `--faults=off` plus `args` on `input` as its stdin (a
+/// file, so the REPL echoes each line) and collects stdout until it exits
+/// or `limit` passes.
+CliRun RunCli(const std::string& input, const std::vector<std::string>& args,
+              std::chrono::seconds limit) {
   CliRun run;
+  std::vector<std::string> words = {HTAPEX_CLI_PATH, "--faults=off"};
+  words.insert(words.end(), args.begin(), args.end());
+  std::vector<char*> argv;
+  for (std::string& w : words) argv.push_back(w.data());
+  argv.push_back(nullptr);
   FILE* in = std::tmpfile();
   if (in == nullptr ||
       std::fwrite(input.data(), 1, input.size(), in) != input.size() ||
@@ -60,8 +76,7 @@ CliRun RunCli(const std::string& input, std::chrono::seconds limit) {
     dup2(out[1], STDOUT_FILENO);
     close(out[0]);
     close(out[1]);
-    execl(HTAPEX_CLI_PATH, HTAPEX_CLI_PATH, "--faults=off",
-          static_cast<char*>(nullptr));
+    execv(HTAPEX_CLI_PATH, argv.data());
     _exit(127);
   }
   close(out[1]);
@@ -133,20 +148,24 @@ Expected Expect(std::string_view line) {
   return x;
 }
 
-TEST(CliFuzzTest, MutatedLinesEachGetOutputAndTheProcessExits) {
+/// `kLines` seeded mutations of corpus lines, drawn from `stream` of the
+/// fault seed, then a plain `\q`. Lines that would run `\swap` past the
+/// first `max_swaps` are dropped.
+std::string MutatedInput(uint64_t stream, int max_swaps) {
   static const char* kTokens[] = {"\\", ";", "'", "\"", "(", ")", ",", " ",
                                   "*", "--", "\t", "4294967296", "-1", "0",
                                   "SELECT", "FROM", "WHERE", "\x80", "\xff"};
   const std::vector<std::string> corpus = Corpus();
   const uint64_t seed = FaultInjector::EnvSeed(42);
   std::string input;
+  int swaps = 0;
   for (int i = 0; i < kLines; ++i) {
     const auto t = static_cast<uint64_t>(i);
     std::string line =
-        corpus[MixFaultSeed(seed, 0xC1, t, 0) % corpus.size()];
-    const int n = static_cast<int>(MixFaultSeed(seed, 0xC1, t, 1) % 4);
+        corpus[MixFaultSeed(seed, stream, t, 0) % corpus.size()];
+    const int n = static_cast<int>(MixFaultSeed(seed, stream, t, 1) % 4);
     for (int m = 0; m < n; ++m) {
-      const uint64_t d = MixFaultSeed(seed, 0xC1, t, m + 2);
+      const uint64_t d = MixFaultSeed(seed, stream, t, m + 2);
       const size_t pos = (d >> 8) % (line.size() + 1);
       const uint64_t pick = d >> 40;
       switch (d % 3) {
@@ -160,11 +179,22 @@ TEST(CliFuzzTest, MutatedLinesEachGetOutputAndTheProcessExits) {
           if (pos < line.size()) line[pos] = static_cast<char>(pick & 0xff);
       }
     }
-    input += line + "\n";
+    // A mutation can embed a newline, so check every line it makes.
+    bool over = false;
+    for (const std::string& part : Split(line, '\n')) {
+      if (Trim(part) == "\\swap" && ++swaps > max_swaps) over = true;
+    }
+    if (!over) input += line + "\n";
   }
-  input += "\\q\n";
+  return input + "\\q\n";
+}
 
-  const CliRun run = RunCli(input, kTimeLimit);
+/// Runs `input` through the CLI with `args` and checks the fuzz rules:
+/// exit 0 within kTimeLimit, every echoed line in input order, and output
+/// after each echo before the next one.
+void ExpectEveryLineAnswered(const std::string& input,
+                             const std::vector<std::string>& args) {
+  const CliRun run = RunCli(input, args, kTimeLimit);
   ASSERT_FALSE(run.timed_out) << "htapex_cli did not exit within "
                               << kTimeLimit.count() << " s";
   ASSERT_TRUE(WIFEXITED(run.status) && WEXITSTATUS(run.status) == 0)
@@ -200,6 +230,40 @@ TEST(CliFuzzTest, MutatedLinesEachGetOutputAndTheProcessExits) {
     EXPECT_TRUE(answered) << "no output after the last echo";
   }
   EXPECT_GT(echoed, 0);
+}
+
+TEST(CliFuzzTest, MutatedLinesEachGetOutputAndTheProcessExits) {
+  ExpectEveryLineAnswered(
+      MutatedInput(0xC1, std::numeric_limits<int>::max()), {});
+}
+
+TEST(CliFuzzTest, DurableLifecyclePassThenRecovers) {
+  const std::string dir = ::testing::TempDir() + "htapex_cli_fuzz_" +
+                          std::to_string(getpid());
+  std::filesystem::remove_all(dir);
+  // Each durable and lifecycle command runs once unmutated first, so every
+  // seed reaches those paths; the swap among them counts against the cap.
+  ExpectEveryLineAnswered(
+      "\\correct 3 an expert's corrected text\n\\expire 5\n\\snapshot\n"
+      "\\swap\n\\rollback\n" +
+          MutatedInput(0xC2, kMaxSwaps - 1),
+      {"--data-dir=" + dir, "--lifecycle"});
+
+  const CliRun run =
+      RunCli("\\kb\n\\q\n", {"--data-dir=" + dir, "--recover"}, kTimeLimit);
+  std::filesystem::remove_all(dir);
+  ASSERT_FALSE(run.timed_out);
+  ASSERT_TRUE(WIFEXITED(run.status) && WEXITSTATUS(run.status) == 0)
+      << "recovery run status " << run.status << "; output:\n" << run.out;
+  EXPECT_NE(run.out.find("recovered KB from " + dir), std::string::npos)
+      << run.out;
+  int listed = 0;
+  for (const std::string& line : Split(run.out, '\n')) {
+    if (StartsWith(line, "[") && line.find(" faster | ") != std::string::npos) {
+      ++listed;
+    }
+  }
+  EXPECT_GT(listed, 0) << run.out;
 }
 
 }  // namespace

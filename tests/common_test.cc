@@ -2,6 +2,7 @@
 
 #include <cctype>
 
+#include "common/hash.h"
 #include "common/json.h"
 #include "common/result.h"
 #include "common/rng.h"
@@ -172,6 +173,28 @@ TEST(StringUtilTest, LikeMatch) {
   EXPECT_FALSE(LikeMatch("abc", "abcd"));
   EXPECT_TRUE(LikeMatch("", "%"));
   EXPECT_TRUE(LikeMatch("anything", "%%"));
+}
+
+TEST(HashTest, SplitMix64MatchesThePublishedSequence) {
+  // splitmix64 from state 0: each output is SplitMix64 of the state, then
+  // the state advances by the golden gamma.
+  const uint64_t want[] = {0xe220a8397b1dcdafull, 0x6e789e6aa1b965f4ull,
+                           0x06c45d188009454full};
+  uint64_t state = 0;
+  for (uint64_t w : want) {
+    EXPECT_EQ(SplitMix64(state), w);
+    state += kSplitMix64Gamma;
+  }
+}
+
+TEST(HashTest, Fnv1a64MatchesThePublishedVectors) {
+  constexpr uint64_t kPublishedBasis = 0xcbf29ce484222325ull;
+  EXPECT_EQ(Fnv1a64("", kPublishedBasis), 0xcbf29ce484222325ull);
+  EXPECT_EQ(Fnv1a64("a", kPublishedBasis), 0xaf63dc4c8601ec8cull);
+  EXPECT_EQ(Fnv1a64("foobar", kPublishedBasis), 0x85944171f73967e8ull);
+  // The library's own basis, and the running hash over pieces.
+  EXPECT_EQ(Fnv1a64(""), 1469598103934665603ull);
+  EXPECT_EQ(Fnv1a64("bar", Fnv1a64("foo")), Fnv1a64("foobar"));
 }
 
 TEST(RngTest, DeterministicFromSeed) {

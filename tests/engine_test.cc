@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <functional>
 #include <string>
 
@@ -24,10 +25,53 @@ class EngineTest : public ::testing::Test {
     delete system_;
     system_ = nullptr;
   }
+
+  /// Plans `sql` into `plans`, then checks that the TP and AP plans return
+  /// the same rows, and that on the AP plan the row and vectorized
+  /// executors return the same rows and per-node ExecStats. `tp_stats`
+  /// receives the TP plan's ExecStats.
+  static void ExpectEnginesAgree(const std::string& sql, PlanPair* plans,
+                                 ExecStats* tp_stats) {
+    auto query = system_->Bind(sql);
+    ASSERT_TRUE(query.ok()) << sql << ": " << query.status();
+    auto planned = system_->PlanBoth(*query);
+    ASSERT_TRUE(planned.ok()) << sql << ": " << planned.status();
+    ExecStats row_stats, vec_stats;
+    auto tp = system_->Execute(planned->tp, *query, tp_stats);
+    auto row = system_->ExecuteWithMode(ExecMode::kRow, planned->ap, *query,
+                                        &row_stats);
+    auto vec = system_->ExecuteWithMode(ExecMode::kVectorized, planned->ap,
+                                        *query, &vec_stats);
+    ASSERT_TRUE(tp.ok()) << sql << ": " << tp.status();
+    ASSERT_TRUE(row.ok()) << sql << ": " << row.status();
+    ASSERT_TRUE(vec.ok()) << sql << ": " << vec.status();
+    EXPECT_FALSE(tp->rows.empty()) << sql;
+    EXPECT_EQ(tp->Fingerprint(), row->Fingerprint()) << sql;
+    EXPECT_EQ(row->Fingerprint(), vec->Fingerprint()) << sql;
+    EXPECT_EQ(row_stats.actual_rows.size(), vec_stats.actual_rows.size())
+        << sql;
+    for (const auto& [node, rows] : row_stats.actual_rows) {
+      auto it = vec_stats.actual_rows.find(node);
+      ASSERT_NE(it, vec_stats.actual_rows.end())
+          << sql << " missing stats for " << PlanOpName(node->op);
+      EXPECT_EQ(it->second, rows) << sql << " " << PlanOpName(node->op);
+    }
+    *plans = std::move(*planned);
+  }
+
   static HtapSystem* system_;
 };
 
 HtapSystem* EngineTest::system_ = nullptr;
+
+/// The first node of `op` in `root`'s pre-order, or nullptr.
+const PlanNode* FindNode(const PlanNode& root, PlanOp op) {
+  if (root.op == op) return &root;
+  for (const auto& c : root.children) {
+    if (const PlanNode* found = FindNode(*c, op)) return found;
+  }
+  return nullptr;
+}
 
 constexpr const char* kExample1 =
     "SELECT COUNT(*) FROM customer, nation, orders "
@@ -341,6 +385,110 @@ TEST_F(EngineTest, TopNBreaksSortKeyTiesDeterministically) {
       << "Top-N tie-break diverged from stable sort";
   // The AP plan really went through Top-N (not Sort+Limit).
   EXPECT_NE(outcome->plans.ap.Explain().find("Top-N"), std::string::npos);
+}
+
+TEST_F(EngineTest, TpPlansANestedLoopWhenTheJoinColumnHasNoIndex) {
+  const IndexDef* fk =
+      system_->catalog().FindIndexOnColumn("customer", "c_nationkey");
+  ASSERT_NE(fk, nullptr);
+  const IndexDef saved = *fk;
+  ASSERT_TRUE(system_->DropIndex(saved.name).ok());
+  PlanPair plans;
+  ExecStats tp_stats;
+  ExpectEnginesAgree(
+      "SELECT n_name, COUNT(*) FROM nation, customer "
+      "WHERE n_nationkey = c_nationkey AND n_regionkey = 1 GROUP BY n_name",
+      &plans, &tp_stats);
+  ASSERT_TRUE(system_->CreateIndex(saved).ok());
+  ASSERT_NE(plans.tp.root, nullptr);
+  const PlanNode* join = FindNode(*plans.tp.root, PlanOp::kNestedLoopJoin);
+  ASSERT_NE(join, nullptr) << plans.tp.Explain();
+  EXPECT_NE(join->left_key, nullptr);
+  // Five nations of region 1, each matching its customers.
+  ASSERT_EQ(tp_stats.actual_rows.count(join), 1u);
+  EXPECT_GT(tp_stats.actual_rows.at(join), 5u);
+}
+
+TEST_F(EngineTest, KeylessJoinRunsOnBothEngines) {
+  PlanPair plans;
+  ExecStats tp_stats;
+  ExpectEnginesAgree(
+      "SELECT COUNT(*), SUM(n_nationkey) FROM region, nation "
+      "WHERE r_regionkey < n_regionkey",
+      &plans, &tp_stats);
+  ASSERT_NE(plans.ap.root, nullptr);
+  const PlanNode* hash_join = FindNode(*plans.ap.root, PlanOp::kHashJoin);
+  ASSERT_NE(hash_join, nullptr) << plans.ap.Explain();
+  EXPECT_EQ(hash_join->left_key, nullptr);
+  const PlanNode* loop = FindNode(*plans.tp.root, PlanOp::kNestedLoopJoin);
+  ASSERT_NE(loop, nullptr) << plans.tp.Explain();
+  EXPECT_EQ(loop->left_key, nullptr);
+}
+
+TEST_F(EngineTest, TpIndexScanServesInListsAndOneSidedRanges) {
+  for (const char* sql :
+       {"SELECT c_custkey, c_name FROM customer WHERE c_custkey IN (3, 17, 40)",
+        "SELECT c_custkey, c_acctbal FROM customer WHERE c_custkey < 40"}) {
+    PlanPair plans;
+    ExecStats tp_stats;
+    ExpectEnginesAgree(sql, &plans, &tp_stats);
+    ASSERT_NE(plans.tp.root, nullptr);
+    const PlanNode* scan = FindNode(*plans.tp.root, PlanOp::kIndexScan);
+    ASSERT_NE(scan, nullptr) << sql << "\n" << plans.tp.Explain();
+    ASSERT_EQ(tp_stats.actual_rows.count(scan), 1u) << sql;
+    EXPECT_GT(tp_stats.actual_rows.at(scan), 0u) << sql;
+  }
+}
+
+TEST_F(EngineTest, IntegerLiteralsThatDoNotFitAreParseErrors) {
+  for (const char* sql :
+       {"SELECT c_name FROM customer WHERE c_custkey = 99999999999999999999",
+        "SELECT o_orderkey FROM orders ORDER BY o_orderkey "
+        "LIMIT 99999999999999999999",
+        "SELECT o_orderkey FROM orders ORDER BY o_orderkey LIMIT 1 "
+        "OFFSET 9223372036854775808"}) {
+    auto bound = system_->Bind(sql);
+    ASSERT_FALSE(bound.ok()) << sql;
+    EXPECT_EQ(bound.status().code(), StatusCode::kParseError) << sql;
+  }
+  // INT64_MAX itself fits.
+  EXPECT_TRUE(system_->Bind("SELECT c_name FROM customer "
+                            "WHERE c_custkey = 9223372036854775807")
+                  .ok());
+}
+
+TEST_F(EngineTest, OffsetNeverLowersTheCostOfTheLargestLimit) {
+  // LIMIT INT64_MAX + OFFSET 1 does not fit in int64_t: the cost models
+  // must not wrap it into a small (or negative) row count.
+  auto plan = [](const std::string& sql) {
+    auto query = system_->Bind(sql);
+    EXPECT_TRUE(query.ok()) << sql << ": " << query.status();
+    auto plans = system_->PlanBoth(*query);
+    EXPECT_TRUE(plans.ok()) << sql << ": " << plans.status();
+    return std::move(plans).value();
+  };
+  const std::string topn =
+      "SELECT o_orderkey FROM orders ORDER BY o_totalprice LIMIT " +
+      std::to_string(INT64_MAX);
+  const PlanPair topn0 = plan(topn + " OFFSET 0");
+  const PlanPair topn1 = plan(topn + " OFFSET 1");
+  const PlanNode* heap0 = FindNode(*topn0.ap.root, PlanOp::kTopN);
+  const PlanNode* heap1 = FindNode(*topn1.ap.root, PlanOp::kTopN);
+  ASSERT_NE(heap0, nullptr) << topn0.ap.Explain();
+  ASSERT_NE(heap1, nullptr) << topn1.ap.Explain();
+  EXPECT_GE(heap1->total_cost, heap0->total_cost);
+  EXPECT_GE(system_->LatencyMs(topn1.ap), system_->LatencyMs(topn0.ap));
+
+  // Ordered by the key, TP streams the index under a Limit instead.
+  const std::string streamed =
+      "SELECT o_orderkey FROM orders ORDER BY o_orderkey LIMIT " +
+      std::to_string(INT64_MAX);
+  const PlanPair limit0 = plan(streamed + " OFFSET 0");
+  const PlanPair limit1 = plan(streamed + " OFFSET 1");
+  ASSERT_NE(FindNode(*limit1.tp.root, PlanOp::kLimit), nullptr)
+      << limit1.tp.Explain();
+  EXPECT_GE(system_->LatencyMs(limit1.tp), system_->LatencyMs(limit0.tp));
+  EXPECT_GE(system_->LatencyMs(limit1.ap), system_->LatencyMs(limit0.ap));
 }
 
 TEST_F(EngineTest, BindErrorsPropagate) {

@@ -1,5 +1,9 @@
 #include <gtest/gtest.h>
 
+#include <map>
+#include <string>
+#include <vector>
+
 #include "core/htap_explainer.h"
 #include "workload/query_generator.h"
 #include "workload/study_sim.h"
@@ -97,6 +101,61 @@ TEST_F(ExplainerTest, FeedbackLoopFixesAFailingQuery) {
   ASSERT_TRUE(after.ok());
   EXPECT_EQ(after->grade.grade, ExplanationGrade::kAccurate)
       << after->grade.reason;
+}
+
+TEST_F(ExplainerTest, CurationReplacesEntriesWhoseVerdictNoLongerHolds) {
+  ExplainerConfig config;
+  config.faults = "off";
+  HtapExplainer explainer(system_, config);
+  KnowledgeBase& kb = explainer.mutable_knowledge_base();
+  const std::vector<std::string> sqls = DefaultKnowledgeSqls(
+      system_->config().stats_scale_factor, config.seed);
+  // Every third entry carries the other engine's verdict, as if the
+  // latency model had drifted since it was annotated.
+  std::map<std::string, EngineKind> verdict;
+  uint64_t stale = 0;
+  for (size_t i = 0; i < sqls.size(); ++i) {
+    auto planned = system_->Plan(sqls[i]);
+    ASSERT_TRUE(planned.ok()) << planned.status();
+    const EngineKind faster = planned->outcome.faster;
+    verdict[sqls[i]] = faster;
+    KbEntry entry;
+    entry.sql = sqls[i];
+    entry.embedding = explainer.router().Embed(planned->outcome.plans);
+    entry.faster = faster;
+    entry.expert_explanation = "current";
+    if (i % 3 == 0) {
+      entry.faster =
+          faster == EngineKind::kTp ? EngineKind::kAp : EngineKind::kTp;
+      entry.expert_explanation = "stale";
+      ++stale;
+    }
+    ASSERT_TRUE(kb.Insert(std::move(entry)).ok());
+  }
+
+  uint64_t expired = 0, backfilled = 0;
+  ASSERT_TRUE(explainer.CurateKnowledgeBase(&expired, &backfilled).ok());
+  EXPECT_EQ(expired, stale);
+  EXPECT_EQ(backfilled, stale);
+  EXPECT_EQ(kb.size(), sqls.size());
+  ASSERT_EQ(kb.total_entries(), sqls.size() + stale);
+  for (const KbEntry* e : kb.Entries()) {
+    EXPECT_EQ(e->faster, verdict.at(e->sql)) << e->sql;
+    EXPECT_NE(e->expert_explanation, "stale") << e->sql;
+  }
+  // The backfilled replacements are fresh expert annotations.
+  for (size_t id = sqls.size(); id < kb.total_entries(); ++id) {
+    const KbEntry* e = kb.RawGet(static_cast<int>(id));
+    ASSERT_NE(e, nullptr);
+    EXPECT_NE(e->expert_explanation, "current");
+    EXPECT_FALSE(e->tp_plan_json.empty());
+    EXPECT_GT(e->tp_latency_ms, 0.0);
+  }
+  // Nothing is left to curate.
+  expired = backfilled = 0;
+  ASSERT_TRUE(explainer.CurateKnowledgeBase(&expired, &backfilled).ok());
+  EXPECT_EQ(expired, 0u);
+  EXPECT_EQ(backfilled, 0u);
 }
 
 TEST_F(ExplainerTest, FollowUpAnswers) {

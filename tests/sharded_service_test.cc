@@ -13,6 +13,7 @@
 #include <vector>
 
 #include "common/fault.h"
+#include "common/string_util.h"
 #include "obs/exposition.h"
 #include "obs/metrics.h"
 #include "service/explain_cache.h"
@@ -362,6 +363,62 @@ TEST_F(ShardedServiceTest, KillShardFailsOverWithBudgetCarryOver) {
   EXPECT_EQ(stats.live_shards, 3);
 }
 
+TEST_F(ShardedServiceTest, DeadServiceStillOnTheRingFailsOverToTheNextShard) {
+  auto tier = MakeTier();
+  const std::string sql = QuerySet(1)[0];
+  auto key = tier->KeyForSql(sql);
+  ASSERT_TRUE(key.ok());
+  const std::vector<int> chain = tier->router()->OwnerChain(*key, 2);
+  ASSERT_EQ(chain.size(), 2u);
+  // The primary's service dies without the tier noticing: the ring still
+  // routes to it, so the request meets the typed kUnavailable and hops.
+  tier->shard_service(chain[0])->Kill();
+  ASSERT_TRUE(tier->router()->IsLive(chain[0]));
+
+  auto r = tier->Explain(sql);
+  ASSERT_TRUE(r.ok()) << r.status();
+  EXPECT_EQ(r->failover.primary_shard, chain[0]);
+  EXPECT_EQ(r->failover.final_shard, chain[1]);
+  EXPECT_EQ(r->failover.attempts, 2);
+  EXPECT_TRUE(r->failover.failed_over);
+  ShardedServiceStats stats = tier->Stats();
+  EXPECT_EQ(stats.failover.failovers, 1u);
+  EXPECT_EQ(stats.failover.hops, 1u);
+  EXPECT_EQ(stats.failover.kills, 0u);
+  // One failure is below the ejection threshold.
+  EXPECT_EQ(tier->HealthOf(chain[0]), ShardHealth::kHealthy);
+  EXPECT_EQ(tier->EventLog(),
+            std::vector<std::string>{StrFormat(
+                "rehash key=%016llx from=%d beat=0",
+                static_cast<unsigned long long>(*key), chain[0])});
+}
+
+TEST_F(ShardedServiceTest, BadSqlReturnsItsErrorAndLeavesShardHealthAlone) {
+  auto tier = MakeTier();
+  // More bad requests than it takes to eject a failing shard.
+  for (int i = 0; i <= kEjectAfterFailures; ++i) {
+    auto bind = tier->Explain("SELECT nope FROM customer");
+    ASSERT_FALSE(bind.ok());
+    EXPECT_EQ(bind.status().code(), StatusCode::kBindError);
+    auto parse = tier->Explain("not sql at all");
+    ASSERT_FALSE(parse.ok());
+    EXPECT_EQ(parse.status().code(), StatusCode::kParseError);
+  }
+  for (int shard = 0; shard < tier->num_shards(); ++shard) {
+    EXPECT_EQ(tier->HealthOf(shard), ShardHealth::kHealthy) << shard;
+  }
+  ShardedServiceStats stats = tier->Stats();
+  EXPECT_EQ(stats.live_shards, tier->num_shards());
+  EXPECT_EQ(stats.failover.requests, 2u * (kEjectAfterFailures + 1));
+  EXPECT_EQ(stats.failover.ejections, 0u);
+  EXPECT_EQ(stats.failover.hops, 0u);
+  EXPECT_TRUE(tier->EventLog().empty());
+  // The tier still answers from the primary.
+  auto good = tier->Explain(QuerySet(1)[0]);
+  ASSERT_TRUE(good.ok()) << good.status();
+  EXPECT_FALSE(good->failover.failed_over);
+}
+
 TEST_F(ShardedServiceTest, DrainingShardReturnsTypedUnavailableWithShardId) {
   // The satellite contract: shutdown/orphan rejections are
   // StatusCode::kUnavailable with the shard id attached — the router
@@ -425,7 +482,8 @@ TEST_F(ShardedServiceTest, CacheAffinitySurvivesSingleEjection) {
   // The default knowledge workload spans 9 query patterns, so its
   // embeddings (and thus ring/cache keys) actually spread across shards —
   // point lookups with different literals would quantize to one key.
-  const std::vector<std::string> sqls = trained_->DefaultKnowledgeSqls();
+  const std::vector<std::string> sqls = DefaultKnowledgeSqls(
+      system_->config().stats_scale_factor, trained_->config().seed);
   const uint64_t n = sqls.size();
   for (const std::string& sql : sqls) ASSERT_TRUE(tier->Explain(sql).ok());
   ShardedServiceStats pass1 = tier->Stats();
