@@ -7,6 +7,8 @@
 // and actuals are directly comparable) and reports q-error per operator.
 //
 // q-error = max(estimate/actual, actual/estimate), lower-bounded rows at 1.
+// Nodes a satisfied Limit stopped (ExecStats::stopped) are left out: their
+// actual rows are the rows pulled before the stop, not an estimation miss.
 #include <algorithm>
 #include <cstdio>
 #include <map>
@@ -20,14 +22,16 @@ namespace {
 using namespace htapex;
 
 void Collect(const PlanNode& node, const ExecStats& stats,
-             std::map<PlanOp, std::vector<double>>* qerrors) {
+             std::map<PlanOp, std::vector<double>>* qerrors, int* stopped) {
   auto it = stats.actual_rows.find(&node);
-  if (it != stats.actual_rows.end()) {
+  if (stats.stopped.count(&node) > 0) {
+    ++*stopped;
+  } else if (it != stats.actual_rows.end()) {
     double est = std::max(node.estimated_rows, 1.0);
     double act = std::max(static_cast<double>(it->second), 1.0);
     (*qerrors)[node.op].push_back(std::max(est / act, act / est));
   }
-  for (const auto& c : node.children) Collect(*c, stats, qerrors);
+  for (const auto& c : node.children) Collect(*c, stats, qerrors, stopped);
 }
 
 double Percentile(std::vector<double>* v, double p) {
@@ -49,6 +53,7 @@ int main() {
   QueryGenerator gen(config.stats_scale_factor, 0xe577);
   std::map<PlanOp, std::vector<double>> qerrors;
   int executed = 0;
+  int stopped = 0;
   for (const GeneratedQuery& gq : gen.GenerateMix(120)) {
     auto bound = system.Bind(gq.sql);
     if (!bound.ok()) continue;
@@ -58,7 +63,7 @@ int main() {
       ExecStats stats;
       auto result = system.Execute(*plan, *bound, &stats);
       if (!result.ok()) continue;
-      Collect(*plan->root, stats, &qerrors);
+      Collect(*plan->root, stats, &qerrors, &stopped);
     }
     ++executed;
   }
@@ -73,6 +78,7 @@ int main() {
                 errors.size(), Percentile(&copy, 0.5), Percentile(&copy, 0.9),
                 Percentile(&copy, 1.0));
   }
+  std::printf("(%d nodes a satisfied Limit stopped are left out)\n", stopped);
   std::printf(
       "\nreading: scans estimate well (NDV/range statistics); function "
       "predicates and join chains drift — the estimation gap that makes "

@@ -267,7 +267,8 @@ bool CheckNewShapeParity(const HtapSystem& system) {
     }
     if (!row_res.ok()) continue;
     bool same = row_res->Fingerprint() == vec_res->Fingerprint() &&
-                row_stats.actual_rows.size() == vec_stats.actual_rows.size();
+                row_stats.actual_rows.size() == vec_stats.actual_rows.size() &&
+                row_stats.stopped == vec_stats.stopped;
     for (const auto& [node, rows] : row_stats.actual_rows) {
       auto it = vec_stats.actual_rows.find(node);
       if (it == vec_stats.actual_rows.end() || it->second != rows) {

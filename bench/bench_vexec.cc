@@ -5,7 +5,8 @@
 //   1. Parity: over a broad AP query set (hand-picked operator coverage
 //      plus every generated workload pattern), the vectorized morsel-driven
 //      executor and the row-at-a-time oracle produce byte-identical result
-//      fingerprints and identical per-node ExecStats.
+//      fingerprints and identical per-node ExecStats (actual rows and the
+//      stopped set).
 //   2. Scan-aggregate speedup: on scan-dominated aggregation queries —
 //      the tuple-at-a-time AP path the vectorized pipeline replaces — the
 //      vectorized executor with ONE morsel worker is >= 3x faster
@@ -15,11 +16,18 @@
 //      where the extra workers just contend for one core).
 //   4. Join speedup: on join-heavy pipelines (two/three-way joins plus
 //      generated kJoinStarChain plans, sifted and bushy), the vectorized
-//      executor with ONE morsel worker is >= 9x faster (geomean) than the
-//      row executor on the same AP plans. The bar is the former 2x bar of
-//      the batch probe over the row-at-a-time probe it replaced, times the
-//      4.4-4.6x the row executor took over that probe, so a return to
-//      per-row probing fails it.
+//      executor with ONE morsel worker is >= 1.52x faster (geomean) than
+//      the row executor on the same AP plans. The bar began as 2x of the
+//      batch probe over the row-at-a-time probe it replaced, times the
+//      4.4-4.6x the row executor took over that probe: 9x, so a return to
+//      per-row probing failed it. When the row executor began pushing rows
+//      by reference instead of copying every operator's output, its time
+//      on this set fell to 0.169x of the parent's (geomean of per-query
+//      medians over 6 alternating runs per side, EXPERIMENTS S10) while
+//      the vectorized times held (0.92x), so the bar became
+//      9 x 0.169 = 1.52x: it trips at the same vectorized time as before.
+//      The scan-aggregate bar did not fail (row time 0.55x, ratios
+//      9.7-10.2x), so it stays at 3x.
 //   Both speedup checks also require byte-identical fingerprints.
 //
 // `--self-check` runs reduced-rep versions of the same checks (the CI
@@ -167,7 +175,9 @@ bool CheckParity(const HtapSystem& system) {
       std::fprintf(stderr, "fingerprint mismatch: %s\n", pq.sql.c_str());
       ++fingerprint_mismatches;
     }
-    bool stats_same = row_stats.actual_rows.size() == vec_stats.actual_rows.size();
+    bool stats_same =
+        row_stats.actual_rows.size() == vec_stats.actual_rows.size() &&
+        row_stats.stopped == vec_stats.stopped;
     for (const auto& [node, rows] : row_stats.actual_rows) {
       auto it = vec_stats.actual_rows.find(node);
       if (it == vec_stats.actual_rows.end() || it->second != rows) {
@@ -478,7 +488,7 @@ int main(int argc, char** argv) {
   ok = CheckSpeedupOverRow(*system, "scan-agg", SpeedupQueries(), 3.0, reps,
                            &scan_geomean, &scan_entries) &&
        ok;
-  ok = CheckSpeedupOverRow(*system, "join", JoinQueries(*system), 9.0, reps,
+  ok = CheckSpeedupOverRow(*system, "join", JoinQueries(*system), 1.52, reps,
                            &join_geomean, &join_entries) &&
        ok;
   ok = CheckMorselScaling(*system, reps) && ok;

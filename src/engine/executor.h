@@ -14,11 +14,14 @@
 namespace htapex {
 
 /// Executes physical plans from either engine against the in-process
-/// storage: TP operators read the RowStore (whole rows, B+-tree probes),
-/// AP operators read the ColumnStore (referenced columns, zone-map
-/// pruning). Execution is materializing — correctness-oriented; the
-/// latency model (latency_model.h), not wall time, provides the
-/// at-scale timings the explainer reasons about.
+/// storage, one row at a time: TP operators read the RowStore (whole rows,
+/// B+-tree probes), AP operators read the ColumnStore (referenced columns,
+/// zone-map pruning). Rows are pushed to each operator's consumer by
+/// reference (operators.h); a scan fills one reused composite row, and a
+/// Limit above stops it once its window is full, so an ordered Index Scan
+/// under LIMIT reads offset + limit rows. The latency model
+/// (latency_model.h), not wall time, provides the at-scale timings the
+/// explainer reasons about.
 class Executor {
  public:
   Executor(const Catalog& catalog, const RowStore& row_store,
@@ -26,28 +29,28 @@ class Executor {
       : catalog_(catalog), row_store_(row_store), column_store_(column_store) {}
 
   /// Runs the plan; `output_names` labels the result columns. When `stats`
-  /// is provided, per-node actual cardinalities are recorded into it.
+  /// is provided, per-node statistics are recorded into it.
   Result<QueryResultSet> Execute(const PhysicalPlan& plan,
                                  std::vector<std::string> output_names,
                                  ExecStats* stats = nullptr) const;
 
  private:
-  Result<Rows> Run(const PlanNode& node, ExecContext* ctx) const;
-  Result<Rows> RunDispatch(const PlanNode& node, ExecContext* ctx) const;
+  /// The PlanDispatch of this executor.
+  Result<bool> Dispatch(const PlanNode& node, ExecContext* ctx, RowSink out,
+                        size_t bound) const;
 
   // The row store and column scans and the index nested-loop join are the
   // row executor's own; every other operator is shared (operators.h).
-  Result<Rows> RunTableScan(const PlanNode& node, int total_slots) const;
-  Result<Rows> RunIndexScan(const PlanNode& node, int total_slots) const;
-  Result<Rows> RunColumnScan(const PlanNode& node, int total_slots) const;
-  Result<Rows> RunSiftedScan(const PlanNode& node,
-                             const ExecContext& ctx) const;
-  Result<Rows> RunIndexNestedLoopJoin(const PlanNode& node,
-                                      ExecContext* ctx) const;
-
-  /// Fetches one base-table row into the composite layout.
-  Row MakeComposite(const PlanNode& scan, const Row& base_row,
-                    int total_slots) const;
+  Result<bool> PushTableScan(const PlanNode& node, const ExecContext& ctx,
+                             RowSink out) const;
+  Result<bool> PushIndexScan(const PlanNode& node, const ExecContext& ctx,
+                             RowSink out) const;
+  /// A kColumnScan, or a kSiftedScan that also drops the rows whose join
+  /// key a producing join's Bloom filter rules out.
+  Result<bool> PushColumnScan(const PlanNode& node, const ExecContext& ctx,
+                              RowSink out) const;
+  Result<bool> PushIndexNestedLoopJoin(const PlanNode& node, ExecContext* ctx,
+                                       RowSink out) const;
 
   const Catalog& catalog_;
   const RowStore& row_store_;

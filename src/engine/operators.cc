@@ -1,6 +1,7 @@
 #include "engine/operators.h"
 
 #include <algorithm>
+#include <charconv>
 #include <unordered_map>
 
 #include "common/string_util.h"
@@ -14,13 +15,18 @@ std::string QueryResultSet::Fingerprint() const {
     std::string line;
     for (size_t i = 0; i < row.size(); ++i) {
       if (i > 0) line += "|";
-      // Normalize numerics through double formatting so Int(3)/Double(3.0)
-      // from different engines compare equal.
       if (row[i].is_null()) {
         line += "NULL";
       } else if (row[i].is_string()) {
         line += row[i].AsString();
+      } else if (row[i].is_int()) {
+        // Whole, so counts that differ in the last digit differ here too.
+        char buf[24];
+        const auto res = std::to_chars(buf, buf + sizeof(buf), row[i].AsInt());
+        line.append(buf, res.ptr);
       } else {
+        // The engines add doubles in different orders; six digits hide the
+        // difference, and Double(3.0) still prints as Int(3) does.
         line += StrFormat("%.6g", row[i].AsDouble());
       }
     }
@@ -30,15 +36,52 @@ std::string QueryResultSet::Fingerprint() const {
   return Join(lines, "\n");
 }
 
-Status AccumulateRow(const PlanNode& agg, const Row& row, GroupMap* groups) {
-  Row key;
-  key.reserve(agg.group_keys.size());
+Result<bool> ExecContext::Run(const PlanNode& node, RowSink sink,
+                              size_t bound) {
+  size_t pushed = 0;
+  auto counted = [&pushed, sink](const Row& row) -> Result<bool> {
+    ++pushed;
+    return sink(row);
+  };
+  Result<bool> more = dispatch(node, this, counted, bound);
+  if (more.ok()) Record(node, pushed, !*more);
+  return more;
+}
+
+Result<Rows> ExecContext::Materialize(const PlanNode& node) {
+  Rows rows;
+  auto keep = [&rows](const Row& row) -> Result<bool> {
+    rows.push_back(row);
+    return true;
+  };
+  HTAPEX_RETURN_IF_ERROR(Run(node, keep).status());
+  return rows;
+}
+
+Result<QueryResultSet> ExecutePlan(const PhysicalPlan& plan,
+                                   std::vector<std::string> output_names,
+                                   ExecStats* stats, PlanDispatch dispatch) {
+  ExecContext ctx(plan.total_slots, stats, dispatch);
+  QueryResultSet result{std::move(output_names), {}};
+  auto keep = [&result](const Row& row) -> Result<bool> {
+    result.rows.push_back(row);
+    return true;
+  };
+  HTAPEX_RETURN_IF_ERROR(ctx.Run(*plan.root, keep).status());
+  return result;
+}
+
+Status AccumulateRow(const PlanNode& agg, const Row& row, Row* key,
+                     GroupMap* groups) {
+  key->clear();
   for (const auto& g : agg.group_keys) {
     HTAPEX_ASSIGN_OR_RETURN(Value v, EvalExpr(*g, row));
-    key.push_back(std::move(v));
+    key->push_back(std::move(v));
   }
-  auto [it, inserted] =
-      groups->try_emplace(std::move(key), agg.aggregates.size());
+  auto it = groups->find(*key);
+  if (it == groups->end()) {
+    it = groups->try_emplace(*key, agg.aggregates.size()).first;
+  }
   for (size_t a = 0; a < agg.aggregates.size(); ++a) {
     HTAPEX_RETURN_IF_ERROR(
         AccumulateAgg(*agg.aggregates[a], row, &it->second[a]));
@@ -46,43 +89,127 @@ Status AccumulateRow(const PlanNode& agg, const Row& row, GroupMap* groups) {
   return Status::OK();
 }
 
-Rows FinalizeGroups(const PlanNode& agg, const GroupMap& groups) {
-  Rows out;
+Result<bool> PushGroups(const PlanNode& agg, const GroupMap& groups,
+                        RowSink out) {
+  Row row;
   if (groups.empty() && agg.group_keys.empty()) {
-    Row row;
     for (const auto& a : agg.aggregates) row.push_back(FinalizeAgg(*a, {}));
-    out.push_back(std::move(row));
-    return out;
+    return out(row);
   }
   for (const auto& [key, states] : groups) {
-    Row row = key;
+    row.assign(key.begin(), key.end());
     for (size_t a = 0; a < agg.aggregates.size(); ++a) {
       row.push_back(FinalizeAgg(*agg.aggregates[a], states[a]));
     }
-    out.push_back(std::move(row));
+    HTAPEX_ASSIGN_OR_RETURN(bool more, out(row));
+    if (!more) return false;
   }
-  return out;
+  return true;
 }
 
-Result<Rows> RunFilter(const PlanNode& node, const ChildRunner& run) {
-  HTAPEX_ASSIGN_OR_RETURN(Rows in, run(*node.children[0]));
-  Rows out;
-  for (Row& row : in) {
+TopNHeap::TopNHeap(const PlanNode& node)
+    : node_(&node),
+      offset_(static_cast<size_t>(std::max<int64_t>(node.offset, 0))),
+      keep_(node.limit < 0 ? kUnbounded
+                           : offset_ + static_cast<size_t>(node.limit)) {}
+
+bool TopNHeap::Precedes(const Entry& a, const Entry& b) const {
+  int c = CompareSortKeyRows(node_->sort_keys, a.key, b.key);
+  if (c != 0) return c < 0;
+  return a.seq < b.seq;  // ties resolve to earlier input, as stable_sort
+}
+
+void TopNHeap::Insert(Entry&& e) {
+  auto precedes = [this](const Entry& a, const Entry& b) {
+    return Precedes(a, b);
+  };
+  if (heap_.size() < keep_) {
+    heap_.push_back(std::move(e));
+    std::push_heap(heap_.begin(), heap_.end(), precedes);
+    return;
+  }
+  std::pop_heap(heap_.begin(), heap_.end(), precedes);
+  heap_.back() = std::move(e);
+  std::push_heap(heap_.begin(), heap_.end(), precedes);
+}
+
+Status TopNHeap::Offer(const Row& row, uint64_t seq, bool keep_row) {
+  if (keep_ == 0) return Status::OK();
+  scratch_.key.clear();
+  for (const auto& k : node_->sort_keys) {
+    HTAPEX_ASSIGN_OR_RETURN(Value v, EvalExpr(*k.expr, row));
+    scratch_.key.push_back(std::move(v));
+  }
+  scratch_.seq = seq;
+  if (heap_.size() >= keep_ && !Precedes(scratch_, heap_.front())) {
+    return Status::OK();
+  }
+  if (keep_row) scratch_.row = row;
+  Insert(std::move(scratch_));
+  return Status::OK();
+}
+
+void TopNHeap::Merge(TopNHeap&& other) {
+  if (keep_ == 0) return;
+  for (Entry& e : other.heap_) {
+    if (heap_.size() < keep_ || Precedes(e, heap_.front())) {
+      Insert(std::move(e));
+    }
+  }
+  other.heap_.clear();
+}
+
+Result<bool> TopNHeap::Emit(
+    FunctionRef<Result<bool>(const Row&, uint64_t)> emit) {
+  std::sort_heap(heap_.begin(), heap_.end(),
+                 [this](const Entry& a, const Entry& b) {
+                   return Precedes(a, b);
+                 });
+  for (size_t i = offset_; i < heap_.size(); ++i) {
+    HTAPEX_ASSIGN_OR_RETURN(bool more, emit(heap_[i].row, heap_[i].seq));
+    if (!more) return false;
+  }
+  return true;
+}
+
+LimitWindow::LimitWindow(const PlanNode& node)
+    : offset_(static_cast<size_t>(std::max<int64_t>(node.offset, 0))),
+      end_(node.limit < 0 ? kUnbounded
+                          : offset_ + static_cast<size_t>(node.limit)) {}
+
+Result<bool> LimitWindow::Push(const Row& row, RowSink out) {
+  if (seen_ >= end_) return false;  // LIMIT 0: the window is empty
+  if (seen_++ < offset_) return seen_ < end_;
+  HTAPEX_ASSIGN_OR_RETURN(bool more, out(row));
+  if (!more) {
+    consumer_stopped_ = true;
+    return false;
+  }
+  return seen_ < end_;
+}
+
+namespace {
+
+Result<bool> PushFilter(const PlanNode& node, ExecContext* ctx, RowSink out) {
+  auto in = [&node, out](const Row& row) -> Result<bool> {
     HTAPEX_ASSIGN_OR_RETURN(bool pass, PassesPredicates(node, row));
-    if (pass) out.push_back(std::move(row));
-  }
-  return out;
+    if (!pass) return true;
+    return out(row);
+  };
+  return ctx->Run(*node.children[0], in);
 }
 
-Result<Rows> RunNestedLoopJoin(const PlanNode& node, const ChildRunner& run) {
-  HTAPEX_ASSIGN_OR_RETURN(Rows outer, run(*node.children[0]));
-  HTAPEX_ASSIGN_OR_RETURN(Rows inner, run(*node.children[1]));
+Result<bool> PushNestedLoopJoin(const PlanNode& node, ExecContext* ctx,
+                                RowSink out) {
+  // The inner side is kept first, so the outer side can stream past it.
+  HTAPEX_ASSIGN_OR_RETURN(Rows inner, ctx->Materialize(*node.children[1]));
   std::vector<std::pair<int, int>> inner_ranges;
   CollectScanRanges(*node.children[1], &inner_ranges);
-  Rows out;
-  for (const Row& o : outer) {
+  Row merged;  // one scratch row per outer row
+  auto probe = [&](const Row& o) -> Result<bool> {
+    if (inner.empty()) return true;
+    merged = o;
     for (const Row& i : inner) {
-      Row merged = o;
       MergeSlots(inner_ranges, i, &merged);
       if (node.left_key != nullptr) {
         HTAPEX_ASSIGN_OR_RETURN(Value lk, EvalExpr(*node.left_key, merged));
@@ -90,14 +217,17 @@ Result<Rows> RunNestedLoopJoin(const PlanNode& node, const ChildRunner& run) {
         if (lk.is_null() || rk.is_null() || lk.Compare(rk) != 0) continue;
       }
       HTAPEX_ASSIGN_OR_RETURN(bool pass, PassesPredicates(node, merged));
-      if (pass) out.push_back(std::move(merged));
+      if (!pass) continue;
+      HTAPEX_ASSIGN_OR_RETURN(bool more, out(merged));
+      if (!more) return false;
     }
-  }
-  return out;
+    return true;
+  };
+  return ctx->Run(*node.children[0], probe);
 }
 
-Result<Rows> RunHashJoin(const PlanNode& node, const ChildRunner& run,
-                         ExecContext* ctx) {
+Result<bool> PushHashJoin(const PlanNode& node, ExecContext* ctx,
+                          RowSink out) {
   // The build side always runs first: a sift producer's Bloom filter must
   // exist before the kSiftedScan at the bottom of the probe spine scans,
   // and an empty build side short-circuits the probe side entirely — these
@@ -105,24 +235,26 @@ Result<Rows> RunHashJoin(const PlanNode& node, const ChildRunner& run,
   // the probe side would produce. The skipped probe subtree records no
   // ExecStats, and the vectorized pipeline's empty-build cut mirrors that
   // node-for-node.
-  HTAPEX_ASSIGN_OR_RETURN(Rows build, run(*node.children[1]));
+  HTAPEX_ASSIGN_OR_RETURN(Rows build, ctx->Materialize(*node.children[1]));
+  if (build.empty()) return true;
   std::vector<std::pair<int, int>> build_ranges;
   CollectScanRanges(*node.children[1], &build_ranges);
-  if (build.empty()) return Rows{};
+  Row merged;  // one scratch row per probe row
 
   if (node.left_key == nullptr || node.right_key == nullptr) {
     // Degenerate cross join.
-    HTAPEX_ASSIGN_OR_RETURN(Rows probe, run(*node.children[0]));
-    Rows out;
-    for (const Row& p : probe) {
+    auto probe = [&](const Row& p) -> Result<bool> {
+      merged = p;
       for (const Row& b : build) {
-        Row merged = p;
         MergeSlots(build_ranges, b, &merged);
         HTAPEX_ASSIGN_OR_RETURN(bool pass, PassesPredicates(node, merged));
-        if (pass) out.push_back(std::move(merged));
+        if (!pass) continue;
+        HTAPEX_ASSIGN_OR_RETURN(bool more, out(merged));
+        if (!more) return false;
       }
-    }
-    return out;
+      return true;
+    };
+    return ctx->Run(*node.children[0], probe);
   }
 
   std::unordered_multimap<uint64_t, size_t> table;
@@ -131,138 +263,135 @@ Result<Rows> RunHashJoin(const PlanNode& node, const ChildRunner& run,
   HTAPEX_RETURN_IF_ERROR(HashBuildKeys(
       node, build, ctx, &build_keys,
       [&table](uint64_t hash, size_t i) { table.emplace(hash, i); }));
-  HTAPEX_ASSIGN_OR_RETURN(Rows probe, run(*node.children[0]));
-  Rows out;
-  out.reserve(probe.size());
-  for (const Row& p : probe) {
+  auto probe = [&](const Row& p) -> Result<bool> {
     HTAPEX_ASSIGN_OR_RETURN(Value k, EvalExpr(*node.left_key, p));
-    if (k.is_null()) continue;
+    if (k.is_null()) return true;
     auto [lo, hi] = table.equal_range(k.Hash());
+    bool filled = false;
     for (auto it = lo; it != hi; ++it) {
       if (build_keys[it->second].Compare(k) != 0) continue;
-      Row merged = p;
+      if (!filled) {
+        merged = p;
+        filled = true;
+      }
       MergeSlots(build_ranges, build[it->second], &merged);
       HTAPEX_ASSIGN_OR_RETURN(bool pass, PassesPredicates(node, merged));
-      if (pass) out.push_back(std::move(merged));
+      if (!pass) continue;
+      HTAPEX_ASSIGN_OR_RETURN(bool more, out(merged));
+      if (!more) return false;
     }
-  }
-  return out;
+    return true;
+  };
+  return ctx->Run(*node.children[0], probe);
 }
 
-Result<Rows> RunAggregate(const PlanNode& node, const ChildRunner& run) {
-  HTAPEX_ASSIGN_OR_RETURN(Rows in, run(*node.children[0]));
+Result<bool> PushAggregate(const PlanNode& node, ExecContext* ctx,
+                           RowSink out) {
   GroupMap groups;
-  for (const Row& row : in) {
-    HTAPEX_RETURN_IF_ERROR(AccumulateRow(node, row, &groups));
-  }
-  return FinalizeGroups(node, groups);
+  Row key;
+  auto fold = [&](const Row& row) -> Result<bool> {
+    HTAPEX_RETURN_IF_ERROR(AccumulateRow(node, row, &key, &groups));
+    return true;
+  };
+  HTAPEX_RETURN_IF_ERROR(ctx->Run(*node.children[0], fold).status());
+  return PushGroups(node, groups, out);
 }
 
-Result<Rows> RunSort(const PlanNode& node, const ChildRunner& run) {
-  HTAPEX_ASSIGN_OR_RETURN(Rows in, run(*node.children[0]));
+Result<bool> PushSort(const PlanNode& node, ExecContext* ctx, RowSink out) {
+  // A full sort, as the latency model charges: every input row is kept.
+  // Only what it emits is bounded, by a Limit above that stops it.
   std::vector<std::pair<Row, Row>> keyed;  // (sort-key values, payload row)
-  keyed.reserve(in.size());
-  for (Row& row : in) {
+  auto keep = [&](const Row& row) -> Result<bool> {
     Row key;
     key.reserve(node.sort_keys.size());
     for (const auto& k : node.sort_keys) {
       HTAPEX_ASSIGN_OR_RETURN(Value v, EvalExpr(*k.expr, row));
       key.push_back(std::move(v));
     }
-    keyed.emplace_back(std::move(key), std::move(row));
-  }
+    keyed.emplace_back(std::move(key), row);
+    return true;
+  };
+  HTAPEX_RETURN_IF_ERROR(ctx->Run(*node.children[0], keep).status());
   std::stable_sort(keyed.begin(), keyed.end(),
                    [&node](const std::pair<Row, Row>& a,
                            const std::pair<Row, Row>& b) {
                      return CompareSortKeyRows(node.sort_keys, a.first,
                                                b.first) < 0;
                    });
-  Rows out;
-  out.reserve(keyed.size());
-  for (auto& [key, row] : keyed) out.push_back(std::move(row));
-  return out;
+  for (const auto& entry : keyed) {
+    HTAPEX_ASSIGN_OR_RETURN(bool more, out(entry.second));
+    if (!more) return false;
+  }
+  return true;
 }
 
-Result<Rows> RunTopN(const PlanNode& node, const ChildRunner& run) {
-  size_t start = static_cast<size_t>(std::max<int64_t>(node.offset, 0));
-  if (node.limit < 0) {
-    // No limit: nothing to bound, degenerate to a full sort + offset slice.
-    HTAPEX_ASSIGN_OR_RETURN(Rows sorted, RunSort(node, run));
-    Rows out;
-    for (size_t i = start; i < sorted.size(); ++i) {
-      out.push_back(std::move(sorted[i]));
-    }
-    return out;
-  }
-  // Bounded heap of the offset+limit first rows under the sort order —
-  // the work the latency model charges. The (keys, input index) total
-  // order makes this exactly equivalent to stable_sort + slice.
-  HTAPEX_ASSIGN_OR_RETURN(Rows in, run(*node.children[0]));
-  size_t keep = start + static_cast<size_t>(node.limit);
-  if (keep == 0) return Rows{};
-  struct Entry {
-    Row key;
-    Row row;
-    size_t idx;
+Result<bool> PushTopN(const PlanNode& node, ExecContext* ctx, RowSink out) {
+  // Bounded heap of the offset+limit first rows under the sort order — the
+  // work the latency model charges.
+  TopNHeap heap(node);
+  uint64_t seq = 0;
+  auto offer = [&](const Row& row) -> Result<bool> {
+    HTAPEX_RETURN_IF_ERROR(heap.Offer(row, seq++));
+    return true;
   };
-  auto precedes = [&node](const Entry& a, const Entry& b) {
-    int c = CompareSortKeyRows(node.sort_keys, a.key, b.key);
-    if (c != 0) return c < 0;
-    return a.idx < b.idx;  // ties resolve to earlier input, as stable_sort
+  HTAPEX_RETURN_IF_ERROR(ctx->Run(*node.children[0], offer).status());
+  return heap.Emit([out](const Row& row, uint64_t) { return out(row); });
+}
+
+Result<bool> PushLimit(const PlanNode& node, ExecContext* ctx, RowSink out) {
+  LimitWindow window(node);
+  auto in = [&window, out](const Row& row) { return window.Push(row, out); };
+  HTAPEX_RETURN_IF_ERROR(
+      ctx->Run(*node.children[0], in, window.bound()).status());
+  return !window.consumer_stopped();
+}
+
+Result<bool> PushProject(const PlanNode& node, ExecContext* ctx, RowSink out,
+                         size_t bound) {
+  Row projected(node.projections.size());
+  auto in = [&](const Row& row) -> Result<bool> {
+    for (size_t i = 0; i < node.projections.size(); ++i) {
+      HTAPEX_ASSIGN_OR_RETURN(projected[i],
+                              EvalExpr(*node.projections[i], row));
+    }
+    return out(projected);
   };
-  // Max-heap under `precedes`: front is the worst row currently kept.
-  std::vector<Entry> heap;
-  heap.reserve(std::min(keep, in.size()) + 1);
-  for (size_t i = 0; i < in.size(); ++i) {
-    Row key;
-    key.reserve(node.sort_keys.size());
-    for (const auto& k : node.sort_keys) {
-      HTAPEX_ASSIGN_OR_RETURN(Value v, EvalExpr(*k.expr, in[i]));
-      key.push_back(std::move(v));
-    }
-    Entry e{std::move(key), std::move(in[i]), i};
-    if (heap.size() < keep) {
-      heap.push_back(std::move(e));
-      std::push_heap(heap.begin(), heap.end(), precedes);
-    } else if (precedes(e, heap.front())) {
-      std::pop_heap(heap.begin(), heap.end(), precedes);
-      heap.back() = std::move(e);
-      std::push_heap(heap.begin(), heap.end(), precedes);
-    }
-  }
-  std::sort_heap(heap.begin(), heap.end(), precedes);
-  Rows out;
-  for (size_t i = start; i < heap.size(); ++i) {
-    out.push_back(std::move(heap[i].row));
-  }
-  return out;
+  return ctx->Run(*node.children[0], in, bound);
 }
 
-Result<Rows> RunLimit(const PlanNode& node, const ChildRunner& run) {
-  HTAPEX_ASSIGN_OR_RETURN(Rows in, run(*node.children[0]));
-  size_t start = static_cast<size_t>(std::max<int64_t>(node.offset, 0));
-  size_t count = node.limit < 0 ? in.size() : static_cast<size_t>(node.limit);
-  Rows out;
-  for (size_t i = start; i < in.size() && out.size() < count; ++i) {
-    out.push_back(std::move(in[i]));
-  }
-  return out;
-}
+}  // namespace
 
-Result<Rows> RunProject(const PlanNode& node, const ChildRunner& run) {
-  HTAPEX_ASSIGN_OR_RETURN(Rows in, run(*node.children[0]));
-  Rows out;
-  out.reserve(in.size());
-  for (const Row& row : in) {
-    Row projected;
-    projected.reserve(node.projections.size());
-    for (const auto& p : node.projections) {
-      HTAPEX_ASSIGN_OR_RETURN(Value v, EvalExpr(*p, row));
-      projected.push_back(std::move(v));
-    }
-    out.push_back(std::move(projected));
+Result<bool> PushOperator(const PlanNode& node, ExecContext* ctx, RowSink out,
+                          size_t bound) {
+  switch (node.op) {
+    case PlanOp::kFilter:
+      return PushFilter(node, ctx, out);
+    case PlanOp::kNestedLoopJoin:
+      return PushNestedLoopJoin(node, ctx, out);
+    case PlanOp::kHashJoin:
+      return PushHashJoin(node, ctx, out);
+    case PlanOp::kGroupAggregate:
+    case PlanOp::kHashAggregate:
+      return PushAggregate(node, ctx, out);
+    case PlanOp::kSort:
+      return PushSort(node, ctx, out);
+    case PlanOp::kTopN:
+      return PushTopN(node, ctx, out);
+    case PlanOp::kLimit:
+      return PushLimit(node, ctx, out);
+    case PlanOp::kProject:
+      return PushProject(node, ctx, out, bound);
+    case PlanOp::kExchange:
+      return ctx->Run(*node.children[0], out, bound);
+    case PlanOp::kTableScan:
+    case PlanOp::kIndexScan:
+    case PlanOp::kIndexNestedLoopJoin:
+    case PlanOp::kColumnScan:
+    case PlanOp::kSiftedScan:
+      break;
   }
-  return out;
+  return Status::Internal(std::string("no shared operator for ") +
+                          PlanOpName(node.op));
 }
 
 }  // namespace htapex

@@ -1,12 +1,16 @@
 #ifndef HTAPEX_ENGINE_OPERATORS_H_
 #define HTAPEX_ENGINE_OPERATORS_H_
 
-#include <functional>
+#include <algorithm>
+#include <cstdint>
+#include <limits>
 #include <map>
+#include <set>
 #include <string>
 #include <utility>
 #include <vector>
 
+#include "common/function_ref.h"
 #include "common/result.h"
 #include "engine/agg_state.h"
 #include "plan/plan_node.h"
@@ -20,13 +24,28 @@ namespace htapex {
 /// dispatch calls it, so the cross-executor parity guarantees (identical
 /// predicate order, slot merging, join match order, sort tie-breaks and
 /// aggregate semantics) are structural rather than accidental.
+///
+/// Execution is push-based (produce/consume): an operator hands each output
+/// row to its consumer, a RowSink, and the consumer answers whether it wants
+/// more. A pushed row is valid only for the duration of the call; operators
+/// fill one reused row and push it by reference. Copies happen only where a
+/// row must outlive the call: the rows a Sort keeps, the rows that enter a
+/// Top-N heap, a hash join's build side, a nested-loop join's inner side,
+/// aggregation groups and the final result.
 
-/// Per-node execution statistics (EXPLAIN ANALYZE style): actual output
-/// cardinality of every operator, including the inline-probed inner side
-/// of index nested-loop joins. Both executors (row-at-a-time and
-/// vectorized) record identical per-node cardinalities for the same plan.
+/// Per-node execution statistics (EXPLAIN ANALYZE style). Both executors
+/// (row-at-a-time and vectorized) record identical statistics for the same
+/// plan, node for node.
 struct ExecStats {
+  /// Rows each operator pushed to its consumer, including the
+  /// inline-probed inner side of index nested-loop joins.
   std::map<const PlanNode*, size_t> actual_rows;
+  /// The operators a satisfied consumer stopped before they finished: the
+  /// nodes below a Limit whose window filled, down to the nearest operator
+  /// that had already consumed its whole input (a Sort, an aggregation, a
+  /// join's build side). Their actual_rows count the rows pushed until
+  /// then, so they are not the counterpart of an estimate.
+  std::set<const PlanNode*> stopped;
 };
 
 /// A query result: named columns plus rows of values.
@@ -35,30 +54,68 @@ struct QueryResultSet {
   std::vector<Row> rows;
 
   /// Canonical text form for cross-engine result comparison (rows sorted).
+  /// Integers print whole; doubles print as %.6g, so Int(3) and
+  /// Double(3.0) from different engines compare equal.
   std::string Fingerprint() const;
 };
 
 using Rows = std::vector<Row>;
+
+/// Receives one pushed row, valid only for the duration of the call (a
+/// consumer that keeps it copies it). Returns whether the consumer wants
+/// more rows; a producer that hears false stops.
+using RowSink = FunctionRef<Result<bool>(const Row&)>;
+
+/// The row count a consumer takes when nothing bounds it.
+inline constexpr size_t kUnbounded = std::numeric_limits<size_t>::max();
+
+struct ExecContext;
+
+/// An executor's dispatch: pushes `node`'s output rows into the sink and
+/// returns false when the sink stopped it, true when the node finished.
+/// `bound` is the most rows the consumer will take (kUnbounded when not
+/// known); an executor may use it to stop work early, and still pushes rows
+/// until the consumer says stop.
+using PlanDispatch =
+    FunctionRef<Result<bool>(const PlanNode&, ExecContext*, RowSink, size_t)>;
 
 /// The mutable state of one Execute call. It lives on the caller's stack
 /// and every operator that needs it takes it explicitly, so the executors
 /// hold no per-call state and concurrent Execute calls share nothing
 /// mutable.
 struct ExecContext {
+  ExecContext(int slots, ExecStats* exec_stats, PlanDispatch executor)
+      : total_slots(slots), stats(exec_stats), dispatch(executor) {}
+
   int total_slots = 0;         // composite row width of the plan
-  ExecStats* stats = nullptr;  // per-node actual rows, when requested
+  ExecStats* stats = nullptr;  // per-node statistics, when requested
   /// Bloom filters built by sift-producing hash joins, keyed by sift_id;
   /// consumed by the kSiftedScan nodes below them.
   std::map<int, BloomFilter> sift_filters;
+  /// The calling executor, through which shared operators run children.
+  PlanDispatch dispatch;
 
-  void Record(const PlanNode& node, size_t rows) {
-    if (stats != nullptr) stats->actual_rows[&node] = rows;
+  /// Runs `node` through the calling executor into `sink` and records its
+  /// ExecStats: the rows it pushed, and whether the sink stopped it.
+  Result<bool> Run(const PlanNode& node, RowSink sink,
+                   size_t bound = kUnbounded);
+
+  /// Copies a child's whole output, for the operators that must keep it
+  /// (a hash join's build side, a nested-loop join's inner side).
+  Result<Rows> Materialize(const PlanNode& node);
+
+  void Record(const PlanNode& node, size_t rows, bool was_stopped) {
+    if (stats == nullptr) return;
+    stats->actual_rows[&node] = rows;
+    if (was_stopped) stats->stopped.insert(&node);
   }
 };
 
-/// Executes a child subtree through the calling executor, which records
-/// the child's ExecStats.
-using ChildRunner = std::function<Result<Rows>(const PlanNode& child)>;
+/// Runs `plan` from its root through `dispatch` and collects the result:
+/// the Execute of both executors.
+Result<QueryResultSet> ExecutePlan(const PhysicalPlan& plan,
+                                   std::vector<std::string> output_names,
+                                   ExecStats* stats, PlanDispatch dispatch);
 
 /// Applies every predicate on `node` to `row`, in listed order with
 /// short-circuit; all must pass.
@@ -119,26 +176,89 @@ Status HashBuildKeys(const PlanNode& join, const Rows& build,
   return Status::OK();
 }
 
-/// Folds one input row into its group of `agg`'s group map.
-Status AccumulateRow(const PlanNode& agg, const Row& row, GroupMap* groups);
+/// Folds one input row into its group of `agg`'s group map. `key` is the
+/// caller's scratch row for the evaluated group key; a group's key is
+/// copied only when the group is new.
+Status AccumulateRow(const PlanNode& agg, const Row& row, Row* key,
+                     GroupMap* groups);
 
-/// One output row per group, in key order. A scalar aggregation (no group
-/// keys) over an empty input still yields one row.
-Rows FinalizeGroups(const PlanNode& agg, const GroupMap& groups);
+/// Pushes one output row per group, in key order. A scalar aggregation (no
+/// group keys) over an empty input still yields one row.
+Result<bool> PushGroups(const PlanNode& agg, const GroupMap& groups,
+                        RowSink out);
 
-// Operators over materialized children. Each runs its children through
-// `run`, in the order the row executor always has.
-Result<Rows> RunFilter(const PlanNode& node, const ChildRunner& run);
-Result<Rows> RunNestedLoopJoin(const PlanNode& node, const ChildRunner& run);
-/// Build side first (see the definition); the hash table is an
-/// unordered_multimap, the match-order oracle for the vectorized JoinTable.
-Result<Rows> RunHashJoin(const PlanNode& node, const ChildRunner& run,
-                         ExecContext* ctx);
-Result<Rows> RunAggregate(const PlanNode& node, const ChildRunner& run);
-Result<Rows> RunSort(const PlanNode& node, const ChildRunner& run);
-Result<Rows> RunTopN(const PlanNode& node, const ChildRunner& run);
-Result<Rows> RunLimit(const PlanNode& node, const ChildRunner& run);
-Result<Rows> RunProject(const PlanNode& node, const ChildRunner& run);
+/// The bounded heap of a Top-N node: keeps the offset + limit first rows
+/// under the total order (sort keys, input sequence), which is exactly the
+/// prefix a stable sort would give. Only a row that enters the heap is
+/// copied. Heaps fed disjoint parts of one input merge, in any order, into
+/// the heap of the whole input, provided sequence numbers follow input
+/// order across them.
+class TopNHeap {
+ public:
+  explicit TopNHeap(const PlanNode& node);
+
+  /// Offers `row`, the input row with sequence number `seq`. A row that
+  /// enters the heap is copied, unless `keep_row` is false: then only its
+  /// sort keys are kept, and the caller rebuilds the row from `seq` when
+  /// Emit hands it back (late materialization). Under LIMIT 0 nothing is
+  /// kept and no sort key is evaluated.
+  Status Offer(const Row& row, uint64_t seq, bool keep_row = true);
+  /// Offers every row `other` kept.
+  void Merge(TopNHeap&& other);
+  /// Hands each kept row, in order from the offset on, to `emit`, with its
+  /// sequence number; stops when `emit` answers false.
+  Result<bool> Emit(FunctionRef<Result<bool>(const Row&, uint64_t)> emit);
+
+ private:
+  struct Entry {
+    Row key;  // evaluated sort keys
+    Row row;  // empty when offered without keep_row
+    uint64_t seq = 0;
+  };
+
+  bool Precedes(const Entry& a, const Entry& b) const;
+  void Insert(Entry&& e);
+
+  const PlanNode* node_;
+  size_t offset_ = 0;
+  size_t keep_ = 0;  // offset + limit; kUnbounded without a limit
+  /// Max-heap under Precedes: the front is the worst row kept.
+  std::vector<Entry> heap_;
+  Entry scratch_;  // the offered row's keys, before it is known to enter
+};
+
+/// The row window of a Limit node: skips `offset` rows, passes `limit`, and
+/// answers "no more" to its producer as soon as the window's last row has
+/// been pushed, so the producer pushes exactly offset + limit rows. An
+/// empty window (LIMIT 0 OFFSET 0) answers "no" to the first row, so the
+/// input still runs until then, and an evaluation error before that row
+/// surfaces as it would without the limit.
+class LimitWindow {
+ public:
+  explicit LimitWindow(const PlanNode& node);
+
+  /// The rows the producer pushes before the window answers "no":
+  /// offset + limit, at least 1 (kUnbounded without a limit).
+  size_t bound() const { return std::max<size_t>(end_, 1); }
+  /// True once the window's own consumer said stop.
+  bool consumer_stopped() const { return consumer_stopped_; }
+
+  Result<bool> Push(const Row& row, RowSink out);
+
+ private:
+  size_t offset_ = 0;
+  size_t end_ = kUnbounded;
+  size_t seen_ = 0;
+  bool consumer_stopped_ = false;
+};
+
+/// The shared operators: Filter, nested-loop and hash joins (build side
+/// first, into an unordered_multimap, the match-order oracle for the
+/// vectorized JoinTable), aggregation, Sort, Top-N, Limit, Project and
+/// Exchange. Each runs its children through ctx->Run and pushes its output
+/// into `out`; the return value is the dispatch contract's.
+Result<bool> PushOperator(const PlanNode& node, ExecContext* ctx, RowSink out,
+                          size_t bound);
 
 }  // namespace htapex
 

@@ -35,10 +35,13 @@ kernels::MaskCmpOp ToMaskOp(CompareOp op) {
   return kernels::MaskCmpOp::kEq;  // unreachable; kLike is never lowered
 }
 
+bool IsStringOrNull(const Value& v) { return v.is_null() || v.is_string(); }
+
 /// True when `p` can be evaluated with the batch mask kernels: a
 /// zone-checkable shape over a numeric column with numeric (or NULL)
-/// literals, or IS [NOT] NULL over any column. String comparisons keep the
-/// Value::Compare type-tag semantics and stay on the per-row path.
+/// literals, the same over a string column with string (or NULL) literals,
+/// or IS [NOT] NULL over any column. A string compared with a number keeps
+/// the Value::Compare type-tag semantics and stays on the per-row path.
 bool CanLowerToMask(const ColumnTable& table, const Expr& p) {
   if (!IsZoneCheckable(p)) return false;
   const Expr& col_ref = *p.children[0];
@@ -49,6 +52,16 @@ bool CanLowerToMask(const ColumnTable& table, const Expr& p) {
   if (p.kind == ExprKind::kIsNull) return true;
   DataType col_type =
       table.columns[static_cast<size_t>(col_ref.bound_column)].type();
+  if (col_type == DataType::kString) {
+    // IN skips elements that are not strings: they never equal one.
+    if (p.kind == ExprKind::kIn) return true;
+    if (p.kind == ExprKind::kComparison) {
+      return p.cmp_op != CompareOp::kLike &&
+             IsStringOrNull(p.children[1]->literal);
+    }
+    return IsStringOrNull(p.children[1]->literal) &&
+           IsStringOrNull(p.children[2]->literal);
+  }
   if (!IsNumericType(col_type)) return false;
   if (p.kind == ExprKind::kComparison) {
     return p.cmp_op != CompareOp::kLike &&
@@ -71,6 +84,40 @@ void TypedCmpMask(const ColumnVector& col, size_t begin, size_t n,
                   uint8_t* out) {
   if (lit.is_null()) {
     std::memset(out, 0, n);
+    return;
+  }
+  if (col.type() == DataType::kString) {
+    // Value::Compare of two strings: the sign of std::string::compare.
+    const std::string* vals = col.StringsData() + begin;
+    const std::string& text = lit.AsString();
+    for (size_t i = 0; i < n; ++i) {
+      const int c = vals[i].compare(text);
+      bool pass = false;
+      switch (op) {
+        case CompareOp::kEq:
+          pass = c == 0;
+          break;
+        case CompareOp::kNe:
+          pass = c != 0;
+          break;
+        case CompareOp::kLt:
+          pass = c < 0;
+          break;
+        case CompareOp::kLe:
+          pass = c <= 0;
+          break;
+        case CompareOp::kGt:
+          pass = c > 0;
+          break;
+        case CompareOp::kGe:
+          pass = c >= 0;
+          break;
+        case CompareOp::kLike:
+          break;
+      }
+      out[i] = pass ? 1 : 0;
+    }
+    kernels::MaskAndNot(out, col.NullsData() + begin, static_cast<int>(n));
     return;
   }
   kernels::MaskCmpOp mop = ToMaskOp(op);
@@ -116,9 +163,10 @@ void ApplyTypedMask(const ColumnTable& table, const Expr& p, size_t begin,
       for (size_t c = 1; c < p.children.size(); ++c) {
         const Value& lit = p.children[c]->literal;
         // NULL elements never match (and the saw-null → NULL result is
-        // false under EvalPredicate anyway); string elements never equal a
-        // numeric column value.
-        if (lit.is_null() || lit.is_string()) continue;
+        // false under EvalPredicate anyway); a string element never equals
+        // a numeric column value, nor a number a string one.
+        const bool string_col = col.type() == DataType::kString;
+        if (lit.is_null() || lit.is_string() != string_col) continue;
         TypedCmpMask(col, begin, n, CompareOp::kEq, lit, arena, tmp2);
         for (size_t i = 0; i < n; ++i) tmp[i] |= tmp2[i];
       }

@@ -1,6 +1,7 @@
 #include "engine/vec_executor.h"
 
 #include <algorithm>
+#include <atomic>
 #include <thread>
 #include <utility>
 
@@ -40,7 +41,7 @@ Status VecExecutor::BuildPipeline(const PlanNode& root, ExecContext* ctx,
     spec->ordinals.push_back(c);
   }
   // Build sides run top-down — the same order the row executor's
-  // build-first RunHashJoin recursion visits them. An empty build side
+  // build-first hash join recursion visits them. An empty build side
   // empties every inner join above it regardless of the probe side, so the
   // pipeline cuts there: the joins already built record zero output rows
   // and the scan (plus everything below the cut) never executes — exactly
@@ -50,7 +51,7 @@ Status VecExecutor::BuildPipeline(const PlanNode& root, ExecContext* ctx,
   for (const PlanNode* j : join_chain) {
     BuiltJoin bj;
     bj.node = j;
-    HTAPEX_ASSIGN_OR_RETURN(bj.build_rows, Run(*j->children[1], ctx));
+    HTAPEX_ASSIGN_OR_RETURN(bj.build_rows, ctx->Materialize(*j->children[1]));
     CollectScanRanges(*j->children[1], &bj.build_ranges);
     if (bj.build_rows.empty()) {
       spec->joins.push_back(std::move(bj));
@@ -76,6 +77,10 @@ Status VecExecutor::BuildPipeline(const PlanNode& root, ExecContext* ctx,
   std::reverse(spec->joins.begin(), spec->joins.end());  // bottom-up probing
   spec->nodes.push_back(cur);
   for (const BuiltJoin& bj : spec->joins) spec->nodes.push_back(bj.node);
+  spec->row_slots.ordinals = spec->ordinals;
+  for (size_t p = 0; p < spec->joins.size(); ++p) {
+    spec->row_slots.joins.push_back(p);
+  }
   ResolveKeySources(spec);
   // Resolve the scan's sift probes against the filters just built (the
   // producers are spine joins above the scan, so all ids are present now).
@@ -135,7 +140,7 @@ Status VecExecutor::TypedAggMorsel(const PipelineSpec& spec,
                                    const VecBatch& batch,
                                    kernels::Arena* arena,
                                    MorselOut* out) const {
-  const PlanNode& node = *spec.agg;
+  const PlanNode& node = *spec.consumer;
   std::vector<AggState>& states =
       out->groups.try_emplace(Row{}, node.aggregates.size()).first->second;
   if (batch.sel.empty()) return Status::OK();
@@ -196,14 +201,15 @@ Status VecExecutor::ProcessMorsel(const PipelineSpec& spec,
   batch.table = spec.table;
   batch.begin = morsel.begin;
   batch.end = morsel.end;
+  out->begin = morsel.begin;
   HTAPEX_RETURN_IF_ERROR(ComputeScanSelection(*spec.scan, spec.ordinals,
                                               total_slots, arena, &batch));
   // Fused sift: gather each sift key column through the selection vector,
   // bulk-hash it (kernels::HashI64/F64/Bytes are bit-identical to
   // Value::Hash), test the Bloom filters, and compact. NULL keys can never
-  // join and are dropped, exactly like RunSiftedScan. Surviving hash
-  // arrays are compacted alongside the selection so the first join can
-  // reuse them instead of rehashing the same column.
+  // join and are dropped, exactly like the row executor's sifted scan.
+  // Surviving hash arrays are compacted alongside the selection so the
+  // first join can reuse them instead of rehashing the same column.
   std::vector<uint64_t*> sift_hashes(spec.scan_sifts.size(), nullptr);
   if (!spec.scan_sifts.empty() && !batch.sel.empty()) {
     const size_t n = batch.sel.size();
@@ -241,10 +247,12 @@ Status VecExecutor::ProcessMorsel(const PipelineSpec& spec,
   }
 
   // The late-materialized tuple set: per surviving tuple, its scan offset
-  // plus one build-row index per completed join. Composite rows exist only
+  // plus one build-row index per completed join, and per join the index of
+  // each tuple's parent in the level below. Composite rows exist only
   // transiently below (computed keys, residual predicates) until the sink.
   std::vector<uint32_t> cur_off(batch.sel.begin(), batch.sel.end());
   std::vector<std::vector<uint32_t>> bidx;
+  std::vector<std::vector<uint32_t>> parents;
 
   // Scratch composite row for EvalExpr/PassesPredicates fallbacks. Filled
   // lazily per tuple; made to equal the row executor's probe row exactly:
@@ -278,10 +286,12 @@ Status VecExecutor::ProcessMorsel(const PipelineSpec& spec,
     const size_t nt = cur_off.size();
     std::vector<uint32_t> next_off;
     std::vector<std::vector<uint32_t>> next_bidx(bidx.size() + 1);
+    std::vector<uint32_t> next_parent;
     size_t scratch_t = static_cast<size_t>(-1);
 
     auto emit = [&](size_t t, uint32_t b) {
       next_off.push_back(cur_off[t]);
+      next_parent.push_back(static_cast<uint32_t>(t));
       for (size_t p = 0; p < bidx.size(); ++p) {
         next_bidx[p].push_back(bidx[p][t]);
       }
@@ -401,99 +411,191 @@ Status VecExecutor::ProcessMorsel(const PipelineSpec& spec,
     out->counts[1 + ji] = next_off.size();
     cur_off = std::move(next_off);
     bidx = std::move(next_bidx);
+    parents.push_back(std::move(next_parent));
   }
 
-  // Single materialization, at the sink. An aggregating sink consumes each
-  // composite row immediately, so it reuses ONE scratch row (every
-  // pipeline-owned slot is overwritten per tuple; slots outside the
-  // pipeline stay NULL) instead of allocating per tuple — the accumulation
-  // itself is AccumulateRow, as in the row executor's RunAggregate.
-  auto fill_row = [&](size_t t, Row* row) {
-    for (int c : spec.ordinals) {
-      (*row)[static_cast<size_t>(spec.scan->slot_offset + c)] =
-          spec.table->columns[static_cast<size_t>(c)].Get(batch.begin +
-                                                          cur_off[t]);
-    }
-    for (size_t p = 0; p < bidx.size(); ++p) {
-      MergeSlots(spec.joins[p].build_ranges,
-                 spec.joins[p].build_rows[bidx[p][t]], row);
-    }
-  };
-  if (spec.sink == SinkKind::kGroups) {
-    Row row(static_cast<size_t>(total_slots), Value::Null());
-    for (size_t t = 0; t < cur_off.size(); ++t) {
-      fill_row(t, &row);
-      HTAPEX_RETURN_IF_ERROR(AccumulateRow(*spec.agg, row, &out->groups));
-    }
+  // The sink. A kRows or kTopN morsel keeps its tuple lists (for
+  // PushMorsel, or the heap's late materialization); an aggregating sink
+  // consumes each tuple at once, materialized into ONE reused composite
+  // row (every pipeline-owned slot is overwritten per tuple; slots outside
+  // the pipeline stay NULL).
+  if (spec.sink != SinkKind::kGroups) {
+    out->offs = std::move(cur_off);
+    out->bidx = std::move(bidx);
+    out->parents = std::move(parents);
     return Status::OK();
   }
-  Rows rows;
-  rows.reserve(cur_off.size());
+  Row row(static_cast<size_t>(total_slots), Value::Null());
+  Row key;
   for (size_t t = 0; t < cur_off.size(); ++t) {
-    Row row(static_cast<size_t>(total_slots), Value::Null());
-    fill_row(t, &row);
-    rows.push_back(std::move(row));
+    FillRow(spec, spec.row_slots, batch.begin, cur_off, bidx, t, &row);
+    HTAPEX_RETURN_IF_ERROR(
+        AccumulateRow(*spec.consumer, row, &key, &out->groups));
   }
-  out->rows = std::move(rows);
   return Status::OK();
 }
 
-void VecExecutor::RunMorselLoop(const PipelineSpec& spec, int total_slots,
-                                std::vector<MorselOut>* outs) const {
+void VecExecutor::FillRow(const PipelineSpec& spec, const SlotSet& slots,
+                          size_t base, const std::vector<uint32_t>& offs,
+                          const std::vector<std::vector<uint32_t>>& bidx,
+                          size_t t, Row* row) {
+  for (int c : slots.ordinals) {
+    (*row)[static_cast<size_t>(spec.scan->slot_offset + c)] =
+        spec.table->columns[static_cast<size_t>(c)].Get(base + offs[t]);
+  }
+  for (size_t p : slots.joins) {
+    MergeSlots(spec.joins[p].build_ranges,
+               spec.joins[p].build_rows[bidx[p][t]], row);
+  }
+}
+
+void VecExecutor::RunMorsel(const PipelineSpec& spec, const Morsel& morsel,
+                            int total_slots, MorselOut* out,
+                            TopNHeap* heap) const {
+  out->counts.assign(spec.nodes.size(), 0);
+  kernels::Arena& arena = kernels::ThreadArena();
+  arena.Reset();
+  out->status = ProcessMorsel(spec, morsel, total_slots, &arena, out);
+  if (heap == nullptr || !out->status.ok()) return;
+  // Only the slots the sort keys read are filled, and only the keys enter
+  // the heap; sequence numbers (morsel, position) follow the oracle's
+  // input order, so the workers' heaps merge into the whole input's.
+  Row row(static_cast<size_t>(total_slots), Value::Null());
+  for (size_t t = 0; t < out->offs.size() && out->status.ok(); ++t) {
+    FillRow(spec, spec.key_slots, out->begin, out->offs, out->bidx, t, &row);
+    out->status = heap->Offer(
+        row, (static_cast<uint64_t>(morsel.index) << 32) | t,
+        /*keep_row=*/false);
+  }
+}
+
+size_t VecExecutor::RunMorselLoop(const PipelineSpec& spec, int total_slots,
+                                  size_t bound, std::vector<MorselOut>* outs,
+                                  std::vector<TopNHeap>* heaps) const {
   MorselDispatcher dispatcher(spec.table->num_rows, kMorselRows);
-  auto work = [&](int) {
+  // With a bound: the leading morsels completed so far and their tuples.
+  // Once they reach the bound (or one failed), no later morsel can reach
+  // the consumer, so workers stop claiming there.
+  std::mutex frontier_mu;
+  size_t frontier = 0;  // guarded by frontier_mu
+  size_t produced = 0;  // guarded by frontier_mu
+  std::atomic<size_t> claim_end{outs->size()};
+  auto work = [&](int worker) {
+    TopNHeap* heap =
+        heaps != nullptr ? &(*heaps)[static_cast<size_t>(worker)] : nullptr;
     Morsel m;
-    while (dispatcher.Next(&m)) {
+    while (dispatcher.Next(&m) &&
+           m.index < claim_end.load(std::memory_order_relaxed)) {
       MorselOut& mo = (*outs)[m.index];
-      mo.counts.assign(spec.nodes.size(), 0);
-      kernels::Arena& arena = kernels::ThreadArena();
-      arena.Reset();
-      mo.status = ProcessMorsel(spec, m, total_slots, &arena, &mo);
+      RunMorsel(spec, m, total_slots, &mo, heap);
+      if (bound == kUnbounded) continue;
+      std::lock_guard<std::mutex> lock(frontier_mu);
+      mo.done = true;
+      while (frontier < claim_end.load(std::memory_order_relaxed) &&
+             (*outs)[frontier].done) {
+        const MorselOut& f = (*outs)[frontier++];
+        produced += f.offs.size();
+        if (!f.status.ok() || produced >= bound) {
+          claim_end.store(frontier, std::memory_order_relaxed);
+        }
+      }
     }
   };
-  const int workers = effective_workers();
-  if (workers <= 1 || dispatcher.morsel_count() <= 1) {
+  if (!Parallel(outs->size())) {
     work(0);
-    return;
+  } else {
+    const int workers = effective_workers();
+    std::lock_guard<std::mutex> lock(pool_mu_);
+    if (pool_ == nullptr || pool_->workers() != workers) {
+      pool_ = std::make_unique<WorkerPool>(workers);
+    }
+    pool_->Run(work);
   }
-  std::lock_guard<std::mutex> lock(pool_mu_);
-  if (pool_ == nullptr || pool_->workers() != workers) {
-    pool_ = std::make_unique<WorkerPool>(workers);
+  return claim_end.load(std::memory_order_relaxed);
+}
+
+Result<bool> VecExecutor::PushMorsel(const PipelineSpec& spec,
+                                     const MorselOut& mo, Row* row,
+                                     RowSink out,
+                                     std::vector<size_t>* totals) const {
+  for (size_t t = 0; t < mo.offs.size(); ++t) {
+    FillRow(spec, spec.row_slots, mo.begin, mo.offs, mo.bidx, t, row);
+    HTAPEX_ASSIGN_OR_RETURN(bool more, out(*row));
+    if (more) continue;
+    // Stopped at tuple t. In the oracle's nested push, each pipeline node
+    // had pushed the tuples of its level up to t's ancestor there.
+    size_t idx = t;
+    for (size_t level = spec.joins.size();; --level) {
+      (*totals)[level] += idx + 1;
+      if (level == 0) break;
+      idx = mo.parents[level - 1][idx];
+    }
+    return false;
   }
-  pool_->Run(work);
+  for (size_t i = 0; i < totals->size(); ++i) (*totals)[i] += mo.counts[i];
+  return true;
 }
 
 void VecExecutor::RecordPipelineStats(const PipelineSpec& spec,
-                                      const std::vector<MorselOut>& outs,
-                                      ExecContext* ctx) {
+                                      const std::vector<size_t>& totals,
+                                      bool stopped, ExecContext* ctx) {
   for (size_t i = 0; i < spec.nodes.size(); ++i) {
-    size_t total = 0;
-    for (const MorselOut& mo : outs) total += mo.counts[i];
-    ctx->Record(*spec.nodes[i], total);
+    ctx->Record(*spec.nodes[i], totals[i], stopped);
   }
 }
 
-Result<Rows> VecExecutor::RunPipeline(const PlanNode& root,
-                                      ExecContext* ctx) const {
+Status VecExecutor::SumCounts(const PipelineSpec& spec,
+                              const std::vector<MorselOut>& outs,
+                              std::vector<size_t>* totals) {
+  // In morsel index order: the error surfaced, if any, is independent of
+  // worker count and scheduling.
+  for (const MorselOut& mo : outs) {
+    HTAPEX_RETURN_IF_ERROR(mo.status);
+    for (size_t i = 0; i < spec.nodes.size(); ++i) {
+      (*totals)[i] += mo.counts[i];
+    }
+  }
+  return Status::OK();
+}
+
+Result<bool> VecExecutor::RunPipeline(const PlanNode& root, ExecContext* ctx,
+                                      size_t bound, RowSink out) const {
   PipelineSpec spec;
   HTAPEX_RETURN_IF_ERROR(BuildPipeline(root, ctx, &spec));
-  if (spec.empty_cut) {
-    RecordPipelineStats(spec, {}, ctx);
-    return Rows{};
+  std::vector<size_t> totals(spec.nodes.size(), 0);
+  bool more = true;
+  if (!spec.empty_cut) {
+    Row row(static_cast<size_t>(ctx->total_slots), Value::Null());
+    MorselDispatcher dispatcher(spec.table->num_rows, kMorselRows);
+    const size_t morsels = dispatcher.morsel_count();
+    if (Parallel(morsels)) {
+      // Buffered per morsel, pushed in morsel order: results and ExecStats
+      // do not depend on the worker count.
+      std::vector<MorselOut> outs(morsels);
+      const size_t completed =
+          RunMorselLoop(spec, ctx->total_slots, bound, &outs);
+      for (size_t m = 0; m < morsels && more; ++m) {
+        if (m == completed) {
+          return Status::Internal("pipeline consumer took more than its bound");
+        }
+        HTAPEX_RETURN_IF_ERROR(outs[m].status);
+        HTAPEX_ASSIGN_OR_RETURN(more,
+                                PushMorsel(spec, outs[m], &row, out, &totals));
+      }
+    } else {
+      // Inline: each morsel is pushed as soon as it is processed, so a
+      // satisfied consumer ends the scan at that morsel.
+      MorselOut mo;
+      Morsel m;
+      while (more && dispatcher.Next(&m)) {
+        RunMorsel(spec, m, ctx->total_slots, &mo);
+        HTAPEX_RETURN_IF_ERROR(mo.status);
+        HTAPEX_ASSIGN_OR_RETURN(more, PushMorsel(spec, mo, &row, out, &totals));
+      }
+    }
   }
-  MorselDispatcher sizing(spec.table->num_rows, kMorselRows);
-  std::vector<MorselOut> outs(sizing.morsel_count());
-  RunMorselLoop(spec, ctx->total_slots, &outs);
-  // Merge in morsel index order: output (and the error surfaced, if any)
-  // is independent of worker count and scheduling.
-  for (const MorselOut& mo : outs) HTAPEX_RETURN_IF_ERROR(mo.status);
-  Rows all;
-  for (MorselOut& mo : outs) {
-    all.insert(all.end(), std::make_move_iterator(mo.rows.begin()),
-               std::make_move_iterator(mo.rows.end()));
-  }
-  RecordPipelineStats(spec, outs, ctx);
-  return all;
+  RecordPipelineStats(spec, totals, !more, ctx);
+  return more;
 }
 
 bool VecExecutor::TypedAggEligible(const PlanNode& node,
@@ -517,92 +619,129 @@ bool VecExecutor::TypedAggEligible(const PlanNode& node,
   return true;
 }
 
-Result<Rows> VecExecutor::RunFusedAggregate(const PlanNode& node,
-                                            ExecContext* ctx) const {
+Result<bool> VecExecutor::RunFusedAggregate(const PlanNode& node,
+                                            ExecContext* ctx,
+                                            RowSink out) const {
   // Each morsel accumulates partial states; partials merge at the pipeline
   // breaker in morsel order.
   PipelineSpec spec;
-  spec.agg = &node;
+  spec.consumer = &node;
   HTAPEX_RETURN_IF_ERROR(BuildPipeline(*node.children[0], ctx, &spec));
+  std::vector<size_t> totals(spec.nodes.size(), 0);
   GroupMap global;
-  if (spec.empty_cut) {
-    // The join spine is empty; aggregate over zero input rows, exactly
-    // like the row executor aggregating its early-returned empty join.
-    RecordPipelineStats(spec, {}, ctx);
-    return FinalizeGroups(node, global);
-  }
-  spec.sink = TypedAggEligible(node, spec) ? SinkKind::kTypedAgg
-                                           : SinkKind::kGroups;
-  MorselDispatcher sizing(spec.table->num_rows, kMorselRows);
-  std::vector<MorselOut> outs(sizing.morsel_count());
-  RunMorselLoop(spec, ctx->total_slots, &outs);
-  for (const MorselOut& mo : outs) HTAPEX_RETURN_IF_ERROR(mo.status);
-  RecordPipelineStats(spec, outs, ctx);
-  for (const MorselOut& mo : outs) {
-    for (const auto& [key, states] : mo.groups) {
-      auto [it, inserted] = global.try_emplace(key, node.aggregates.size());
-      for (size_t a = 0; a < node.aggregates.size(); ++a) {
-        MergeAggState(*node.aggregates[a], states[a], &it->second[a]);
+  // An empty_cut spine aggregates zero input rows, exactly like the row
+  // executor aggregating its early-returned empty join.
+  if (!spec.empty_cut) {
+    spec.sink = TypedAggEligible(node, spec) ? SinkKind::kTypedAgg
+                                             : SinkKind::kGroups;
+    MorselDispatcher sizing(spec.table->num_rows, kMorselRows);
+    std::vector<MorselOut> outs(sizing.morsel_count());
+    RunMorselLoop(spec, ctx->total_slots, kUnbounded, &outs);
+    HTAPEX_RETURN_IF_ERROR(SumCounts(spec, outs, &totals));
+    for (const MorselOut& mo : outs) {
+      for (const auto& [key, states] : mo.groups) {
+        auto [it, inserted] = global.try_emplace(key, node.aggregates.size());
+        for (size_t a = 0; a < node.aggregates.size(); ++a) {
+          MergeAggState(*node.aggregates[a], states[a], &it->second[a]);
+        }
       }
     }
   }
-  return FinalizeGroups(node, global);
+  RecordPipelineStats(spec, totals, false, ctx);
+  return PushGroups(node, global, out);
 }
 
-Result<Rows> VecExecutor::Run(const PlanNode& node, ExecContext* ctx) const {
-  Result<Rows> rows = RunDispatch(node, ctx);
-  if (rows.ok()) ctx->Record(node, rows->size());
-  return rows;
-}
-
-Result<Rows> VecExecutor::RunDispatch(const PlanNode& node,
-                                      ExecContext* ctx) const {
-  ChildRunner run = [this, ctx](const PlanNode& child) {
-    return Run(child, ctx);
+Result<bool> VecExecutor::RunFusedTopN(const PlanNode& node, ExecContext* ctx,
+                                       RowSink out) const {
+  TopNHeap heap(node);
+  PipelineSpec spec;
+  spec.sink = SinkKind::kTopN;
+  spec.consumer = &node;
+  HTAPEX_RETURN_IF_ERROR(BuildPipeline(*node.children[0], ctx, &spec));
+  std::vector<size_t> totals(spec.nodes.size(), 0);
+  if (spec.empty_cut) {
+    RecordPipelineStats(spec, totals, false, ctx);
+    return true;
+  }
+  std::vector<const Expr*> refs;
+  for (const SortKey& k : node.sort_keys) k.expr->CollectColumnRefs(&refs);
+  auto read_by_keys = [&refs](int lo, int count) {
+    for (const Expr* r : refs) {
+      if (r->flat_slot >= lo && r->flat_slot < lo + count) return true;
+    }
+    return false;
   };
+  for (int c : spec.ordinals) {
+    if (read_by_keys(spec.scan->slot_offset + c, 1)) {
+      spec.key_slots.ordinals.push_back(c);
+    }
+  }
+  for (size_t p = 0; p < spec.joins.size(); ++p) {
+    for (const auto& [lo, count] : spec.joins[p].build_ranges) {
+      if (read_by_keys(lo, count)) {
+        spec.key_slots.joins.push_back(p);
+        break;
+      }
+    }
+  }
+  MorselDispatcher sizing(spec.table->num_rows, kMorselRows);
+  std::vector<MorselOut> outs(sizing.morsel_count());
+  std::vector<TopNHeap> heaps(static_cast<size_t>(effective_workers()), heap);
+  RunMorselLoop(spec, ctx->total_slots, kUnbounded, &outs, &heaps);
+  HTAPEX_RETURN_IF_ERROR(SumCounts(spec, outs, &totals));
+  RecordPipelineStats(spec, totals, false, ctx);
+  for (TopNHeap& h : heaps) heap.Merge(std::move(h));
+  // Only the rows the window emits are materialized.
+  Row row(static_cast<size_t>(ctx->total_slots), Value::Null());
+  auto emit = [&](const Row&, uint64_t seq) {
+    const MorselOut& mo = outs[seq >> 32];
+    FillRow(spec, spec.row_slots, mo.begin, mo.offs, mo.bidx,
+            seq & 0xffffffffu, &row);
+    return out(row);
+  };
+  return heap.Emit(emit);
+}
+
+Result<bool> VecExecutor::Dispatch(const PlanNode& node, ExecContext* ctx,
+                                   RowSink out, size_t bound) const {
   switch (node.op) {
     case PlanOp::kColumnScan:
     case PlanOp::kSiftedScan:
-      return RunPipeline(node, ctx);
+      return RunPipeline(node, ctx, bound, out);
     case PlanOp::kHashJoin:
-      if (IsPipelineChain(node)) return RunPipeline(node, ctx);
-      return RunHashJoin(node, run, ctx);
+      if (IsPipelineChain(node)) return RunPipeline(node, ctx, bound, out);
+      break;
     case PlanOp::kGroupAggregate:
     case PlanOp::kHashAggregate:
       if (IsPipelineChain(*node.children[0])) {
-        return RunFusedAggregate(node, ctx);
+        return RunFusedAggregate(node, ctx, out);
       }
-      return RunAggregate(node, run);
-    case PlanOp::kFilter:
-      return RunFilter(node, run);
-    case PlanOp::kNestedLoopJoin:
-      return RunNestedLoopJoin(node, run);
-    case PlanOp::kSort:
-      return RunSort(node, run);
+      break;
     case PlanOp::kTopN:
-      return RunTopN(node, run);
-    case PlanOp::kLimit:
-      return RunLimit(node, run);
-    case PlanOp::kProject:
-      return RunProject(node, run);
-    case PlanOp::kExchange:
-      return run(*node.children[0]);
+      if (IsPipelineChain(*node.children[0])) {
+        return RunFusedTopN(node, ctx, out);
+      }
+      break;
     case PlanOp::kTableScan:
     case PlanOp::kIndexScan:
     case PlanOp::kIndexNestedLoopJoin:
       return Status::ExecutionError(
           std::string("vectorized executor cannot run TP operator: ") +
           PlanOpName(node.op));
+    default:
+      break;
   }
-  return Status::Internal("unknown plan operator");
+  return PushOperator(node, ctx, out, bound);
 }
 
 Result<QueryResultSet> VecExecutor::Execute(
     const PhysicalPlan& plan, std::vector<std::string> output_names,
     ExecStats* stats) const {
-  ExecContext ctx{plan.total_slots, stats, {}};
-  HTAPEX_ASSIGN_OR_RETURN(Rows rows, Run(*plan.root, &ctx));
-  return QueryResultSet{std::move(output_names), std::move(rows)};
+  auto dispatch = [this](const PlanNode& node, ExecContext* ctx, RowSink out,
+                         size_t bound) {
+    return Dispatch(node, ctx, out, bound);
+  };
+  return ExecutePlan(plan, std::move(output_names), stats, dispatch);
 }
 
 }  // namespace htapex

@@ -28,20 +28,35 @@ namespace htapex {
 /// region: probe keys for a whole morsel are gathered through the
 /// selection vector, bulk-hashed (kernels::HashI64/F64/Bytes) and probed
 /// with software prefetch; tuples travel the join spine as (scan offset,
-/// build indices) and composite rows materialize once, at the sink.
-/// Aggregations directly above a pipeline fold into it as per-morsel
-/// partial states merged at the pipeline breaker. Every other operator
-/// (sort, top-N, projection, non-pipeline joins and aggregations) is the
-/// row executor's own implementation, shared through operators.h.
+/// build indices), and a pipeline ends at the operator that consumes it:
+///   - an aggregation folds each morsel into partial states, merged at the
+///     pipeline breaker in morsel order;
+///   - a Top-N keeps one bounded heap per morsel, ties broken by (morsel,
+///     position), the oracle's input order, and the heaps merge in morsel
+///     order;
+///   - any other consumer (Limit, Project, Sort, ...) receives the tuples in
+///     morsel order, each materialized into one reused composite row and
+///     pushed by reference (operators.h). With one worker a morsel is pushed
+///     as soon as it is processed, so a satisfied Limit ends the pipeline
+///     there; with more, the morsels' tuple lists are buffered and pushed in
+///     morsel order after the parallel region, and a Limit's bound
+///     (offset + limit) stops workers from claiming morsels once the
+///     morsels completed in order hold that many tuples.
+/// Every other operator is the row executor's own implementation, shared
+/// through operators.h.
 ///
 /// Parity contract: for any AP plan this executor produces byte-identical
 /// QueryResultSet::Fingerprint() output and identical per-node ExecStats
-/// to the row-at-a-time Executor (the oracle), independent of worker
-/// count: morsel results merge in morsel index order and group maps are
-/// ordered. One exception is known: a double SUM adds per-morsel partial
-/// sums, so its rounding can differ from the oracle's row-order sum in the
-/// last bits, and the fingerprint's %.6g formatting does not always hide
-/// that (perfbench/WORKLOADS.md, the seed-105 exec_mix query).
+/// (actual rows and the stopped set) to the row-at-a-time Executor (the
+/// oracle), independent of worker count: morsel results merge in morsel
+/// index order, group maps are ordered, and when a consumer stops a
+/// pipeline mid-morsel each pipeline node records the tuples up to the
+/// stopping tuple's ancestor at its level, the rows the oracle's scan and
+/// joins pushed before they heard "stop". One exception is known: a double
+/// SUM adds per-morsel partial sums, so its rounding can differ from the
+/// oracle's row-order sum in the last bits, and the fingerprint's %.6g
+/// formatting does not always hide that (perfbench/WORKLOADS.md, the
+/// seed-105 exec_mix query).
 ///
 /// Execute is const and reentrant: per-call state lives in an ExecContext
 /// on the caller's stack, and concurrent parallel regions take turns on
@@ -99,10 +114,19 @@ class VecExecutor {
 
   /// What each morsel feeds at the pipeline breaker.
   enum class SinkKind {
-    kRows,      // materialized rows, merged in morsel order
+    kRows,      // surviving tuples, pushed to the consumer in morsel order
     kGroups,    // per-morsel partial group maps (generic fused aggregation)
     kTypedAgg,  // per-morsel partial AggStates over raw column spans, as
                 // the one group of a scalar aggregation
+    kTopN,      // surviving tuples' sort keys, offered to the worker's
+                // bounded Top-N heap
+  };
+
+  /// The pipeline slots FillRow writes: the scan columns at `ordinals`
+  /// and the build ranges of the joins at `joins`.
+  struct SlotSet {
+    std::vector<int> ordinals;
+    std::vector<size_t> joins;
   };
 
   /// A compiled scan(→join)* pipeline.
@@ -112,8 +136,11 @@ class VecExecutor {
     std::vector<int> ordinals;      // schema ordinals of scan.columns_read
     std::vector<BuiltJoin> joins;   // bottom-up (scan-adjacent first)
     std::vector<const PlanNode*> nodes;  // [scan, joins bottom-up] for stats
+    SlotSet row_slots;  // every slot the pipeline fills
+    SlotSet key_slots;  // kTopN: the slots its sort keys read
     SinkKind sink = SinkKind::kRows;
-    const PlanNode* agg = nullptr;  // fused aggregate (kGroups/kTypedAgg)
+    /// The consuming aggregation (kGroups/kTypedAgg) or Top-N (kTopN).
+    const PlanNode* consumer = nullptr;
     /// Resolved Bloom filters for a kSiftedScan, aligned with
     /// scan->sift_probes, plus the matching key-column ordinals. All
     /// filters are built with the join build sides, before the parallel
@@ -125,21 +152,30 @@ class VecExecutor {
     /// pipeline stops building there and never runs the scan or the morsel
     /// loop. `joins` then holds only the top-down prefix that was built
     /// (the cut join last) and `nodes` mirrors it — exactly the node set
-    /// the row executor touches when its build-first RunHashJoin returns
+    /// the row executor touches when its build-first hash join returns
     /// early.
     bool empty_cut = false;
   };
 
   /// Per-morsel output slot, merged in morsel index order.
   struct MorselOut {
-    Rows rows;
+    size_t begin = 0;  // the morsel's first table row
+    /// kRows/kTopN: the surviving tuples, late-materialized: each one's
+    /// scan offset (from `begin`) and, per join (bottom-up), its build row.
+    std::vector<uint32_t> offs;
+    std::vector<std::vector<uint32_t>> bidx;
+    /// kRows/kTopN: per join (bottom-up), each output tuple's index among
+    /// the tuples of the level below (the scan's for the first join).
+    std::vector<std::vector<uint32_t>> parents;
     GroupMap groups;
     std::vector<size_t> counts;  // per spec.nodes entry
     Status status = Status::OK();
+    bool done = false;  // set under the bounded loop's frontier lock
   };
 
-  Result<Rows> Run(const PlanNode& node, ExecContext* ctx) const;
-  Result<Rows> RunDispatch(const PlanNode& node, ExecContext* ctx) const;
+  /// The PlanDispatch of this executor.
+  Result<bool> Dispatch(const PlanNode& node, ExecContext* ctx, RowSink out,
+                        size_t bound) const;
 
   /// True when `node` roots a hash-join chain whose probe spine bottoms
   /// out in a column scan (the morsel-parallel pipeline shape).
@@ -150,23 +186,55 @@ class VecExecutor {
   /// Resolves each equi-join's probe-key source for the batch probe.
   void ResolveKeySources(PipelineSpec* spec) const;
   /// Fused typed sift, gathered key hashing, flat-table probing with
-  /// prefetch, late materialization at the sink.
+  /// prefetch, then the morsel's sink.
   Status ProcessMorsel(const PipelineSpec& spec, const Morsel& morsel,
                        int total_slots, kernels::Arena* arena,
                        MorselOut* out) const;
   Status TypedAggMorsel(const PipelineSpec& spec, const struct VecBatch& batch,
                         kernels::Arena* arena, MorselOut* out) const;
-  /// Runs the morsel loop over `spec` (inline or on the worker pool),
-  /// filling one MorselOut per morsel.
-  void RunMorselLoop(const PipelineSpec& spec, int total_slots,
-                     std::vector<MorselOut>* outs) const;
+  /// Resets `out` and runs ProcessMorsel on the calling thread's arena;
+  /// a kTopN morsel then offers its tuples' sort keys to `heap`.
+  void RunMorsel(const PipelineSpec& spec, const Morsel& morsel,
+                 int total_slots, MorselOut* out,
+                 TopNHeap* heap = nullptr) const;
+  bool Parallel(size_t morsels) const {
+    return effective_workers() > 1 && morsels > 1;
+  }
+  /// Runs every morsel of `spec` (inline or on the worker pool), filling
+  /// one MorselOut per morsel; a kTopN pipeline has one heap per worker in
+  /// `heaps`. With a `bound`, stops claiming morsels once the morsels
+  /// completed in morsel order hold that many tuples (or one failed);
+  /// returns how many leading morsels were completed.
+  size_t RunMorselLoop(const PipelineSpec& spec, int total_slots,
+                       size_t bound, std::vector<MorselOut>* outs,
+                       std::vector<TopNHeap>* heaps = nullptr) const;
+  /// Materializes a kRows morsel's tuples into `row` one at a time and
+  /// pushes them, adding the rows each pipeline node pushed to `totals`.
+  Result<bool> PushMorsel(const PipelineSpec& spec, const MorselOut& mo,
+                          Row* row, RowSink out,
+                          std::vector<size_t>* totals) const;
+  /// Writes `slots` of tuple `t` of a morsel's tuple lists into `row`.
+  static void FillRow(const PipelineSpec& spec, const SlotSet& slots,
+                      size_t base, const std::vector<uint32_t>& offs,
+                      const std::vector<std::vector<uint32_t>>& bidx,
+                      size_t t, Row* row);
   static void RecordPipelineStats(const PipelineSpec& spec,
-                                  const std::vector<MorselOut>& outs,
-                                  ExecContext* ctx);
+                                  const std::vector<size_t>& totals,
+                                  bool stopped, ExecContext* ctx);
+  /// Totals of whole morsels' counts, after checking their statuses in
+  /// morsel order.
+  static Status SumCounts(const PipelineSpec& spec,
+                          const std::vector<MorselOut>& outs,
+                          std::vector<size_t>* totals);
 
-  Result<Rows> RunPipeline(const PlanNode& root, ExecContext* ctx) const;
+  Result<bool> RunPipeline(const PlanNode& root, ExecContext* ctx,
+                           size_t bound, RowSink out) const;
   /// Aggregation fused into the pipeline below it.
-  Result<Rows> RunFusedAggregate(const PlanNode& node, ExecContext* ctx) const;
+  Result<bool> RunFusedAggregate(const PlanNode& node, ExecContext* ctx,
+                                 RowSink out) const;
+  /// Top-N fused into the pipeline below it.
+  Result<bool> RunFusedTopN(const PlanNode& node, ExecContext* ctx,
+                            RowSink out) const;
   static bool TypedAggEligible(const PlanNode& node, const PipelineSpec& spec);
 
   const Catalog& catalog_;

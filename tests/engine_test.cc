@@ -28,7 +28,8 @@ class EngineTest : public ::testing::Test {
 
   /// Plans `sql` into `plans`, then checks that the TP and AP plans return
   /// the same rows, and that on the AP plan the row and vectorized
-  /// executors return the same rows and per-node ExecStats. `tp_stats`
+  /// executors return the same rows and per-node ExecStats (actual rows
+  /// and the stopped set). `tp_stats`
   /// receives the TP plan's ExecStats.
   static void ExpectEnginesAgree(const std::string& sql, PlanPair* plans,
                                  ExecStats* tp_stats) {
@@ -56,6 +57,7 @@ class EngineTest : public ::testing::Test {
           << sql << " missing stats for " << PlanOpName(node->op);
       EXPECT_EQ(it->second, rows) << sql << " " << PlanOpName(node->op);
     }
+    EXPECT_EQ(row_stats.stopped, vec_stats.stopped) << sql;
     *plans = std::move(*planned);
   }
 
@@ -304,6 +306,19 @@ TEST_F(EngineTest, CostUnitsAreNotComparableAcrossEngines) {
   double latency_ratio = outcome->tp_latency_ms / outcome->ap_latency_ms;
   // Cost ratio does not track the latency ratio.
   EXPECT_GT(latency_ratio / cost_ratio, 3.0);
+}
+
+TEST(QueryResultSetTest, FingerprintPrintsIntegersWhole) {
+  // Under %.6g a COUNT(*) of 6,001,215 and one of 6,001,216 printed alike,
+  // so a dropped or repeated row in a large count passed every parity pin.
+  const QueryResultSet a{{"n"}, {{Value::Int(6001215)}}};
+  const QueryResultSet b{{"n"}, {{Value::Int(6001216)}}};
+  EXPECT_NE(a.Fingerprint(), b.Fingerprint());
+  EXPECT_EQ(a.Fingerprint(), "6001215");
+  // An engine's Int(3) still matches another's Double(3.0).
+  const QueryResultSet i{{"n"}, {{Value::Int(3)}}};
+  const QueryResultSet d{{"n"}, {{Value::Double(3.0)}}};
+  EXPECT_EQ(i.Fingerprint(), d.Fingerprint());
 }
 
 TEST_F(EngineTest, ExecStatsRecordActualCardinalities) {

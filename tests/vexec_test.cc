@@ -116,7 +116,7 @@ class VecExecutorTest : public ::testing::Test {
   }
 
   /// Runs the AP plan through both executors and asserts byte-identical
-  /// fingerprints and identical per-node ExecStats.
+  /// fingerprints and identical per-node ExecStats, stopped set included.
   static void ExpectParity(const std::string& sql) {
     auto query = system_->Bind(sql);
     ASSERT_TRUE(query.ok()) << sql << ": " << query.status();
@@ -138,6 +138,7 @@ class VecExecutorTest : public ::testing::Test {
           << sql << " missing stats for " << PlanOpName(node->op);
       EXPECT_EQ(it->second, rows) << sql << " " << PlanOpName(node->op);
     }
+    EXPECT_EQ(row_stats.stopped, vec_stats.stopped) << sql;
   }
 
   static HtapSystem* system_;
@@ -152,8 +153,21 @@ TEST_F(VecExecutorTest, OperatorCoverageParity) {
       "MAX(o_totalprice) FROM orders WHERE o_totalprice > 50000",
       "SELECT COUNT(*), SUM(o_custkey), AVG(o_custkey) FROM orders "
       "WHERE o_custkey BETWEEN 100 AND 900",
-      // String predicate: per-row fallback path inside the morsel loop.
+      // String predicates against string literals lower onto the typed
+      // mask (every comparison, IN with a number and a NULL among the
+      // strings, BETWEEN); LIKE and a string compared with a number take
+      // the per-row fallback path inside the morsel loop.
       "SELECT COUNT(*) FROM orders WHERE o_orderstatus = 'p'",
+      "SELECT COUNT(*) FROM orders WHERE o_orderstatus <> 'o' "
+      "AND o_orderpriority >= '3-medium'",
+      "SELECT COUNT(*) FROM customer WHERE c_name < 'customer#000000100' "
+      "OR c_name > 'customer#000002900'",
+      "SELECT COUNT(*) FROM customer WHERE c_mktsegment <= 'building'",
+      "SELECT COUNT(*) FROM orders "
+      "WHERE o_orderpriority IN ('1-urgent', 5, NULL, '5-low')",
+      "SELECT COUNT(*) FROM customer "
+      "WHERE c_mktsegment BETWEEN 'automobile' AND 'household'",
+      "SELECT COUNT(*) FROM orders WHERE o_orderstatus = 1",
       "SELECT COUNT(*) FROM customer WHERE c_name LIKE 'customer#0000001%'",
       // Grouped (generic fused) aggregation, with and without joins.
       "SELECT c_nationkey, COUNT(*), SUM(c_acctbal) FROM customer "
