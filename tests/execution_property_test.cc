@@ -256,9 +256,13 @@ TEST_F(ExecutionPropertyTest, LimitOffsetWindowsAreConsistent) {
        true},
       {"SELECT c_custkey, c_name FROM customer ORDER BY c_custkey DESC",
        true},
-      // Unindexed order: a full Sort on TP, Top-N on AP.
+      // Unindexed order: a full Sort on TP, Top-N on AP, also over a join
+      // (AP's Top-N sink then reads its sort keys from both sides).
       {"SELECT o_orderkey, o_totalprice FROM orders "
        "ORDER BY o_totalprice, o_orderkey",
+       true},
+      {"SELECT c_name, o_orderkey FROM customer, orders "
+       "WHERE o_custkey = c_custkey ORDER BY c_acctbal DESC, o_orderkey",
        true},
       // No ORDER BY over one table: both engines scan in storage order.
       {"SELECT o_orderkey, o_custkey FROM orders WHERE o_totalprice > 50000",
