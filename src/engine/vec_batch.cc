@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cstring>
 
+#include "engine/operators.h"
 #include "sql/expr.h"
 
 namespace htapex {
@@ -235,6 +236,7 @@ Status ComputeScanSelection(const PlanNode& scan,
     }
   }
 
+  Status status = Status::OK();
   if (all_typed) {
     if (!scan.predicates.empty()) {
       uint8_t* tmp = arena->AllocU8(n);
@@ -244,9 +246,9 @@ Status ComputeScanSelection(const PlanNode& scan,
       }
     }
   } else {
-    // Per-row evaluation over the composite layout, all conjuncts in
-    // listed order with short-circuit — exactly the row executor's
-    // PassesPredicates.
+    // Per-row evaluation over the composite layout: the row executor's
+    // PassesPredicates. A row that fails to evaluate ends the selection
+    // where the row executor's scan would have stopped.
     Row row(static_cast<size_t>(total_slots), Value::Null());
     for (size_t i = 0; i < n; ++i) {
       if (!mask[i]) continue;
@@ -254,13 +256,13 @@ Status ComputeScanSelection(const PlanNode& scan,
         row[static_cast<size_t>(scan.slot_offset + c)] =
             table.columns[static_cast<size_t>(c)].Get(begin + i);
       }
-      for (const auto& p : scan.predicates) {
-        HTAPEX_ASSIGN_OR_RETURN(bool pass, EvalPredicate(*p, row));
-        if (!pass) {
-          mask[i] = 0;
-          break;
-        }
+      Result<bool> pass = PassesPredicates(scan, row);
+      if (!pass.ok()) {
+        status = pass.status();
+        std::memset(mask + i, 0, n - i);
+        break;
       }
+      if (!*pass) mask[i] = 0;
     }
   }
 
@@ -269,7 +271,7 @@ Status ComputeScanSelection(const PlanNode& scan,
   for (size_t i = 0; i < n; ++i) {
     if (mask[i]) batch->sel.push_back(static_cast<uint32_t>(i));
   }
-  return Status::OK();
+  return status;
 }
 
 size_t GatherNonNullI64(const ColumnVector& col, const VecBatch& batch,

@@ -32,13 +32,16 @@ struct VecBatch {
 /// Evaluates all of `scan`'s predicate conjuncts over the batch's row range
 /// and fills `batch->sel` with the survivors. Zone-map pruning runs first
 /// per contained segment (shared SegmentMayMatch semantics); when every
-/// conjunct is sargable-numeric the whole predicate lowers onto the
-/// kernels::MaskCmp* batch primitives, otherwise the scan falls back to
-/// per-row EvalPredicate over a composite row (all conjuncts, listed
-/// order) — byte-for-byte the row executor's semantics and error order
-/// either way. `ordinals` are the schema column
-/// ordinals of scan.columns_read (precomputed by the caller); mask scratch
-/// comes from `arena` (valid only until its next Reset).
+/// conjunct is a column compared with literals of its own kind (numeric or
+/// string) or IS [NOT] NULL, the whole predicate lowers onto typed masks
+/// (the kernels::MaskCmp* batch primitives for numbers), otherwise the
+/// scan falls back to per-row EvalPredicate over a composite row (all
+/// conjuncts, listed order) — byte-for-byte the row executor's semantics
+/// and error order either way. When a row fails to evaluate, `sel` holds
+/// the survivors before it and the error is returned: the row executor's
+/// scan would have pushed those rows first. `ordinals` are the schema
+/// column ordinals of scan.columns_read (precomputed by the caller); mask
+/// scratch comes from `arena` (valid only until its next Reset).
 Status ComputeScanSelection(const PlanNode& scan,
                             const std::vector<int>& ordinals, int total_slots,
                             kernels::Arena* arena, VecBatch* batch);

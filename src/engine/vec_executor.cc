@@ -202,8 +202,12 @@ Status VecExecutor::ProcessMorsel(const PipelineSpec& spec,
   batch.begin = morsel.begin;
   batch.end = morsel.end;
   out->begin = morsel.begin;
-  HTAPEX_RETURN_IF_ERROR(ComputeScanSelection(*spec.scan, spec.ordinals,
-                                              total_slots, arena, &batch));
+  // The morsel's first evaluation error in the oracle's row-at-a-time
+  // order. Each level keeps only its tuples before its first error; an
+  // error a level finds is on a tuple that precedes every error found
+  // below it, so it replaces them.
+  Status err = ComputeScanSelection(*spec.scan, spec.ordinals, total_slots,
+                                    arena, &batch);
   // Fused sift: gather each sift key column through the selection vector,
   // bulk-hash it (kernels::HashI64/F64/Bytes are bit-identical to
   // Value::Hash), test the Bloom filters, and compact. NULL keys can never
@@ -243,7 +247,8 @@ Status VecExecutor::ProcessMorsel(const PipelineSpec& spec,
   }
   out->counts[0] = batch.sel.size();
   if (spec.sink == SinkKind::kTypedAgg) {
-    return TypedAggMorsel(spec, batch, arena, out);
+    HTAPEX_RETURN_IF_ERROR(TypedAggMorsel(spec, batch, arena, out));
+    return err;
   }
 
   // The late-materialized tuple set: per surviving tuple, its scan offset
@@ -283,37 +288,43 @@ Status VecExecutor::ProcessMorsel(const PipelineSpec& spec,
   for (size_t ji = 0; ji < spec.joins.size(); ++ji) {
     const BuiltJoin& bj = spec.joins[ji];
     const PlanNode& jn = *bj.node;
-    const size_t nt = cur_off.size();
+    size_t nt = cur_off.size();  // cut at a probe key that fails
     std::vector<uint32_t> next_off;
     std::vector<std::vector<uint32_t>> next_bidx(bidx.size() + 1);
     std::vector<uint32_t> next_parent;
     size_t scratch_t = static_cast<size_t>(-1);
+    Status level_err = Status::OK();
 
-    auto emit = [&](size_t t, uint32_t b) {
+    // Emits candidate (t, b) if it passes the join's residual predicates;
+    // false once one fails to evaluate.
+    auto try_emit = [&](size_t t, uint32_t b) {
+      if (!jn.predicates.empty()) {
+        if (scratch_t != t) {
+          fill_scratch(t, bj);
+          scratch_t = t;
+        }
+        MergeSlots(bj.build_ranges, bj.build_rows[b], &scratch);
+        Result<bool> pass = PassesPredicates(jn, scratch);
+        if (!pass.ok()) {
+          level_err = pass.status();
+          return false;
+        }
+        if (!*pass) return true;
+      }
       next_off.push_back(cur_off[t]);
       next_parent.push_back(static_cast<uint32_t>(t));
       for (size_t p = 0; p < bidx.size(); ++p) {
         next_bidx[p].push_back(bidx[p][t]);
       }
       next_bidx[bidx.size()].push_back(b);
-    };
-    auto candidate_passes = [&](size_t t, uint32_t b) -> Result<bool> {
-      if (jn.predicates.empty()) return true;
-      if (scratch_t != t) {
-        fill_scratch(t, bj);
-        scratch_t = t;
-      }
-      MergeSlots(bj.build_ranges, bj.build_rows[b], &scratch);
-      return PassesPredicates(jn, scratch);
+      return true;
     };
 
     if (bj.cross) {
       const uint32_t nb = static_cast<uint32_t>(bj.build_rows.size());
-      for (size_t t = 0; t < nt; ++t) {
-        for (uint32_t b = 0; b < nb; ++b) {
-          HTAPEX_ASSIGN_OR_RETURN(bool pass, candidate_passes(t, b));
-          if (pass) emit(t, b);
-        }
+      bool going = true;
+      for (size_t t = 0; t < nt && going; ++t) {
+        for (uint32_t b = 0; b < nb && going; ++b) going = try_emit(t, b);
       }
     } else {
       // Per-tuple key hashes + null flags, gathered by resolved source.
@@ -364,10 +375,16 @@ Status VecExecutor::ProcessMorsel(const PipelineSpec& spec,
           for (size_t t = 0; t < nt; ++t) {
             fill_scratch(t, bj);
             scratch_t = t;
-            HTAPEX_ASSIGN_OR_RETURN(Value k, EvalExpr(*jn.left_key, scratch));
-            nn[t] = k.is_null() ? 1 : 0;
-            h[t] = k.is_null() ? 0 : k.Hash();
-            computed[t] = std::move(k);
+            Result<Value> k = EvalExpr(*jn.left_key, scratch);
+            if (!k.ok()) {
+              // The oracle probed the tuples before t, then failed here.
+              level_err = k.status();
+              nt = t;
+              break;
+            }
+            nn[t] = k->is_null() ? 1 : 0;
+            h[t] = k->is_null() ? 0 : k->Hash();
+            computed[t] = std::move(*k);
           }
           hashes = h;
           nulls = nn;
@@ -392,7 +409,8 @@ Status VecExecutor::ProcessMorsel(const PipelineSpec& spec,
         return Value::Null();
       };
       constexpr size_t kPrefetchAhead = 8;
-      for (size_t t = 0; t < nt; ++t) {
+      bool going = true;
+      for (size_t t = 0; t < nt && going; ++t) {
         if (t + kPrefetchAhead < nt &&
             (nulls == nullptr || !nulls[t + kPrefetchAhead])) {
           bj.flat.Prefetch(hashes[t + kPrefetchAhead]);
@@ -401,13 +419,12 @@ Status VecExecutor::ProcessMorsel(const PipelineSpec& spec,
         uint32_t b = bj.flat.Probe(hashes[t]);
         if (b == JoinTable::kNone) continue;
         const Value pk = key_value(t);
-        for (; b != JoinTable::kNone; b = bj.flat.Next(b)) {
-          if (bj.build_keys[b].Compare(pk) != 0) continue;
-          HTAPEX_ASSIGN_OR_RETURN(bool pass, candidate_passes(t, b));
-          if (pass) emit(t, b);
+        for (; b != JoinTable::kNone && going; b = bj.flat.Next(b)) {
+          if (bj.build_keys[b].Compare(pk) == 0) going = try_emit(t, b);
         }
       }
     }
+    if (!level_err.ok()) err = std::move(level_err);
     out->counts[1 + ji] = next_off.size();
     cur_off = std::move(next_off);
     bidx = std::move(next_bidx);
@@ -423,7 +440,7 @@ Status VecExecutor::ProcessMorsel(const PipelineSpec& spec,
     out->offs = std::move(cur_off);
     out->bidx = std::move(bidx);
     out->parents = std::move(parents);
-    return Status::OK();
+    return err;
   }
   Row row(static_cast<size_t>(total_slots), Value::Null());
   Row key;
@@ -432,7 +449,7 @@ Status VecExecutor::ProcessMorsel(const PipelineSpec& spec,
     HTAPEX_RETURN_IF_ERROR(
         AccumulateRow(*spec.consumer, row, &key, &out->groups));
   }
-  return Status::OK();
+  return err;
 }
 
 void VecExecutor::FillRow(const PipelineSpec& spec, const SlotSet& slots,
@@ -473,9 +490,11 @@ size_t VecExecutor::RunMorselLoop(const PipelineSpec& spec, int total_slots,
                                   size_t bound, std::vector<MorselOut>* outs,
                                   std::vector<TopNHeap>* heaps) const {
   MorselDispatcher dispatcher(spec.table->num_rows, kMorselRows);
+  outs->resize(dispatcher.morsel_count());
   // With a bound: the leading morsels completed so far and their tuples.
-  // Once they reach the bound (or one failed), no later morsel can reach
-  // the consumer, so workers stop claiming there.
+  // Once they reach the bound (or one holds an error, which the consumer
+  // either stops before or receives), no later morsel can reach the
+  // consumer, so workers stop claiming there.
   std::mutex frontier_mu;
   size_t frontier = 0;  // guarded by frontier_mu
   size_t produced = 0;  // guarded by frontier_mu
@@ -501,7 +520,7 @@ size_t VecExecutor::RunMorselLoop(const PipelineSpec& spec, int total_slots,
       }
     }
   };
-  if (!Parallel(outs->size())) {
+  if (effective_workers() == 1 || outs->size() <= 1) {
     work(0);
   } else {
     const int workers = effective_workers();
@@ -532,6 +551,8 @@ Result<bool> VecExecutor::PushMorsel(const PipelineSpec& spec,
     }
     return false;
   }
+  // The consumer still wants rows, so the oracle reached the failing tuple.
+  HTAPEX_RETURN_IF_ERROR(mo.status);
   for (size_t i = 0; i < totals->size(); ++i) (*totals)[i] += mo.counts[i];
   return true;
 }
@@ -565,33 +586,17 @@ Result<bool> VecExecutor::RunPipeline(const PlanNode& root, ExecContext* ctx,
   std::vector<size_t> totals(spec.nodes.size(), 0);
   bool more = true;
   if (!spec.empty_cut) {
+    // Buffered per morsel, pushed in morsel order: results and ExecStats
+    // do not depend on the worker count.
+    std::vector<MorselOut> outs;
+    const size_t completed = RunMorselLoop(spec, ctx->total_slots, bound, &outs);
     Row row(static_cast<size_t>(ctx->total_slots), Value::Null());
-    MorselDispatcher dispatcher(spec.table->num_rows, kMorselRows);
-    const size_t morsels = dispatcher.morsel_count();
-    if (Parallel(morsels)) {
-      // Buffered per morsel, pushed in morsel order: results and ExecStats
-      // do not depend on the worker count.
-      std::vector<MorselOut> outs(morsels);
-      const size_t completed =
-          RunMorselLoop(spec, ctx->total_slots, bound, &outs);
-      for (size_t m = 0; m < morsels && more; ++m) {
-        if (m == completed) {
-          return Status::Internal("pipeline consumer took more than its bound");
-        }
-        HTAPEX_RETURN_IF_ERROR(outs[m].status);
-        HTAPEX_ASSIGN_OR_RETURN(more,
-                                PushMorsel(spec, outs[m], &row, out, &totals));
+    for (size_t m = 0; m < outs.size() && more; ++m) {
+      if (m == completed) {
+        return Status::Internal("pipeline consumer took more than its bound");
       }
-    } else {
-      // Inline: each morsel is pushed as soon as it is processed, so a
-      // satisfied consumer ends the scan at that morsel.
-      MorselOut mo;
-      Morsel m;
-      while (more && dispatcher.Next(&m)) {
-        RunMorsel(spec, m, ctx->total_slots, &mo);
-        HTAPEX_RETURN_IF_ERROR(mo.status);
-        HTAPEX_ASSIGN_OR_RETURN(more, PushMorsel(spec, mo, &row, out, &totals));
-      }
+      HTAPEX_ASSIGN_OR_RETURN(more,
+                              PushMorsel(spec, outs[m], &row, out, &totals));
     }
   }
   RecordPipelineStats(spec, totals, !more, ctx);
@@ -634,8 +639,7 @@ Result<bool> VecExecutor::RunFusedAggregate(const PlanNode& node,
   if (!spec.empty_cut) {
     spec.sink = TypedAggEligible(node, spec) ? SinkKind::kTypedAgg
                                              : SinkKind::kGroups;
-    MorselDispatcher sizing(spec.table->num_rows, kMorselRows);
-    std::vector<MorselOut> outs(sizing.morsel_count());
+    std::vector<MorselOut> outs;
     RunMorselLoop(spec, ctx->total_slots, kUnbounded, &outs);
     HTAPEX_RETURN_IF_ERROR(SumCounts(spec, outs, &totals));
     for (const MorselOut& mo : outs) {
@@ -684,8 +688,7 @@ Result<bool> VecExecutor::RunFusedTopN(const PlanNode& node, ExecContext* ctx,
       }
     }
   }
-  MorselDispatcher sizing(spec.table->num_rows, kMorselRows);
-  std::vector<MorselOut> outs(sizing.morsel_count());
+  std::vector<MorselOut> outs;
   std::vector<TopNHeap> heaps(static_cast<size_t>(effective_workers()), heap);
   RunMorselLoop(spec, ctx->total_slots, kUnbounded, &outs, &heaps);
   HTAPEX_RETURN_IF_ERROR(SumCounts(spec, outs, &totals));

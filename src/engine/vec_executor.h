@@ -31,28 +31,30 @@ namespace htapex {
 /// build indices), and a pipeline ends at the operator that consumes it:
 ///   - an aggregation folds each morsel into partial states, merged at the
 ///     pipeline breaker in morsel order;
-///   - a Top-N keeps one bounded heap per morsel, ties broken by (morsel,
-///     position), the oracle's input order, and the heaps merge in morsel
-///     order;
+///   - a Top-N keeps one bounded TopNHeap per worker holding sort keys
+///     only, tagged with (morsel, position) sequence numbers, the oracle's
+///     input order, so the worker heaps merge in any order into the heap of
+///     the whole input; only the rows the window emits are materialized;
 ///   - any other consumer (Limit, Project, Sort, ...) receives the tuples in
 ///     morsel order, each materialized into one reused composite row and
-///     pushed by reference (operators.h). With one worker a morsel is pushed
-///     as soon as it is processed, so a satisfied Limit ends the pipeline
-///     there; with more, the morsels' tuple lists are buffered and pushed in
-///     morsel order after the parallel region, and a Limit's bound
-///     (offset + limit) stops workers from claiming morsels once the
-///     morsels completed in order hold that many tuples.
+///     pushed by reference (operators.h). The morsels' tuple lists are
+///     buffered and pushed in morsel order after the morsel loop, and a
+///     Limit's bound (offset + limit) stops workers from claiming morsels
+///     once the morsels completed in order hold that many tuples.
 /// Every other operator is the row executor's own implementation, shared
 /// through operators.h.
 ///
 /// Parity contract: for any AP plan this executor produces byte-identical
-/// QueryResultSet::Fingerprint() output and identical per-node ExecStats
-/// (actual rows and the stopped set) to the row-at-a-time Executor (the
-/// oracle), independent of worker count: morsel results merge in morsel
-/// index order, group maps are ordered, and when a consumer stops a
-/// pipeline mid-morsel each pipeline node records the tuples up to the
-/// stopping tuple's ancestor at its level, the rows the oracle's scan and
-/// joins pushed before they heard "stop". One exception is known: a double
+/// QueryResultSet::Fingerprint() output, identical per-node ExecStats
+/// (actual rows and the stopped set) and the same StatusCode as the
+/// row-at-a-time Executor (the oracle), independent of worker count:
+/// morsel results merge in morsel index order, group maps are ordered, and
+/// when a consumer stops a pipeline mid-morsel each pipeline node records
+/// the tuples up to the stopping tuple's ancestor at its level, the rows
+/// the oracle's scan and joins pushed before they heard "stop". A morsel
+/// keeps only the tuples that precede its first evaluation error in the
+/// oracle's row-at-a-time order, and the error surfaces only if the
+/// consumer still wants rows after them. One exception is known: a double
 /// SUM adds per-morsel partial sums, so its rounding can differ from the
 /// oracle's row-order sum in the last bits, and the fingerprint's %.6g
 /// formatting does not always hide that (perfbench/WORKLOADS.md, the
@@ -169,6 +171,8 @@ class VecExecutor {
     std::vector<std::vector<uint32_t>> parents;
     GroupMap groups;
     std::vector<size_t> counts;  // per spec.nodes entry
+    /// The morsel's first evaluation error in the oracle's order; the tuple
+    /// lists then hold only the tuples that precede it.
     Status status = Status::OK();
     bool done = false;  // set under the bounded loop's frontier lock
   };
@@ -186,7 +190,9 @@ class VecExecutor {
   /// Resolves each equi-join's probe-key source for the batch probe.
   void ResolveKeySources(PipelineSpec* spec) const;
   /// Fused typed sift, gathered key hashing, flat-table probing with
-  /// prefetch, then the morsel's sink.
+  /// prefetch, then the morsel's sink. Returns the morsel's first
+  /// evaluation error in the oracle's order, with the tuple lists cut
+  /// before it.
   Status ProcessMorsel(const PipelineSpec& spec, const Morsel& morsel,
                        int total_slots, kernels::Arena* arena,
                        MorselOut* out) const;
@@ -195,21 +201,19 @@ class VecExecutor {
   /// Resets `out` and runs ProcessMorsel on the calling thread's arena;
   /// a kTopN morsel then offers its tuples' sort keys to `heap`.
   void RunMorsel(const PipelineSpec& spec, const Morsel& morsel,
-                 int total_slots, MorselOut* out,
-                 TopNHeap* heap = nullptr) const;
-  bool Parallel(size_t morsels) const {
-    return effective_workers() > 1 && morsels > 1;
-  }
-  /// Runs every morsel of `spec` (inline or on the worker pool), filling
-  /// one MorselOut per morsel; a kTopN pipeline has one heap per worker in
-  /// `heaps`. With a `bound`, stops claiming morsels once the morsels
-  /// completed in morsel order hold that many tuples (or one failed);
-  /// returns how many leading morsels were completed.
+                 int total_slots, MorselOut* out, TopNHeap* heap) const;
+  /// Runs the morsels of `spec` (inline with one worker or one morsel, on
+  /// the worker pool otherwise), sizing `outs` to one MorselOut per morsel;
+  /// a kTopN pipeline has one heap per worker in `heaps`. With a `bound`,
+  /// stops claiming morsels once the morsels completed in morsel order
+  /// hold that many tuples (or one holds an error); returns how many
+  /// leading morsels were completed.
   size_t RunMorselLoop(const PipelineSpec& spec, int total_slots,
                        size_t bound, std::vector<MorselOut>* outs,
                        std::vector<TopNHeap>* heaps = nullptr) const;
   /// Materializes a kRows morsel's tuples into `row` one at a time and
-  /// pushes them, adding the rows each pipeline node pushed to `totals`.
+  /// pushes them, adding the rows each pipeline node pushed to `totals`;
+  /// then returns the morsel's error, if it holds one.
   Result<bool> PushMorsel(const PipelineSpec& spec, const MorselOut& mo,
                           Row* row, RowSink out,
                           std::vector<size_t>* totals) const;

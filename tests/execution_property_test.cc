@@ -359,10 +359,12 @@ TEST_F(ExecutionPropertyTest, LimitStopsItsInput) {
 }
 
 TEST_F(ExecutionPropertyTest, EvaluationErrorsSurviveALimit) {
-  // An expression that fails on the first row it meets fails the query on
-  // every engine and executor, with a Limit above it or not: a LIMIT 0
-  // window still runs its input up to the first row, and a Top-N with
-  // limit 0 still reads its input.
+  // An expression that fails on a row the input reaches before the window
+  // is full fails the query on every engine and executor: a LIMIT 0 window
+  // still runs its input up to the first row, a Top-N with limit 0 still
+  // reads its input, and a failing row between the window's first and last
+  // row fails it too (OR evaluates LIKE only from c_custkey 3, or order key
+  // 5, on).
   for (const char* sql :
        {"SELECT c_name FROM customer WHERE c_name LIKE 5 LIMIT 3",
         "SELECT c_name FROM customer WHERE c_name LIKE 5 LIMIT 0",
@@ -370,7 +372,11 @@ TEST_F(ExecutionPropertyTest, EvaluationErrorsSurviveALimit) {
         "ORDER BY c_custkey LIMIT 0",
         "SELECT UPPER(c_custkey) FROM customer LIMIT 5",
         "SELECT c_custkey FROM customer, orders WHERE o_custkey = c_custkey "
-        "AND UPPER(o_totalprice) = 'x' LIMIT 3"}) {
+        "AND UPPER(o_totalprice) = 'x' LIMIT 3",
+        "SELECT c_name FROM customer WHERE c_custkey < 3 OR c_name LIKE 5 "
+        "LIMIT 3",
+        "SELECT c_custkey FROM customer, orders WHERE o_custkey = c_custkey "
+        "AND (o_orderkey < 5 OR c_name LIKE 5) LIMIT 10"}) {
     auto query = system_->Bind(sql);
     ASSERT_TRUE(query.ok()) << sql << ": " << query.status();
     auto plans = system_->PlanBoth(*query);
@@ -394,6 +400,31 @@ TEST_F(ExecutionPropertyTest, EvaluationErrorsSurviveALimit) {
     }
     system_->vec_executor()->set_num_workers(system_->config().vec_workers);
   }
+  // Rows past a full window are never evaluated, so the failing rows that
+  // follow the window's last row in its own morsel (c_custkey 10 on, order
+  // keys from 100 on) fail nothing: at the scan on every engine, and in a
+  // join residual and a computed hash-join probe key on both AP executors,
+  // at 1 and 3 workers alike.
+  EngineRuns scan;
+  ASSERT_NO_FATAL_FAILURE(RunEverywhere(
+      *system_,
+      "SELECT c_name FROM customer WHERE c_custkey < 10 OR c_name LIKE 5 "
+      "LIMIT 3",
+      &scan));
+  for (const QueryResultSet* r : {&scan.tp, &scan.row, &scan.vec1, &scan.vec3}) {
+    EXPECT_EQ(RowLines(*r), RowLines(scan.tp));
+    EXPECT_EQ(r->rows.size(), 3u);
+  }
+  ExpectSameStats(scan.row_stats, scan.vec1_stats, "scan @1");
+  ExpectSameStats(scan.row_stats, scan.vec3_stats, "scan @3");
+  ExpectRowVecParity(*system_,
+                     "SELECT c_custkey, o_orderkey FROM customer, orders "
+                     "WHERE o_custkey = c_custkey "
+                     "AND (o_orderkey < 100 OR c_name LIKE 5) LIMIT 3");
+  ExpectRowVecParity(*system_,
+                     "SELECT c_custkey, o_orderkey FROM customer, orders "
+                     "WHERE c_custkey = (o_orderkey < 100 OR o_comment LIKE 5) "
+                     "LIMIT 3");
 }
 
 TEST_F(ExecutionPropertyTest, AggregatesAreOrderInsensitive) {
