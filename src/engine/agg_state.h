@@ -3,6 +3,7 @@
 
 #include <map>
 #include <set>
+#include <string>
 #include <vector>
 
 #include "catalog/value.h"
@@ -13,11 +14,12 @@
 
 namespace htapex {
 
-/// Three-way comparison of evaluated sort-key rows under `keys`: negative
-/// when `a` precedes `b`. Shared so the row executor's sort, its bounded
-/// TopN heap, and the vectorized executor order ties identically.
-inline int CompareSortKeyRows(const std::vector<SortKey>& keys, const Row& a,
-                              const Row& b) {
+/// Three-way comparison of two rows' evaluated sort keys under `keys`
+/// (keys.size() values from each pointer): negative when `a` precedes `b`.
+/// Shared so the Sort, the bounded TopN heap, and the vectorized executor
+/// order ties identically.
+inline int CompareSortKeys(const std::vector<SortKey>& keys, const Value* a,
+                           const Value* b) {
   for (size_t i = 0; i < keys.size(); ++i) {
     int c = a[i].Compare(b[i]);
     if (c != 0) return keys[i].descending ? -c : c;
@@ -33,8 +35,8 @@ struct AggState {
   double sum = 0.0;
   bool sum_is_int = true;
   int64_t isum = 0;
-  Value min, max;
-  bool any = false;
+  Value min, max;    // tracked only by MIN and MAX respectively
+  bool any = false;  // some non-null argument was accumulated
   // DISTINCT aggregates track the values already seen.
   struct ValueLess {
     bool operator()(const Value& a, const Value& b) const {
@@ -46,13 +48,21 @@ struct AggState {
 
 /// Folds one already-evaluated argument value into `s`. `v` must be
 /// non-null (null arguments are skipped by the callers); `distinct`
-/// dedupes through the seen-set.
-inline void AccumulateAggValue(const Expr& agg, const Value& v, AggState* s) {
+/// dedupes through the seen-set. SUM and AVG of a string are an execution
+/// error.
+inline Status AccumulateAggValue(const Expr& agg, const Value& v,
+                                 AggState* s) {
+  const bool sums =
+      agg.agg_kind == AggKind::kSum || agg.agg_kind == AggKind::kAvg;
+  if (sums && v.is_string()) {
+    return Status::ExecutionError(std::string(AggKindName(agg.agg_kind)) +
+                                  " of a string: " + agg.ToString());
+  }
   if (agg.distinct && !s->seen.insert(v).second) {
-    return;  // duplicate under DISTINCT: ignore
+    return Status::OK();  // duplicate under DISTINCT: ignore
   }
   ++s->count;
-  if (agg.agg_kind == AggKind::kSum || agg.agg_kind == AggKind::kAvg) {
+  if (sums) {
     if (v.is_int() && s->sum_is_int) {
       s->isum += v.AsInt();
     } else {
@@ -62,15 +72,13 @@ inline void AccumulateAggValue(const Expr& agg, const Value& v, AggState* s) {
       }
       s->sum += v.AsDouble();
     }
+  } else if (agg.agg_kind == AggKind::kMin) {
+    if (!s->any || v.Compare(s->min) < 0) s->min = v;
+  } else if (agg.agg_kind == AggKind::kMax) {
+    if (!s->any || v.Compare(s->max) > 0) s->max = v;
   }
-  if (!s->any) {
-    s->min = v;
-    s->max = v;
-    s->any = true;
-  } else {
-    if (v.Compare(s->min) < 0) s->min = v;
-    if (v.Compare(s->max) > 0) s->max = v;
-  }
+  s->any = true;
+  return Status::OK();
 }
 
 /// Evaluates the aggregate's argument against `row` and accumulates it.
@@ -82,8 +90,7 @@ inline Status AccumulateAgg(const Expr& agg, const Row& row, AggState* s) {
   Result<Value> v = EvalExpr(*agg.children[0], row);
   if (!v.ok()) return v.status();
   if (v->is_null()) return Status::OK();
-  AccumulateAggValue(agg, *v, s);
-  return Status::OK();
+  return AccumulateAggValue(agg, *v, s);
 }
 
 /// Merges partial state `other` into `s` (for per-morsel partial
@@ -92,15 +99,18 @@ inline Status AccumulateAgg(const Expr& agg, const Row& row, AggState* s) {
 /// partials can round differently from the row-order sum, and the
 /// fingerprint's %.6g formatting does not always hide it (the seed-105
 /// exec_mix query in perfbench/WORKLOADS.md differs in the 6th digit).
-inline void MergeAggState(const Expr& agg, const AggState& other, AggState* s) {
+inline Status MergeAggState(const Expr& agg, const AggState& other,
+                            AggState* s) {
   if (agg.count_star) {
     s->count += other.count;
-    return;
+    return Status::OK();
   }
   if (agg.distinct) {
     // Union of seen-sets, re-accumulating only unseen values.
-    for (const Value& v : other.seen) AccumulateAggValue(agg, v, s);
-    return;
+    for (const Value& v : other.seen) {
+      HTAPEX_RETURN_IF_ERROR(AccumulateAggValue(agg, v, s));
+    }
+    return Status::OK();
   }
   s->count += other.count;
   if (agg.agg_kind == AggKind::kSum || agg.agg_kind == AggKind::kAvg) {
@@ -114,16 +124,17 @@ inline void MergeAggState(const Expr& agg, const AggState& other, AggState* s) {
       s->sum += other.sum_is_int ? static_cast<double>(other.isum) : other.sum;
     }
   }
-  if (other.any) {
-    if (!s->any) {
-      s->min = other.min;
-      s->max = other.max;
-      s->any = true;
-    } else {
-      if (other.min.Compare(s->min) < 0) s->min = other.min;
-      if (other.max.Compare(s->max) > 0) s->max = other.max;
-    }
+  if (!other.any) return Status::OK();
+  if (agg.agg_kind == AggKind::kMin &&
+      (!s->any || other.min.Compare(s->min) < 0)) {
+    s->min = other.min;
   }
+  if (agg.agg_kind == AggKind::kMax &&
+      (!s->any || other.max.Compare(s->max) > 0)) {
+    s->max = other.max;
+  }
+  s->any = true;
+  return Status::OK();
 }
 
 inline Value FinalizeAgg(const Expr& agg, const AggState& s) {

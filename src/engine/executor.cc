@@ -6,14 +6,28 @@
 
 namespace htapex {
 
+namespace {
+
+/// Copies `base`'s `columns` into `row` at `slot_offset`.
+void CopyColumns(const Row& base, const std::vector<int>& columns,
+                 int slot_offset, Row* row) {
+  for (int c : columns) {
+    (*row)[static_cast<size_t>(slot_offset + c)] =
+        base[static_cast<size_t>(c)];
+  }
+}
+
+}  // namespace
+
 Result<bool> Executor::PushTableScan(const PlanNode& node,
                                      const ExecContext& ctx,
                                      RowSink out) const {
   HTAPEX_ASSIGN_OR_RETURN(const TableData* data,
                           row_store_.GetTable(node.relation));
+  const std::vector<int> columns = ctx.ReadColumns(node);
   Row row(static_cast<size_t>(ctx.total_slots), Value::Null());
   for (const Row& base : data->rows) {
-    std::copy(base.begin(), base.end(), row.begin() + node.slot_offset);
+    CopyColumns(base, columns, node.slot_offset, &row);
     HTAPEX_ASSIGN_OR_RETURN(bool pass, PassesPredicates(node, row));
     if (!pass) continue;
     HTAPEX_ASSIGN_OR_RETURN(bool more, out(row));
@@ -31,14 +45,14 @@ Result<bool> Executor::PushIndexScan(const PlanNode& node,
   if (index == nullptr) {
     return Status::ExecutionError("index not built: " + node.index_name);
   }
+  const std::vector<int> columns = ctx.ReadColumns(node);
   Row row(static_cast<size_t>(ctx.total_slots), Value::Null());
   // Fetches one row into the composite row, tests it and pushes it. False
   // once the scan must end: its consumer stopped it, or an error did.
   Status st = Status::OK();
   bool more = true;
   auto emit = [&](uint32_t row_id) {
-    const Row& base = data->rows[row_id];
-    std::copy(base.begin(), base.end(), row.begin() + node.slot_offset);
+    CopyColumns(data->rows[row_id], columns, node.slot_offset, &row);
     Result<bool> step = PassesPredicates(node, row);
     if (step.ok() && *step) {
       step = out(row);
@@ -47,7 +61,7 @@ Result<bool> Executor::PushIndexScan(const PlanNode& node,
     if (!step.ok()) st = step.status();
     return st.ok() && more;
   };
-  auto visit = [&](const Value&, uint32_t row_id) { return emit(row_id); };
+  auto visit = [&emit](const Value&, uint32_t row_id) { return emit(row_id); };
 
   if (node.predicates.empty()) {
     // Ordered full scan (top-N by index order), ascending or descending;
@@ -65,18 +79,16 @@ Result<bool> Executor::PushIndexScan(const PlanNode& node,
   // Derive probe values / ranges from the (sargable) index condition.
   const Expr& p = *node.predicates[0];
   if (p.kind == ExprKind::kComparison && p.cmp_op == CompareOp::kEq) {
-    for (uint32_t row_id : index->PointLookup(p.children[1]->literal)) {
-      if (!emit(row_id)) break;
-    }
+    const Value& key = p.children[1]->literal;
+    index->RangeScan(&key, true, &key, true, visit);
   } else if (p.kind == ExprKind::kIn) {
     for (size_t i = 1; i < p.children.size() && st.ok() && more; ++i) {
-      for (uint32_t row_id : index->PointLookup(p.children[i]->literal)) {
-        if (!emit(row_id)) break;
-      }
+      const Value& key = p.children[i]->literal;
+      index->RangeScan(&key, true, &key, true, visit);
     }
   } else if (p.kind == ExprKind::kBetween) {
-    const Value lo = p.children[1]->literal;
-    const Value hi = p.children[2]->literal;
+    const Value& lo = p.children[1]->literal;
+    const Value& hi = p.children[2]->literal;
     index->RangeScan(&lo, true, &hi, true, visit);
   } else if (p.kind == ExprKind::kComparison) {
     const Value& lit = p.children[1]->literal;
@@ -102,12 +114,13 @@ Result<bool> Executor::PushColumnScan(const PlanNode& node,
                           column_store_.GetTable(node.relation));
   HTAPEX_ASSIGN_OR_RETURN(const TableSchema* schema,
                           catalog_.GetTable(node.relation));
-  // Ordinals of the columns this scan materializes.
+  // Ordinals of the columns this scan materializes: those it reads that
+  // are in the read set.
   std::vector<int> ordinals;
   for (const auto& name : node.columns_read) {
     int c = schema->ColumnIndex(name);
     if (c < 0) return Status::ExecutionError("unknown column: " + name);
-    ordinals.push_back(c);
+    if (ctx.IsRead(node.slot_offset + c)) ordinals.push_back(c);
   }
   // Zone-checkable predicates with their column ordinals.
   std::vector<std::pair<const Expr*, int>> zone_preds;
@@ -190,30 +203,55 @@ Result<bool> Executor::PushIndexNestedLoopJoin(const PlanNode& node,
   // count its output here for EXPLAIN-ANALYZE parity with other operators.
   size_t index_rows = 0;
   size_t filter_rows = 0;
-  Row merged;  // the outer row, then each match's inner slots
+  // The probe copies the outer row's read slots once per outer row, then
+  // each match's read inner columns, into one scratch row.
+  std::vector<std::pair<int, int>> outer_ranges;
+  CollectScanRanges(*node.children[0], &outer_ranges);
+  std::vector<size_t> outer_slots;
+  for (const auto& [off, count] : outer_ranges) {
+    for (int s = off; s < off + count; ++s) {
+      if (ctx->IsRead(s)) outer_slots.push_back(static_cast<size_t>(s));
+    }
+  }
+  const std::vector<int> inner_columns = ctx->ReadColumns(*inner);
+  Row merged(static_cast<size_t>(ctx->total_slots), Value::Null());
+  // Tests one match of outer row `o` and pushes it; false once the consumer
+  // is satisfied.
+  auto match = [&](const Row& o, bool first, uint32_t row_id) -> Result<bool> {
+    if (first) {
+      for (size_t s : outer_slots) merged[s] = o[s];
+    }
+    ++index_rows;
+    CopyColumns(data->rows[row_id], inner_columns, inner->slot_offset,
+                &merged);
+    if (filter != nullptr) {
+      HTAPEX_ASSIGN_OR_RETURN(bool pass, PassesPredicates(*filter, merged));
+      if (!pass) return true;
+    }
+    ++filter_rows;
+    HTAPEX_ASSIGN_OR_RETURN(bool pass, PassesPredicates(node, merged));
+    if (!pass) return true;
+    return out(merged);
+  };
   auto probe = [&](const Row& o) -> Result<bool> {
     HTAPEX_ASSIGN_OR_RETURN(Value key, EvalExpr(*node.left_key, o));
     if (key.is_null()) return true;
-    bool filled = false;
-    for (uint32_t row_id : index->PointLookup(key)) {
-      if (!filled) {
-        merged = o;
-        filled = true;
-      }
-      ++index_rows;
-      const Row& base = data->rows[row_id];
-      std::copy(base.begin(), base.end(), merged.begin() + inner->slot_offset);
-      if (filter != nullptr) {
-        HTAPEX_ASSIGN_OR_RETURN(bool pass, PassesPredicates(*filter, merged));
-        if (!pass) continue;
-      }
-      ++filter_rows;
-      HTAPEX_ASSIGN_OR_RETURN(bool pass, PassesPredicates(node, merged));
-      if (!pass) continue;
-      HTAPEX_ASSIGN_OR_RETURN(bool more, out(merged));
-      if (!more) return false;  // satisfied: stop probing
-    }
-    return true;
+    Status st = Status::OK();
+    bool first = true;
+    bool more = true;
+    index->RangeScan(&key, true, &key, true,
+                     [&](const Value&, uint32_t row_id) {
+                       Result<bool> step = match(o, first, row_id);
+                       first = false;
+                       if (!step.ok()) {
+                         st = step.status();
+                         return false;
+                       }
+                       more = *step;
+                       return more;
+                     });
+    HTAPEX_RETURN_IF_ERROR(st);
+    return more;  // false once satisfied: stop probing
   };
   HTAPEX_ASSIGN_OR_RETURN(bool more, ctx->Run(*node.children[0], probe));
   ctx->Record(*inner, index_rows, !more);

@@ -14,14 +14,14 @@
 namespace htapex {
 
 /// Executes physical plans from either engine against the in-process
-/// storage, one row at a time: TP operators read the RowStore (whole rows,
-/// B+-tree probes), AP operators read the ColumnStore (referenced columns,
-/// zone-map pruning). Rows are pushed to each operator's consumer by
-/// reference (operators.h); a scan fills one reused composite row, and a
-/// Limit above stops it once its window is full, so an ordered Index Scan
-/// under LIMIT reads offset + limit rows. The latency model
-/// (latency_model.h), not wall time, provides the at-scale timings the
-/// explainer reasons about.
+/// storage, one row at a time: TP operators read the RowStore (B+-tree
+/// probes), AP operators read the ColumnStore (zone-map pruning). Rows are
+/// pushed to each operator's consumer by reference (operators.h); a scan
+/// fills one reused composite row with the columns of its table in the
+/// plan's read set, and a Limit above stops it once its window is full, so
+/// an ordered Index Scan under LIMIT reads offset + limit rows. The latency
+/// model (latency_model.h), not wall time, provides the at-scale timings
+/// the explainer reasons about.
 class Executor {
  public:
   Executor(const Catalog& catalog, const RowStore& row_store,

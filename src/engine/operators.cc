@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <charconv>
+#include <numeric>
 #include <unordered_map>
 
 #include "common/string_util.h"
@@ -58,10 +59,66 @@ Result<Rows> ExecContext::Materialize(const PlanNode& node) {
   return rows;
 }
 
+namespace {
+
+/// Marks the slots the column refs of `e` read.
+void MarkRead(const Expr* e, std::vector<uint8_t>* read) {
+  if (e == nullptr) return;
+  if (e->kind == ExprKind::kColumnRef && e->flat_slot >= 0 &&
+      e->flat_slot < static_cast<int>(read->size())) {
+    (*read)[static_cast<size_t>(e->flat_slot)] = 1;
+  }
+  for (const auto& c : e->children) MarkRead(c.get(), read);
+}
+
+/// Marks the slots every expression of the subtree at `node` reads. Above
+/// an aggregation, refs index the aggregation's output row, so marking
+/// them as composite slots over-approximates, harmlessly.
+void MarkNodeReads(const PlanNode& node, std::vector<uint8_t>* read) {
+  for (const auto& p : node.predicates) MarkRead(p.get(), read);
+  MarkRead(node.left_key.get(), read);
+  MarkRead(node.right_key.get(), read);
+  for (const SiftProbe& sp : node.sift_probes) MarkRead(sp.key.get(), read);
+  for (const SortKey& k : node.sort_keys) MarkRead(k.expr.get(), read);
+  for (const auto& g : node.group_keys) MarkRead(g.get(), read);
+  for (const auto& a : node.aggregates) MarkRead(a.get(), read);
+  for (const auto& p : node.projections) MarkRead(p.get(), read);
+  for (const auto& c : node.children) MarkNodeReads(*c, read);
+}
+
+/// True when `plan`'s result rows are its composite rows: no Project or
+/// aggregation between the root and the scans and joins.
+bool ResultIsComposite(const PhysicalPlan& plan) {
+  for (const PlanNode* n = plan.root.get(); n != nullptr;
+       n = n->children.empty() ? nullptr : n->children[0].get()) {
+    switch (n->op) {
+      case PlanOp::kProject:
+      case PlanOp::kGroupAggregate:
+      case PlanOp::kHashAggregate:
+        return false;
+      case PlanOp::kFilter:
+      case PlanOp::kSort:
+      case PlanOp::kTopN:
+      case PlanOp::kLimit:
+      case PlanOp::kExchange:
+        continue;
+      default:
+        return true;
+    }
+  }
+  return true;
+}
+
+}  // namespace
+
 Result<QueryResultSet> ExecutePlan(const PhysicalPlan& plan,
                                    std::vector<std::string> output_names,
                                    ExecStats* stats, PlanDispatch dispatch) {
   ExecContext ctx(plan.total_slots, stats, dispatch);
+  const bool all = ResultIsComposite(plan);
+  ctx.read_slots.assign(static_cast<size_t>(std::max(plan.total_slots, 0)),
+                        all ? 1 : 0);
+  if (!all) MarkNodeReads(*plan.root, &ctx.read_slots);
   QueryResultSet result{std::move(output_names), {}};
   auto keep = [&result](const Row& row) -> Result<bool> {
     result.rows.push_back(row);
@@ -114,7 +171,7 @@ TopNHeap::TopNHeap(const PlanNode& node)
                            : offset_ + static_cast<size_t>(node.limit)) {}
 
 bool TopNHeap::Precedes(const Entry& a, const Entry& b) const {
-  int c = CompareSortKeyRows(node_->sort_keys, a.key, b.key);
+  int c = CompareSortKeys(node_->sort_keys, a.key.data(), b.key.data());
   if (c != 0) return c < 0;
   return a.seq < b.seq;  // ties resolve to earlier input, as stable_sort
 }
@@ -298,28 +355,32 @@ Result<bool> PushAggregate(const PlanNode& node, ExecContext* ctx,
 }
 
 Result<bool> PushSort(const PlanNode& node, ExecContext* ctx, RowSink out) {
-  // A full sort, as the latency model charges: every input row is kept.
-  // Only what it emits is bounded, by a Limit above that stops it.
-  std::vector<std::pair<Row, Row>> keyed;  // (sort-key values, payload row)
+  // A full sort, as the latency model charges: every input row is kept,
+  // its sort keys evaluated once into one flat vector, and the rows'
+  // positions are stable-sorted by them. Only what it emits is bounded, by
+  // a Limit above that stops it.
+  const size_t width = node.sort_keys.size();
+  Rows rows;
+  std::vector<Value> keys;
   auto keep = [&](const Row& row) -> Result<bool> {
-    Row key;
-    key.reserve(node.sort_keys.size());
     for (const auto& k : node.sort_keys) {
       HTAPEX_ASSIGN_OR_RETURN(Value v, EvalExpr(*k.expr, row));
-      key.push_back(std::move(v));
+      keys.push_back(std::move(v));
     }
-    keyed.emplace_back(std::move(key), row);
+    rows.push_back(row);
     return true;
   };
   HTAPEX_RETURN_IF_ERROR(ctx->Run(*node.children[0], keep).status());
-  std::stable_sort(keyed.begin(), keyed.end(),
-                   [&node](const std::pair<Row, Row>& a,
-                           const std::pair<Row, Row>& b) {
-                     return CompareSortKeyRows(node.sort_keys, a.first,
-                                               b.first) < 0;
+  std::vector<size_t> order(rows.size());
+  std::iota(order.begin(), order.end(), size_t{0});
+  std::stable_sort(order.begin(), order.end(),
+                   [&node, &keys, width](size_t a, size_t b) {
+                     return CompareSortKeys(node.sort_keys,
+                                            keys.data() + a * width,
+                                            keys.data() + b * width) < 0;
                    });
-  for (const auto& entry : keyed) {
-    HTAPEX_ASSIGN_OR_RETURN(bool more, out(entry.second));
+  for (size_t i : order) {
+    HTAPEX_ASSIGN_OR_RETURN(bool more, out(rows[i]));
     if (!more) return false;
   }
   return true;

@@ -31,7 +31,10 @@ namespace htapex {
 /// fill one reused row and push it by reference. Copies happen only where a
 /// row must outlive the call: the rows a Sort keeps, the rows that enter a
 /// Top-N heap, a hash join's build side, a nested-loop join's inner side,
-/// aggregation groups and the final result.
+/// aggregation groups and the final result. The row executor's scans copy
+/// only the plan's read set, the slots some expression reads
+/// (ExecContext::read_slots); every other slot of a composite row stays
+/// NULL.
 
 /// Per-node execution statistics (EXPLAIN ANALYZE style). Both executors
 /// (row-at-a-time and vectorized) record identical statistics for the same
@@ -89,6 +92,11 @@ struct ExecContext {
 
   int total_slots = 0;         // composite row width of the plan
   ExecStats* stats = nullptr;  // per-node statistics, when requested
+  /// The plan's read set, one flag per composite-row slot: 1 where some
+  /// predicate, join or sift key, sort or group key, aggregate or
+  /// projection of the plan reads the slot, and everywhere when the result
+  /// rows are composite rows (no Project, no aggregation).
+  std::vector<uint8_t> read_slots;
   /// Bloom filters built by sift-producing hash joins, keyed by sift_id;
   /// consumed by the kSiftedScan nodes below them.
   std::map<int, BloomFilter> sift_filters;
@@ -104,6 +112,19 @@ struct ExecContext {
   /// (a hash join's build side, a nested-loop join's inner side).
   Result<Rows> Materialize(const PlanNode& node);
 
+  bool IsRead(int slot) const {
+    return read_slots[static_cast<size_t>(slot)] != 0;
+  }
+  /// The ordinals of scan `node`'s table columns in the read set: the
+  /// columns its scan copies.
+  std::vector<int> ReadColumns(const PlanNode& node) const {
+    std::vector<int> columns;
+    for (int c = 0; c < node.slot_count; ++c) {
+      if (IsRead(node.slot_offset + c)) columns.push_back(c);
+    }
+    return columns;
+  }
+
   void Record(const PlanNode& node, size_t rows, bool was_stopped) {
     if (stats == nullptr) return;
     stats->actual_rows[&node] = rows;
@@ -112,7 +133,7 @@ struct ExecContext {
 };
 
 /// Runs `plan` from its root through `dispatch` and collects the result:
-/// the Execute of both executors.
+/// the Execute of both executors. Computes the plan's read set first.
 Result<QueryResultSet> ExecutePlan(const PhysicalPlan& plan,
                                    std::vector<std::string> output_names,
                                    ExecStats* stats, PlanDispatch dispatch);

@@ -646,7 +646,8 @@ Result<bool> VecExecutor::RunFusedAggregate(const PlanNode& node,
       for (const auto& [key, states] : mo.groups) {
         auto [it, inserted] = global.try_emplace(key, node.aggregates.size());
         for (size_t a = 0; a < node.aggregates.size(); ++a) {
-          MergeAggState(*node.aggregates[a], states[a], &it->second[a]);
+          HTAPEX_RETURN_IF_ERROR(
+              MergeAggState(*node.aggregates[a], states[a], &it->second[a]));
         }
       }
     }

@@ -84,9 +84,16 @@ std::unique_ptr<Expr> MakeAnd(std::unique_ptr<Expr> l, std::unique_ptr<Expr> r);
 
 /// Evaluates a bound expression against a composite row (see binder.h for
 /// the flat-slot layout). Comparison/logic yield Int(0/1); NULL propagates.
+/// A string where a number or a truth value is expected, and int64
+/// overflow, are execution errors.
 Result<Value> EvalExpr(const Expr& expr, const std::vector<Value>& row);
 
-/// Evaluates a bound *predicate*: NULL results count as false.
+/// Evaluates a bound *predicate*: it passes only when true, not when false
+/// or unknown (NULL). Comparison, LIKE, IN, BETWEEN, IS [NOT] NULL, AND,
+/// OR and NOT read column and literal operands in place, without copying
+/// them; any other expression is evaluated and its value tested: a number
+/// is true iff nonzero (a double iff its magnitude is at least 1, what
+/// truncating it gave), and a string is an execution error.
 Result<bool> EvalPredicate(const Expr& expr, const std::vector<Value>& row);
 
 }  // namespace htapex

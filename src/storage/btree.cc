@@ -146,18 +146,9 @@ const BTreeIndex::LeafNode* BTreeIndex::LeftmostLeaf() const {
   return static_cast<const LeafNode*>(node);
 }
 
-std::vector<uint32_t> BTreeIndex::PointLookup(const Value& key) const {
-  std::vector<uint32_t> out;
-  RangeScan(&key, true, &key, true, [&](const Value&, uint32_t row_id) {
-    out.push_back(row_id);
-    return true;
-  });
-  return out;
-}
-
-void BTreeIndex::RangeScan(
-    const Value* lo, bool lo_inclusive, const Value* hi, bool hi_inclusive,
-    const std::function<bool(const Value&, uint32_t)>& visit) const {
+void BTreeIndex::RangeScan(const Value* lo, bool lo_inclusive,
+                           const Value* hi, bool hi_inclusive,
+                           Visitor visit) const {
   const LeafNode* leaf = lo != nullptr ? FindLeaf(*lo) : LeftmostLeaf();
   size_t pos = 0;
   if (lo != nullptr) {
@@ -185,8 +176,7 @@ const BTreeIndex::LeafNode* BTreeIndex::RightmostLeaf() const {
   return static_cast<const LeafNode*>(node);
 }
 
-void BTreeIndex::FullScanDesc(
-    const std::function<bool(const Value&, uint32_t)>& visit) const {
+void BTreeIndex::FullScanDesc(Visitor visit) const {
   const LeafNode* leaf = RightmostLeaf();
   while (leaf != nullptr) {
     for (size_t i = leaf->keys.size(); i > 0; --i) {

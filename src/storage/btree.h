@@ -2,11 +2,11 @@
 #define HTAPEX_STORAGE_BTREE_H_
 
 #include <cstdint>
-#include <functional>
 #include <memory>
 #include <vector>
 
 #include "catalog/value.h"
+#include "common/function_ref.h"
 
 namespace htapex {
 
@@ -26,28 +26,26 @@ class BTreeIndex {
   BTreeIndex(BTreeIndex&&) = default;
   BTreeIndex& operator=(BTreeIndex&&) = default;
 
-  void Insert(const Value& key, uint32_t row_id);
+  /// Receives one entry (key, row id); returns false to stop the walk.
+  using Visitor = FunctionRef<bool(const Value&, uint32_t)>;
 
-  /// All row ids whose key equals `key`.
-  std::vector<uint32_t> PointLookup(const Value& key) const;
+  void Insert(const Value& key, uint32_t row_id);
 
   /// Visits entries with lo <= key <= hi in key order (either bound may be
   /// null for open intervals; inclusivity flags apply only when the bound is
   /// present). The visitor returns false to stop early — this is how LIMIT
-  /// short-circuits an index scan.
+  /// short-circuits an index scan. A point lookup is the range [key, key].
   void RangeScan(const Value* lo, bool lo_inclusive, const Value* hi,
-                 bool hi_inclusive,
-                 const std::function<bool(const Value&, uint32_t)>& visit) const;
+                 bool hi_inclusive, Visitor visit) const;
 
   /// Visits all entries in ascending key order.
-  void FullScan(const std::function<bool(const Value&, uint32_t)>& visit) const {
+  void FullScan(Visitor visit) const {
     RangeScan(nullptr, true, nullptr, true, visit);
   }
 
   /// Visits all entries in DESCENDING key order (leaves are doubly linked),
   /// enabling streamed ORDER BY ... DESC LIMIT plans.
-  void FullScanDesc(
-      const std::function<bool(const Value&, uint32_t)>& visit) const;
+  void FullScanDesc(Visitor visit) const;
 
   size_t num_entries() const { return num_entries_; }
   int height() const;

@@ -3,6 +3,8 @@
 #include <cstdint>
 #include <functional>
 #include <string>
+#include <utility>
+#include <vector>
 
 #include "engine/htap_system.h"
 #include "sql/parser.h"
@@ -553,6 +555,73 @@ TEST_F(EngineTest, DeepestAcceptedStatementRunsOnBothEngines) {
   auto deeper = system_->RunQuery(DeepStatement(kMaxNesting + 1));
   ASSERT_FALSE(deeper.ok());
   EXPECT_EQ(deeper.status().code(), StatusCode::kParseError);
+}
+
+TEST_F(EngineTest, TypeMismatchesAndOverflowAreExecutionErrors) {
+  // A string where a number or a truth value is expected, int64 overflow
+  // and a double that a function argument cannot hold end the query in
+  // kExecutionError on TP, row-executed AP and vectorized AP at 1 and 3
+  // workers alike, not in an uncaught std::bad_variant_access or undefined
+  // behaviour.
+  for (const char* sql :
+       {"SELECT c_custkey FROM customer WHERE c_name",
+        "SELECT c_custkey FROM customer WHERE NOT c_name",
+        "SELECT c_custkey FROM customer WHERE c_custkey > 5 AND c_name",
+        "SELECT c_name + 1 FROM customer",
+        "SELECT SUM(c_name) FROM customer",
+        "SELECT AVG(DISTINCT c_name) FROM customer",
+        "SELECT c_custkey FROM customer WHERE YEAR(c_name) = 1",
+        "SELECT c_custkey FROM customer WHERE SUBSTRING(c_phone, 'a', 2) = '1'",
+        "SELECT c_custkey FROM customer WHERE "
+        "SUBSTRING(c_phone, c_acctbal * 1000000000000000000000000.0, 2) = '1'",
+        "SELECT c_custkey FROM customer WHERE "
+        "YEAR(c_custkey + 9223372036854775000) = 1",
+        "SELECT c_custkey * 9223372036854775807 FROM customer",
+        "SELECT c_custkey FROM customer "
+        "WHERE c_custkey - 9223372036854775807 - 9 < 0"}) {
+    auto query = system_->Bind(sql);
+    ASSERT_TRUE(query.ok()) << sql << ": " << query.status();
+    auto plans = system_->PlanBoth(*query);
+    ASSERT_TRUE(plans.ok()) << sql << ": " << plans.status();
+    EXPECT_EQ(system_->Execute(plans->tp, *query).status().code(),
+              StatusCode::kExecutionError)
+        << sql;
+    EXPECT_EQ(system_->ExecuteWithMode(ExecMode::kRow, plans->ap, *query)
+                  .status()
+                  .code(),
+              StatusCode::kExecutionError)
+        << sql;
+    for (int workers : {1, 3}) {
+      system_->vec_executor()->set_num_workers(workers);
+      EXPECT_EQ(
+          system_->ExecuteWithMode(ExecMode::kVectorized, plans->ap, *query)
+              .status()
+              .code(),
+          StatusCode::kExecutionError)
+          << sql << " @" << workers;
+    }
+    system_->vec_executor()->set_num_workers(system_->config().vec_workers);
+  }
+  // A double in a boolean position is true iff its magnitude is at least 1,
+  // what truncating it to an integer gave, also where the truncation
+  // overflows.
+  PlanPair plans;
+  ExecStats stats;
+  for (const auto& [sql, same_as] : std::vector<std::pair<const char*,
+                                                         const char*>>{
+           {"SELECT COUNT(*) FROM customer WHERE c_acctbal * 0.001",
+            "SELECT COUNT(*) FROM customer "
+            "WHERE c_acctbal >= 1000 OR c_acctbal <= -1000"},
+           {"SELECT COUNT(*) FROM customer "
+            "WHERE c_acctbal * 100000000000000000000.0",
+            "SELECT COUNT(*) FROM customer WHERE c_acctbal <> 0"}}) {
+    ExpectEnginesAgree(sql, &plans, &stats);
+    auto got = system_->RunQuery(sql);
+    auto want = system_->RunQuery(same_as);
+    ASSERT_TRUE(got.ok() && want.ok()) << sql;
+    EXPECT_EQ(got->tp_result->Fingerprint(), want->tp_result->Fingerprint())
+        << sql;
+  }
 }
 
 TEST_F(EngineTest, PlanOnlyModeRefusesExecution) {

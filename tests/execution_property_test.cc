@@ -5,6 +5,17 @@
 // semantics.
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <cstdint>
+#include <cstdlib>
+#include <limits>
+#include <memory>
+#include <optional>
+#include <string>
+#include <variant>
+#include <vector>
+
+#include "common/rng.h"
 #include "common/string_util.h"
 #include "engine/htap_system.h"
 #include "workload/query_generator.h"
@@ -446,6 +457,583 @@ TEST_F(ExecutionPropertyTest, AggregatesAreOrderInsensitive) {
   EXPECT_NEAR(avg, sum / count, 1e-6 * sum);
   EXPECT_LE(row[3].AsDouble(), avg);
   EXPECT_GE(row[4].AsDouble(), avg);
+}
+
+/// Runs `sql` everywhere into `runs` and checks that each engine's and
+/// executor's result equals the vectorized AP executor's (whose scans fill
+/// every column they read), in order when `ordered`, and holds `rows` rows.
+void ExpectSameRows(const HtapSystem& system, const std::string& sql,
+                    size_t rows, bool ordered, EngineRuns* runs) {
+  ASSERT_NO_FATAL_FAILURE(RunEverywhere(system, sql, runs));
+  for (const QueryResultSet* r : {&runs->tp, &runs->row, &runs->vec3}) {
+    EXPECT_EQ(r->Fingerprint(), runs->vec1.Fingerprint()) << sql;
+    if (ordered) {
+      EXPECT_EQ(RowLines(*r), RowLines(runs->vec1)) << sql;
+    }
+  }
+  EXPECT_EQ(runs->vec1.rows.size(), rows) << sql;
+}
+
+TEST_F(ExecutionPropertyTest, ScansCopyEveryColumnAnExpressionReads) {
+  // The row executor's scans copy only the plan's read set, the slots some
+  // expression reads. Each query reads a column at one expression site and
+  // nowhere else, so a site the read set missed would leave that column
+  // NULL and change the result. The counts and values were read off the
+  // executor before scans had a read set.
+  struct Site {
+    const char* sql;
+    size_t rows;
+    const char* fingerprint;  // checked when not null
+    PlanOp tp_op;             // the TP plan holds one
+  };
+  const Site sites[] = {
+      // A Filter on an unprojected column, and an Index Scan's condition.
+      {"SELECT c_name FROM customer WHERE c_acctbal > 9000", 264, nullptr,
+       PlanOp::kFilter},
+      {"SELECT c_name FROM customer WHERE c_custkey < 100", 99, nullptr,
+       PlanOp::kIndexScan},
+      // An index nested-loop join: its outer key (c_custkey), the Filter
+      // over its inner Index Scan (o_totalprice), and a residual reading
+      // both tables (o_totalprice, c_acctbal).
+      {"SELECT o_orderkey FROM customer, orders "
+       "WHERE o_custkey = c_custkey AND c_acctbal > 9000",
+       2793, nullptr, PlanOp::kIndexNestedLoopJoin},
+      {"SELECT c_name FROM customer, orders WHERE o_custkey = c_custkey "
+       "AND c_acctbal > 9000 AND o_totalprice > 400000",
+       760, nullptr, PlanOp::kIndexNestedLoopJoin},
+      {"SELECT c_name FROM customer, orders WHERE o_custkey = c_custkey "
+       "AND c_nationkey = 3 AND o_totalprice > c_acctbal * 30",
+       733, nullptr, PlanOp::kIndexNestedLoopJoin},
+      // ORDER BY and GROUP BY on unselected columns.
+      {"SELECT c_name FROM customer ORDER BY c_acctbal LIMIT 3", 3,
+       "customer#000000960\ncustomer#000001011\ncustomer#000002581",
+       PlanOp::kSort},
+      {"SELECT COUNT(*) FROM customer GROUP BY c_mktsegment", 5,
+       "581\n592\n597\n611\n619", PlanOp::kGroupAggregate},
+      // Aggregate arguments, an aggregate only HAVING reads, and a computed
+      // projection.
+      {"SELECT COUNT(c_comment), MAX(c_acctbal) FROM customer", 1,
+       "3000|9993.07", PlanOp::kGroupAggregate},
+      {"SELECT c_nationkey, COUNT(*) FROM customer GROUP BY c_nationkey "
+       "HAVING MAX(c_acctbal) > 9990",
+       1, "3|106", PlanOp::kGroupAggregate},
+      {"SELECT c_acctbal + 1 FROM customer WHERE c_custkey <= 3", 3,
+       "5899.65\n7361.14\n7387.82", PlanOp::kProject},
+  };
+  for (const Site& site : sites) {
+    EngineRuns runs;
+    ASSERT_NO_FATAL_FAILURE(ExpectSameRows(*system_, site.sql, site.rows,
+                                           site.tp_op == PlanOp::kSort,
+                                           &runs));
+    if (site.fingerprint != nullptr) {
+      EXPECT_EQ(runs.vec1.Fingerprint(), site.fingerprint) << site.sql;
+    }
+    EXPECT_NE(FindNode(*runs.plans.tp.root, site.tp_op), nullptr)
+        << site.sql << "\n" << runs.plans.tp.Explain();
+  }
+  // Both keys of a nested-loop join (no index on c_nationkey): 564
+  // customers of the five nations in region 1.
+  const IndexDef* fk =
+      system_->catalog().FindIndexOnColumn("customer", "c_nationkey");
+  ASSERT_NE(fk, nullptr);
+  const IndexDef saved = *fk;
+  ASSERT_TRUE(system_->DropIndex(saved.name).ok());
+  EngineRuns loop;
+  ExpectSameRows(*system_,
+                 "SELECT COUNT(*) FROM nation, customer "
+                 "WHERE n_nationkey = c_nationkey AND n_regionkey = 1",
+                 1, false, &loop);
+  ASSERT_TRUE(system_->CreateIndex(saved).ok());
+  EXPECT_EQ(loop.vec1.Fingerprint(), "564");
+  EXPECT_NE(FindNode(*loop.plans.tp.root, PlanOp::kNestedLoopJoin), nullptr)
+      << loop.plans.tp.Explain();
+
+  // A sifted scan's probe key on row-executed AP. An optimizer's sift key
+  // is also its join's probe key, which reads the same column, so the plan
+  // is edited: the lineitem scan's sift probes l_suppkey (1..200 at this
+  // scale, all inside the build side's p_partkey 1..200) instead of
+  // l_partkey. The sift then drops nothing, and the count is the 5,938
+  // lineitems with l_partkey <= 200.
+  const std::string sql =
+      "SELECT COUNT(*) FROM lineitem, part "
+      "WHERE l_partkey = p_partkey AND p_partkey <= 200";
+  auto query = system_->Bind(sql);
+  ASSERT_TRUE(query.ok()) << query.status();
+  auto plans = system_->PlanBoth(*query);
+  ASSERT_TRUE(plans.ok()) << plans.status();
+  PlanNode* scan = plans->ap.root.get();  // at the foot of the probe spine
+  while (!scan->children.empty()) scan = scan->children[0].get();
+  ASSERT_EQ(scan->op, PlanOp::kSiftedScan) << plans->ap.Explain();
+  ASSERT_EQ(scan->sift_probes.size(), 1u);
+  auto schema = system_->catalog().GetTable("lineitem");
+  ASSERT_TRUE(schema.ok());
+  const int suppkey = (*schema)->ColumnIndex("l_suppkey");
+  ASSERT_GE(suppkey, 0);
+  Expr& key = *scan->sift_probes[0].key;
+  ASSERT_EQ(key.column_name, "l_partkey");
+  key.column_name = "l_suppkey";
+  key.bound_column = suppkey;
+  key.flat_slot = scan->slot_offset + suppkey;
+  scan->columns_read.push_back("l_suppkey");
+  auto row = system_->ExecuteWithMode(ExecMode::kRow, plans->ap, *query);
+  ASSERT_TRUE(row.ok()) << row.status();
+  EXPECT_EQ(row->Fingerprint(), "5938");
+  for (int workers : {1, 3}) {
+    system_->vec_executor()->set_num_workers(workers);
+    auto vec =
+        system_->ExecuteWithMode(ExecMode::kVectorized, plans->ap, *query);
+    ASSERT_TRUE(vec.ok()) << vec.status();
+    EXPECT_EQ(vec->Fingerprint(), "5938") << "@" << workers;
+  }
+  system_->vec_executor()->set_num_workers(system_->config().vec_workers);
+}
+
+// The expression evaluator as it was before EvalTruth, kept as the
+// reference for it: every operand is copied and every comparison's answer
+// boxed into a Value. It is the old code except where that code's
+// behaviour was undefined:
+//   - int64 +, - and * overflow, a double that SUBSTRING's start or length
+//     or YEAR's argument truncates outside int64, and a YEAR day count
+//     FormatDate overflows on, throw Overflow instead;
+//   - a NaN or out-of-int64 double in a boolean position, whose truncation
+//     was undefined, takes EvalTruth's magnitude rule (NaN is false).
+// A string where the old code called Value::AsInt or AsDouble still throws
+// std::bad_variant_access.
+namespace reference {
+
+struct Overflow {};
+
+constexpr double kTwo63 = 9223372036854775808.0;
+
+int64_t Truncate(double d) {
+  if (!(d >= -kTwo63 && d < kTwo63)) throw Overflow{};
+  return static_cast<int64_t>(d);
+}
+
+/// Value::AsInt as the old function arguments used it.
+int64_t AsInt(const Value& v) {
+  return v.is_double() ? Truncate(v.AsDouble()) : v.AsInt();
+}
+
+/// `v.AsInt() != 0` in a boolean position.
+bool NonZero(const Value& v) {
+  if (v.is_double()) {
+    const double d = v.AsDouble();
+    if (std::isnan(d)) return false;
+    if (!(d >= -kTwo63 && d < kTwo63)) return true;
+  }
+  return v.AsInt() != 0;
+}
+
+Result<Value> RefEvalExpr(const Expr& expr, const std::vector<Value>& row);
+
+Result<Value> RefEvalFunction(const Expr& expr, const std::vector<Value>& row) {
+  std::string fn = ToLower(expr.func_name);
+  std::vector<Value> args;
+  for (const auto& c : expr.children) {
+    HTAPEX_ASSIGN_OR_RETURN(Value v, RefEvalExpr(*c, row));
+    args.push_back(std::move(v));
+  }
+  for (const Value& a : args) {
+    if (a.is_null()) return Value::Null();
+  }
+  if (fn == "substring" || fn == "substr") {
+    if (args.size() != 3 || !args[0].is_string()) {
+      return Status::ExecutionError("SUBSTRING expects (string, start, length)");
+    }
+    const std::string& s = args[0].AsString();
+    int64_t start = AsInt(args[1]);
+    int64_t len = AsInt(args[2]);
+    if (start < 1) start = 1;
+    if (start > static_cast<int64_t>(s.size()) || len <= 0) {
+      return Value::Str("");
+    }
+    return Value::Str(s.substr(static_cast<size_t>(start - 1),
+                               static_cast<size_t>(len)));
+  }
+  if (fn == "lower") {
+    if (args.size() != 1 || !args[0].is_string()) {
+      return Status::ExecutionError("LOWER expects one string argument");
+    }
+    return Value::Str(ToLower(args[0].AsString()));
+  }
+  if (fn == "upper") {
+    if (args.size() != 1 || !args[0].is_string()) {
+      return Status::ExecutionError("UPPER expects one string argument");
+    }
+    return Value::Str(ToUpper(args[0].AsString()));
+  }
+  if (fn == "length") {
+    if (args.size() != 1 || !args[0].is_string()) {
+      return Status::ExecutionError("LENGTH expects one string argument");
+    }
+    return Value::Int(static_cast<int64_t>(args[0].AsString().size()));
+  }
+  if (fn == "year") {
+    if (args.size() != 1) return Status::ExecutionError("YEAR expects one argument");
+    const int64_t days = AsInt(args[0]);
+    if (days > std::numeric_limits<int64_t>::max() - 719468) throw Overflow{};
+    std::string date = FormatDate(days);
+    return Value::Int(std::strtoll(date.substr(0, 4).c_str(), nullptr, 10));
+  }
+  return Status::ExecutionError("unknown function: " + expr.func_name);
+}
+
+Result<Value> RefEvalExpr(const Expr& expr, const std::vector<Value>& row) {
+  switch (expr.kind) {
+    case ExprKind::kLiteral:
+      return expr.literal;
+    case ExprKind::kColumnRef: {
+      if (expr.flat_slot < 0 ||
+          expr.flat_slot >= static_cast<int>(row.size())) {
+        return Status::ExecutionError("unbound column ref: " + expr.ToString());
+      }
+      return row[static_cast<size_t>(expr.flat_slot)];
+    }
+    case ExprKind::kStar:
+      return Status::ExecutionError("* cannot be evaluated as a value");
+    case ExprKind::kComparison: {
+      HTAPEX_ASSIGN_OR_RETURN(Value l, RefEvalExpr(*expr.children[0], row));
+      HTAPEX_ASSIGN_OR_RETURN(Value r, RefEvalExpr(*expr.children[1], row));
+      if (l.is_null() || r.is_null()) return Value::Null();
+      if (expr.cmp_op == CompareOp::kLike) {
+        if (!l.is_string() || !r.is_string()) {
+          return Status::ExecutionError("LIKE expects string operands");
+        }
+        return Value::Int(LikeMatch(l.AsString(), r.AsString()) ? 1 : 0);
+      }
+      int c = l.Compare(r);
+      bool result = false;
+      switch (expr.cmp_op) {
+        case CompareOp::kEq:
+          result = c == 0;
+          break;
+        case CompareOp::kNe:
+          result = c != 0;
+          break;
+        case CompareOp::kLt:
+          result = c < 0;
+          break;
+        case CompareOp::kLe:
+          result = c <= 0;
+          break;
+        case CompareOp::kGt:
+          result = c > 0;
+          break;
+        case CompareOp::kGe:
+          result = c >= 0;
+          break;
+        case CompareOp::kLike:
+          break;
+      }
+      return Value::Int(result ? 1 : 0);
+    }
+    case ExprKind::kAnd: {
+      HTAPEX_ASSIGN_OR_RETURN(Value l, RefEvalExpr(*expr.children[0], row));
+      if (!l.is_null() && !NonZero(l)) return Value::Int(0);
+      HTAPEX_ASSIGN_OR_RETURN(Value r, RefEvalExpr(*expr.children[1], row));
+      if (!r.is_null() && !NonZero(r)) return Value::Int(0);
+      if (l.is_null() || r.is_null()) return Value::Null();
+      return Value::Int(1);
+    }
+    case ExprKind::kOr: {
+      HTAPEX_ASSIGN_OR_RETURN(Value l, RefEvalExpr(*expr.children[0], row));
+      if (!l.is_null() && NonZero(l)) return Value::Int(1);
+      HTAPEX_ASSIGN_OR_RETURN(Value r, RefEvalExpr(*expr.children[1], row));
+      if (!r.is_null() && NonZero(r)) return Value::Int(1);
+      if (l.is_null() || r.is_null()) return Value::Null();
+      return Value::Int(0);
+    }
+    case ExprKind::kNot: {
+      HTAPEX_ASSIGN_OR_RETURN(Value v, RefEvalExpr(*expr.children[0], row));
+      if (v.is_null()) return Value::Null();
+      return Value::Int(NonZero(v) ? 0 : 1);
+    }
+    case ExprKind::kIn: {
+      HTAPEX_ASSIGN_OR_RETURN(Value needle,
+                              RefEvalExpr(*expr.children[0], row));
+      if (needle.is_null()) return Value::Null();
+      bool saw_null = false;
+      for (size_t i = 1; i < expr.children.size(); ++i) {
+        HTAPEX_ASSIGN_OR_RETURN(Value v, RefEvalExpr(*expr.children[i], row));
+        if (v.is_null()) {
+          saw_null = true;
+          continue;
+        }
+        if (needle.Compare(v) == 0) return Value::Int(1);
+      }
+      if (saw_null) return Value::Null();
+      return Value::Int(0);
+    }
+    case ExprKind::kBetween: {
+      HTAPEX_ASSIGN_OR_RETURN(Value v, RefEvalExpr(*expr.children[0], row));
+      HTAPEX_ASSIGN_OR_RETURN(Value lo, RefEvalExpr(*expr.children[1], row));
+      HTAPEX_ASSIGN_OR_RETURN(Value hi, RefEvalExpr(*expr.children[2], row));
+      if (v.is_null() || lo.is_null() || hi.is_null()) return Value::Null();
+      return Value::Int(v.Compare(lo) >= 0 && v.Compare(hi) <= 0 ? 1 : 0);
+    }
+    case ExprKind::kFunction:
+      return RefEvalFunction(expr, row);
+    case ExprKind::kAggregate:
+      return Status::ExecutionError(
+          "aggregate must be evaluated by an aggregation operator");
+    case ExprKind::kIsNull: {
+      HTAPEX_ASSIGN_OR_RETURN(Value v, RefEvalExpr(*expr.children[0], row));
+      bool is_null = v.is_null();
+      return Value::Int((expr.negated ? !is_null : is_null) ? 1 : 0);
+    }
+    case ExprKind::kArithmetic: {
+      HTAPEX_ASSIGN_OR_RETURN(Value l, RefEvalExpr(*expr.children[0], row));
+      HTAPEX_ASSIGN_OR_RETURN(Value r, RefEvalExpr(*expr.children[1], row));
+      if (l.is_null() || r.is_null()) return Value::Null();
+      bool both_int = l.is_int() && r.is_int();
+      int64_t out = 0;
+      switch (expr.arith_op) {
+        case ArithOp::kAdd:
+          if (!both_int) return Value::Double(l.AsDouble() + r.AsDouble());
+          if (__builtin_add_overflow(l.AsInt(), r.AsInt(), &out)) {
+            throw Overflow{};
+          }
+          return Value::Int(out);
+        case ArithOp::kSub:
+          if (!both_int) return Value::Double(l.AsDouble() - r.AsDouble());
+          if (__builtin_sub_overflow(l.AsInt(), r.AsInt(), &out)) {
+            throw Overflow{};
+          }
+          return Value::Int(out);
+        case ArithOp::kMul:
+          if (!both_int) return Value::Double(l.AsDouble() * r.AsDouble());
+          if (__builtin_mul_overflow(l.AsInt(), r.AsInt(), &out)) {
+            throw Overflow{};
+          }
+          return Value::Int(out);
+        case ArithOp::kDiv: {
+          double d = r.AsDouble();
+          if (d == 0.0) return Value::Null();
+          return Value::Double(l.AsDouble() / d);
+        }
+      }
+      return Status::Internal("unreachable arithmetic op");
+    }
+  }
+  return Status::Internal("unreachable expression kind");
+}
+
+Result<bool> RefEvalPredicate(const Expr& expr, const std::vector<Value>& row) {
+  HTAPEX_ASSIGN_OR_RETURN(Value v, RefEvalExpr(expr, row));
+  if (v.is_null()) return false;
+  return NonZero(v);
+}
+
+}  // namespace reference
+
+constexpr int kEvalRowWidth = 6;
+
+/// NULLs, small and extreme ints, doubles around the truth threshold and
+/// outside int64 (with inf and NaN), and strings that are LIKE patterns,
+/// dates and neither.
+Value RandomValue(Rng* rng) {
+  static const int64_t kInts[] = {std::numeric_limits<int64_t>::max(),
+                                  std::numeric_limits<int64_t>::min(),
+                                  int64_t{1} << 62, -(int64_t{1} << 62),
+                                  3037000500, 9223372036854775000};
+  static const double kDoubles[] = {
+      0.0,  -0.0,  0.5,    -0.99,
+      1.0,  -1.0,  2.5,    -3.75,
+      1e20, -1e20, 9.3e18, std::numeric_limits<double>::infinity(),
+      std::numeric_limits<double>::quiet_NaN()};
+  static const char* kStrings[] = {"",  "a",   "ab", "abc",        "b",
+                                   "a%", "%b", "_b", "1995-03-15", "A"};
+  switch (rng->Uniform(0, 9)) {
+    case 0:
+    case 1:
+      return Value::Null();
+    case 2:
+    case 3:
+    case 4:
+      return Value::Int(rng->Uniform(-4, 4));
+    case 5:
+      return Value::Int(kInts[rng->Uniform(0, 5)]);
+    case 6:
+    case 7:
+      return Value::Double(kDoubles[rng->Uniform(0, 12)]);
+    default:
+      return Value::Str(kStrings[rng->Uniform(0, 9)]);
+  }
+}
+
+/// A random bound expression tree of at most `depth` levels over a row of
+/// kEvalRowWidth slots.
+std::unique_ptr<Expr> RandomExpr(Rng* rng, int depth) {
+  auto node = [](ExprKind k) { return std::make_unique<Expr>(k); };
+  auto sub = [rng, depth] { return RandomExpr(rng, depth - 1); };
+  const int pick = depth <= 0 ? static_cast<int>(rng->Uniform(0, 1))
+                              : static_cast<int>(rng->Uniform(0, 15));
+  switch (pick) {
+    case 0:
+      return MakeLiteral(RandomValue(rng));
+    case 1: {
+      // A bound ref, or now and then one no slot holds.
+      const bool unbound = rng->Bernoulli(0.03);
+      const int slot = static_cast<int>(rng->Uniform(0, kEvalRowWidth - 1));
+      auto e = MakeColumnRef("", unbound ? "u" : "c" + std::to_string(slot));
+      e->flat_slot = unbound ? (rng->Bernoulli(0.5) ? -1 : kEvalRowWidth + 2)
+                             : slot;
+      return e;
+    }
+    case 2:
+    case 3: {
+      auto e = MakeComparison(
+          static_cast<CompareOp>(rng->Uniform(0, 6)), sub(), sub());
+      return e;
+    }
+    case 4:
+      return MakeAnd(sub(), sub());
+    case 5: {
+      auto e = node(ExprKind::kOr);
+      e->children.push_back(sub());
+      e->children.push_back(sub());
+      return e;
+    }
+    case 6: {
+      auto e = node(ExprKind::kNot);
+      e->children.push_back(sub());
+      return e;
+    }
+    case 7: {
+      auto e = node(ExprKind::kIn);
+      e->children.push_back(sub());
+      for (int64_t i = rng->Uniform(1, 4); i > 0; --i) {
+        e->children.push_back(
+            rng->Bernoulli(0.7) ? MakeLiteral(RandomValue(rng)) : sub());
+      }
+      return e;
+    }
+    case 8: {
+      auto e = node(ExprKind::kBetween);
+      for (int i = 0; i < 3; ++i) e->children.push_back(sub());
+      return e;
+    }
+    case 9: {
+      auto e = node(ExprKind::kIsNull);
+      e->negated = rng->Bernoulli(0.5);
+      e->children.push_back(sub());
+      return e;
+    }
+    case 10:
+    case 11:
+    case 12: {
+      auto e = node(ExprKind::kArithmetic);
+      e->arith_op = static_cast<ArithOp>(rng->Uniform(0, 3));
+      e->children.push_back(sub());
+      e->children.push_back(sub());
+      return e;
+    }
+    case 13:
+    case 14: {
+      // Each function at its arity, and now and then a wrong arity or an
+      // unknown name.
+      static const std::pair<const char*, int> kFunctions[] = {
+          {"SUBSTRING", 3}, {"substr", 3}, {"LOWER", 1}, {"upper", 1},
+          {"LENGTH", 1},    {"year", 1},   {"YEAR", 2},  {"substring", 2},
+          {"nosuch", 1}};
+      const auto& [name, arity] = kFunctions[rng->Bernoulli(0.9)
+                                                 ? rng->Uniform(0, 5)
+                                                 : rng->Uniform(6, 8)];
+      auto e = node(ExprKind::kFunction);
+      e->func_name = name;
+      for (int i = 0; i < arity; ++i) e->children.push_back(sub());
+      return e;
+    }
+    default: {
+      // What no executor evaluates as a value: * and an aggregate.
+      if (rng->Bernoulli(0.5)) return node(ExprKind::kStar);
+      auto e = node(ExprKind::kAggregate);
+      e->children.push_back(sub());
+      return e;
+    }
+  }
+}
+
+bool SameValue(const Value& a, const Value& b) {
+  if (a.is_null() || b.is_null()) return a.is_null() && b.is_null();
+  if (a.is_int() || b.is_int()) {
+    return a.is_int() && b.is_int() && a.AsInt() == b.AsInt();
+  }
+  if (a.is_double() || b.is_double()) {
+    if (!a.is_double() || !b.is_double()) return false;
+    const double x = a.AsDouble();
+    const double y = b.AsDouble();
+    return std::isnan(x) ? std::isnan(y)
+                         : x == y && std::signbit(x) == std::signbit(y);
+  }
+  return a.AsString() == b.AsString();
+}
+
+/// Empty when `got` is what the reference gave (or, where it threw, an
+/// execution error); else what differs.
+template <typename T, typename Same>
+std::string Mismatch(const Result<T>& got, const Result<T>* want, Same same) {
+  const std::string got_text =
+      got.ok() ? std::string("a value") : got.status().ToString();
+  if (want == nullptr) {
+    return !got.ok() && got.status().code() == StatusCode::kExecutionError
+               ? ""
+               : "want kExecutionError, got " + got_text;
+  }
+  if (!want->ok()) {
+    return !got.ok() && got.status().code() == want->status().code() &&
+                   got.status().message() == want->status().message()
+               ? ""
+               : "want " + want->status().ToString() + ", got " + got_text;
+  }
+  if (!got.ok()) return "want a value, got " + got_text;
+  return same(*got, **want) ? "" : "values differ";
+}
+
+/// What reference evaluation `eval` returns, or nothing where it throws.
+template <typename F>
+auto Reference(F eval, int* thrown) -> std::optional<decltype(eval())> {
+  try {
+    return eval();
+  } catch (const std::bad_variant_access&) {
+  } catch (const reference::Overflow&) {
+  }
+  ++*thrown;
+  return std::nullopt;
+}
+
+TEST(EvaluatorTest, InPlacePredicatesMatchTheReferenceEvaluator) {
+  // 200,000 seeded trees, each over its own random row, through EvalExpr
+  // and EvalPredicate and through the reference: the same value, or the
+  // same status code and message; where the reference throws, an
+  // execution error.
+  Rng rng(0x5eed);
+  int values = 0, errors = 0, thrown = 0;
+  std::vector<Value> row(kEvalRowWidth);
+  for (int t = 0; t < 200000; ++t) {
+    std::unique_ptr<Expr> expr =
+        RandomExpr(&rng, static_cast<int>(rng.Uniform(1, 4)));
+    for (Value& v : row) v = RandomValue(&rng);
+    const auto want_value =
+        Reference([&] { return reference::RefEvalExpr(*expr, row); }, &thrown);
+    const auto want_truth = Reference(
+        [&] { return reference::RefEvalPredicate(*expr, row); }, &thrown);
+    ASSERT_EQ(Mismatch(EvalExpr(*expr, row),
+                       want_value ? &*want_value : nullptr, SameValue),
+              "")
+        << "EvalExpr(" << expr->ToString() << ")";
+    ASSERT_EQ(Mismatch(EvalPredicate(*expr, row),
+                       want_truth ? &*want_truth : nullptr,
+                       [](bool a, bool b) { return a == b; }),
+              "")
+        << "EvalPredicate(" << expr->ToString() << ")";
+    if (want_value) ++(want_value->ok() ? values : errors);
+  }
+  // Every outcome is well represented.
+  EXPECT_GT(values, 50000);
+  EXPECT_GT(errors, 10000);
+  EXPECT_GT(thrown, 10000);
 }
 
 }  // namespace

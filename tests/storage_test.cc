@@ -15,16 +15,27 @@
 namespace htapex {
 namespace {
 
+/// The row ids whose key equals `key`, in index order: the point lookup
+/// the executor makes, a RangeScan over [key, key].
+std::vector<uint32_t> Lookup(const BTreeIndex& idx, const Value& key) {
+  std::vector<uint32_t> out;
+  idx.RangeScan(&key, true, &key, true, [&out](const Value&, uint32_t id) {
+    out.push_back(id);
+    return true;
+  });
+  return out;
+}
+
 TEST(BTreeTest, InsertAndPointLookup) {
   BTreeIndex idx;
   for (int i = 0; i < 1000; ++i) {
     idx.Insert(Value::Int(i * 2), static_cast<uint32_t>(i));
   }
   EXPECT_EQ(idx.num_entries(), 1000u);
-  auto hits = idx.PointLookup(Value::Int(500));
+  auto hits = Lookup(idx, Value::Int(500));
   ASSERT_EQ(hits.size(), 1u);
   EXPECT_EQ(hits[0], 250u);
-  EXPECT_TRUE(idx.PointLookup(Value::Int(501)).empty());
+  EXPECT_TRUE(Lookup(idx, Value::Int(501)).empty());
   EXPECT_GT(idx.height(), 1);
 }
 
@@ -33,12 +44,12 @@ TEST(BTreeTest, DuplicateKeys) {
   // Many duplicates so they straddle leaf splits.
   for (uint32_t i = 0; i < 500; ++i) idx.Insert(Value::Int(7), i);
   for (uint32_t i = 500; i < 600; ++i) idx.Insert(Value::Int(9), i);
-  auto hits = idx.PointLookup(Value::Int(7));
+  auto hits = Lookup(idx, Value::Int(7));
   EXPECT_EQ(hits.size(), 500u);
   std::set<uint32_t> unique(hits.begin(), hits.end());
   EXPECT_EQ(unique.size(), 500u);
-  EXPECT_EQ(idx.PointLookup(Value::Int(9)).size(), 100u);
-  EXPECT_TRUE(idx.PointLookup(Value::Int(8)).empty());
+  EXPECT_EQ(Lookup(idx, Value::Int(9)).size(), 100u);
+  EXPECT_TRUE(Lookup(idx, Value::Int(8)).empty());
 }
 
 TEST(BTreeTest, RangeScanOrdered) {
@@ -131,7 +142,7 @@ TEST(BTreeTest, StringKeys) {
   for (uint32_t i = 0; i < names.size(); ++i) {
     idx.Insert(Value::Str(names[i]), i);
   }
-  auto hits = idx.PointLookup(Value::Str("egypt"));
+  auto hits = Lookup(idx, Value::Str("egypt"));
   ASSERT_EQ(hits.size(), 1u);
   EXPECT_EQ(hits[0], 0u);
 }
@@ -213,7 +224,7 @@ TEST_F(DatagenTest, RowStoreLoadAndIndex) {
   // PK index was built automatically.
   const BTreeIndex* pk = store.GetIndex("pk_customer");
   ASSERT_NE(pk, nullptr);
-  auto hits = pk->PointLookup(Value::Int(42));
+  auto hits = Lookup(*pk, Value::Int(42));
   ASSERT_EQ(hits.size(), 1u);
   auto table = store.GetTable("customer");
   ASSERT_TRUE(table.ok());
