@@ -1,6 +1,5 @@
 #include "catalog/value.h"
 
-#include <bit>
 #include <cstdio>
 
 #include "common/hash.h"
@@ -8,7 +7,7 @@
 
 namespace htapex {
 
-int Value::Compare(const Value& other) const {
+int Value::CompareMixed(const Value& other) const {
   // NULLs first.
   if (is_null() || other.is_null()) {
     if (is_null() && other.is_null()) return 0;
@@ -17,10 +16,7 @@ int Value::Compare(const Value& other) const {
   bool a_num = is_int() || is_double();
   bool b_num = other.is_int() || other.is_double();
   if (a_num && b_num) {
-    if (is_int() && other.is_int()) {
-      int64_t a = AsInt(), b = other.AsInt();
-      return a < b ? -1 : (a > b ? 1 : 0);
-    }
+    // Not two ints (Compare takes those): compare as doubles.
     double a = AsDouble(), b = other.AsDouble();
     return a < b ? -1 : (a > b ? 1 : 0);
   }
@@ -44,8 +40,8 @@ uint64_t Value::Hash() const {
   if (is_null()) return 0x9ae16a3b2f90404full;
   if (is_string()) return Fnv1a64(AsString());
   // Hash numerics through their double representation so 1 and 1.0 collide
-  // (they compare equal).
-  return Fmix64(std::bit_cast<uint64_t>(AsDouble()));
+  // (they compare equal), as 0.0 and -0.0 do.
+  return Fmix64(HashBits(AsDouble()));
 }
 
 namespace {

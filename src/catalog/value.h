@@ -54,8 +54,14 @@ class Value {
   const std::string& AsString() const { return std::get<std::string>(v_); }
 
   /// Three-way comparison: -1, 0, 1. NULLs sort first; numeric types compare
-  /// numerically; comparing string with number orders by type tag.
-  int Compare(const Value& other) const;
+  /// numerically; comparing string with number orders by type tag. Two
+  /// ints, most of what the executors compare, compare inline.
+  int Compare(const Value& other) const {
+    const int64_t* a = std::get_if<int64_t>(&v_);
+    const int64_t* b = std::get_if<int64_t>(&other.v_);
+    if (a != nullptr && b != nullptr) return *a < *b ? -1 : (*a > *b ? 1 : 0);
+    return CompareMixed(other);
+  }
 
   bool operator==(const Value& other) const { return Compare(other) == 0; }
   bool operator<(const Value& other) const { return Compare(other) < 0; }
@@ -67,6 +73,9 @@ class Value {
   uint64_t Hash() const;
 
  private:
+  /// Compare for every pair of kinds but two ints.
+  int CompareMixed(const Value& other) const;
+
   std::variant<std::monostate, int64_t, double, std::string> v_;
 };
 

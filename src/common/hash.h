@@ -1,6 +1,7 @@
 #ifndef HTAPEX_COMMON_HASH_H_
 #define HTAPEX_COMMON_HASH_H_
 
+#include <bit>
 #include <cstdint>
 #include <string_view>
 
@@ -22,6 +23,13 @@ inline uint64_t Fmix64(uint64_t x) {
   x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9ull;
   x = (x ^ (x >> 27)) * 0x94d049bb133111ebull;
   return x ^ (x >> 31);
+}
+
+/// The bits a numeric Value hashes: its double representation, with -0.0
+/// taken as 0.0 (they compare equal, so they must hash equal). Value::Hash
+/// and the executor's bulk hash kernels share it.
+inline uint64_t HashBits(double d) {
+  return std::bit_cast<uint64_t>(d == 0.0 ? 0.0 : d);
 }
 
 /// One splitmix64 output from state `x`: the golden-gamma step, then

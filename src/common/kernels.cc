@@ -1,7 +1,6 @@
 #include "common/kernels.h"
 
 #include <atomic>
-#include <bit>
 #include <cmath>
 #include <limits>
 #include <string_view>
@@ -417,9 +416,9 @@ double SumF64(const double* a, int n) {
   return acc;
 }
 
-int64_t SumI64(const int64_t* a, int n) {
+__int128 SumI64(const int64_t* a, int n) {
   Counters().sum_i64.Inc();
-  int64_t acc = 0;
+  __int128 acc = 0;
   for (int i = 0; i < n; ++i) acc += a[i];
   return acc;
 }
@@ -427,13 +426,13 @@ int64_t SumI64(const int64_t* a, int n) {
 void HashI64(const int64_t* a, uint64_t* out, int n) {
   Counters().hash_i64.Inc();
   for (int i = 0; i < n; ++i) {
-    out[i] = Fmix64(std::bit_cast<uint64_t>(static_cast<double>(a[i])));
+    out[i] = Fmix64(HashBits(static_cast<double>(a[i])));
   }
 }
 
 void HashF64(const double* a, uint64_t* out, int n) {
   Counters().hash_f64.Inc();
-  for (int i = 0; i < n; ++i) out[i] = Fmix64(std::bit_cast<uint64_t>(a[i]));
+  for (int i = 0; i < n; ++i) out[i] = Fmix64(HashBits(a[i]));
 }
 
 uint64_t HashBytes(const void* data, size_t len) {

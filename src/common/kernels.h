@@ -94,8 +94,9 @@ int64_t CountMask(const uint8_t* mask, int n);
 /// Sum of a[0..n), added left to right.
 double SumF64(const double* a, int n);
 
-/// Sum of a[0..n); exact (two's-complement).
-int64_t SumI64(const int64_t* a, int n);
+/// Sum of a[0..n), exact: accumulated in 128 bits, which fewer than 2^64
+/// int64 terms cannot overflow.
+__int128 SumI64(const int64_t* a, int n);
 
 /// out[i] = the hash Value::Hash() produces for the int64 a[i]: widen to
 /// double, take the bit pattern, Fmix64 (common/hash.h). Bit-identical to
@@ -105,6 +106,7 @@ void HashI64(const int64_t* a, uint64_t* out, int n);
 
 /// Same contract over doubles (the shared representation int hashing
 /// widens into, so Int(1) and Double(1.0) collide like Value::Hash()).
+/// -0.0 hashes as 0.0, which it compares equal to.
 void HashF64(const double* a, uint64_t* out, int n);
 
 /// FNV-1a 64 over a byte range — Value::Hash() on strings. In the kernel

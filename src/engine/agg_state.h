@@ -1,7 +1,8 @@
 #ifndef HTAPEX_ENGINE_AGG_STATE_H_
 #define HTAPEX_ENGINE_AGG_STATE_H_
 
-#include <map>
+#include <cstdint>
+#include <limits>
 #include <set>
 #include <string>
 #include <vector>
@@ -34,7 +35,11 @@ struct AggState {
   int64_t count = 0;        // rows (for COUNT(*)) or non-null args
   double sum = 0.0;
   bool sum_is_int = true;
-  int64_t isum = 0;
+  /// The exact sum of the integer terms: fewer than 2^64 int64 terms
+  /// cannot overflow 128 bits, so it does not depend on the order the
+  /// terms and partial sums arrive in. FinalizeAgg checks that a SUM fits
+  /// int64.
+  __int128 isum = 0;
   Value min, max;    // tracked only by MIN and MAX respectively
   bool any = false;  // some non-null argument was accumulated
   // DISTINCT aggregates track the values already seen.
@@ -81,11 +86,46 @@ inline Status AccumulateAggValue(const Expr& agg, const Value& v,
   return Status::OK();
 }
 
-/// Evaluates the aggregate's argument against `row` and accumulates it.
+/// Points at the row's value when `e` is a column ref of the row (read in
+/// place); nullptr otherwise, and then `e` must be evaluated.
+inline const Value* ColumnRefValue(const Expr& e, const Row& row) {
+  if (e.kind != ExprKind::kColumnRef || e.flat_slot < 0 ||
+      static_cast<size_t>(e.flat_slot) >= row.size()) {
+    return nullptr;
+  }
+  return &row[static_cast<size_t>(e.flat_slot)];
+}
+
+/// A row's values of a list of key expressions (group keys, sort keys), in
+/// scratch reused across rows: a pointer per key, into the row for a column
+/// ref and into `computed` for any other expression, which is evaluated.
+struct KeyRefs {
+  std::vector<const Value*> at;
+  Row computed;
+
+  explicit KeyRefs(size_t width = 0) : at(width), computed(width) {}
+  /// Points at[i] at the value of `e` in `row`.
+  Status Resolve(size_t i, const Expr& e, const Row& row) {
+    at[i] = ColumnRefValue(e, row);
+    if (at[i] != nullptr) return Status::OK();
+    Result<Value> v = EvalExpr(e, row);
+    if (!v.ok()) return v.status();
+    computed[i] = std::move(v).value();
+    at[i] = &computed[i];
+    return Status::OK();
+  }
+};
+
+/// Accumulates the aggregate's argument in `row`: a column ref is read in
+/// place, anything else evaluated.
 inline Status AccumulateAgg(const Expr& agg, const Row& row, AggState* s) {
   if (agg.count_star) {
     ++s->count;
     return Status::OK();
+  }
+  if (const Value* in_place = ColumnRefValue(*agg.children[0], row)) {
+    if (in_place->is_null()) return Status::OK();
+    return AccumulateAggValue(agg, *in_place, s);
   }
   Result<Value> v = EvalExpr(*agg.children[0], row);
   if (!v.ok()) return v.status();
@@ -95,7 +135,7 @@ inline Status AccumulateAgg(const Expr& agg, const Row& row, AggState* s) {
 
 /// Merges partial state `other` into `s` (for per-morsel partial
 /// aggregation). Equivalent to replaying other's inputs into `s`, except
-/// SUM accumulation order: integer sums stay exact, but a double sum of
+/// SUM accumulation order: integer sums are exact, but a double sum of
 /// partials can round differently from the row-order sum, and the
 /// fingerprint's %.6g formatting does not always hide it (the seed-105
 /// exec_mix query in perfbench/WORKLOADS.md differs in the 6th digit).
@@ -137,13 +177,20 @@ inline Status MergeAggState(const Expr& agg, const AggState& other,
   return Status::OK();
 }
 
-inline Value FinalizeAgg(const Expr& agg, const AggState& s) {
+/// The aggregate's value. An integer SUM whose exact total does not fit
+/// int64 is an execution error, as int64 arithmetic overflow is.
+inline Result<Value> FinalizeAgg(const Expr& agg, const AggState& s) {
   switch (agg.agg_kind) {
     case AggKind::kCount:
       return Value::Int(s.count);
     case AggKind::kSum:
       if (!s.any) return Value::Null();
-      return s.sum_is_int ? Value::Int(s.isum) : Value::Double(s.sum);
+      if (!s.sum_is_int) return Value::Double(s.sum);
+      if (s.isum < std::numeric_limits<int64_t>::min() ||
+          s.isum > std::numeric_limits<int64_t>::max()) {
+        return Status::ExecutionError("integer overflow: " + agg.ToString());
+      }
+      return Value::Int(static_cast<int64_t>(s.isum));
     case AggKind::kAvg:
       if (s.count == 0) return Value::Null();
       return Value::Double((s.sum_is_int ? static_cast<double>(s.isum) : s.sum) /
@@ -156,20 +203,54 @@ inline Value FinalizeAgg(const Expr& agg, const AggState& s) {
   return Value::Null();
 }
 
-/// Lexicographic row ordering (group-key maps; deterministic output order).
-struct RowLess {
-  bool operator()(const Row& a, const Row& b) const {
-    for (size_t i = 0; i < a.size(); ++i) {
-      int c = a[i].Compare(b[i]);
-      if (c != 0) return c < 0;
-    }
-    return false;
-  }
-};
+/// The groups of one aggregation, in flat arrays: every group's key values
+/// in one row-major array, its AggStates (one per aggregate) in another,
+/// found through an open-addressing hash table of group indices. Keys are
+/// equal when every column compares equal (Value::Compare == 0), which
+/// Value::Hash agrees with, so Int(3) and Double(3.0), or 0.0 and -0.0,
+/// are one group; a group keeps the key it was first found with. Both
+/// executors emit groups in key order (Order: lexicographic under
+/// Value::Compare), so the output does not depend on the order groups were
+/// found in.
+class GroupMap {
+ public:
+  GroupMap() = default;
+  GroupMap(size_t key_width, size_t num_aggs)
+      : key_width_(key_width), num_aggs_(num_aggs) {}
 
-/// Group key -> one AggState per aggregate; ordered, so grouped output
-/// comes out in the same key order from both executors.
-using GroupMap = std::map<Row, std::vector<AggState>, RowLess>;
+  size_t size() const { return hashes_.size(); }
+  bool empty() const { return hashes_.empty(); }
+  size_t key_width() const { return key_width_; }
+
+  /// The index of the group whose key equals the key_width() values
+  /// `key[i]` point at. A new group copies the key and starts with
+  /// default AggStates.
+  size_t FindOrInsert(const Value* const* key);
+
+  /// Group `g`'s key_width() key values.
+  const Value* Key(size_t g) const { return keys_.data() + g * key_width_; }
+  /// Group `g`'s AggStates, one per aggregate; valid until the next insert.
+  AggState* States(size_t g) { return states_.data() + g * num_aggs_; }
+  const AggState* States(size_t g) const {
+    return states_.data() + g * num_aggs_;
+  }
+
+  /// The group indices in lexicographic order of their keys.
+  std::vector<uint32_t> Order() const;
+
+ private:
+  bool KeyEquals(size_t g, const Value* const* key) const;
+  void Rehash(size_t buckets);
+
+  size_t key_width_ = 0;
+  size_t num_aggs_ = 0;
+  std::vector<Value> keys_;       // size() * key_width_, group-major
+  std::vector<AggState> states_;  // size() * num_aggs_, group-major
+  std::vector<uint64_t> hashes_;  // each group's key hash
+  /// Open addressing with linear probing: group index + 1, 0 when empty;
+  /// a power of two at least twice size().
+  std::vector<uint32_t> buckets_;
+};
 
 }  // namespace htapex
 

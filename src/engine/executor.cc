@@ -8,12 +8,11 @@ namespace htapex {
 
 namespace {
 
-/// Copies `base`'s `columns` into `row` at `slot_offset`.
-void CopyColumns(const Row& base, const std::vector<int>& columns,
+/// Copies the `columns` of table row `base` into `row` at `slot_offset`.
+void CopyColumns(const Value* base, const std::vector<int>& columns,
                  int slot_offset, Row* row) {
   for (int c : columns) {
-    (*row)[static_cast<size_t>(slot_offset + c)] =
-        base[static_cast<size_t>(c)];
+    (*row)[static_cast<size_t>(slot_offset + c)] = base[c];
   }
 }
 
@@ -26,8 +25,8 @@ Result<bool> Executor::PushTableScan(const PlanNode& node,
                           row_store_.GetTable(node.relation));
   const std::vector<int> columns = ctx.ReadColumns(node);
   Row row(static_cast<size_t>(ctx.total_slots), Value::Null());
-  for (const Row& base : data->rows) {
-    CopyColumns(base, columns, node.slot_offset, &row);
+  for (size_t r = 0; r < data->num_rows(); ++r) {
+    CopyColumns(data->RowAt(r), columns, node.slot_offset, &row);
     HTAPEX_ASSIGN_OR_RETURN(bool pass, PassesPredicates(node, row));
     if (!pass) continue;
     HTAPEX_ASSIGN_OR_RETURN(bool more, out(row));
@@ -52,7 +51,7 @@ Result<bool> Executor::PushIndexScan(const PlanNode& node,
   Status st = Status::OK();
   bool more = true;
   auto emit = [&](uint32_t row_id) {
-    CopyColumns(data->rows[row_id], columns, node.slot_offset, &row);
+    CopyColumns(data->RowAt(row_id), columns, node.slot_offset, &row);
     Result<bool> step = PassesPredicates(node, row);
     if (step.ok() && *step) {
       step = out(row);
@@ -222,7 +221,7 @@ Result<bool> Executor::PushIndexNestedLoopJoin(const PlanNode& node,
       for (size_t s : outer_slots) merged[s] = o[s];
     }
     ++index_rows;
-    CopyColumns(data->rows[row_id], inner_columns, inner->slot_offset,
+    CopyColumns(data->RowAt(row_id), inner_columns, inner->slot_offset,
                 &merged);
     if (filter != nullptr) {
       HTAPEX_ASSIGN_OR_RETURN(bool pass, PassesPredicates(*filter, merged));

@@ -128,20 +128,28 @@ Result<QueryResultSet> ExecutePlan(const PhysicalPlan& plan,
   return result;
 }
 
-Status AccumulateRow(const PlanNode& agg, const Row& row, Row* key,
+Status AccumulateRow(const PlanNode& agg, const Row& row, KeyRefs* key,
                      GroupMap* groups) {
-  key->clear();
-  for (const auto& g : agg.group_keys) {
-    HTAPEX_ASSIGN_OR_RETURN(Value v, EvalExpr(*g, row));
-    key->push_back(std::move(v));
+  for (size_t i = 0; i < agg.group_keys.size(); ++i) {
+    HTAPEX_RETURN_IF_ERROR(key->Resolve(i, *agg.group_keys[i], row));
   }
-  auto it = groups->find(*key);
-  if (it == groups->end()) {
-    it = groups->try_emplace(*key, agg.aggregates.size()).first;
-  }
+  AggState* states = groups->States(groups->FindOrInsert(key->at.data()));
   for (size_t a = 0; a < agg.aggregates.size(); ++a) {
-    HTAPEX_RETURN_IF_ERROR(
-        AccumulateAgg(*agg.aggregates[a], row, &it->second[a]));
+    HTAPEX_RETURN_IF_ERROR(AccumulateAgg(*agg.aggregates[a], row, &states[a]));
+  }
+  return Status::OK();
+}
+
+Status MergeGroups(const PlanNode& agg, const GroupMap& part,
+                   GroupMap* total) {
+  std::vector<const Value*> key(part.key_width());
+  for (size_t g = 0; g < part.size(); ++g) {
+    for (size_t i = 0; i < key.size(); ++i) key[i] = part.Key(g) + i;
+    AggState* states = total->States(total->FindOrInsert(key.data()));
+    for (size_t a = 0; a < agg.aggregates.size(); ++a) {
+      HTAPEX_RETURN_IF_ERROR(
+          MergeAggState(*agg.aggregates[a], part.States(g)[a], &states[a]));
+    }
   }
   return Status::OK();
 }
@@ -150,13 +158,20 @@ Result<bool> PushGroups(const PlanNode& agg, const GroupMap& groups,
                         RowSink out) {
   Row row;
   if (groups.empty() && agg.group_keys.empty()) {
-    for (const auto& a : agg.aggregates) row.push_back(FinalizeAgg(*a, {}));
+    for (const auto& a : agg.aggregates) {
+      HTAPEX_ASSIGN_OR_RETURN(Value v, FinalizeAgg(*a, AggState{}));
+      row.push_back(std::move(v));
+    }
     return out(row);
   }
-  for (const auto& [key, states] : groups) {
-    row.assign(key.begin(), key.end());
+  for (uint32_t g : groups.Order()) {
+    const Value* key = groups.Key(g);
+    row.assign(key, key + groups.key_width());
+    const AggState* states = groups.States(g);
     for (size_t a = 0; a < agg.aggregates.size(); ++a) {
-      row.push_back(FinalizeAgg(*agg.aggregates[a], states[a]));
+      HTAPEX_ASSIGN_OR_RETURN(Value v,
+                              FinalizeAgg(*agg.aggregates[a], states[a]));
+      row.push_back(std::move(v));
     }
     HTAPEX_ASSIGN_OR_RETURN(bool more, out(row));
     if (!more) return false;
@@ -164,54 +179,71 @@ Result<bool> PushGroups(const PlanNode& agg, const GroupMap& groups,
   return true;
 }
 
-TopNHeap::TopNHeap(const PlanNode& node)
+TopNHeap::TopNHeap(const PlanNode& node, bool keep_rows)
     : node_(&node),
+      keep_rows_(keep_rows),
+      width_(node.sort_keys.size()),
       offset_(static_cast<size_t>(std::max<int64_t>(node.offset, 0))),
       keep_(node.limit < 0 ? kUnbounded
-                           : offset_ + static_cast<size_t>(node.limit)) {}
+                           : offset_ + static_cast<size_t>(node.limit)),
+      key_(width_) {}
 
 bool TopNHeap::Precedes(const Entry& a, const Entry& b) const {
-  int c = CompareSortKeys(node_->sort_keys, a.key.data(), b.key.data());
+  int c = CompareSortKeys(node_->sort_keys, Key(a.slot), Key(b.slot));
   if (c != 0) return c < 0;
   return a.seq < b.seq;  // ties resolve to earlier input, as stable_sort
 }
 
-void TopNHeap::Insert(Entry&& e) {
+bool TopNHeap::Enters(const Value* const* key, uint64_t seq) const {
+  if (heap_.size() < keep_) return true;
+  const Entry& worst = heap_.front();
+  const Value* kept = Key(worst.slot);
+  for (size_t i = 0; i < width_; ++i) {
+    int c = key[i]->Compare(kept[i]);
+    if (c != 0) return (node_->sort_keys[i].descending ? -c : c) < 0;
+  }
+  return seq < worst.seq;
+}
+
+uint32_t TopNHeap::Place(const Value* const* key, uint64_t seq) {
   auto precedes = [this](const Entry& a, const Entry& b) {
     return Precedes(a, b);
   };
+  uint32_t slot;
   if (heap_.size() < keep_) {
-    heap_.push_back(std::move(e));
-    std::push_heap(heap_.begin(), heap_.end(), precedes);
-    return;
+    slot = static_cast<uint32_t>(heap_.size());
+    for (size_t i = 0; i < width_; ++i) keys_.push_back(*key[i]);
+    heap_.push_back({slot, seq});
+  } else {
+    std::pop_heap(heap_.begin(), heap_.end(), precedes);
+    slot = heap_.back().slot;
+    Value* kept = keys_.data() + static_cast<size_t>(slot) * width_;
+    for (size_t i = 0; i < width_; ++i) kept[i] = *key[i];
+    heap_.back().seq = seq;
   }
-  std::pop_heap(heap_.begin(), heap_.end(), precedes);
-  heap_.back() = std::move(e);
   std::push_heap(heap_.begin(), heap_.end(), precedes);
+  return slot;
 }
 
-Status TopNHeap::Offer(const Row& row, uint64_t seq, bool keep_row) {
+Status TopNHeap::Offer(const Row& row, uint64_t seq) {
   if (keep_ == 0) return Status::OK();
-  scratch_.key.clear();
-  for (const auto& k : node_->sort_keys) {
-    HTAPEX_ASSIGN_OR_RETURN(Value v, EvalExpr(*k.expr, row));
-    scratch_.key.push_back(std::move(v));
+  for (size_t i = 0; i < width_; ++i) {
+    HTAPEX_RETURN_IF_ERROR(key_.Resolve(i, *node_->sort_keys[i].expr, row));
   }
-  scratch_.seq = seq;
-  if (heap_.size() >= keep_ && !Precedes(scratch_, heap_.front())) {
-    return Status::OK();
-  }
-  if (keep_row) scratch_.row = row;
-  Insert(std::move(scratch_));
+  if (!Enters(key_.at.data(), seq)) return Status::OK();
+  const uint32_t slot = Place(key_.at.data(), seq);
+  if (keep_rows_) StoreRow(slot, row);
   return Status::OK();
 }
 
 void TopNHeap::Merge(TopNHeap&& other) {
   if (keep_ == 0) return;
-  for (Entry& e : other.heap_) {
-    if (heap_.size() < keep_ || Precedes(e, heap_.front())) {
-      Insert(std::move(e));
-    }
+  for (const Entry& e : other.heap_) {
+    const Value* key = other.Key(e.slot);
+    for (size_t i = 0; i < width_; ++i) key_.at[i] = key + i;
+    if (!Enters(key_.at.data(), e.seq)) continue;
+    const uint32_t slot = Place(key_.at.data(), e.seq);
+    if (keep_rows_) StoreRow(slot, std::move(other.rows_[e.slot]));
   }
   other.heap_.clear();
 }
@@ -222,8 +254,11 @@ Result<bool> TopNHeap::Emit(
                  [this](const Entry& a, const Entry& b) {
                    return Precedes(a, b);
                  });
+  const Row none;
   for (size_t i = offset_; i < heap_.size(); ++i) {
-    HTAPEX_ASSIGN_OR_RETURN(bool more, emit(heap_[i].row, heap_[i].seq));
+    const Entry& e = heap_[i];
+    HTAPEX_ASSIGN_OR_RETURN(bool more,
+                            emit(keep_rows_ ? rows_[e.slot] : none, e.seq));
     if (!more) return false;
   }
   return true;
@@ -344,8 +379,8 @@ Result<bool> PushHashJoin(const PlanNode& node, ExecContext* ctx,
 
 Result<bool> PushAggregate(const PlanNode& node, ExecContext* ctx,
                            RowSink out) {
-  GroupMap groups;
-  Row key;
+  GroupMap groups(node.group_keys.size(), node.aggregates.size());
+  KeyRefs key(node.group_keys.size());
   auto fold = [&](const Row& row) -> Result<bool> {
     HTAPEX_RETURN_IF_ERROR(AccumulateRow(node, row, &key, &groups));
     return true;

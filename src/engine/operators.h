@@ -197,55 +197,85 @@ Status HashBuildKeys(const PlanNode& join, const Rows& build,
   return Status::OK();
 }
 
-/// Folds one input row into its group of `agg`'s group map. `key` is the
-/// caller's scratch row for the evaluated group key; a group's key is
-/// copied only when the group is new.
-Status AccumulateRow(const PlanNode& agg, const Row& row, Row* key,
+/// Folds one input row into its group of `agg`'s group map; `key` is the
+/// caller's scratch. Column-ref group keys and aggregate arguments are read
+/// in place; a group's key is copied only when the group is new.
+Status AccumulateRow(const PlanNode& agg, const Row& row, KeyRefs* key,
                      GroupMap* groups);
 
-/// Pushes one output row per group, in key order. A scalar aggregation (no
-/// group keys) over an empty input still yields one row.
+/// Merges the partial groups `part` (one morsel's) into `total`: each
+/// group's partial states merge into its total, so a group merges its
+/// parts in the order the calls come in.
+Status MergeGroups(const PlanNode& agg, const GroupMap& part,
+                   GroupMap* total);
+
+/// Pushes one output row per group, in key order (GroupMap::Order). A
+/// scalar aggregation (no group keys) over an empty input still yields one
+/// row.
 Result<bool> PushGroups(const PlanNode& agg, const GroupMap& groups,
                         RowSink out);
 
 /// The bounded heap of a Top-N node: keeps the offset + limit first rows
 /// under the total order (sort keys, input sequence), which is exactly the
-/// prefix a stable sort would give. Only a row that enters the heap is
-/// copied. Heaps fed disjoint parts of one input merge, in any order, into
-/// the heap of the whole input, provided sequence numbers follow input
-/// order across them.
+/// prefix a stable sort would give. The kept rows' sort keys live in one
+/// flat array of sort-key-width slots, and the heap orders small (slot,
+/// sequence) entries; a row that evicts the worst kept row overwrites that
+/// row's slot in place. An offered row's column-ref sort keys are read in
+/// place, so a row that does not enter is not copied at all. Heaps fed
+/// disjoint parts of one input merge, in any order, into the heap of the
+/// whole input, provided sequence numbers follow input order across them.
 class TopNHeap {
  public:
-  explicit TopNHeap(const PlanNode& node);
+  /// With `keep_rows` false, only the sort keys of a kept row are kept,
+  /// and the caller rebuilds the row from its sequence number when Emit
+  /// hands it back (late materialization).
+  explicit TopNHeap(const PlanNode& node, bool keep_rows = true);
 
-  /// Offers `row`, the input row with sequence number `seq`. A row that
-  /// enters the heap is copied, unless `keep_row` is false: then only its
-  /// sort keys are kept, and the caller rebuilds the row from `seq` when
-  /// Emit hands it back (late materialization). Under LIMIT 0 nothing is
-  /// kept and no sort key is evaluated.
-  Status Offer(const Row& row, uint64_t seq, bool keep_row = true);
+  /// Offers `row`, the input row with sequence number `seq`. Under LIMIT 0
+  /// nothing is kept and no sort key is evaluated.
+  Status Offer(const Row& row, uint64_t seq);
   /// Offers every row `other` kept.
   void Merge(TopNHeap&& other);
-  /// Hands each kept row, in order from the offset on, to `emit`, with its
-  /// sequence number; stops when `emit` answers false.
+  /// Hands each kept row (empty without keep_rows), in order from the
+  /// offset on, to `emit`, with its sequence number; stops when `emit`
+  /// answers false.
   Result<bool> Emit(FunctionRef<Result<bool>(const Row&, uint64_t)> emit);
 
  private:
   struct Entry {
-    Row key;  // evaluated sort keys
-    Row row;  // empty when offered without keep_row
+    uint32_t slot = 0;  // the row's sort keys and row, in keys_ and rows_
     uint64_t seq = 0;
   };
 
+  const Value* Key(uint32_t slot) const {
+    return keys_.data() + static_cast<size_t>(slot) * width_;
+  }
   bool Precedes(const Entry& a, const Entry& b) const;
-  void Insert(Entry&& e);
+  /// True when the row with sort keys `key` and sequence number `seq`
+  /// would enter: the heap has room, or it precedes the worst kept row.
+  bool Enters(const Value* const* key, uint64_t seq) const;
+  /// Writes `key` into a free slot, or over the worst kept row's, pushes
+  /// the entry and returns its slot.
+  uint32_t Place(const Value* const* key, uint64_t seq);
+  template <typename R>
+  void StoreRow(uint32_t slot, R&& row) {
+    if (slot == rows_.size()) {
+      rows_.push_back(std::forward<R>(row));
+    } else {
+      rows_[slot] = std::forward<R>(row);
+    }
+  }
 
   const PlanNode* node_;
+  bool keep_rows_ = true;
+  size_t width_ = 0;  // sort keys per row
   size_t offset_ = 0;
   size_t keep_ = 0;  // offset + limit; kUnbounded without a limit
   /// Max-heap under Precedes: the front is the worst row kept.
   std::vector<Entry> heap_;
-  Entry scratch_;  // the offered row's keys, before it is known to enter
+  std::vector<Value> keys_;  // width_ sort keys per slot
+  std::vector<Row> rows_;    // per slot, with keep_rows
+  KeyRefs key_;  // the offered row's sort keys
 };
 
 /// The row window of a Limit node: skips `offset` rows, passes `limit`, and

@@ -141,8 +141,8 @@ Status VecExecutor::TypedAggMorsel(const PipelineSpec& spec,
                                    kernels::Arena* arena,
                                    MorselOut* out) const {
   const PlanNode& node = *spec.consumer;
-  std::vector<AggState>& states =
-      out->groups.try_emplace(Row{}, node.aggregates.size()).first->second;
+  out->groups = GroupMap(0, node.aggregates.size());
+  AggState* states = out->groups.States(out->groups.FindOrInsert(nullptr));
   if (batch.sel.empty()) return Status::OK();
   for (size_t a = 0; a < node.aggregates.size(); ++a) {
     const Expr& agg = *node.aggregates[a];
@@ -442,8 +442,10 @@ Status VecExecutor::ProcessMorsel(const PipelineSpec& spec,
     out->parents = std::move(parents);
     return err;
   }
+  out->groups = GroupMap(spec.consumer->group_keys.size(),
+                         spec.consumer->aggregates.size());
   Row row(static_cast<size_t>(total_slots), Value::Null());
-  Row key;
+  KeyRefs key(spec.consumer->group_keys.size());
   for (size_t t = 0; t < cur_off.size(); ++t) {
     FillRow(spec, spec.row_slots, batch.begin, cur_off, bidx, t, &row);
     HTAPEX_RETURN_IF_ERROR(
@@ -480,9 +482,8 @@ void VecExecutor::RunMorsel(const PipelineSpec& spec, const Morsel& morsel,
   Row row(static_cast<size_t>(total_slots), Value::Null());
   for (size_t t = 0; t < out->offs.size() && out->status.ok(); ++t) {
     FillRow(spec, spec.key_slots, out->begin, out->offs, out->bidx, t, &row);
-    out->status = heap->Offer(
-        row, (static_cast<uint64_t>(morsel.index) << 32) | t,
-        /*keep_row=*/false);
+    out->status =
+        heap->Offer(row, (static_cast<uint64_t>(morsel.index) << 32) | t);
   }
 }
 
@@ -633,7 +634,7 @@ Result<bool> VecExecutor::RunFusedAggregate(const PlanNode& node,
   spec.consumer = &node;
   HTAPEX_RETURN_IF_ERROR(BuildPipeline(*node.children[0], ctx, &spec));
   std::vector<size_t> totals(spec.nodes.size(), 0);
-  GroupMap global;
+  GroupMap global(node.group_keys.size(), node.aggregates.size());
   // An empty_cut spine aggregates zero input rows, exactly like the row
   // executor aggregating its early-returned empty join.
   if (!spec.empty_cut) {
@@ -642,14 +643,9 @@ Result<bool> VecExecutor::RunFusedAggregate(const PlanNode& node,
     std::vector<MorselOut> outs;
     RunMorselLoop(spec, ctx->total_slots, kUnbounded, &outs);
     HTAPEX_RETURN_IF_ERROR(SumCounts(spec, outs, &totals));
+    // Each group merges its partial states in morsel order.
     for (const MorselOut& mo : outs) {
-      for (const auto& [key, states] : mo.groups) {
-        auto [it, inserted] = global.try_emplace(key, node.aggregates.size());
-        for (size_t a = 0; a < node.aggregates.size(); ++a) {
-          HTAPEX_RETURN_IF_ERROR(
-              MergeAggState(*node.aggregates[a], states[a], &it->second[a]));
-        }
-      }
+      HTAPEX_RETURN_IF_ERROR(MergeGroups(node, mo.groups, &global));
     }
   }
   RecordPipelineStats(spec, totals, false, ctx);
@@ -658,7 +654,7 @@ Result<bool> VecExecutor::RunFusedAggregate(const PlanNode& node,
 
 Result<bool> VecExecutor::RunFusedTopN(const PlanNode& node, ExecContext* ctx,
                                        RowSink out) const {
-  TopNHeap heap(node);
+  TopNHeap heap(node, /*keep_rows=*/false);
   PipelineSpec spec;
   spec.sink = SinkKind::kTopN;
   spec.consumer = &node;

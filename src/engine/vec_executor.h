@@ -48,9 +48,10 @@ namespace htapex {
 /// QueryResultSet::Fingerprint() output, identical per-node ExecStats
 /// (actual rows and the stopped set) and the same StatusCode as the
 /// row-at-a-time Executor (the oracle), independent of worker count:
-/// morsel results merge in morsel index order, group maps are ordered, and
-/// when a consumer stops a pipeline mid-morsel each pipeline node records
-/// the tuples up to the stopping tuple's ancestor at its level, the rows
+/// morsel results merge in morsel index order, groups come out in key
+/// order, and when a consumer stops a pipeline mid-morsel each pipeline
+/// node records the tuples up to the stopping tuple's ancestor at its
+/// level, the rows
 /// the oracle's scan and joins pushed before they heard "stop". A morsel
 /// keeps only the tuples that precede its first evaluation error in the
 /// oracle's row-at-a-time order, and the error surfaces only if the

@@ -16,6 +16,10 @@ Result<TableStats> ComputeTableStats(const TableSchema& schema,
     }
   };
 
+  if (data.width != schema.num_columns() ||
+      data.cells.size() != data.num_rows() * data.width) {
+    return Status::InvalidArgument("row arity mismatch during ANALYZE");
+  }
   double row_bytes = 0.0;
   for (size_t c = 0; c < schema.num_columns(); ++c) {
     ColumnStats& cs = stats.columns[c];
@@ -23,11 +27,8 @@ Result<TableStats> ComputeTableStats(const TableSchema& schema,
     int64_t nulls = 0;
     double width_sum = 0.0;
     bool any = false;
-    for (const Row& row : data.rows) {
-      if (row.size() != schema.num_columns()) {
-        return Status::InvalidArgument("row arity mismatch during ANALYZE");
-      }
-      const Value& v = row[c];
+    for (size_t r = 0; r < data.num_rows(); ++r) {
+      const Value& v = data.RowAt(r)[c];
       if (v.is_null()) {
         ++nulls;
         continue;

@@ -165,14 +165,14 @@ Status ColumnStore::LoadTable(const Catalog& catalog, const TableData& data) {
   for (const Column& col : schema->columns()) {
     table.columns.emplace_back(col.type);
   }
-  for (const Row& row : data.rows) {
-    if (row.size() != schema->num_columns()) {
-      return Status::InvalidArgument("row arity mismatch for table " +
-                                     data.table_name);
-    }
-    for (size_t c = 0; c < row.size(); ++c) {
-      table.columns[c].Append(row[c]);
-    }
+  if (data.width != schema->num_columns() ||
+      data.cells.size() != data.num_rows() * data.width) {
+    return Status::InvalidArgument("row arity mismatch for table " +
+                                   data.table_name);
+  }
+  for (size_t r = 0; r < data.num_rows(); ++r) {
+    const Value* row = data.RowAt(r);
+    for (size_t c = 0; c < data.width; ++c) table.columns[c].Append(row[c]);
   }
   table.num_rows = data.num_rows();
   tables_.emplace(data.table_name, std::move(table));

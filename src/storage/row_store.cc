@@ -5,11 +5,10 @@ namespace htapex {
 Status RowStore::LoadTable(const Catalog& catalog, TableData data) {
   HTAPEX_ASSIGN_OR_RETURN(const TableSchema* schema,
                           catalog.GetTable(data.table_name));
-  for (const Row& row : data.rows) {
-    if (row.size() != schema->num_columns()) {
-      return Status::InvalidArgument("row arity mismatch for table " +
-                                     data.table_name);
-    }
+  if (data.width != schema->num_columns() ||
+      data.cells.size() != data.num_rows() * data.width) {
+    return Status::InvalidArgument("row arity mismatch for table " +
+                                   data.table_name);
   }
   std::string name = data.table_name;
   if (tables_.count(name) > 0) {
@@ -46,8 +45,8 @@ Status RowStore::BuildIndexInternal(const Catalog& catalog,
   }
   auto index = std::make_unique<BTreeIndex>();
   const TableData& data = it->second;
-  for (uint32_t row_id = 0; row_id < data.rows.size(); ++row_id) {
-    index->Insert(data.rows[row_id][static_cast<size_t>(col)], row_id);
+  for (uint32_t row_id = 0; row_id < data.num_rows(); ++row_id) {
+    index->Insert(data.RowAt(row_id)[col], row_id);
   }
   indexes_.emplace(def.name, std::move(index));
   return Status::OK();

@@ -10,12 +10,11 @@ namespace {
 TEST(AnalyzeTest, MeasuresSimpleTable) {
   TableSchema schema("t",
                      {{"a", DataType::kInt}, {"s", DataType::kString}}, {"a"});
-  TableData data;
-  data.table_name = "t";
-  data.rows = {{Value::Int(1), Value::Str("xx")},
-               {Value::Int(2), Value::Str("yyyy")},
-               {Value::Int(2), Value::Null()},
-               {Value::Int(3), Value::Str("zz")}};
+  TableData data("t", 2);
+  data.Append({Value::Int(1), Value::Str("xx")});
+  data.Append({Value::Int(2), Value::Str("yyyy")});
+  data.Append({Value::Int(2), Value::Null()});
+  data.Append({Value::Int(3), Value::Str("zz")});
   auto stats = ComputeTableStats(schema, data);
   ASSERT_TRUE(stats.ok()) << stats.status();
   EXPECT_EQ(stats->row_count, 4);

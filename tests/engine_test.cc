@@ -2,6 +2,7 @@
 
 #include <cstdint>
 #include <functional>
+#include <limits>
 #include <string>
 #include <utility>
 #include <vector>
@@ -621,6 +622,97 @@ TEST_F(EngineTest, TypeMismatchesAndOverflowAreExecutionErrors) {
     ASSERT_TRUE(got.ok() && want.ok()) << sql;
     EXPECT_EQ(got->tp_result->Fingerprint(), want->tp_result->Fingerprint())
         << sql;
+  }
+}
+
+/// `sql`'s result on TP, row-executed AP and vectorized AP at 1 and 3
+/// workers, each with its engine's name.
+std::vector<std::pair<std::string, Result<QueryResultSet>>> RunEverywhere(
+    HtapSystem* system, const std::string& sql) {
+  std::vector<std::pair<std::string, Result<QueryResultSet>>> out;
+  auto query = system->Bind(sql);
+  auto plans = query.ok() ? system->PlanBoth(*query) : query.status();
+  if (!plans.ok()) {
+    out.emplace_back("plan", plans.status());
+    return out;
+  }
+  out.emplace_back("TP", system->Execute(plans->tp, *query));
+  out.emplace_back("AP row",
+                   system->ExecuteWithMode(ExecMode::kRow, plans->ap, *query));
+  for (int workers : {1, 3}) {
+    system->vec_executor()->set_num_workers(workers);
+    out.emplace_back(
+        "AP vectorized @" + std::to_string(workers),
+        system->ExecuteWithMode(ExecMode::kVectorized, plans->ap, *query));
+  }
+  system->vec_executor()->set_num_workers(system->config().vec_workers);
+  return out;
+}
+
+TEST_F(EngineTest, IntegerSumsAreExact) {
+  // Integer SUM and AVG add exactly, so no order of rows, morsels or
+  // workers changes the answer, AVG is the true mean even where the sum
+  // passes int64, and a SUM whose total does not fit int64 is
+  // kExecutionError on every engine, as int64 arithmetic overflow is.
+  auto count = system_->RunQuery("SELECT COUNT(*) FROM customer");
+  ASSERT_TRUE(count.ok()) << count.status();
+  const int64_t n = count->tp_result->rows[0][0].AsInt();  // keys 1..n
+  const __int128 key_sum = static_cast<__int128>(n) * (n + 1) / 2;
+  const double mean = static_cast<double>(key_sum * 1000000000000000) /
+                      static_cast<double>(n);
+  for (auto& [engine, r] : RunEverywhere(
+           system_, "SELECT AVG(c_custkey * 1000000000000000) FROM customer")) {
+    ASSERT_TRUE(r.ok()) << engine << ": " << r.status();
+    EXPECT_DOUBLE_EQ(r->rows[0][0].AsDouble(), mean) << engine;
+  }
+  // Per nation, each mean is 10^15 times the mean key.
+  auto plain = system_->RunQuery(
+      "SELECT c_nationkey, AVG(c_custkey) FROM customer GROUP BY c_nationkey");
+  ASSERT_TRUE(plain.ok()) << plain.status();
+  for (auto& [engine, r] : RunEverywhere(
+           system_,
+           "SELECT c_nationkey, AVG(c_custkey * 1000000000000000) "
+           "FROM customer GROUP BY c_nationkey")) {
+    ASSERT_TRUE(r.ok()) << engine << ": " << r.status();
+    ASSERT_EQ(r->rows.size(), plain->tp_result->rows.size()) << engine;
+    for (size_t i = 0; i < r->rows.size(); ++i) {
+      EXPECT_DOUBLE_EQ(r->rows[i][1].AsDouble(),
+                       plain->tp_result->rows[i][1].AsDouble() * 1e15)
+          << engine << " nation " << r->rows[i][0].AsInt();
+    }
+  }
+  // Running sums far past int64 that end inside it: the exact total.
+  const int64_t centre = n / 2;
+  const __int128 centred =
+      (key_sum - static_cast<__int128>(n) * centre) * 10000000000000000;
+  ASSERT_LE(centred, std::numeric_limits<int64_t>::max());
+  for (auto& [engine, r] : RunEverywhere(
+           system_, "SELECT SUM((c_custkey - " + std::to_string(centre) +
+                        ") * 10000000000000000) FROM customer")) {
+    ASSERT_TRUE(r.ok()) << engine << ": " << r.status();
+    ASSERT_TRUE(r->rows[0][0].is_int()) << engine;
+    EXPECT_EQ(r->rows[0][0].AsInt(), static_cast<int64_t>(centred)) << engine;
+  }
+  for (const char* sql :
+       {"SELECT SUM(c_custkey * 1000000000000000) FROM customer",
+        "SELECT c_nationkey, SUM(c_custkey * 100000000000000000) "
+        "FROM customer GROUP BY c_nationkey"}) {
+    for (auto& [engine, r] : RunEverywhere(system_, sql)) {
+      EXPECT_EQ(r.status().code(), StatusCode::kExecutionError)
+          << engine << ": " << sql;
+    }
+  }
+}
+
+TEST_F(EngineTest, SignedZeroGroupKeysAreOneGroup) {
+  // 0.0 and -0.0 compare equal, so they are one group, keyed by the value
+  // it was first found with: nation 0's (0 - 2) * 0.0 = -0.0.
+  for (auto& [engine, r] : RunEverywhere(
+           system_,
+           "SELECT (n_regionkey - 2) * 0.0, COUNT(*) FROM nation "
+           "GROUP BY (n_regionkey - 2) * 0.0")) {
+    ASSERT_TRUE(r.ok()) << engine << ": " << r.status();
+    EXPECT_EQ(r->Fingerprint(), "-0|25") << engine;
   }
 }
 

@@ -5,10 +5,12 @@
 // semantics.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <cstdint>
 #include <cstdlib>
 #include <limits>
+#include <map>
 #include <memory>
 #include <optional>
 #include <string>
@@ -1034,6 +1036,427 @@ TEST(EvaluatorTest, InPlacePredicatesMatchTheReferenceEvaluator) {
   EXPECT_GT(values, 50000);
   EXPECT_GT(errors, 10000);
   EXPECT_GT(thrown, 10000);
+}
+
+// The aggregation group map and the Top-N heap as they were before their
+// arrays were flat, kept as the references for them: an ordered std::map
+// from each group's key row to its own vector of AggStates, with keys and
+// aggregate arguments evaluated into copies, and a heap of entries that
+// each own a key vector and a row.
+namespace before_flat {
+
+struct RowLess {
+  bool operator()(const Row& a, const Row& b) const {
+    for (size_t i = 0; i < a.size(); ++i) {
+      int c = a[i].Compare(b[i]);
+      if (c != 0) return c < 0;
+    }
+    return false;
+  }
+};
+
+using GroupMap = std::map<Row, std::vector<AggState>, RowLess>;
+
+Status RefAccumulateAgg(const Expr& agg, const Row& row, AggState* s) {
+  if (agg.count_star) {
+    ++s->count;
+    return Status::OK();
+  }
+  Result<Value> v = EvalExpr(*agg.children[0], row);
+  if (!v.ok()) return v.status();
+  if (v->is_null()) return Status::OK();
+  return AccumulateAggValue(agg, *v, s);
+}
+
+Status AccumulateRow(const PlanNode& agg, const Row& row, Row* key,
+                     GroupMap* groups) {
+  key->clear();
+  for (const auto& g : agg.group_keys) {
+    HTAPEX_ASSIGN_OR_RETURN(Value v, EvalExpr(*g, row));
+    key->push_back(std::move(v));
+  }
+  auto it = groups->find(*key);
+  if (it == groups->end()) {
+    it = groups->try_emplace(*key, agg.aggregates.size()).first;
+  }
+  for (size_t a = 0; a < agg.aggregates.size(); ++a) {
+    HTAPEX_RETURN_IF_ERROR(
+        RefAccumulateAgg(*agg.aggregates[a], row, &it->second[a]));
+  }
+  return Status::OK();
+}
+
+Status MergeGroups(const PlanNode& agg, const GroupMap& part,
+                   GroupMap* total) {
+  for (const auto& [key, states] : part) {
+    auto it = total->try_emplace(key, agg.aggregates.size()).first;
+    for (size_t a = 0; a < agg.aggregates.size(); ++a) {
+      HTAPEX_RETURN_IF_ERROR(
+          MergeAggState(*agg.aggregates[a], states[a], &it->second[a]));
+    }
+  }
+  return Status::OK();
+}
+
+/// The rows PushGroups pushed for `groups`.
+Result<std::vector<Row>> Groups(const PlanNode& agg, const GroupMap& groups) {
+  std::vector<Row> out;
+  if (groups.empty() && agg.group_keys.empty()) {
+    Row row;
+    for (const auto& a : agg.aggregates) {
+      HTAPEX_ASSIGN_OR_RETURN(Value v, FinalizeAgg(*a, AggState{}));
+      row.push_back(std::move(v));
+    }
+    out.push_back(std::move(row));
+    return out;
+  }
+  for (const auto& [key, states] : groups) {
+    Row row = key;
+    for (size_t a = 0; a < agg.aggregates.size(); ++a) {
+      HTAPEX_ASSIGN_OR_RETURN(Value v,
+                              FinalizeAgg(*agg.aggregates[a], states[a]));
+      row.push_back(std::move(v));
+    }
+    out.push_back(std::move(row));
+  }
+  return out;
+}
+
+class TopNHeap {
+ public:
+  explicit TopNHeap(const PlanNode& node)
+      : node_(&node),
+        offset_(static_cast<size_t>(std::max<int64_t>(node.offset, 0))),
+        keep_(node.limit < 0 ? kUnbounded
+                             : offset_ + static_cast<size_t>(node.limit)) {}
+
+  Status Offer(const Row& row, uint64_t seq, bool keep_row) {
+    if (keep_ == 0) return Status::OK();
+    scratch_.key.clear();
+    for (const auto& k : node_->sort_keys) {
+      HTAPEX_ASSIGN_OR_RETURN(Value v, EvalExpr(*k.expr, row));
+      scratch_.key.push_back(std::move(v));
+    }
+    scratch_.seq = seq;
+    if (heap_.size() >= keep_ && !Precedes(scratch_, heap_.front())) {
+      return Status::OK();
+    }
+    if (keep_row) scratch_.row = row;
+    Insert(std::move(scratch_));
+    return Status::OK();
+  }
+
+  void Merge(TopNHeap&& other) {
+    if (keep_ == 0) return;
+    for (Entry& e : other.heap_) {
+      if (heap_.size() < keep_ || Precedes(e, heap_.front())) {
+        Insert(std::move(e));
+      }
+    }
+    other.heap_.clear();
+  }
+
+  std::vector<std::pair<Row, uint64_t>> Emit() {
+    std::sort_heap(heap_.begin(), heap_.end(),
+                   [this](const Entry& a, const Entry& b) {
+                     return Precedes(a, b);
+                   });
+    std::vector<std::pair<Row, uint64_t>> out;
+    for (size_t i = offset_; i < heap_.size(); ++i) {
+      out.emplace_back(heap_[i].row, heap_[i].seq);
+    }
+    return out;
+  }
+
+ private:
+  struct Entry {
+    Row key;
+    Row row;
+    uint64_t seq = 0;
+  };
+
+  bool Precedes(const Entry& a, const Entry& b) const {
+    int c = CompareSortKeys(node_->sort_keys, a.key.data(), b.key.data());
+    if (c != 0) return c < 0;
+    return a.seq < b.seq;
+  }
+
+  void Insert(Entry&& e) {
+    auto precedes = [this](const Entry& a, const Entry& b) {
+      return Precedes(a, b);
+    };
+    if (heap_.size() < keep_) {
+      heap_.push_back(std::move(e));
+      std::push_heap(heap_.begin(), heap_.end(), precedes);
+      return;
+    }
+    std::pop_heap(heap_.begin(), heap_.end(), precedes);
+    heap_.back() = std::move(e);
+    std::push_heap(heap_.begin(), heap_.end(), precedes);
+  }
+
+  const PlanNode* node_;
+  size_t offset_ = 0;
+  size_t keep_ = 0;
+  std::vector<Entry> heap_;
+  Entry scratch_;
+};
+
+}  // namespace before_flat
+
+constexpr int kGroupRowWidth = 6;
+constexpr int kGroupRows = 100000;
+constexpr size_t kMorselRows = 4096;
+
+/// One seeded row for the group map and Top-N comparisons. Slots 0-2 are
+/// keys over small domains, so groups and sort-key ties are many: slot 0
+/// mixes NULL, Int(0), 0.0, -0.0, Int(3), Double(3.0) and strings, slot 1
+/// is a small int or NULL, slot 2 a short string or a half-integer
+/// double. Slots 3 (ints and doubles) and 4 (ints) are SUM and AVG
+/// arguments, and slot 5 holds any kind, for MIN and MAX.
+Row RandomGroupRow(Rng* rng) {
+  static const Value kKeys[] = {
+      Value::Null(),     Value::Int(0),      Value::Double(0.0),
+      Value::Double(-0.0), Value::Int(3),    Value::Double(3.0),
+      Value::Int(-1),    Value::Double(2.5), Value::Str("a"),
+      Value::Str("b"),   Value::Str("")};
+  Row row(kGroupRowWidth);
+  row[0] = kKeys[rng->Uniform(0, 10)];
+  if (!rng->Bernoulli(0.1)) row[1] = Value::Int(rng->Uniform(-3, 3));
+  if (!rng->Bernoulli(0.1)) {
+    row[2] = rng->Bernoulli(0.5)
+                 ? Value::Str(std::string(1, static_cast<char>(
+                                                 'a' + rng->Uniform(0, 4))))
+                 : Value::Double(0.5 * static_cast<double>(rng->Uniform(-2, 2)));
+  }
+  switch (rng->Uniform(0, 9)) {
+    case 0:
+      break;
+    case 1:
+    case 2:
+    case 3:
+      row[3] = Value::Double(rng->UniformReal(-100.0, 100.0));
+      break;
+    default:
+      row[3] = Value::Int(rng->Uniform(-1000, 1000));
+  }
+  if (!rng->Bernoulli(0.1)) row[4] = Value::Int(rng->Uniform(0, 50));
+  row[5] = rng->Bernoulli(0.2) ? kKeys[rng->Uniform(0, 10)]
+                               : Value::Int(rng->Uniform(-20, 20));
+  return row;
+}
+
+std::unique_ptr<Expr> Slot(int slot) {
+  auto e = MakeColumnRef("", "c" + std::to_string(slot));
+  e->flat_slot = slot;
+  return e;
+}
+
+/// Slot 1 times 0.0: -0.0 for the negative ints, 0.0 otherwise.
+std::unique_ptr<Expr> TimesZero() {
+  auto e = std::make_unique<Expr>(ExprKind::kArithmetic);
+  e->arith_op = ArithOp::kMul;
+  e->children.push_back(Slot(1));
+  e->children.push_back(MakeLiteral(Value::Double(0.0)));
+  return e;
+}
+
+/// A key by its number: a slot 0-2, or 3 for TimesZero.
+std::unique_ptr<Expr> KeyExpr(int k) { return k < 3 ? Slot(k) : TimesZero(); }
+
+std::unique_ptr<Expr> Aggregate(AggKind kind, int slot, bool distinct) {
+  auto e = std::make_unique<Expr>(ExprKind::kAggregate);
+  e->agg_kind = kind;
+  e->distinct = distinct;
+  if (slot < 0) {
+    e->count_star = true;
+  } else {
+    e->children.push_back(Slot(slot));
+  }
+  return e;
+}
+
+std::string RowMismatch(const std::vector<Row>& got,
+                        const std::vector<Row>& want) {
+  if (got.size() != want.size()) {
+    return StrFormat("%zu rows, want %zu", got.size(), want.size());
+  }
+  for (size_t r = 0; r < got.size(); ++r) {
+    if (got[r].size() != want[r].size()) return StrFormat("row %zu width", r);
+    for (size_t c = 0; c < got[r].size(); ++c) {
+      if (!SameValue(got[r][c], want[r][c])) {
+        return StrFormat("row %zu cell %zu: %s, want %s", r, c,
+                         got[r][c].ToString().c_str(),
+                         want[r][c].ToString().c_str());
+      }
+    }
+  }
+  return "";
+}
+
+std::vector<Row> SeededGroupRows() {
+  Rng rng(0x9a0b);
+  std::vector<Row> rows;
+  rows.reserve(kGroupRows);
+  for (int i = 0; i < kGroupRows; ++i) rows.push_back(RandomGroupRow(&rng));
+  return rows;
+}
+
+TEST(FlatOperatorStateTest, HashGroupMapMatchesTheOrderedMap) {
+  // 100,000 seeded rows through the flat hash group map and the ordered
+  // map it replaced, in one pass and as 4,096-row morsels merged in morsel
+  // order: the same groups in the same order, keyed by the same first-seen
+  // values, with the same finalized aggregates bit for bit.
+  const std::vector<Row> rows = SeededGroupRows();
+  PlanNode agg(PlanOp::kHashAggregate);
+  for (AggKind kind : {AggKind::kCount, AggKind::kSum, AggKind::kAvg}) {
+    agg.aggregates.push_back(Aggregate(kind, 3, false));
+    agg.aggregates.push_back(Aggregate(kind, 4, false));
+    agg.aggregates.push_back(Aggregate(kind, 4, true));
+  }
+  agg.aggregates.push_back(Aggregate(AggKind::kCount, -1, false));
+  agg.aggregates.push_back(Aggregate(AggKind::kSum, 3, true));
+  agg.aggregates.push_back(Aggregate(AggKind::kCount, 5, true));
+  for (AggKind kind : {AggKind::kMin, AggKind::kMax}) {
+    agg.aggregates.push_back(Aggregate(kind, 5, false));
+    agg.aggregates.push_back(Aggregate(kind, 0, true));
+    agg.aggregates.push_back(Aggregate(kind, 2, false));
+  }
+  const std::vector<std::vector<int>> key_sets = {
+      {}, {0}, {1}, {2}, {3}, {0, 1}, {2, 3}, {0, 1, 2}, {1, 0, 3}};
+  for (const std::vector<int>& keys : key_sets) {
+    agg.group_keys.clear();
+    for (int k : keys) agg.group_keys.push_back(KeyExpr(k));
+    const std::string label = StrFormat("%zu keys, first %d", keys.size(),
+                                        keys.empty() ? -1 : keys[0]);
+    auto pushed = [&agg](const GroupMap& groups) {
+      std::vector<Row> out;
+      auto keep = [&out](const Row& row) -> Result<bool> {
+        out.push_back(row);
+        return true;
+      };
+      EXPECT_TRUE(PushGroups(agg, groups, keep).ok());
+      return out;
+    };
+
+    GroupMap flat(keys.size(), agg.aggregates.size());
+    before_flat::GroupMap ordered;
+    KeyRefs scratch(keys.size());
+    Row key;
+    for (const Row& row : rows) {
+      ASSERT_TRUE(AccumulateRow(agg, row, &scratch, &flat).ok());
+      ASSERT_TRUE(before_flat::AccumulateRow(agg, row, &key, &ordered).ok());
+    }
+    auto want = before_flat::Groups(agg, ordered);
+    ASSERT_TRUE(want.ok()) << want.status();
+    EXPECT_GE(want->size(), keys.empty() ? 1u : 2u) << label;
+    EXPECT_EQ(RowMismatch(pushed(flat), *want), "") << label;
+
+    GroupMap flat_total(keys.size(), agg.aggregates.size());
+    before_flat::GroupMap ordered_total;
+    for (size_t begin = 0; begin < rows.size(); begin += kMorselRows) {
+      GroupMap flat_part(keys.size(), agg.aggregates.size());
+      before_flat::GroupMap ordered_part;
+      for (size_t r = begin; r < std::min(rows.size(), begin + kMorselRows);
+           ++r) {
+        ASSERT_TRUE(AccumulateRow(agg, rows[r], &scratch, &flat_part).ok());
+        ASSERT_TRUE(
+            before_flat::AccumulateRow(agg, rows[r], &key, &ordered_part)
+                .ok());
+      }
+      ASSERT_TRUE(MergeGroups(agg, flat_part, &flat_total).ok());
+      ASSERT_TRUE(
+          before_flat::MergeGroups(agg, ordered_part, &ordered_total).ok());
+    }
+    want = before_flat::Groups(agg, ordered_total);
+    ASSERT_TRUE(want.ok()) << want.status();
+    EXPECT_EQ(RowMismatch(pushed(flat_total), *want), "")
+        << label << ", merged morsels";
+  }
+}
+
+TEST(FlatOperatorStateTest, FlatTopNHeapMatchesTheEntryHeap) {
+  // 100,000 seeded rows through the flat Top-N heap and the entry heap it
+  // replaced, under sort keys in both directions with many ties and LIMIT
+  // and OFFSET windows including LIMIT 0: the same rows with the same
+  // sequence numbers, in one heap that keeps rows, and in three key-only
+  // worker heaps fed alternate morsels and merged.
+  const std::vector<Row> rows = SeededGroupRows();
+  const std::vector<std::vector<std::pair<int, bool>>> sort_sets = {
+      {{0, false}},
+      {{1, true}, {0, false}},
+      {{2, false}, {1, true}, {4, false}},
+      {{3, true}, {5, false}, {0, true}}};
+  const std::vector<std::pair<int64_t, int64_t>> windows = {
+      {0, 0}, {0, 7}, {1, 0}, {5, 0}, {10, 3}, {100, 0}, {37, 1000},
+      {1000, 250}};
+  for (const auto& sort : sort_sets) {
+    for (const auto& [limit, offset] : windows) {
+      PlanNode node(PlanOp::kTopN);
+      for (const auto& [k, desc] : sort) {
+        node.sort_keys.push_back({KeyExpr(k), desc});
+      }
+      node.limit = limit;
+      node.offset = offset;
+      const std::string label =
+          StrFormat("%zu keys, first %d, LIMIT %lld OFFSET %lld", sort.size(),
+                    sort[0].first, static_cast<long long>(limit),
+                    static_cast<long long>(offset));
+
+      TopNHeap flat(node);
+      before_flat::TopNHeap entries(node);
+      for (size_t r = 0; r < rows.size(); ++r) {
+        ASSERT_TRUE(flat.Offer(rows[r], r).ok());
+        ASSERT_TRUE(entries.Offer(rows[r], r, true).ok());
+      }
+      std::vector<Row> got_rows, want_rows;
+      std::vector<uint64_t> got_seqs, want_seqs;
+      ASSERT_TRUE(flat.Emit([&](const Row& row, uint64_t seq) -> Result<bool> {
+                        got_rows.push_back(row);
+                        got_seqs.push_back(seq);
+                        return true;
+                      }).ok());
+      for (auto& [row, seq] : entries.Emit()) {
+        want_rows.push_back(row);
+        want_seqs.push_back(seq);
+      }
+      EXPECT_EQ(want_seqs.size(),
+                static_cast<size_t>(std::min<int64_t>(
+                    limit, std::max<int64_t>(kGroupRows - offset, 0))))
+          << label;
+      EXPECT_EQ(got_seqs, want_seqs) << label;
+      EXPECT_EQ(RowMismatch(got_rows, want_rows), "") << label;
+
+      std::vector<TopNHeap> workers(3, TopNHeap(node, /*keep_rows=*/false));
+      std::vector<before_flat::TopNHeap> entry_workers(
+          3, before_flat::TopNHeap(node));
+      for (size_t begin = 0; begin < rows.size(); begin += kMorselRows) {
+        const size_t morsel = begin / kMorselRows;
+        for (size_t r = begin; r < std::min(rows.size(), begin + kMorselRows);
+             ++r) {
+          const uint64_t seq = (morsel << 32) | (r - begin);
+          ASSERT_TRUE(workers[morsel % 3].Offer(rows[r], seq).ok());
+          ASSERT_TRUE(
+              entry_workers[morsel % 3].Offer(rows[r], seq, false).ok());
+        }
+      }
+      TopNHeap merged(node, /*keep_rows=*/false);
+      before_flat::TopNHeap entry_merged(node);
+      for (size_t w : {2, 0, 1}) {
+        merged.Merge(std::move(workers[w]));
+        entry_merged.Merge(std::move(entry_workers[w]));
+      }
+      got_seqs.clear();
+      want_seqs.clear();
+      ASSERT_TRUE(merged.Emit([&](const Row& row, uint64_t seq) -> Result<bool> {
+                          EXPECT_TRUE(row.empty());
+                          got_seqs.push_back(seq);
+                          return true;
+                        }).ok());
+      for (auto& [row, seq] : entry_merged.Emit()) want_seqs.push_back(seq);
+      EXPECT_EQ(got_seqs, want_seqs) << label << ", merged workers";
+    }
+  }
 }
 
 }  // namespace

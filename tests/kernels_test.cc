@@ -218,6 +218,13 @@ TEST(KernelHashTest, MatchesValueHashBitForBit) {
   for (size_t i = 0; i < doubles.size(); ++i) {
     EXPECT_EQ(hashes[i], Value::Double(doubles[i]).Hash()) << doubles[i];
   }
+  // Int(0), 0.0 and -0.0 compare equal, so every path hashes them equal.
+  ASSERT_EQ(Value::Int(0).Compare(Value::Double(-0.0)), 0);
+  ASSERT_EQ(Value::Double(0.0).Compare(Value::Double(-0.0)), 0);
+  EXPECT_EQ(Value::Double(-0.0).Hash(), Value::Double(0.0).Hash());
+  EXPECT_EQ(Value::Double(-0.0).Hash(), Value::Int(0).Hash());
+  EXPECT_EQ(hashes[0], hashes[3]);  // HashF64 of 0.0 and of -0.0
+  EXPECT_EQ(hashes[3], Value::Int(0).Hash());
 
   std::string kilobyte(1024, '\0');
   for (size_t i = 0; i < kilobyte.size(); ++i) {

@@ -171,8 +171,8 @@ TEST_F(DatagenTest, Deterministic) {
   ASSERT_TRUE(a.ok() && b.ok());
   ASSERT_EQ(a->num_rows(), b->num_rows());
   for (size_t i = 0; i < a->num_rows(); i += 100) {
-    for (size_t c = 0; c < a->rows[i].size(); ++c) {
-      EXPECT_EQ(a->rows[i][c].Compare(b->rows[i][c]), 0);
+    for (size_t c = 0; c < a->width; ++c) {
+      EXPECT_EQ(a->RowAt(i)[c].Compare(b->RowAt(i)[c]), 0);
     }
   }
 }
@@ -184,7 +184,7 @@ TEST_F(DatagenTest, PhonePrefixEncodesNation) {
   int nk = (*schema)->ColumnIndex("c_nationkey");
   int ph = (*schema)->ColumnIndex("c_phone");
   for (size_t i = 0; i < customer->num_rows(); i += 37) {
-    const Row& row = customer->rows[i];
+    const Value* row = customer->RowAt(i);
     int64_t nation = row[static_cast<size_t>(nk)].AsInt();
     const std::string& phone = row[static_cast<size_t>(ph)].AsString();
     EXPECT_EQ(phone.substr(0, 2), std::to_string(10 + nation));
@@ -195,8 +195,8 @@ TEST_F(DatagenTest, OrderStatusSkew) {
   auto orders = gen_.Generate("orders");
   ASSERT_TRUE(orders.ok());
   int p_count = 0;
-  for (const Row& row : orders->rows) {
-    if (row[2].AsString() == "p") ++p_count;
+  for (size_t i = 0; i < orders->num_rows(); ++i) {
+    if (orders->RowAt(i)[2].AsString() == "p") ++p_count;
   }
   double frac = static_cast<double>(p_count) / static_cast<double>(orders->num_rows());
   EXPECT_GT(frac, 0.005);
@@ -208,9 +208,11 @@ TEST_F(DatagenTest, LineitemForeignKeysValid) {
   auto lineitem = gen_.Generate("lineitem");
   ASSERT_TRUE(orders.ok() && lineitem.ok());
   std::set<int64_t> order_keys;
-  for (const Row& r : orders->rows) order_keys.insert(r[0].AsInt());
+  for (size_t i = 0; i < orders->num_rows(); ++i) {
+    order_keys.insert(orders->RowAt(i)[0].AsInt());
+  }
   for (size_t i = 0; i < lineitem->num_rows(); i += 53) {
-    EXPECT_TRUE(order_keys.count(lineitem->rows[i][0].AsInt()) > 0);
+    EXPECT_TRUE(order_keys.count(lineitem->RowAt(i)[0].AsInt()) > 0);
   }
   EXPECT_GE(lineitem->num_rows(), orders->num_rows());
 }
@@ -228,7 +230,7 @@ TEST_F(DatagenTest, RowStoreLoadAndIndex) {
   ASSERT_EQ(hits.size(), 1u);
   auto table = store.GetTable("customer");
   ASSERT_TRUE(table.ok());
-  EXPECT_EQ((*table)->rows[hits[0]][0].AsInt(), 42);
+  EXPECT_EQ((*table)->RowAt(hits[0])[0].AsInt(), 42);
 }
 
 TEST_F(DatagenTest, RowStoreUserIndexBuiltLater) {
@@ -254,11 +256,75 @@ TEST_F(DatagenTest, ColumnStoreRoundTrip) {
   ASSERT_TRUE(table.ok());
   EXPECT_EQ((*table)->num_rows, 25u);
   for (size_t r = 0; r < 25; ++r) {
-    for (size_t c = 0; c < copy.rows[r].size(); ++c) {
-      EXPECT_EQ((*table)->columns[c].Get(r).Compare(copy.rows[r][c]), 0);
+    for (size_t c = 0; c < copy.width; ++c) {
+      EXPECT_EQ((*table)->columns[c].Get(r).Compare(copy.RowAt(r)[c]), 0);
     }
   }
 }
+
+/// True when `a` and `b` are the same kind of value and compare equal.
+bool SameCell(const Value& a, const Value& b) {
+  return a.is_null() == b.is_null() && a.is_int() == b.is_int() &&
+         a.is_double() == b.is_double() && a.Compare(b) == 0;
+}
+
+/// A table's flat rows, its column store and its B+-tree indexes hold the
+/// same values: RowAt(r)[c] is the column store's Get(r), and every index
+/// entry's row id leads to a row holding the entry's key.
+class FlatStorageTest : public ::testing::TestWithParam<const char*> {};
+
+TEST_P(FlatStorageTest, RowsColumnsAndIndexesAgree) {
+  Catalog catalog;
+  ASSERT_TRUE(tpch::BuildCatalog(&catalog, 0.01).ok());
+  const std::string name = GetParam();
+  auto data = TpchDataGenerator(0.01).Generate(name);
+  ASSERT_TRUE(data.ok());
+  ColumnStore column_store;
+  ASSERT_TRUE(column_store.LoadTable(catalog, *data).ok());
+  RowStore row_store;
+  ASSERT_TRUE(row_store.LoadTable(catalog, std::move(*data)).ok());
+  auto rows = row_store.GetTable(name);
+  auto columns = column_store.GetTable(name);
+  ASSERT_TRUE(rows.ok() && columns.ok());
+  const TableData& flat = **rows;
+  ASSERT_EQ(flat.num_rows(), (*columns)->num_rows);
+  ASSERT_EQ(flat.width, (*columns)->columns.size());
+  ASSERT_EQ(flat.cells.size(), flat.num_rows() * flat.width);
+  size_t differ = 0;
+  for (size_t r = 0; r < flat.num_rows(); ++r) {
+    for (size_t c = 0; c < flat.width; ++c) {
+      if (!SameCell(flat.RowAt(r)[c], (*columns)->columns[c].Get(r))) ++differ;
+    }
+  }
+  EXPECT_EQ(differ, 0u) << name;
+
+  auto schema = catalog.GetTable(name);
+  ASSERT_TRUE(schema.ok());
+  std::vector<const IndexDef*> indexes = catalog.IndexesOn(name);
+  EXPECT_FALSE(indexes.empty()) << name;
+  for (const IndexDef* def : indexes) {
+    const BTreeIndex* index = row_store.GetIndex(def->name);
+    ASSERT_NE(index, nullptr) << def->name;
+    const int col = (*schema)->ColumnIndex(def->leading_column());
+    ASSERT_GE(col, 0) << def->name;
+    size_t entries = 0, wrong = 0;
+    index->FullScan([&](const Value& key, uint32_t row_id) {
+      ++entries;
+      if (row_id >= flat.num_rows() ||
+          !SameCell(flat.RowAt(row_id)[col], key)) {
+        ++wrong;
+      }
+      return true;
+    });
+    EXPECT_EQ(entries, flat.num_rows()) << def->name;
+    EXPECT_EQ(wrong, 0u) << def->name;
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(TpchTables, FlatStorageTest,
+                         ::testing::Values("region", "nation", "supplier",
+                                           "customer", "part", "partsupp",
+                                           "orders", "lineitem"));
 
 TEST_F(DatagenTest, ZoneMapsPruneSegments) {
   ColumnStore store;
