@@ -83,16 +83,6 @@ class JoinTable {
   /// Next build row in the chain after `row`, or kNone.
   uint32_t Next(uint32_t row) const { return next_[row]; }
 
-  /// Hints the candidate bucket (tag byte + slot) into cache. The probe
-  /// loop issues this a few keys ahead of the actual Probe() so the
-  /// dependent loads overlap.
-  void Prefetch(uint64_t hash) const {
-    if (slots_.empty()) return;
-    size_t s = hash & mask_;
-    __builtin_prefetch(tags_.data() + s, 0, 1);
-    __builtin_prefetch(slots_.data() + s, 0, 1);
-  }
-
   /// Inserted rows (multimap size() equivalent).
   size_t size() const { return num_rows_; }
   bool empty() const { return num_rows_ == 0; }

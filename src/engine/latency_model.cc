@@ -174,11 +174,6 @@ class LatencyWalker {
         self_us = node.children[0]->estimated_rows * per_row;
         break;
       }
-      case PlanOp::kExchange: {
-        child_us = Walk(*node.children[0]);
-        self_us = 0.0;
-        break;
-      }
     }
 
     double total = child_us + self_us;

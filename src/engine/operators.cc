@@ -100,7 +100,6 @@ bool ResultIsComposite(const PhysicalPlan& plan) {
       case PlanOp::kSort:
       case PlanOp::kTopN:
       case PlanOp::kLimit:
-      case PlanOp::kExchange:
         continue;
       default:
         return true;
@@ -477,8 +476,6 @@ Result<bool> PushOperator(const PlanNode& node, ExecContext* ctx, RowSink out,
       return PushLimit(node, ctx, out);
     case PlanOp::kProject:
       return PushProject(node, ctx, out, bound);
-    case PlanOp::kExchange:
-      return ctx->Run(*node.children[0], out, bound);
     case PlanOp::kTableScan:
     case PlanOp::kIndexScan:
     case PlanOp::kIndexNestedLoopJoin:

@@ -305,8 +305,8 @@ class LimitWindow {
 
 /// The shared operators: Filter, nested-loop and hash joins (build side
 /// first, into an unordered_multimap, the match-order oracle for the
-/// vectorized JoinTable), aggregation, Sort, Top-N, Limit, Project and
-/// Exchange. Each runs its children through ctx->Run and pushes its output
+/// vectorized JoinTable), aggregation, Sort, Top-N, Limit and Project.
+/// Each runs its children through ctx->Run and pushes its output
 /// into `out`; the return value is the dispatch contract's.
 Result<bool> PushOperator(const PlanNode& node, ExecContext* ctx, RowSink out,
                           size_t bound);

@@ -81,7 +81,7 @@ Status VecExecutor::BuildPipeline(const PlanNode& root, ExecContext* ctx,
   for (size_t p = 0; p < spec->joins.size(); ++p) {
     spec->row_slots.joins.push_back(p);
   }
-  ResolveKeySources(spec);
+  HTAPEX_RETURN_IF_ERROR(ResolveKeySources(spec));
   // Resolve the scan's sift probes against the filters just built (the
   // producers are spine joins above the scan, so all ids are present now).
   for (const SiftProbe& sp : cur->sift_probes) {
@@ -98,12 +98,15 @@ Status VecExecutor::BuildPipeline(const PlanNode& root, ExecContext* ctx,
   return Status::OK();
 }
 
-void VecExecutor::ResolveKeySources(PipelineSpec* spec) const {
+Status VecExecutor::ResolveKeySources(PipelineSpec* spec) {
   for (size_t ji = 0; ji < spec->joins.size(); ++ji) {
     BuiltJoin& bj = spec->joins[ji];
-    if (bj.cross || bj.node->left_key == nullptr) continue;
+    if (bj.cross) continue;
     const Expr& key = *bj.node->left_key;
-    if (key.kind != ExprKind::kColumnRef || key.flat_slot < 0) continue;
+    if (key.kind != ExprKind::kColumnRef || key.flat_slot < 0) {
+      return Status::Internal("hash-join probe key is not a column: " +
+                              key.ToString());
+    }
     const int ordinal = key.flat_slot - spec->scan->slot_offset;
     // A scan-column key must be one the scan actually reads; otherwise the
     // composite row would hold NULL in that slot (the row executor's
@@ -121,19 +124,15 @@ void VecExecutor::ResolveKeySources(PipelineSpec* spec) const {
         bj.key_source = KeySource::kBuildColumn;
         bj.key_src_join = static_cast<int>(e);
         bj.key_src_slot = key.flat_slot;
-        // Hash each source build row's key value once per pipeline.
-        const Rows& src = spec->joins[e].build_rows;
-        bj.src_hashes.resize(src.size());
-        bj.src_nulls.resize(src.size());
-        for (size_t b = 0; b < src.size(); ++b) {
-          const Value& v = src[b][static_cast<size_t>(key.flat_slot)];
-          bj.src_nulls[b] = v.is_null() ? 1 : 0;
-          bj.src_hashes[b] = v.is_null() ? 0 : v.Hash();
-        }
         break;
       }
     }
+    if (bj.key_src_join < 0) {
+      return Status::Internal("hash-join probe key is not read below it: " +
+                              key.ToString());
+    }
   }
+  return Status::OK();
 }
 
 Status VecExecutor::TypedAggMorsel(const PipelineSpec& spec,
@@ -160,34 +159,30 @@ Status VecExecutor::TypedAggMorsel(const PipelineSpec& spec,
       size_t k = GatherNonNullF64(col, batch, buf);
       if (k == 0) continue;
       s.count = static_cast<int64_t>(k);
+      s.any = true;
       if (sums) {
         // Any double value flips SUM to the double accumulator — the same
         // promotion point AccumulateAggValue hits on the first value.
         s.sum_is_int = false;
         s.sum = kernels::SumF64(buf, static_cast<int>(k));
+      } else if (agg.agg_kind == AggKind::kMin) {
+        s.min = Value::Double(*std::min_element(buf, buf + k));
+      } else if (agg.agg_kind == AggKind::kMax) {
+        s.max = Value::Double(*std::max_element(buf, buf + k));
       }
-      double mn = buf[0], mx = buf[0];
-      for (size_t i = 1; i < k; ++i) {
-        mn = std::min(mn, buf[i]);
-        mx = std::max(mx, buf[i]);
-      }
-      s.min = Value::Double(mn);
-      s.max = Value::Double(mx);
-      s.any = true;
     } else {
       int64_t* buf = arena->AllocInt64s(batch.sel.size());
       size_t k = GatherNonNullI64(col, batch, buf);
       if (k == 0) continue;
       s.count = static_cast<int64_t>(k);
-      if (sums) s.isum = kernels::SumI64(buf, static_cast<int>(k));
-      int64_t mn = buf[0], mx = buf[0];
-      for (size_t i = 1; i < k; ++i) {
-        mn = std::min(mn, buf[i]);
-        mx = std::max(mx, buf[i]);
-      }
-      s.min = Value::Int(mn);
-      s.max = Value::Int(mx);
       s.any = true;
+      if (sums) {
+        s.isum = kernels::SumI64(buf, static_cast<int>(k));
+      } else if (agg.agg_kind == AggKind::kMin) {
+        s.min = Value::Int(*std::min_element(buf, buf + k));
+      } else if (agg.agg_kind == AggKind::kMax) {
+        s.max = Value::Int(*std::max_element(buf, buf + k));
+      }
     }
   }
   return Status::OK();
@@ -212,11 +207,9 @@ Status VecExecutor::ProcessMorsel(const PipelineSpec& spec,
   // bulk-hash it (kernels::HashI64/F64/Bytes are bit-identical to
   // Value::Hash), test the Bloom filters, and compact. NULL keys can never
   // join and are dropped, exactly like the row executor's sifted scan.
-  // Surviving hash arrays are compacted alongside the selection so the
-  // first join can reuse them instead of rehashing the same column.
-  std::vector<uint64_t*> sift_hashes(spec.scan_sifts.size(), nullptr);
   if (!spec.scan_sifts.empty() && !batch.sel.empty()) {
     const size_t n = batch.sel.size();
+    std::vector<uint64_t*> sift_hashes(spec.scan_sifts.size(), nullptr);
     std::vector<uint8_t*> sift_nulls(spec.scan_sifts.size(), nullptr);
     for (size_t s = 0; s < spec.scan_sifts.size(); ++s) {
       sift_hashes[s] = arena->AllocU64s(n);
@@ -236,12 +229,7 @@ Status VecExecutor::ProcessMorsel(const PipelineSpec& spec,
           break;
         }
       }
-      if (!keep) continue;
-      for (size_t s = 0; s < spec.scan_sifts.size(); ++s) {
-        sift_hashes[s][w] = sift_hashes[s][i];
-      }
-      batch.sel[w] = batch.sel[i];
-      ++w;
+      if (keep) batch.sel[w++] = batch.sel[i];
     }
     batch.sel.resize(w);
   }
@@ -254,16 +242,16 @@ Status VecExecutor::ProcessMorsel(const PipelineSpec& spec,
   // The late-materialized tuple set: per surviving tuple, its scan offset
   // plus one build-row index per completed join, and per join the index of
   // each tuple's parent in the level below. Composite rows exist only
-  // transiently below (computed keys, residual predicates) until the sink.
+  // transiently below (residual predicates) until the sink.
   std::vector<uint32_t> cur_off(batch.sel.begin(), batch.sel.end());
   std::vector<std::vector<uint32_t>> bidx;
   std::vector<std::vector<uint32_t>> parents;
 
-  // Scratch composite row for EvalExpr/PassesPredicates fallbacks. Filled
-  // lazily per tuple; made to equal the row executor's probe row exactly:
-  // scan columns + completed joins' slots, current join's build range
-  // nulled (candidates merge over it per match). Slots outside the
-  // pipeline stay NULL from init, as they would in a materialized row.
+  // Scratch composite row for residual predicates. Filled lazily per
+  // tuple; made to equal the row executor's probe row exactly: scan
+  // columns + completed joins' slots, current join's build range nulled
+  // (candidates merge over it per match). Slots outside the pipeline stay
+  // NULL from init, as they would in a materialized row.
   Row scratch;
   auto fill_scratch = [&](size_t t, const BuiltJoin& bj) {
     if (scratch.empty()) {
@@ -288,7 +276,7 @@ Status VecExecutor::ProcessMorsel(const PipelineSpec& spec,
   for (size_t ji = 0; ji < spec.joins.size(); ++ji) {
     const BuiltJoin& bj = spec.joins[ji];
     const PlanNode& jn = *bj.node;
-    size_t nt = cur_off.size();  // cut at a probe key that fails
+    const size_t nt = cur_off.size();
     std::vector<uint32_t> next_off;
     std::vector<std::vector<uint32_t>> next_bidx(bidx.size() + 1);
     std::vector<uint32_t> next_parent;
@@ -327,98 +315,36 @@ Status VecExecutor::ProcessMorsel(const PipelineSpec& spec,
         for (uint32_t b = 0; b < nb && going; ++b) going = try_emit(t, b);
       }
     } else {
-      // Per-tuple key hashes + null flags, gathered by resolved source.
-      const uint64_t* hashes = nullptr;
-      const uint8_t* nulls = nullptr;  // nullptr: no key is null
+      // Per-tuple key hashes and null flags, gathered by resolved source.
+      uint64_t* hashes = arena->AllocU64s(nt);
+      uint8_t* nulls = arena->AllocU8(nt);
       const ColumnVector* key_col = nullptr;
-      std::vector<Value> computed;
-      switch (bj.key_source) {
-        case KeySource::kScanColumn: {
-          key_col = &spec.table->columns[static_cast<size_t>(bj.key_ordinal)];
-          // The fused sift already hashed (and null-stripped) this column
-          // when it feeds the first join — reuse the compacted array.
-          if (ji == 0) {
-            for (size_t s = 0; s < spec.sift_ordinals.size(); ++s) {
-              if (spec.sift_ordinals[s] == bj.key_ordinal) {
-                hashes = sift_hashes[s];
-                break;
-              }
-            }
-          }
-          if (hashes == nullptr) {
-            uint64_t* h = arena->AllocU64s(nt);
-            uint8_t* nn = arena->AllocU8(nt);
-            GatherKeyHashes(*key_col, batch.begin, cur_off.data(), nt, arena,
-                            h, nn);
-            hashes = h;
-            nulls = nn;
-          }
-          break;
-        }
-        case KeySource::kBuildColumn: {
-          uint64_t* h = arena->AllocU64s(nt);
-          uint8_t* nn = arena->AllocU8(nt);
-          const std::vector<uint32_t>& src =
-              bidx[static_cast<size_t>(bj.key_src_join)];
-          for (size_t t = 0; t < nt; ++t) {
-            h[t] = bj.src_hashes[src[t]];
-            nn[t] = bj.src_nulls[src[t]];
-          }
-          hashes = h;
-          nulls = nn;
-          break;
-        }
-        case KeySource::kComputed: {
-          uint64_t* h = arena->AllocU64s(nt);
-          uint8_t* nn = arena->AllocU8(nt);
-          computed.resize(nt);
-          for (size_t t = 0; t < nt; ++t) {
-            fill_scratch(t, bj);
-            scratch_t = t;
-            Result<Value> k = EvalExpr(*jn.left_key, scratch);
-            if (!k.ok()) {
-              // The oracle probed the tuples before t, then failed here.
-              level_err = k.status();
-              nt = t;
-              break;
-            }
-            nn[t] = k->is_null() ? 1 : 0;
-            h[t] = k->is_null() ? 0 : k->Hash();
-            computed[t] = std::move(*k);
-          }
-          hashes = h;
-          nulls = nn;
-          break;
+      // kBuildColumn: the tuple's key in its lower join's build row.
+      auto build_key = [&](size_t t) -> const Value& {
+        const size_t sj = static_cast<size_t>(bj.key_src_join);
+        return spec.joins[sj].build_rows[bidx[sj][t]]
+                                        [static_cast<size_t>(bj.key_src_slot)];
+      };
+      if (bj.key_source == KeySource::kScanColumn) {
+        key_col = &spec.table->columns[static_cast<size_t>(bj.key_ordinal)];
+        GatherKeyHashes(*key_col, batch.begin, cur_off.data(), nt, arena,
+                        hashes, nulls);
+      } else {
+        for (size_t t = 0; t < nt; ++t) {
+          const Value& k = build_key(t);
+          nulls[t] = k.is_null() ? 1 : 0;
+          hashes[t] = k.is_null() ? 0 : k.Hash();
         }
       }
-      // Key Value for candidate confirmation, fetched only for tuples
-      // whose hash actually hits a chain.
-      auto key_value = [&](size_t t) -> Value {
-        switch (bj.key_source) {
-          case KeySource::kScanColumn:
-            return key_col->Get(batch.begin + cur_off[t]);
-          case KeySource::kBuildColumn: {
-            const size_t sj = static_cast<size_t>(bj.key_src_join);
-            return spec.joins[sj].build_rows[bidx[sj][t]]
-                                            [static_cast<size_t>(
-                                                bj.key_src_slot)];
-          }
-          case KeySource::kComputed:
-            return computed[t];
-        }
-        return Value::Null();
-      };
-      constexpr size_t kPrefetchAhead = 8;
       bool going = true;
       for (size_t t = 0; t < nt && going; ++t) {
-        if (t + kPrefetchAhead < nt &&
-            (nulls == nullptr || !nulls[t + kPrefetchAhead])) {
-          bj.flat.Prefetch(hashes[t + kPrefetchAhead]);
-        }
-        if (nulls != nullptr && nulls[t]) continue;
+        if (nulls[t]) continue;
         uint32_t b = bj.flat.Probe(hashes[t]);
         if (b == JoinTable::kNone) continue;
-        const Value pk = key_value(t);
+        // The key Value confirms candidates, fetched only on a chain hit.
+        const Value pk = key_col != nullptr
+                             ? key_col->Get(batch.begin + cur_off[t])
+                             : build_key(t);
         for (; b != JoinTable::kNone && going; b = bj.flat.Next(b)) {
           if (bj.build_keys[b].Compare(pk) == 0) going = try_emit(t, b);
         }

@@ -26,9 +26,9 @@ namespace htapex {
 /// (kernels::MaskCmp* et al., per-morsel Arena scratch), and probe the
 /// shared (read-only) flat JoinTables built once before the parallel
 /// region: probe keys for a whole morsel are gathered through the
-/// selection vector, bulk-hashed (kernels::HashI64/F64/Bytes) and probed
-/// with software prefetch; tuples travel the join spine as (scan offset,
-/// build indices), and a pipeline ends at the operator that consumes it:
+/// selection vector, bulk-hashed (kernels::HashI64/F64/Bytes) and probed;
+/// tuples travel the join spine as (scan offset, build indices), and a
+/// pipeline ends at the operator that consumes it:
 ///   - an aggregation folds each morsel into partial states, merged at the
 ///     pipeline breaker in morsel order;
 ///   - a Top-N keeps one bounded TopNHeap per worker holding sort keys
@@ -87,12 +87,12 @@ class VecExecutor {
                                  ExecStats* stats = nullptr) const;
 
  private:
-  /// Where a join's probe key comes from, resolved once per pipeline so
-  /// the batch probe can gather/hash whole morsels without EvalExpr.
+  /// Where a join's probe key comes from, resolved once per pipeline. A
+  /// hash join's keys are bare column refs (the binder makes hash
+  /// conjuncts only of `column = column`), and the probe side reads them.
   enum class KeySource {
-    kScanColumn,   // plain ref to a scan column the pipeline reads
-    kBuildColumn,  // ref into an earlier (lower) join's build rows
-    kComputed,     // anything else: per-tuple EvalExpr fallback
+    kScanColumn,   // a scan column the pipeline reads
+    kBuildColumn,  // a slot of an earlier (lower) join's build rows
   };
 
   /// One hash-join build side, constructed before the parallel region and
@@ -105,14 +105,10 @@ class VecExecutor {
     std::vector<std::pair<int, int>> build_ranges;
     bool cross = false;  // no equi-keys: degenerate cross join
     // Probe-key resolution (ResolveKeySources).
-    KeySource key_source = KeySource::kComputed;
+    KeySource key_source = KeySource::kScanColumn;
     int key_ordinal = -1;   // kScanColumn: schema ordinal in spec.table
     int key_src_join = -1;  // kBuildColumn: earlier join index (bottom-up)
     int key_src_slot = -1;  // kBuildColumn: flat slot in that build row
-    /// kBuildColumn: per-source-build-row key hash / null flag, computed
-    /// once per pipeline so probing is a pair of array loads per tuple.
-    std::vector<uint64_t> src_hashes;
-    std::vector<uint8_t> src_nulls;
   };
 
   /// What each morsel feeds at the pipeline breaker.
@@ -188,12 +184,12 @@ class VecExecutor {
 
   Status BuildPipeline(const PlanNode& root, ExecContext* ctx,
                        PipelineSpec* spec) const;
-  /// Resolves each equi-join's probe-key source for the batch probe.
-  void ResolveKeySources(PipelineSpec* spec) const;
-  /// Fused typed sift, gathered key hashing, flat-table probing with
-  /// prefetch, then the morsel's sink. Returns the morsel's first
-  /// evaluation error in the oracle's order, with the tuple lists cut
-  /// before it.
+  /// Resolves each equi-join's probe-key source for the batch probe;
+  /// Internal for a key that is neither.
+  static Status ResolveKeySources(PipelineSpec* spec);
+  /// Fused typed sift, gathered key hashing, flat-table probing, then the
+  /// morsel's sink. Returns the morsel's first evaluation error in the
+  /// oracle's order, with the tuple lists cut before it.
   Status ProcessMorsel(const PipelineSpec& spec, const Morsel& morsel,
                        int total_slots, kernels::Arena* arena,
                        MorselOut* out) const;

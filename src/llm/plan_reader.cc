@@ -198,7 +198,7 @@ class SurfaceReader final : public JsonEvents {
   Member member_ = kOther;
 };
 
-/// The operator whose PlanOpName is `name`, if any (kExchange is the last
+/// The operator whose PlanOpName is `name`, if any (kTopN is the last
 /// PlanOp).
 std::optional<PlanOp> PlanOpFromName(const JsonString& name) {
   std::string decoded;
@@ -207,7 +207,7 @@ std::optional<PlanOp> PlanOpFromName(const JsonString& name) {
     decoded = name.Decode();
     text = decoded;
   }
-  for (int i = 0; i <= static_cast<int>(PlanOp::kExchange); ++i) {
+  for (int i = 0; i <= static_cast<int>(PlanOp::kTopN); ++i) {
     PlanOp op = static_cast<PlanOp>(i);
     if (text == PlanOpName(op)) return op;
   }

@@ -42,8 +42,6 @@ const char* PlanOpName(PlanOp op) {
       return "Hash aggregate";
     case PlanOp::kTopN:
       return "Top-N";
-    case PlanOp::kExchange:
-      return "Exchange";
   }
   return "?";
 }

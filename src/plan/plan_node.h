@@ -34,12 +34,7 @@ enum class PlanOp {
   kSiftedScan,     // columnar scan filtered by join-key Bloom filters
   kHashJoin,       // build + probe hash join
   kHashAggregate,  // hash-based aggregation
-  kTopN,           // bounded heap ORDER BY + LIMIT
-  // Reserved for explicit distributed fan-in nodes; the current AP plans
-  // fold dispatch cost into LatencyParams::ap_startup_ms instead, but the
-  // executor and latency model handle the node (pass-through) so plans
-  // from a future distributed optimizer stay loadable.
-  kExchange,
+  kTopN,           // bounded heap ORDER BY + LIMIT (the last PlanOp)
 };
 
 /// EXPLAIN node-type string, e.g. "Nested loop inner join".

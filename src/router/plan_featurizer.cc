@@ -7,6 +7,8 @@ namespace htapex {
 namespace {
 
 constexpr int kNumOps = 14;  // PlanOp enum cardinality
+static_assert(kNumOps == static_cast<int>(PlanOp::kTopN) + 1,
+              "the operator one-hot covers every PlanOp");
 
 /// Feature layout per node:
 ///   [0..13]  operator one-hot

@@ -275,12 +275,9 @@ Result<ShardedExplainResult> ShardedExplainService::Explain(
       last = result.status();
       continue;
     }
-    if (code == StatusCode::kDeadlineExceeded) {
-      // The request's own budget died; no amount of failover helps.
-      return result.status();
-    }
-    // Request-level error (bad SQL etc.): the shard did its job.
-    if (!stall.fired) OnShardSuccess(shard);
+    // Any other status is the request's own: its budget died (KeyForSql
+    // returned every parse, bind and size error before any shard was
+    // called). Failover cannot help, and shard health is left alone.
     return result.status();
   }
   failover_.hops.Inc(static_cast<uint64_t>(

@@ -415,9 +415,10 @@ TEST_F(ExecutionPropertyTest, EvaluationErrorsSurviveALimit) {
   }
   // Rows past a full window are never evaluated, so the failing rows that
   // follow the window's last row in its own morsel (c_custkey 10 on, order
-  // keys from 100 on) fail nothing: at the scan on every engine, and in a
-  // join residual and a computed hash-join probe key on both AP executors,
-  // at 1 and 3 workers alike.
+  // keys from 100 on) fail nothing: at the scan on every engine, and on
+  // both AP executors in the residual of an equi-join and in the residual
+  // of a keyless join (`column = expression` is no hash key), at 1 and 3
+  // workers alike.
   EngineRuns scan;
   ASSERT_NO_FATAL_FAILURE(RunEverywhere(
       *system_,

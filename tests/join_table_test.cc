@@ -41,7 +41,6 @@ TEST(JoinTableTest, EmptyTableProbesToNone) {
   EXPECT_EQ(table.Probe(0x123456789abcdef0ull), JoinTable::kNone);
   EXPECT_TRUE(table.empty());
   EXPECT_EQ(table.capacity(), 0u);
-  table.Prefetch(42);  // must be a safe no-op pre-insert
 }
 
 TEST(JoinTableTest, DuplicateChainIsLifoLikeEqualRange) {

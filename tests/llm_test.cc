@@ -389,7 +389,7 @@ JsonValue ReferenceToJson(const PlanNode& node) {
 }
 
 std::optional<PlanOp> ReferencePlanOpFromName(std::string_view name) {
-  for (int i = 0; i <= static_cast<int>(PlanOp::kExchange); ++i) {
+  for (int i = 0; i <= static_cast<int>(PlanOp::kTopN); ++i) {
     PlanOp op = static_cast<PlanOp>(i);
     if (name == PlanOpName(op)) return op;
   }

@@ -155,11 +155,13 @@ TEST_F(VecExecutorTest, OperatorCoverageParity) {
       "WHERE o_custkey BETWEEN 100 AND 900",
       // String predicates against string literals lower onto the typed
       // mask (every comparison, IN with a number and a NULL among the
-      // strings, BETWEEN); LIKE and a string compared with a number take
-      // the per-row fallback path inside the morsel loop.
+      // strings, BETWEEN); an OR, LIKE and a string compared with a number
+      // take the per-row fallback path inside the morsel loop.
       "SELECT COUNT(*) FROM orders WHERE o_orderstatus = 'p'",
       "SELECT COUNT(*) FROM orders WHERE o_orderstatus <> 'o' "
       "AND o_orderpriority >= '3-medium'",
+      "SELECT COUNT(*) FROM customer WHERE c_name > 'customer#000000100' "
+      "AND c_name < 'customer#000002900'",
       "SELECT COUNT(*) FROM customer WHERE c_name < 'customer#000000100' "
       "OR c_name > 'customer#000002900'",
       "SELECT COUNT(*) FROM customer WHERE c_mktsegment <= 'building'",
@@ -169,6 +171,11 @@ TEST_F(VecExecutorTest, OperatorCoverageParity) {
       "WHERE c_mktsegment BETWEEN 'automobile' AND 'household'",
       "SELECT COUNT(*) FROM orders WHERE o_orderstatus = 1",
       "SELECT COUNT(*) FROM customer WHERE c_name LIKE 'customer#0000001%'",
+      // Typed masks: a double literal against an int column compares in
+      // double; a NULL literal or BETWEEN bound passes no row.
+      "SELECT COUNT(*) FROM customer WHERE c_nationkey < 3.5",
+      "SELECT COUNT(*) FROM orders WHERE o_totalprice > NULL",
+      "SELECT COUNT(*) FROM customer WHERE c_acctbal BETWEEN NULL AND 1000",
       // Grouped (generic fused) aggregation, with and without joins.
       "SELECT c_nationkey, COUNT(*), SUM(c_acctbal) FROM customer "
       "GROUP BY c_nationkey ORDER BY c_nationkey",
@@ -177,6 +184,8 @@ TEST_F(VecExecutorTest, OperatorCoverageParity) {
       // Join pipeline feeding a bare scan chain (multi-morsel probe side).
       "SELECT COUNT(*) FROM customer, orders WHERE o_custkey = c_custkey "
       "AND o_totalprice > 100000",
+      // A join on double keys hashes the gathered doubles.
+      "SELECT COUNT(*) FROM customer, supplier WHERE c_acctbal = s_acctbal",
       // Three-way join chain.
       "SELECT COUNT(*) FROM customer, nation, orders "
       "WHERE o_custkey = c_custkey AND n_nationkey = c_nationkey "
@@ -186,6 +195,11 @@ TEST_F(VecExecutorTest, OperatorCoverageParity) {
       "ORDER BY o_orderstatus LIMIT 10 OFFSET 3",
       "SELECT o_orderkey, o_totalprice FROM orders "
       "ORDER BY o_totalprice DESC, o_orderkey LIMIT 20",
+      // Top-N over a join pipeline whose build side is empty: the scan
+      // never runs.
+      "SELECT o_orderkey, o_totalprice FROM customer, orders "
+      "WHERE o_custkey = c_custkey AND c_name = 'nobody' "
+      "ORDER BY o_totalprice DESC LIMIT 5",
       // Sort without limit, projection arithmetic, DISTINCT aggregate.
       "SELECT n_name FROM nation ORDER BY n_name",
       "SELECT o_orderkey, o_totalprice * 2 FROM orders "
